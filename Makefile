@@ -1,6 +1,7 @@
 # Makefile — CI entry points for the rexptree repository.
 #
-#   make check            fmt-check + vet + build + tests + race + bench smokes
+#   make check            fmt-check + vet + build + tests + race + determinism + bench smokes
+#   make bench-update     the update path's microbenchmarks (kernel, computeBR, one update)
 #   make bench-obs        metrics-overhead microbenchmark -> BENCH_obs.json
 #   make bench-shard      concurrent-throughput comparison -> BENCH_shard.json
 #   make bench-partition  hash vs speed partitioning -> BENCH_partition.json
@@ -16,11 +17,11 @@
 
 GO ?= go
 
-.PHONY: all check fmt-check vet build test race fuzz-smoke bench-obs bench-obs-smoke bench-shard bench-partition bench-partition-smoke bench-wal bench-wal-smoke bench-read bench-read-smoke bench-reshard bench-reshard-smoke bench-trace bench-trace-smoke serve-smoke bench-serve bench-serve-smoke bench-repl bench-repl-smoke fault-matrix clean
+.PHONY: all check fmt-check vet build test race determinism fuzz-smoke bench-update bench-obs bench-obs-smoke bench-shard bench-partition bench-partition-smoke bench-wal bench-wal-smoke bench-read bench-read-smoke bench-reshard bench-reshard-smoke bench-trace bench-trace-smoke serve-smoke bench-serve bench-serve-smoke bench-repl bench-repl-smoke fault-matrix clean
 
 all: check bench-obs bench-shard bench-partition bench-wal bench-read bench-reshard bench-trace bench-serve bench-repl
 
-check: fmt-check vet build test race bench-obs-smoke bench-partition-smoke bench-wal-smoke bench-read-smoke bench-reshard-smoke bench-trace-smoke serve-smoke bench-serve-smoke bench-repl-smoke
+check: fmt-check vet build test race determinism bench-obs-smoke bench-partition-smoke bench-wal-smoke bench-read-smoke bench-reshard-smoke bench-trace-smoke serve-smoke bench-serve-smoke bench-repl-smoke
 
 # Fails (with the offending file list) if anything is not gofmt-clean.
 fmt-check:
@@ -42,18 +43,37 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The asynchronous control paths must not depend on how the scheduler
+# interleaves them: the reshard tests (start, status, cancel, cutover
+# under load) run three times at one, two and four processors.  The
+# tier-1 run covers them once at the host's own count only.
+determinism:
+	$(GO) test -count=3 -cpu 1,2,4 -run 'Reshard' . ./internal/server
+
 # A short run of each native fuzz target: the manifest decode/encode
-# round trip, the time-parameterized intersection kernel, and the
-# write-ahead-log frame scanner (arbitrary bytes must never panic and
-# torn tails must only ever drop trailing records).  Ten seconds each
+# round trip, the time-parameterized intersection kernel, the
+# near-optimal bridge search against its sort-and-scan reference, and
+# the write-ahead-log frame scanner (arbitrary bytes must never panic
+# and torn tails must only ever drop trailing records).  Ten seconds each
 # is enough to shake out regressions in the properties; leave the
 # targets running longer locally when hunting.
 fuzz-smoke:
 	$(GO) test ./internal/manifest -run '^$$' -fuzz FuzzManifestRoundTrip -fuzztime 10s
 	$(GO) test ./internal/geom -run '^$$' -fuzz FuzzTrapezoidIntersect -fuzztime 10s
+	$(GO) test ./internal/hull -run '^$$' -fuzz FuzzNearOptimalBridge -fuzztime 10s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzWALRoundTrip -fuzztime 10s
 	$(GO) test . -run '^$$' -fuzz FuzzDualApplySchedule -fuzztime 10s
 	$(GO) test ./internal/repl -run '^$$' -fuzz FuzzReplFrameRoundTrip -fuzztime 10s
+
+# The update path from the inside out: the near-optimal TPBR kernel on
+# a full leaf's worth of entries, computeBR on a full leaf and a full
+# internal node, and one steady-state update (delete + insert) through
+# the public tree.  Prints to the terminal; bench/ holds the numbers
+# that count.
+bench-update:
+	$(GO) test ./internal/hull -run '^$$' -bench 'BenchmarkNearOptimal$$' -benchmem
+	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkComputeBR' -benchmem
+	$(GO) test . -run '^$$' -bench 'BenchmarkUpdateThroughput$$' -benchmem
 
 # Compares instrumented vs. nil-metrics Update/query throughput; the
 # observability layer's budget is a <2% regression.

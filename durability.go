@@ -285,9 +285,12 @@ func recoverDurable(opts Options, fs *storage.FileStore, store storage.Store, cf
 	tc.endAt(bi)
 	ri := tc.begin(-1, "replay", -1)
 	// The recovered clock is the latest timestamp in the log; any
-	// replayed report that expires at or before it is dead on arrival —
+	// replayed report that has expired by it is dead on arrival —
 	// queries would never see it and a later update would purge it — so
 	// the replay skips the insert half (the delete half still runs).
+	// Expired means what it means to the live index (core.isExpired):
+	// the expiration time as stored, rounded to the page's float32,
+	// lies before the clock.
 	clock := t.Now()
 	for _, rec := range a.Tail {
 		switch rec.Kind {
@@ -317,7 +320,7 @@ func recoverDurable(opts Options, fs *storage.FileStore, store storage.Store, cf
 			copy(p.Pos[:], u.Pos[:])
 			copy(p.Vel[:], u.Vel[:])
 			mp := toInternal(p, tr.dims)
-			if expireAware && mp.TExp <= clock {
+			if expireAware && t.Stored(mp).TExp < clock {
 				// Short-lived data: the report expired before the crash
 				// was recovered; replaying it would only be purged again.
 				tr.m.RecoveryDroppedExpired.Inc()

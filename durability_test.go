@@ -625,6 +625,66 @@ func TestDurableRecoveryDropsExpired(t *testing.T) {
 	}
 }
 
+// TestDurableRecoveryKeepsReportExpiringAtClock: a report whose
+// expiration time rounds, in the page's float32, to the clock of the
+// crash is alive to the live index (stored t_exp < now is false), so it
+// must be alive after recovery too — the replay applies the same rule
+// to the same stored value, not to the unrounded time from the log.
+func TestDurableRecoveryKeepsReportExpiringAtClock(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ulp.rexp")
+	tr, err := Open(durableOpts(path, DurabilityOnCommit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clock = 100.0
+	// Strictly before the clock, yet within half a float32 ulp of it.
+	expires := clock - 1e-7
+	if float64(float32(expires)) != clock {
+		t.Fatalf("test premise: float32(%v) = %v, want %v", expires, float32(expires), clock)
+	}
+	p := Point{Pos: Vec{500, 500}, Vel: Vec{1, 0}, Time: 99, Expires: expires}
+	if err := tr.Update(7, p, 99); err != nil {
+		t.Fatal(err)
+	}
+	// A later report moves the clock to exactly the rounded expiry.
+	other := Point{Pos: Vec{10, 10}, Time: clock, Expires: clock + 1000}
+	if err := tr.Update(8, other, clock); err != nil {
+		t.Fatal(err)
+	}
+	world := Rect{Lo: Vec{0, 0}, Hi: Vec{1000, 1000}}
+	visible := func(tr *Tree) bool {
+		res, err := tr.Timeslice(world, clock, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res {
+			if r.ID == 7 {
+				return true
+			}
+		}
+		return false
+	}
+	if _, ok := tr.Get(7, clock); !ok || !visible(tr) {
+		t.Fatal("test premise: the report must be visible at the clock before the crash")
+	}
+	tr.Abandon()
+
+	re, err := Open(durableOpts(path, DurabilityOnCommit))
+	if err != nil {
+		t.Fatalf("recovery open: %v", err)
+	}
+	defer re.Close()
+	if n := re.Metrics().RecoveryDroppedExpired; n != 0 {
+		t.Errorf("RecoveryDroppedExpired = %d, want 0", n)
+	}
+	if _, ok := re.Get(7, clock); !ok || !visible(re) {
+		t.Fatal("a report visible before the crash is gone after recovery")
+	}
+	if err := re.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDurableDoubleCrashTornTail drills the double-crash combination:
 // the first crash leaves a torn WAL tail (garbage after the valid
 // frames), then recovery itself crashes after its checkpoint's images

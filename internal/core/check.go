@@ -56,7 +56,7 @@ func (t *Tree) CheckInvariants() error {
 				// The parent bound must hold from now until the entry's
 				// effective expiration (or the parent entry's, whichever
 				// is earlier).
-				end := math.Min(t.effExp(e.rect, n.level), boundExp)
+				end := math.Min(t.effExp(&e.rect, n.level), boundExp)
 				if !geom.IsFinite(end) || end > t.Now()+1000 {
 					end = t.Now() + 1000
 				}
@@ -76,7 +76,7 @@ func (t *Tree) CheckInvariants() error {
 			}
 			if n.level > 0 {
 				br := e.rect
-				if err := walk(e.child(), n.level-1, &br, t.effExp(e.rect, n.level)); err != nil {
+				if err := walk(e.child(), n.level-1, &br, t.effExp(&e.rect, n.level)); err != nil {
 					return err
 				}
 			}

@@ -26,7 +26,7 @@ func (t *Tree) Delete(oid uint32, p geom.MovingPoint, now float64) (bool, error)
 	leaf := path[len(path)-1]
 	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
 	t.leafEntries--
-	t.reinsertedAt = make(map[int]bool)
+	t.reinsertedAt = 0
 	var orphans []orphan
 	if err := t.propagateUp(path, &orphans); err != nil {
 		return true, err

@@ -1,0 +1,142 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"testing"
+
+	"rexptree/internal/hull"
+	"rexptree/internal/obs"
+	"rexptree/internal/storage"
+	"rexptree/internal/workload"
+)
+
+// goldenOps is the length of the fixed operation stream every golden
+// tree is built from.
+const goldenOps = 30000
+
+// goldenParams is the stream: the network scenario with reports that
+// expire after 0.58·UI, so some expire silently before their object's
+// next update (the deletion then fails and the entry is purged
+// lazily), and objects that are turned off without a deletion.  The
+// population is large enough for the tree to reach three levels, so
+// bounding rectangles are computed over child rectangles as well as
+// over points.
+var goldenParams = workload.Params{
+	Seed: 42, Objects: 8000, Insertions: goldenOps, UI: 60, ExpT: 35, NewOb: 0.5,
+}
+
+// goldenTrees pins the tree each configuration must produce from the
+// golden stream: a digest of every page image, the root page id and
+// the height.  The bounding-rectangle computations, the insertion
+// heuristics and the purge rules may be made faster, but a change that
+// alters what they compute moves a digest here.  The digests were
+// recorded before the near-optimal kernel was rewritten.
+var goldenTrees = []struct {
+	name   string
+	cfg    Config
+	digest string
+}{
+	{"conservative", Config{BRKind: hull.KindConservative, ExpireAware: true}, "c5a38ad9bf93250545e628f0"},
+	{"static", Config{BRKind: hull.KindStatic, ExpireAware: true}, "adb5bfe918facdce98785119"},
+	{"update-minimum", Config{BRKind: hull.KindUpdateMinimum, ExpireAware: true}, "69bc66d8464f3229e9a0bc53"},
+	{"near-optimal", Config{BRKind: hull.KindNearOptimal, ExpireAware: true}, "8cfeb4f58ddd0e6607a6bae8"},
+	{"optimal", Config{BRKind: hull.KindOptimal, ExpireAware: true}, "034c1fcc5264a9b555b430fa"},
+	{"near-optimal/stored-exp", Config{BRKind: hull.KindNearOptimal, ExpireAware: true, StoreBRExp: true, AlgsUseExp: true}, "24cf7a865fa5e814e77dd52e"},
+	{"near-optimal/tpr", Config{BRKind: hull.KindNearOptimal}, "4eed57e0c2349ffefd58d51b"},
+}
+
+// goldenDigest replays the golden stream into a fresh tree and returns
+// the digest of the result together with the structural events seen.
+func goldenDigest(t *testing.T, cfg Config) (string, obs.Snapshot) {
+	t.Helper()
+	cfg.Dims, cfg.Seed, cfg.Metrics = 2, 1, obs.New()
+	store := storage.NewMemStore()
+	tr, err := New(cfg, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := workload.NewGenerator(goldenParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var word [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(word[:], v)
+		h.Write(word[:])
+	}
+	deleted := 0
+	for i := 0; i < goldenOps; i++ {
+		op, ok := gen.Next()
+		if !ok {
+			t.Fatalf("stream ended after %d operations", i)
+		}
+		switch op.Kind {
+		case workload.OpInsert:
+			err = tr.Insert(op.OID, op.Point, op.Time)
+		case workload.OpDelete:
+			var found bool
+			if found, err = tr.Delete(op.OID, op.Point, op.Time); found {
+				deleted++
+			}
+		case workload.OpQuery:
+			var res []Result
+			res, err = tr.Search(op.Query, op.Time)
+			put(uint64(len(res)))
+		}
+		if err != nil {
+			t.Fatalf("operation %d: %v", i, err)
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, storage.PageSize)
+	for id := storage.PageID(0); ; id++ {
+		err := store.ReadPage(id, buf)
+		if errors.Is(err, storage.ErrPageRange) {
+			break
+		}
+		put(uint64(id))
+		if errors.Is(err, storage.ErrPageFreed) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(buf)
+	}
+	put(uint64(tr.root))
+	put(uint64(tr.Height()))
+	put(uint64(deleted))
+	return hex.EncodeToString(h.Sum(nil)[:12]), cfg.Metrics.Snapshot()
+}
+
+func TestGoldenTrees(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays 30 000 operations per configuration")
+	}
+	for _, g := range goldenTrees {
+		t.Run(g.name, func(t *testing.T) {
+			t.Parallel()
+			digest, st := goldenDigest(t, g.cfg)
+			t.Logf("splits %d, forced reinserts %d, condenses %d, purged %d",
+				st.Splits, st.ForcedReinserts, st.Condenses, st.ExpiredPurged)
+			if st.Splits == 0 || st.ForcedReinserts == 0 {
+				t.Errorf("the stream caused %d splits and %d forced reinserts; it must exercise both", st.Splits, st.ForcedReinserts)
+			}
+			if g.cfg.ExpireAware && st.ExpiredPurged == 0 {
+				t.Error("the stream purged no expired entry")
+			}
+			if digest != g.digest {
+				t.Errorf("tree digest %s, want %s: the index is no longer the same tree page for page", digest, g.digest)
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"rexptree/internal/geom"
@@ -23,7 +24,7 @@ type orphan struct {
 func (t *Tree) Insert(oid uint32, p geom.MovingPoint, now float64) error {
 	t.advance(now)
 	p = t.prepare(p)
-	t.reinsertedAt = make(map[int]bool)
+	t.reinsertedAt = 0
 	t.leafEntries++
 	t.tickUI()
 	if err := t.placeEntry(orphan{e: entry{id: oid, rect: geom.PointTPRect(p)}, level: 0}); err != nil {
@@ -105,10 +106,9 @@ func (t *Tree) insertOrphan(o orphan, orphans *[]orphan) error {
 		path = append(path, child)
 		n = child
 	}
+	// propagateUp purges the target (new entry included) before it
+	// looks at its fill.
 	target := path[len(path)-1]
-	if err := t.purgeNode(target); err != nil {
-		return err
-	}
 	target.entries = append(target.entries, o.e)
 	return t.propagateUp(path, orphans)
 }
@@ -149,20 +149,25 @@ func (t *Tree) chooseChild(n *node, r geom.TPRect) int {
 		}
 	}
 	rNew := r
-	rNew.TExp = t.decisionExp(r, n.level-1)
+	rNew.TExp = t.decisionExp(&r, n.level-1)
+	now, dims, src := t.Now(), t.cfg.Dims, t.expSource(n.level)
 	best := -1
 	bestEnl, bestArea := 0.0, 0.0
 	for i := range n.entries {
 		e := &n.entries[i]
-		if t.isExpired(&e.rect, n.level) {
+		exp := t.expOf(&e.rect, src, now)
+		if exp < now {
 			continue
 		}
-		er := e.rect
-		er.TExp = t.decisionExp(e.rect, n.level)
-		end := t.metricEnd(er.TExp, rNew.TExp)
-		area := geom.AreaIntegral(er, t.Now(), end, t.cfg.Dims)
-		union := geom.UnionConservative(er, rNew, t.Now(), t.cfg.Dims)
-		enl := geom.AreaIntegral(union, t.Now(), end, t.cfg.Dims) - area
+		if !t.cfg.AlgsUseExp {
+			exp = math.Inf(1)
+		}
+		// Neither integral reads the rectangle's own expiration time;
+		// it enters through end alone.
+		end := t.metricEnd(exp, rNew.TExp)
+		area := geom.AreaIntegral(e.rect, now, end, dims)
+		union := geom.UnionConservative(e.rect, rNew, now, dims)
+		enl := geom.AreaIntegral(union, now, end, dims) - area
 		if best < 0 || enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
 		}
@@ -184,7 +189,7 @@ func (t *Tree) chooseChild(n *node, r geom.TPRect) int {
 // child exists.
 func (t *Tree) chooseChildOverlap(n *node, r geom.TPRect) int {
 	rNew := r
-	rNew.TExp = t.decisionExp(r, n.level-1)
+	rNew.TExp = t.decisionExp(&r, n.level-1)
 	best := -1
 	bestOv, bestEnl := 0.0, 0.0
 	for i := range n.entries {
@@ -193,7 +198,7 @@ func (t *Tree) chooseChildOverlap(n *node, r geom.TPRect) int {
 			continue
 		}
 		er := e.rect
-		er.TExp = t.decisionExp(e.rect, n.level)
+		er.TExp = t.decisionExp(&e.rect, n.level)
 		end := t.metricEnd(er.TExp, rNew.TExp)
 		union := geom.UnionConservative(er, rNew, t.Now(), t.cfg.Dims)
 		var dOv float64
@@ -234,10 +239,10 @@ func (t *Tree) propagateUp(path []*node, orphans *[]orphan) error {
 		}
 		switch {
 		case len(n.entries) > t.lay.cap(n.level):
-			if !isRoot && t.cfg.ReinsertFrac > 0 && !t.reinsertedAt[n.level] {
+			if levelBit := uint64(1) << uint(n.level); !isRoot && t.cfg.ReinsertFrac > 0 && t.reinsertedAt&levelBit == 0 {
 				// PU1, first option: forced reinsertion, once per level
 				// per operation.
-				t.reinsertedAt[n.level] = true
+				t.reinsertedAt |= levelBit
 				moved := t.pickReinsert(n)
 				if t.met != nil {
 					t.met.ForcedReinserts.Inc()
@@ -364,7 +369,7 @@ func (t *Tree) shrinkRoot() error {
 // Eq. 1) and returns them ordered closest-first.
 func (t *Tree) pickReinsert(n *node) []entry {
 	nodeBR := t.computeBR(n)
-	end := t.metricEnd(t.decisionExp(nodeBR, n.level+1))
+	end := t.metricEnd(t.decisionExp(&nodeBR, n.level+1))
 	type scored struct {
 		e entry
 		d float64

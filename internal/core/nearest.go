@@ -63,7 +63,7 @@ func (t *Tree) NearestStats(q geom.Vec, at float64, k int, now float64, st *Trav
 		for i := range n.entries {
 			e := &n.entries[i]
 			// Entries invalid at the query time cannot contribute.
-			if t.cfg.ExpireAware && t.effExp(e.rect, n.level) < at {
+			if t.cfg.ExpireAware && t.effExp(&e.rect, n.level) < at {
 				continue
 			}
 			if n.level == 0 {

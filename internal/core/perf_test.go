@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rexptree/internal/geom"
+	"rexptree/internal/hull"
 	"rexptree/internal/storage"
 )
 
@@ -30,3 +31,56 @@ func BenchmarkInsertUpdate(b *testing.B) {
 		objs[oid] = tr.prepare(p)
 	}
 }
+
+// brNodes builds the two inputs computeBR sees most: a full leaf of
+// moving points and a full internal node whose entries are the
+// near-optimal rectangles of small leaves.  The tree uses the engine's
+// default R^exp configuration (no expiration times in internal
+// entries, so the internal node's entries expire at derived times).
+func brNodes(tb testing.TB) (tr *Tree, leaf, inner *node) {
+	tb.Helper()
+	tr, err := New(Config{Dims: 2, ExpireAware: true, BRKind: hull.KindNearOptimal, Seed: 1}, storage.NewMemStore())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const now = 100
+	tr.advance(now)
+	rng := rand.New(rand.NewSource(3))
+	points := func(n int) *node {
+		nd := &node{level: 0, entries: make([]entry, n)}
+		for i := range nd.entries {
+			p := quantize(geom.MovingPoint{
+				Pos:  geom.Vec{rng.Float64() * 1000, rng.Float64() * 1000},
+				Vel:  geom.Vec{rng.Float64()*6 - 3, rng.Float64()*6 - 3},
+				TExp: now + rng.Float64()*120,
+			}, 2)
+			nd.entries[i] = entry{id: uint32(i), rect: geom.PointTPRect(p)}
+		}
+		return nd
+	}
+	leaf = points(tr.lay.leafCap)
+	inner = &node{level: 1, entries: make([]entry, tr.lay.innerCap)}
+	for i := range inner.entries {
+		inner.entries[i] = entry{id: uint32(i), rect: tr.computeBR(points(20))}
+	}
+	return tr, leaf, inner
+}
+
+// BenchmarkComputeBR measures the bounding-rectangle computation of a
+// full node, the kernel that runs for every node an update touches.
+func BenchmarkComputeBR(b *testing.B) {
+	tr, leaf, inner := brNodes(b)
+	for _, c := range []struct {
+		name string
+		n    *node
+	}{{"leaf", leaf}, {"internal", inner}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkBR = tr.computeBR(c.n)
+			}
+		})
+	}
+}
+
+var sinkBR geom.TPRect

@@ -107,7 +107,7 @@ func (t *Tree) SearchFuncStats(q geom.Query, now float64, st *TravStats, fn func
 				continue
 			}
 			r := e.rect
-			r.TExp = t.effExp(e.rect, n.level)
+			r.TExp = t.effExp(&e.rect, n.level)
 			if q.MatchesRect(r, t.cfg.Dims, t.cfg.ExpireAware) {
 				stack = append(stack, e.child())
 			}

@@ -63,7 +63,7 @@ func (t *Tree) chooseSplit(entries []entry, level int) (g1, g2 []entry) {
 	allExp := math.Inf(-1)
 	for i, e := range entries {
 		dr[i] = e.rect
-		dr[i].TExp = t.decisionExp(e.rect, level)
+		dr[i].TExp = t.decisionExp(&dr[i], level)
 		allExp = math.Max(allExp, dr[i].TExp)
 	}
 	end := t.metricEnd(allExp)

@@ -50,10 +50,14 @@ type Tree struct {
 	timerStart    float64
 	ui            float64 // 0 until the first estimate is available
 
-	// Per-operation state.
-	reinsertedAt map[int]bool
+	// Per-operation state: bit l is set once level l has had its forced
+	// reinsertion (R*-tree: at most one per level per operation).
+	reinsertedAt uint64
 
-	// scratch is the reusable item buffer of computeBR.
+	// Reusable state of computeBR: the near-optimal workspace and its
+	// dimension order, and the item buffer of the other kinds.
+	ws      hull.Workspace
+	order   [geom.MaxDims]int
 	scratch []geom.TPRect
 
 	// Snapshot read path state (see snapshot.go).  pub is the
@@ -306,37 +310,60 @@ func (t *Tree) prepare(p geom.MovingPoint) geom.MovingPoint {
 // Callers that later delete the record should pass this form.
 func (t *Tree) Stored(p geom.MovingPoint) geom.MovingPoint { return t.prepare(p) }
 
-// effExp returns the expiration time of an entry as the engine's
-// algorithms see it: the recorded time for leaf entries (and for
-// internal entries when StoreBRExp is set), the derived expiration of
-// shrinking rectangles otherwise, and +Inf when the engine is not
-// expiration-aware.
-func (t *Tree) effExp(r geom.TPRect, level int) float64 {
-	if !t.cfg.ExpireAware {
-		return math.Inf(1)
+// expSource says where the effective expiration time of a node's
+// entries comes from.  It depends only on the configuration and the
+// node's level, so loops over a node resolve it once.
+type expSource uint8
+
+const (
+	expNever   expSource = iota // the engine is not expiration-aware
+	expStored                   // the time recorded in the entry
+	expDerived                  // the time a shrinking rectangle's extent reaches zero (§4.1.1)
+)
+
+// expSource returns the source for entries stored at the given node
+// level: the recorded time for leaf entries (and for internal entries
+// when StoreBRExp is set), the derived expiration of shrinking
+// rectangles otherwise.
+func (t *Tree) expSource(level int) expSource {
+	switch {
+	case !t.cfg.ExpireAware:
+		return expNever
+	case level == 0 || t.cfg.StoreBRExp:
+		return expStored
 	}
-	if level == 0 || t.cfg.StoreBRExp {
+	return expDerived
+}
+
+// expOf returns the expiration time of r as the engine's algorithms
+// see it at time now.
+func (t *Tree) expOf(r *geom.TPRect, src expSource, now float64) float64 {
+	switch src {
+	case expStored:
 		return r.TExp
+	case expDerived:
+		return geom.DerivedExp(r, now, t.cfg.Dims)
 	}
-	return geom.DerivedExp(r, t.Now(), t.cfg.Dims)
+	return math.Inf(1)
+}
+
+// effExp returns the effective expiration time of an entry stored at
+// the given node level.
+func (t *Tree) effExp(r *geom.TPRect, level int) float64 {
+	return t.expOf(r, t.expSource(level), t.Now())
 }
 
 // isExpired reports whether the entry (stored at the given node level)
 // is dead at the tree's current time.
 func (t *Tree) isExpired(r *geom.TPRect, level int) bool {
-	if !t.cfg.ExpireAware {
-		return false
-	}
-	if level == 0 || t.cfg.StoreBRExp {
-		return r.TExp < t.Now()
-	}
-	return geom.DerivedExp(*r, t.Now(), t.cfg.Dims) < t.Now()
+	now := t.Now()
+	return t.expOf(r, t.expSource(level), now) < now
 }
 
 // decisionExp returns the expiration time the insertion heuristics use
 // for an entry (Eq. 1): the effective expiration when AlgsUseExp is
 // set, +Inf otherwise (§4.2.2).
-func (t *Tree) decisionExp(r geom.TPRect, level int) float64 {
+func (t *Tree) decisionExp(r *geom.TPRect, level int) float64 {
 	if !t.cfg.AlgsUseExp {
 		return math.Inf(1)
 	}
@@ -361,25 +388,49 @@ func (t *Tree) metricEnd(texps ...float64) float64 {
 }
 
 // computeBR computes the bounding rectangle of a node's entries with
-// the configured bounding-rectangle type.
+// the configured bounding-rectangle type.  This is the engine's hot
+// spot — every node an update touches gets a new rectangle — so the
+// near-optimal kind reads the entries where they are.
 func (t *Tree) computeBR(n *node) geom.TPRect {
-	if cap(t.scratch) < len(n.entries) {
-		t.scratch = make([]geom.TPRect, 0, max(len(n.entries), t.lay.leafCap+1))
-	}
-	items := t.scratch[:len(n.entries)]
-	for i := range n.entries {
-		items[i] = n.entries[i].rect
-		items[i].TExp = t.effExp(n.entries[i].rect, n.level)
-	}
-	var order []int
+	now, src := t.Now(), t.expSource(n.level)
+	var br geom.TPRect
 	if t.cfg.BRKind == hull.KindNearOptimal {
-		order = t.rng.Perm(t.cfg.Dims)
+		t.ws.Reset(now, t.cfg.Dims)
+		for i := range n.entries {
+			r := &n.entries[i].rect
+			t.ws.Add(r, t.expOf(r, src, now))
+		}
+		br = t.ws.NearOptimal(t.brHorizon(n.level), t.permDims())
+	} else {
+		if cap(t.scratch) < len(n.entries) {
+			t.scratch = make([]geom.TPRect, 0, max(len(n.entries), t.lay.leafCap+1))
+		}
+		items := t.scratch[:len(n.entries)]
+		for i := range n.entries {
+			items[i] = n.entries[i].rect
+			items[i].TExp = t.expOf(&items[i], src, now)
+		}
+		br = hull.Compute(t.cfg.BRKind, items, now, t.brHorizon(n.level), t.cfg.Dims, t.cfg.World, nil)
 	}
-	br := hull.Compute(t.cfg.BRKind, items, t.Now(), t.brHorizon(n.level), t.cfg.Dims, t.cfg.World, order)
 	if !t.cfg.StoreBRExp {
 		br.TExp = math.Inf(1)
 	}
 	return t.roundBR(br)
+}
+
+// permDims draws the random dimension order of a near-optimal
+// rectangle (no dimension is preferred, §4.1.4) into t.order.  It takes
+// from the generator exactly what rand.Perm takes, so the sequence of
+// orders — and with it every rectangle — is a function of Config.Seed
+// alone.
+func (t *Tree) permDims() []int {
+	m := t.order[:t.cfg.Dims]
+	for i := range m {
+		j := t.rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
 }
 
 // roundBR rounds a bounding rectangle outward to the float32 precision
@@ -520,14 +571,26 @@ func (t *Tree) freeSubtree(id storage.PageID, level int) error {
 // The caller is responsible for writing the node afterwards and for
 // handling a resulting underflow.
 func (t *Tree) purgeNode(n *node) error {
-	if !t.cfg.ExpireAware {
+	src := t.expSource(n.level)
+	if src == expNever {
 		return nil
 	}
-	keep := n.entries[:0]
+	now := t.Now()
+	live := func(e *entry) bool { return !(t.expOf(&e.rect, src, now) < now) }
+	// Most nodes an update touches hold nothing expired: find that out
+	// without moving an entry.
+	first := 0
+	for first < len(n.entries) && live(&n.entries[first]) {
+		first++
+	}
+	if first == len(n.entries) {
+		return nil
+	}
+	keep := n.entries[:first]
 	dropped, freed := 0, 0
-	for i := range n.entries {
+	for i := first; i < len(n.entries); i++ {
 		e := &n.entries[i]
-		if !t.isExpired(&e.rect, n.level) {
+		if live(e) {
 			keep = append(keep, *e)
 			continue
 		}
@@ -542,7 +605,7 @@ func (t *Tree) purgeNode(n *node) error {
 		}
 	}
 	n.entries = keep
-	if t.met != nil && dropped > 0 {
+	if t.met != nil {
 		if n.level == 0 {
 			t.met.ExpiredPurged.Add(uint64(dropped))
 		}

@@ -577,3 +577,23 @@ func TestOracle1D(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPermDimsMatchesRandPerm pins the allocation-free dimension order
+// to rand.Perm: same orders, same generator state afterwards, so trees
+// built from one seed keep their rectangles.
+func TestPermDimsMatchesRandPerm(t *testing.T) {
+	for dims := 1; dims <= geom.MaxDims; dims++ {
+		cfg := rexpConfig()
+		cfg.Dims, cfg.Seed = dims, 9
+		tr := newTestTree(t, cfg)
+		ref := rand.New(rand.NewSource(9))
+		for i := 0; i < 200; i++ {
+			got, want := tr.permDims(), ref.Perm(dims)
+			for d := range want {
+				if got[d] != want[d] {
+					t.Fatalf("dims %d, draw %d: order %v, rand.Perm gives %v", dims, i, got, want)
+				}
+			}
+		}
+	}
+}

@@ -7,8 +7,9 @@ import "math"
 // entries, a rectangle that shrinks in some dimension still cannot
 // contain anything after the time its extent reaches zero, so that
 // time serves as a derived expiration time.  It returns the earliest
-// such zero-crossing after now, or +Inf when no extent shrinks.
-func DerivedExp(r TPRect, now float64, dims int) float64 {
+// such zero-crossing after now, or +Inf when no extent shrinks.  r is
+// only read.
+func DerivedExp(r *TPRect, now float64, dims int) float64 {
 	e := math.Inf(1)
 	for i := 0; i < dims; i++ {
 		dv := r.VHi[i] - r.VLo[i]

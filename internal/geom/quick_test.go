@@ -122,7 +122,7 @@ func TestQuickDerivedExp(t *testing.T) {
 	f := func(a TPRect) bool {
 		// Make dimension 0 shrink.
 		a.VHi[0] = a.VLo[0] - 0.5
-		e := DerivedExp(a, 0, 2)
+		e := DerivedExp(&a, 0, 2)
 		if !IsFinite(e) {
 			return false
 		}
@@ -142,7 +142,7 @@ func TestQuickDerivedExp(t *testing.T) {
 func TestQuickDerivedExpGrowingIsInfinite(t *testing.T) {
 	f := func(a TPRect) bool {
 		// Generator guarantees VHi >= VLo, so nothing shrinks.
-		return !IsFinite(DerivedExp(a, 0, 2))
+		return !IsFinite(DerivedExp(&a, 0, 2))
 	}
 	if err := quick.Check(f, qcfg(9)); err != nil {
 		t.Error(err)

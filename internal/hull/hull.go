@@ -90,18 +90,6 @@ func lowerChainSorted(pts []pt) []pt {
 	return h
 }
 
-// upperChain sorts pts in place and returns their upper convex hull.
-func upperChain(pts []pt) []pt {
-	sortPts(pts)
-	return upperChainSorted(pts)
-}
-
-// lowerChain sorts pts in place and returns their lower convex hull.
-func lowerChain(pts []pt) []pt {
-	sortPts(pts)
-	return lowerChainSorted(pts)
-}
-
 // bridgeOf returns the line through the hull edge that spans τ = m.
 // When m falls outside the hull's τ range, the nearest edge is used;
 // a single-vertex hull yields the horizontal line through it.
@@ -124,20 +112,6 @@ func bridgeOf(h []pt, m float64) line {
 	return line{p.x - b*p.t, b}
 }
 
-// upperBridge returns the minimum-area upper bound line for the point
-// set pts with median m, then raises its slope to at least minSlope
-// (the constraint contributed by never-expiring trajectories) while
-// keeping it above every point.
-func upperBridge(pts []pt, m, minSlope float64) line {
-	sortPts(pts)
-	return upperBridgeSorted(pts, m, minSlope)
-}
-
-// upperBridgeSorted is upperBridge for pts already sorted by t.
-func upperBridgeSorted(pts []pt, m, minSlope float64) line {
-	return upperBridgeHull(upperChainSorted(pts), m, minSlope)
-}
-
 // upperBridgeHull computes the bridge on a precomputed upper hull.
 // The slope-constrained fallback needs only the hull vertices: the
 // intercept maximum of a linear functional over the point set is
@@ -154,18 +128,6 @@ func upperBridgeHull(hull []pt, m, minSlope float64) line {
 		}
 	}
 	return line{a, minSlope}
-}
-
-// lowerBridge is the mirror image of upperBridge: the bound line below
-// all points whose slope is lowered to at most maxSlope.
-func lowerBridge(pts []pt, m, maxSlope float64) line {
-	sortPts(pts)
-	return lowerBridgeSorted(pts, m, maxSlope)
-}
-
-// lowerBridgeSorted is lowerBridge for pts already sorted by t.
-func lowerBridgeSorted(pts []pt, m, maxSlope float64) line {
-	return lowerBridgeHull(lowerChainSorted(pts), m, maxSlope)
 }
 
 // lowerBridgeHull is the mirror of upperBridgeHull.

@@ -1,10 +1,17 @@
 package hull
 
-// polyMul multiplies polynomial p (coefficients by ascending power)
-// by the linear factor (h + w·τ).
-func polyMul(p []float64, h, w float64) []float64 {
-	out := make([]float64, len(p)+1)
-	for i, c := range p {
+import "rexptree/internal/geom"
+
+// poly is a polynomial in τ of degree at most MaxDims-1 — the product
+// of the extents of the dimensions computed before the last one — as
+// coefficients by ascending power.
+type poly [geom.MaxDims]float64
+
+// polyMul multiplies p, whose first n coefficients are set, by the
+// linear factor (h + w·τ).
+func polyMul(p poly, n int, h, w float64) poly {
+	var out poly
+	for i, c := range p[:n] {
 		out[i] += c * h
 		out[i+1] += c * w
 	}
@@ -19,13 +26,13 @@ func polyMul(p []float64, h, w float64) []float64 {
 // With no computed dimensions the hyper-volume polynomial is the
 // constant 1 and m = Φ/2, recovering Lemma 4.1.
 func median(h, w []float64, phi float64) float64 {
-	c := []float64{1}
+	c := poly{1}
 	for k := range h {
-		c = polyMul(c, h[k], w[k])
+		c = polyMul(c, k+1, h[k], w[k])
 	}
 	var num, den float64
 	pw := phi // Φ^(i+1)
-	for i, ci := range c {
+	for i, ci := range c[:len(h)+1] {
 		num += ci * pw * phi / float64(i+2)
 		den += ci * pw / float64(i+1)
 		pw *= phi

@@ -60,16 +60,13 @@ func TestMedianClamped(t *testing.T) {
 
 func TestPolyMul(t *testing.T) {
 	// (1)(2+3t) = 2+3t
-	p := polyMul([]float64{1}, 2, 3)
-	if len(p) != 2 || p[0] != 2 || p[1] != 3 {
+	p := polyMul(poly{1}, 1, 2, 3)
+	if p != (poly{2, 3}) {
 		t.Fatalf("polyMul = %v", p)
 	}
 	// (2+3t)(1+t) = 2+5t+3t^2
-	p = polyMul(p, 1, 1)
-	want := []float64{2, 5, 3}
-	for i := range want {
-		if p[i] != want[i] {
-			t.Fatalf("polyMul = %v, want %v", p, want)
-		}
+	p = polyMul(p, 2, 1, 1)
+	if want := (poly{2, 5, 3}); p != want {
+		t.Fatalf("polyMul = %v, want %v", p, want)
 	}
 }

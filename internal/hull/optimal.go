@@ -11,16 +11,10 @@ import (
 // dimension.
 type boundPair struct{ lo, hi line }
 
-// sweepPairs enumerates the bound-line pairs that arise as the median
-// line sweeps across (0, phi): the breakpoints are the interior hull
-// vertices of both chains, and between consecutive breakpoints the
-// bridge pair is constant (§4.1.4).  upPts and loPts must be sorted by
-// τ (sortPts); they are not modified.
-func sweepPairs(upPts, loPts []pt, phi, minUpSlope, maxLoSlope float64) []boundPair {
-	return sweepPairsHulls(upperChainSorted(upPts), lowerChainSorted(loPts), phi, minUpSlope, maxLoSlope)
-}
-
-// sweepPairsHulls is sweepPairs over precomputed hull chains.
+// sweepPairsHulls enumerates the bound-line pairs that arise as the
+// median line sweeps across (0, phi): the breakpoints are the interior
+// vertices of both hull chains, and between consecutive breakpoints
+// the bridge pair is constant (§4.1.4).
 func sweepPairsHulls(upHull, loHull []pt, phi, minUpSlope, maxLoSlope float64) []boundPair {
 	breaks := []float64{0, phi}
 	for _, p := range upHull {

@@ -2,7 +2,6 @@ package hull
 
 import (
 	"math"
-	"slices"
 
 	"rexptree/internal/geom"
 )
@@ -59,12 +58,17 @@ func maxExp(items []geom.TPRect) float64 {
 	return e
 }
 
-// effPhi returns Φ = min(horizon, t_expmax - t_upd), floored at a tiny
-// positive value so the median is always well defined.
+// effPhi returns Φ for the given items; see clampPhi.
 func effPhi(items []geom.TPRect, tupd, horizon float64) float64 {
+	return clampPhi(maxExp(items), tupd, horizon)
+}
+
+// clampPhi returns Φ = min(horizon, t_expmax - t_upd), floored at a
+// tiny positive value so the median is always well defined.
+func clampPhi(texpmax, tupd, horizon float64) float64 {
 	phi := horizon
-	if e := maxExp(items); geom.IsFinite(e) && e-tupd < phi {
-		phi = e - tupd
+	if geom.IsFinite(texpmax) && texpmax-tupd < phi {
+		phi = texpmax - tupd
 	}
 	if phi < 1e-9 {
 		phi = 1e-9
@@ -190,78 +194,4 @@ func dimPoints(items []geom.TPRect, tupd float64, i int) (up, lo []pt, minUpSlop
 	up = append(up, pt{0, xmax})
 	lo = append(lo, pt{0, xmin})
 	return up, lo, minUpSlope, maxLoSlope
-}
-
-// NearOptimal computes the near-optimal TPBR of §4.1.4: dimensions are
-// visited in the given order (the tree passes a random permutation so
-// no dimension is preferred); each dimension's bridges are found at
-// the median adjusted for the dimensions already computed (Lemma 4.2).
-//
-// This sits on the engine's hot path (the bounding rectangle of every
-// modified node is recomputed per update), so the expiry order — which
-// is shared by all dimensions — is sorted once and the per-dimension
-// endpoint lists are built already sorted.
-func NearOptimal(items []geom.TPRect, tupd, horizon float64, dims int, order []int) geom.TPRect {
-	phi := effPhi(items, tupd, horizon)
-
-	// Indices of items with finite, unexpired expiry, sorted by expiry.
-	type expKey struct {
-		texp float64
-		i    int32
-	}
-	keys := make([]expKey, 0, len(items))
-	for i := range items {
-		if geom.IsFinite(items[i].TExp) && items[i].TExp > tupd {
-			keys = append(keys, expKey{items[i].TExp, int32(i)})
-		}
-	}
-	slices.SortFunc(keys, func(a, b expKey) int {
-		switch {
-		case a.texp < b.texp:
-			return -1
-		case a.texp > b.texp:
-			return 1
-		}
-		return 0
-	})
-
-	up := make([]pt, 0, len(keys)+1)
-	loPts := make([]pt, 0, len(keys)+1)
-	var lo, hi, vlo, vhi geom.Vec
-	var hs, ws [geom.MaxDims]float64
-	computed := 0
-	for _, d := range order {
-		xmax, xmin := math.Inf(-1), math.Inf(1)
-		minUp, maxLo := math.Inf(-1), math.Inf(1)
-		for i := range items {
-			it := &items[i]
-			if h := it.Hi[d] + it.VHi[d]*tupd; h > xmax {
-				xmax = h
-			}
-			if l := it.Lo[d] + it.VLo[d]*tupd; l < xmin {
-				xmin = l
-			}
-			if !geom.IsFinite(it.TExp) {
-				minUp = math.Max(minUp, it.VHi[d])
-				maxLo = math.Min(maxLo, it.VLo[d])
-			}
-		}
-		up = append(up[:0], pt{0, xmax})
-		loPts = append(loPts[:0], pt{0, xmin})
-		for _, k := range keys {
-			it := &items[k.i]
-			tau := k.texp - tupd
-			up = append(up, pt{tau, it.Hi[d] + it.VHi[d]*k.texp})
-			loPts = append(loPts, pt{tau, it.Lo[d] + it.VLo[d]*k.texp})
-		}
-		m := median(hs[:computed], ws[:computed], phi)
-		u := upperBridgeSorted(up, m, minUp)
-		l := lowerBridgeSorted(loPts, m, maxLo)
-		lo[d], vlo[d] = l.a, l.b
-		hi[d], vhi[d] = u.a, u.b
-		hs[computed] = u.a - l.a
-		ws[computed] = u.b - l.b
-		computed++
-	}
-	return geom.TPRectAt(tupd, geom.Rect{Lo: lo, Hi: hi}, vlo, vhi, maxExp(items), dims)
 }

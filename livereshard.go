@@ -107,21 +107,27 @@ type AutoReshardOptions struct {
 
 // Live-reshard phases, for ReshardStatus.
 const (
-	reshardPhaseScan int32 = iota
+	reshardPhaseStarting int32 = iota
+	reshardPhaseScan
 	reshardPhaseBackfill
 	reshardPhaseCutover
 )
 
-var reshardPhaseNames = [...]string{"scan", "backfill", "cutover"}
+var reshardPhaseNames = [...]string{"starting", "scan", "backfill", "cutover"}
 
-// liveReshard is the shared state of one in-flight reshard: the target
+// liveReshard is the shared state of one reshard run: the target
 // generation receiving the dual-applies, the set of object ids touched
 // during the window (which the backfill must skip), and the abort
-// flags.  It is published in ShardedTree.lr under the exclusive
-// re-route lock, so every mutation observes a stable (generation,
-// reshard) pair.
+// flags.  It is created when the run is admitted and stays in
+// ShardedTree.admitted, where status and cancel find it, until the
+// engine returns.  While its dual-apply window is open it is also
+// published in ShardedTree.lr, under the exclusive re-route lock, so
+// every mutation observes a stable (generation, reshard) pair.
 type liveReshard struct {
-	spec   ReshardSpec
+	spec ReshardSpec
+
+	// target is set by the engine before it publishes the run in
+	// ShardedTree.lr and is read only by the engine and through lr.
 	target *generation
 
 	phase                        atomic.Int32
@@ -139,8 +145,8 @@ type liveReshard struct {
 	canceled bool
 }
 
-func newLiveReshard(spec ReshardSpec, target *generation) *liveReshard {
-	lr := &liveReshard{spec: spec, target: target}
+func newLiveReshard(spec ReshardSpec) *liveReshard {
+	lr := &liveReshard{spec: spec}
 	for i := range lr.touched {
 		lr.touched[i] = make(map[uint32]struct{})
 	}
@@ -186,11 +192,14 @@ func (l *liveReshard) aborted() error {
 
 // ReshardStatus reports the state of the live-reshard engine.
 type ReshardStatus struct {
-	// InFlight is true while a reshard's dual-apply window is open.
+	// InFlight is true from the moment Reshard or StartReshard admits
+	// a run until its engine has returned: the new generation serves
+	// (or the run failed), and the next reshard would be admitted.
 	InFlight bool
 
-	// Phase is "scan", "backfill" or "cutover" while in flight, else
-	// "idle".
+	// Phase is "starting" (admitted, target generation being opened),
+	// "scan", "backfill" or "cutover" (which lasts until the replaced
+	// generation is retired) while in flight, else "idle".
 	Phase string
 
 	// Generation is the current (serving) shard-file generation.
@@ -214,6 +223,10 @@ type ReshardStatus struct {
 
 // ReshardStatus returns a point-in-time view of the reshard engine.
 func (s *ShardedTree) ReshardStatus() ReshardStatus {
+	// The run is read before the generation: a run that is gone has
+	// already swapped its generation in, so "not in flight" is never
+	// paired with the generation from before the reshard.
+	lr := s.admitted.Load()
 	g := s.cur.Load()
 	st := ReshardStatus{
 		Phase:      "idle",
@@ -221,11 +234,11 @@ func (s *ShardedTree) ReshardStatus() ReshardStatus {
 		Shards:     len(g.shards),
 		Policy:     g.part.policy().String(),
 	}
-	if lr := s.lr.Load(); lr != nil {
+	if lr != nil {
 		st.InFlight = true
 		st.Phase = reshardPhaseNames[lr.phase.Load()]
-		st.Shards = len(lr.target.shards)
-		st.Policy = lr.target.part.policy().String()
+		st.Shards = lr.spec.Shards
+		st.Policy = lr.spec.Policy.String()
 		st.Scanned = lr.scanned.Load()
 		st.Backfilled = lr.backfilled.Load()
 		st.DualApplied = lr.applied.Load()
@@ -242,7 +255,7 @@ func (s *ShardedTree) ReshardStatus() ReshardStatus {
 // whether one was in flight.  The abort is acknowledged at the
 // engine's next cancellation check, never after the commit point.
 func (s *ShardedTree) CancelReshard() bool {
-	if lr := s.lr.Load(); lr != nil {
+	if lr := s.admitted.Load(); lr != nil {
 		lr.cancel()
 		return true
 	}
@@ -254,50 +267,61 @@ func (s *ShardedTree) CancelReshard() bool {
 // being served, and blocks until the reshard commits or fails.  See
 // the package comment at the top of this file for the protocol.
 func (s *ShardedTree) Reshard(spec ReshardSpec) error {
-	spec, derived, err := s.normalizeSpec(spec)
+	lr, derived, err := s.admitReshard(spec)
 	if err != nil {
 		return err
 	}
-	if !s.reshardMu.TryLock() {
-		return ErrReshardInFlight
-	}
-	defer s.reshardMu.Unlock()
-	if s.closing.Load() {
-		return errIndexClosed
-	}
-	err = s.runLiveReshard(spec, derived)
-	s.statusMu.Lock()
-	s.lastReshardErr = err
-	s.statusMu.Unlock()
+	err = s.runLiveReshard(lr, derived)
+	s.finishReshard(err)
 	return err
 }
 
 // StartReshard is Reshard running in the background: it returns once
-// the reshard is admitted (ErrReshardInFlight when one already runs),
-// and the outcome is reported by ReshardStatus.LastError.
+// the reshard is admitted (ErrReshardInFlight when one already runs) —
+// from then on ReshardStatus reports it in flight and CancelReshard
+// reaches it — and the outcome is reported by ReshardStatus.LastError.
 func (s *ShardedTree) StartReshard(spec ReshardSpec) error {
-	spec, derived, err := s.normalizeSpec(spec)
+	lr, derived, err := s.admitReshard(spec)
 	if err != nil {
 		return err
 	}
+	go func() { s.finishReshard(s.runLiveReshard(lr, derived)) }()
+	return nil
+}
+
+// admitReshard validates spec and takes the index's single reshard
+// slot: it holds reshardMu and has published the run's state when it
+// returns without error.  The caller runs the engine and then calls
+// finishReshard.
+func (s *ShardedTree) admitReshard(spec ReshardSpec) (lr *liveReshard, derived bool, err error) {
+	spec, derived, err = s.normalizeSpec(spec)
+	if err != nil {
+		return nil, false, err
+	}
 	if !s.reshardMu.TryLock() {
-		return ErrReshardInFlight
+		return nil, false, ErrReshardInFlight
 	}
 	if s.closing.Load() {
 		s.reshardMu.Unlock()
-		return errIndexClosed
+		return nil, false, errIndexClosed
 	}
 	s.statusMu.Lock()
 	s.lastReshardErr = nil
 	s.statusMu.Unlock()
-	go func() {
-		defer s.reshardMu.Unlock()
-		err := s.runLiveReshard(spec, derived)
-		s.statusMu.Lock()
-		s.lastReshardErr = err
-		s.statusMu.Unlock()
-	}()
-	return nil
+	lr = newLiveReshard(spec)
+	s.admitted.Store(lr)
+	return lr, derived, nil
+}
+
+// finishReshard records the outcome of the admitted run and frees the
+// slot.  The outcome is stored first, so whoever sees the run gone also
+// sees how it ended.
+func (s *ShardedTree) finishReshard(err error) {
+	s.statusMu.Lock()
+	s.lastReshardErr = err
+	s.statusMu.Unlock()
+	s.admitted.Store(nil)
+	s.reshardMu.Unlock()
 }
 
 // normalizeSpec fills defaults and validates; derived reports that the
@@ -362,8 +386,9 @@ func (s *ShardedTree) hook(point string) error {
 }
 
 // runLiveReshard is the engine; the caller holds reshardMu for the
-// whole run.  derived marks spec.SpeedBands as self-tuned.
-func (s *ShardedTree) runLiveReshard(spec ReshardSpec, derived bool) error {
+// whole run.  derived marks lr.spec.SpeedBands as self-tuned.
+func (s *ShardedTree) runLiveReshard(lr *liveReshard, derived bool) error {
+	spec := lr.spec
 	cur := s.cur.Load()
 	newGen := cur.gen + 1
 
@@ -400,7 +425,7 @@ func (s *ShardedTree) runLiveReshard(spec ReshardSpec, derived bool) error {
 		ss.mu.Unlock()
 	}
 
-	lr := newLiveReshard(spec, target)
+	lr.target = target
 
 	// Publish: from here every mutation dual-applies into the target.
 	s.rerouteMu.Lock()
@@ -674,7 +699,7 @@ func (s *ShardedTree) shutdownReshard() {
 		<-s.autoDone
 		s.autoStop = nil
 	}
-	if lr := s.lr.Load(); lr != nil {
+	if lr := s.admitted.Load(); lr != nil {
 		lr.cancel()
 	}
 	// The acquisition is the barrier: it returns only once the engine

@@ -620,6 +620,44 @@ func TestLiveReshardStatusAndCancel(t *testing.T) {
 	}
 }
 
+// TestStartReshardIsVisibleAtOnce pins the admission contract: once
+// StartReshard has returned nil, the run is what ReshardStatus and
+// CancelReshard see — never "idle" on the old generation — until it
+// has finished, at which point the outcome (a new generation or an
+// error) is visible with it.
+func TestStartReshardIsVisibleAtOnce(t *testing.T) {
+	s, err := OpenSharded(ShardedOptions{Options: DefaultOptions(), Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.UpdateBatch(testWorkload(200, 5), 1); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 40; round++ {
+		gen := s.Generation()
+		if err := s.StartReshard(ReshardSpec{Shards: 2 + round%2, Policy: PartitionHash}); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		cancel := round%4 == 3
+		if cancel {
+			if !s.CancelReshard() && s.Generation() == gen {
+				t.Fatalf("round %d: CancelReshard found nothing in flight right after StartReshard", round)
+			}
+		} else if st := s.ReshardStatus(); !st.InFlight && st.Generation == gen && st.LastError == "" {
+			t.Fatalf("round %d: status right after StartReshard = %+v", round, st)
+		}
+		waitReshardIdle(t, s, 10*time.Second)
+		st := s.ReshardStatus()
+		switch {
+		case st.Generation == gen+1 && st.LastError == "":
+		case cancel && st.Generation == gen && strings.Contains(st.LastError, "canceled"):
+		default:
+			t.Fatalf("round %d (cancel=%v): terminal status %+v, generation before %d", round, cancel, st, gen)
+		}
+	}
+}
+
 // TestAutoReshardSkewTrigger gives a speed-partitioned index band
 // boundaries far above every real speed — so all objects pile into
 // shard 0 — and checks the drift detector notices the skew, reshards

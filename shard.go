@@ -159,11 +159,14 @@ type ShardedTree struct {
 	// live-reshard cutover re-attaches it to the target generation.
 	replSink ReplSink
 
-	// Live-reshard state; see livereshard.go.  lr is non-nil exactly
-	// while a reshard's dual-apply window is open; it is published and
+	// Live-reshard state; see livereshard.go.  admitted is the run that
+	// holds reshardMu, from admission until its engine has returned; it
+	// is what ReshardStatus and CancelReshard see.  lr is that same run
+	// exactly while its dual-apply window is open; it is published and
 	// cleared only under rerouteMu's exclusive side.
+	admitted  atomic.Pointer[liveReshard]
 	lr        atomic.Pointer[liveReshard]
-	reshardMu sync.Mutex            // held by the reshard engine for a whole run
+	reshardMu sync.Mutex            // held for a whole run, admission to finish
 	speedWin  *manifest.SpeedWindow // sliding window of observed speeds; nil unless AutoReshard
 	autoStop  chan struct{}
 	autoDone  chan struct{}
