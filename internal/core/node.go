@@ -135,7 +135,10 @@ func get32(buf []byte, off int) (float64, int) {
 	return float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))), off + 4
 }
 
-// encode serializes n into a page buffer.
+// encode serializes n into a page buffer.  The bytes after the last
+// entry are zeroed, so the image is a function of the node alone: it
+// does not depend on what the page held before, and a removed entry
+// does not linger in page files and backups.
 func (l layout) encode(n *node, buf []byte) {
 	for i := range buf[:nodeHeaderSize] {
 		buf[i] = 0
@@ -177,6 +180,7 @@ func (l layout) encode(n *node, buf []byte) {
 			off = put32(buf, off, f32Up(e.rect.TExp))
 		}
 	}
+	clear(buf[off:])
 }
 
 // decode deserializes a page buffer into a node.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -150,6 +151,26 @@ func TestNodeEncodeDecodeInternalOutwardRounding(t *testing.T) {
 				t.Fatalf("TExp should decode as +Inf when not stored, got %v", ge.rect.TExp)
 			}
 		}
+	}
+}
+
+// The page image depends on the node alone, not on what the buffer
+// held before: a longer earlier image leaves nothing behind.
+func TestEncodeZeroesUnusedTail(t *testing.T) {
+	l := newLayout(Config{Dims: 2, ExpireAware: true}.withDefaults())
+	n := &node{id: 3, level: 0}
+	for i := 0; i < 40; i++ {
+		p := quantize(geom.MovingPoint{Pos: geom.Vec{float64(i), 2}, Vel: geom.Vec{1, -1}, TExp: 9}, 2)
+		n.entries = append(n.entries, entry{id: uint32(i), rect: geom.PointTPRect(p)})
+	}
+	used := make([]byte, storage.PageSize)
+	l.encode(n, used)
+	n.entries = n.entries[:7]
+	l.encode(n, used)
+	fresh := make([]byte, storage.PageSize)
+	l.encode(n, fresh)
+	if !bytes.Equal(used, fresh) {
+		t.Fatal("re-encoding a shrunken node left bytes of the removed entries in the page")
 	}
 }
 
