@@ -1,7 +1,7 @@
 # Makefile — CI entry points for the rexptree repository.
 #
-#   make check            fmt-check + vet + build + tests + race + determinism + bench smokes
-#   make bench-update     the update path's microbenchmarks (kernel, computeBR, one update)
+#   make check            fmt-check + vet + build + tests (bench/ module too) + race + determinism + bench smokes
+#   make bench-update     the update path's microbenchmarks (kernel, computeBR, one update, batched updates)
 #   make bench-obs        metrics-overhead microbenchmark -> BENCH_obs.json
 #   make bench-shard      concurrent-throughput comparison -> BENCH_shard.json
 #   make bench-partition  hash vs speed partitioning -> BENCH_partition.json
@@ -17,11 +17,11 @@
 
 GO ?= go
 
-.PHONY: all check fmt-check vet build test race determinism fuzz-smoke bench-update bench-obs bench-obs-smoke bench-shard bench-partition bench-partition-smoke bench-wal bench-wal-smoke bench-read bench-read-smoke bench-reshard bench-reshard-smoke bench-trace bench-trace-smoke serve-smoke bench-serve bench-serve-smoke bench-repl bench-repl-smoke fault-matrix clean
+.PHONY: all check fmt-check vet build test test-bench race determinism fuzz-smoke bench-update bench-obs bench-obs-smoke bench-shard bench-partition bench-partition-smoke bench-wal bench-wal-smoke bench-read bench-read-smoke bench-reshard bench-reshard-smoke bench-trace bench-trace-smoke serve-smoke bench-serve bench-serve-smoke bench-repl bench-repl-smoke fault-matrix clean
 
 all: check bench-obs bench-shard bench-partition bench-wal bench-read bench-reshard bench-trace bench-serve bench-repl
 
-check: fmt-check vet build test race determinism bench-obs-smoke bench-partition-smoke bench-wal-smoke bench-read-smoke bench-reshard-smoke bench-trace-smoke serve-smoke bench-serve-smoke bench-repl-smoke
+check: fmt-check vet build test test-bench race determinism bench-obs-smoke bench-partition-smoke bench-wal-smoke bench-read-smoke bench-reshard-smoke bench-trace-smoke serve-smoke bench-serve-smoke bench-repl-smoke
 
 # Fails (with the offending file list) if anything is not gofmt-clean.
 fmt-check:
@@ -36,6 +36,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# bench/ is a module of its own, so ./... above does not reach it.  Its
+# smoke test runs every workload of BENCHMARK.json at 2 000 objects with
+# the oracle, read-your-writes and crash checks on (~10 s).
+test-bench:
+	cd bench && $(GO) test ./...
 
 # The instrumentation and the concurrent query path must hold up under
 # the race detector: metric counters are read (snapshots, Prometheus
@@ -67,13 +73,15 @@ fuzz-smoke:
 
 # The update path from the inside out: the near-optimal TPBR kernel on
 # a full leaf's worth of entries, computeBR on a full leaf and a full
-# internal node, and one steady-state update (delete + insert) through
-# the public tree.  Prints to the terminal; bench/ holds the numbers
-# that count.
+# internal node, the pool's flush of one dirty page among many clean
+# ones, one steady-state update (delete + insert) through the public
+# tree, and the same update per report in batches of 1, 25 and 100.
+# Prints to the terminal; bench/ holds the numbers that count.
 bench-update:
 	$(GO) test ./internal/hull -run '^$$' -bench 'BenchmarkNearOptimal$$' -benchmem
 	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkComputeBR' -benchmem
-	$(GO) test . -run '^$$' -bench 'BenchmarkUpdateThroughput$$' -benchmem
+	$(GO) test ./internal/storage -run '^$$' -bench 'BenchmarkFlushOneDirty' -benchmem
+	$(GO) test . -run '^$$' -bench 'BenchmarkUpdateThroughput$$|BenchmarkUpdateBatch' -benchmem
 
 # Compares instrumented vs. nil-metrics Update/query throughput; the
 # observability layer's budget is a <2% regression.

@@ -111,6 +111,41 @@ func BenchmarkUpdateThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkUpdateBatch measures the same steady-state update applied
+// through UpdateBatch, per report, at batch sizes from a lone report to
+// the served body of 100: what a report costs once the batch is one
+// operation for the lock, the publication and the page write-back.
+func BenchmarkUpdateBatch(b *testing.B) {
+	for _, size := range []int{1, 25, 100} {
+		b.Run(strconv.Itoa(size), func(b *testing.B) {
+			tree, err := Open(DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer tree.Close()
+			const n = 5000
+			now := 0.0
+			for i := 0; i < n; i++ {
+				now += 0.01
+				seedObj(b, tree, uint32(i), now)
+			}
+			batch := make([]Report, 0, size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += len(batch) {
+				batch = batch[:0]
+				for j := i; j < i+size && j < b.N; j++ {
+					now += 0.01
+					batch = append(batch, Report{ID: uint32(j % n), Point: seedPoint(uint32(j%n), now)})
+				}
+				if err := tree.UpdateBatch(batch, now); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTimesliceQuery measures a paper-sized timeslice query
 // (0.25% of the space) against a populated R^exp-tree.
 func BenchmarkTimesliceQuery(b *testing.B) {
@@ -136,17 +171,20 @@ func BenchmarkTimesliceQuery(b *testing.B) {
 
 func seedObj(b *testing.B, tree *Tree, id uint32, now float64) {
 	b.Helper()
-	// A cheap deterministic pseudo-random placement.
+	if err := tree.Update(id, seedPoint(id, now), now); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// seedPoint is a cheap deterministic pseudo-random report.
+func seedPoint(id uint32, now float64) Point {
 	h := uint64(id)*2654435761 + uint64(now*100)
 	x := float64(h%1000000) / 1000
 	y := float64((h/7)%1000000) / 1000
-	err := tree.Update(id, Point{
+	return Point{
 		Pos:     Vec{x, y},
 		Vel:     Vec{float64(h%7) - 3, float64(h%5) - 2},
 		Time:    now,
 		Expires: now + 120,
-	}, now)
-	if err != nil {
-		b.Fatal(err)
 	}
 }

@@ -141,7 +141,9 @@ func (tr *Tree) walCommit(tc *QueryTrace) error {
 //
 //  1. Stage the tree metadata into its buffered page.
 //  2. Image every dirty pool page into the WAL (CkptBegin, CkptPage...,
-//     CkptCommit) and fsync — the images are now durable.
+//     CkptCommit) and fsync — the images are now durable.  Since the
+//     last checkpoint the mutations wrote decoded nodes only; each
+//     page's bytes are encoded here, as DirtyPages hands them out.
 //  3. Flush the pool and sync the store (free chain, superblock, fsync)
 //     — the page file now holds the imaged state.
 //  4. Truncate the WAL.

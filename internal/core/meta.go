@@ -94,7 +94,8 @@ func (t *Tree) StageMeta() error {
 func (t *Tree) FlushPool() error { return t.bp.Flush() }
 
 // DirtyPages calls fn for each dirty buffered page in ascending page
-// order (see storage.BufferPool.DirtyPages).
+// order, its image encoded from the node as it is now (see
+// storage.BufferPool.DirtyPages).
 func (t *Tree) DirtyPages(fn func(storage.PageID, []byte) error) error {
 	return t.bp.DirtyPages(fn)
 }

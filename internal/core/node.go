@@ -37,6 +37,11 @@ type node struct {
 	id      storage.PageID
 	level   int // 0 = leaf
 	entries []entry
+
+	// stale is set when the node was written since its buffered page
+	// was last encoded; the buffer pool asks for the bytes when it needs
+	// them (Tree.encodePage).
+	stale bool
 }
 
 func (n *node) isLeaf() bool { return n.level == 0 }

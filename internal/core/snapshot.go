@@ -134,22 +134,30 @@ func (t *Tree) stageWrite(n *node) { t.staged[n.id] = n }
 // stageFree records that the page was freed (a tombstone version).
 func (t *Tree) stageFree(id storage.PageID) { t.staged[id] = nil }
 
-// BeginBatch suppresses snapshot publication until the matching
-// EndBatch, so a multi-operation mutation (an Update's delete+insert,
-// a whole UpdateBatch) becomes visible to snapshot readers atomically.
+// BeginBatch opens a batch scope: until the matching EndBatch the
+// core operations inside it are one operation — their mutations become
+// visible to snapshot readers atomically (an Update's delete+insert, a
+// whole UpdateBatch), and each page they dirty is encoded and written
+// back once, when the scope ends, however many of them touched it.
 // Calls nest.  Requires the caller's exclusive lock, like every
 // mutation.
 func (t *Tree) BeginBatch() { t.batchDepth++ }
 
-// EndBatch closes a BeginBatch scope and publishes any mutations
-// staged inside it.
-func (t *Tree) EndBatch() {
+// EndBatch closes a BeginBatch scope.  Closing the outermost scope
+// publishes the mutations staged inside it and then writes the dirty
+// pages back.  A write-back error is returned with the unwritten pages
+// still dirty, so the end of the next operation retries them.
+func (t *Tree) EndBatch() error {
 	if t.batchDepth > 0 {
 		t.batchDepth--
 	}
-	if t.batchDepth == 0 && t.pendingPub {
+	if t.batchDepth > 0 {
+		return nil
+	}
+	if t.pendingPub {
 		t.publish()
 	}
+	return t.finishOp()
 }
 
 // publishOp is called at the end of every mutating core operation.

@@ -34,12 +34,15 @@ type Tree struct {
 
 	// cache holds the decoded image of pages.  Node rectangles are
 	// rounded to page (float32) precision when computed, so a cached
-	// node is always bit-identical to what decoding its page would
-	// produce; the buffer pool is still consulted on every access so
-	// that I/O is charged exactly as without the cache.  cacheMu makes
-	// the map safe for the concurrent read-only traversals the public
-	// tree's shared lock admits; two readers that race to decode the
-	// same page store bit-identical nodes, so either insert may win.
+	// node is always bit-identical to what decoding its up-to-date page
+	// would produce; the buffer pool is still consulted on every access
+	// so that I/O is charged exactly as without the cache.  A mutation
+	// writes the cached node only: the page's bytes fall behind
+	// (node.stale) until they leave the pool, when encodePage renews
+	// them.  cacheMu makes the map safe for the concurrent read-only
+	// traversals the public tree's shared lock admits; two readers that
+	// race to decode the same page store bit-identical nodes, so either
+	// insert may win.
 	cacheMu sync.RWMutex
 	cache   map[storage.PageID]*node
 
@@ -93,6 +96,7 @@ func newTreeShell(cfg Config, store storage.Store) *Tree {
 	}
 	empty := make([]atomic.Pointer[chain], 0)
 	t.chains.Store(&empty)
+	t.bp.SetEncoder(t.encodePage)
 	if t.met != nil {
 		t.bp.SetMetrics(t.met)
 	}
@@ -498,26 +502,49 @@ func (t *Tree) readNodeStats(id storage.PageID, st *TravStats) (*node, error) {
 	return n, nil
 }
 
-// writeNode encodes the node into its buffered page and marks it
-// dirty; the page reaches the store at the end of the operation or on
-// eviction.
+// writeNode records that the node changed: its buffered page is marked
+// dirty and its image stale.  The bytes are produced when the page
+// leaves the pool (encodePage) — at the end of the operation, on
+// eviction, or into a checkpoint image.  The pool is consulted exactly
+// as if the page were rewritten here, so hits, misses and replacement
+// order do not depend on when the encoding happens.
 func (t *Tree) writeNode(n *node) error {
 	if len(n.entries) > t.lay.cap(n.level) {
 		return fmt.Errorf("core: node %d overflow: %d entries (cap %d)", n.id, len(n.entries), t.lay.cap(n.level))
 	}
-	buf, err := t.bp.Get(n.id)
-	if err != nil {
+	if _, err := t.bp.Get(n.id); err != nil {
 		return err
 	}
-	t.lay.encode(n, buf)
-	t.cacheMu.Lock()
-	t.cache[n.id] = n
-	t.cacheMu.Unlock()
+	n.stale = true
 	t.stageWrite(n)
 	return t.bp.MarkDirty(n.id)
 }
 
-// allocNode creates an empty node at the given level.
+// encodePage is the buffer pool's encoder, the one place a node turns
+// into page bytes.  The pool calls it, under its mutex, on a dirty page
+// whose bytes are about to be written or imaged.  Pages without a stale
+// node (the metadata page, a node read but not written) are left alone.
+func (t *Tree) encodePage(id storage.PageID, buf []byte) {
+	t.cacheMu.RLock()
+	n := t.cache[id]
+	t.cacheMu.RUnlock()
+	if n == nil || !n.stale {
+		return
+	}
+	if len(n.entries) > t.lay.cap(n.level) {
+		// The page is being evicted in the middle of an insertion that
+		// has overfilled the node.  The insertion writes the node again
+		// once it has split or thinned it, so the page keeps its older
+		// image until then.
+		return
+	}
+	t.lay.encode(n, buf)
+	n.stale = false
+}
+
+// allocNode creates an empty node at the given level.  The node is the
+// cached image of its page from the start, so writing it later touches
+// no map.
 func (t *Tree) allocNode(level int) (*node, error) {
 	id, _, err := t.bp.Allocate()
 	if err != nil {
@@ -527,7 +554,11 @@ func (t *Tree) allocNode(level int) (*node, error) {
 		t.nodesPerLevel = append(t.nodesPerLevel, 0)
 	}
 	t.nodesPerLevel[level]++
-	return &node{id: id, level: level}, nil
+	n := &node{id: id, level: level}
+	t.cacheMu.Lock()
+	t.cache[id] = n
+	t.cacheMu.Unlock()
+	return n, nil
 }
 
 // freeNode releases the node's page.
@@ -618,12 +649,15 @@ func (t *Tree) purgeNode(n *node) error {
 	return nil
 }
 
-// finishOp flushes dirty pages, implementing the paper's write-back
-// policy: nodes modified during an operation are written at its end.
-// Under DeferFlush the write-ahead log carries durability and dirty
-// pages stay buffered until the next checkpoint, so nothing is done.
+// finishOp implements the paper's write-back policy: nodes modified
+// during an operation are written at its end.  The operation is the
+// outermost batch scope, or the single core call outside any scope:
+// inside a scope nothing is done — the pool's dirty queue remembers
+// what is owed — and EndBatch flushes once.  Under DeferFlush the
+// write-ahead log carries durability and dirty pages stay buffered
+// until the next checkpoint, so nothing is done either.
 func (t *Tree) finishOp() error {
-	if t.cfg.DeferFlush {
+	if t.cfg.DeferFlush || t.batchDepth > 0 {
 		return nil
 	}
 	return t.bp.Flush()

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -64,5 +65,36 @@ func BenchmarkFileStoreWrite(b *testing.B) {
 		if err := s.WritePage(id, buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFlushOneDirty dirties and flushes one page of a pool whose
+// other frames are resident and clean: the cost follows the dirty
+// pages, so it is the same at every pool size.
+func BenchmarkFlushOneDirty(b *testing.B) {
+	for _, resident := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {
+			bp := NewBufferPool(NewMemStore(), resident)
+			var id PageID
+			for i := 0; i < resident; i++ {
+				var err error
+				if id, _, err = bp.Allocate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := bp.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := bp.MarkDirty(id); err != nil {
+					b.Fatal(err)
+				}
+				if err := bp.Flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

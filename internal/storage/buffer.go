@@ -4,7 +4,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,7 +52,10 @@ type frame struct {
 // BufferPool caches up to cap pages of a Store with LRU replacement,
 // as in the experimental setup of the paper (§5.1): 50 pages of 4 KiB,
 // the tree root pinned, dirty pages written back on eviction or on
-// explicit flush.
+// explicit flush.  A page's owner may keep its contents in decoded form
+// and register an encoder (SetEncoder): the pool calls it on a dirty
+// page right before the bytes leave the pool, which are the only
+// moments the bytes have to be current.
 //
 // Every method is safe for concurrent use.  The hit path is lock-free:
 // resident frames are published in a dense atomic table indexed by page
@@ -73,6 +76,18 @@ type BufferPool struct {
 	lru      *list.List // front = most recently used; unpinned frames only
 	stats    Stats
 	met      *obs.Metrics // nil when uninstrumented
+
+	// dirtyq holds the id of every page that turned from clean to dirty
+	// since the last Flush, so Flush and DirtyPages cost what is dirty,
+	// not what is resident.  Entries are not removed when a page is
+	// written back by an eviction or freed, and such a page may turn
+	// dirty again: pendingDirty drops the ids that are owed nothing and
+	// the duplicates.
+	dirtyq []PageID
+
+	// encode, when set, brings a dirty page's bytes up to date; see
+	// SetEncoder.
+	encode func(id PageID, data []byte)
 
 	// readTbl is the lock-free lookup table: one atomic frame pointer
 	// per page id, non-nil exactly for resident pages.  Mutated only
@@ -129,6 +144,15 @@ func (bp *BufferPool) SetMetrics(m *obs.Metrics) {
 		s.SetMetrics(m)
 	}
 }
+
+// SetEncoder registers fn as the pool's page encoder: it is called on a
+// dirty page right before its bytes leave the pool — a Flush, the
+// write-back of an eviction, the visit of DirtyPages — and nowhere
+// else, so the owner of a page may let the buffered bytes fall behind
+// its own decoded copy in between.  fn runs under the pool's mutex and
+// must not call back into the pool; a page it has nothing newer for it
+// leaves alone.  Set it before the pool is shared.
+func (bp *BufferPool) SetEncoder(fn func(id PageID, data []byte)) { bp.encode = fn }
 
 // ResetStats zeroes the I/O counters.
 func (bp *BufferPool) ResetStats() {
@@ -227,13 +251,11 @@ func (bp *BufferPool) evictOne() error {
 // bp.mu.
 func (bp *BufferPool) evictFrame(e *list.Element, f *frame) error {
 	if !bp.noSteal && f.dirty {
-		if err := bp.writePage(f.id, f.data); err != nil {
+		if err := bp.writeBack(f); err != nil {
 			return err
 		}
-		bp.stats.Writes++
 		bp.stats.DirtyWritebacks++
 		if bp.met != nil {
-			bp.met.BufWrites.Inc()
 			bp.met.BufDirtyWritebacks.Inc()
 			bp.met.Emit(obs.Event{Kind: obs.EvDirtyWriteback, Level: -1, N: 1})
 		}
@@ -285,22 +307,38 @@ func (bp *BufferPool) Overflow() int {
 	return 0
 }
 
+// pendingDirty returns the ids of the dirty resident pages in ascending
+// order, compacting the dirty queue to exactly those.  Caller holds
+// bp.mu.
+func (bp *BufferPool) pendingDirty() []PageID {
+	slices.Sort(bp.dirtyq)
+	q := bp.dirtyq[:0]
+	for _, id := range bp.dirtyq {
+		if n := len(q); n > 0 && q[n-1] == id {
+			continue
+		}
+		if f, ok := bp.frames[id]; ok && f.dirty {
+			q = append(q, id)
+		}
+	}
+	bp.dirtyq = q
+	return q
+}
+
 // DirtyPages calls fn for every dirty resident page in ascending page
-// order.  The slice passed to fn aliases the frame; fn must not retain
-// it.  Dirty flags are not cleared — Flush does that when the
-// checkpoint writes the pages to the store.
+// order, with the page's bytes brought up to date by the encoder.  The
+// slice passed to fn aliases the frame; fn must not retain it.  Dirty
+// flags are not cleared — Flush does that when the checkpoint writes
+// the pages to the store.
 func (bp *BufferPool) DirtyPages(fn func(id PageID, data []byte) error) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	ids := make([]PageID, 0, len(bp.frames))
-	for id, f := range bp.frames {
-		if f.dirty {
-			ids = append(ids, id)
+	for _, id := range bp.pendingDirty() {
+		f := bp.frames[id]
+		if bp.encode != nil {
+			bp.encode(id, f.data)
 		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if err := fn(id, bp.frames[id].data); err != nil {
+		if err := fn(id, f.data); err != nil {
 			return err
 		}
 	}
@@ -419,6 +457,32 @@ func (bp *BufferPool) writePage(id PageID, data []byte) error {
 	return err
 }
 
+// writeBack brings a dirty frame's bytes up to date and writes them to
+// the store, leaving the frame clean.  Caller holds bp.mu.
+func (bp *BufferPool) writeBack(f *frame) error {
+	if bp.encode != nil {
+		bp.encode(f.id, f.data)
+	}
+	if err := bp.writePage(f.id, f.data); err != nil {
+		return err
+	}
+	f.dirty = false
+	bp.stats.Writes++
+	if bp.met != nil {
+		bp.met.BufWrites.Inc()
+	}
+	return nil
+}
+
+// markDirty flags the frame and queues its page for the next Flush.
+// Caller holds bp.mu.
+func (bp *BufferPool) markDirty(f *frame) {
+	if !f.dirty {
+		f.dirty = true
+		bp.dirtyq = append(bp.dirtyq, f.id)
+	}
+}
+
 // MarkDirty records that the page's buffered contents differ from the
 // store.  The page must be resident (obtained via Get or Allocate and
 // not yet evicted); keeping it resident while mutating is the caller's
@@ -430,7 +494,7 @@ func (bp *BufferPool) MarkDirty(id PageID) error {
 	if !ok {
 		return fmt.Errorf("storage: MarkDirty(%d): page not resident", id)
 	}
-	f.dirty = true
+	bp.markDirty(f)
 	return nil
 }
 
@@ -478,10 +542,11 @@ func (bp *BufferPool) Allocate() (PageID, []byte, error) {
 	if err != nil {
 		return InvalidPage, nil, err
 	}
-	f := &frame{id: id, data: make([]byte, PageSize), dirty: true}
+	f := &frame{id: id, data: make([]byte, PageSize)}
 	if err := bp.admit(f); err != nil {
 		return InvalidPage, nil, err
 	}
+	bp.markDirty(f)
 	return id, f.data, nil
 }
 
@@ -503,24 +568,23 @@ func (bp *BufferPool) Free(id PageID) error {
 	return bp.store.Free(id)
 }
 
-// Flush writes every dirty frame back to the store, leaving all pages
-// resident.
+// Flush writes every dirty frame back to the store in ascending page
+// order, leaving all pages resident.  Its cost follows the number of
+// dirty pages, not the number of resident ones.  After an error the
+// pages not yet written stay dirty and queued, so the next Flush
+// retries them.
 func (bp *BufferPool) Flush() error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	for _, f := range bp.frames {
-		if !f.dirty {
-			continue
-		}
-		if err := bp.writePage(f.id, f.data); err != nil {
+	if len(bp.dirtyq) == 0 {
+		return nil
+	}
+	for _, id := range bp.pendingDirty() {
+		if err := bp.writeBack(bp.frames[id]); err != nil {
 			return err
 		}
-		f.dirty = false
-		bp.stats.Writes++
-		if bp.met != nil {
-			bp.met.BufWrites.Inc()
-		}
 	}
+	bp.dirtyq = bp.dirtyq[:0]
 	return nil
 }
 

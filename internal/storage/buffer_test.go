@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rexptree/internal/obs"
@@ -321,5 +323,233 @@ func TestBufferPoolRandomizedAgainstStore(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// writeLog is a MemStore that records the page id of every write.
+type writeLog struct {
+	*MemStore
+	ids []PageID
+}
+
+func (s *writeLog) WritePage(id PageID, buf []byte) error {
+	s.ids = append(s.ids, id)
+	return s.MemStore.WritePage(id, buf)
+}
+
+// dirtyPage sets the page's first byte and marks it dirty.
+func dirtyPage(t *testing.T, bp *BufferPool, id PageID, v byte) {
+	t.Helper()
+	data, err := bp.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0] = v
+	if err := bp.MarkDirty(id); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFlushAscendingOnePerDirtyPage(t *testing.T) {
+	store := &writeLog{MemStore: NewMemStore()}
+	bp := NewBufferPool(store, 16)
+	var ids []PageID
+	for i := 0; i < 8; i++ {
+		id, _, err := bp.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := bp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	store.ids = nil
+	// Dirty out of order, some of them repeatedly.
+	for _, i := range []int{6, 1, 4, 1, 6, 6, 3} {
+		dirtyPage(t, bp, ids[i], byte(i))
+	}
+	if err := bp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := []PageID{ids[1], ids[3], ids[4], ids[6]}
+	if !slices.Equal(store.ids, want) {
+		t.Fatalf("flush wrote pages %v, want %v (ascending, once each)", store.ids, want)
+	}
+	// Nothing is owed now; a page dirtied again after the flush is
+	// written again, once.
+	store.ids = nil
+	if err := bp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dirtyPage(t, bp, ids[4], 9)
+	for i := 0; i < 2; i++ {
+		if err := bp.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(store.ids, []PageID{ids[4]}) {
+		t.Fatalf("after re-dirtying one flushed page the pool wrote %v, want [%d]", store.ids, ids[4])
+	}
+}
+
+// The dirty queue keeps the ids of pages that were freed or written
+// back by an eviction in the meantime, and a page id can come back
+// (re-read, reallocated) and turn dirty again.  Whatever the history,
+// a page is written only while a change of it is owed to the store (no
+// double writes), a flush leaves nothing owed (no lost writes), and it
+// writes in ascending page order.
+func TestDirtyQueueSurvivesFreeAndEviction(t *testing.T) {
+	store := &writeLog{MemStore: NewMemStore()}
+	bp := NewBufferPool(store, 3)
+	rng := rand.New(rand.NewSource(5))
+	content := map[PageID]byte{} // live pages and their latest first byte
+	owed := map[PageID]bool{}    // pages changed since they were last written
+	settle := func(what string) {
+		t.Helper()
+		for _, id := range store.ids {
+			if !owed[id] {
+				t.Fatalf("%s wrote page %d, which had no unwritten change", what, id)
+			}
+			delete(owed, id)
+		}
+		store.ids = store.ids[:0]
+	}
+	var live []PageID
+	for step := 0; step < 4000; step++ {
+		switch r := rng.Intn(10); {
+		case r < 5 && len(live) > 0:
+			id := live[rng.Intn(len(live))]
+			v := byte(1 + rng.Intn(250))
+			dirtyPage(t, bp, id, v)
+			content[id], owed[id] = v, true
+			settle("an eviction")
+		case r < 7 || len(live) == 0:
+			id, _, err := bp.Allocate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, id)
+			content[id], owed[id] = 0, true
+			settle("an eviction")
+		case r < 8:
+			i := rng.Intn(len(live))
+			id := live[i]
+			live = append(live[:i], live[i+1:]...)
+			if err := bp.Free(id); err != nil {
+				t.Fatal(err)
+			}
+			delete(content, id)
+			delete(owed, id)
+		case r < 9:
+			var seen []PageID
+			bp.DirtyPages(func(id PageID, data []byte) error {
+				if !owed[id] || data[0] != content[id] {
+					t.Fatalf("DirtyPages showed page %d holding %d: owed %v, want %d", id, data[0], owed[id], content[id])
+				}
+				seen = append(seen, id)
+				return nil
+			})
+			if !slices.IsSorted(seen) || len(slices.Compact(seen)) != len(owed) {
+				t.Fatalf("DirtyPages visited %v, want each of %v once in ascending order", seen, owed)
+			}
+		default:
+			if err := bp.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.IsSorted(store.ids) {
+				t.Fatalf("flush wrote pages out of order: %v", store.ids)
+			}
+			settle("a flush")
+			if len(owed) != 0 {
+				t.Fatalf("flush left pages unwritten: %v", owed)
+			}
+			buf := make([]byte, PageSize)
+			for id, v := range content {
+				if err := store.ReadPage(id, buf); err != nil || buf[0] != v {
+					t.Fatalf("after a flush page %d holds %d (err %v), want %d", id, buf[0], err, v)
+				}
+			}
+		}
+	}
+	if st := bp.Stats(); st.DirtyWritebacks == 0 || st.Writes == st.DirtyWritebacks {
+		t.Fatalf("the run must exercise both evictions and flushes: %+v", st)
+	}
+}
+
+// A failed Flush leaves the unwritten pages owed; the retry writes
+// those and only those, even when a page written before the failure
+// was dirtied again in between.
+func TestFlushRetriesAfterError(t *testing.T) {
+	log := &writeLog{MemStore: NewMemStore()}
+	fs := &FaultStore{Inner: log, FailWrites: true}
+	bp := NewBufferPool(fs, 8)
+	var ids []PageID
+	for i := 0; i < 4; i++ {
+		id, _, _ := bp.Allocate()
+		ids = append(ids, id)
+		dirtyPage(t, bp, id, byte(10+i))
+	}
+	fs.Arm(3) // the third write fails
+	if err := bp.Flush(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("flush error = %v, want the injected fault", err)
+	}
+	fs.Disarm()
+	dirtyPage(t, bp, ids[0], 20)
+	log.ids = nil
+	if err := bp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []PageID{ids[0], ids[2], ids[3]}; !slices.Equal(log.ids, want) {
+		t.Fatalf("retry wrote %v, want %v", log.ids, want)
+	}
+}
+
+// The encoder runs on a dirty page each time its bytes leave the pool
+// — flush, steal eviction, DirtyPages — and at no other time.
+func TestEncoderRunsWhenBytesLeave(t *testing.T) {
+	store := NewMemStore()
+	bp := NewBufferPool(store, 2)
+	version := map[PageID]byte{}
+	calls := 0
+	bp.SetEncoder(func(id PageID, data []byte) {
+		calls++
+		data[1] = version[id]
+	})
+	a, _, _ := bp.Allocate()
+	b, _, _ := bp.Allocate()
+	version[a], version[b] = 1, 2
+	if _, err := bp.Get(a); err != nil || calls != 0 {
+		t.Fatalf("encoder ran %d times before any byte left the pool (err %v)", calls, err)
+	}
+	var seen []byte
+	err := bp.DirtyPages(func(id PageID, data []byte) error {
+		seen = append(seen, data[1])
+		return nil
+	})
+	if err != nil || !bytes.Equal(seen, []byte{1, 2}) || calls != 2 {
+		t.Fatalf("DirtyPages saw %v after %d encoder calls (err %v), want [1 2] after 2", seen, calls, err)
+	}
+	version[b] = 3
+	if _, _, err := bp.Allocate(); err != nil { // evicts b, the least recently used
+		t.Fatal(err)
+	}
+	buf := make([]byte, PageSize)
+	if err := store.ReadPage(b, buf); err != nil || buf[1] != 3 || calls != 3 {
+		t.Fatalf("evicted page holds version %d after %d encoder calls (err %v), want 3 after 3", buf[1], calls, err)
+	}
+	version[a] = 4
+	if err := bp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.ReadPage(a, buf); err != nil || buf[1] != 4 || calls != 5 {
+		t.Fatalf("flushed page holds version %d after %d encoder calls (err %v), want 4 after 5", buf[1], calls, err)
+	}
+	// Clean pages are never encoded.
+	if _, err := bp.Get(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := bp.Flush(); err != nil || calls != 5 {
+		t.Fatalf("encoder ran on clean pages: %d calls (err %v)", calls, err)
 	}
 }

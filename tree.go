@@ -1,6 +1,7 @@
 package rexptree
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -368,9 +369,18 @@ func (tr *Tree) updateLocked(id uint32, p Point, now float64, tc *QueryTrace) er
 // pair is published as one snapshot, so lock-free readers can never
 // observe the gap where the old report is gone and the new one is not
 // yet inserted.
-func (tr *Tree) applyUpdate(id uint32, p Point, now float64) error {
+//
+// The pair is also one operation for the pages: each page it dirties
+// is written back once, when the scope ends (inside an UpdateBatch,
+// when the batch ends).  A write-back error is returned with the update
+// applied in memory and the pages still owed to the store.
+func (tr *Tree) applyUpdate(id uint32, p Point, now float64) (err error) {
 	tr.t.BeginBatch()
-	defer tr.t.EndBatch()
+	defer func() {
+		if e := tr.t.EndBatch(); err == nil {
+			err = e
+		}
+	}()
 	if old, ok := tr.objects[id]; ok {
 		if _, err := tr.t.Delete(id, old, now); err != nil {
 			return err
@@ -795,17 +805,22 @@ func (tr *Tree) updateBatch(batch []Report, now float64, tc *QueryTrace) error {
 	tr.t.BeginBatch()
 	for i := range batch {
 		if err := tr.updateLocked(batch[i].ID, batch[i].Point, now, nil); err != nil {
-			tr.t.EndBatch()
+			if e := tr.t.EndBatch(); e != nil {
+				err = errors.Join(err, e)
+			}
 			tc.endAt(ai)
 			tc.addMeasured("version-publish", tr.t.LastPublishNanos())
 			tr.m.BatchedUpdates.Add(uint64(i))
 			return err
 		}
 	}
-	tr.t.EndBatch()
+	err := tr.t.EndBatch()
 	tc.endAt(ai)
 	tc.addMeasured("version-publish", tr.t.LastPublishNanos())
 	tr.m.BatchedUpdates.Add(uint64(len(batch)))
+	if err != nil {
+		return err
+	}
 	if tr.wal != nil {
 		// Group commit: the whole batch rides on one durability point.
 		return tr.walCommit(tc)
