@@ -576,9 +576,6 @@ func (bp *BufferPool) Free(id PageID) error {
 func (bp *BufferPool) Flush() error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if len(bp.dirtyq) == 0 {
-		return nil
-	}
 	for _, id := range bp.pendingDirty() {
 		if err := bp.writeBack(bp.frames[id]); err != nil {
 			return err

@@ -803,21 +803,21 @@ func (tr *Tree) updateBatch(batch []Report, now float64, tc *QueryTrace) error {
 	// lock-free path see either the pre-batch tree or all applied
 	// reports (on error, everything up to the failing report).
 	tr.t.BeginBatch()
-	for i := range batch {
-		if err := tr.updateLocked(batch[i].ID, batch[i].Point, now, nil); err != nil {
-			if e := tr.t.EndBatch(); e != nil {
-				err = errors.Join(err, e)
-			}
-			tc.endAt(ai)
-			tc.addMeasured("version-publish", tr.t.LastPublishNanos())
-			tr.m.BatchedUpdates.Add(uint64(i))
-			return err
+	applied := 0
+	var err error
+	for ; applied < len(batch); applied++ {
+		if err = tr.updateLocked(batch[applied].ID, batch[applied].Point, now, nil); err != nil {
+			break
 		}
 	}
-	err := tr.t.EndBatch()
+	// Closing the scope publishes and writes back what was applied,
+	// also when a report failed; a write-back error joins the report's.
+	if e := tr.t.EndBatch(); e != nil {
+		err = errors.Join(err, e)
+	}
 	tc.endAt(ai)
 	tc.addMeasured("version-publish", tr.t.LastPublishNanos())
-	tr.m.BatchedUpdates.Add(uint64(len(batch)))
+	tr.m.BatchedUpdates.Add(uint64(applied))
 	if err != nil {
 		return err
 	}

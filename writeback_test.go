@@ -183,3 +183,76 @@ func TestCheckpointImagesAreCurrent(t *testing.T) {
 	}
 	requireSameFingerprint(t, fingerprintIndex(t, re, now), fingerprintIndex(t, ref, now), "checkpointed page file")
 }
+
+// TestFailedWriteBackIsRetried: without a WAL the write-back at the end
+// of an operation can fail.  The operation then reports the error with
+// its reports applied in memory, the pages stay owed, and the end of
+// the next operation writes them: the closed file holds both.
+func TestFailedWriteBackIsRetried(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "retry.rexp")
+	var fault *storage.FaultStore
+	o := fileOpts(path)
+	o.BufferPages = 4096
+	o.testWrapStore = func(s storage.Store) storage.Store {
+		fault = &storage.FaultStore{Inner: s, FailWrites: true}
+		return fault
+	}
+	tr, err := Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Open(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	rng := rand.New(rand.NewSource(41))
+	now := 1.0
+	load := make([]Report, 1500) // a root over a dozen leaves
+	for i := range load {
+		load[i] = randomReport(rng, uint32(i), now)
+	}
+	now += 0.5
+	batch := make([]Report, 100)
+	for i := range batch {
+		batch[i] = randomReport(rng, uint32(rng.Intn(len(load))), now)
+	}
+	last := randomReport(rng, 5000, now+0.5)
+	for _, ix := range []*Tree{tr, ref} {
+		if err := ix.UpdateBatch(load, 1.0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fault.Arm(2) // the batch's second page write fails, and every later one
+	if err := tr.UpdateBatch(batch, now); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("UpdateBatch error = %v, want the injected write fault", err)
+	}
+	fault.Disarm()
+	before := tr.Stats().Writes
+	if err := tr.Update(last.ID, last.Point, now+0.5); err != nil {
+		t.Fatal(err)
+	}
+	// An Update of its own writes two to four pages.
+	if wrote := tr.Stats().Writes - before; wrote <= 4 {
+		t.Fatalf("the next operation wrote %d pages; it must also write what the failed batch left owed", wrote)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.UpdateBatch(batch, now); err != nil {
+		t.Fatal(err)
+	}
+	now += 0.5
+	if err := ref.Update(last.ID, last.Point, now); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(fileOpts(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if err := re.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	requireSameFingerprint(t, fingerprintIndex(t, re, now), fingerprintIndex(t, ref, now), "file after a retried write-back")
+}
