@@ -1,7 +1,8 @@
 # Makefile — CI entry points for the rexptree repository.
 #
-#   make check            fmt-check + vet + build + tests (bench/ module too) + race + determinism + bench smokes
-#   make bench-update     the update path's microbenchmarks (kernel, computeBR, one update, batched updates)
+#   make check            fmt-check + vet + build + tests (bench/ module too) + race + determinism + crash matrix + bench smokes
+#   make crash-matrix     the durable trees' crash and power-loss tests, three times over
+#   make bench-update     the update path's microbenchmarks (kernel, computeBR, one update, batched updates, a durable body)
 #   make bench-obs        metrics-overhead microbenchmark -> BENCH_obs.json
 #   make bench-shard      concurrent-throughput comparison -> BENCH_shard.json
 #   make bench-partition  hash vs speed partitioning -> BENCH_partition.json
@@ -17,11 +18,11 @@
 
 GO ?= go
 
-.PHONY: all check fmt-check vet build test test-bench race determinism fuzz-smoke bench-update bench-obs bench-obs-smoke bench-shard bench-partition bench-partition-smoke bench-wal bench-wal-smoke bench-read bench-read-smoke bench-reshard bench-reshard-smoke bench-trace bench-trace-smoke serve-smoke bench-serve bench-serve-smoke bench-repl bench-repl-smoke fault-matrix clean
+.PHONY: all check fmt-check vet build test test-bench race determinism crash-matrix fuzz-smoke bench-update bench-obs bench-obs-smoke bench-shard bench-partition bench-partition-smoke bench-wal bench-wal-smoke bench-read bench-read-smoke bench-reshard bench-reshard-smoke bench-trace bench-trace-smoke serve-smoke bench-serve bench-serve-smoke bench-repl bench-repl-smoke fault-matrix clean
 
 all: check bench-obs bench-shard bench-partition bench-wal bench-read bench-reshard bench-trace bench-serve bench-repl
 
-check: fmt-check vet build test test-bench race determinism bench-obs-smoke bench-partition-smoke bench-wal-smoke bench-read-smoke bench-reshard-smoke bench-trace-smoke serve-smoke bench-serve-smoke bench-repl-smoke
+check: fmt-check vet build test test-bench race determinism crash-matrix bench-obs-smoke bench-partition-smoke bench-wal-smoke bench-read-smoke bench-reshard-smoke bench-trace-smoke serve-smoke bench-serve-smoke bench-repl-smoke
 
 # Fails (with the offending file list) if anything is not gofmt-clean.
 fmt-check:
@@ -56,6 +57,14 @@ race:
 determinism:
 	$(GO) test -count=3 -cpu 1,2,4 -run 'Reshard' . ./internal/server
 
+# Every way a durable tree is killed — WAL lifecycle faults, storage
+# faults, Abandon mid-stream, a power loss that drops or tears the page
+# file's un-fsynced writes — must recover to the acknowledged prefix.
+# Three runs: recovery re-applies page images in map order, which
+# differs from run to run.
+crash-matrix:
+	$(GO) test -run 'TestDurable|TestShardedDurable' -count=3 .
+
 # A short run of each native fuzz target: the manifest decode/encode
 # round trip, the time-parameterized intersection kernel, the
 # near-optimal bridge search against its sort-and-scan reference, and
@@ -75,13 +84,15 @@ fuzz-smoke:
 # a full leaf's worth of entries, computeBR on a full leaf and a full
 # internal node, the pool's flush of one dirty page among many clean
 # ones, one steady-state update (delete + insert) through the public
-# tree, and the same update per report in batches of 1, 25 and 100.
+# tree, the same update per report in batches of 1, 25 and 100, and a
+# 25-report body acknowledged by a durable tree behind a 16-page pool
+# (with its fsyncs and checkpoints per body).
 # Prints to the terminal; bench/ holds the numbers that count.
 bench-update:
 	$(GO) test ./internal/hull -run '^$$' -bench 'BenchmarkNearOptimal$$' -benchmem
 	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkComputeBR' -benchmem
 	$(GO) test ./internal/storage -run '^$$' -bench 'BenchmarkFlushOneDirty' -benchmem
-	$(GO) test . -run '^$$' -bench 'BenchmarkUpdateThroughput$$|BenchmarkUpdateBatch' -benchmem
+	$(GO) test . -run '^$$' -bench 'BenchmarkUpdateThroughput$$|BenchmarkUpdateBatch|BenchmarkDurableBatch' -benchmem
 
 # Compares instrumented vs. nil-metrics Update/query throughput; the
 # observability layer's budget is a <2% regression.

@@ -16,10 +16,12 @@ package rexptree
 
 import (
 	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
 	"rexptree/internal/experiments"
+	"rexptree/internal/storage"
 )
 
 func benchScale(b *testing.B) float64 {
@@ -144,6 +146,52 @@ func BenchmarkUpdateBatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkDurableBatch measures the served write path's body — 25
+// reports through UpdateBatch, acknowledged under DurabilityOnCommit —
+// against a shard-sized index (5 000 objects) behind a 16-page no-steal
+// pool, where most commits overflow the pool and checkpoint.  An op is
+// one body; fsyncs/op counts the log's (commit or image set, truncation)
+// and the page file's.
+func BenchmarkDurableBatch(b *testing.B) {
+	const size, n = 25, 5000
+	b.Run(strconv.Itoa(size), func(b *testing.B) {
+		var storeSyncs []string
+		o := durableOpts(filepath.Join(b.TempDir(), "bench.rexp"), DurabilityOnCommit)
+		o.BufferPages = 16
+		o.testWrapStore = func(s storage.Store) storage.Store { return &syncLogStore{s, &storeSyncs} }
+		tree, err := Open(o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer tree.Close()
+		now := 0.01
+		batch := make([]Report, 0, n)
+		for id := uint32(0); id < n; id++ {
+			batch = append(batch, Report{ID: id, Point: seedPoint(id, now)})
+		}
+		if err := tree.UpdateBatch(batch, now); err != nil {
+			b.Fatal(err)
+		}
+		storeSyncs = storeSyncs[:0]
+		before := tree.Metrics()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			batch = batch[:0]
+			for j := i * size; j < (i+1)*size; j++ {
+				now += 0.01
+				batch = append(batch, Report{ID: uint32(j % n), Point: seedPoint(uint32(j%n), now)})
+			}
+			if err := tree.UpdateBatch(batch, now); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		d := tree.Metrics().Sub(before)
+		b.ReportMetric(float64(d.WALFsyncs+uint64(len(storeSyncs)))/float64(b.N), "fsyncs/op")
+		b.ReportMetric(float64(d.Checkpoints)/float64(b.N), "checkpoints/op")
+	})
 }
 
 // BenchmarkTimesliceQuery measures a paper-sized timeslice query

@@ -7,15 +7,17 @@
 // manifest and scrubs every shard.
 //
 // A file left behind by a crash (dirty flag set or non-empty WAL) is
-// not an error: rexpcheck verifies that it is *recoverable* — the last
-// complete checkpoint's page images patch cleanly over the base and
-// the logical tail is well-formed — and reports it as such.  On such a
-// file the checksum sweep mirrors exactly what recovery reads: pages
-// reachable from the image-patched view.  Pages superseded by a
-// checkpoint image are never read from disk, and pages free in the
-// checkpointed base may be legitimately torn (a crash mid zero-fill or
-// mid free-chain write, the only page-file writes allowed between
-// checkpoints); recovery rewrites them before reuse, so they are
+// not an error: rexpcheck verifies that it is *recoverable* — the page
+// images of the log's complete checkpoints, merged with a page's later
+// image winning, patch cleanly over the base into the state of the last
+// complete checkpoint, and the logical tail is well-formed — and reports
+// it as such.  On such a file the checksum sweep mirrors exactly what
+// recovery reads: pages reachable from the image-patched view.  Pages
+// superseded by a checkpoint image are never read from disk — a
+// checkpoint writes them to the page file without an fsync, so any of
+// them may be stale or torn there — and pages free in the checkpointed
+// state may be legitimately torn too (a crash mid zero-fill or mid
+// free-chain write); recovery rewrites them before reuse, so they are
 // reported as recoverable, not as corruption.
 //
 // Exit codes: 0 when every file is healthy (clean, or unclean but
@@ -114,8 +116,8 @@ func checkFile(path string) int {
 	}
 	defer fs.Close()
 
-	// WAL structure first: for an unclean file the last complete
-	// checkpoint's images supersede their on-disk pages.
+	// WAL structure first: for an unclean file the images of the log's
+	// complete checkpoints supersede their on-disk pages.
 	a, err := wal.Analyze(rexpWALPath(path))
 	if err != nil {
 		report(path, "wal: %v", err)
@@ -128,7 +130,7 @@ func checkFile(path string) int {
 	}
 	logf(path, "format v%d, %d pages (%d live), %s", fs.Version(), fs.PageCount(), fs.Len(), state)
 	if a.Records > 0 || a.Torn {
-		logf(path, "wal: %d records, %d checkpoint image pages, %d tail records to replay, torn tail: %v",
+		logf(path, "wal: %d records, %d pages imaged by complete checkpoints, %d tail records to replay, torn tail: %v",
 			a.Records, len(a.Images), len(a.Tail), a.Torn)
 	}
 
@@ -165,12 +167,13 @@ func checkFile(path string) int {
 
 // checkUnclean scrubs a file a crash left behind.  The checksum sweep
 // mirrors what recovery reads: the tree is opened over the base patched
-// with the last complete checkpoint's images, and the reachability walk
-// checksum-verifies every live page (patched pages come from the
-// CRC-framed WAL, never from disk).  Pages outside the reachable set
-// are free in the checkpointed base; a torn one is the residue of a
-// crash mid zero-fill or mid free-chain write — recovery rewrites it
-// before any reuse, so it is reported as recoverable, not corrupt.
+// with the merged images of the log's complete checkpoints — the state
+// of the last of them — and the reachability walk checksum-verifies
+// every live page (patched pages come from the CRC-framed WAL, never
+// from disk).  Pages outside the reachable set are free in that state;
+// a torn one is the residue of a crash mid zero-fill or mid free-chain
+// write — recovery rewrites it before any reuse, so it is reported as
+// recoverable, not corrupt.
 func checkUnclean(path string, fs *storage.FileStore, a wal.Analysis) int {
 	view := storage.Store(fs)
 	if a.Images != nil {

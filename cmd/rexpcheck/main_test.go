@@ -10,6 +10,7 @@ import (
 	rexptree "rexptree"
 	"rexptree/internal/core"
 	"rexptree/internal/storage"
+	"rexptree/internal/wal"
 )
 
 // buildTool compiles this command into a temp dir and returns the
@@ -239,6 +240,96 @@ func TestCheckUncleanTornFreePage(t *testing.T) {
 	re, err := rexptree.Open(opts)
 	if err != nil {
 		t.Fatalf("recovery open after torn free page: %v", err)
+	}
+	if err := re.Validate(); err != nil {
+		t.Fatalf("recovered tree invalid: %v", err)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckUncleanSeveralImageSets: a checkpoint fsyncs its images in
+// the log and writes the page file without one, so a crash can leave the
+// log with many image sets over a page file that lost the writes of all
+// of them.  Here every page an earlier set imaged and the last one did
+// not is torn on disk; the merged images must still make the file
+// recoverable, to rexpcheck and to the reopen.
+func TestCheckUncleanSeveralImageSets(t *testing.T) {
+	bin := buildTool(t)
+	path := filepath.Join(t.TempDir(), "idx.rexp")
+	opts := rexptree.DefaultOptions()
+	opts.Path = path
+	opts.Durability = rexptree.DurabilityBatched
+	opts.BufferPages = 16 // a fifth of the index: most batches overflow it and checkpoint
+	tr, err := rexptree.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := 0.0
+	for round := 0; round < 200; round++ {
+		now += 0.01
+		batch := make([]rexptree.Report, 50)
+		for i := range batch {
+			id := uint32(round*50+i) % 8000
+			batch[i] = rexptree.Report{ID: id, Point: rexptree.Point{
+				Pos:     rexptree.Vec{float64(id*7919%1000) + now, float64(id*104729%1000) + now},
+				Vel:     rexptree.Vec{1, -1},
+				Time:    now,
+				Expires: 1e6,
+			}}
+		}
+		if err := tr.UpdateBatch(batch, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.Abandon()
+
+	// The pages of every complete image set but the last.
+	var sets []map[storage.PageID]bool
+	if err := wal.Scan(path+".wal", func(rec wal.Record) error {
+		switch rec.Kind {
+		case wal.CkptBegin:
+			sets = append(sets, map[storage.PageID]bool{})
+		case wal.CkptPage:
+			sets[len(sets)-1][rec.Page] = true
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(sets) < 5 {
+		t.Fatalf("the log holds %d image sets; the workload must leave several", len(sets))
+	}
+	const pageSize, hdr = 4096, 8
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := 0
+	for _, set := range sets[:len(sets)-1] {
+		for id := range set {
+			if sets[len(sets)-1][id] {
+				continue
+			}
+			if _, err := f.WriteAt([]byte("lost"), int64(pageSize)+int64(id)*int64(pageSize+hdr)+hdr+321); err != nil {
+				t.Fatal(err)
+			}
+			torn++
+		}
+	}
+	f.Close()
+	if torn == 0 {
+		t.Fatal("no page is imaged only by an earlier checkpoint")
+	}
+
+	out, code := run(t, bin, path)
+	if code != 0 || !strings.Contains(out, "recoverable") {
+		t.Fatalf("exit %d on a file recoverable from %d image sets, want 0 and a recoverable verdict\n%s", code, len(sets), out)
+	}
+	re, err := rexptree.Open(opts)
+	if err != nil {
+		t.Fatalf("recovery open: %v", err)
 	}
 	if err := re.Validate(); err != nil {
 		t.Fatalf("recovered tree invalid: %v", err)

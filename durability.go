@@ -18,16 +18,21 @@ import (
 // write-ahead logging of mutations, the checkpoint protocol, and the
 // recovery that Open runs after an unclean shutdown.
 //
-// The invariant everything rests on: between checkpoints, the page
-// file holds exactly the state of the last checkpoint.  The buffer
-// pool runs no-steal (dirty pages are never written back outside a
-// checkpoint), frees are deferred (no chain links are written and no
-// page freed since the last checkpoint is reused), and the only writes
-// that reach the file are zero-fills of pages that are free in the
-// checkpointed state.  A checkpoint first images every dirty page into
-// the WAL and fsyncs it; only then does it touch the page file — so a
-// crash at any instant leaves either a replayable base or a complete
-// image set, never a half-written state that matters.
+// The invariant everything rests on: the page file holds the state of
+// the last truncation (the last checkpoint that fsynced it and emptied
+// the log) plus un-synced writes of later checkpoints, and the log holds
+// every page image needed to rebuild the last complete checkpoint over
+// it.  The buffer pool runs no-steal (dirty pages are never written back
+// outside a checkpoint), frees are deferred (no chain links are written
+// and no page freed since the last checkpoint is reused), and the only
+// other writes that reach the file are zero-fills of pages that are free
+// in the checkpointed state.  A checkpoint first images every dirty page
+// into the WAL and fsyncs it; only then does it touch the page file — so
+// a crash at any instant leaves either a replayable base or complete
+// image sets, never a half-written state that matters.  That one fsync
+// is the checkpointing operation's commit point too; the page file's own
+// fsync and the log truncation that must follow it are paid once per
+// CheckpointBytes of log, not per checkpoint.
 
 // WALPath returns the write-ahead-log path used for the index file at
 // path.
@@ -51,7 +56,7 @@ func (tr *Tree) initWAL(opts Options) error {
 	w.Hook = opts.testWALHook
 	tr.wal = w
 	tr.fs.SetDeferFrees(true)
-	if err := tr.checkpointLocked(); err != nil {
+	if err := tr.checkpointLocked(true); err != nil {
 		return err
 	}
 	return tr.fs.MarkDirty()
@@ -96,11 +101,24 @@ func (tr *Tree) walLogDelete(id uint32, now float64) error {
 	return nil
 }
 
-// walCommit makes the operation durable per the configured policy and
-// checkpoints when the log or the pool has grown past its bound.  It
-// is the tail of every mutating public operation in WAL mode; the
-// exclusive lock must be held.
+// walCommit makes the operation durable per the configured policy, or
+// checkpoints when the log or the pool has grown past its bound — the
+// checkpoint's image-set fsync covers the operation's records, which
+// precede it in the log, so no separate commit fsync is paid.  It is the
+// tail of every mutating public operation in WAL mode; the exclusive
+// lock must be held.
 func (tr *Tree) walCommit(tc *QueryTrace) error {
+	// A backup stream in flight (ckptHold > 0) defers checkpoints: the
+	// page file must not change while it is being copied, so the WAL
+	// keeps growing instead — that growth is the retained-segment
+	// guarantee the stream depends on.
+	if tr.ckptHold.Load() == 0 &&
+		(tr.wal.Size() >= tr.ckptBytes || tr.t.PoolOverflow() >= tr.t.Config().BufferPages) {
+		ci := tc.begin(-1, "checkpoint", -1)
+		err := tr.checkpointLocked(false)
+		tc.endAt(ci)
+		return err
+	}
 	switch tr.durability {
 	case DurabilityOnCommit:
 		fi := tc.begin(-1, "wal-fsync", -1)
@@ -123,17 +141,6 @@ func (tr *Tree) walCommit(tc *QueryTrace) error {
 			tr.lastWALSync = time.Now()
 		}
 	}
-	// A backup stream in flight (ckptHold > 0) defers checkpoints: the
-	// page file must stay the image of the last checkpoint while it is
-	// being copied, so the WAL keeps growing instead — that growth is
-	// the retained-segment guarantee the stream depends on.
-	if tr.ckptHold.Load() == 0 &&
-		(tr.wal.Size() >= tr.ckptBytes || tr.t.PoolOverflow() >= tr.t.Config().BufferPages) {
-		ci := tc.begin(-1, "checkpoint", -1)
-		err := tr.checkpointLocked()
-		tc.endAt(ci)
-		return err
-	}
 	return nil
 }
 
@@ -141,52 +148,62 @@ func (tr *Tree) walCommit(tc *QueryTrace) error {
 //
 //  1. Stage the tree metadata into its buffered page.
 //  2. Image every dirty pool page into the WAL (CkptBegin, CkptPage...,
-//     CkptCommit) and fsync — the images are now durable.  Since the
-//     last checkpoint the mutations wrote decoded nodes only; each
-//     page's bytes are encoded here, as DirtyPages hands them out.
-//  3. Flush the pool and sync the store (free chain, superblock, fsync)
-//     — the page file now holds the imaged state.
-//  4. Truncate the WAL.
+//     CkptCommit) and fsync — the images, and every logical record
+//     before them, are now durable.  Since the last checkpoint the
+//     mutations wrote decoded nodes only; each page's bytes are encoded
+//     here, as DirtyPages hands them out.
+//  3. Flush the pool into the page file without fsync, so clean frames
+//     can be evicted and re-read, and let the frees quarantined since
+//     the last checkpoint be reused: they are free in the state the log
+//     now rebuilds.
+//  4. When the log has reached CheckpointBytes, or the caller needs an
+//     empty log (full: open, recovery, close, the start of a backup
+//     stream), settle: sync the store (free chain, superblock, fsync),
+//     then truncate the WAL — in that order.
 //
-// A crash before the image fsync leaves the old base plus a replayable
-// logical tail (the incomplete image set is ignored); a crash after it
-// leaves a complete image set that recovery re-applies idempotently,
-// no matter how torn the page file is.
-func (tr *Tree) checkpointLocked() error {
+// A crash before the image fsync leaves the state of the previous
+// checkpoint plus a replayable logical tail (the incomplete image set is
+// ignored); a crash after it leaves complete image sets that recovery
+// merges and re-applies idempotently, however many page-file writes
+// since the last store fsync were lost or torn.
+func (tr *Tree) checkpointLocked(full bool) error {
 	start := time.Now()
-	tr.snapEpoch.Add(1) // checkpointing rewrites both files under any stream
+	tr.snapEpoch.Add(1) // checkpointing rewrites the page file under any stream
 	if err := tr.t.StageMeta(); err != nil {
 		return err
 	}
 	if err := tr.wal.Append([]byte{byte(wal.CkptBegin)}); err != nil {
 		return err
 	}
-	buf := make([]byte, 0, 5+storage.PageSize)
 	err := tr.t.DirtyPages(func(id storage.PageID, data []byte) error {
-		buf = append(buf[:0], byte(wal.CkptPage))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-		buf = append(buf, data...)
-		return tr.wal.Append(buf)
+		tr.walBuf = append(tr.walBuf[:0], byte(wal.CkptPage))
+		tr.walBuf = binary.LittleEndian.AppendUint32(tr.walBuf, uint32(id))
+		tr.walBuf = append(tr.walBuf, data...)
+		return tr.wal.Append(tr.walBuf)
 	})
 	if err != nil {
 		return err
 	}
-	commit := []byte{byte(wal.CkptCommit), 0, 0, 0, 0}
-	binary.LittleEndian.PutUint32(commit[1:], uint32(tr.fs.PageCount()))
-	if err := tr.wal.Append(commit); err != nil {
+	tr.walBuf = append(tr.walBuf[:0], byte(wal.CkptCommit))
+	tr.walBuf = binary.LittleEndian.AppendUint32(tr.walBuf, uint32(tr.fs.PageCount()))
+	if err := tr.wal.Append(tr.walBuf); err != nil {
 		return err
 	}
 	if err := tr.wal.Sync(); err != nil {
 		return err
 	}
+	tr.lastWALSync = time.Now()
 	if err := tr.t.FlushPool(); err != nil {
 		return err
 	}
-	if err := storage.SyncStore(tr.store); err != nil {
-		return err
-	}
-	if err := tr.wal.Reset(); err != nil {
-		return err
+	tr.fs.ReleaseFrees()
+	if full || tr.wal.Size() >= tr.ckptBytes {
+		if err := storage.SyncStore(tr.store); err != nil {
+			return err
+		}
+		if err := tr.wal.Reset(); err != nil {
+			return err
+		}
 	}
 	tr.m.Checkpoints.Inc()
 	tr.m.ObservePhase(obs.PhaseCheckpoint, time.Since(start))
@@ -223,12 +240,15 @@ func recoverDurable(opts Options, fs *storage.FileStore, store storage.Store, cf
 		}
 	}
 
-	// Re-apply the last complete checkpoint's page images and make them
-	// durable.  Idempotent: however often recovery itself is
-	// interrupted, the images win.  The fsync matters: the recovery
+	// Re-apply the page images of every complete checkpoint since the
+	// last truncation (merged, the later image of a page winning) and
+	// make them durable: the page file then holds the state of the last
+	// complete checkpoint, whatever became of the un-synced writes of the
+	// checkpoints in between.  Idempotent: however often recovery itself
+	// is interrupted, the images win.  The fsync matters: the recovery
 	// checkpoint below images only the pages the replay dirties, so
-	// these patches must already be on disk before that checkpoint can
-	// supersede the records they came from.
+	// these patches must already be on disk before that checkpoint's
+	// truncation drops the records they came from.
 	if a.Images != nil {
 		ii := tc.begin(-1, "reapply-images", -1)
 		if a.Pages > fs.PageCount() {
@@ -360,7 +380,7 @@ func recoverDurable(opts Options, fs *storage.FileStore, store storage.Store, cf
 	w.Hook = opts.testWALHook
 	tr.wal = w
 	ci := tc.begin(-1, "checkpoint", -1)
-	err = tr.checkpointLocked()
+	err = tr.checkpointLocked(true)
 	tc.endAt(ci)
 	if err != nil {
 		return false, fmt.Errorf("rexptree: recovery checkpoint failed: %w", err)
@@ -386,7 +406,7 @@ func (tr *Tree) closeDurable() error {
 		tr.fs.CloseKeepDirty()
 		return tr.walPoison
 	}
-	if err := tr.checkpointLocked(); err != nil {
+	if err := tr.checkpointLocked(true); err != nil {
 		tr.wal.Close()
 		tr.fs.CloseKeepDirty()
 		return err

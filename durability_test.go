@@ -45,7 +45,11 @@ type crashOp struct {
 // ~300 objects) interleaved with deletions of currently-live objects.
 // Expiration times are far in the future so expiry never perturbs the
 // prefix equivalence (TestDurableRecoveryDropsExpired covers expiry).
-func crashOps(n int, seed int64) []crashOp {
+func crashOps(n int, seed int64) []crashOp { return crashOpsOver(n, seed, 300) }
+
+// crashOpsOver is crashOps over a population of the given size: enough
+// objects make an index larger than a small buffer pool.
+func crashOpsOver(n int, seed int64, objects int) []crashOp {
 	rng := rand.New(rand.NewSource(seed))
 	var live []uint32
 	pos := map[uint32]int{} // id -> index in live, -1 when absent
@@ -63,7 +67,7 @@ func crashOps(n int, seed int64) []crashOp {
 			ops = append(ops, crashOp{del: true, id: id, now: now})
 			continue
 		}
-		id := uint32(rng.Intn(300) + 1)
+		id := uint32(rng.Intn(objects) + 1)
 		if j, ok := pos[id]; !ok || j < 0 {
 			pos[id] = len(live)
 			live = append(live, id)
@@ -142,7 +146,7 @@ func requireRecovered(t *testing.T, path string, ops []crashOp, wantOps int) *Tr
 		t.Fatalf("recovered tree invalid: %v", err)
 	}
 	ref := memReference(t, ops[:wantOps])
-	now := crashFinalNow()
+	now := max(crashFinalNow(), ops[len(ops)-1].now) // streams longer than crashOpsN end later
 	requireSameFingerprint(t, fingerprintIndex(t, re, now), fingerprintIndex(t, ref, now), "recovered index")
 	return re
 }

@@ -190,12 +190,12 @@ func (s *FileStore) PageCount() int { return s.numPages }
 
 // SetDeferFrees selects the deferred-free discipline: freed pages are
 // quarantined (not reused and their chain links not written) until the
-// next Sync.  The write-ahead-logged tree needs this so the on-disk
-// state between checkpoints stays exactly the last checkpoint's.
+// next ReleaseFrees or Sync.  The write-ahead-logged tree needs this so
+// no page that is live in the last checkpoint's state is overwritten
+// before the next checkpoint is durable.
 func (s *FileStore) SetDeferFrees(v bool) {
 	if !v {
-		s.freeOld = append(s.freeOld, s.freeNew...)
-		s.freeNew = nil
+		s.ReleaseFrees()
 	}
 	s.deferFrees = v
 }
@@ -456,8 +456,8 @@ func (s *FileStore) Allocate() (PageID, error) {
 // Free implements Store.  The page is dropped from use immediately;
 // its on-disk chain link is written by the next Sync or Close.  Under
 // SetDeferFrees the page is additionally quarantined from reuse until
-// that Sync, so the contents it held at the last checkpoint survive
-// for recovery.
+// the next ReleaseFrees or Sync, so the contents it held at the last
+// checkpoint survive for recovery.
 func (s *FileStore) Free(id PageID) error {
 	if s.readOnly {
 		return ErrReadOnly
@@ -478,6 +478,16 @@ func (s *FileStore) Free(id PageID) error {
 // Len implements Store.
 func (s *FileStore) Len() int { return s.live }
 
+// ReleaseFrees ends the quarantine of the pages freed under
+// SetDeferFrees: they become reusable without a Sync.  The
+// write-ahead-logged tree calls it once a checkpoint's images are
+// durable in its log — recovery rebuilds that checkpoint's state, in
+// which these pages are free, so their old contents are not needed.
+func (s *FileStore) ReleaseFrees() {
+	s.freeOld = append(s.freeOld, s.freeNew...)
+	s.freeNew = s.freeNew[:0]
+}
+
 // Sync materializes the free chain, writes the superblock (keeping the
 // current dirty flag) and fsyncs the file.  Quarantined frees become
 // reusable afterwards.
@@ -494,8 +504,7 @@ func (s *FileStore) Sync() error {
 	if err := s.f.Sync(); err != nil {
 		return err
 	}
-	s.freeOld = append(s.freeOld, s.freeNew...)
-	s.freeNew = nil
+	s.ReleaseFrees()
 	return nil
 }
 

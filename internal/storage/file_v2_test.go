@@ -166,7 +166,7 @@ func TestFileStoreMarkDirtyV1Refused(t *testing.T) {
 
 // TestFileStoreDeferFrees checks the deferred-free quarantine: freed
 // pages are not reused while deferral is on, and become reusable once
-// it is turned off.
+// it is turned off or ReleaseFrees lets them go.
 func TestFileStoreDeferFrees(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v2.idx")
 	s, err := CreateFileStore(path)
@@ -194,6 +194,22 @@ func TestFileStoreDeferFrees(t *testing.T) {
 	}
 	if d != b {
 		t.Fatalf("after deferral ends, Allocate = %d, want recycled %d", d, b)
+	}
+	// ReleaseFrees ends the quarantine of what was freed so far without
+	// a Sync and without ending the deferral of later frees.
+	s.SetDeferFrees(true)
+	if err := s.Free(d); err != nil {
+		t.Fatal(err)
+	}
+	s.ReleaseFrees()
+	if err := s.Free(c); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := s.Allocate(); err != nil || e != d {
+		t.Fatalf("after ReleaseFrees, Allocate = %d, %v, want released %d", e, err, d)
+	}
+	if e, err := s.Allocate(); err != nil || e == c {
+		t.Fatalf("Allocate = %d, %v: reused a page freed after ReleaseFrees", e, err)
 	}
 	_ = a
 }

@@ -7,15 +7,17 @@
 //   - Checkpoint page images (CkptBegin, CkptPage..., CkptCommit): when
 //     the tree checkpoints, every dirty buffer page is first imaged to
 //     the log and fsynced, and only then written to the page file —
-//     a double-write that makes a torn page-file write recoverable by
-//     re-applying the images.
+//     a double-write that makes a torn or lost page-file write
+//     recoverable by re-applying the images.
 //
 // Frames are length-prefixed and CRC32C-checksummed; a torn tail (a
 // short, bit-flipped or half-written last frame) terminates the scan
 // cleanly instead of corrupting replay, and Analyze reports it along
 // with the valid-prefix offset so recovery can cut it off before
-// appending (TruncateTail).  After a successful checkpoint the log is
-// truncated to empty.
+// appending (TruncateTail).  The log is truncated to empty by the
+// checkpoint that finds it at its size bound, after the page file has
+// been fsynced; until then it accumulates the image sets of the
+// checkpoints in between, and Analyze merges them.
 package wal
 
 import (
@@ -278,8 +280,8 @@ func (w *Writer) Sync() error {
 }
 
 // Reset truncates the log to empty and fsyncs the truncation — the
-// final step of a checkpoint, after the page file holds the imaged
-// state.
+// final step of a settling checkpoint, after the page file holding the
+// imaged state has been fsynced.
 func (w *Writer) Reset() error {
 	if err := w.hook("reset"); err != nil {
 		return err
@@ -397,11 +399,16 @@ func scanFrames(data []byte, fn func(Record) error) (validEnd int64, torn bool, 
 type Analysis struct {
 	// Records is the count of valid frames of any kind.
 	Records int
-	// Images holds the page images of the LAST complete checkpoint
-	// (CkptBegin..CkptCommit) in the log, keyed by page id; nil when no
-	// complete checkpoint is present.
+	// Images holds the page images of every complete checkpoint
+	// (CkptBegin..CkptCommit) in the log merged into one set keyed by
+	// page id, the later image of a page winning: patched over a page
+	// file that holds the state the log was last truncated at — however
+	// many of its writes since were lost or torn — they rebuild the state
+	// of the last complete checkpoint.  The images of an unclosed set are
+	// left out; nil when no complete checkpoint is present.
 	Images map[storage.PageID][]byte
-	// Pages is the CkptCommit page count of that checkpoint (0 if none).
+	// Pages is the CkptCommit page count of the last complete checkpoint
+	// (0 if none).
 	Pages int
 	// Tail holds the logical records (RecUpdate/RecDelete) appended
 	// after the last complete checkpoint — or all of them when the log
@@ -416,10 +423,10 @@ type Analysis struct {
 	Torn bool
 }
 
-// Analyze scans the log at path and splits it into the last complete
-// checkpoint's images and the logical tail to replay, reporting the
-// valid prefix and whether a torn tail follows it.  A missing file
-// analyzes as empty.
+// Analyze scans the log at path and splits it into the merged images
+// of its complete checkpoints and the logical tail to replay after the
+// last of them, reporting the valid prefix and whether a torn tail
+// follows it.  A missing file analyzes as empty.
 func Analyze(path string) (Analysis, error) {
 	var a Analysis
 	data, err := os.ReadFile(path)
@@ -443,7 +450,13 @@ func Analyze(path string) (Analysis, error) {
 			}
 		case CkptCommit:
 			if open != nil {
-				a.Images = open
+				if a.Images == nil {
+					a.Images = open
+				} else {
+					for id, img := range open {
+						a.Images[id] = img
+					}
+				}
 				a.Pages = rec.Pages
 				a.Tail = a.Tail[:0] // replay restarts after the checkpoint
 				open = nil

@@ -229,6 +229,86 @@ func TestAnalyzeIncompleteCheckpointIgnored(t *testing.T) {
 	}
 }
 
+// TestAnalyzeMergesCheckpoints pins what recovery builds on when the
+// log holds several image sets (every checkpoint appends one, only the
+// checkpoint that finds the log at its size bound truncates): the sets
+// of all complete checkpoints merge, a page's later image winning; an
+// unclosed set contributes nothing; Pages is the last commit's; the
+// tail restarts at each commit.
+func TestAnalyzeMergesCheckpoints(t *testing.T) {
+	page := func(id, fill byte) []byte {
+		p := append(make([]byte, 0, ckptPageSize), byte(CkptPage), id, 0, 0, 0)
+		for len(p) < ckptPageSize {
+			p = append(p, fill)
+		}
+		return p
+	}
+	const c1, c2, unclosed = 0xC1, 0xC2, 0xEE
+	frames := [][]byte{
+		{byte(CkptBegin)}, page(1, c1), page(2, c1), {byte(CkptCommit), 3, 0, 0, 0},
+		EncodeUpdate(nil, testUpdate(1)), // R: superseded by C2
+		{byte(CkptBegin)}, page(2, c2), page(3, c2), {byte(CkptCommit), 4, 0, 0, 0},
+		EncodeUpdate(nil, testUpdate(2)), // R': the tail
+		{byte(CkptBegin)}, page(4, unclosed), page(1, unclosed),
+	}
+	for _, tc := range []struct {
+		name    string
+		garbage []byte
+	}{
+		{"clean", nil},
+		{"torn-tail", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "t.wal")
+			w, err := Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, w, frames...)
+			valid := w.Size()
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.garbage != nil {
+				f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Write(tc.garbage); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a, err := Analyze(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Torn != (tc.garbage != nil) || a.ValidPrefix != valid || a.Records != len(frames) {
+				t.Errorf("torn=%v prefix=%d records=%d, want %v/%d/%d",
+					a.Torn, a.ValidPrefix, a.Records, tc.garbage != nil, valid, len(frames))
+			}
+			want := map[storage.PageID]byte{1: c1, 2: c2, 3: c2}
+			if len(a.Images) != len(want) {
+				t.Errorf("%d images, want %d", len(a.Images), len(want))
+			}
+			for id, fill := range want {
+				img := a.Images[id]
+				if len(img) != storage.PageSize || img[0] != fill || img[storage.PageSize-1] != fill {
+					t.Errorf("page %d: image missing or not checkpoint %#x's", id, fill)
+				}
+			}
+			if a.Pages != 4 {
+				t.Errorf("pages = %d, want the last commit's 4", a.Pages)
+			}
+			if len(a.Tail) != 1 || a.Tail[0].Update.ID != 2 {
+				t.Errorf("tail = %+v, want only the record after the last commit", a.Tail)
+			}
+		})
+	}
+}
+
 // TestAnalyzeReportsTornTail: Analyze must report where the valid
 // frame prefix ends and that garbage follows it, TruncateTail must cut
 // exactly there, and frames appended after the cut must be reachable

@@ -100,13 +100,16 @@ func (s *ShardedTree) SetReplSink(sink ReplSink) {
 }
 
 // beginStream freezes this tree's on-disk image for a backup stream:
-// it defers checkpoints (ckptHold), so the page file stays the exact
-// image of the last checkpoint while it is copied and the WAL only
-// grows — the retained-segment guarantee.  Taking the exclusive lock
-// once is the barrier against a checkpoint already in flight; the WAL
-// flush makes every applied record visible in the file.  It returns
-// the WAL length to stream and the snapshot epoch to validate against;
-// callers must endStream exactly once.
+// it defers checkpoints (ckptHold), so the page file changes only by
+// zero-fills of free pages while it is copied and the WAL only grows —
+// the retained-segment guarantee.  Taking the exclusive lock once is
+// the barrier against a checkpoint already in flight.  The first hold
+// settles the shard under that lock, so the WAL prefix it hands out
+// starts empty instead of carrying up to CheckpointBytes of older image
+// sets; a later hold must not (it would invalidate the stream already
+// running) and flushes only, which makes every applied record visible
+// in the file.  It returns the WAL length to stream and the snapshot
+// epoch to validate against; callers must endStream exactly once.
 func (tr *Tree) beginStream() (walLen int64, epoch uint64, err error) {
 	tr.ckptHold.Add(1)
 	tr.lock()
@@ -118,7 +121,12 @@ func (tr *Tree) beginStream() (walLen int64, epoch uint64, err error) {
 		}
 		return 0, 0, fmt.Errorf("rexptree: tree is not streamable (closed or not durable)")
 	}
-	if err := tr.wal.Flush(); err != nil {
+	if tr.ckptHold.Load() == 1 && tr.wal.Size() > 0 {
+		err = tr.checkpointLocked(true)
+	} else {
+		err = tr.wal.Flush()
+	}
+	if err != nil {
 		tr.ckptHold.Add(-1)
 		return 0, 0, err
 	}
@@ -188,9 +196,12 @@ func (b *Backup) Close() {
 // BackupShard is one shard frozen for streaming: read PageBytes bytes
 // of PagePath and WALBytes bytes of WALPath (both prefixes are stable
 // while the shard's checkpoint hold is in place), call Validate, then
-// End.  Concurrent zero-fills of free pages may tear inside the page
-// prefix; recovery never reads free pages, so the image stays
-// crash-consistent.
+// End.  The WAL prefix holds the image sets of the checkpoints since
+// the log was last truncated (none when this stream was the shard's
+// only one at its start) and the logical records after them; recovery
+// of the copy rebuilds the shard's state from both.  Concurrent
+// zero-fills of free pages may tear inside the page prefix; recovery
+// never reads free pages, so the image stays crash-consistent.
 type BackupShard struct {
 	PagePath  string
 	WALPath   string
