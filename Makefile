@@ -46,16 +46,22 @@ test-bench:
 
 # The instrumentation and the concurrent query path must hold up under
 # the race detector: metric counters are read (snapshots, Prometheus
-# scrapes) and queries fan out while parallel Update load runs.
+# scrapes) and queries fan out while parallel Update load runs.  The
+# delete locator's tables are writer-private; ./... runs the trees that
+# maintain them under concurrent readers, and ./internal/core's
+# differential test, under the detector.
 race:
 	$(GO) test -race ./...
 
 # The asynchronous control paths must not depend on how the scheduler
 # interleaves them: the reshard tests (start, status, cancel, cutover
 # under load) run three times at one, two and four processors.  The
-# tier-1 run covers them once at the host's own count only.
+# tier-1 run covers them once at the host's own count only.  One golden
+# stream rides along: its deletes go through the locator, whose tables
+# are Go maps, and "same seed, same pages" must not depend on them.
 determinism:
 	$(GO) test -count=3 -cpu 1,2,4 -run 'Reshard' . ./internal/server
+	$(GO) test -count=3 -cpu 1,2,4 -run 'TestGoldenTrees/near-optimal/stored-exp' ./internal/core
 
 # Every way a durable tree is killed — WAL lifecycle faults, storage
 # faults, Abandon mid-stream, a power loss that drops or tears the page
@@ -69,8 +75,9 @@ crash-matrix:
 # round trip, the time-parameterized intersection kernel, the
 # near-optimal bridge search against its sort-and-scan reference, and
 # the write-ahead-log frame scanner (arbitrary bytes must never panic
-# and torn tails must only ever drop trailing records).  Ten seconds each
-# is enough to shake out regressions in the properties; leave the
+# and torn tails must only ever drop trailing records), and the delete
+# locator against the paper's leaf search over op bytes.  Ten seconds
+# each is enough to shake out regressions in the properties; leave the
 # targets running longer locally when hunting.
 fuzz-smoke:
 	$(GO) test ./internal/manifest -run '^$$' -fuzz FuzzManifestRoundTrip -fuzztime 10s
@@ -79,6 +86,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzWALRoundTrip -fuzztime 10s
 	$(GO) test . -run '^$$' -fuzz FuzzDualApplySchedule -fuzztime 10s
 	$(GO) test ./internal/repl -run '^$$' -fuzz FuzzReplFrameRoundTrip -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLocateVsSearch -fuzztime 10s -fuzzminimizetime 2s
 
 # The update path from the inside out: the near-optimal TPBR kernel on
 # a full leaf's worth of entries, computeBR on a full leaf and a full
@@ -86,7 +94,10 @@ fuzz-smoke:
 # ones, one steady-state update (delete + insert) through the public
 # tree, the same update per report in batches of 1, 25 and 100, and a
 # 25-report body acknowledged by a durable tree behind a 16-page pool
-# (with its fsyncs and checkpoints per body).
+# (with its fsyncs and checkpoints per body).  -benchmem's allocs/op of
+# the update benchmarks is the path's allocation budget (16 / 8 / 5 per
+# report in batches of 1 / 25 / 100 since the delete's path is the
+# tree's own scratch; the search's appends cost three more).
 # Prints to the terminal; bench/ holds the numbers that count.
 bench-update:
 	$(GO) test ./internal/hull -run '^$$' -bench 'BenchmarkNearOptimal$$' -benchmem

@@ -57,7 +57,7 @@ func main() {
 		case workload.OpInsert:
 			err = tree.Insert(op.OID, op.Point, op.Time)
 		case workload.OpDelete:
-			_, err = tree.Delete(op.OID, op.Point, op.Time)
+			_, err = tree.DeleteBySearch(op.OID, op.Point, op.Time)
 		default:
 			continue
 		}

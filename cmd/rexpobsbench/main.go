@@ -116,7 +116,7 @@ func runPaired(ops []workload.Op, seed int64) ([2]result, error) {
 		case workload.OpInsert:
 			err = t.Insert(op.OID, op.Point, op.Time)
 		case workload.OpDelete:
-			_, err = t.Delete(op.OID, op.Point, op.Time)
+			_, err = t.DeleteBySearch(op.OID, op.Point, op.Time)
 		default:
 			_, err = t.Search(op.Query, op.Time)
 		}

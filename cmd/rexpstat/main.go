@@ -123,7 +123,7 @@ func main() {
 			err = tree.Insert(op.OID, op.Point, op.Time)
 		case workload.OpDelete:
 			kind = obs.OpDelete
-			_, err = tree.Delete(op.OID, op.Point, op.Time)
+			_, err = tree.DeleteBySearch(op.OID, op.Point, op.Time)
 		default:
 			kind = queryOp(op.Query)
 			_, err = tree.Search(op.Query, op.Time)

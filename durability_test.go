@@ -829,6 +829,137 @@ func TestDurableFailedMutationRolledBack(t *testing.T) {
 	requireSameFingerprint(t, fingerprintIndex(t, re, lastNow), fingerprintIndex(t, ref, lastNow), "rollback recovery")
 }
 
+// TestFailedDeleteKeepsObject: a Delete whose leaf lookup hits a read
+// fault removed nothing, so the object table must still know the object
+// — otherwise the next Update of it inserts a second live entry.  With
+// and without a WAL the table, the tree and the log must agree after the
+// failure (Validate green, the record rolled back), the object must
+// still be served, and a retry must succeed.
+func TestFailedDeleteKeepsObject(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		name := "memory"
+		if durable {
+			name = "wal"
+		}
+		t.Run(name, func(t *testing.T) {
+			o := DefaultOptions()
+			if durable {
+				o = durableOpts(filepath.Join(t.TempDir(), "del.rexp"), DurabilityOnCommit)
+			}
+			o.BufferPages = 4 // a delete's leaf is rarely resident
+			var fault *storage.FaultStore
+			o.testWrapStore = func(s storage.Store) storage.Store {
+				fault = &storage.FaultStore{Inner: s, FailReads: true}
+				return fault
+			}
+			tr, err := Open(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { tr.Close() }()
+			rng := rand.New(rand.NewSource(17))
+			now := 1.0
+			load := make([]Report, 3000)
+			for i := range load {
+				load[i] = randomReport(rng, uint32(i), now)
+			}
+			if err := tr.UpdateBatch(load, now); err != nil {
+				t.Fatal(err)
+			}
+			if durable {
+				// The no-steal pool kept every page of the load; a reopened
+				// one holds the last four its recovery walked.
+				if err := tr.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if tr, err = Open(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+			now += 0.5
+			world := Rect{Lo: Vec{-1e6, -1e6}, Hi: Vec{1e6, 1e6}}
+			entriesOf := func(id uint32) int {
+				res, err := tr.Timeslice(world, now, now)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := 0
+				for _, r := range res {
+					if r.ID == id {
+						n++
+					}
+				}
+				return n
+			}
+
+			failed := -1
+			for id := uint32(0); id < 50 && failed < 0; id++ {
+				var logged int64
+				if durable {
+					logged = tr.wal.Size()
+				}
+				fault.Arm(1)
+				_, err := tr.Delete(id, now)
+				fault.Disarm()
+				switch {
+				case err == nil: // its path was resident
+				case !errors.Is(err, storage.ErrInjected):
+					t.Fatalf("Delete(%d) = %v, want the injected read fault", id, err)
+				default:
+					failed = int(id)
+					if durable && tr.wal.Size() != logged {
+						t.Fatalf("the log is %d bytes after the failed delete, want it rolled back to %d", tr.wal.Size(), logged)
+					}
+				}
+			}
+			if failed < 0 {
+				t.Fatal("no delete tripped the armed read fault")
+			}
+			id := uint32(failed)
+			if _, ok := tr.Get(id, now); !ok {
+				t.Fatalf("object %d is gone from the table though its delete failed", id)
+			}
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("after the failed delete: %v", err)
+			}
+			// The report that used to become a second live entry.
+			again := randomReport(rng, id, now)
+			if err := tr.Update(id, again.Point, now); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("after re-reporting object %d: %v", id, err)
+			}
+			if n := entriesOf(id); n != 1 {
+				t.Fatalf("object %d has %d live entries after its re-report, want 1", id, n)
+			}
+			if removed, err := tr.Delete(id, now); err != nil || !removed {
+				t.Fatalf("retried Delete(%d) = %v, %v; want it removed", id, removed, err)
+			}
+			if _, ok := tr.Get(id, now); ok || entriesOf(id) != 0 {
+				t.Fatalf("object %d is still served after its delete", id)
+			}
+			if err := tr.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if !durable {
+				return
+			}
+			want := fingerprintIndex(t, tr, now)
+			tr.Abandon()
+			re, err := Open(durableOpts(o.Path, DurabilityOnCommit))
+			if err != nil {
+				t.Fatalf("recovery open: %v", err)
+			}
+			defer re.Close()
+			if err := re.Validate(); err != nil {
+				t.Fatalf("recovered tree invalid: %v", err)
+			}
+			requireSameFingerprint(t, fingerprintIndex(t, re, now), want, "recovery after a failed and a retried delete")
+		})
+	}
+}
+
 // TestShardedDurableCrashRecovery kills every shard of a durable
 // sharded index mid-stream and requires OpenSharded to recover all of
 // them (concurrently) back to the single-tree reference, with the

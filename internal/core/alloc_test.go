@@ -108,8 +108,32 @@ func TestComputeBRAllocs(t *testing.T) {
 // their share of splits and forced reinsertions.  What is left is
 // mostly the immutable page versions the snapshot read path needs;
 // before the bounding-rectangle kernel stopped allocating, an update
-// cost 42 objects and 49 KB.
+// cost 42 objects and 49 KB.  The delete the service runs fills the
+// tree's own path scratch; the paper's search builds its path one slice
+// per level on the way back up, which is the three objects between the
+// two ceilings on this two-level tree.
 func TestUpdateAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		del     func(*Tree, uint32, geom.MovingPoint, float64) (bool, error)
+		ceiling float64
+	}{
+		{"locator", (*Tree).Delete, 25},
+		{"search", (*Tree).DeleteBySearch, 28},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			objects, bytes := updateAllocs(t, c.del)
+			t.Logf("%.1f objects, %.0f bytes per update", objects, bytes)
+			if objects > c.ceiling || bytes > 24<<10 {
+				t.Errorf("an update allocates %.1f objects and %.0f bytes, want at most %.0f objects and 24 KiB", objects, bytes, c.ceiling)
+			}
+		})
+	}
+}
+
+// updateAllocs returns the objects and bytes one steady-state update
+// allocates with the given delete.
+func updateAllocs(t *testing.T, del func(*Tree, uint32, geom.MovingPoint, float64) (bool, error)) (objects, bytes float64) {
 	tr, err := New(Config{Dims: 2, ExpireAware: true, BRKind: hull.KindNearOptimal, Seed: 1}, storage.NewMemStore())
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +147,7 @@ func TestUpdateAllocs(t *testing.T) {
 		oid := uint32(i % n)
 		tr.BeginBatch()
 		if i >= n {
-			if _, err := tr.Delete(oid, objs[oid], now); err != nil {
+			if _, err := del(tr, oid, objs[oid], now); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -149,10 +173,22 @@ func TestUpdateAllocs(t *testing.T) {
 		update(i)
 	}
 	runtime.ReadMemStats(&after)
-	objects := float64(after.Mallocs-before.Mallocs) / updates
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / updates
-	t.Logf("%.1f objects, %.0f bytes per update", objects, bytes)
-	if objects > 28 || bytes > 24<<10 {
-		t.Errorf("an update allocates %.1f objects and %.0f bytes, want at most 28 objects and 24 KiB", objects, bytes)
+	return float64(after.Mallocs-before.Mallocs) / updates, float64(after.TotalAlloc-before.TotalAlloc) / updates
+}
+
+// TestLocateAllocs pins the locator's lookup at zero allocations: the
+// path is the tree's own scratch.
+func TestLocateAllocs(t *testing.T) {
+	tr := buildQueryTree(t, 2000)
+	oid := uint32(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		path, _, err := tr.locate(oid)
+		if err != nil || len(path) != tr.Height() {
+			t.Fatalf("locate(%d) = path of %d nodes, %v", oid, len(path), err)
+		}
+		oid = (oid + 7) % 2000
+	})
+	if allocs != 0 {
+		t.Errorf("locate allocates %.1f objects per call, want 0", allocs)
 	}
 }

@@ -166,6 +166,7 @@ func (t *Tree) packLevel(entries []entry, level, fill int, tc float64) ([]*node,
 			return nil, err
 		}
 		n.entries = append(n.entries, entries[off:end]...)
+		t.adopt(n, n.entries)
 		if err := t.writeNode(n); err != nil {
 			return nil, err
 		}

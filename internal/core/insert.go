@@ -110,7 +110,22 @@ func (t *Tree) insertOrphan(o orphan, orphans *[]orphan) error {
 	// looks at its fill.
 	target := path[len(path)-1]
 	target.entries = append(target.entries, o.e)
+	t.adopt(target, target.entries[len(target.entries)-1:])
 	return t.propagateUp(path, orphans)
+}
+
+// adopt records n as the home of the given entries of it: the leaf the
+// objects are located in, or the parent of the child pages.
+func (t *Tree) adopt(n *node, es []entry) {
+	if n.level == 0 {
+		for i := range es {
+			t.loc[es[i].id] = n.id
+		}
+		return
+	}
+	for i := range es {
+		t.parent[es[i].child()] = n.id
+	}
 }
 
 // replaceEmptyRoot frees the current (empty) root and installs a fresh
@@ -271,6 +286,7 @@ func (t *Tree) propagateUp(path []*node, orphans *[]orphan) error {
 				return err
 			}
 			parent.entries = append(parent.entries, entry{id: uint32(sib.id), rect: t.computeBR(sib)})
+			t.parent[sib.id] = parent.id
 		case !isRoot && len(n.entries) < t.lay.min(n.level):
 			// PU2: orphan the live entries and drop the node.
 			if t.met != nil {
@@ -334,6 +350,7 @@ func (t *Tree) growRoot(a, b *node) error {
 		{id: uint32(a.id), rect: t.computeBR(a)},
 		{id: uint32(b.id), rect: t.computeBR(b)},
 	}
+	t.adopt(root, root.entries)
 	if err := t.writeNode(root); err != nil {
 		return err
 	}
@@ -356,6 +373,7 @@ func (t *Tree) shrinkRoot() error {
 		if err := t.setRoot(child); err != nil {
 			return err
 		}
+		delete(t.parent, child)
 		t.height--
 		if err := t.freeNode(root); err != nil {
 			return err

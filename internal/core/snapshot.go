@@ -294,10 +294,21 @@ func trimChain(c *chain, min uint64) uint64 {
 // for every live page.  Open runs it so that a reopened tree's
 // snapshot readers never miss a chain: after it, every page reachable
 // from any published root has a version at or below the reader's
-// pinned sequence.
+// pinned sequence.  The same walk rebuilds the locator, from the live
+// leaf entries only: an expired copy left beside an object's live entry
+// (§4.3) must not claim the object.
 func (t *Tree) installSnapshots() error {
 	err := t.walk(t.root, func(n *node) error {
 		t.staged[n.id] = n
+		if n.level > 0 {
+			t.adopt(n, n.entries)
+			return nil
+		}
+		for i := range n.entries {
+			if e := &n.entries[i]; !t.isExpired(&e.rect, 0) {
+				t.loc[e.id] = n.id
+			}
+		}
 		return nil
 	})
 	if err != nil {

@@ -23,6 +23,7 @@ func (t *Tree) split(n *node) (*node, error) {
 		return nil, err
 	}
 	sib.entries = g2
+	t.adopt(sib, g2)
 	if err := t.writeNode(n); err != nil {
 		return nil, err
 	}

@@ -57,6 +57,18 @@ type Tree struct {
 	// reinsertion (R*-tree: at most one per level per operation).
 	reinsertedAt uint64
 
+	// The locator (see locate): loc maps an object to the leaf holding
+	// its newest entry, parent a page to the page holding its entry (the
+	// root has none).  Both are writer-private, live in memory only and
+	// are rebuilt by Open's walk; every place an entry or a child
+	// pointer changes node maintains them (adopt where one arrives;
+	// purgeNode, freeSubtree and freeNode where one leaves for good).
+	// path and pathIDs are locate's scratch.
+	loc     map[uint32]storage.PageID
+	parent  map[storage.PageID]storage.PageID
+	path    []*node
+	pathIDs []storage.PageID
+
 	// Reusable state of computeBR: the near-optimal workspace and its
 	// dimension order, and the item buffer of the other kinds.
 	ws      hull.Workspace
@@ -91,6 +103,8 @@ func newTreeShell(cfg Config, store storage.Store) *Tree {
 		met:    cfg.Metrics,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		cache:  make(map[storage.PageID]*node),
+		loc:    make(map[uint32]storage.PageID),
+		parent: make(map[storage.PageID]storage.PageID),
 		dom:    epoch.NewDomain(0),
 		staged: make(map[storage.PageID]*node),
 	}
@@ -569,6 +583,7 @@ func (t *Tree) freeNode(n *node) error {
 	t.cacheMu.Lock()
 	delete(t.cache, n.id)
 	t.cacheMu.Unlock()
+	delete(t.parent, n.id)
 	t.stageFree(n.id)
 	return t.bp.Free(n.id)
 }
@@ -584,6 +599,11 @@ func (t *Tree) freeSubtree(id storage.PageID, level int) error {
 	}
 	if n.level == 0 {
 		t.leafEntries -= len(n.entries)
+		for i := range n.entries {
+			if oid := n.entries[i].id; t.loc[oid] == n.id {
+				delete(t.loc, oid)
+			}
+		}
 		if t.met != nil {
 			t.met.ExpiredPurged.Add(uint64(len(n.entries)))
 		}
@@ -608,6 +628,14 @@ func (t *Tree) purgeNode(n *node) error {
 	}
 	now := t.Now()
 	live := func(e *entry) bool { return !(t.expOf(&e.rect, src, now) < now) }
+	liveCopy := func(es []entry, oid uint32) bool {
+		for i := range es {
+			if es[i].id == oid && live(&es[i]) {
+				return true
+			}
+		}
+		return false
+	}
 	// Most nodes an update touches hold nothing expired: find that out
 	// without moving an entry.
 	first := 0
@@ -628,6 +656,12 @@ func (t *Tree) purgeNode(n *node) error {
 		dropped++
 		if n.level == 0 {
 			t.leafEntries--
+			// An object that expired silently and was re-reported into
+			// this same leaf keeps its locator entry: it belongs to the
+			// live copy, not to the stale one leaving here.
+			if t.loc[e.id] == n.id && !liveCopy(keep, e.id) && !liveCopy(n.entries[i+1:], e.id) {
+				delete(t.loc, e.id)
+			}
 		} else {
 			freed++
 			if err := t.freeSubtree(e.child(), n.level-1); err != nil {

@@ -325,7 +325,7 @@ func TestUnscopedIOPinned(t *testing.T) {
 		case workload.OpInsert:
 			err = tr.Insert(op.OID, op.Point, op.Time)
 		case workload.OpDelete:
-			_, err = tr.Delete(op.OID, op.Point, op.Time)
+			_, err = tr.DeleteBySearch(op.OID, op.Point, op.Time)
 		case workload.OpQuery:
 			_, err = tr.Search(op.Query, op.Time)
 		}

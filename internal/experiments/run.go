@@ -121,7 +121,7 @@ func Run(tc TreeConfig, wp workload.Params) (Metrics, error) {
 				_, err = queue.Delete(op.OID, op.Point, op.Time)
 				queueIO += queue.QueueStats().Sub(qBefore).IO()
 			} else {
-				_, err = tree.Delete(op.OID, op.Point, op.Time)
+				_, err = tree.DeleteBySearch(op.OID, op.Point, op.Time)
 			}
 			if err != nil {
 				return m, fmt.Errorf("delete %d at %v: %w", op.OID, op.Time, err)

@@ -282,6 +282,9 @@ func (a *Applier) bootstrap(ctx context.Context) error {
 	if old != nil && a.o.OnSwap == nil {
 		a.retired = append(a.retired, old)
 	}
+	// Counted with the swap: whoever sees the new applied position sees
+	// the bootstrap that produced it.
+	a.bootstraps.Add(1)
 	a.mu.Unlock()
 
 	if a.o.OnSwap != nil {
@@ -293,7 +296,6 @@ func (a *Applier) bootstrap(ctx context.Context) error {
 	if oldBase != "" {
 		removeReplica(oldBase)
 	}
-	a.bootstraps.Add(1)
 	a.o.Logf("repl: bootstrapped replica %s: %d shards, %d bytes, tail from lsn %d (epoch %d)",
 		base, info.Meta.Shards, info.Bytes, pos.NextLSN, pos.Epoch)
 	return nil

@@ -67,7 +67,7 @@ func (x *Index) ProcessDue(now float64) error {
 		if !ok {
 			continue // already deleted through the front door
 		}
-		if _, err := x.tree.Delete(k.OID, rec, k.TExp); err != nil {
+		if _, err := x.tree.DeleteBySearch(k.OID, rec, k.TExp); err != nil {
 			return err
 		}
 		delete(x.records, k.OID)
@@ -103,7 +103,7 @@ func (x *Index) Delete(oid uint32, p geom.MovingPoint, now float64) (bool, error
 		// The object has already been removed by a scheduled deletion.
 		return false, nil
 	}
-	found, err := x.tree.Delete(oid, rec, now)
+	found, err := x.tree.DeleteBySearch(oid, rec, now)
 	if err != nil {
 		return found, err
 	}

@@ -423,10 +423,13 @@ func (tr *Tree) delete(id uint32, now float64, tc *QueryTrace) (bool, error) {
 	if !ok {
 		return false, nil
 	}
+	// The table forgets the object only once the engine has removed it:
+	// after a read fault the entry is still in the index, and a table
+	// that had lost it would let the next Update insert a second one.
 	if tr.wal == nil {
-		delete(tr.objects, id)
 		removed, err := tr.t.Delete(id, old, now)
 		if err == nil {
+			delete(tr.objects, id)
 			tr.replNoteDelete(id, now)
 		}
 		return removed, err
@@ -441,7 +444,6 @@ func (tr *Tree) delete(id uint32, now float64, tc *QueryTrace) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	delete(tr.objects, id)
 	ai := tc.begin(-1, "apply", -1)
 	removed, err := tr.t.Delete(id, old, now)
 	tc.endAt(ai)
@@ -449,6 +451,7 @@ func (tr *Tree) delete(id uint32, now float64, tc *QueryTrace) (bool, error) {
 		tr.walRollback(prev, err)
 		return removed, err
 	}
+	delete(tr.objects, id)
 	tc.addMeasured("version-publish", tr.t.LastPublishNanos())
 	tr.replNoteDelete(id, now)
 	return removed, tr.walCommit(tc)
