@@ -7,7 +7,6 @@
 #   make bench-shard      concurrent-throughput comparison -> BENCH_shard.json
 #   make bench-partition  hash vs speed partitioning -> BENCH_partition.json
 #   make bench-wal        durability-policy comparison -> BENCH_wal.json
-#   make bench-read       read-path scaling sweep + regression guard -> BENCH_readpath.json
 #   make bench-reshard    live-reshard cost comparison -> BENCH_reshard.json
 #   make bench-trace      tracing-overhead microbenchmark -> BENCH_trace.json
 #   make serve-smoke      the README serving quickstart, end to end
@@ -18,11 +17,11 @@
 
 GO ?= go
 
-.PHONY: all check fmt-check vet build test test-bench race determinism crash-matrix fuzz-smoke bench-update bench-obs bench-obs-smoke bench-shard bench-partition bench-partition-smoke bench-wal bench-wal-smoke bench-read bench-read-smoke bench-reshard bench-reshard-smoke bench-trace bench-trace-smoke serve-smoke bench-serve bench-serve-smoke bench-repl bench-repl-smoke fault-matrix clean
+.PHONY: all check fmt-check vet build test test-bench race determinism crash-matrix fuzz-smoke bench-update bench-obs bench-obs-smoke bench-shard bench-partition bench-partition-smoke bench-wal bench-wal-smoke bench-reshard bench-reshard-smoke bench-trace bench-trace-smoke serve-smoke bench-serve bench-serve-smoke bench-repl bench-repl-smoke fault-matrix clean
 
-all: check bench-obs bench-shard bench-partition bench-wal bench-read bench-reshard bench-trace bench-serve bench-repl
+all: check bench-obs bench-shard bench-partition bench-wal bench-reshard bench-trace bench-serve bench-repl
 
-check: fmt-check vet build test test-bench race determinism crash-matrix bench-obs-smoke bench-partition-smoke bench-wal-smoke bench-read-smoke bench-reshard-smoke bench-trace-smoke serve-smoke bench-serve-smoke bench-repl-smoke
+check: fmt-check vet build test test-bench race determinism crash-matrix bench-obs-smoke bench-partition-smoke bench-wal-smoke bench-reshard-smoke bench-trace-smoke serve-smoke bench-serve-smoke bench-repl-smoke
 
 # Fails (with the offending file list) if anything is not gofmt-clean.
 fmt-check:
@@ -145,21 +144,6 @@ bench-wal:
 bench-wal-smoke:
 	$(GO) run ./cmd/rexpbench -durability -objects 2000 -duration 0.4 -quiet -walout - >/dev/null
 
-# Read-path scaling: locked (RWMutex) vs snapshot reads across reader
-# worker counts, readers-only and mixed with a writer whose per-op
-# stall p50/p99 is sampled (see cmd/rexpbench/readscale.go).  The
-# -guardmin 0.95 regression guard fails the run if the snapshot path's
-# single-threaded throughput drops more than 5% below the locked
-# baseline's.
-bench-read:
-	$(GO) run ./cmd/rexpbench -readscale -iolat 0 -duration 2 -guardmin 0.95 -readout BENCH_readpath.json
-
-# A fast pass of the read-scaling sweep for make check: it exercises
-# both read paths, the sharded fan-out and the guard comparison without
-# committing a result file.
-bench-read-smoke:
-	$(GO) run ./cmd/rexpbench -readscale -objects 2000 -duration 0.2 -iolat 0 -readworkers 1,2 -guardmin 0.85 -quiet -readout - >/dev/null
-
 # What an online reshard costs the serving path: the same mixed
 # query/update load measured in steady state and again while the index
 # live-reshards to a speed-banded layout, plus the cutover's exclusive
@@ -233,5 +217,5 @@ fault-matrix:
 FORCE:
 
 clean:
-	rm -f BENCH_obs.json BENCH_shard.json BENCH_partition.json BENCH_wal.json BENCH_readpath.json BENCH_reshard.json BENCH_trace.json BENCH_serve.json BENCH_repl.json
+	rm -f BENCH_obs.json BENCH_shard.json BENCH_partition.json BENCH_wal.json BENCH_reshard.json BENCH_trace.json BENCH_serve.json BENCH_repl.json
 	rm -rf bin

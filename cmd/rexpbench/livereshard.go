@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,6 +116,17 @@ func runMixedLoad(s *rexptree.ShardedTree, workers, objects int, seed int64, sto
 	ph.UpdateP50Ms = quantileMs(ulats, 0.50)
 	ph.UpdateP99Ms = quantileMs(ulats, 0.99)
 	return ph, nil
+}
+
+// quantileMs returns the q-quantile of the sampled durations in
+// milliseconds (0 when nothing was sampled).
+func quantileMs(samples []time.Duration, q float64) float64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	i := int(q * float64(len(samples)-1))
+	return float64(samples[i]) / float64(time.Millisecond)
 }
 
 // closeAfter closes a stop channel after d.

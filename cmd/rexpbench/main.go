@@ -61,11 +61,6 @@ func main() {
 		partOut   = flag.String("partout", "BENCH_partition.json", "output file for the partition report; - for stdout (-partitionbench mode)")
 		partition = flag.String("partition", "hash", "partition policy for the sharded configuration, hash or speed (-throughput mode)")
 
-		readScale   = flag.Bool("readscale", false, "run the read-path scaling sweep (locked vs snapshot reads across worker counts) instead of figure replay")
-		readWorkers = flag.String("readworkers", "1,2,4,8", "comma-separated reader worker counts for the -readscale sweep")
-		readOut     = flag.String("readout", "BENCH_readpath.json", "output file for the read-scaling report; - for stdout (-readscale mode)")
-		guardMin    = flag.Float64("guardmin", 0, "fail -readscale unless snapshot 1-worker throughput >= this fraction of the locked baseline (0 disables; 0.95 allows a 5% regression)")
-
 		liveReshard = flag.Bool("livereshard", false, "run the live-reshard cost comparison (steady state vs mid-reshard mixed load) instead of figure replay")
 		reshardOut  = flag.String("reshardout", "BENCH_reshard.json", "output file for the live-reshard report; - for stdout (-livereshard mode)")
 
@@ -96,7 +91,7 @@ func main() {
 		return
 	}
 
-	if *throughput || *partBench || *durBench || *readScale || *liveReshard || *replBench {
+	if *throughput || *partBench || *durBench || *liveReshard || *replBench {
 		progress := func(line string) {
 			if !*quiet {
 				fmt.Fprintln(os.Stderr, line)
@@ -107,12 +102,6 @@ func main() {
 			err = runReplBench(*objects, *shards, *duration, *seed, *replOut, progress)
 		} else if *liveReshard {
 			err = runLiveReshardBench(*objects, *shards, *workers, *duration, *ioLat, *seed, *reshardOut, progress)
-		} else if *readScale {
-			var sweep []int
-			sweep, err = parseWorkerSweep(*readWorkers)
-			if err == nil {
-				err = runReadScale(*objects, *shards, sweep, *duration, *ioLat, *seed, *guardMin, *readOut, progress)
-			}
 		} else if *durBench {
 			err = runDurabilityBench(*objects, *batchSize, *duration, *seed, *durOut, progress)
 		} else if *partBench {

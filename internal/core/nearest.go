@@ -20,14 +20,10 @@ import (
 // bounding rectangle evaluated at time at.  A bounding rectangle is a
 // valid bound at that instant because entries that expire before at
 // are skipped.
+//
+// Like Search it reads through the buffer pool under the caller's lock;
+// it is the reference NearestSnap is tested against.
 func (t *Tree) Nearest(q geom.Vec, at float64, k int, now float64) ([]Result, error) {
-	return t.NearestStats(q, at, k, now, nil)
-}
-
-// NearestStats is Nearest plus per-traversal accounting into st (which
-// may be nil).  The traversal, result set and metric side effects are
-// identical to Nearest.
-func (t *Tree) NearestStats(q geom.Vec, at float64, k int, now float64, st *TravStats) ([]Result, error) {
 	t.advance(now)
 	if at < t.Now() {
 		return nil, errNearestPast(at, t.Now())
@@ -51,9 +47,9 @@ func (t *Tree) NearestStats(q geom.Vec, at float64, k int, now float64, st *Trav
 			out = append(out, Result{OID: it.oid, Point: it.point})
 			continue
 		}
-		n, err := t.readNodeStats(it.page, st)
+		n, err := t.readNode(it.page)
 		if err != nil {
-			t.addQueryStats(nodes, leaves, st)
+			t.addQueryStats(nodes, leaves, nil)
 			return nil, err
 		}
 		nodes++
@@ -82,7 +78,7 @@ func (t *Tree) NearestStats(q geom.Vec, at float64, k int, now float64, st *Trav
 			})
 		}
 	}
-	t.addQueryStats(nodes, leaves, st)
+	t.addQueryStats(nodes, leaves, nil)
 	return out, nil
 }
 

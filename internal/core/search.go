@@ -13,17 +13,17 @@ type Result struct {
 	Point geom.MovingPoint
 }
 
-// TravStats accumulates one traversal's node and page accounting for
-// query tracing: how many nodes it visited, how many leaf entries it
-// scanned, and how its page requests split between buffer-pool hits
-// and store reads.  A nil *TravStats disables the accounting.
+// TravStats accumulates one snapshot traversal's node and page
+// accounting for query tracing: how many nodes it visited, how many
+// leaf entries it scanned, and how its page requests split between
+// requests served from memory and store reads.  A nil *TravStats
+// disables the accounting.
 type TravStats struct {
 	Nodes  uint64 // nodes visited
 	Leaves uint64 // leaf entries examined
 	Reads  uint64 // page requests that missed the buffer and read the store
-	Hits   uint64 // page requests served from the buffer pool
+	Hits   uint64 // page requests served from a version chain or the buffer pool
 
-	// Snapshot read path only (zero on the locked path).
 	SnapHits   uint64 // nodes served from version chains, no lock taken
 	SnapMisses uint64 // defensive fallbacks through the buffer pool
 	PinNanos   int64  // time spent pinning the epoch
@@ -36,16 +36,13 @@ type TravStats struct {
 // expiration time (§4.1.5).  In plain TPR-tree mode, expiration times
 // are ignored entirely, so results may contain objects whose
 // information has expired — the false drops the paper's §3 discusses.
+//
+// Search and SearchFunc read through the buffer pool under the caller's
+// lock: they are the traversal whose page I/O the paper's figures count
+// and the reference the snapshot path (SearchSnap) is tested against.
 func (t *Tree) Search(q geom.Query, now float64) ([]Result, error) {
-	return t.SearchStats(q, now, nil)
-}
-
-// SearchStats is Search plus per-traversal accounting into st (which
-// may be nil).  The traversal, result set and metric side effects are
-// identical to Search.
-func (t *Tree) SearchStats(q geom.Query, now float64, st *TravStats) ([]Result, error) {
 	var out []Result
-	err := t.SearchFuncStats(q, now, st, func(r Result) bool {
+	err := t.SearchFunc(q, now, func(r Result) bool {
 		out = append(out, r)
 		return true
 	})
@@ -65,12 +62,6 @@ var stackPool = sync.Pool{New: func() any {
 // large result sets, and — with a warm buffer pool — runs without heap
 // allocations (the traversal stack is pooled).
 func (t *Tree) SearchFunc(q geom.Query, now float64, fn func(Result) bool) error {
-	return t.SearchFuncStats(q, now, nil, fn)
-}
-
-// SearchFuncStats is SearchFunc plus per-traversal accounting into st
-// (which may be nil — the common, untraced path).
-func (t *Tree) SearchFuncStats(q geom.Query, now float64, st *TravStats, fn func(Result) bool) error {
 	t.advance(now)
 	var nodes, leaves uint64
 	sp := stackPool.Get().(*[]storage.PageID)
@@ -82,9 +73,9 @@ func (t *Tree) SearchFuncStats(q geom.Query, now float64, st *TravStats, fn func
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n, err := t.readNodeStats(id, st)
+		n, err := t.readNode(id)
 		if err != nil {
-			t.addQueryStats(nodes, leaves, st)
+			t.addQueryStats(nodes, leaves, nil)
 			return err
 		}
 		nodes++
@@ -100,7 +91,7 @@ func (t *Tree) SearchFuncStats(q geom.Query, now float64, st *TravStats, fn func
 				p := e.point()
 				if q.MatchesPoint(p, t.cfg.Dims, t.cfg.ExpireAware) {
 					if !fn(Result{OID: e.id, Point: p}) {
-						t.addQueryStats(nodes, leaves, st)
+						t.addQueryStats(nodes, leaves, nil)
 						return nil
 					}
 				}
@@ -113,7 +104,7 @@ func (t *Tree) SearchFuncStats(q geom.Query, now float64, st *TravStats, fn func
 			}
 		}
 	}
-	t.addQueryStats(nodes, leaves, st)
+	t.addQueryStats(nodes, leaves, nil)
 	return nil
 }
 

@@ -19,10 +19,13 @@ import (
 // writer reclaims versions no pinned reader can still need after each
 // publication.
 //
-// The legacy locked traversals (Search, Nearest, the stats walks)
-// remain untouched beside this path: they are the semantics baseline
-// the equivalence tests compare against, and the paper's I/O-counting
-// experiments keep charging the buffer pool exactly as before.
+// The locked traversals (Search, SearchFunc, Nearest) remain beside
+// this path: they are the semantics baseline the equivalence tests
+// compare against, and the paper's I/O-counting experiments keep
+// charging the buffer pool through them.
+//
+// New, Open and BulkLoad each publish before they return the tree, so
+// a reader always finds a published descriptor.
 
 // pubState is the atomically published root descriptor: everything a
 // reader needs to start a traversal of one consistent tree snapshot.
@@ -318,14 +321,8 @@ func (t *Tree) installSnapshots() error {
 	return nil
 }
 
-// SnapshotSeq returns the currently published snapshot sequence (0
-// before the first publication).
-func (t *Tree) SnapshotSeq() uint64 {
-	if p := t.pub.Load(); p != nil {
-		return p.seq
-	}
-	return 0
-}
+// SnapshotSeq returns the currently published snapshot sequence.
+func (t *Tree) SnapshotSeq() uint64 { return t.pub.Load().seq }
 
 // LastPublishNanos returns the duration of the most recent version
 // publication in nanoseconds.  Like all mutation state it is only
@@ -342,18 +339,10 @@ func (t *Tree) EpochsPinned() int { return t.dom.Pinned() }
 // published (and trimmed) between our first load and the slot store
 // can only have reclaimed versions the re-loaded, newer descriptor no
 // longer references — and our pinned (older) sequence keeps the
-// writer's *next* trim conservative.  ok is false before the first
-// publication, when the caller must fall back to the locked path.
-func (t *Tree) pinSnapshot() (p *pubState, pin epoch.Pin, ok bool) {
-	p = t.pub.Load()
-	if p == nil {
-		return nil, epoch.Pin{}, false
-	}
-	pin = t.dom.Pin(p.seq)
-	if q := t.pub.Load(); q != p {
-		p = q
-	}
-	return p, pin, true
+// writer's *next* trim conservative.
+func (t *Tree) pinSnapshot() (*pubState, epoch.Pin) {
+	pin := t.dom.Pin(t.pub.Load().seq)
+	return t.pub.Load(), pin
 }
 
 // snapNode resolves the page's newest version at or below the pinned
@@ -485,10 +474,7 @@ func (t *Tree) SearchFuncSnapStats(q geom.Query, now float64, st *TravStats, fn 
 	if st != nil {
 		pinStart = time.Now()
 	}
-	p, pin, ok := t.pinSnapshot()
-	if !ok {
-		return t.SearchFuncStats(q, now, st, fn)
-	}
+	p, pin := t.pinSnapshot()
 	defer pin.Unpin()
 	if st != nil {
 		st.PinNanos += time.Since(pinStart).Nanoseconds()
@@ -555,27 +541,16 @@ func (t *Tree) SearchFuncSnapStats(q geom.Query, now float64, st *TravStats, fn 
 }
 
 // PubClock returns the tree clock recorded by the most recent snapshot
-// publication, without any lock.  ok is false before the first
-// publication, when the caller must read the clock under the tree lock
-// instead.
-func (t *Tree) PubClock() (float64, bool) {
-	if p := t.pub.Load(); p != nil {
-		return p.clock, true
-	}
-	return 0, false
-}
+// publication, without any lock.
+func (t *Tree) PubClock() float64 { return t.pub.Load().clock }
 
 // ExportSnap streams every stored record — live and expired alike, like
 // Records — from the pinned snapshot, without the tree lock or the pool
 // mutex.  It is the scan primitive of the live reshard: the scan runs
 // against one consistent publication while mutations keep landing on
-// the tree.  ok is false before the first publication, when the caller
-// must fall back to the locked Records walk.
-func (t *Tree) ExportSnap(fn func(oid uint32, p geom.MovingPoint) error) (ok bool, err error) {
-	p, pin, ok := t.pinSnapshot()
-	if !ok {
-		return false, nil
-	}
+// the tree.
+func (t *Tree) ExportSnap(fn func(oid uint32, p geom.MovingPoint) error) error {
+	p, pin := t.pinSnapshot()
 	defer pin.Unpin()
 	dims := t.cfg.Dims
 	var hits, misses uint64
@@ -591,12 +566,12 @@ func (t *Tree) ExportSnap(fn func(oid uint32, p geom.MovingPoint) error) (ok boo
 		stack = stack[:len(stack)-1]
 		v, err := t.snapNode(p, id, &hits, &misses, nil)
 		if err != nil {
-			return true, err
+			return err
 		}
 		if v.level == 0 {
 			for i := 0; i < v.count; i++ {
 				if err := fn(v.oids[i], v.point(i, dims)); err != nil {
-					return true, err
+					return err
 				}
 			}
 			continue
@@ -605,7 +580,7 @@ func (t *Tree) ExportSnap(fn func(oid uint32, p geom.MovingPoint) error) (ok boo
 			stack = append(stack, storage.PageID(v.oids[i]))
 		}
 	}
-	return true, nil
+	return nil
 }
 
 // NearestSnap is Nearest on the snapshot read path.
@@ -623,10 +598,7 @@ func (t *Tree) NearestSnapStats(q geom.Vec, at float64, k int, now float64, st *
 	if st != nil {
 		pinStart = time.Now()
 	}
-	p, pin, ok := t.pinSnapshot()
-	if !ok {
-		return t.NearestStats(q, at, k, now, st)
-	}
+	p, pin := t.pinSnapshot()
 	defer pin.Unpin()
 	if st != nil {
 		st.PinNanos += time.Since(pinStart).Nanoseconds()

@@ -85,7 +85,7 @@ type Metrics struct {
 	BufferLockFreeHits    uint64 // buffer hits served without taking the pool mutex
 	FaultTrips            uint64 // injected storage faults that fired
 
-	// Snapshot read-path counters (zero under Options.LockedReads).
+	// Snapshot read-path counters.
 	EpochPins               uint64 // epochs pinned by snapshot traversals
 	SnapshotNodeHits        uint64 // node lookups served lock-free from version chains
 	SnapshotNodeMisses      uint64 // snapshot lookups that fell back through the buffer pool

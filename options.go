@@ -138,14 +138,6 @@ type Options struct {
 	// Zero (the default) leaves the store at native speed.
 	IOLatency time.Duration
 
-	// LockedReads routes queries through the tree's shared lock instead
-	// of the default lock-free snapshot read path, restoring the
-	// pre-snapshot behaviour where readers block behind writers (and
-	// show up in the read lock-wait histogram).  It exists as the
-	// baseline for benchmarking the two read paths against each other
-	// (rexpbench -readscale) and as an escape hatch; leave it false.
-	LockedReads bool
-
 	// Beta sets the assumed querying-window length W = Beta·UI used by
 	// the self-tuning horizon (default 0.5); FixedW overrides it with
 	// a constant when positive.

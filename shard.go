@@ -581,20 +581,25 @@ func (s *ShardedTree) shardMinDist(g *generation, i int, pos Vec, at float64) (d
 }
 
 // fanOut runs fn once per shard of g on the bounded worker pool and
-// returns the first (lowest shard index) error.  Time spent waiting
-// for a worker slot lands in the queue-wait phase histogram.
-func (s *ShardedTree) fanOut(g *generation, fn func(i int, t *Tree) error) error {
+// returns the first (lowest shard index) error.  A non-nil visit
+// restricts it to the shards it marks: the others get no goroutine and
+// take no worker slot.  Time spent waiting for a slot lands in the
+// queue-wait phase histogram; fn is told when its shard was queued.
+func (s *ShardedTree) fanOut(g *generation, visit []bool, fn func(i int, t *Tree, queued time.Time) error) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(g.shards))
 	for i, t := range g.shards {
+		if visit != nil && !visit[i] {
+			continue
+		}
 		wg.Add(1)
 		go func(i int, t *Tree) {
 			defer wg.Done()
-			qs := time.Now()
+			queued := time.Now()
 			s.sem <- struct{}{}
-			s.m.ObservePhase(obs.PhaseQueueWait, time.Since(qs))
+			s.m.ObservePhase(obs.PhaseQueueWait, time.Since(queued))
 			defer func() { <-s.sem }()
-			errs[i] = fn(i, t)
+			errs[i] = fn(i, t, queued)
 		}(i, t)
 	}
 	wg.Wait()
@@ -898,7 +903,7 @@ func (s *ShardedTree) applyBatch(g *generation, batch []Report, now float64, tc 
 		}
 		tc.endAt(ri)
 		ai := tc.begin(-1, "apply", -1)
-		err := s.fanOut(g, func(i int, t *Tree) error {
+		err := s.fanOut(g, nil, func(i int, t *Tree, _ time.Time) error {
 			if len(groups[i]) == 0 {
 				return nil
 			}
@@ -927,7 +932,7 @@ func (s *ShardedTree) applyBatch(g *generation, batch []Report, now float64, tc 
 	}
 	tc.endAt(ri)
 	di := tc.begin(-1, "reroute-deletes", -1)
-	err := s.fanOut(g, func(i int, t *Tree) error {
+	err := s.fanOut(g, nil, func(i int, t *Tree, _ time.Time) error {
 		ids := delGroups[i]
 		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 		for _, id := range ids {
@@ -953,7 +958,7 @@ func (s *ShardedTree) applyBatch(g *generation, batch []Report, now float64, tc 
 		groups[i] = append(groups[i], r)
 	}
 	ai := tc.begin(-1, "apply", -1)
-	err = s.fanOut(g, func(i int, t *Tree) error {
+	err = s.fanOut(g, nil, func(i int, t *Tree, _ time.Time) error {
 		if len(groups[i]) == 0 {
 			return nil
 		}
@@ -976,36 +981,84 @@ func (s *ShardedTree) widenGroups(g *generation, groups [][]Report, now float64)
 	}
 }
 
-// query fans one search out across the shards whose summaries the
-// query trapezoid can touch, counting visited and pruned shards, and
-// merges the results in ascending object-id order.
-func (s *ShardedTree) query(q geom.Query, run func(*Tree) ([]Result, error)) ([]Result, error) {
+// query answers the three region queries: see searchShards.
+func (s *ShardedTree) query(op obs.Op, traced bool, invalid error, q geom.Query, now float64) ([]Result, *QueryTrace, error) {
+	return runQuery(s.m, s.rec, op, traced, invalid, func(tc *QueryTrace) ([]Result, error) {
+		return s.searchShards(op, q, now, tc)
+	})
+}
+
+func (s *ShardedTree) nearest(traced bool, pos Vec, at float64, k int, now float64) ([]Result, *QueryTrace, error) {
+	return runQuery(s.m, s.rec, obs.OpNearest, traced, checkTimeslice(at, now), func(tc *QueryTrace) ([]Result, error) {
+		return s.nearestShards(pos, at, k, now, tc)
+	})
+}
+
+// beginShardTable starts the trace's pruning table, one row per shard
+// of g (under PartitionSpeed labelled with its speed band).
+func (s *ShardedTree) beginShardTable(tc *QueryTrace, g *generation) {
+	if tc == nil {
+		return
+	}
+	tc.Shards = make([]ShardTrace, len(g.shards))
+	for i := range tc.Shards {
+		tc.Shards[i] = ShardTrace{Shard: i, Band: s.bandLabel(g, i)}
+	}
+}
+
+// searchShards fans one search out across the shards whose summaries
+// the query trapezoid can touch, counting visited and pruned shards,
+// and merges the results in ascending object-id order.  A visited
+// shard's operation latency is its queue wait, epoch pin and
+// traversal.  With a trace, the decisions land in the pruning table
+// and each visit in a span block, preallocated before the fan-out so
+// the workers only write their own slots.
+func (s *ShardedTree) searchShards(op obs.Op, q geom.Query, now float64, tc *QueryTrace) ([]Result, error) {
 	g := s.pin()
 	defer g.unpin()
+	ri := tc.begin(-1, "route", -1)
+	s.beginShardTable(tc, g)
 	visit := make([]bool, len(g.shards))
-	var visits, pruned uint64
+	var visits uint64
 	for i := range g.shards {
-		if s.shardMatches(g, i, q) {
-			visit[i] = true
+		if visit[i] = s.shardMatches(g, i, q); visit[i] {
 			visits++
+			tc.decide(i, "match")
 		} else {
-			pruned++
+			tc.decide(i, "summary-pruned")
 		}
 	}
+	tc.endAt(ri)
 	s.m.ShardVisits.Add(visits)
-	s.m.ShardsPruned.Add(pruned)
-	parts := make([][]Result, len(g.shards))
-	err := s.fanOut(g, func(i int, t *Tree) error {
-		if !visit[i] {
-			return nil
+	s.m.ShardsPruned.Add(uint64(len(g.shards)) - visits)
+
+	var blocks []shardSpans
+	if tc != nil {
+		blocks = make([]shardSpans, len(g.shards))
+		for i := range g.shards {
+			if visit[i] {
+				blocks[i] = tc.beginShard(i, true)
+			}
 		}
-		rs, err := run(t)
+	}
+	parts := make([][]Result, len(g.shards))
+	err := s.fanOut(g, visit, func(i int, t *Tree, queued time.Time) error {
+		var b shardSpans
+		if tc != nil {
+			b = blocks[i]
+		}
+		tc.spanSince(b.queue, queued)
+		rs, err := t.searchAt(q, now, tc, b.pin, b.trav)
 		parts[i] = rs
+		tc.endShard(i, b, len(rs))
+		t.m.ObserveOp(op, time.Since(queued), err)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+
+	mi := tc.begin(-1, "merge", -1)
 	ms := time.Now()
 	n := 0
 	for _, p := range parts {
@@ -1017,6 +1070,7 @@ func (s *ShardedTree) query(q geom.Query, run func(*Tree) ([]Result, error)) ([]
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	s.m.ObservePhase(obs.PhaseMerge, time.Since(ms))
+	tc.endAt(mi)
 	return out, nil
 }
 
@@ -1024,66 +1078,24 @@ func (s *ShardedTree) query(q geom.Query, run func(*Tree) ([]Result, error)) ([]
 // (Type 1 query), fanned out across the non-pruned shards; see
 // Tree.Timeslice.
 func (s *ShardedTree) Timeslice(r Rect, at, now float64) ([]Result, error) {
-	if s.rec != nil {
-		res, _, err := s.TraceTimeslice(r, at, now)
-		return res, err
-	}
-	start := time.Now()
-	res, err := s.timeslice(r, at, now)
-	s.m.ObserveOp(obs.OpTimeslice, time.Since(start), err)
+	res, _, err := s.query(obs.OpTimeslice, s.rec != nil, checkTimeslice(at, now), geom.Timeslice(toRect(r), at), now)
 	return res, err
-}
-
-func (s *ShardedTree) timeslice(r Rect, at, now float64) ([]Result, error) {
-	if err := checkTimeslice(at, now); err != nil {
-		return nil, err
-	}
-	q := geom.Timeslice(toRect(r), at)
-	return s.query(q, func(t *Tree) ([]Result, error) { return t.Timeslice(r, at, now) })
 }
 
 // Window reports the objects predicted to cross r during [t1, t2]
 // (Type 2 query), fanned out across the non-pruned shards; see
 // Tree.Window.
 func (s *ShardedTree) Window(r Rect, t1, t2, now float64) ([]Result, error) {
-	if s.rec != nil {
-		res, _, err := s.TraceWindow(r, t1, t2, now)
-		return res, err
-	}
-	start := time.Now()
-	res, err := s.window(r, t1, t2, now)
-	s.m.ObserveOp(obs.OpWindow, time.Since(start), err)
+	res, _, err := s.query(obs.OpWindow, s.rec != nil, checkWindow(t1, t2, now), geom.Window(toRect(r), t1, t2), now)
 	return res, err
-}
-
-func (s *ShardedTree) window(r Rect, t1, t2, now float64) ([]Result, error) {
-	if err := checkWindow(t1, t2, now); err != nil {
-		return nil, err
-	}
-	q := geom.Window(toRect(r), t1, t2)
-	return s.query(q, func(t *Tree) ([]Result, error) { return t.Window(r, t1, t2, now) })
 }
 
 // Moving reports the objects predicted to cross the trapezoid
 // connecting r1 at t1 to r2 at t2 (Type 3 query), fanned out across
 // the non-pruned shards; see Tree.Moving.
 func (s *ShardedTree) Moving(r1, r2 Rect, t1, t2, now float64) ([]Result, error) {
-	if s.rec != nil {
-		res, _, err := s.TraceMoving(r1, r2, t1, t2, now)
-		return res, err
-	}
-	start := time.Now()
-	res, err := s.moving(r1, r2, t1, t2, now)
-	s.m.ObserveOp(obs.OpMoving, time.Since(start), err)
+	res, _, err := s.query(obs.OpMoving, s.rec != nil, checkMoving(t1, t2, now), geom.Moving(toRect(r1), toRect(r2), t1, t2, s.dims), now)
 	return res, err
-}
-
-func (s *ShardedTree) moving(r1, r2 Rect, t1, t2, now float64) ([]Result, error) {
-	if err := checkMoving(t1, t2, now); err != nil {
-		return nil, err
-	}
-	q := geom.Moving(toRect(r1), toRect(r2), t1, t2, s.dims)
-	return s.query(q, func(t *Tree) ([]Result, error) { return t.Moving(r1, r2, t1, t2, now) })
 }
 
 // Nearest returns the k objects whose predicted positions at time at
@@ -1094,25 +1106,19 @@ func (s *ShardedTree) moving(r1, r2 Rect, t1, t2, now float64) ([]Result, error)
 // cannot enter the result).  The merged list is ordered by ascending
 // distance (ties by object id) and truncated to k.
 func (s *ShardedTree) Nearest(pos Vec, at float64, k int, now float64) ([]Result, error) {
-	if s.rec != nil {
-		res, _, err := s.TraceNearest(pos, at, k, now)
-		return res, err
-	}
-	start := time.Now()
-	res, err := s.nearest(pos, at, k, now)
-	s.m.ObserveOp(obs.OpNearest, time.Since(start), err)
+	res, _, err := s.nearest(s.rec != nil, pos, at, k, now)
 	return res, err
 }
 
-func (s *ShardedTree) nearest(pos Vec, at float64, k int, now float64) ([]Result, error) {
-	if err := checkTimeslice(at, now); err != nil {
-		return nil, err
-	}
+// nearestShards is the distance-ordered visit behind Nearest.  The
+// visits are sequential, so their spans append to the trace freely.
+func (s *ShardedTree) nearestShards(pos Vec, at float64, k int, now float64, tc *QueryTrace) ([]Result, error) {
 	if k <= 0 {
 		return nil, nil
 	}
 	g := s.pin()
 	defer g.unpin()
+	ri := tc.begin(-1, "route", -1)
 	type shardDist struct {
 		i   int
 		d   float64
@@ -1129,27 +1135,43 @@ func (s *ShardedTree) nearest(pos Vec, at float64, k int, now float64) ([]Result
 		}
 		return ord[a].i < ord[b].i
 	})
+	s.beginShardTable(tc, g)
+	tc.endAt(ri)
+
 	type cand struct {
 		dist float64
 		r    Result
 	}
 	var cands []cand
 	var visits, pruned uint64
+	var err error
 	for idx, o := range ord {
 		// Empty shards, and — once k candidates are in hand — shards
 		// whose bound is strictly beyond the k-th distance, cannot
 		// contribute; with ord sorted ascending neither can any shard
 		// after them.
 		if !o.has || (len(cands) >= k && o.d > cands[k-1].dist) {
-			pruned += uint64(len(ord) - idx)
+			for _, rest := range ord[idx:] {
+				if rest.has {
+					tc.decide(rest.i, "distance-pruned")
+				} else {
+					tc.decide(rest.i, "empty")
+				}
+			}
+			pruned = uint64(len(ord) - idx)
 			break
 		}
 		visits++
-		rs, err := g.shards[o.i].Nearest(pos, at, k, now)
+		tc.decide(o.i, "match")
+		b := tc.beginShard(o.i, false)
+		t := g.shards[o.i]
+		opStart := time.Now()
+		var rs []Result
+		rs, err = t.nearestAt(pos, at, k, now, tc, b.pin, b.trav)
+		t.m.ObserveOp(obs.OpNearest, time.Since(opStart), err)
+		tc.endShard(o.i, b, len(rs))
 		if err != nil {
-			s.m.ShardVisits.Add(visits)
-			s.m.ShardsPruned.Add(pruned)
-			return nil, err
+			break
 		}
 		for _, r := range rs {
 			p := r.Point.At(at)
@@ -1172,6 +1194,9 @@ func (s *ShardedTree) nearest(pos Vec, at float64, k int, now float64) ([]Result
 	}
 	s.m.ShardVisits.Add(visits)
 	s.m.ShardsPruned.Add(pruned)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Result, len(cands))
 	for i, c := range cands {
 		out[i] = c.r
@@ -1245,7 +1270,7 @@ func (s *ShardedTree) ForEach(now float64, fn func(Result) bool) error {
 func (s *ShardedTree) Validate() error {
 	g := s.pin()
 	defer g.unpin()
-	return s.fanOut(g, func(_ int, t *Tree) error { return t.Validate() })
+	return s.fanOut(g, nil, func(_ int, t *Tree, _ time.Time) error { return t.Validate() })
 }
 
 // Stats returns the summed statistics of all shards (Height is the

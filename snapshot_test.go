@@ -6,26 +6,35 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"rexptree/internal/geom"
 )
 
-// TestLockedReadsEquivalence applies one op stream to a default tree
-// (snapshot reads) and an Options.LockedReads tree, then checks every
-// query type returns element-wise identical results.  The two read
-// paths must be observationally indistinguishable on a quiesced tree.
-func TestLockedReadsEquivalence(t *testing.T) {
-	snapOpts := DefaultOptions()
-	lockOpts := DefaultOptions()
-	lockOpts.LockedReads = true
-	snap, err := Open(snapOpts)
+// TestSnapshotReadsMatchLockedTraversal drives one tree through an op
+// stream (every Update is a delete+insert batch scope) and checks that
+// each query type, answered by the public snapshot read path, returns
+// element-wise what the paper's §4 traversal — core's pool-charging
+// Search and Nearest, called directly under the shared lock — returns on
+// the same quiesced tree.
+func TestSnapshotReadsMatchLockedTraversal(t *testing.T) {
+	tr, err := Open(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer snap.Close()
-	locked, err := Open(lockOpts)
-	if err != nil {
-		t.Fatal(err)
+	defer tr.Close()
+
+	lockedSearch := func(q geom.Query, now float64) ([]Result, error) {
+		tr.mu.RLock()
+		defer tr.mu.RUnlock()
+		rs, err := tr.t.Search(q, now)
+		return fromResults(rs, now, tr.dims), err
 	}
-	defer locked.Close()
+	lockedNearest := func(pos Vec, at float64, k int, now float64) ([]Result, error) {
+		tr.mu.RLock()
+		defer tr.mu.RUnlock()
+		rs, err := tr.t.Nearest(geom.Vec(pos), at, k, now)
+		return fromResults(rs, now, tr.dims), err
+	}
 
 	rng := rand.New(rand.NewSource(11))
 	now := 0.0
@@ -39,17 +48,12 @@ func TestLockedReadsEquivalence(t *testing.T) {
 				Expires: now + rng.Float64()*80,
 			}
 			if rng.Intn(10) == 0 {
-				ok1, err1 := snap.Delete(id, now)
-				ok2, err2 := locked.Delete(id, now)
-				if ok1 != ok2 || (err1 == nil) != (err2 == nil) {
-					t.Fatalf("delete diverged: (%v,%v) vs (%v,%v)", ok1, err1, ok2, err2)
+				if _, err := tr.Delete(id, now); err != nil {
+					t.Fatal(err)
 				}
 				continue
 			}
-			if err := snap.Update(id, p, now); err != nil {
-				t.Fatal(err)
-			}
-			if err := locked.Update(id, p, now); err != nil {
+			if err := tr.Update(id, p, now); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -74,17 +78,17 @@ func TestLockedReadsEquivalence(t *testing.T) {
 					}
 				}
 			}
-			a, errA := snap.Timeslice(r, now+5, now)
-			b, errB := locked.Timeslice(r, now+5, now)
+			a, errA := tr.Timeslice(r, now+5, now)
+			b, errB := lockedSearch(geom.Timeslice(toRect(r), now+5), now)
 			compare("timeslice", a, b, errA, errB)
-			a, errA = snap.Window(r, now, now+10, now)
-			b, errB = locked.Window(r, now, now+10, now)
+			a, errA = tr.Window(r, now, now+10, now)
+			b, errB = lockedSearch(geom.Window(toRect(r), now, now+10), now)
 			compare("window", a, b, errA, errB)
-			a, errA = snap.Moving(r, r2, now, now+10, now)
-			b, errB = locked.Moving(r, r2, now, now+10, now)
+			a, errA = tr.Moving(r, r2, now, now+10, now)
+			b, errB = lockedSearch(geom.Moving(toRect(r), toRect(r2), now, now+10, tr.dims), now)
 			compare("moving", a, b, errA, errB)
-			a, errA = snap.Nearest(lo, now+1, 8, now)
-			b, errB = locked.Nearest(lo, now+1, 8, now)
+			a, errA = tr.Nearest(lo, now+1, 8, now)
+			b, errB = lockedNearest(lo, now+1, 8, now)
 			compare("nearest", a, b, errA, errB)
 		}
 	}

@@ -3,11 +3,8 @@ package rexptree
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"rexptree/internal/core"
@@ -19,11 +16,10 @@ import (
 // tree through Parent (an index into QueryTrace.Spans, -1 for roots);
 // Start is the offset from the operation's start.  The span taxonomy
 // is documented in docs/TRACING.md: route, shard, queue-wait,
-// lock-wait (or epoch-pin on the snapshot read path), traverse, merge
-// for queries; lock-wait, apply, version-publish, wal-append,
-// wal-fsync, checkpoint for mutations; analyze, truncate-tail,
-// reapply-images, open-base, rebuild-records, replay, checkpoint for
-// recovery.  Traverse spans additionally carry the traversal's node and
+// epoch-pin, traverse, merge for queries; lock-wait, apply,
+// version-publish, wal-append, wal-fsync, checkpoint for mutations;
+// analyze, truncate-tail, reapply-images, open-base, rebuild-records,
+// replay, checkpoint for recovery.  Traverse spans additionally carry the traversal's node and
 // page accounting.
 type TraceSpan struct {
 	Parent    int           `json:"parent"`          // index of the parent span; -1 for roots
@@ -112,21 +108,89 @@ func (t *QueryTrace) endAt(i int) {
 	sp.Duration = time.Since(t.Start) - sp.Start
 }
 
-// setEpochPin rewrites preallocated span i as the snapshot read
-// path's "epoch-pin" span: queries on that path never wait for the
-// tree lock, so the slot reserved for lock-wait reports the measured
-// epoch pin cost instead.  The span shares the traversal's start (the
-// pin is its first act) and lasts the pin time recorded in TravStats.
-func (t *QueryTrace) setEpochPin(i, travIdx int, pinNanos int64) {
-	if t == nil || i < 0 {
+// spanSince stamps span i as having run from start until now.
+func (t *QueryTrace) spanSince(i int, start time.Time) {
+	if t == nil {
 		return
 	}
 	sp := &t.Spans[i]
-	sp.Phase = "epoch-pin"
-	if travIdx >= 0 {
-		sp.Start = t.Spans[travIdx].Start
+	sp.Start = start.Sub(t.Start)
+	sp.Duration = time.Since(start)
+}
+
+// beginTraverse appends the two spans every tree traversal fills, the
+// epoch pin and the traversal proper, under parent.
+func (t *QueryTrace) beginTraverse(parent, shard int) (pinIdx, travIdx int) {
+	return t.begin(parent, "epoch-pin", shard), t.begin(parent, "traverse", shard)
+}
+
+// startTraverse re-stamps traverse span travIdx's start to now and
+// returns st for the core kernel to fill.  A nil trace returns nil:
+// nothing would read the accounting.
+func (t *QueryTrace) startTraverse(travIdx int, st *core.TravStats) *core.TravStats {
+	if t == nil {
+		return nil
 	}
-	sp.Duration = time.Duration(pinNanos)
+	t.startAt(travIdx)
+	return st
+}
+
+// endTraverse closes traverse span travIdx with the traversal's node
+// and page accounting, and fills epoch-pin span pinIdx from the pin
+// time the core kernel measured: the pin is the traversal's first act,
+// so the span shares its start.
+func (t *QueryTrace) endTraverse(pinIdx, travIdx int, st *core.TravStats, results int) {
+	if t == nil {
+		return
+	}
+	t.endAt(travIdx)
+	sp := &t.Spans[travIdx]
+	sp.Nodes, sp.Leaves = st.Nodes, st.Leaves
+	sp.PageReads, sp.PageHits = st.Reads, st.Hits
+	sp.Results = results
+	pin := &t.Spans[pinIdx]
+	pin.Start = sp.Start
+	pin.Duration = time.Duration(st.PinNanos)
+}
+
+// shardSpans indexes the span block of one visited shard (queue is
+// unused by the sequential nearest visits).
+type shardSpans struct{ shard, queue, pin, trav int }
+
+// beginShard appends shard i's span block: shard, then under it
+// queue-wait (fan-out visits only), epoch-pin and traverse.
+func (t *QueryTrace) beginShard(i int, queued bool) shardSpans {
+	b := shardSpans{shard: t.begin(-1, "shard", i)}
+	if queued {
+		b.queue = t.begin(b.shard, "queue-wait", i)
+	}
+	b.pin, b.trav = t.beginTraverse(b.shard, i)
+	return b
+}
+
+// endShard closes shard i's span and copies the visit's cost into its
+// row of the pruning table.  Fan-out workers call it concurrently, each
+// for its own shard: they write disjoint spans and rows.
+func (t *QueryTrace) endShard(i int, b shardSpans, results int) {
+	if t == nil {
+		return
+	}
+	t.endAt(b.shard)
+	st, sp := &t.Shards[i], &t.Spans[b.trav]
+	st.Nodes, st.Leaves = sp.Nodes, sp.Leaves
+	st.PageReads, st.PageHits = sp.PageReads, sp.PageHits
+	st.Results = results
+	st.Duration = t.Spans[b.shard].Duration
+}
+
+// decide records the front end's verdict on shard i in the pruning
+// table: "match" means visited, any other reason names the prune.
+func (t *QueryTrace) decide(i int, reason string) {
+	if t == nil {
+		return
+	}
+	t.Shards[i].Visited = reason == "match"
+	t.Shards[i].Reason = reason
 }
 
 // addMeasured appends a root span whose length was measured elsewhere
@@ -144,17 +208,6 @@ func (t *QueryTrace) addMeasured(phase string, nanos int64) {
 		Start:    time.Since(t.Start) - d,
 		Duration: d,
 	})
-}
-
-// setTrav attaches a traversal's node and page accounting to span i.
-func (t *QueryTrace) setTrav(i int, st core.TravStats, results int) {
-	if t == nil || i < 0 {
-		return
-	}
-	sp := &t.Spans[i]
-	sp.Nodes, sp.Leaves = st.Nodes, st.Leaves
-	sp.PageReads, sp.PageHits = st.Reads, st.Hits
-	sp.Results = results
 }
 
 // finishRecord seals the trace and hands it to the flight recorder
@@ -301,149 +354,28 @@ func traceHandler(rec *obs.Recorder) http.Handler {
 // Tree EXPLAIN API.
 
 // TraceWindow runs Window and returns its execution trace alongside
-// the results.  The traversal and results are identical to Window (the
-// trace only observes); the operation is observed in the metrics and
-// flight recorder like any other.
+// the results.  It is Window with the trace forced on: the same
+// traversal, results, metrics and flight-recorder entry.
 func (tr *Tree) TraceWindow(r Rect, t1, t2, now float64) ([]Result, *QueryTrace, error) {
-	tc := newTrace("window")
-	start := time.Now()
-	res, err := tr.windowTraced(r, t1, t2, now, tc)
-	d := time.Since(start)
-	tr.m.ObserveOp(obs.OpWindow, d, err)
-	tc.finishRecord(tr.rec, len(res), d, err)
-	return res, tc, err
+	return tr.query(obs.OpWindow, true, checkWindow(t1, t2, now), geom.Window(toRect(r), t1, t2), now)
 }
 
 // TraceTimeslice runs Timeslice and returns its execution trace; see
 // TraceWindow.
 func (tr *Tree) TraceTimeslice(r Rect, at, now float64) ([]Result, *QueryTrace, error) {
-	tc := newTrace("timeslice")
-	start := time.Now()
-	res, err := tr.timesliceTraced(r, at, now, tc)
-	d := time.Since(start)
-	tr.m.ObserveOp(obs.OpTimeslice, d, err)
-	tc.finishRecord(tr.rec, len(res), d, err)
-	return res, tc, err
+	return tr.query(obs.OpTimeslice, true, checkTimeslice(at, now), geom.Timeslice(toRect(r), at), now)
 }
 
 // TraceMoving runs Moving and returns its execution trace; see
 // TraceWindow.
 func (tr *Tree) TraceMoving(r1, r2 Rect, t1, t2, now float64) ([]Result, *QueryTrace, error) {
-	tc := newTrace("moving")
-	start := time.Now()
-	res, err := tr.movingTraced(r1, r2, t1, t2, now, tc)
-	d := time.Since(start)
-	tr.m.ObserveOp(obs.OpMoving, d, err)
-	tc.finishRecord(tr.rec, len(res), d, err)
-	return res, tc, err
+	return tr.query(obs.OpMoving, true, checkMoving(t1, t2, now), geom.Moving(toRect(r1), toRect(r2), t1, t2, tr.dims), now)
 }
 
 // TraceNearest runs Nearest and returns its execution trace; see
 // TraceWindow.
 func (tr *Tree) TraceNearest(pos Vec, at float64, k int, now float64) ([]Result, *QueryTrace, error) {
-	tc := newTrace("nearest")
-	start := time.Now()
-	res, err := tr.nearestTraced(pos, at, k, now, tc)
-	d := time.Since(start)
-	tr.m.ObserveOp(obs.OpNearest, d, err)
-	tc.finishRecord(tr.rec, len(res), d, err)
-	return res, tc, err
-}
-
-func (tr *Tree) windowTraced(r Rect, t1, t2, now float64, tc *QueryTrace) ([]Result, error) {
-	if err := checkWindow(t1, t2, now); err != nil {
-		return nil, err
-	}
-	li := tc.begin(-1, "lock-wait", -1)
-	ti := tc.begin(-1, "traverse", -1)
-	return tr.searchSpansAt(geom.Window(toRect(r), t1, t2), now, tc, li, ti)
-}
-
-func (tr *Tree) timesliceTraced(r Rect, at, now float64, tc *QueryTrace) ([]Result, error) {
-	if err := checkTimeslice(at, now); err != nil {
-		return nil, err
-	}
-	li := tc.begin(-1, "lock-wait", -1)
-	ti := tc.begin(-1, "traverse", -1)
-	return tr.searchSpansAt(geom.Timeslice(toRect(r), at), now, tc, li, ti)
-}
-
-func (tr *Tree) movingTraced(r1, r2 Rect, t1, t2, now float64, tc *QueryTrace) ([]Result, error) {
-	if err := checkMoving(t1, t2, now); err != nil {
-		return nil, err
-	}
-	li := tc.begin(-1, "lock-wait", -1)
-	ti := tc.begin(-1, "traverse", -1)
-	return tr.searchSpansAt(geom.Moving(toRect(r1), toRect(r2), t1, t2, tr.dims), now, tc, li, ti)
-}
-
-func (tr *Tree) nearestTraced(pos Vec, at float64, k int, now float64, tc *QueryTrace) ([]Result, error) {
-	if err := checkTimeslice(at, now); err != nil {
-		return nil, err
-	}
-	li := tc.begin(-1, "lock-wait", -1)
-	ti := tc.begin(-1, "traverse", -1)
-	return tr.nearestSpansAt(pos, at, k, now, tc, li, ti)
-}
-
-// searchSpansAt runs one search, timing the lock wait and traversal
-// into the preallocated spans lockIdx and travIdx (so concurrent shard
-// goroutines never append to the shared trace).  The traversal and
-// result conversion are identical to the untraced search.
-func (tr *Tree) searchSpansAt(q geom.Query, now float64, tc *QueryTrace, lockIdx, travIdx int) ([]Result, error) {
-	var (
-		rs  []core.Result
-		err error
-		st  core.TravStats
-	)
-	if tr.snapshotReads() {
-		tc.startAt(travIdx)
-		rs, err = tr.t.SearchSnapStats(q, now, &st)
-		tc.endAt(travIdx)
-		tc.setEpochPin(lockIdx, travIdx, st.PinNanos)
-	} else {
-		tc.startAt(lockIdx)
-		tr.rlock()
-		tc.endAt(lockIdx)
-		defer tr.mu.RUnlock()
-		tc.startAt(travIdx)
-		rs, err = tr.t.SearchStats(q, now, &st)
-		tc.endAt(travIdx)
-	}
-	tc.setTrav(travIdx, st, len(rs))
-	if err != nil {
-		return nil, err
-	}
-	return fromResults(rs, now, tr.dims), nil
-}
-
-// nearestSpansAt is searchSpansAt for the nearest-neighbor traversal.
-// The caller must have validated the query time.
-func (tr *Tree) nearestSpansAt(pos Vec, at float64, k int, now float64, tc *QueryTrace, lockIdx, travIdx int) ([]Result, error) {
-	var (
-		rs  []core.Result
-		err error
-		st  core.TravStats
-	)
-	if tr.snapshotReads() {
-		tc.startAt(travIdx)
-		rs, err = tr.t.NearestSnapStats(geom.Vec(pos), at, k, now, &st)
-		tc.endAt(travIdx)
-		tc.setEpochPin(lockIdx, travIdx, st.PinNanos)
-	} else {
-		tc.startAt(lockIdx)
-		tr.rlock()
-		tc.endAt(lockIdx)
-		defer tr.mu.RUnlock()
-		tc.startAt(travIdx)
-		rs, err = tr.t.NearestStats(geom.Vec(pos), at, k, now, &st)
-		tc.endAt(travIdx)
-	}
-	tc.setTrav(travIdx, st, len(rs))
-	if err != nil {
-		return nil, err
-	}
-	return fromResults(rs, now, tr.dims), nil
+	return tr.nearest(true, pos, at, k, now)
 }
 
 // Traces returns the flight recorder's retained traces, newest first.
@@ -469,300 +401,35 @@ func (tr *Tree) TraceHandler() http.Handler {
 
 // TraceWindow runs Window across the shards and returns the execution
 // trace: the per-shard pruning table and the span tree covering
-// routing, per-shard queue wait, lock wait and traversal, and the
-// result merge.  Results are identical to Window.
+// routing, per-shard queue wait, epoch pin and traversal, and the
+// result merge.  It is Window with the trace forced on.
 func (s *ShardedTree) TraceWindow(r Rect, t1, t2, now float64) ([]Result, *QueryTrace, error) {
-	tc := newTrace("window")
-	start := time.Now()
-	res, err := s.windowTraced(r, t1, t2, now, tc)
-	d := time.Since(start)
-	s.m.ObserveOp(obs.OpWindow, d, err)
-	tc.finishRecord(s.rec, len(res), d, err)
-	return res, tc, err
+	return s.query(obs.OpWindow, true, checkWindow(t1, t2, now), geom.Window(toRect(r), t1, t2), now)
 }
 
 // TraceTimeslice runs Timeslice across the shards and returns the
 // execution trace; see TraceWindow.
 func (s *ShardedTree) TraceTimeslice(r Rect, at, now float64) ([]Result, *QueryTrace, error) {
-	tc := newTrace("timeslice")
-	start := time.Now()
-	res, err := s.timesliceTraced(r, at, now, tc)
-	d := time.Since(start)
-	s.m.ObserveOp(obs.OpTimeslice, d, err)
-	tc.finishRecord(s.rec, len(res), d, err)
-	return res, tc, err
+	return s.query(obs.OpTimeslice, true, checkTimeslice(at, now), geom.Timeslice(toRect(r), at), now)
 }
 
 // TraceMoving runs Moving across the shards and returns the execution
 // trace; see TraceWindow.
 func (s *ShardedTree) TraceMoving(r1, r2 Rect, t1, t2, now float64) ([]Result, *QueryTrace, error) {
-	tc := newTrace("moving")
-	start := time.Now()
-	res, err := s.movingTraced(r1, r2, t1, t2, now, tc)
-	d := time.Since(start)
-	s.m.ObserveOp(obs.OpMoving, d, err)
-	tc.finishRecord(s.rec, len(res), d, err)
-	return res, tc, err
+	return s.query(obs.OpMoving, true, checkMoving(t1, t2, now), geom.Moving(toRect(r1), toRect(r2), t1, t2, s.dims), now)
 }
 
 // TraceNearest runs Nearest across the shards and returns the
 // execution trace; the pruning table records the distance-ordered
 // visits and prunes.  See TraceWindow.
 func (s *ShardedTree) TraceNearest(pos Vec, at float64, k int, now float64) ([]Result, *QueryTrace, error) {
-	tc := newTrace("nearest")
-	start := time.Now()
-	res, err := s.nearestTraced(pos, at, k, now, tc)
-	d := time.Since(start)
-	s.m.ObserveOp(obs.OpNearest, d, err)
-	tc.finishRecord(s.rec, len(res), d, err)
-	return res, tc, err
-}
-
-func (s *ShardedTree) windowTraced(r Rect, t1, t2, now float64, tc *QueryTrace) ([]Result, error) {
-	if err := checkWindow(t1, t2, now); err != nil {
-		return nil, err
-	}
-	q := geom.Window(toRect(r), t1, t2)
-	return s.queryTraced(q, obs.OpWindow, tc, func(t *Tree, li, ti int) ([]Result, error) {
-		return t.searchSpansAt(q, now, tc, li, ti)
-	})
-}
-
-func (s *ShardedTree) timesliceTraced(r Rect, at, now float64, tc *QueryTrace) ([]Result, error) {
-	if err := checkTimeslice(at, now); err != nil {
-		return nil, err
-	}
-	q := geom.Timeslice(toRect(r), at)
-	return s.queryTraced(q, obs.OpTimeslice, tc, func(t *Tree, li, ti int) ([]Result, error) {
-		return t.searchSpansAt(q, now, tc, li, ti)
-	})
-}
-
-func (s *ShardedTree) movingTraced(r1, r2 Rect, t1, t2, now float64, tc *QueryTrace) ([]Result, error) {
-	if err := checkMoving(t1, t2, now); err != nil {
-		return nil, err
-	}
-	q := geom.Moving(toRect(r1), toRect(r2), t1, t2, s.dims)
-	return s.queryTraced(q, obs.OpMoving, tc, func(t *Tree, li, ti int) ([]Result, error) {
-		return t.searchSpansAt(q, now, tc, li, ti)
-	})
-}
-
-// queryTraced is the traced counterpart of query: same routing, prune
-// accounting, fan-out and deterministic merge, with the decisions and
-// timings recorded into tc.  Each visited shard's span block (shard,
-// queue-wait, lock-wait, traverse) is preallocated before the fan-out
-// so the goroutines only write their own slots.  Per-shard operation
-// metrics are observed like the untraced path (which calls the shard's
-// public method).
-func (s *ShardedTree) queryTraced(q geom.Query, op obs.Op, tc *QueryTrace, run func(t *Tree, lockIdx, travIdx int) ([]Result, error)) ([]Result, error) {
-	g := s.pin()
-	defer g.unpin()
-	ri := tc.begin(-1, "route", -1)
-	visit := make([]bool, len(g.shards))
-	var visits, pruned uint64
-	tc.Shards = make([]ShardTrace, len(g.shards))
-	for i := range g.shards {
-		st := &tc.Shards[i]
-		st.Shard = i
-		st.Band = s.bandLabel(g, i)
-		if s.shardMatches(g, i, q) {
-			visit[i] = true
-			visits++
-			st.Visited = true
-			st.Reason = "match"
-		} else {
-			st.Reason = "summary-pruned"
-		}
-	}
-	pruned = uint64(len(g.shards)) - visits
-	tc.endAt(ri)
-	s.m.ShardVisits.Add(visits)
-	s.m.ShardsPruned.Add(pruned)
-
-	type spanBlock struct{ shard, queue, lock, trav int }
-	blocks := make([]spanBlock, len(g.shards))
-	for i := range g.shards {
-		if !visit[i] {
-			blocks[i] = spanBlock{-1, -1, -1, -1}
-			continue
-		}
-		sh := tc.begin(-1, "shard", i)
-		blocks[i] = spanBlock{
-			shard: sh,
-			queue: tc.begin(sh, "queue-wait", i),
-			lock:  tc.begin(sh, "lock-wait", i),
-			trav:  tc.begin(sh, "traverse", i),
-		}
-	}
-
-	parts := make([][]Result, len(g.shards))
-	var wg sync.WaitGroup
-	errs := make([]error, len(g.shards))
-	for i, t := range g.shards {
-		if !visit[i] {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, t *Tree) {
-			defer wg.Done()
-			opStart := time.Now()
-			b := blocks[i]
-			tc.startAt(b.queue)
-			qs := time.Now()
-			s.sem <- struct{}{}
-			s.m.ObservePhase(obs.PhaseQueueWait, time.Since(qs))
-			tc.endAt(b.queue)
-			defer func() { <-s.sem }()
-			rs, err := run(t, b.lock, b.trav)
-			parts[i] = rs
-			errs[i] = err
-			tc.endAt(b.shard)
-			t.m.ObserveOp(op, time.Since(opStart), err)
-		}(i, t)
-	}
-	wg.Wait()
-
-	for i := range g.shards {
-		if !visit[i] {
-			continue
-		}
-		st := &tc.Shards[i]
-		sp := &tc.Spans[blocks[i].trav]
-		st.Nodes, st.Leaves = sp.Nodes, sp.Leaves
-		st.PageReads, st.PageHits = sp.PageReads, sp.PageHits
-		st.Results = len(parts[i])
-		st.Duration = tc.Spans[blocks[i].shard].Duration
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	mi := tc.begin(-1, "merge", -1)
-	ms := time.Now()
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]Result, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	s.m.ObservePhase(obs.PhaseMerge, time.Since(ms))
-	tc.endAt(mi)
-	return out, nil
-}
-
-// nearestTraced mirrors nearest with the distance-ordered visits and
-// prunes recorded into tc.  The visits are sequential, so spans append
-// freely.
-func (s *ShardedTree) nearestTraced(pos Vec, at float64, k int, now float64, tc *QueryTrace) ([]Result, error) {
-	if err := checkTimeslice(at, now); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, nil
-	}
-	g := s.pin()
-	defer g.unpin()
-	ri := tc.begin(-1, "route", -1)
-	type shardDist struct {
-		i   int
-		d   float64
-		has bool
-	}
-	ord := make([]shardDist, len(g.shards))
-	for i := range g.shards {
-		d, has := s.shardMinDist(g, i, pos, at)
-		ord[i] = shardDist{i, d, has}
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		if ord[a].d != ord[b].d {
-			return ord[a].d < ord[b].d
-		}
-		return ord[a].i < ord[b].i
-	})
-	tc.Shards = make([]ShardTrace, len(g.shards))
-	for i := range g.shards {
-		tc.Shards[i] = ShardTrace{Shard: i, Band: s.bandLabel(g, i)}
-	}
-	tc.endAt(ri)
-
-	type cand struct {
-		dist float64
-		r    Result
-	}
-	var cands []cand
-	var visits, pruned uint64
-	for idx, o := range ord {
-		if !o.has || (len(cands) >= k && o.d > cands[k-1].dist) {
-			for _, rest := range ord[idx:] {
-				st := &tc.Shards[rest.i]
-				if rest.has {
-					st.Reason = "distance-pruned"
-				} else {
-					st.Reason = "empty"
-				}
-			}
-			pruned += uint64(len(ord) - idx)
-			break
-		}
-		visits++
-		st := &tc.Shards[o.i]
-		st.Visited = true
-		st.Reason = "match"
-		sh := tc.begin(-1, "shard", o.i)
-		li := tc.begin(sh, "lock-wait", o.i)
-		ti := tc.begin(sh, "traverse", o.i)
-		opStart := time.Now()
-		rs, err := g.shards[o.i].nearestSpansAt(pos, at, k, now, tc, li, ti)
-		g.shards[o.i].m.ObserveOp(obs.OpNearest, time.Since(opStart), err)
-		tc.endAt(sh)
-		sp := &tc.Spans[ti]
-		st.Nodes, st.Leaves = sp.Nodes, sp.Leaves
-		st.PageReads, st.PageHits = sp.PageReads, sp.PageHits
-		st.Results = len(rs)
-		st.Duration = tc.Spans[sh].Duration
-		if err != nil {
-			s.m.ShardVisits.Add(visits)
-			s.m.ShardsPruned.Add(pruned)
-			return nil, err
-		}
-		for _, r := range rs {
-			p := r.Point.At(at)
-			var d float64
-			for j := 0; j < s.dims; j++ {
-				dd := p[j] - pos[j]
-				d += dd * dd
-			}
-			cands = append(cands, cand{math.Sqrt(d), r})
-		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].dist != cands[b].dist {
-				return cands[a].dist < cands[b].dist
-			}
-			return cands[a].r.ID < cands[b].r.ID
-		})
-		if len(cands) > k {
-			cands = cands[:k]
-		}
-	}
-	s.m.ShardVisits.Add(visits)
-	s.m.ShardsPruned.Add(pruned)
-	out := make([]Result, len(cands))
-	for i, c := range cands {
-		out[i] = c.r
-	}
-	return out, nil
+	return s.nearest(true, pos, at, k, now)
 }
 
 // Traces returns the sharded front end's flight-recorder traces,
-// newest first; see Tree.Traces.  (Each shard additionally records its
-// own operations when the recorder is enabled; this is the fan-out
-// view.)
+// newest first; see Tree.Traces.  A fan-out query is one trace here,
+// with the shard visits as spans; the shards do not record queries of
+// their own.
 func (s *ShardedTree) Traces() (recent, slow []*QueryTrace) {
 	if s.rec == nil {
 		return nil, nil

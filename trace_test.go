@@ -3,10 +3,13 @@ package rexptree
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"rexptree/internal/obs"
 )
 
 // TestTraceEquivalenceSingle checks the Trace* methods return exactly
@@ -546,6 +549,125 @@ func TestShardedHookTags(t *testing.T) {
 	for _, e := range single {
 		if e.Shard != -1 {
 			t.Fatalf("stand-alone event %+v has shard %d, want -1", e, e.Shard)
+		}
+	}
+}
+
+// TestQueueWaitCountsVisitedShardsOnly pins one definition of the
+// fan-out's accounting, recorder on or off: only visited shards queue
+// for a worker slot, and a visited shard's operation latency is
+// observed once.  One object in four hash shards leaves three shards
+// provably empty, so a timeslice over it is 1 visit + 3 prunes.
+func TestQueueWaitCountsVisitedShardsOnly(t *testing.T) {
+	type counts struct {
+		queueWaits, visits, pruned uint64
+		shardOps                   [4]uint64
+	}
+	run := func(recorder int) counts {
+		opts := DefaultOptions()
+		opts.FlightRecorder = recorder
+		s, err := OpenSharded(ShardedOptions{Options: opts, Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.Update(1, Point{Pos: Vec{500, 500}, Expires: NoExpiry()}, 0); err != nil {
+			t.Fatal(err)
+		}
+		before, shardsBefore := s.snapshots()
+		rs, err := s.Timeslice(Rect{Lo: Vec{400, 400}, Hi: Vec{600, 600}}, 1, 0)
+		if err != nil || len(rs) != 1 {
+			t.Fatalf("recorder %d: timeslice = %v, %v; want the one object", recorder, rs, err)
+		}
+		after, shardsAfter := s.snapshots()
+		d := after.Sub(before)
+		c := counts{
+			queueWaits: d.Phases[obs.PhaseQueueWait].Count,
+			visits:     d.ShardVisits,
+			pruned:     d.ShardsPruned,
+		}
+		for i := range c.shardOps {
+			c.shardOps[i] = shardsAfter[i].Ops[obs.OpTimeslice].Count - shardsBefore[i].Ops[obs.OpTimeslice].Count
+		}
+		if c.visits != 1 || c.pruned != 3 {
+			t.Errorf("recorder %d: %d visits, %d prunes; want 1 and 3", recorder, c.visits, c.pruned)
+		}
+		if c.queueWaits != c.visits {
+			t.Errorf("recorder %d: %d queue_wait observations for %d shard visits (pruned shards must not queue)",
+				recorder, c.queueWaits, c.visits)
+		}
+		return c
+	}
+	off, on := run(0), run(16)
+	if off != on {
+		t.Errorf("fan-out accounting differs with the recorder: off %+v, on %+v", off, on)
+	}
+	var ops uint64
+	for _, n := range off.shardOps {
+		ops += n
+	}
+	if ops != off.visits {
+		t.Errorf("shards observed %d timeslice ops for %d visits", ops, off.visits)
+	}
+}
+
+// TestQueryAllocsRecorderOff pins "a nil trace costs nothing": with the
+// flight recorder off the query kernels may not allocate a trace, a
+// TravStats, a span block or a shard table.  The bounds are the
+// allocation counts of the untraced paths before they were merged with
+// the traced ones.  They hold for a plain build only: the race detector
+// changes escape analysis and makes sync.Pool drop items (the same
+// paths read 10/7/52/52 under it before the merge), so there the counts
+// are logged, not judged.
+func TestQueryAllocsRecorderOff(t *testing.T) {
+	race := false
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			race = race || (s.Key == "-race" && s.Value == "true")
+		}
+	}
+	load := testWorkload(2000, 11)
+	tr, err := Open(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	s, err := OpenSharded(ShardedOptions{Options: DefaultOptions(), Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := tr.UpdateBatch(load, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.UpdateBatch(load, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	region := Rect{Lo: Vec{100, 100}, Hi: Vec{400, 400}}
+	pos := Vec{500, 500}
+	cases := []struct {
+		name string
+		max  float64
+		run  func() error
+	}{
+		{"Tree.Timeslice", 10, func() error { _, err := tr.Timeslice(region, 5, 0); return err }},
+		{"Tree.Nearest", 6, func() error { _, err := tr.Nearest(pos, 5, 10, 0); return err }},
+		{"ShardedTree.Timeslice", 50, func() error { _, err := s.Timeslice(region, 5, 0); return err }},
+		{"ShardedTree.Nearest", 47, func() error { _, err := s.Nearest(pos, 5, 10, 0); return err }},
+	}
+	for _, c := range cases {
+		if err := c.run(); err != nil { // warm the pooled stacks and queues
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.1f allocs per call", c.name, allocs)
+		if allocs > c.max && !race {
+			t.Errorf("%s allocates %.1f objects per call, want <= %v", c.name, allocs, c.max)
 		}
 	}
 }

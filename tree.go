@@ -28,22 +28,17 @@ import (
 // the exclusive lock against each other).  Object-table reads (Get,
 // Len, Stats, ForEach, Validate) take the shared lock.  The time a
 // caller spends waiting for a lock is recorded in the lock-wait
-// histograms of Metrics; Options.LockedReads restores the legacy
-// behaviour where queries take the shared lock too.  For workloads
-// that need concurrent updates, see ShardedTree, which partitions
-// objects across independent Trees.
+// histograms of Metrics.  For workloads that need concurrent updates,
+// see ShardedTree, which partitions objects across independent Trees.
 type Tree struct {
 	mu    sync.RWMutex
 	t     *core.Tree
 	store storage.Store
 	dims  int
 
-	// lockedReads serves queries under mu instead of the snapshot
-	// path (Options.LockedReads).
-	lockedReads bool
-	objects     map[uint32]geom.MovingPoint
-	m           *obs.Metrics  // always non-nil; see Metrics and WriteMetrics
-	rec         *obs.Recorder // flight recorder; nil unless Options.FlightRecorder > 0
+	objects map[uint32]geom.MovingPoint
+	m       *obs.Metrics  // always non-nil; see Metrics and WriteMetrics
+	rec     *obs.Recorder // flight recorder; nil unless Options.FlightRecorder > 0
 
 	// Durability state; all nil/zero when Durability is DurabilityNone.
 	fs          *storage.FileStore // the unwrapped page file
@@ -153,11 +148,10 @@ func open(opts Options, retried bool) (*Tree, error) {
 	cfg := opts.internal()
 	cfg.Metrics = m
 	tr := &Tree{
-		store:       store,
-		objects:     make(map[uint32]geom.MovingPoint),
-		lockedReads: opts.LockedReads,
-		m:           m,
-		rec:         newRecorder(opts),
+		store:   store,
+		objects: make(map[uint32]geom.MovingPoint),
+		m:       m,
+		rec:     newRecorder(opts),
 	}
 	if durable {
 		tr.fs = fs
@@ -457,24 +451,83 @@ func (tr *Tree) delete(id uint32, now float64, tc *QueryTrace) (bool, error) {
 	return removed, tr.walCommit(tc)
 }
 
+// runQuery is the envelope of every index query of both tree types.
+// It refuses an invalid query (invalid is the validator's verdict),
+// runs the traversal — under an execution trace when traced; tc is nil
+// otherwise, and every *QueryTrace method is a no-op on nil — and
+// observes the operation in m's latency histogram and in the flight
+// recorder.  A plain query passes traced = rec != nil, because a
+// recorder retains every operation's trace; its Trace twin passes
+// true.  Nothing else distinguishes the two.
+func runQuery(m *obs.Metrics, rec *obs.Recorder, op obs.Op, traced bool, invalid error, run func(tc *QueryTrace) ([]Result, error)) ([]Result, *QueryTrace, error) {
+	var tc *QueryTrace
+	if traced {
+		tc = newTrace(op.String())
+	}
+	start := time.Now()
+	var res []Result
+	err := invalid
+	if err == nil {
+		res, err = run(tc)
+	}
+	d := time.Since(start)
+	m.ObserveOp(op, d, err)
+	tc.finishRecord(rec, len(res), d, err)
+	return res, tc, err
+}
+
+// query answers the three region queries, which are one trapezoid (§2).
+func (tr *Tree) query(op obs.Op, traced bool, invalid error, q geom.Query, now float64) ([]Result, *QueryTrace, error) {
+	return runQuery(tr.m, tr.rec, op, traced, invalid, func(tc *QueryTrace) ([]Result, error) {
+		pi, ti := tc.beginTraverse(-1, -1)
+		return tr.searchAt(q, now, tc, pi, ti)
+	})
+}
+
+func (tr *Tree) nearest(traced bool, pos Vec, at float64, k int, now float64) ([]Result, *QueryTrace, error) {
+	return runQuery(tr.m, tr.rec, obs.OpNearest, traced, checkTimeslice(at, now), func(tc *QueryTrace) ([]Result, error) {
+		pi, ti := tc.beginTraverse(-1, -1)
+		return tr.nearestAt(pos, at, k, now, tc, pi, ti)
+	})
+}
+
+// searchAt runs one region query on the snapshot read path — the only
+// read path: the core kernel pins an epoch and follows the page
+// versions last published, without the tree lock.  With a trace it
+// times the pin and the traversal into spans pinIdx and travIdx, which
+// the caller preallocated so that concurrent shard workers never append
+// to a shared trace, and attaches the node and page accounting.  With a
+// nil trace the kernel gets a nil *TravStats: it counts nothing per
+// traversal and reads no clock.
+func (tr *Tree) searchAt(q geom.Query, now float64, tc *QueryTrace, pinIdx, travIdx int) ([]Result, error) {
+	var stats core.TravStats
+	st := tc.startTraverse(travIdx, &stats)
+	rs, err := tr.t.SearchSnapStats(q, now, st)
+	tc.endTraverse(pinIdx, travIdx, st, len(rs))
+	if err != nil {
+		return nil, err
+	}
+	return fromResults(rs, now, tr.dims), nil
+}
+
+// nearestAt is searchAt for the nearest-neighbor traversal.  The caller
+// must have validated the query time.
+func (tr *Tree) nearestAt(pos Vec, at float64, k int, now float64, tc *QueryTrace, pinIdx, travIdx int) ([]Result, error) {
+	var stats core.TravStats
+	st := tc.startTraverse(travIdx, &stats)
+	rs, err := tr.t.NearestSnapStats(geom.Vec(pos), at, k, now, st)
+	tc.endTraverse(pinIdx, travIdx, st, len(rs))
+	if err != nil {
+		return nil, err
+	}
+	return fromResults(rs, now, tr.dims), nil
+}
+
 // Timeslice reports the objects predicted to be inside r at time at
 // (Type 1 query).  now is the current time; at must not precede it.
 func (tr *Tree) Timeslice(r Rect, at, now float64) ([]Result, error) {
-	if tr.rec != nil {
-		res, _, err := tr.TraceTimeslice(r, at, now)
-		return res, err
-	}
-	start := time.Now()
-	res, err := tr.timeslice(r, at, now)
-	tr.m.ObserveOp(obs.OpTimeslice, time.Since(start), err)
+	res, _, err := tr.query(obs.OpTimeslice, tr.rec != nil, checkTimeslice(at, now), geom.Timeslice(toRect(r), at), now)
 	return res, err
-}
-
-func (tr *Tree) timeslice(r Rect, at, now float64) ([]Result, error) {
-	if err := checkTimeslice(at, now); err != nil {
-		return nil, err
-	}
-	return tr.search(geom.Timeslice(toRect(r), at), now)
 }
 
 // The query-time validators, shared by Tree and the sharded front-end
@@ -504,103 +557,23 @@ func checkMoving(t1, t2, now float64) error {
 // Window reports the objects predicted to cross r at some time in
 // [t1, t2] (Type 2 query).
 func (tr *Tree) Window(r Rect, t1, t2, now float64) ([]Result, error) {
-	if tr.rec != nil {
-		res, _, err := tr.TraceWindow(r, t1, t2, now)
-		return res, err
-	}
-	start := time.Now()
-	res, err := tr.window(r, t1, t2, now)
-	tr.m.ObserveOp(obs.OpWindow, time.Since(start), err)
+	res, _, err := tr.query(obs.OpWindow, tr.rec != nil, checkWindow(t1, t2, now), geom.Window(toRect(r), t1, t2), now)
 	return res, err
-}
-
-func (tr *Tree) window(r Rect, t1, t2, now float64) ([]Result, error) {
-	if err := checkWindow(t1, t2, now); err != nil {
-		return nil, err
-	}
-	return tr.search(geom.Window(toRect(r), t1, t2), now)
 }
 
 // Moving reports the objects predicted to cross the trapezoid
 // connecting r1 at t1 to r2 at t2 (Type 3 query).
 func (tr *Tree) Moving(r1, r2 Rect, t1, t2, now float64) ([]Result, error) {
-	if tr.rec != nil {
-		res, _, err := tr.TraceMoving(r1, r2, t1, t2, now)
-		return res, err
-	}
-	start := time.Now()
-	res, err := tr.moving(r1, r2, t1, t2, now)
-	tr.m.ObserveOp(obs.OpMoving, time.Since(start), err)
+	res, _, err := tr.query(obs.OpMoving, tr.rec != nil, checkMoving(t1, t2, now), geom.Moving(toRect(r1), toRect(r2), t1, t2, tr.dims), now)
 	return res, err
-}
-
-func (tr *Tree) moving(r1, r2 Rect, t1, t2, now float64) ([]Result, error) {
-	if err := checkMoving(t1, t2, now); err != nil {
-		return nil, err
-	}
-	return tr.search(geom.Moving(toRect(r1), toRect(r2), t1, t2, tr.dims), now)
 }
 
 // Nearest returns the k objects whose predicted positions at time at
 // are closest to pos, nearest first.  Expired reports never qualify.
 // Like Timeslice, the query time must not precede the current time.
 func (tr *Tree) Nearest(pos Vec, at float64, k int, now float64) ([]Result, error) {
-	if tr.rec != nil {
-		res, _, err := tr.TraceNearest(pos, at, k, now)
-		return res, err
-	}
-	start := time.Now()
-	res, err := tr.nearest(pos, at, k, now)
-	tr.m.ObserveOp(obs.OpNearest, time.Since(start), err)
+	res, _, err := tr.nearest(tr.rec != nil, pos, at, k, now)
 	return res, err
-}
-
-func (tr *Tree) nearest(pos Vec, at float64, k int, now float64) ([]Result, error) {
-	if err := checkTimeslice(at, now); err != nil {
-		return nil, err
-	}
-	var (
-		rs  []core.Result
-		err error
-	)
-	if tr.snapshotReads() {
-		rs, err = tr.t.NearestSnap(geom.Vec(pos), at, k, now)
-	} else {
-		tr.rlock()
-		defer tr.mu.RUnlock()
-		rs, err = tr.t.Nearest(geom.Vec(pos), at, k, now)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return fromResults(rs, now, tr.dims), nil
-}
-
-func (tr *Tree) search(q geom.Query, now float64) ([]Result, error) {
-	var (
-		rs  []core.Result
-		err error
-	)
-	if tr.snapshotReads() {
-		rs, err = tr.t.SearchSnap(q, now)
-	} else {
-		tr.rlock()
-		defer tr.mu.RUnlock()
-		rs, err = tr.t.Search(q, now)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return fromResults(rs, now, tr.dims), nil
-}
-
-// snapshotReads reports whether queries should traverse the lock-free
-// snapshot path.  Every constructor publishes a snapshot before the
-// tree is handed out, so the sequence check is a pure defensive guard:
-// once non-zero it can never revert, so the locked fallback and the
-// snapshot path cannot be chosen inconsistently mid-query.
-func (tr *Tree) snapshotReads() bool {
-	return !tr.lockedReads && tr.t.SnapshotSeq() != 0
 }
 
 // Get returns the object's current report (positioned at now), if any
@@ -714,31 +687,15 @@ func (tr *Tree) storedPoint(p Point) geom.MovingPoint {
 }
 
 // clockNow reads the tree's high-water clock — the time of the newest
-// applied update — preferring the lock-free snapshot's published clock
-// so a live-reshard scan never blocks the write path.
-func (tr *Tree) clockNow() float64 {
-	if tr.snapshotReads() {
-		if c, ok := tr.t.PubClock(); ok {
-			return c
-		}
-	}
-	tr.rlock()
-	defer tr.mu.RUnlock()
-	return tr.t.Now()
-}
+// applied update — from the lock-free snapshot's published clock, so a
+// live-reshard scan never blocks the write path.
+func (tr *Tree) clockNow() float64 { return tr.t.PubClock() }
 
 // exportRecords streams every stored record (live and expired alike, in
-// raw internal form) to fn, over the lock-free snapshot when available
-// so a concurrent update stream is never stalled by a full-index scan.
+// raw internal form) to fn, over the lock-free snapshot so a concurrent
+// update stream is never stalled by a full-index scan.
 func (tr *Tree) exportRecords(fn func(oid uint32, p geom.MovingPoint) error) error {
-	if tr.snapshotReads() {
-		if ok, err := tr.t.ExportSnap(fn); ok {
-			return err
-		}
-	}
-	tr.rlock()
-	defer tr.mu.RUnlock()
-	return tr.t.Records(fn)
+	return tr.t.ExportSnap(fn)
 }
 
 // objectsInto copies the tree's object table (the authoritative
