@@ -87,20 +87,22 @@ fuzz-smoke:
 	$(GO) test ./internal/repl -run '^$$' -fuzz FuzzReplFrameRoundTrip -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLocateVsSearch -fuzztime 10s -fuzzminimizetime 2s
 
-# The update path from the inside out: the near-optimal TPBR kernel on
-# a full leaf's worth of entries, computeBR on a full leaf and a full
-# internal node, the pool's flush of one dirty page among many clean
-# ones, one steady-state update (delete + insert) through the public
-# tree, the same update per report in batches of 1, 25 and 100, and a
-# 25-report body acknowledged by a durable tree behind a 16-page pool
-# (with its fsyncs and checkpoints per body).  -benchmem's allocs/op of
-# the update benchmarks is the path's allocation budget (16 / 8 / 5 per
-# report in batches of 1 / 25 / 100 since the delete's path is the
-# tree's own scratch; the search's appends cost three more).
+# The update path from the inside out: ChooseSubtree's per-entry
+# enlargement metric, the near-optimal TPBR kernel on a full leaf's
+# worth of entries, computeBR and the page encoding of a full leaf and
+# a full internal node, the pool's flush of one dirty page among many
+# clean ones, one steady-state update (delete + insert) through the
+# public tree, the same update per report in batches of 1, 25 and 100,
+# and a 25-report body acknowledged by a durable tree behind a 16-page
+# pool (with its fsyncs and checkpoints per body).  -benchmem's
+# allocs/op of the update benchmarks is the path's allocation budget
+# (8 / 3 / 2 per report in batches of 1 / 25 / 100 since a published
+# page costs two objects; the search's appends cost three more).
 # Prints to the terminal; bench/ holds the numbers that count.
 bench-update:
+	$(GO) test ./internal/geom -run '^$$' -bench 'BenchmarkEnlargement$$' -benchmem
 	$(GO) test ./internal/hull -run '^$$' -bench 'BenchmarkNearOptimal$$' -benchmem
-	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkComputeBR' -benchmem
+	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkComputeBR|BenchmarkEncode' -benchmem
 	$(GO) test ./internal/storage -run '^$$' -bench 'BenchmarkFlushOneDirty' -benchmem
 	$(GO) test . -run '^$$' -bench 'BenchmarkUpdateThroughput$$|BenchmarkUpdateBatch|BenchmarkDurableBatch' -benchmem
 

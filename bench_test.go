@@ -106,6 +106,7 @@ func BenchmarkUpdateThroughput(b *testing.B) {
 		now += 0.01
 		seedObj(b, tree, uint32(i), now)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now += 0.01

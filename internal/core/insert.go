@@ -96,7 +96,7 @@ func (t *Tree) insertOrphan(o orphan, orphans *[]orphan) error {
 	if o.level >= t.height {
 		return fmt.Errorf("core: orphan level %d above root level %d", o.level, t.height-1)
 	}
-	path := []*node{rootNode}
+	path := append(t.descent[:0], rootNode)
 	for n := rootNode; n.level > o.level; {
 		idx := t.chooseChild(n, o.e.rect)
 		child, err := t.readNode(n.entries[idx].child())
@@ -106,6 +106,7 @@ func (t *Tree) insertOrphan(o orphan, orphans *[]orphan) error {
 		path = append(path, child)
 		n = child
 	}
+	t.descent = path
 	// propagateUp purges the target (new entry included) before it
 	// looks at its fill.
 	target := path[len(path)-1]
@@ -180,9 +181,7 @@ func (t *Tree) chooseChild(n *node, r geom.TPRect) int {
 		// Neither integral reads the rectangle's own expiration time;
 		// it enters through end alone.
 		end := t.metricEnd(exp, rNew.TExp)
-		area := geom.AreaIntegral(e.rect, now, end, dims)
-		union := geom.UnionConservative(e.rect, rNew, now, dims)
-		enl := geom.AreaIntegral(union, now, end, dims) - area
+		area, enl := geom.Enlargement(&e.rect, &rNew, now, end, dims)
 		if best < 0 || enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
 		}
@@ -387,7 +386,8 @@ func (t *Tree) shrinkRoot() error {
 // Eq. 1) and returns them ordered closest-first.
 func (t *Tree) pickReinsert(n *node) []entry {
 	nodeBR := t.computeBR(n)
-	end := t.metricEnd(t.decisionExp(&nodeBR, n.level+1))
+	exp := t.decisionExp(&nodeBR, n.level+1)
+	end := t.metricEnd(exp, exp)
 	type scored struct {
 		e entry
 		d float64

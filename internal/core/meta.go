@@ -42,12 +42,34 @@ func (t *Tree) initMeta() error {
 }
 
 // Sync writes the tree's metadata and flushes all dirty pages, making
-// the underlying store self-contained.
+// the underlying store self-contained.  A tree whose pool has no encoder
+// (imagesAtSync) then renders every stale node straight into the store;
+// that costs no I/O, because the pool charged the page's writes when it
+// moved the bytes.
 func (t *Tree) Sync() error {
 	if err := t.StageMeta(); err != nil {
 		return err
 	}
-	return t.bp.Flush()
+	if err := t.bp.Flush(); err != nil {
+		return err
+	}
+	if !t.imagesAtSync {
+		return nil
+	}
+	t.cacheMu.Lock()
+	defer t.cacheMu.Unlock()
+	store := t.bp.Store()
+	buf := make([]byte, storage.PageSize)
+	for id, n := range t.cache {
+		if !t.render(n, buf) {
+			continue
+		}
+		if err := store.WritePage(id, buf); err != nil {
+			n.stale = true
+			return err
+		}
+	}
+	return nil
 }
 
 // StageMeta encodes the tree's metadata into its buffered page and

@@ -38,9 +38,9 @@ type node struct {
 	level   int // 0 = leaf
 	entries []entry
 
-	// stale is set when the node was written since its buffered page
-	// was last encoded; the buffer pool asks for the bytes when it needs
-	// them (Tree.encodePage).
+	// stale is set when the node was written since its page was last
+	// encoded; the buffer pool asks for the bytes when it needs them
+	// (Tree.encodePage), or Sync renders them (Tree.imagesAtSync).
 	stale bool
 }
 
@@ -101,11 +101,12 @@ func (l layout) min(level int) int {
 	return l.innerMin
 }
 
-// f32Down converts x to the largest float32 not exceeding x.
+// f32Down converts x to the largest float32 not exceeding x.  The
+// rounding step is out of line so the common exact case inlines.
 func f32Down(x float64) float32 {
 	f := float32(x)
 	if float64(f) > x {
-		f = math.Nextafter32(f, float32(math.Inf(-1)))
+		return f32Below(f)
 	}
 	return f
 }
@@ -114,10 +115,16 @@ func f32Down(x float64) float32 {
 func f32Up(x float64) float32 {
 	f := float32(x)
 	if float64(f) < x {
-		f = math.Nextafter32(f, float32(math.Inf(1)))
+		return f32Above(f)
 	}
 	return f
 }
+
+//go:noinline
+func f32Below(f float32) float32 { return math.Nextafter32(f, float32(math.Inf(-1))) }
+
+//go:noinline
+func f32Above(f float32) float32 { return math.Nextafter32(f, float32(math.Inf(1))) }
 
 // quantize rounds a trajectory record to the float32 precision it will
 // have on the page, so that in-memory state and page state agree

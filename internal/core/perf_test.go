@@ -83,4 +83,24 @@ func BenchmarkComputeBR(b *testing.B) {
 	}
 }
 
+// BenchmarkEncode measures rendering a full node into its page image:
+// what a file-backed tree pays per write-back and per checkpoint image.
+// An internal entry's bounds are rounded outward to float32, a leaf
+// entry's coordinates are exact.
+func BenchmarkEncode(b *testing.B) {
+	tr, leaf, inner := brNodes(b)
+	buf := make([]byte, storage.PageSize)
+	for _, c := range []struct {
+		name string
+		n    *node
+	}{{"leaf", leaf}, {"internal", inner}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tr.lay.encode(c.n, buf)
+			}
+		})
+	}
+}
+
 var sinkBR geom.TPRect

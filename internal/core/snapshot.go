@@ -37,21 +37,26 @@ type pubState struct {
 }
 
 // vnode is the immutable columnar image of one node version.  Entry
-// coordinates are stored as four parallel column slices cut from one
-// backing array, so the intersection kernel runs as a single sweep of
-// contiguous memory per node instead of per-entry pointer chasing.
-// For leaves the hi/vhi columns alias lo/vlo (a leaf entry is a
-// degenerate rectangle), so a single kernel serves both node kinds.
+// coordinates are stored as four parallel column slices, so the
+// intersection kernel runs as a single sweep of contiguous memory per
+// node instead of per-entry pointer chasing.  For leaves the hi/vhi
+// columns alias lo/vlo (a leaf entry is a degenerate rectangle), so a
+// single kernel serves both node kinds.  Every column is cut from one
+// float64 backing array, the ids included (a float64 holds every uint32
+// exactly), so an image costs one allocation besides its version link.
 type vnode struct {
 	level int
 	count int
-	oids  []uint32  // object ids (leaf) or child page ids (internal)
+	ids   []float64 // object ids (leaf) or child page ids (internal)
 	texp  []float64 // recorded expiration times (+Inf when absent)
 	lo    []float64 // count*dims, entry-major: lo[i*dims+d]
 	hi    []float64
 	vlo   []float64
 	vhi   []float64
 }
+
+// oid returns entry i's object id (leaf) or child page id (internal).
+func (v *vnode) oid(i int) uint32 { return uint32(v.ids[i]) }
 
 // point reconstructs the leaf entry's trajectory record, identical to
 // entry.point() on the node the vnode was copied from.
@@ -66,24 +71,24 @@ func (v *vnode) point(i, dims int) geom.MovingPoint {
 	return p
 }
 
-// vnodeOf deep-copies a node into its immutable columnar image.  The
-// copy is what makes in-place node mutation by later operations (purge
-// splices, split redistributions) invisible to pinned readers.
-func vnodeOf(n *node, dims int) *vnode {
-	c := len(n.entries)
-	v := &vnode{
-		level: n.level,
-		count: c,
-		oids:  make([]uint32, c),
-		texp:  make([]float64, c),
-	}
+// copyNode deep-copies a node into v, its immutable columnar image.
+// The copy is what makes in-place node mutation by later operations
+// (purge splices, split redistributions) invisible to pinned readers.
+func (v *vnode) copyNode(n *node, dims int) {
+	c, cd := len(n.entries), len(n.entries)*dims
+	coords := 4
 	if n.level == 0 {
-		backing := make([]float64, 2*c*dims)
-		v.lo, v.vlo = backing[:c*dims], backing[c*dims:]
+		coords = 2
+	}
+	backing := make([]float64, 2*c+coords*cd)
+	*v = vnode{level: n.level, count: c, ids: backing[:c], texp: backing[c : 2*c]}
+	cols := backing[2*c:]
+	if n.level == 0 {
+		v.lo, v.vlo = cols[:cd], cols[cd:]
 		v.hi, v.vhi = v.lo, v.vlo
 		for i := range n.entries {
 			e := &n.entries[i]
-			v.oids[i] = e.id
+			v.ids[i] = float64(e.id)
 			v.texp[i] = e.rect.TExp
 			b := i * dims
 			for d := 0; d < dims; d++ {
@@ -91,16 +96,15 @@ func vnodeOf(n *node, dims int) *vnode {
 				v.vlo[b+d] = e.rect.VLo[d]
 			}
 		}
-		return v
+		return
 	}
-	backing := make([]float64, 4*c*dims)
-	v.lo = backing[:c*dims]
-	v.hi = backing[c*dims : 2*c*dims]
-	v.vlo = backing[2*c*dims : 3*c*dims]
-	v.vhi = backing[3*c*dims:]
+	v.lo = cols[:cd]
+	v.hi = cols[cd : 2*cd]
+	v.vlo = cols[2*cd : 3*cd]
+	v.vhi = cols[3*cd:]
 	for i := range n.entries {
 		e := &n.entries[i]
-		v.oids[i] = e.id
+		v.ids[i] = float64(e.id)
 		v.texp[i] = e.rect.TExp
 		b := i * dims
 		for d := 0; d < dims; d++ {
@@ -110,7 +114,6 @@ func vnodeOf(n *node, dims int) *vnode {
 			v.vhi[b+d] = e.rect.VHi[d]
 		}
 	}
-	return v
 }
 
 // version is one link of a page's version chain.  n is nil for a
@@ -120,6 +123,13 @@ type version struct {
 	seq  uint64
 	n    *vnode
 	prev atomic.Pointer[version]
+}
+
+// imagedVersion is a version link allocated together with its node
+// image (n points at img), so a tombstone stays a bare link.
+type imagedVersion struct {
+	version
+	img vnode
 }
 
 // chain is the per-page version list, newest first.
@@ -224,10 +234,16 @@ func (t *Tree) publish() {
 			c = &chain{}
 			tbl[id].Store(c)
 		}
-		v := &version{seq: seq}
+		var v *version
 		if n != nil {
-			v.n = vnodeOf(n, t.cfg.Dims)
+			iv := new(imagedVersion)
+			iv.img.copyNode(n, t.cfg.Dims)
+			iv.n = &iv.img
+			v = &iv.version
+		} else {
+			v = new(version)
 		}
+		v.seq = seq
 		v.prev.Store(c.head.Load())
 		c.head.Store(v)
 		touched = append(touched, c)
@@ -371,7 +387,9 @@ func (t *Tree) snapNode(p *pubState, id storage.PageID, hits, misses *uint64, st
 	if err != nil {
 		return nil, err
 	}
-	return vnodeOf(n, t.cfg.Dims), nil
+	v := new(vnode)
+	v.copyNode(n, t.cfg.Dims)
+	return v, nil
 }
 
 // addSnapStats folds a snapshot traversal's locally accumulated chain
@@ -514,7 +532,7 @@ func (t *Tree) SearchFuncSnapStats(q geom.Query, now float64, st *TravStats, fn 
 					t2 = texp
 				}
 				if snapIntersects(&q.Region, v, i, dims, q.T1, t2) {
-					if !fn(Result{OID: v.oids[i], Point: v.point(i, dims)}) {
+					if !fn(Result{OID: v.oid(i), Point: v.point(i, dims)}) {
 						flush()
 						return nil
 					}
@@ -532,7 +550,7 @@ func (t *Tree) SearchFuncSnapStats(q geom.Query, now float64, st *TravStats, fn 
 				t2 = texp
 			}
 			if snapIntersects(&q.Region, v, i, dims, q.T1, t2) {
-				stack = append(stack, storage.PageID(v.oids[i]))
+				stack = append(stack, storage.PageID(v.oid(i)))
 			}
 		}
 	}
@@ -570,14 +588,14 @@ func (t *Tree) ExportSnap(fn func(oid uint32, p geom.MovingPoint) error) error {
 		}
 		if v.level == 0 {
 			for i := 0; i < v.count; i++ {
-				if err := fn(v.oids[i], v.point(i, dims)); err != nil {
+				if err := fn(v.oid(i), v.point(i, dims)); err != nil {
 					return err
 				}
 			}
 			continue
 		}
 		for i := 0; i < v.count; i++ {
-			stack = append(stack, storage.PageID(v.oids[i]))
+			stack = append(stack, storage.PageID(v.oid(i)))
 		}
 	}
 	return nil
@@ -654,7 +672,7 @@ func (t *Tree) NearestSnapStats(q geom.Vec, at float64, k int, now float64, st *
 				}
 				pq = pq.push(nnItem{
 					dist:  math.Sqrt(s),
-					oid:   v.oids[i],
+					oid:   v.oid(i),
 					point: v.point(i, dims),
 				})
 				continue
@@ -674,7 +692,7 @@ func (t *Tree) NearestSnapStats(q geom.Vec, at float64, k int, now float64, st *
 			}
 			pq = pq.push(nnItem{
 				dist:   math.Sqrt(s),
-				page:   storage.PageID(v.oids[i]),
+				page:   storage.PageID(v.oid(i)),
 				isNode: true,
 			})
 		}

@@ -67,7 +67,7 @@ func (t *Tree) chooseSplit(entries []entry, level int) (g1, g2 []entry) {
 		dr[i].TExp = t.decisionExp(&dr[i], level)
 		allExp = math.Max(allExp, dr[i].TExp)
 	}
-	end := t.metricEnd(allExp)
+	end := t.metricEnd(allExp, allExp)
 
 	order := make([]int, total)
 	prefix := make([]geom.TPRect, total+1)

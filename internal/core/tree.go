@@ -46,6 +46,15 @@ type Tree struct {
 	cacheMu sync.RWMutex
 	cache   map[storage.PageID]*node
 
+	// imagesAtSync is set for a tree over a bare MemStore without
+	// DeferFlush; a wrapped one (a LatencyStore, a test store) keeps
+	// the encoder, like a file store.  Nothing reads such a store's node pages but an Open
+	// after Sync — every node the tree has touched stays in its cache —
+	// so the pool gets no encoder: it charges hits, misses, write-backs
+	// and evictions as ever but moves stale bytes, and Sync renders every
+	// stale node into the store itself.
+	imagesAtSync bool
+
 	// Self-tuning state (§4.2.3).
 	leafEntries   int   // N: leaf entries physically stored
 	nodesPerLevel []int // nodes per level, for per-level horizons
@@ -63,11 +72,13 @@ type Tree struct {
 	// are rebuilt by Open's walk; every place an entry or a child
 	// pointer changes node maintains them (adopt where one arrives;
 	// purgeNode, freeSubtree and freeNode where one leaves for good).
-	// path and pathIDs are locate's scratch.
+	// path and pathIDs are locate's scratch, descent insertOrphan's (a
+	// delete's orphans are placed while its located path is in use).
 	loc     map[uint32]storage.PageID
 	parent  map[storage.PageID]storage.PageID
 	path    []*node
 	pathIDs []storage.PageID
+	descent []*node
 
 	// Reusable state of computeBR: the near-optimal workspace and its
 	// dimension order, and the item buffer of the other kinds.
@@ -110,7 +121,11 @@ func newTreeShell(cfg Config, store storage.Store) *Tree {
 	}
 	empty := make([]atomic.Pointer[chain], 0)
 	t.chains.Store(&empty)
-	t.bp.SetEncoder(t.encodePage)
+	if _, mem := store.(*storage.MemStore); mem && !cfg.DeferFlush {
+		t.imagesAtSync = true
+	} else {
+		t.bp.SetEncoder(t.encodePage)
+	}
 	if t.met != nil {
 		t.bp.SetMetrics(t.met)
 	}
@@ -389,14 +404,11 @@ func (t *Tree) decisionExp(r *geom.TPRect, level int) float64 {
 }
 
 // metricEnd returns the upper integration bound now+min(H, texp-now)
-// of Eq. 1, given the expiration times of the rectangles involved.
-func (t *Tree) metricEnd(texps ...float64) float64 {
+// of Eq. 1, texp the later expiration time of the two rectangles
+// involved (pass one twice for a single rectangle).
+func (t *Tree) metricEnd(texpA, texpB float64) float64 {
 	end := t.Now() + t.metricH()
-	m := math.Inf(-1)
-	for _, e := range texps {
-		m = math.Max(m, e)
-	}
-	if m < end {
+	if m := max(texpA, texpB); m < end {
 		end = m
 	}
 	if end < t.Now() {
@@ -519,7 +531,8 @@ func (t *Tree) readNodeStats(id storage.PageID, st *TravStats) (*node, error) {
 // writeNode records that the node changed: its buffered page is marked
 // dirty and its image stale.  The bytes are produced when the page
 // leaves the pool (encodePage) — at the end of the operation, on
-// eviction, or into a checkpoint image.  The pool is consulted exactly
+// eviction, or into a checkpoint image — or, for a tree with
+// imagesAtSync, at the next Sync.  The pool is consulted exactly
 // as if the page were rewritten here, so hits, misses and replacement
 // order do not depend on when the encoding happens.
 func (t *Tree) writeNode(n *node) error {
@@ -542,18 +555,21 @@ func (t *Tree) encodePage(id storage.PageID, buf []byte) {
 	t.cacheMu.RLock()
 	n := t.cache[id]
 	t.cacheMu.RUnlock()
-	if n == nil || !n.stale {
-		return
-	}
-	if len(n.entries) > t.lay.cap(n.level) {
-		// The page is being evicted in the middle of an insertion that
-		// has overfilled the node.  The insertion writes the node again
-		// once it has split or thinned it, so the page keeps its older
-		// image until then.
-		return
+	t.render(n, buf)
+}
+
+// render encodes a stale node into buf and marks it current, reporting
+// whether it did.  A node with nothing newer is left alone, and so is
+// one that is overfull: its page is being evicted in the middle of an
+// insertion, which writes the node again once it has split or thinned
+// it, so the page keeps its older image until then.
+func (t *Tree) render(n *node, buf []byte) bool {
+	if n == nil || !n.stale || len(n.entries) > t.lay.cap(n.level) {
+		return false
 	}
 	t.lay.encode(n, buf)
 	n.stale = false
+	return true
 }
 
 // allocNode creates an empty node at the given level.  The node is the

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -161,6 +163,108 @@ func TestStaleImagesSurviveStealing(t *testing.T) {
 					re.Height(), re.Size(), re.LeafEntries(), twin.Height(), twin.Size(), twin.LeafEntries())
 			}
 		})
+	}
+}
+
+// TestMemoryTreeRendersImagesAtSync pins "I/O is counted, bytes are
+// rendered at Sync": a tree over a MemStore has no page encoder, so its
+// pool moves stale bytes, while a FileStore twin encodes at every
+// write-back.  Fed the golden stream on a 10-page pool, the two must
+// charge the same I/O throughout, hold the same page bytes after Sync,
+// and the memory store must reopen to the tree that wrote it.
+func TestMemoryTreeRendersImagesAtSync(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays the 30 000-operation golden stream twice")
+	}
+	cfg := goldenTrees[3].cfg // near-optimal
+	cfg.Dims, cfg.Seed, cfg.BufferPages = 2, 1, 10
+	mem := storage.NewMemStore()
+	file, err := storage.CreateFileStore(filepath.Join(t.TempDir(), "twin.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	var trees [2]*Tree
+	for i, store := range []storage.Store{mem, file} {
+		if trees[i], err = New(cfg, store); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, twin := trees[0], trees[1]
+	if !tr.imagesAtSync || twin.imagesAtSync {
+		t.Fatalf("imagesAtSync: memory tree %v, file tree %v", tr.imagesAtSync, twin.imagesAtSync)
+	}
+	gen, err := workload.NewGenerator(goldenParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < goldenOps; i++ {
+		op, ok := gen.Next()
+		if !ok {
+			t.Fatalf("stream ended after %d operations", i)
+		}
+		for _, x := range trees {
+			switch op.Kind {
+			case workload.OpInsert:
+				err = x.Insert(op.OID, op.Point, op.Time)
+			case workload.OpDelete:
+				_, err = x.Delete(op.OID, op.Point, op.Time)
+			case workload.OpQuery:
+				_, err = x.Search(op.Query, op.Time)
+			}
+			if err != nil {
+				t.Fatalf("operation %d: %v", i, err)
+			}
+		}
+		if (i+1)%1000 == 0 {
+			if a, b := tr.IOStats(), twin.IOStats(); a != b {
+				t.Fatalf("after %d operations the memory tree charged %+v, the file tree %+v", i+1, a, b)
+			}
+		}
+	}
+	if st := tr.IOStats(); st.DirtyWritebacks == 0 {
+		t.Fatal("no dirty page was written back; the pool is too large for the test")
+	}
+	stale := 0
+	for _, n := range tr.cache {
+		if n.stale {
+			stale++
+		}
+	}
+	if stale == 0 {
+		t.Fatal("no node is waiting for its image; Sync has nothing to render")
+	}
+	for _, x := range trees {
+		if err := x.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := tr.IOStats(), twin.IOStats(); a != b {
+		t.Fatalf("after Sync the memory tree charged %+v, the file tree %+v", a, b)
+	}
+	got, want := make([]byte, storage.PageSize), make([]byte, storage.PageSize)
+	for id := storage.PageID(0); ; id++ {
+		gerr, werr := mem.ReadPage(id, got), file.ReadPage(id, want)
+		if errors.Is(gerr, storage.ErrPageRange) && errors.Is(werr, storage.ErrPageRange) {
+			break
+		}
+		if (gerr == nil) != (werr == nil) || (gerr == nil && !bytes.Equal(got, want)) {
+			t.Fatalf("page %d: the memory store holds %v (%v), the file store %v (%v)", id, got[:16], gerr, want[:16], werr)
+		}
+	}
+
+	re, err := Open(cfg, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := re.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := storedRecords(t, re), storedRecords(t, tr); !slices.Equal(got, want) {
+		t.Fatalf("the reopened tree holds %d records, the live tree %d, or they differ", len(got), len(want))
+	}
+	if re.Height() != tr.Height() || re.Size() != tr.Size() {
+		t.Fatalf("reopened height/pages %d/%d, live %d/%d", re.Height(), re.Size(), tr.Height(), tr.Size())
 	}
 }
 

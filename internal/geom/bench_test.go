@@ -54,6 +54,23 @@ func BenchmarkUnionConservative(b *testing.B) {
 	}
 }
 
+// BenchmarkEnlargement is ChooseSubtree's per-entry metric: the area
+// integral of an entry and its growth by the conservative union.  The
+// rectangles grow, as bounding rectangles do, so both integrals take
+// the fast path.
+func BenchmarkEnlargement(b *testing.B) {
+	rs := benchRects(256)
+	for i := range rs {
+		for d := 0; d < 2; d++ {
+			rs[i].VLo[d], rs[i].VHi[d] = min(rs[i].VLo[d], rs[i].VHi[d]), max(rs[i].VLo[d], rs[i].VHi[d])
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Enlargement(&rs[i%256], &rs[(i+7)%256], 5, 30, 2)
+	}
+}
+
 func BenchmarkCenterDistIntegral(b *testing.B) {
 	rs := benchRects(256)
 	b.ReportAllocs()

@@ -71,32 +71,72 @@ func AreaIntegral(r TPRect, t1, t2 float64, dims int) float64 {
 	if t2 <= t1 {
 		return 0
 	}
-	// Fast path: every extent stays positive on [t1, t2] (the common
-	// case on the insertion hot path) — the integrand is a polynomial
-	// of degree <= 3, integrated exactly by two-point Gauss-Legendre.
-	fast := true
+	var c0, c1 Vec
 	for i := 0; i < dims; i++ {
-		c0 := r.Hi[i] - r.Lo[i]
-		c1 := r.VHi[i] - r.VLo[i]
-		if c0+c1*t1 <= 0 || c0+c1*t2 <= 0 {
-			fast = false
-			break
-		}
+		c0[i] = r.Hi[i] - r.Lo[i]
+		c1[i] = r.VHi[i] - r.VLo[i]
 	}
-	if fast {
-		h := t2 - t1
-		m := (t1 + t2) / 2
-		d := h / (2 * math.Sqrt(3))
-		pa, pb := 1.0, 1.0
-		for i := 0; i < dims; i++ {
-			c0 := r.Hi[i] - r.Lo[i]
-			c1 := r.VHi[i] - r.VLo[i]
-			pa *= c0 + c1*(m-d)
-			pb *= c0 + c1*(m+d)
-		}
-		return h / 2 * (pa + pb)
+	if area, ok := areaIntegralFast(&c0, &c1, t1, t2, dims); ok {
+		return area
 	}
 	return areaIntegralSlow(r, t1, t2, dims)
+}
+
+// Enlargement returns the area integral of a over [t1, t2] and how much
+// it grows when a is extended by b at t1:
+//
+//	area = AreaIntegral(*a, t1, t2, dims)
+//	enl  = AreaIntegral(UnionConservative(*a, *b, t1, dims), t1, t2, dims) - area
+//
+// computed term for term — bit for bit — but without building the
+// union or copying either rectangle.  It is ChooseSubtree's metric.
+func Enlargement(a, b *TPRect, t1, t2 float64, dims int) (area, enl float64) {
+	if t2 <= t1 {
+		return 0, 0
+	}
+	var ac0, ac1, uc0, uc1 Vec
+	for i := 0; i < dims; i++ {
+		ac0[i] = a.Hi[i] - a.Lo[i]
+		ac1[i] = a.VHi[i] - a.VLo[i]
+		// UnionConservative's dimension i, as differences of its bounds.
+		vlo := min(a.VLo[i], b.VLo[i])
+		vhi := max(a.VHi[i], b.VHi[i])
+		lo := min(a.Lo[i]+a.VLo[i]*t1, b.Lo[i]+b.VLo[i]*t1) - vlo*t1
+		hi := max(a.Hi[i]+a.VHi[i]*t1, b.Hi[i]+b.VHi[i]*t1) - vhi*t1
+		uc0[i] = hi - lo
+		uc1[i] = vhi - vlo
+	}
+	area, ok := areaIntegralFast(&ac0, &ac1, t1, t2, dims)
+	if !ok {
+		area = areaIntegralSlow(*a, t1, t2, dims)
+	}
+	union, ok := areaIntegralFast(&uc0, &uc1, t1, t2, dims)
+	if !ok {
+		union = areaIntegralSlow(UnionConservative(*a, *b, t1, dims), t1, t2, dims)
+	}
+	return area, union - area
+}
+
+// areaIntegralFast integrates the product of the extents c0[i] +
+// c1[i]·t over [t1, t2], t1 < t2, when every extent stays positive
+// there (the common case on the insertion hot path): the integrand is
+// then a polynomial of degree <= 3, integrated exactly by two-point
+// Gauss-Legendre.  ok is false when an extent reaches zero.
+func areaIntegralFast(c0, c1 *Vec, t1, t2 float64, dims int) (area float64, ok bool) {
+	for i := 0; i < dims; i++ {
+		if c0[i]+c1[i]*t1 <= 0 || c0[i]+c1[i]*t2 <= 0 {
+			return 0, false
+		}
+	}
+	h := t2 - t1
+	m := (t1 + t2) / 2
+	d := h / (2 * math.Sqrt(3))
+	pa, pb := 1.0, 1.0
+	for i := 0; i < dims; i++ {
+		pa *= c0[i] + c1[i]*(m-d)
+		pb *= c0[i] + c1[i]*(m+d)
+	}
+	return h / 2 * (pa + pb), true
 }
 
 func areaIntegralSlow(r TPRect, t1, t2 float64, dims int) float64 {

@@ -86,14 +86,17 @@ func (r TPRect) ContainsTPRect(s TPRect, t1, t2 float64, dims int) bool {
 // min/max of a's and b's bound velocities.  This is the "what if"
 // enlargement used by ChooseSubtree; it is bounding for all t >= now
 // whenever a and b are.  The expiration time is the max of the two.
+// The builtin min and max treat NaN and ±0 as math.Min and math.Max do
+// (they differ only on a NaN against an infinity) and, unlike them,
+// inline.
 func UnionConservative(a, b TPRect, now float64, dims int) TPRect {
 	var r TPRect
-	r.TExp = math.Max(a.TExp, b.TExp)
+	r.TExp = max(a.TExp, b.TExp)
 	for i := 0; i < dims; i++ {
-		r.VLo[i] = math.Min(a.VLo[i], b.VLo[i])
-		r.VHi[i] = math.Max(a.VHi[i], b.VHi[i])
-		lo := math.Min(a.Lo[i]+a.VLo[i]*now, b.Lo[i]+b.VLo[i]*now)
-		hi := math.Max(a.Hi[i]+a.VHi[i]*now, b.Hi[i]+b.VHi[i]*now)
+		r.VLo[i] = min(a.VLo[i], b.VLo[i])
+		r.VHi[i] = max(a.VHi[i], b.VHi[i])
+		lo := min(a.Lo[i]+a.VLo[i]*now, b.Lo[i]+b.VLo[i]*now)
+		hi := max(a.Hi[i]+a.VHi[i]*now, b.Hi[i]+b.VHi[i]*now)
 		r.Lo[i] = lo - r.VLo[i]*now
 		r.Hi[i] = hi - r.VHi[i]*now
 	}

@@ -903,10 +903,7 @@ func (s *ShardedTree) applyBatch(g *generation, batch []Report, now float64, tc 
 		}
 		tc.endAt(ri)
 		ai := tc.begin(-1, "apply", -1)
-		err := s.fanOut(g, nil, func(i int, t *Tree, _ time.Time) error {
-			if len(groups[i]) == 0 {
-				return nil
-			}
+		err := s.fanOut(g, nonEmpty(groups), func(i int, t *Tree, _ time.Time) error {
 			return t.UpdateBatch(groups[i], now)
 		})
 		tc.endAt(ai)
@@ -932,7 +929,7 @@ func (s *ShardedTree) applyBatch(g *generation, batch []Report, now float64, tc 
 	}
 	tc.endAt(ri)
 	di := tc.begin(-1, "reroute-deletes", -1)
-	err := s.fanOut(g, nil, func(i int, t *Tree, _ time.Time) error {
+	err := s.fanOut(g, nonEmpty(delGroups), func(i int, t *Tree, _ time.Time) error {
 		ids := delGroups[i]
 		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 		for _, id := range ids {
@@ -958,10 +955,7 @@ func (s *ShardedTree) applyBatch(g *generation, batch []Report, now float64, tc 
 		groups[i] = append(groups[i], r)
 	}
 	ai := tc.begin(-1, "apply", -1)
-	err = s.fanOut(g, nil, func(i int, t *Tree, _ time.Time) error {
-		if len(groups[i]) == 0 {
-			return nil
-		}
+	err = s.fanOut(g, nonEmpty(groups), func(i int, t *Tree, _ time.Time) error {
 		return t.UpdateBatch(groups[i], now)
 	})
 	tc.endAt(ai)
@@ -970,6 +964,16 @@ func (s *ShardedTree) applyBatch(g *generation, batch []Report, now float64, tc 
 	}
 	s.widenGroups(g, groups, now)
 	return err
+}
+
+// nonEmpty is the fan-out mask of a batch's per-shard groups: a shard
+// with nothing to write gets no goroutine and no worker slot.
+func nonEmpty[T any](groups [][]T) []bool {
+	visit := make([]bool, len(groups))
+	for i, grp := range groups {
+		visit[i] = len(grp) > 0
+	}
+	return visit
 }
 
 // widenGroups widens each shard's summary with its group's reports.

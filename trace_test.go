@@ -611,6 +611,33 @@ func TestQueueWaitCountsVisitedShardsOnly(t *testing.T) {
 	}
 }
 
+// TestWriteQueueWaitCountsWrittenShardsOnly is the write side of the
+// same definition: a batch whose reports all hash to one of four shards
+// takes one worker slot, so queue_wait gets one observation, not four.
+func TestWriteQueueWaitCountsWrittenShardsOnly(t *testing.T) {
+	s, err := OpenSharded(ShardedOptions{Options: DefaultOptions(), Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	g := s.cur.Load()
+	var batch []Report
+	for id := uint32(0); len(batch) < 10; id++ {
+		p := Point{Pos: Vec{float64(id), 500}, Expires: NoExpiry()}
+		if g.part.route(id, p) == 2 {
+			batch = append(batch, Report{ID: id, Point: p})
+		}
+	}
+	before, _ := s.snapshots()
+	if err := s.UpdateBatch(batch, 0); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := s.snapshots()
+	if n := after.Sub(before).Phases[obs.PhaseQueueWait].Count; n != 1 {
+		t.Errorf("a batch for one shard made %d queue_wait observations, want 1", n)
+	}
+}
+
 // TestQueryAllocsRecorderOff pins "a nil trace costs nothing": with the
 // flight recorder off the query kernels may not allocate a trace, a
 // TravStats, a span block or a shard table.  The bounds are the
