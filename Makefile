@@ -2,6 +2,8 @@
 #
 #   make check            fmt-check + vet + build + tests (bench/ module too) + race + determinism + crash matrix + bench smokes
 #   make crash-matrix     the durable trees' crash and power-loss tests, three times over
+#   make bench            the repository benchmark (BENCHMARK.json) -> bench/out/runs.jsonl
+#   make bench-compare A=a.jsonl B=b.jsonl   compare two benchmark runs, run against run
 #   make bench-update     the update path's microbenchmarks (kernel, computeBR, one update, batched updates, a durable body)
 #   make bench-obs        metrics-overhead microbenchmark -> BENCH_obs.json
 #   make bench-shard      concurrent-throughput comparison -> BENCH_shard.json
@@ -17,7 +19,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt-check vet build test test-bench race determinism crash-matrix fuzz-smoke bench-update bench-obs bench-obs-smoke bench-shard bench-partition bench-partition-smoke bench-wal bench-wal-smoke bench-reshard bench-reshard-smoke bench-trace bench-trace-smoke serve-smoke bench-serve bench-serve-smoke bench-repl bench-repl-smoke fault-matrix clean
+.PHONY: all check fmt-check vet build test test-bench race determinism crash-matrix fuzz-smoke bench bench-compare bench-update bench-obs bench-obs-smoke bench-shard bench-partition bench-partition-smoke bench-wal bench-wal-smoke bench-reshard bench-reshard-smoke bench-trace bench-trace-smoke serve-smoke bench-serve bench-serve-smoke bench-repl bench-repl-smoke fault-matrix clean
 
 all: check bench-obs bench-shard bench-partition bench-wal bench-reshard bench-trace bench-serve bench-repl
 
@@ -86,6 +88,17 @@ fuzz-smoke:
 	$(GO) test . -run '^$$' -fuzz FuzzDualApplySchedule -fuzztime 10s
 	$(GO) test ./internal/repl -run '^$$' -fuzz FuzzReplFrameRoundTrip -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLocateVsSearch -fuzztime 10s -fuzzminimizetime 2s
+
+# The repository's benchmark, the reference for every performance
+# claim: all four workloads of BENCHMARK.json, built and run from this
+# checkout, appending to bench/out/runs.jsonl.  bench-compare sets two
+# such files against each other, run against run of the same seed and
+# window, and exits 1 on a metric that got worse beyond its bound.
+bench:
+	bash bench/run.sh
+
+bench-compare:
+	bash bench/run.sh --compare $(A) $(B)
 
 # The update path from the inside out: ChooseSubtree's per-entry
 # enlargement metric, the near-optimal TPBR kernel on a full leaf's

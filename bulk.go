@@ -5,7 +5,6 @@ import (
 	"os"
 
 	"rexptree/internal/core"
-	"rexptree/internal/geom"
 	"rexptree/internal/storage"
 )
 
@@ -49,15 +48,5 @@ func OpenBulk(opts Options, objs []BulkObject, now float64) (*Tree, error) {
 		store.Close()
 		return nil, err
 	}
-	tr := &Tree{
-		t:       t,
-		store:   store,
-		dims:    dims,
-		objects: make(map[uint32]geom.MovingPoint, len(objs)),
-		m:       m,
-	}
-	for _, it := range items {
-		tr.objects[it.OID] = t.Stored(it.Point)
-	}
-	return tr, nil
+	return &Tree{t: t, store: store, dims: dims, m: m}, nil
 }

@@ -28,7 +28,7 @@ func TestOpenBulk(t *testing.T) {
 	if tr.Len() != 3000 {
 		t.Fatalf("len = %d", tr.Len())
 	}
-	// Object table is usable: updates and deletes work immediately.
+	// The object directory is usable: updates and deletes work immediately.
 	if _, ok := tr.Get(7, 1); !ok {
 		t.Fatal("Get after bulk load failed")
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rexptree/internal/core"
-	"rexptree/internal/geom"
 	"rexptree/internal/obs"
 	"rexptree/internal/storage"
 	"rexptree/internal/wal"
@@ -77,23 +76,15 @@ func (tr *Tree) walRollback(prev int64, cause error) {
 	}
 }
 
-// walLogUpdate appends the report's logical record; called before the
-// mutation is applied (write-ahead ordering).
-func (tr *Tree) walLogUpdate(id uint32, p Point, now float64) error {
-	u := wal.Update{ID: id, Now: now, Time: p.Time, Expires: p.Expires}
-	copy(u.Pos[:], p.Pos[:])
-	copy(u.Vel[:], p.Vel[:])
-	tr.walBuf = wal.EncodeUpdate(tr.walBuf[:0], u)
-	if err := tr.wal.Append(tr.walBuf); err != nil {
-		return err
+// walLog appends the logical record of the update r (the deletion of
+// r.ID when del is set); called before the mutation is applied
+// (write-ahead ordering).
+func (tr *Tree) walLog(r *Report, del bool, now float64) error {
+	if del {
+		tr.walBuf = wal.EncodeDelete(tr.walBuf[:0], wal.Delete{ID: r.ID, Now: now})
+	} else {
+		tr.walBuf = wal.EncodeUpdate(tr.walBuf[:0], walUpdate(r, now))
 	}
-	tr.m.WALAppends.Inc()
-	return nil
-}
-
-// walLogDelete appends the deletion's logical record.
-func (tr *Tree) walLogDelete(id uint32, now float64) error {
-	tr.walBuf = wal.EncodeDelete(tr.walBuf[:0], wal.Delete{ID: id, Now: now})
 	if err := tr.wal.Append(tr.walBuf); err != nil {
 		return err
 	}
@@ -296,23 +287,15 @@ func recoverDurable(opts Options, fs *storage.FileStore, store storage.Store, cf
 	fs.SetDeferFrees(true)
 	fs.ResetFreeList(live)
 
-	// Rebuild the object table, then replay the logical tail.
-	bi := tc.begin(-1, "rebuild-records", -1)
-	if err := t.Records(func(oid uint32, p geom.MovingPoint) error {
-		tr.objects[oid] = p
-		return nil
-	}); err != nil {
-		return false, err
-	}
-	tc.endAt(bi)
+	// Replay the logical tail through the mutation envelope, before the
+	// WAL writer is attached: nothing is logged again.  The recovered
+	// clock is the latest timestamp in the log; any replayed report that
+	// has expired by it is dead on arrival — queries would never see it
+	// and a later update would purge it — so it replays as a deletion
+	// (the update's delete half without its insert).  Expired means what
+	// it means to the live index (core.isExpired): the expiration time as
+	// stored, rounded to the page's float32, lies before the clock.
 	ri := tc.begin(-1, "replay", -1)
-	// The recovered clock is the latest timestamp in the log; any
-	// replayed report that has expired by it is dead on arrival —
-	// queries would never see it and a later update would purge it — so
-	// the replay skips the insert half (the delete half still runs).
-	// Expired means what it means to the live index (core.isExpired):
-	// the expiration time as stored, rounded to the page's float32,
-	// lies before the clock.
 	clock := t.Now()
 	for _, rec := range a.Tail {
 		switch rec.Kind {
@@ -326,42 +309,32 @@ func recoverDurable(opts Options, fs *storage.FileStore, store storage.Store, cf
 			}
 		}
 	}
-	expireAware := cfg.ExpireAware
 	for _, rec := range a.Tail {
+		var (
+			op  = obs.OpDelete
+			r   Report
+			now float64
+		)
 		switch rec.Kind {
 		case wal.RecUpdate:
-			u := rec.Update
-			if old, ok := tr.objects[u.ID]; ok {
-				if _, err := t.Delete(u.ID, old, u.Now); err != nil {
-					return false, err
-				}
-				delete(tr.objects, u.ID)
-			}
-			var p Point
-			p.Time, p.Expires = u.Time, u.Expires
-			copy(p.Pos[:], u.Pos[:])
-			copy(p.Vel[:], u.Vel[:])
-			mp := toInternal(p, tr.dims)
-			if expireAware && t.Stored(mp).TExp < clock {
+			u := &rec.Update
+			r, now = Report{ID: u.ID, Point: Point{Pos: u.Pos, Vel: u.Vel, Time: u.Time, Expires: u.Expires}}, u.Now
+			if cfg.ExpireAware && t.Stored(toInternal(r.Point, tr.dims)).TExp < clock {
 				// Short-lived data: the report expired before the crash
 				// was recovered; replaying it would only be purged again.
 				tr.m.RecoveryDroppedExpired.Inc()
-				continue
+			} else {
+				op = obs.OpUpdate
+				tr.m.RecoveryReplayed.Inc()
 			}
-			if err := t.Insert(u.ID, mp, u.Now); err != nil {
-				return false, err
-			}
-			tr.objects[u.ID] = t.Stored(mp)
-			tr.m.RecoveryReplayed.Inc()
 		case wal.RecDelete:
-			d := rec.Delete
-			if old, ok := tr.objects[d.ID]; ok {
-				delete(tr.objects, d.ID)
-				if _, err := t.Delete(d.ID, old, d.Now); err != nil {
-					return false, err
-				}
-			}
+			r, now = Report{ID: rec.Delete.ID}, rec.Delete.Now
 			tr.m.RecoveryReplayed.Inc()
+		default:
+			continue
+		}
+		if _, err := tr.apply(op, []Report{r}, now, nil); err != nil {
+			return false, err
 		}
 	}
 	tc.endAt(ri)

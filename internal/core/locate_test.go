@@ -268,6 +268,67 @@ func (ev *locateEvents) delete(tb testing.TB, tr *Tree, oid uint32, old geom.Mov
 	return err
 }
 
+// requireLookupIsModel holds Lookup to the model of each object's last
+// report as stored (absent once deleted): a report live at the tree
+// clock is what Lookup returns, exactly; for any other object Lookup
+// returns nothing or a record expired at the tree clock.
+func requireLookupIsModel(tb testing.TB, tr *Tree, model map[uint32]geom.MovingPoint, oids uint32) {
+	tb.Helper()
+	now := tr.Now()
+	for oid := uint32(0); oid < oids; oid++ {
+		got, ok := tr.Lookup(oid)
+		want, known := model[oid]
+		switch {
+		case known && !want.Expired(now):
+			if !ok || got != want {
+				tb.Fatalf("Lookup(%d) at t=%v = %+v, %v; want the live report %+v", oid, now, got, ok, want)
+			}
+		case ok && !got.Expired(now):
+			tb.Fatalf("Lookup(%d) at t=%v = %+v, live, for an object whose last report is %+v (known: %v)", oid, now, got, want, known)
+		}
+	}
+}
+
+// TestLookupPrefersLiveTwin builds the state Lookup's choice exists
+// for: two entries of one object in one leaf, the expired one and the
+// live one.  The service never produces it — a re-report's insert
+// purges the leaf it lands in — so the test reports twice without a
+// deletion in between, which leaves both entries live, and lets only
+// the clock move.  Whichever was inserted last, Lookup returns the
+// live entry; once the object is deleted, the expired entry left behind
+// is not its report.
+func TestLookupPrefersLiveTwin(t *testing.T) {
+	short := geom.MovingPoint{Pos: geom.Vec{10, 10}, Vel: geom.Vec{1, 0}, TExp: 5}
+	long := geom.MovingPoint{Pos: geom.Vec{11, 10}, Vel: geom.Vec{1, 0}, TExp: 100}
+	for _, order := range [][2]geom.MovingPoint{{short, long}, {long, short}} {
+		tr, err := New(Config{Dims: 2, ExpireAware: true, BRKind: hull.KindNearOptimal, Seed: 1}, storage.NewMemStore())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range order {
+			if err := tr.Insert(7, p, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tr.advance(10)
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := tr.Lookup(7); !ok || got != tr.Stored(long) {
+			t.Fatalf("inserted TExp %v then %v: Lookup = %+v, %v; want the live entry %+v", order[0].TExp, order[1].TExp, got, ok, tr.Stored(long))
+		}
+		if removed, err := tr.Delete(7, geom.MovingPoint{}, 10); err != nil || !removed {
+			t.Fatalf("Delete = %v, %v", removed, err)
+		}
+		if got, ok := tr.Lookup(7); ok {
+			t.Fatalf("after the delete Lookup returns the expired entry %+v", got)
+		}
+		if _, ok := tr.Lookup(8); ok {
+			t.Fatal("Lookup found an object never reported")
+		}
+	}
+}
+
 // noteHeight classifies a change of height across one operation: the
 // root grew, shrank (CT4), or — an insertion that found the whole tree
 // expired — was replaced by an empty leaf (CT3.1).
@@ -296,8 +357,9 @@ func FuzzLocateVsSearch(f *testing.F) {
 
 // fuzzLocate reads four bytes per op — report (delete + insert, like
 // the service), delete, advance the clock, reopen — and holds the
-// locator to the search before every delete and to its bijection with
-// the tree throughout.
+// locator to the search before every delete, Lookup to the model of
+// each object's last report after every op, and the locator to its
+// bijection with the tree throughout.
 func fuzzLocate(t *testing.T, ops []byte) {
 	cfg := Config{Dims: 2, ExpireAware: true, StoreBRExp: true, AlgsUseExp: true, BRKind: hull.KindNearOptimal, BufferPages: 10, Seed: 1}
 	store := storage.NewMemStore()
@@ -347,6 +409,7 @@ func fuzzLocate(t *testing.T, ops []byte) {
 			}
 			setFanout(tr, 4, 4)
 		}
+		requireLookupIsModel(t, tr, stored, 96)
 		if i%64 == 0 || kind == 15 {
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatalf("after op %d: %v", i/4, err)

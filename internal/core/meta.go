@@ -237,7 +237,7 @@ func (t *Tree) Export(fn func(oid uint32, p geom.MovingPoint, live bool) error) 
 }
 
 // Records visits every leaf entry (including expired ones not yet
-// purged), e.g. to rebuild an object table after reopening a tree.
+// purged), charging the buffer pool like any locked traversal.
 func (t *Tree) Records(fn func(oid uint32, p geom.MovingPoint) error) error {
 	return t.walk(t.root, func(n *node) error {
 		if n.level != 0 {

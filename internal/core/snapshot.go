@@ -368,19 +368,9 @@ func (t *Tree) pinSnapshot() (*pubState, epoch.Pin) {
 // page and every later mutation publishes before it becomes reachable
 // — but keeps a bug from turning into a wrong result silently.
 func (t *Tree) snapNode(p *pubState, id storage.PageID, hits, misses *uint64, st *TravStats) (*vnode, error) {
-	tbl := *t.chains.Load()
-	if int(id) < len(tbl) {
-		if c := tbl[id].Load(); c != nil {
-			for v := c.head.Load(); v != nil; v = v.prev.Load() {
-				if v.seq <= p.seq {
-					if v.n == nil {
-						break // freed at p.seq: unreachable; fall back
-					}
-					*hits++
-					return v.n, nil
-				}
-			}
-		}
+	if v := t.published(p, id); v != nil {
+		*hits++
+		return v, nil
 	}
 	*misses++
 	n, err := t.readNodeStats(id, st)
@@ -390,6 +380,55 @@ func (t *Tree) snapNode(p *pubState, id storage.PageID, hits, misses *uint64, st
 	v := new(vnode)
 	v.copyNode(n, t.cfg.Dims)
 	return v, nil
+}
+
+// published returns the page's newest version at or below the pinned
+// sequence, or nil when it has none (never published, or freed at that
+// sequence).
+func (t *Tree) published(p *pubState, id storage.PageID) *vnode {
+	tbl := *t.chains.Load()
+	if int(id) >= len(tbl) {
+		return nil
+	}
+	c := tbl[id].Load()
+	if c == nil {
+		return nil
+	}
+	for v := c.head.Load(); v != nil; v = v.prev.Load() {
+		if v.seq <= p.seq {
+			return v.n
+		}
+	}
+	return nil
+}
+
+// Lookup returns the stored record of object oid: the locator names its
+// leaf, and the record is read from that leaf's published version — no
+// buffer-pool access, so no I/O is charged and the pool's mutex is not
+// taken.  The leaf can hold two entries of the object, an expired one
+// beside a live one, when the object was inserted twice without a
+// deletion in between; Lookup returns the later-expiring, which is the
+// live one whenever either is live at the tree clock.  ok
+// is false when the index stores no entry of the object (never
+// reported, deleted, or purged).  Lookup reads the locator, which only
+// the writer changes, so it must not run concurrently with a mutation.
+func (t *Tree) Lookup(oid uint32) (p geom.MovingPoint, ok bool) {
+	id, located := t.loc[oid]
+	if !located {
+		return p, false
+	}
+	ps, pin := t.pinSnapshot()
+	defer pin.Unpin()
+	v := t.published(ps, id)
+	if v == nil {
+		return p, false
+	}
+	for i := 0; i < v.count; i++ {
+		if v.oid(i) == oid && (!ok || v.texp[i] > p.TExp) {
+			p, ok = v.point(i, t.cfg.Dims), true
+		}
+	}
+	return p, ok
 }
 
 // addSnapStats folds a snapshot traversal's locally accumulated chain

@@ -637,12 +637,14 @@ func (s *ShardedTree) unpublish(lr *liveReshard) {
 	s.rerouteMu.Unlock()
 }
 
-// verifyGenerations proves the target holds exactly the records of the
-// current generation.  The caller holds the exclusive re-route lock,
-// so both sides are quiescent.  Under expiry-aware semantics, records
-// expired at the verification clock are ignored on both sides: the
-// generations may legitimately disagree on how many expired records
-// they have lazily purged.
+// verifyGenerations proves the target's trees hold exactly the records
+// of the current generation's, read from each shard's published
+// snapshot.  The caller holds the exclusive re-route lock, so both sides
+// are quiescent.  Under expiry-aware semantics, records expired at the
+// verification clock are ignored on both sides: the generations may
+// legitimately disagree on how many expired records they have lazily
+// purged.  A generation holding two live records of one object is
+// corrupt.
 func verifyGenerations(cur, target *generation, expireAware bool) error {
 	clock := 0.0
 	for _, t := range cur.shards {
@@ -655,21 +657,34 @@ func verifyGenerations(cur, target *generation, expireAware bool) error {
 			clock = c
 		}
 	}
-	want := make(map[uint32]geom.MovingPoint)
-	for _, t := range cur.shards {
-		t.objectsInto(want)
+	liveRecords := func(g *generation, which string) (map[uint32]geom.MovingPoint, error) {
+		recs := make(map[uint32]geom.MovingPoint)
+		for _, t := range g.shards {
+			err := t.exportRecords(func(id uint32, mp geom.MovingPoint) error {
+				if expireAware && mp.TExp < clock {
+					return nil
+				}
+				if _, dup := recs[id]; dup {
+					return fmt.Errorf("rexptree: live reshard verify: object %d has two live records in the %s generation", id, which)
+				}
+				recs[id] = mp
+				return nil
+			})
+			if err != nil {
+				return nil, err
+			}
+		}
+		return recs, nil
 	}
-	got := make(map[uint32]geom.MovingPoint)
-	for _, t := range target.shards {
-		t.objectsInto(got)
+	want, err := liveRecords(cur, "current")
+	if err != nil {
+		return err
 	}
-	live := func(mp geom.MovingPoint) bool {
-		return !expireAware || mp.TExp >= clock
+	got, err := liveRecords(target, "target")
+	if err != nil {
+		return err
 	}
 	for id, mp := range want {
-		if !live(mp) {
-			continue
-		}
 		tmp, ok := got[id]
 		if !ok {
 			return fmt.Errorf("rexptree: live reshard verify: object %d missing from target generation", id)
@@ -678,10 +693,7 @@ func verifyGenerations(cur, target *generation, expireAware bool) error {
 			return fmt.Errorf("rexptree: live reshard verify: object %d differs between generations", id)
 		}
 	}
-	for id, mp := range got {
-		if !live(mp) {
-			continue
-		}
+	for id := range got {
 		if _, ok := want[id]; !ok {
 			return fmt.Errorf("rexptree: live reshard verify: object %d only in target generation", id)
 		}

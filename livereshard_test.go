@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"rexptree/internal/geom"
 	"rexptree/internal/reshard"
 )
 
@@ -719,3 +720,68 @@ func TestAutoReshardSkewTrigger(t *testing.T) {
 
 // errLiveBoom is the injected crash of the live-reshard matrix.
 var errLiveBoom = errors.New("live boom")
+
+// TestLiveReshardVerifyReadsTheTrees corrupts the target generation's
+// indexes between the backfill and the verify step, behind every public
+// method's back.  The verify compares what the two generations' trees
+// hold, so an entry lost from a target shard, or an object stored in
+// two of them, must fail the cutover, and the index keeps serving the
+// current generation.
+func TestLiveReshardVerifyReadsTheTrees(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(target []*Tree) error
+		want    string
+	}{
+		{"lost-entry", func(target []*Tree) error {
+			for _, sh := range target {
+				if removed, err := sh.t.Delete(42, geom.MovingPoint{}, sh.t.Now()); removed || err != nil {
+					return err
+				}
+			}
+			return errors.New("object 42 is in no target shard")
+		}, "object 42 missing from target generation"},
+		{"stored-twice", func(target []*Tree) error {
+			p := geom.MovingPoint{Pos: geom.Vec{500, 500}, TExp: 1000}
+			for _, sh := range target[:2] {
+				if err := sh.t.Insert(9999, p, sh.t.Now()); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, "object 9999 has two live records in the target generation"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := OpenSharded(ShardedOptions{Options: DefaultOptions(), Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.UpdateBatch(testWorkload(300, 9), 1); err != nil {
+				t.Fatal(err)
+			}
+			s.testReshardHook = func(pt string) error {
+				if pt != "verify" {
+					return nil
+				}
+				target := s.lr.Load().target.shards
+				for _, sh := range target {
+					sh.lock()
+					defer sh.mu.Unlock()
+				}
+				return c.corrupt(target)
+			}
+			err = s.Reshard(ReshardSpec{Shards: 3, Policy: PartitionHash})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Reshard = %v, want the verify to fail with %q", err, c.want)
+			}
+			if g := s.Generation(); g != 0 {
+				t.Fatalf("generation %d after a failed verify, want 0", g)
+			}
+			if _, ok := s.Get(42, 1); !ok {
+				t.Fatal("the current generation lost object 42")
+			}
+		})
+	}
+}

@@ -63,24 +63,23 @@ func StoredOptions(pagePath string) (Options, error) {
 	return opts, nil
 }
 
-// replNoteUpdate forwards an applied update to the sink, if any.
-// Called under mu after the apply succeeded.
-func (tr *Tree) replNoteUpdate(id uint32, p Point, now float64) {
-	if tr.replSink == nil {
-		return
+// replNote forwards an applied update (the deletion of r.ID when del
+// is set) to the sink, if any.  Called under mu after the apply
+// succeeded.
+func (tr *Tree) replNote(r *Report, del bool, now float64) {
+	switch {
+	case tr.replSink == nil:
+	case del:
+		tr.replSink.ReplDelete(wal.Delete{ID: r.ID, Now: now})
+	default:
+		tr.replSink.ReplUpdate(walUpdate(r, now))
 	}
-	u := wal.Update{ID: id, Now: now, Time: p.Time, Expires: p.Expires}
-	copy(u.Pos[:], p.Pos[:])
-	copy(u.Vel[:], p.Vel[:])
-	tr.replSink.ReplUpdate(u)
 }
 
-// replNoteDelete forwards an applied deletion to the sink, if any.
-func (tr *Tree) replNoteDelete(id uint32, now float64) {
-	if tr.replSink == nil {
-		return
-	}
-	tr.replSink.ReplDelete(wal.Delete{ID: id, Now: now})
+// walUpdate is the logical record of the update r applied at now.
+func walUpdate(r *Report, now float64) wal.Update {
+	p := &r.Point
+	return wal.Update{ID: r.ID, Now: now, Time: p.Time, Expires: p.Expires, Pos: p.Pos, Vel: p.Vel}
 }
 
 // SetReplSink attaches sink to every current shard (nil detaches).  A

@@ -415,11 +415,16 @@ func OpenSharded(opts ShardedOptions) (*ShardedTree, error) {
 		}
 		// Rebuild the object→shard table from the stored records.
 		for i, t := range g.shards {
-			t.mu.RLock()
-			for id := range t.objects {
+			err := t.exportRecords(func(id uint32, _ geom.MovingPoint) error {
 				sp.loc[id] = i
+				return nil
+			})
+			if err != nil {
+				for _, t := range trees {
+					t.Close()
+				}
+				return nil, err
 			}
-			t.mu.RUnlock()
 		}
 	default:
 		g.part = hashPartitioner{n: opts.Shards}

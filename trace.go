@@ -18,9 +18,9 @@ import (
 // is documented in docs/TRACING.md: route, shard, queue-wait,
 // epoch-pin, traverse, merge for queries; lock-wait, apply,
 // version-publish, wal-append, wal-fsync, checkpoint for mutations;
-// analyze, truncate-tail, reapply-images, open-base, rebuild-records,
-// replay, checkpoint for recovery.  Traverse spans additionally carry the traversal's node and
-// page accounting.
+// analyze, truncate-tail, reapply-images, open-base, replay,
+// checkpoint for recovery.  Traverse spans additionally carry the
+// traversal's node and page accounting.
 type TraceSpan struct {
 	Parent    int           `json:"parent"`          // index of the parent span; -1 for roots
 	Phase     string        `json:"phase"`           // span name, see docs/TRACING.md

@@ -16,17 +16,17 @@ import (
 	"rexptree/internal/wal"
 )
 
-// Tree is a thread-safe moving-object index.  It keeps an in-memory
-// table of each object's current report (the primary store of a
-// moving-objects database), so updates and deletions need only the
-// object id.
+// Tree is a thread-safe moving-object index.  Updates and deletions
+// need only the object id: the index's in-memory locator (object →
+// leaf) is its object directory, and an object's current report is
+// read from the leaf that holds it.
 //
 // Concurrency: the four index queries (Timeslice, Window, Moving,
 // Nearest) run on a lock-free snapshot read path — they pin an epoch,
 // traverse the immutable page versions last published by a writer, and
 // never block behind Update, Delete or UpdateBatch (which still take
-// the exclusive lock against each other).  Object-table reads (Get,
-// Len, Stats, ForEach, Validate) take the shared lock.  The time a
+// the exclusive lock against each other).  The other reads (Get, Len,
+// Stats, ForEach, Validate) take the shared lock.  The time a
 // caller spends waiting for a lock is recorded in the lock-wait
 // histograms of Metrics.  For workloads that need concurrent updates,
 // see ShardedTree, which partitions objects across independent Trees.
@@ -36,9 +36,8 @@ type Tree struct {
 	store storage.Store
 	dims  int
 
-	objects map[uint32]geom.MovingPoint
-	m       *obs.Metrics  // always non-nil; see Metrics and WriteMetrics
-	rec     *obs.Recorder // flight recorder; nil unless Options.FlightRecorder > 0
+	m   *obs.Metrics  // always non-nil; see Metrics and WriteMetrics
+	rec *obs.Recorder // flight recorder; nil unless Options.FlightRecorder > 0
 
 	// Durability state; all nil/zero when Durability is DurabilityNone.
 	fs          *storage.FileStore // the unwrapped page file
@@ -87,8 +86,7 @@ func (tr *Tree) rlock() {
 
 // Open creates a tree with the given options.  When Options.Path names
 // an existing index file (previously Closed cleanly), the stored tree
-// is reopened and its object table rebuilt; otherwise a fresh index is
-// created.
+// is reopened; otherwise a fresh index is created.
 //
 // With a durability policy set (Options.Durability), Open also detects
 // an unclean shutdown and recovers: it re-applies the last complete
@@ -148,10 +146,9 @@ func open(opts Options, retried bool) (*Tree, error) {
 	cfg := opts.internal()
 	cfg.Metrics = m
 	tr := &Tree{
-		store:   store,
-		objects: make(map[uint32]geom.MovingPoint),
-		m:       m,
-		rec:     newRecorder(opts),
+		store: store,
+		m:     m,
+		rec:   newRecorder(opts),
 	}
 	if durable {
 		tr.fs = fs
@@ -217,16 +214,6 @@ func open(opts Options, retried bool) (*Tree, error) {
 	}
 	tr.t = t
 	tr.dims = t.Config().Dims
-	if existing {
-		err := t.Records(func(oid uint32, p geom.MovingPoint) error {
-			tr.objects[oid] = p
-			return nil
-		})
-		if err != nil {
-			store.Close()
-			return nil, err
-		}
-	}
 	if durable {
 		if err := tr.initWAL(opts); err != nil {
 			if tr.wal != nil {
@@ -295,159 +282,154 @@ func (tr *Tree) Close() error {
 // time; p.Time must not precede now's meaning for the caller, and time
 // must never run backwards across calls.
 func (tr *Tree) Update(id uint32, p Point, now float64) error {
-	var tc *QueryTrace
-	if tr.rec != nil {
-		tc = newTrace("update")
-	}
-	start := time.Now()
-	err := tr.update(id, p, now, tc)
-	d := time.Since(start)
-	tr.m.ObserveOp(obs.OpUpdate, d, err)
-	tc.finishRecord(tr.rec, 0, d, err)
+	_, err := tr.mutate(obs.OpUpdate, "update", []Report{{ID: id, Point: p}}, now)
 	return err
-}
-
-func (tr *Tree) update(id uint32, p Point, now float64, tc *QueryTrace) error {
-	li := tc.begin(-1, "lock-wait", -1)
-	tr.lock()
-	tc.endAt(li)
-	defer tr.mu.Unlock()
-	if err := tr.updateLocked(id, p, now, tc); err != nil {
-		return err
-	}
-	if tr.wal != nil {
-		return tr.walCommit(tc)
-	}
-	return nil
-}
-
-// updateLocked applies one report; the exclusive lock must be held.
-// In WAL mode the record is appended (buffered) before the mutation —
-// the caller commits per the durability policy.  If the mutation then
-// fails, the record is rolled back (or the tree poisoned) so a failed
-// operation can never become durable.
-func (tr *Tree) updateLocked(id uint32, p Point, now float64, tc *QueryTrace) error {
-	if tr.wal == nil {
-		ai := tc.begin(-1, "apply", -1)
-		err := tr.applyUpdate(id, p, now)
-		tc.endAt(ai)
-		if err == nil {
-			tc.addMeasured("version-publish", tr.t.LastPublishNanos())
-			tr.replNoteUpdate(id, p, now)
-		}
-		return err
-	}
-	if tr.walPoison != nil {
-		return tr.walPoison
-	}
-	prev := tr.wal.Size()
-	wi := tc.begin(-1, "wal-append", -1)
-	err := tr.walLogUpdate(id, p, now)
-	tc.endAt(wi)
-	if err != nil {
-		return err
-	}
-	ai := tc.begin(-1, "apply", -1)
-	err = tr.applyUpdate(id, p, now)
-	tc.endAt(ai)
-	if err != nil {
-		tr.walRollback(prev, err)
-		return err
-	}
-	tc.addMeasured("version-publish", tr.t.LastPublishNanos())
-	tr.replNoteUpdate(id, p, now)
-	return nil
-}
-
-// applyUpdate is the in-tree half of an update.  The delete+insert
-// pair is published as one snapshot, so lock-free readers can never
-// observe the gap where the old report is gone and the new one is not
-// yet inserted.
-//
-// The pair is also one operation for the pages: each page it dirties
-// is written back once, when the scope ends (inside an UpdateBatch,
-// when the batch ends).  A write-back error is returned with the update
-// applied in memory and the pages still owed to the store.
-func (tr *Tree) applyUpdate(id uint32, p Point, now float64) (err error) {
-	tr.t.BeginBatch()
-	defer func() {
-		if e := tr.t.EndBatch(); err == nil {
-			err = e
-		}
-	}()
-	if old, ok := tr.objects[id]; ok {
-		if _, err := tr.t.Delete(id, old, now); err != nil {
-			return err
-		}
-		// The old report is gone; if the insert below fails, the
-		// object table must not keep pointing at it.
-		delete(tr.objects, id)
-	}
-	mp := toInternal(p, tr.dims)
-	if err := tr.t.Insert(id, mp, now); err != nil {
-		return err
-	}
-	tr.objects[id] = tr.t.Stored(mp)
-	return nil
 }
 
 // Delete removes the object's report.  It returns false when the
 // object is unknown or its report has already expired (an expired
 // entry is invisible to the deletion search, §4.3; it will be purged
 // lazily).
+//
+// Whether the deletion is applied — logged, forwarded to the
+// replication sink, advancing the clock — depends on what the index
+// still stores, not on what was reported: it is applied while the
+// index holds an entry of the object, live or expired but not yet
+// purged, and is a no-op, like the deletion of an id never reported,
+// once that entry has been purged.
 func (tr *Tree) Delete(id uint32, now float64) (bool, error) {
-	var tc *QueryTrace
-	if tr.rec != nil {
-		tc = newTrace("delete")
-	}
-	start := time.Now()
-	ok, err := tr.delete(id, now, tc)
-	d := time.Since(start)
-	tr.m.ObserveOp(obs.OpDelete, d, err)
-	tc.finishRecord(tr.rec, 0, d, err)
-	return ok, err
+	return tr.mutate(obs.OpDelete, "delete", []Report{{ID: id}}, now)
 }
 
-func (tr *Tree) delete(id uint32, now float64, tc *QueryTrace) (bool, error) {
+// Report pairs an object id with its positional report, for batched
+// updates.
+type Report struct {
+	ID    uint32
+	Point Point
+}
+
+// UpdateBatch applies every report in batch under a single exclusive
+// lock acquisition, replacing each object's previous report like
+// Update.  Grouping updates amortizes locking and lets readers in
+// between batches rather than between every report; ShardedTree
+// additionally applies per-shard batches concurrently.
+//
+// The reports are applied in order.  On error the batch stops:
+// earlier reports remain applied, the failing and later ones do not
+// take effect.  now is the current time for the whole batch.
+func (tr *Tree) UpdateBatch(batch []Report, now float64) error {
+	_, err := tr.mutate(obs.OpBatch, "batch", batch, now)
+	return err
+}
+
+// mutate runs one public mutation through apply, observing it in the
+// operation's latency histogram and, with a flight recorder, tracing it
+// under the given name.
+func (tr *Tree) mutate(op obs.Op, name string, batch []Report, now float64) (bool, error) {
+	var tc *QueryTrace
+	if tr.rec != nil {
+		tc = newTrace(name)
+	}
+	start := time.Now()
+	removed, err := tr.apply(op, batch, now, tc)
+	d := time.Since(start)
+	tr.m.ObserveOp(op, d, err)
+	results := 0
+	if op == obs.OpBatch {
+		results = len(batch)
+	}
+	tc.finishRecord(tr.rec, results, d, err)
+	return removed, err
+}
+
+// apply is the one envelope every mutation of the tree runs through:
+// op is OpUpdate (one report), OpBatch (a batch of them) or OpDelete
+// (the deletion of batch[0].ID), and the recovery replay feeds each
+// logged record through it as an OpUpdate or an OpDelete.  Under the
+// exclusive lock and one batch scope — lock-free readers see the tree
+// before the batch or with all of it applied, and each page it dirties
+// is written back once — every report is logged ahead (WAL mode),
+// applied as a core delete plus, for an update, a core insert, and
+// forwarded to the replication sink.  A report that fails stops the
+// batch: its log record is rolled back (or the tree poisoned) so a
+// failed operation can never become durable, and the reports before it
+// stay applied.  A batch that succeeded ends at the durability policy's
+// commit point.  removed reports whether a deletion removed a live
+// entry; the deletion of an object the index stores no entry of is a
+// no-op.
+func (tr *Tree) apply(op obs.Op, batch []Report, now float64, tc *QueryTrace) (removed bool, err error) {
+	if len(batch) == 0 {
+		return false, nil
+	}
 	li := tc.begin(-1, "lock-wait", -1)
 	tr.lock()
 	tc.endAt(li)
 	defer tr.mu.Unlock()
-	old, ok := tr.objects[id]
-	if !ok {
-		return false, nil
-	}
-	// The table forgets the object only once the engine has removed it:
-	// after a read fault the entry is still in the index, and a table
-	// that had lost it would let the next Update insert a second one.
-	if tr.wal == nil {
-		removed, err := tr.t.Delete(id, old, now)
-		if err == nil {
-			delete(tr.objects, id)
-			tr.replNoteDelete(id, now)
+	del := op == obs.OpDelete
+	if del {
+		if _, ok := tr.t.Lookup(batch[0].ID); !ok {
+			return false, nil
 		}
-		return removed, err
 	}
-	if tr.walPoison != nil {
-		return false, tr.walPoison
+	// A batch is traced as one apply span around its whole loop (the
+	// WAL appends inside it ride in the wal-append histogram only); a
+	// single report gets a wal-append and an apply span of its own,
+	// except a memory tree's deletion, which is traced by its lock wait.
+	var opTC *QueryTrace
+	ai := -1
+	switch {
+	case op == obs.OpBatch:
+		ai = tc.begin(-1, "apply", -1)
+	case !del || tr.wal != nil:
+		opTC = tc
 	}
-	prev := tr.wal.Size()
-	wi := tc.begin(-1, "wal-append", -1)
-	err := tr.walLogDelete(id, now)
-	tc.endAt(wi)
-	if err != nil {
-		return false, err
+	tr.t.BeginBatch()
+	applied := 0
+	for ; applied < len(batch); applied++ {
+		r := &batch[applied]
+		var prev int64
+		if tr.wal != nil {
+			if err = tr.walPoison; err != nil {
+				break
+			}
+			prev = tr.wal.Size()
+			wi := opTC.begin(-1, "wal-append", -1)
+			err = tr.walLog(r, del, now)
+			opTC.endAt(wi)
+			if err != nil {
+				break
+			}
+		}
+		if opTC != nil {
+			ai = opTC.begin(-1, "apply", -1)
+		}
+		removed, err = tr.t.Delete(r.ID, geom.MovingPoint{}, now)
+		if err == nil && !del {
+			err = tr.t.Insert(r.ID, toInternal(r.Point, tr.dims), now)
+		}
+		if err != nil {
+			if tr.wal != nil {
+				tr.walRollback(prev, err)
+			}
+			break
+		}
+		tr.replNote(r, del, now)
 	}
-	ai := tc.begin(-1, "apply", -1)
-	removed, err := tr.t.Delete(id, old, now)
+	// Closing the scope publishes and writes back what was applied, also
+	// when a report failed; a write-back error joins the report's.
+	if e := tr.t.EndBatch(); e != nil {
+		err = errors.Join(err, e)
+	}
 	tc.endAt(ai)
-	if err != nil {
-		tr.walRollback(prev, err)
+	if ai >= 0 {
+		tc.addMeasured("version-publish", tr.t.LastPublishNanos())
+	}
+	if op == obs.OpBatch {
+		tr.m.BatchedUpdates.Add(uint64(applied))
+	}
+	if err != nil || tr.wal == nil {
 		return removed, err
 	}
-	delete(tr.objects, id)
-	tc.addMeasured("version-publish", tr.t.LastPublishNanos())
-	tr.replNoteDelete(id, now)
 	return removed, tr.walCommit(tc)
 }
 
@@ -577,11 +559,14 @@ func (tr *Tree) Nearest(pos Vec, at float64, k int, now float64) ([]Result, erro
 }
 
 // Get returns the object's current report (positioned at now), if any
-// non-expired report is stored.
+// non-expired report is stored.  The report is read from the leaf that
+// holds it, so Get agrees with every query of the same state: with now
+// before the tree's clock it does not return a report the index has
+// already purged, even if that report had not yet expired at now.
 func (tr *Tree) Get(id uint32, now float64) (Point, bool) {
 	tr.rlock()
 	defer tr.mu.RUnlock()
-	mp, ok := tr.objects[id]
+	mp, ok := tr.t.Lookup(id)
 	if !ok || (tr.t.Config().ExpireAware && mp.Expired(now)) {
 		return Point{}, false
 	}
@@ -698,17 +683,6 @@ func (tr *Tree) exportRecords(fn func(oid uint32, p geom.MovingPoint) error) err
 	return tr.t.ExportSnap(fn)
 }
 
-// objectsInto copies the tree's object table (the authoritative
-// id→stored-record map) into dst — the live-reshard verify step reads
-// both generations through it while mutations are blocked.
-func (tr *Tree) objectsInto(dst map[uint32]geom.MovingPoint) {
-	tr.rlock()
-	defer tr.mu.RUnlock()
-	for id, mp := range tr.objects {
-		dst[id] = mp
-	}
-}
-
 // Validate checks the index's structural invariants (balance, fan-out
 // bounds, bounding-rectangle containment, unique ids).  It reads the
 // whole tree and is intended for tests and tooling.
@@ -716,74 +690,4 @@ func (tr *Tree) Validate() error {
 	tr.rlock()
 	defer tr.mu.RUnlock()
 	return tr.t.CheckInvariants()
-}
-
-// Report pairs an object id with its positional report, for batched
-// updates.
-type Report struct {
-	ID    uint32
-	Point Point
-}
-
-// UpdateBatch applies every report in batch under a single exclusive
-// lock acquisition, replacing each object's previous report like
-// Update.  Grouping updates amortizes locking and lets readers in
-// between batches rather than between every report; ShardedTree
-// additionally applies per-shard batches concurrently.
-//
-// The reports are applied in order.  On error the batch stops:
-// earlier reports remain applied, the failing and later ones do not
-// take effect.  now is the current time for the whole batch.
-func (tr *Tree) UpdateBatch(batch []Report, now float64) error {
-	var tc *QueryTrace
-	if tr.rec != nil {
-		tc = newTrace("batch")
-	}
-	start := time.Now()
-	err := tr.updateBatch(batch, now, tc)
-	d := time.Since(start)
-	tr.m.ObserveOp(obs.OpBatch, d, err)
-	tc.finishRecord(tr.rec, len(batch), d, err)
-	return err
-}
-
-func (tr *Tree) updateBatch(batch []Report, now float64, tc *QueryTrace) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	li := tc.begin(-1, "lock-wait", -1)
-	tr.lock()
-	tc.endAt(li)
-	defer tr.mu.Unlock()
-	// Batch-level spans only: per-report spans would bloat the trace
-	// linearly, so the whole application loop is one "apply" span (the
-	// WAL appends it contains ride in the wal-append histogram instead).
-	ai := tc.begin(-1, "apply", -1)
-	// The whole batch is published as one snapshot: readers on the
-	// lock-free path see either the pre-batch tree or all applied
-	// reports (on error, everything up to the failing report).
-	tr.t.BeginBatch()
-	applied := 0
-	var err error
-	for ; applied < len(batch); applied++ {
-		if err = tr.updateLocked(batch[applied].ID, batch[applied].Point, now, nil); err != nil {
-			break
-		}
-	}
-	// Closing the scope publishes and writes back what was applied,
-	// also when a report failed; a write-back error joins the report's.
-	if e := tr.t.EndBatch(); e != nil {
-		err = errors.Join(err, e)
-	}
-	tc.endAt(ai)
-	tc.addMeasured("version-publish", tr.t.LastPublishNanos())
-	tr.m.BatchedUpdates.Add(uint64(applied))
-	if err != nil {
-		return err
-	}
-	if tr.wal != nil {
-		// Group commit: the whole batch rides on one durability point.
-		return tr.walCommit(tc)
-	}
-	return nil
 }
