@@ -73,8 +73,9 @@ crash-matrix:
 	$(GO) test -run 'TestDurable|TestShardedDurable' -count=3 .
 
 # A short run of each native fuzz target: the manifest decode/encode
-# round trip, the time-parameterized intersection kernel, the
-# near-optimal bridge search against its sort-and-scan reference, and
+# round trip, the time-parameterized intersection kernel, the compiled
+# query predicate against it (entries placed ulps from a region edge),
+# the near-optimal bridge search against its sort-and-scan reference, and
 # the write-ahead-log frame scanner (arbitrary bytes must never panic
 # and torn tails must only ever drop trailing records), and the delete
 # locator against the paper's leaf search over op bytes.  Ten seconds
@@ -83,6 +84,7 @@ crash-matrix:
 fuzz-smoke:
 	$(GO) test ./internal/manifest -run '^$$' -fuzz FuzzManifestRoundTrip -fuzztime 10s
 	$(GO) test ./internal/geom -run '^$$' -fuzz FuzzTrapezoidIntersect -fuzztime 10s
+	$(GO) test ./internal/geom -run '^$$' -fuzz FuzzCompiledVsIntersects -fuzztime 10s
 	$(GO) test ./internal/hull -run '^$$' -fuzz FuzzNearOptimalBridge -fuzztime 10s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzWALRoundTrip -fuzztime 10s
 	$(GO) test . -run '^$$' -fuzz FuzzDualApplySchedule -fuzztime 10s

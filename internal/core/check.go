@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rexptree/internal/geom"
 	"rexptree/internal/storage"
@@ -28,11 +29,18 @@ import (
 //     in its leaf, every located object has an entry (live, or expired
 //     and not yet purged) in the leaf it is located in, every child
 //     page's parent is the node holding its entry, and neither table
-//     knows a page outside the tree (the root has no parent).
+//     knows a page outside the tree (the root has no parent);
+//   - every node is in page precision: decoding its page image gives
+//     the node back, so each coordinate and expiration time is a
+//     float32 value (the query filter's margin assumes it);
+//   - outside a batch scope (nothing staged), each page's newest
+//     published version is, column for column, the columnar copy of
+//     its node: the query kernels read the version, not the node.
 func (t *Tree) CheckInvariants() error {
 	seen := make(map[uint32]bool)
 	located := make(map[uint32]bool) // objects found in the leaf loc names
 	leaves, nodes := 0, 0
+	page := make([]byte, storage.PageSize)
 	var walk func(id storage.PageID, level int, bound *geom.TPRect, boundExp float64) error
 	walk = func(id storage.PageID, level int, bound *geom.TPRect, boundExp float64) error {
 		n, err := t.readNode(id)
@@ -49,6 +57,9 @@ func (t *Tree) CheckInvariants() error {
 			return fmt.Errorf("node %d (level %d): %d entries below minimum %d", id, n.level, len(n.entries), t.lay.min(n.level))
 		}
 		nodes++
+		if err := t.checkPage(n, page); err != nil {
+			return err
+		}
 		for _, e := range n.entries {
 			if n.level == 0 {
 				leaves++
@@ -127,6 +138,33 @@ func (t *Tree) checkBounded(n *node, e *entry, bound *geom.TPRect, boundExp floa
 					n.id, n.level, tt, i, inner.Lo[i], inner.Hi[i], outer.Lo[i], outer.Hi[i])
 			}
 		}
+	}
+	return nil
+}
+
+// checkPage verifies that node n is in page precision — its page image
+// decodes back to it — and, when no mutation is staged, that its newest
+// published version is its columnar copy.  page is scratch space.
+func (t *Tree) checkPage(n *node, page []byte) error {
+	t.lay.encode(n, page)
+	back, err := t.lay.decode(n.id, page)
+	if err != nil {
+		return err
+	}
+	if back.level != n.level || !slices.Equal(back.entries, n.entries) {
+		return fmt.Errorf("node %d: not in page precision, its page image decodes to a different node", n.id)
+	}
+	if t.batchDepth > 0 || len(t.staged) > 0 {
+		return nil
+	}
+	var want vnode
+	want.copyNode(n, t.cfg.Dims)
+	v := t.published(t.pub.Load(), n.id)
+	if v == nil || v.level != want.level || v.count != want.count ||
+		!slices.Equal(v.ids, want.ids) || !slices.Equal(v.texp, want.texp) ||
+		!slices.Equal(v.lo, want.lo) || !slices.Equal(v.hi, want.hi) ||
+		!slices.Equal(v.vlo, want.vlo) || !slices.Equal(v.vhi, want.vhi) {
+		return fmt.Errorf("node %d: the published version differs from the node", n.id)
 	}
 	return nil
 }

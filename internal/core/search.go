@@ -63,6 +63,7 @@ var stackPool = sync.Pool{New: func() any {
 // allocations (the traversal stack is pooled).
 func (t *Tree) SearchFunc(q geom.Query, now float64, fn func(Result) bool) error {
 	t.advance(now)
+	c := geom.Compile(q, t.cfg.Dims, t.cfg.ExpireAware)
 	var nodes, leaves uint64
 	sp := stackPool.Get().(*[]storage.PageID)
 	stack := append((*sp)[:0], t.root)
@@ -89,7 +90,7 @@ func (t *Tree) SearchFunc(q geom.Query, now float64, fn func(Result) bool) error
 			}
 			if n.level == 0 {
 				p := e.point()
-				if q.MatchesPoint(p, t.cfg.Dims, t.cfg.ExpireAware) {
+				if c.MatchesPoint(&p) {
 					if !fn(Result{OID: e.id, Point: p}) {
 						t.addQueryStats(nodes, leaves, nil)
 						return nil
@@ -99,7 +100,7 @@ func (t *Tree) SearchFunc(q geom.Query, now float64, fn func(Result) bool) error
 			}
 			r := e.rect
 			r.TExp = t.effExp(&e.rect, n.level)
-			if q.MatchesRect(r, t.cfg.Dims, t.cfg.ExpireAware) {
+			if c.MatchesRect(&r) {
 				stack = append(stack, e.child())
 			}
 		}

@@ -19,10 +19,17 @@ import (
 // writer reclaims versions no pinned reader can still need after each
 // publication.
 //
+// A region query tests entries with one predicate, geom.Compiled,
+// compiled once per traversal: a leaf is one call that sweeps the
+// lo/vlo/texp columns in the loop its shape picks, deciding almost every
+// entry with multiplies, adds and compares and the rest with
+// geom.Intersects's clip sequence — the same verdict bit for bit.
+//
 // The locked traversals (Search, SearchFunc, Nearest) remain beside
 // this path: they are the semantics baseline the equivalence tests
 // compare against, and the paper's I/O-counting experiments keep
-// charging the buffer pool through them.
+// charging the buffer pool through them.  Search tests entries with the
+// same compiled predicate.
 //
 // New, Open and BulkLoad each publish before they return the tree, so
 // a reader always finds a published descriptor.
@@ -449,22 +456,6 @@ func (t *Tree) addSnapStats(hits, misses uint64, st *TravStats) {
 	}
 }
 
-// snapIntersects is geom.Intersects(q.Region, entry i, t1, t2) over
-// the vnode's columns: the same clip sequence, term for term, so the
-// verdict is bit-identical to the locked path's.
-func snapIntersects(r *geom.TPRect, v *vnode, i, dims int, t1, t2 float64) bool {
-	if t1 > t2 {
-		return false
-	}
-	iv := geom.Interval{Lo: t1, Hi: t2}
-	b := i * dims
-	for d := 0; d < dims && !iv.Empty(); d++ {
-		iv = geom.ClipLE(iv, r.Lo[d], r.VLo[d], v.hi[b+d], v.vhi[b+d])
-		iv = geom.ClipLE(iv, v.lo[b+d], v.vlo[b+d], r.Hi[d], r.VHi[d])
-	}
-	return !iv.Empty()
-}
-
 // snapDerivedExp is geom.DerivedExp over the vnode's columns.
 func snapDerivedExp(v *vnode, i, dims int, now float64) float64 {
 	e := math.Inf(1)
@@ -502,13 +493,8 @@ func (t *Tree) snapEffExp(v *vnode, i int, now float64) float64 {
 // semantics, same results on a quiesced tree, but no tree lock and no
 // pool mutex — safe to run concurrently with mutations.
 func (t *Tree) SearchSnap(q geom.Query, now float64) ([]Result, error) {
-	return t.SearchSnapStats(q, now, nil)
-}
-
-// SearchSnapStats is SearchSnap plus per-traversal accounting.
-func (t *Tree) SearchSnapStats(q geom.Query, now float64, st *TravStats) ([]Result, error) {
 	var out []Result
-	err := t.SearchFuncSnapStats(q, now, st, func(r Result) bool {
+	err := t.SearchFuncSnapStats(q, now, nil, func(r Result) bool {
 		out = append(out, r)
 		return true
 	})
@@ -521,10 +507,12 @@ func (t *Tree) SearchFuncSnap(q geom.Query, now float64, fn func(Result) bool) e
 	return t.SearchFuncSnapStats(q, now, nil, fn)
 }
 
-// SearchFuncSnapStats is the snapshot traversal kernel.  Per node it
-// runs one columnar sweep: expiration filter and trapezoid
-// intersection over the four coordinate columns, leaves and internal
-// nodes through the same clip sequence.
+// SearchFuncSnapStats is the snapshot traversal kernel.  It compiles
+// the query once; per node it runs one columnar sweep of the expiration
+// filter and the compiled trapezoid test: Compiled.Points over a leaf's
+// columns, Compiled.Rect per internal entry.  With derived expiration
+// times (§4.1.1) an internal entry the filter rejects over [T1, T2] is
+// skipped before its expiration time is derived.
 func (t *Tree) SearchFuncSnapStats(q geom.Query, now float64, st *TravStats, fn func(Result) bool) error {
 	t.advance(now)
 	var pinStart time.Time
@@ -539,6 +527,7 @@ func (t *Tree) SearchFuncSnapStats(q geom.Query, now float64, st *TravStats, fn 
 	eval := t.Now()
 	dims := t.cfg.Dims
 	useExp := t.cfg.ExpireAware
+	c := geom.Compile(q, dims, useExp)
 	var nodes, leaves, hits, misses uint64
 	flush := func() {
 		t.addQueryStats(nodes, leaves, st)
@@ -561,34 +550,26 @@ func (t *Tree) SearchFuncSnapStats(q geom.Query, now float64, st *TravStats, fn 
 		nodes++
 		if v.level == 0 {
 			leaves += uint64(v.count)
-			for i := 0; i < v.count; i++ {
-				texp := v.texp[i]
-				if useExp && texp < eval {
-					continue
-				}
-				t2 := q.T2
-				if useExp && texp < t2 {
-					t2 = texp
-				}
-				if snapIntersects(&q.Region, v, i, dims, q.T1, t2) {
-					if !fn(Result{OID: v.oid(i), Point: v.point(i, dims)}) {
-						flush()
-						return nil
-					}
-				}
+			if !c.Points(v.lo, v.vlo, v.texp, eval, func(i int) bool {
+				return fn(Result{OID: v.oid(i), Point: v.point(i, dims)})
+			}) {
+				flush()
+				return nil
 			}
 			continue
 		}
+		derived := t.expSource(v.level) == expDerived
 		for i := 0; i < v.count; i++ {
+			b := i * dims
+			lo, hi, vlo, vhi := v.lo[b:b+dims], v.hi[b:b+dims], v.vlo[b:b+dims], v.vhi[b:b+dims]
+			if derived && c.Rejects(lo, hi, vlo, vhi) {
+				continue // no expiration time can make it match: skip deriving one
+			}
 			texp := t.snapEffExp(v, i, eval)
 			if useExp && texp < eval {
 				continue
 			}
-			t2 := q.T2
-			if useExp && texp < t2 {
-				t2 = texp
-			}
-			if snapIntersects(&q.Region, v, i, dims, q.T1, t2) {
+			if c.Rect(lo, hi, vlo, vhi, texp) {
 				stack = append(stack, storage.PageID(v.oid(i)))
 			}
 		}

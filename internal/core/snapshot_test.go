@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rexptree/internal/geom"
+	"rexptree/internal/hull"
 	"rexptree/internal/storage"
 )
 
@@ -183,7 +184,8 @@ func TestSnapshotAfterReopen(t *testing.T) {
 	}
 	checkSnapEquivalence(t, re, geom.Window(geom.Rect{Lo: geom.Vec{200, 200}, Hi: geom.Vec{700, 700}}, 0, 10), 0)
 	var st TravStats
-	if _, err := re.SearchSnapStats(geom.Timeslice(geom.Rect{Lo: geom.Vec{0, 0}, Hi: geom.Vec{1000, 1000}}, 0), 0, &st); err != nil {
+	all := geom.Timeslice(geom.Rect{Lo: geom.Vec{0, 0}, Hi: geom.Vec{1000, 1000}}, 0)
+	if err := re.SearchFuncSnapStats(all, 0, &st, func(Result) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	if st.SnapMisses != 0 {
@@ -227,6 +229,77 @@ func BenchmarkWindowSearchFuncSnap(b *testing.B) {
 		if err := tr.SearchFuncSnap(windowQuery, 0, fn); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSearchSnap times the snapshot query kernel per query shape
+// over a 20 000-object R^exp-tree in the paper's default configuration,
+// with paper-sized queries (a 50 × 50 square, 0.25 % of the space, at
+// times up to 30 ahead) and reports the time per tested leaf entry.
+func BenchmarkSearchSnap(b *testing.B) {
+	tr, err := New(Config{Dims: 2, ExpireAware: true, AlgsUseExp: true, BRKind: hull.KindNearOptimal,
+		BufferPages: 1024, Seed: 1}, storage.NewMemStore())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	objs := make([]geom.MovingPoint, 20000)
+	now := 0.0
+	for i := range objs {
+		now += 0.003
+		objs[i] = geom.MovingPoint{
+			Pos:  geom.Vec{rng.Float64() * 1000, rng.Float64() * 1000},
+			Vel:  geom.Vec{rng.Float64()*6 - 3, rng.Float64()*6 - 3},
+			TExp: now + 60 + rng.Float64()*60,
+		}
+		if err := tr.Insert(uint32(i), objs[i], now); err != nil {
+			b.Fatal(err)
+		}
+	}
+	square := func(c geom.Vec) geom.Rect {
+		return geom.Rect{Lo: geom.Vec{c[0] - 25, c[1] - 25}, Hi: geom.Vec{c[0] + 25, c[1] + 25}}
+	}
+	shapes := []struct {
+		name string
+		draw func() geom.Query
+	}{
+		{"timeslice", func() geom.Query {
+			return geom.Timeslice(square(geom.Vec{25 + rng.Float64()*950, 25 + rng.Float64()*950}), now+rng.Float64()*30)
+		}},
+		{"window", func() geom.Query {
+			t1, t2 := now+rng.Float64()*30, now+rng.Float64()*30
+			return geom.Window(square(geom.Vec{25 + rng.Float64()*950, 25 + rng.Float64()*950}), min(t1, t2), max(t1, t2))
+		}},
+		{"moving", func() geom.Query {
+			t1, t2 := now+rng.Float64()*30, now+rng.Float64()*30
+			t1, t2 = min(t1, t2), max(t1, t2)+1e-6
+			p := objs[rng.Intn(len(objs))]
+			return geom.Moving(square(p.At(t1)), square(p.At(t2)), t1, t2, 2)
+		}},
+	}
+	fn := func(Result) bool { return true }
+	for _, s := range shapes {
+		b.Run(s.name, func(b *testing.B) {
+			qs := make([]geom.Query, 256)
+			leaves := make([]uint64, len(qs))
+			for i := range qs {
+				qs[i] = s.draw()
+				var st TravStats
+				if err := tr.SearchFuncSnapStats(qs[i], now, &st, fn); err != nil {
+					b.Fatal(err)
+				}
+				leaves[i] = st.Leaves
+			}
+			var entries uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tr.SearchFuncSnap(qs[i%len(qs)], now, fn); err != nil {
+					b.Fatal(err)
+				}
+				entries += leaves[i%len(qs)]
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(entries), "ns/entry")
+		})
 	}
 }
 

@@ -480,16 +480,21 @@ func (tr *Tree) nearest(traced bool, pos Vec, at float64, k int, now float64) ([
 // the caller preallocated so that concurrent shard workers never append
 // to a shared trace, and attaches the node and page accounting.  With a
 // nil trace the kernel gets a nil *TravStats: it counts nothing per
-// traversal and reads no clock.
+// traversal and reads no clock.  Hits stream straight into the public
+// result slice, which is empty, not nil, when nothing matches.
 func (tr *Tree) searchAt(q geom.Query, now float64, tc *QueryTrace, pinIdx, travIdx int) ([]Result, error) {
 	var stats core.TravStats
 	st := tc.startTraverse(travIdx, &stats)
-	rs, err := tr.t.SearchSnapStats(q, now, st)
-	tc.endTraverse(pinIdx, travIdx, st, len(rs))
+	out := make([]Result, 0)
+	err := tr.t.SearchFuncSnapStats(q, now, st, func(r core.Result) bool {
+		out = append(out, Result{ID: r.OID, Point: fromInternal(r.Point, now, tr.dims)})
+		return true
+	})
+	tc.endTraverse(pinIdx, travIdx, st, len(out))
 	if err != nil {
 		return nil, err
 	}
-	return fromResults(rs, now, tr.dims), nil
+	return out, nil
 }
 
 // nearestAt is searchAt for the nearest-neighbor traversal.  The caller

@@ -79,8 +79,8 @@ func TestExpiryVisibility(t *testing.T) {
 	if res, _ := tr.Timeslice(world, 5, 5); len(res) != 1 {
 		t.Fatalf("live object invisible: %v", res)
 	}
-	if res, _ := tr.Timeslice(world, 20, 20); len(res) != 0 {
-		t.Fatalf("expired object visible: %v", res)
+	if res, _ := tr.Timeslice(world, 20, 20); len(res) != 0 || res == nil {
+		t.Fatalf("expired object visible, or no hits gave a nil slice: %#v", res)
 	}
 	if _, ok := tr.Get(7, 20); ok {
 		t.Fatal("Get returned expired object")
