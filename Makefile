@@ -1,29 +1,21 @@
 # Makefile — CI entry points for the rexptree repository.
 #
-#   make check            fmt-check + vet + build + tests (bench/ module too) + race + determinism + crash matrix + bench smokes
+#   make check            fmt-check + vet + build + tests (bench/ module too) + race + determinism + crash matrix + serve smoke
 #   make crash-matrix     the durable trees' crash and power-loss tests, three times over
 #   make bench            the repository benchmark (BENCHMARK.json) -> bench/out/runs.jsonl
 #   make bench-compare A=a.jsonl B=b.jsonl   compare two benchmark runs, run against run
 #   make bench-update     the update path's microbenchmarks (kernel, computeBR, one update, batched updates, a durable body)
-#   make bench-obs        metrics-overhead microbenchmark -> BENCH_obs.json
-#   make bench-shard      concurrent-throughput comparison -> BENCH_shard.json
-#   make bench-partition  hash vs speed partitioning -> BENCH_partition.json
-#   make bench-wal        durability-policy comparison -> BENCH_wal.json
-#   make bench-reshard    live-reshard cost comparison -> BENCH_reshard.json
-#   make bench-trace      tracing-overhead microbenchmark -> BENCH_trace.json
 #   make serve-smoke      the README serving quickstart, end to end
-#   make bench-serve      rexpd + remote loadgen -> BENCH_serve.json
-#   make bench-repl       replication catch-up/lag/overhead -> BENCH_repl.json
 #   make fault-matrix     the replication fault-injection matrix, under -race
-#   make all              check + all benchmarks
+#   make all              check
 
 GO ?= go
 
-.PHONY: all check fmt-check vet build test test-bench race determinism crash-matrix fuzz-smoke bench bench-compare bench-update bench-obs bench-obs-smoke bench-shard bench-partition bench-partition-smoke bench-wal bench-wal-smoke bench-reshard bench-reshard-smoke bench-trace bench-trace-smoke serve-smoke bench-serve bench-serve-smoke bench-repl bench-repl-smoke fault-matrix clean
+.PHONY: all check fmt-check vet build test test-bench race determinism crash-matrix fuzz-smoke bench bench-compare bench-update serve-smoke fault-matrix
 
-all: check bench-obs bench-shard bench-partition bench-wal bench-reshard bench-trace bench-serve bench-repl
+all: check
 
-check: fmt-check vet build test test-bench race determinism crash-matrix bench-obs-smoke bench-partition-smoke bench-wal-smoke bench-reshard-smoke bench-trace-smoke serve-smoke bench-serve-smoke bench-repl-smoke
+check: fmt-check vet build test test-bench race determinism crash-matrix serve-smoke
 
 # Fails (with the offending file list) if anything is not gofmt-clean.
 fmt-check:
@@ -121,107 +113,12 @@ bench-update:
 	$(GO) test ./internal/storage -run '^$$' -bench 'BenchmarkFlushOneDirty' -benchmem
 	$(GO) test . -run '^$$' -bench 'BenchmarkUpdateThroughput$$|BenchmarkUpdateBatch|BenchmarkDurableBatch' -benchmem
 
-# Compares instrumented vs. nil-metrics Update/query throughput; the
-# observability layer's budget is a <2% regression.
-bench-obs:
-	$(GO) run ./cmd/rexpobsbench -out BENCH_obs.json
-
-# A fast pass of the same benchmark, as a smoke test for make check:
-# it exercises the full instrumented workload path without committing
-# a result file.
-bench-obs-smoke:
-	$(GO) run ./cmd/rexpobsbench -scale 0.01 -rounds 1 -out -
-
-# Single-mutex vs RWMutex vs sharded throughput under the modeled
-# I/O-bound regime (see cmd/rexpbench/concurrent.go).
-bench-shard:
-	$(GO) run ./cmd/rexpbench -throughput -shardout BENCH_shard.json
-
-# Hash vs speed-band shard partitioning on a spatially-correlated
-# mixed-speed workload: shard visits, pruning ratio, query throughput,
-# and a result-set equality check (see cmd/rexpbench/partition.go).
-bench-partition:
-	$(GO) run ./cmd/rexpbench -partitionbench -partout BENCH_partition.json
-
-# A fast pass of the partition comparison for make check: it exercises
-# loading, re-routing, pruning and the equality check without
-# committing a result file.
-bench-partition-smoke:
-	$(GO) run ./cmd/rexpbench -partitionbench -objects 2000 -duration 0.2 -quiet -partout -
-
-# Update throughput under each durability policy — none (legacy), WAL
-# with batched fsync, WAL with fsync-per-commit — plus the WAL traffic
-# each one generates (see cmd/rexpbench/durability.go).
-bench-wal:
-	$(GO) run ./cmd/rexpbench -durability -walout BENCH_wal.json
-
-# A fast pass of the durability comparison for make check: it exercises
-# the WAL append/commit/checkpoint path under all three policies
-# without committing a result file.
-bench-wal-smoke:
-	$(GO) run ./cmd/rexpbench -durability -objects 2000 -duration 0.4 -quiet -walout - >/dev/null
-
-# What an online reshard costs the serving path: the same mixed
-# query/update load measured in steady state and again while the index
-# live-reshards to a speed-banded layout, plus the cutover's exclusive
-# mutation stall (see cmd/rexpbench/livereshard.go and the
-# ARCHITECTURE.md "Live reshard" section).
-bench-reshard:
-	$(GO) run ./cmd/rexpbench -livereshard -objects 20000 -duration 2 -iolat 0 -reshardout BENCH_reshard.json
-
-# A fast pass of the live-reshard comparison for make check: it
-# exercises the snapshot scan, dual-apply window, backfill, verify and
-# cutover under concurrent load without committing a result file.
-bench-reshard-smoke:
-	$(GO) run ./cmd/rexpbench -livereshard -objects 3000 -duration 0.3 -iolat 0 -quiet -reshardout - >/dev/null
-
-# Compares tracing-disabled vs tracing-enabled throughput: the
-# always-on (recorder off) cost must stay under the same <2% budget as
-# the base instrumentation; the flight-recorder-on cost is reported for
-# information (see cmd/rexpobsbench/trace.go).
-bench-trace:
-	$(GO) run ./cmd/rexpobsbench -trace -out BENCH_trace.json
-
-# A fast pass of the tracing benchmark for make check: it exercises the
-# traced query/update paths and the flight recorder without committing
-# a result file.
-bench-trace-smoke:
-	$(GO) run ./cmd/rexpobsbench -trace -scale 0.005 -rounds 1 -out - >/dev/null
-
 # The README "Serving" quickstart as a test: rexpgen a workload, serve
 # it with rexpd, ingest through rexpbench -remote -replay, query over
 # HTTP, scrape /metrics, SIGTERM, assert a clean drain (see
 # cmd/rexpd/main_test.go).
 serve-smoke:
 	$(GO) test ./cmd/rexpd -run 'TestServeSmoke|TestDrainNoAckedLossAcrossProcess' -count 1 -v
-
-# Serving-layer throughput: spawn rexpd, drive concurrent mixed
-# update/query HTTP load, SIGTERM it, and record sustained updates/sec
-# and query latency percentiles (see cmd/rexpbench/remote.go).
-bench-serve: bin/rexpd
-	$(GO) run ./cmd/rexpbench -spawn bin/rexpd -objects 20000 -workers 8 -duration 5 -serveout BENCH_serve.json
-
-# A fast pass of the serving bench for make check: it exercises spawn,
-# preload, mixed load and the SIGTERM drain without committing a file.
-bench-serve-smoke: bin/rexpd
-	$(GO) run ./cmd/rexpbench -spawn bin/rexpd -objects 2000 -workers 4 -duration 0.5 -quiet -serveout - >/dev/null
-
-bin/rexpd: FORCE
-	@mkdir -p bin
-	$(GO) build -o bin/rexpd ./cmd/rexpd
-
-# The replication stream end to end: cold-follower catch-up MB/s,
-# steady-state apply lag under a continuous leader update stream, and
-# the leader's throughput cost of feeding a tailing follower (see
-# cmd/rexpbench/replbench.go).
-bench-repl:
-	$(GO) run ./cmd/rexpbench -replbench -objects 20000 -duration 2 -replout BENCH_repl.json
-
-# A fast pass of the replication bench for make check: it exercises the
-# snapshot stream, bootstrap, tail apply and the lag sampler without
-# committing a result file.
-bench-repl-smoke:
-	$(GO) run ./cmd/rexpbench -replbench -objects 3000 -duration 0.3 -quiet -replout - >/dev/null
 
 # The replication fault-injection matrix under the race detector:
 # follower/leader crashes at every stage of the stream, torn wire
@@ -230,9 +127,3 @@ bench-repl-smoke:
 # or fail loudly (see internal/repl/e2e_test.go).
 fault-matrix:
 	$(GO) test -race ./internal/repl -run 'TestRepl' -count 1
-
-FORCE:
-
-clean:
-	rm -f BENCH_obs.json BENCH_shard.json BENCH_partition.json BENCH_wal.json BENCH_reshard.json BENCH_trace.json BENCH_serve.json BENCH_repl.json
-	rm -rf bin

@@ -1,92 +1,27 @@
 package main
 
-// The -remote mode: drive a running rexpd over HTTP with concurrent
-// mixed update/query traffic and publish the sustained rates to
-// BENCH_serve.json — the serving-layer companion of the in-process
-// throughput bench in concurrent.go.  With -spawn the bench launches
-// its own rexpd (an existing binary; the Makefile builds it first),
-// parses the daemon's serving line for the bound address, and shuts it
-// down with SIGTERM afterwards, so `make bench-serve` measures the
-// whole lifecycle including a graceful drain.  With -replay it streams
-// a rexpgen workload file instead of synthetic traffic: inserts and
-// deletes as NDJSON ingest lines, queries as GETs — the path the README
-// quickstart walks by hand.
+// The -remote -replay mode: stream a rexpgen workload file to a running
+// rexpd over HTTP — inserts and deletes as NDJSON ingest lines, queries
+// as GETs — the path the README quickstart walks by hand.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
 	"os"
-	"os/exec"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"rexptree/internal/geom"
 	"rexptree/internal/server"
 	"rexptree/internal/workload"
 )
-
-// serveReport is the BENCH_serve.json schema.
-type serveReport struct {
-	Config  serveConfig   `json:"config"`
-	Preload *phaseReport  `json:"preload,omitempty"`
-	Updates *updateReport `json:"updates,omitempty"`
-	Queries *queryReport  `json:"queries,omitempty"`
-	Replay  *replayReport `json:"replay,omitempty"`
-}
-
-type serveConfig struct {
-	Addr      string  `json:"addr"`
-	Spawned   bool    `json:"spawned,omitempty"`
-	Objects   int     `json:"objects,omitempty"`
-	Workers   int     `json:"workers"`
-	DurationS float64 `json:"duration_s,omitempty"`
-	Seed      int64   `json:"seed"`
-	Replay    string  `json:"replay,omitempty"`
-}
-
-type phaseReport struct {
-	Objects int     `json:"objects"`
-	Seconds float64 `json:"seconds"`
-	PerSec  float64 `json:"per_sec"`
-}
-
-type updateReport struct {
-	Acked     int     `json:"acked"`
-	Batches   int     `json:"batches"`
-	Rejected  int     `json:"rejected_429"`
-	PerSec    float64 `json:"updates_per_sec"`
-	MeanBatch float64 `json:"mean_batch_ms"`
-}
-
-type queryReport struct {
-	Count  int     `json:"count"`
-	PerSec float64 `json:"queries_per_sec"`
-	P50ms  float64 `json:"p50_ms"`
-	P99ms  float64 `json:"p99_ms"`
-	MaxMs  float64 `json:"max_ms"`
-}
-
-type replayReport struct {
-	Inserts int     `json:"inserts"`
-	Deletes int     `json:"deletes"`
-	Queries int     `json:"queries"`
-	Results int     `json:"results"`
-	Seconds float64 `json:"seconds"`
-	OpsSec  float64 `json:"ops_per_sec"`
-}
 
 // remoteClient wraps the target daemon's base URL.
 type remoteClient struct {
@@ -161,7 +96,7 @@ func (e *overloadError) Error() string {
 
 // wait picks the back-off before retrying: the server's hint when it
 // sent one, else the caller's fallback — in both cases jittered over
-// [d/2, 3d/2) so a fleet of refused workers does not return in
+// [d/2, 3d/2) so a fleet of refused clients does not return in
 // lockstep and re-overload the server at the same instant.
 func (e *overloadError) wait(fallback time.Duration) time.Duration {
 	d := e.retryAfter
@@ -183,163 +118,13 @@ func parseRetryAfter(v string) time.Duration {
 
 // batchAck mirrors the server's batch response.
 type batchAck struct {
-	Applied int     `json:"applied"`
-	Deleted int     `json:"deleted"`
-	Batches int     `json:"batches"`
-	Clock   float64 `json:"clock"`
+	Applied int `json:"applied"`
+	Deleted int `json:"deleted"`
 }
 
 // queryAck mirrors the server's query response envelope.
 type queryAck struct {
-	Now   float64 `json:"now"`
-	Count int     `json:"count"`
-}
-
-// runRemoteBench is the -remote / -spawn entry point.
-func runRemoteBench(addr, spawnBin, replayFile string, objects, workers int, durationSec float64, seed int64, out string, progress func(string)) error {
-	spawned := false
-	if spawnBin != "" {
-		if addr != "" {
-			return fmt.Errorf("-remote and -spawn are mutually exclusive")
-		}
-		got, stop, err := spawnRexpd(spawnBin, progress)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := stop(); err != nil {
-				progress(fmt.Sprintf("rexpbench: spawned rexpd: %v", err))
-			}
-		}()
-		addr = got
-		spawned = true
-	}
-
-	c := newRemoteClient(addr)
-	if err := c.get("/healthz", nil, nil); err != nil {
-		return fmt.Errorf("daemon not reachable: %w", err)
-	}
-
-	report := serveReport{Config: serveConfig{
-		Addr: c.base, Spawned: spawned, Workers: workers, Seed: seed, Replay: replayFile,
-	}}
-
-	if replayFile != "" {
-		rr, err := replayWorkload(c, replayFile, progress)
-		if err != nil {
-			return err
-		}
-		report.Replay = rr
-	} else {
-		report.Config.Objects = objects
-		report.Config.DurationS = durationSec
-		if err := syntheticLoad(c, &report, objects, workers, durationSec, seed, progress); err != nil {
-			return err
-		}
-	}
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "-" {
-		os.Stdout.Write(data)
-		return nil
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	progress("rexpbench: wrote " + out)
-	return nil
-}
-
-// spawnRexpd launches an rexpd binary on a kernel-chosen port with an
-// in-memory index, returning the bound address and a stop function that
-// SIGTERMs the daemon and waits for its clean shutdown.
-func spawnRexpd(bin string, progress func(string)) (addr string, stop func() error, err error) {
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0")
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		return "", nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return "", nil, fmt.Errorf("spawn %s: %w", bin, err)
-	}
-
-	addrc := make(chan string, 1)
-	clean := make(chan bool, 1)
-	go func() {
-		sawClean := false
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			progress("  " + line)
-			if rest, ok := strings.CutPrefix(line, "rexpd: serving http://"); ok {
-				if i := strings.IndexByte(rest, ' '); i > 0 {
-					select {
-					case addrc <- rest[:i]:
-					default:
-					}
-				}
-			}
-			if strings.Contains(line, "clean shutdown") {
-				sawClean = true
-			}
-		}
-		clean <- sawClean
-	}()
-
-	select {
-	case addr = <-addrc:
-	case <-time.After(10 * time.Second):
-		cmd.Process.Kill()
-		cmd.Wait()
-		return "", nil, fmt.Errorf("spawned rexpd did not report a serving address")
-	}
-
-	stop = func() error {
-		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			return err
-		}
-		// Wait for the stderr scanner to hit EOF (the daemon exiting
-		// closes the pipe) before cmd.Wait, which would close the pipe
-		// under the scanner and can drop the final lines.
-		var sawClean bool
-		select {
-		case sawClean = <-clean:
-		case <-time.After(time.Minute):
-			cmd.Process.Kill()
-			cmd.Wait()
-			return fmt.Errorf("rexpd did not exit within a minute of SIGTERM")
-		}
-		if err := cmd.Wait(); err != nil {
-			return fmt.Errorf("rexpd exit: %w", err)
-		}
-		if !sawClean {
-			return fmt.Errorf("rexpd exited without reporting a clean shutdown")
-		}
-		return nil
-	}
-	return addr, stop, nil
-}
-
-// --- Synthetic mixed load ----------------------------------------------
-
-// The synthetic space: objects roam [0, spaceSide]^2 at up to maxSpeed.
-const (
-	spaceSide   = 1000.0
-	maxSpeed    = 2.0
-	updateChunk = 100
-)
-
-func randRecord(rng *rand.Rand, id uint32, t float64) server.Record {
-	return server.Record{
-		ID:   id,
-		Pos:  []float64{rng.Float64() * spaceSide, rng.Float64() * spaceSide},
-		Vel:  []float64{(rng.Float64()*2 - 1) * maxSpeed, (rng.Float64()*2 - 1) * maxSpeed},
-		Time: t,
-	}
+	Count int `json:"count"`
 }
 
 func ndjson(recs []server.Record) []byte {
@@ -351,212 +136,22 @@ func ndjson(recs []server.Record) []byte {
 	return buf.Bytes()
 }
 
-// syntheticLoad preloads the index, then runs workers/2 batch-update
-// writers and workers/2 query readers concurrently for durationSec,
-// measuring sustained ack rates and query latency percentiles.
-func syntheticLoad(c *remoteClient, report *serveReport, objects, workers int, durationSec float64, seed int64, progress func(string)) error {
-	if workers < 2 {
-		workers = 2
+// replayWorkload streams a rexpgen text workload to the daemon at addr
+// in order: inserts and deletes accumulate into NDJSON ingest bodies,
+// flushed before each query so the stream applies in sequence.  It
+// prints one summary line on success.
+func replayWorkload(addr, file string) error {
+	c := newRemoteClient(addr)
+	if err := c.get("/healthz", nil, nil); err != nil {
+		return fmt.Errorf("daemon not reachable: %w", err)
 	}
-	rng := rand.New(rand.NewSource(seed))
-
-	// Preload: every object once, streamed as one NDJSON body.
-	recs := make([]server.Record, objects)
-	for i := range recs {
-		recs[i] = randRecord(rng, uint32(i), 0)
-	}
-	start := time.Now()
-	var ack batchAck
-	if err := c.post("/v1/batch", ndjson(recs), &ack); err != nil {
-		return fmt.Errorf("preload: %w", err)
-	}
-	if ack.Applied != objects {
-		return fmt.Errorf("preload: applied %d of %d", ack.Applied, objects)
-	}
-	sec := time.Since(start).Seconds()
-	report.Preload = &phaseReport{Objects: objects, Seconds: sec, PerSec: float64(objects) / sec}
-	progress(fmt.Sprintf("rexpbench: preloaded %d objects in %.2fs (%.0f/s)", objects, sec, float64(objects)/sec))
-
-	// Shared logical clock: each update advances it a millitick, so
-	// report times are unique, increasing, and never race backwards.
-	var tick atomic.Int64
-	nextT := func() float64 { return float64(tick.Add(1)) / 1000.0 }
-
-	nw := workers / 2
-	nq := workers - nw
-	deadline := time.Now().Add(time.Duration(durationSec * float64(time.Second)))
-
-	var (
-		mu       sync.Mutex
-		acked    int
-		batches  int
-		rejected int
-		batchMs  float64
-		lats     []float64
-		queries  int
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(wseed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(wseed))
-			for time.Now().Before(deadline) {
-				chunk := make([]server.Record, updateChunk)
-				for i := range chunk {
-					chunk[i] = randRecord(rng, uint32(rng.Intn(objects)), nextT())
-				}
-				body := ndjson(chunk)
-				t0 := time.Now()
-				var ack batchAck
-				err := c.post("/v1/batch", body, &ack)
-				var oe *overloadError
-				if errors.As(err, &oe) {
-					mu.Lock()
-					rejected++
-					mu.Unlock()
-					time.Sleep(oe.wait(10 * time.Millisecond))
-					continue
-				}
-				if err != nil {
-					fail(err)
-					return
-				}
-				mu.Lock()
-				acked += ack.Applied
-				batches++
-				batchMs += time.Since(t0).Seconds() * 1000
-				mu.Unlock()
-			}
-		}(seed + int64(w) + 1)
-	}
-	for w := 0; w < nq; w++ {
-		wg.Add(1)
-		go func(wseed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(wseed))
-			for time.Now().Before(deadline) {
-				q, path := randRemoteQuery(rng)
-				t0 := time.Now()
-				var ack queryAck
-				if err := c.get(path, q, &ack); err != nil {
-					fail(err)
-					return
-				}
-				mu.Lock()
-				queries++
-				lats = append(lats, time.Since(t0).Seconds()*1000)
-				mu.Unlock()
-			}
-		}(seed + int64(nw+w) + 1)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-
-	report.Updates = &updateReport{
-		Acked:    acked,
-		Batches:  batches,
-		Rejected: rejected,
-		PerSec:   float64(acked) / durationSec,
-	}
-	if batches > 0 {
-		report.Updates.MeanBatch = batchMs / float64(batches)
-	}
-	report.Queries = &queryReport{
-		Count:  queries,
-		PerSec: float64(queries) / durationSec,
-		P50ms:  percentile(lats, 0.50),
-		P99ms:  percentile(lats, 0.99),
-		MaxMs:  percentile(lats, 1),
-	}
-	progress(fmt.Sprintf("rexpbench: sustained %.0f updates/s, %.0f queries/s (p50 %.2fms, p99 %.2fms, %d rejected)",
-		report.Updates.PerSec, report.Queries.PerSec, report.Queries.P50ms, report.Queries.P99ms, rejected))
-	return nil
-}
-
-// randRemoteQuery builds one of the four query types with "+N" clock-relative
-// times, so the bench needs no view of the server's logical clock.
-func randRemoteQuery(rng *rand.Rand) (url.Values, string) {
-	vec := func(lo [2]float64, side float64) (string, string) {
-		x, y := lo[0], lo[1]
-		return fmt.Sprintf("%.3f,%.3f", x, y), fmt.Sprintf("%.3f,%.3f", x+side, y+side)
-	}
-	corner := func() [2]float64 {
-		return [2]float64{rng.Float64() * (spaceSide - 50), rng.Float64() * (spaceSide - 50)}
-	}
-	v := url.Values{}
-	switch rng.Intn(4) {
-	case 0:
-		lo, hi := vec(corner(), 50)
-		v.Set("lo", lo)
-		v.Set("hi", hi)
-		v.Set("at", "+1")
-		return v, "/v1/timeslice"
-	case 1:
-		lo, hi := vec(corner(), 50)
-		v.Set("lo", lo)
-		v.Set("hi", hi)
-		v.Set("t1", "+1")
-		v.Set("t2", "+2")
-		return v, "/v1/window"
-	case 2:
-		lo1, hi1 := vec(corner(), 50)
-		lo2, hi2 := vec(corner(), 50)
-		v.Set("lo1", lo1)
-		v.Set("hi1", hi1)
-		v.Set("lo2", lo2)
-		v.Set("hi2", hi2)
-		v.Set("t1", "+1")
-		v.Set("t2", "+2")
-		return v, "/v1/moving"
-	default:
-		p := corner()
-		v.Set("pos", fmt.Sprintf("%.3f,%.3f", p[0], p[1]))
-		v.Set("k", "10")
-		v.Set("at", "+1")
-		return v, "/v1/nearest"
-	}
-}
-
-func percentile(lats []float64, p float64) float64 {
-	if len(lats) == 0 {
-		return 0
-	}
-	sort.Float64s(lats)
-	i := int(math.Ceil(p*float64(len(lats)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(lats) {
-		i = len(lats) - 1
-	}
-	return lats[i]
-}
-
-// --- Workload replay ---------------------------------------------------
-
-// replayWorkload streams a rexpgen text workload to the daemon in
-// order: inserts and deletes accumulate into NDJSON ingest bodies,
-// flushed before each query so the stream applies in sequence.
-func replayWorkload(c *remoteClient, file string, progress func(string)) (*replayReport, error) {
 	f, err := os.Open(file)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
 
-	rr := &replayReport{}
+	var inserts, deletes, queries, results int
 	start := time.Now()
 	var pending []server.Record
 
@@ -577,8 +172,8 @@ func replayWorkload(c *remoteClient, file string, progress func(string)) (*repla
 			}
 			break
 		}
-		rr.Inserts += ack.Applied
-		rr.Deletes += ack.Deleted
+		inserts += ack.Applied
+		deletes += ack.Deleted
 		pending = pending[:0]
 		return nil
 	}
@@ -604,31 +199,26 @@ func replayWorkload(c *remoteClient, file string, progress func(string)) (*repla
 			pending = append(pending, server.Record{Op: "delete", ID: op.OID, Time: op.Time})
 		case workload.OpQuery:
 			if err := flush(); err != nil {
-				return nil, err
+				return err
 			}
 			v, path := queryParams(op.Query)
 			var ack queryAck
 			if err := c.get(path, v, &ack); err != nil {
-				return nil, err
+				return err
 			}
-			rr.Queries++
-			rr.Results += ack.Count
+			queries++
+			results += ack.Count
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := flush(); err != nil {
-		return nil, err
+		return err
 	}
-	rr.Seconds = time.Since(start).Seconds()
-	total := rr.Inserts + rr.Deletes + rr.Queries
-	if rr.Seconds > 0 {
-		rr.OpsSec = float64(total) / rr.Seconds
-	}
-	progress(fmt.Sprintf("rexpbench: replayed %d inserts, %d deletes, %d queries (%d results) in %.2fs",
-		rr.Inserts, rr.Deletes, rr.Queries, rr.Results, rr.Seconds))
-	return rr, nil
+	fmt.Printf("rexpbench: replayed %d inserts, %d deletes, %d queries (%d results) in %.2fs\n",
+		inserts, deletes, queries, results, time.Since(start).Seconds())
+	return nil
 }
 
 // queryParams translates a workload query to its GET endpoint.

@@ -222,20 +222,6 @@ func MetaConfig(store storage.Store) (Config, error) {
 	}, nil
 }
 
-// Export visits every leaf entry exactly as stored — quantized
-// position and velocity relative to epoch t=0, recorded expiration
-// time — along with whether the entry is live at the tree's current
-// clock.  Lazily-purged expired entries are reported with live=false
-// so a full-index migration (the offline reshard) can carry the exact
-// live set to a new index and drop the rest.
-func (t *Tree) Export(fn func(oid uint32, p geom.MovingPoint, live bool) error) error {
-	now := t.Now()
-	return t.Records(func(oid uint32, p geom.MovingPoint) error {
-		live := !t.cfg.ExpireAware || p.TExp >= now
-		return fn(oid, p, live)
-	})
-}
-
 // Records visits every leaf entry (including expired ones not yet
 // purged), charging the buffer pool like any locked traversal.
 func (t *Tree) Records(fn func(oid uint32, p geom.MovingPoint) error) error {

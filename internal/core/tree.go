@@ -47,8 +47,8 @@ type Tree struct {
 	cache   map[storage.PageID]*node
 
 	// imagesAtSync is set for a tree over a bare MemStore without
-	// DeferFlush; a wrapped one (a LatencyStore, a test store) keeps
-	// the encoder, like a file store.  Nothing reads such a store's node pages but an Open
+	// DeferFlush; a wrapped one (a test store) keeps the encoder, like a
+	// file store.  Nothing reads such a store's node pages but an Open
 	// after Sync — every node the tree has touched stays in its cache —
 	// so the pool gets no encoder: it charges hits, misses, write-backs
 	// and evictions as ever but moves stale bytes, and Sync renders every

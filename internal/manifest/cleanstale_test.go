@@ -1,4 +1,4 @@
-package reshard
+package manifest
 
 import (
 	"os"
@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// TestCleanStale exercises the stale-file sweep both reshard retry
-// paths rely on: leftovers of dead generations (page files, ".wal" and
+// TestCleanStale exercises the stale-file sweep the reshard engine
+// relies on: leftovers of dead generations (page files, ".wal" and
 // ".tmp" sidecars, an interrupted-commit manifest) must go, while the
 // kept generations' files, the live manifest, the base file itself and
 // unrelated names must survive.

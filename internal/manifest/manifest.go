@@ -1,9 +1,10 @@
 // Package manifest defines the sidecar file ("<path>.manifest") that
 // describes how a file-backed sharded rexptree index is partitioned,
-// plus the routing primitives (id hash, speed bands) that both the
-// library front-end (shard.go / partition.go) and the offline reshard
-// tool must agree on.  Keeping them in one package guarantees the tool
-// routes an object to exactly the shard the library would look in.
+// the naming scheme of its shard files (ShardPath, CleanStale), and the
+// routing primitives (id hash, speed bands) of the library front-end
+// (shard.go / partition.go).  One package owns all three, so every tool
+// that reads an index (rexpreshard, rexpcheck) names and routes exactly
+// as the library does.
 package manifest
 
 import (
@@ -11,7 +12,10 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -178,6 +182,87 @@ func ShardPath(base string, gen, i int) string {
 		return fmt.Sprintf("%s.s%d", base, i)
 	}
 	return fmt.Sprintf("%s.g%d.s%d", base, gen, i)
+}
+
+// CleanStale removes the shard files of every generation of the index
+// at base except the kept ones: page files ("<base>.s<i>" for
+// generation 0, "<base>.g<g>.s<i>" for later generations), their
+// ".wal" and ".tmp" sidecars, and a leftover "<base>.manifest.reshard"
+// from an interrupted commit of an older release.  It never touches
+// base itself, the live manifest, or files that do not match the shard
+// naming scheme.  The reshard engine runs it so an aborted attempt at
+// any generation cannot leave files a later attempt would silently
+// reopen.
+func CleanStale(base string, keepGens ...int) (removed []string, err error) {
+	dir, prefix := filepath.Split(base)
+	if dir == "" {
+		dir = "."
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("manifest: %w", err)
+	}
+	keep := make(map[int]bool, len(keepGens))
+	for _, g := range keepGens {
+		keep[g] = true
+	}
+	var firstErr error
+	for _, e := range entries {
+		name := e.Name()
+		gen, ok := shardFileGen(name, prefix)
+		if !ok || keep[gen] {
+			continue
+		}
+		p := filepath.Join(dir, name)
+		if rmErr := os.Remove(p); rmErr != nil {
+			if firstErr == nil {
+				firstErr = rmErr
+			}
+			continue
+		}
+		removed = append(removed, p)
+	}
+	return removed, firstErr
+}
+
+// shardFileGen decides whether name is a shard file (or sidecar) of
+// the index whose base file name is prefix, and of which generation.
+// Recognized forms, each optionally suffixed ".wal" or ".tmp":
+//
+//	<prefix>.s<i>        — generation 0
+//	<prefix>.g<g>.s<i>   — generation g
+//
+// plus the interrupted-commit manifest "<prefix>.manifest.reshard"
+// (reported as generation -1, which callers never keep).
+func shardFileGen(name, prefix string) (gen int, ok bool) {
+	rest, found := strings.CutPrefix(name, prefix+".")
+	if !found {
+		return 0, false
+	}
+	if rest == "manifest.reshard" {
+		return -1, true
+	}
+	rest = strings.TrimSuffix(strings.TrimSuffix(rest, ".tmp"), ".wal")
+	gen = 0
+	if g, found := strings.CutPrefix(rest, "g"); found {
+		dot := strings.IndexByte(g, '.')
+		if dot < 1 {
+			return 0, false
+		}
+		n, err := strconv.Atoi(g[:dot])
+		if err != nil || n < 1 {
+			return 0, false
+		}
+		gen, rest = n, g[dot+1:]
+	}
+	i, found := strings.CutPrefix(rest, "s")
+	if !found {
+		return 0, false
+	}
+	if n, err := strconv.Atoi(i); err != nil || n < 0 {
+		return 0, false
+	}
+	return gen, true
 }
 
 // ShardIndex hashes an object id onto one of n shards.  The id is

@@ -274,15 +274,6 @@ type Metrics struct {
 	ChecksumFailures       Counter   // page or superblock checksum mismatches detected
 	RecoveryDuration       Histogram // wall-clock duration of each recovery pass
 
-	// Offline reshard progress (internal/reshard, PR 4).  The phase
-	// gauge holds the reshard's current phase (1 scan, 2 route, 3 load,
-	// 4 verify, 5 commit; 0 idle/done).
-	ReshardScanned Counter // leaf entries read from the source shards
-	ReshardRouted  Counter // live entries routed to a target shard
-	ReshardLoaded  Counter // entries bulk-loaded into target shards
-	ReshardBytes   Counter // bytes of target page files written
-	ReshardPhase   Gauge   // current reshard phase
-
 	// Live reshard (PR 9): dual-apply window, drift detection and the
 	// cutover.  The skew and churn gauges hold the drift detector's last
 	// measurements (max shard fill over the even share; re-routes per
@@ -440,12 +431,6 @@ type Snapshot struct {
 	ChecksumFailures       uint64
 	RecoveryDuration       HistSnapshot
 
-	ReshardScanned uint64
-	ReshardRouted  uint64
-	ReshardLoaded  uint64
-	ReshardBytes   uint64
-	ReshardPhase   int64
-
 	ReshardRuns         uint64
 	ReshardDualApplied  uint64
 	ReshardBackfilled   uint64
@@ -510,11 +495,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.RecoveryDroppedExpired = m.RecoveryDroppedExpired.Load()
 	s.ChecksumFailures = m.ChecksumFailures.Load()
 	s.RecoveryDuration = m.RecoveryDuration.Snapshot()
-	s.ReshardScanned = m.ReshardScanned.Load()
-	s.ReshardRouted = m.ReshardRouted.Load()
-	s.ReshardLoaded = m.ReshardLoaded.Load()
-	s.ReshardBytes = m.ReshardBytes.Load()
-	s.ReshardPhase = m.ReshardPhase.Load()
 	s.ReshardRuns = m.ReshardRuns.Load()
 	s.ReshardDualApplied = m.ReshardDualApplied.Load()
 	s.ReshardBackfilled = m.ReshardBackfilled.Load()
@@ -584,10 +564,6 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 	d.RecoveryDroppedExpired -= o.RecoveryDroppedExpired
 	d.ChecksumFailures -= o.ChecksumFailures
 	d.RecoveryDuration = s.RecoveryDuration.Sub(o.RecoveryDuration)
-	d.ReshardScanned -= o.ReshardScanned
-	d.ReshardRouted -= o.ReshardRouted
-	d.ReshardLoaded -= o.ReshardLoaded
-	d.ReshardBytes -= o.ReshardBytes
 	d.ReshardRuns -= o.ReshardRuns
 	d.ReshardDualApplied -= o.ReshardDualApplied
 	d.ReshardBackfilled -= o.ReshardBackfilled
@@ -652,13 +628,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 	d.RecoveryDroppedExpired += o.RecoveryDroppedExpired
 	d.ChecksumFailures += o.ChecksumFailures
 	d.RecoveryDuration = s.RecoveryDuration.Add(o.RecoveryDuration)
-	d.ReshardScanned += o.ReshardScanned
-	d.ReshardRouted += o.ReshardRouted
-	d.ReshardLoaded += o.ReshardLoaded
-	d.ReshardBytes += o.ReshardBytes
-	if o.ReshardPhase > d.ReshardPhase {
-		d.ReshardPhase = o.ReshardPhase // the latest phase any worker reached
-	}
 	d.ReshardRuns += o.ReshardRuns
 	d.ReshardDualApplied += o.ReshardDualApplied
 	d.ReshardBackfilled += o.ReshardBackfilled

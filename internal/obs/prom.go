@@ -69,10 +69,6 @@ var families = []promFamily{
 	{"_recovery_replayed_total", "counter", "Logical WAL records replayed during recovery.", cv(func(s *Snapshot) uint64 { return s.RecoveryReplayed })},
 	{"_recovery_dropped_expired_total", "counter", "Replayed inserts skipped because the entry had already expired.", cv(func(s *Snapshot) uint64 { return s.RecoveryDroppedExpired })},
 	{"_checksum_failures_total", "counter", "Page or superblock checksum mismatches detected.", cv(func(s *Snapshot) uint64 { return s.ChecksumFailures })},
-	{"_reshard_entries_scanned_total", "counter", "Leaf entries read from the source shards by the offline reshard.", cv(func(s *Snapshot) uint64 { return s.ReshardScanned })},
-	{"_reshard_entries_routed_total", "counter", "Live entries routed to a target shard by the offline reshard.", cv(func(s *Snapshot) uint64 { return s.ReshardRouted })},
-	{"_reshard_entries_loaded_total", "counter", "Entries bulk-loaded into target shards by the offline reshard.", cv(func(s *Snapshot) uint64 { return s.ReshardLoaded })},
-	{"_reshard_bytes_written_total", "counter", "Bytes of target page files written by the offline reshard.", cv(func(s *Snapshot) uint64 { return s.ReshardBytes })},
 	{"_reshard_runs_total", "counter", "Live reshards completed (cut over to a new generation).", cv(func(s *Snapshot) uint64 { return s.ReshardRuns })},
 	{"_reshard_dual_applied_total", "counter", "Mutations mirrored into an in-flight target generation.", cv(func(s *Snapshot) uint64 { return s.ReshardDualApplied })},
 	{"_reshard_backfilled_total", "counter", "Snapshot records copied into the target generation by the live reshard.", cv(func(s *Snapshot) uint64 { return s.ReshardBackfilled })},
@@ -85,7 +81,6 @@ var families = []promFamily{
 	{"_horizon", "gauge", "Time horizon H = UI + W (paper 4.2.1).", fv(func(s *Snapshot) float64 { return s.Horizon })},
 	{"_speed_band_lo", "gauge", "Lower |velocity| bound of the shard's speed band.", fv(func(s *Snapshot) float64 { return s.SpeedBandLo })},
 	{"_speed_band_hi", "gauge", "Upper |velocity| bound of the shard's speed band.", fv(func(s *Snapshot) float64 { return s.SpeedBandHi })},
-	{"_reshard_phase", "gauge", "Current offline-reshard phase (1 scan, 2 route, 3 load, 4 verify, 5 commit; 0 idle).", gv(func(s *Snapshot) int64 { return s.ReshardPhase })},
 	{"_reshard_skew", "gauge", "Routing skew last measured by the drift detector (max shard size over even share).", fv(func(s *Snapshot) float64 { return s.ReshardSkew })},
 	{"_reshard_churn", "gauge", "Re-route churn last measured by the drift detector (re-routes per update).", fv(func(s *Snapshot) float64 { return s.ReshardChurn })},
 }

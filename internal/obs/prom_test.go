@@ -56,11 +56,6 @@ func goldenSnapshot() Snapshot {
 	m.RecoveryDroppedExpired.Add(21)
 	m.ChecksumFailures.Add(1)
 	m.RecoveryDuration.Observe(4 * time.Millisecond)
-	m.ReshardScanned.Add(10000)
-	m.ReshardRouted.Add(9500)
-	m.ReshardLoaded.Add(9500)
-	m.ReshardBytes.Add(4096 * 512)
-	m.ReshardPhase.Set(5)
 	m.LockWaitRead.Observe(900 * time.Nanosecond)
 	m.LockWaitRead.Observe(12 * time.Microsecond)
 	m.LockWaitWrite.Observe(400 * time.Microsecond)
@@ -146,9 +141,8 @@ func TestWriteSnapshotParses(t *testing.T) {
 		"rexp_query_shard_visits_total", "rexp_query_shards_pruned_total",
 		"rexp_partition_rerouted_total", "rexp_buffer_pool_pages",
 		"rexp_speed_band_lo", "rexp_speed_band_hi",
-		"rexp_reshard_entries_scanned_total", "rexp_reshard_entries_routed_total",
-		"rexp_reshard_entries_loaded_total", "rexp_reshard_bytes_written_total",
-		"rexp_reshard_phase", "rexp_phase_duration_seconds",
+		"rexp_reshard_runs_total", "rexp_reshard_backfilled_total",
+		"rexp_reshard_skew", "rexp_phase_duration_seconds",
 	} {
 		if !help[name] || !typ[name] {
 			t.Errorf("family %s missing HELP or TYPE", name)

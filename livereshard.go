@@ -9,7 +9,7 @@ package rexptree
 //	          lock-free read path (no write stall) at a pinned clock.
 //	backfill  The new generation's shards are built beside the old
 //	          ones (same durability policy, next file generation) and
-//	          the snapshot is bulk-loaded into them in small batches,
+//	          the snapshot is inserted into them in small batches,
 //	          each under the re-route lock.  From the moment the
 //	          reshard is published, every Update/Delete/UpdateBatch is
 //	          dual-applied: first to the current generation (whose
@@ -29,12 +29,15 @@ package rexptree
 // the index exactly as it was; a crash after the rename recovers into
 // the new generation (every mirrored mutation and backfilled record is
 // WAL-durable under the index's own durability policy).  Stale files
-// from an interrupted run are swept by the next reshard — live or
-// offline (internal/reshard.CleanStale).
+// from an interrupted run are swept by the next reshard
+// (manifest.CleanStale).  cmd/rexpreshard runs this same engine on a
+// stopped index: it opens the index (recovering a durable one first),
+// reshards with no writers in the window, and closes it.
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,7 +45,6 @@ import (
 	"rexptree/internal/geom"
 	"rexptree/internal/manifest"
 	"rexptree/internal/obs"
-	"rexptree/internal/reshard"
 )
 
 // ErrReshardInFlight is returned by Reshard/StartReshard when a live
@@ -66,9 +68,11 @@ type ReshardSpec struct {
 
 	// SpeedBands are the new band boundaries under PartitionSpeed:
 	// Shards-1 non-negative, non-descending values.  Empty derives
-	// them from the drift detector's speed window when one is full, and
-	// otherwise leaves the target self-tuning (it hash-routes until it
-	// has observed TuneAfter speeds, like a fresh speed index).
+	// them as quantiles of the drift detector's speed window when one
+	// is full, and otherwise of the speeds of the objects live at the
+	// index clock; only an empty index leaves the target self-tuning
+	// (it hash-routes until it has observed TuneAfter speeds, like a
+	// fresh speed index).
 	SpeedBands []float64
 }
 
@@ -325,10 +329,11 @@ func (s *ShardedTree) finishReshard(err error) {
 }
 
 // normalizeSpec fills defaults and validates; derived reports that the
-// speed bands were taken from the drift window (and are therefore
+// speed bands were derived from observed speeds (and are therefore
 // recorded as auto-tuned).
 func (s *ShardedTree) normalizeSpec(spec ReshardSpec) (ReshardSpec, bool, error) {
-	g := s.cur.Load()
+	g := s.pin()
+	defer g.unpin()
 	if spec.Shards == 0 {
 		spec.Shards = len(g.shards)
 	}
@@ -346,8 +351,17 @@ func (s *ShardedTree) normalizeSpec(spec ReshardSpec) (ReshardSpec, bool, error)
 	spec.SpeedBands = append([]float64(nil), spec.SpeedBands...)
 	derived := false
 	if spec.Policy == PartitionSpeed && len(spec.SpeedBands) == 0 && spec.Shards >= 2 {
+		var speeds []float64
 		if s.speedWin != nil && s.speedWin.Full() {
-			spec.SpeedBands = manifest.QuantileBands(s.speedWin.Snapshot(), spec.Shards)
+			speeds = s.speedWin.Snapshot()
+		} else {
+			var err error
+			if speeds, err = s.liveSpeeds(g); err != nil {
+				return spec, false, err
+			}
+		}
+		if len(speeds) > 0 {
+			spec.SpeedBands = manifest.QuantileBands(speeds, spec.Shards)
 			derived = true
 		}
 	}
@@ -364,6 +378,36 @@ func (s *ShardedTree) normalizeSpec(spec ReshardSpec) (ReshardSpec, bool, error)
 		}
 	}
 	return spec, derived, nil
+}
+
+// liveSpeeds returns the speed of every record of g live at its clock,
+// read over the lock-free snapshot path.
+func (s *ShardedTree) liveSpeeds(g *generation) ([]float64, error) {
+	clock := g.clock()
+	expireAware := g.shards[0].t.Config().ExpireAware
+	var speeds []float64
+	for _, t := range g.shards {
+		err := t.exportRecords(func(_ uint32, mp geom.MovingPoint) error {
+			if !expireAware || mp.TExp >= clock {
+				speeds = append(speeds, manifest.Speed([3]float64(mp.Vel), s.dims))
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return speeds, nil
+}
+
+// clock is the generation's logical clock: the highest time any of its
+// shards has applied.
+func (g *generation) clock() float64 {
+	c := 0.0
+	for _, t := range g.shards {
+		c = math.Max(c, t.clockNow())
+	}
+	return c
 }
 
 // scanRec is one snapshotted record (internal stored form).
@@ -395,7 +439,7 @@ func (s *ShardedTree) runLiveReshard(lr *liveReshard, derived bool) error {
 	// Sweep leftovers of interrupted reshards out of the way first, so
 	// the target generation opens onto fresh files.
 	if s.basePath != "" {
-		if _, err := reshard.CleanStale(s.basePath, cur.gen); err != nil {
+		if _, err := manifest.CleanStale(s.basePath, cur.gen); err != nil {
 			return fmt.Errorf("rexptree: live reshard: %w", err)
 		}
 	}
@@ -441,12 +485,7 @@ func (s *ShardedTree) runLiveReshard(lr *liveReshard, derived bool) error {
 	// Records the dual-apply stream touches after this point supersede
 	// their snapshot versions and are excluded from the backfill.
 	lr.phase.Store(reshardPhaseScan)
-	snapClock := 0.0
-	for _, t := range cur.shards {
-		if c := t.clockNow(); c > snapClock {
-			snapClock = c
-		}
-	}
+	snapClock := cur.clock()
 	var recs []scanRec
 	for _, t := range cur.shards {
 		if err := lr.aborted(); err != nil {
@@ -469,7 +508,7 @@ func (s *ShardedTree) runLiveReshard(lr *liveReshard, derived bool) error {
 	// under the exclusive re-route lock so it cannot interleave with a
 	// dual-applied mutation.  Touched ids are skipped — their snapshot
 	// version is stale — and records already expired at the snapshot
-	// clock are dropped, like the offline reshard does.
+	// clock are dropped.
 	lr.phase.Store(reshardPhaseBackfill)
 	expireAware := len(cur.shards) > 0 && cur.shards[0].t.Config().ExpireAware
 	for start := 0; start < len(recs); start += reshardBackfillChunk {
@@ -542,6 +581,16 @@ func (s *ShardedTree) runLiveReshard(lr *liveReshard, derived bool) error {
 	if err := verifyGenerations(cur, target, expireAware); err != nil {
 		return abortLocked(false, err)
 	}
+	if s.basePath != "" && s.durability == DurabilityNone {
+		// Without a write-ahead log a page file reopens only as of its
+		// last sync: sync the target before the manifest names it, so a
+		// crash after the commit reopens the new generation.
+		for _, t := range target.shards {
+			if err := t.sync(); err != nil {
+				return abortLocked(false, fmt.Errorf("rexptree: live reshard commit: %w", err))
+			}
+		}
+	}
 	if err := s.hook("pre-rename"); err != nil {
 		return abortLocked(true, err)
 	}
@@ -592,7 +641,7 @@ func (s *ShardedTree) runLiveReshard(lr *liveReshard, derived bool) error {
 			// Best effort: leftovers are swept by the next reshard.
 			RemoveIndex(manifest.ShardPath(s.basePath, cur.gen, i))
 		}
-		reshard.CleanStale(s.basePath, newGen)
+		manifest.CleanStale(s.basePath, newGen)
 	}
 	s.m.ReshardRuns.Inc()
 	return nil
@@ -646,17 +695,7 @@ func (s *ShardedTree) unpublish(lr *liveReshard) {
 // purged.  A generation holding two live records of one object is
 // corrupt.
 func verifyGenerations(cur, target *generation, expireAware bool) error {
-	clock := 0.0
-	for _, t := range cur.shards {
-		if c := t.clockNow(); c > clock {
-			clock = c
-		}
-	}
-	for _, t := range target.shards {
-		if c := t.clockNow(); c > clock {
-			clock = c
-		}
-	}
+	clock := math.Max(cur.clock(), target.clock())
 	liveRecords := func(g *generation, which string) (map[uint32]geom.MovingPoint, error) {
 		recs := make(map[uint32]geom.MovingPoint)
 		for _, t := range g.shards {

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"rexptree/internal/geom"
-	"rexptree/internal/reshard"
+	"rexptree/internal/manifest"
 )
 
 // liveStepBatch builds one step of a mutation stream: re-reports of
@@ -139,7 +139,7 @@ func TestLiveReshardFileBacked(t *testing.T) {
 		t.Fatalf("live reshard: %v", err)
 	}
 	requireSameFingerprint(t, fingerprintIndex(t, s, 1), fingerprintIndex(t, ref, 1), "resharded index")
-	if removed, err := reshard.CleanStale(base, s.Generation()); err != nil || len(removed) != 0 {
+	if removed, err := manifest.CleanStale(base, s.Generation()); err != nil || len(removed) != 0 {
 		t.Fatalf("stale files survived the reshard: %v (err %v)", removed, err)
 	}
 	if err := s.Close(); err != nil {
@@ -271,7 +271,7 @@ func TestLiveReshardCrashMatrix(t *testing.T) {
 			}
 			requireSameFingerprint(t, fingerprintIndex(t, re, 2), fingerprintIndex(t, ref, 2),
 				"re-resharded index after crash at "+point)
-			if removed, err := reshard.CleanStale(base, re.Generation()); err != nil || len(removed) != 0 {
+			if removed, err := manifest.CleanStale(base, re.Generation()); err != nil || len(removed) != 0 {
 				t.Fatalf("stale files survived recovery reshard after crash at %s: %v (err %v)", point, removed, err)
 			}
 		})

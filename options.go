@@ -130,14 +130,6 @@ type Options struct {
 	// location instead of in memory.
 	Path string
 
-	// IOLatency, when positive, charges this much wall-clock time to
-	// every page read and write that misses the buffer pool and
-	// reaches the store.  It models the random-access latency of the
-	// backing device: the paper's experiments count page I/Os as the
-	// cost metric precisely because each one is a disk access (§5.1).
-	// Zero (the default) leaves the store at native speed.
-	IOLatency time.Duration
-
 	// Beta sets the assumed querying-window length W = Beta·UI used by
 	// the self-tuning horizon (default 0.5); FixedW overrides it with
 	// a constant when positive.

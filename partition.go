@@ -206,5 +206,5 @@ func (s *ShardedTree) bandLabel(g *generation, i int) string {
 
 // The shard manifest itself — the sidecar file ("<Path>.manifest")
 // describing how a file-backed sharded index is partitioned — lives in
-// internal/manifest, shared with the offline reshard tool
-// (cmd/rexpreshard) so that tool and library route identically.
+// internal/manifest, shared with the tools that read an index
+// (cmd/rexpreshard, cmd/rexpcheck) so that they and the library agree.

@@ -9,10 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
-	"rexptree/internal/reshard"
-	"rexptree/internal/storage"
+	"rexptree/internal/manifest"
 )
 
 // movingIndex is the surface shared by Tree and ShardedTree that the
@@ -194,12 +194,64 @@ func applyStream(t *testing.T, ix movingIndex, deletes []uint32, updates []Repor
 	}
 }
 
-// TestReshardMatrix drives the K → K′ matrix: hash sources with K ∈
-// {1, 2, 4} resharded to hash targets with K′ ∈ {1, 2, 3, 4, 8}, plus
-// the policy transitions (hash → speed with fixed bands, self-tuned
-// speed → hash).  After every reshard the index must answer all four
-// query types element-wise identically to the single-tree reference —
-// both immediately and after a further update stream that re-reports,
+// openStopped opens the stopped index at base the way cmd/rexpreshard
+// does: with the shard count, partition and durability its manifest
+// records and the tree layout shard 0's metadata page records.
+func openStopped(base string) (*ShardedTree, error) {
+	man, found, err := manifest.Read(manifest.Path(base))
+	if err != nil {
+		return nil, err
+	}
+	if !found {
+		return nil, fmt.Errorf("no manifest at %s", base)
+	}
+	opts, err := StoredOptions(manifest.ShardPath(base, man.Generation, 0))
+	if err != nil {
+		return nil, err
+	}
+	opts.Path = base
+	if opts.Durability, err = ParseDurability(man.Durability); err != nil {
+		return nil, err
+	}
+	policy, err := ParsePartitionPolicy(man.Partition)
+	if err != nil {
+		return nil, err
+	}
+	return OpenSharded(ShardedOptions{Options: opts, Shards: man.Shards, Partition: policy})
+}
+
+// reshardStopped is cmd/rexpreshard's sequence on the stopped index at
+// base: open it, run the live engine with no writers, close it.
+func reshardStopped(base string, spec ReshardSpec) error {
+	ix, err := openStopped(base)
+	if err != nil {
+		return err
+	}
+	if err := ix.Reshard(spec); err != nil {
+		ix.Close()
+		return err
+	}
+	return ix.Close()
+}
+
+// requireNoStaleFiles fails if anything but generation gen's files and
+// the manifest is left of the index at base.
+func requireNoStaleFiles(t *testing.T, base string, gen int) {
+	t.Helper()
+	if removed, err := manifest.CleanStale(base, gen); err != nil || len(removed) != 0 {
+		t.Fatalf("stale files survived the reshard: %v (err %v)", removed, err)
+	}
+}
+
+// TestReshardMatrix drives the K → K′ matrix on stopped file-backed
+// indexes: hash sources with K ∈ {1, 2, 4} resharded to hash targets
+// with K′ ∈ {1, 2, 3, 4, 8}, the policy transitions (hash → speed with
+// fixed bands, self-tuned speed → hash), and a source with static
+// bounding rectangles, which opens only through the layout its metadata
+// page records (and reshards to speed bands derived from its live
+// speeds).  After every reshard the index must answer all four query
+// types element-wise identically to the single-tree reference — both
+// immediately and after a further update stream that re-reports,
 // inserts and deletes objects (crossing speed bands, so speed targets
 // re-route).
 func TestReshardMatrix(t *testing.T) {
@@ -209,20 +261,22 @@ func TestReshardMatrix(t *testing.T) {
 	type sourceCase struct {
 		name    string
 		opts    ShardedOptions
+		static  bool // static bounding rectangles instead of the default near-optimal ones
 		reports []Report
 		updates []Report
 	}
 	sources := []sourceCase{
-		{"hash-1", ShardedOptions{Shards: 1}, testWorkload(800, 11), updatedReports(800, 101, now2)},
-		{"hash-2", ShardedOptions{Shards: 2}, testWorkload(800, 12), updatedReports(800, 102, now2)},
-		{"hash-4", ShardedOptions{Shards: 4}, testWorkload(800, 13), updatedReports(800, 103, now2)},
-		{"speed-auto-4", ShardedOptions{Shards: 4, Partition: PartitionSpeed, TuneAfter: 300},
+		{"hash-1", ShardedOptions{Shards: 1}, false, testWorkload(800, 11), updatedReports(800, 101, now2)},
+		{"hash-2", ShardedOptions{Shards: 2}, false, testWorkload(800, 12), updatedReports(800, 102, now2)},
+		{"hash-4", ShardedOptions{Shards: 4}, false, testWorkload(800, 13), updatedReports(800, 103, now2)},
+		{"speed-auto-4", ShardedOptions{Shards: 4, Partition: PartitionSpeed, TuneAfter: 300}, false,
 			mixedSpeedWorkload(800, 7, 0), mixedSpeedWorkload(300, 7, 1)},
+		{"static-2", ShardedOptions{Shards: 2}, true, testWorkload(800, 14), updatedReports(800, 104, now2)},
 	}
 
 	type targetCase struct {
 		shards int
-		policy string
+		policy PartitionPolicy
 		bands  []float64
 	}
 	allBands := []float64{0.5, 2, 8, 15, 30, 50, 100}
@@ -231,15 +285,17 @@ func TestReshardMatrix(t *testing.T) {
 		switch src {
 		case "speed-auto-4":
 			for _, k := range []int{1, 2, 4} {
-				out = append(out, targetCase{k, "hash", nil})
+				out = append(out, targetCase{k, PartitionHash, nil})
 			}
+		case "static-2":
+			out = append(out, targetCase{3, PartitionHash, nil}, targetCase{2, PartitionSpeed, nil})
 		default:
 			for _, k := range []int{1, 2, 3, 4, 8} {
-				out = append(out, targetCase{k, "hash", nil})
+				out = append(out, targetCase{k, PartitionHash, nil})
 			}
 			if src == "hash-4" {
 				for _, k := range []int{1, 2, 3, 4, 8} {
-					out = append(out, targetCase{k, "speed", allBands[:k-1]})
+					out = append(out, targetCase{k, PartitionSpeed, allBands[:k-1]})
 				}
 			}
 		}
@@ -267,6 +323,9 @@ func TestReshardMatrix(t *testing.T) {
 			srcDir := t.TempDir()
 			so := src.opts
 			so.Options = fileOpts(filepath.Join(srcDir, "idx"))
+			if src.static {
+				so.Bounding = Static
+			}
 			st, err := OpenSharded(so)
 			if err != nil {
 				t.Fatal(err)
@@ -286,35 +345,14 @@ func TestReshardMatrix(t *testing.T) {
 					copyIndexFiles(t, srcDir, dir)
 					base := filepath.Join(dir, "idx")
 
-					res, err := reshard.Run(reshard.Options{
-						Path: base, Shards: tg.shards, Policy: tg.policy, SpeedBands: tg.bands,
-					})
-					if err != nil {
+					if err := reshardStopped(base, ReshardSpec{Shards: tg.shards, Policy: tg.policy, SpeedBands: tg.bands}); err != nil {
 						t.Fatal(err)
 					}
-					if res.Generation != 1 {
-						t.Fatalf("generation %d after first reshard, want 1", res.Generation)
-					}
-					if res.SourceShards != src.opts.Shards || res.TargetShards != tg.shards {
-						t.Fatalf("result shard counts %d -> %d, want %d -> %d",
-							res.SourceShards, res.TargetShards, src.opts.Shards, tg.shards)
-					}
-					if res.Expired != 0 || res.Live != base0.size || res.Scanned != res.Live {
-						t.Fatalf("entry accounting %d scanned / %d live / %d expired, want %d live",
-							res.Scanned, res.Live, res.Expired, base0.size)
-					}
-					routed := 0
-					for _, n := range res.Routed {
-						routed += n
-					}
-					if routed != res.Live {
-						t.Fatalf("routed %d entries of %d live", routed, res.Live)
-					}
+					requireNoStaleFiles(t, base, 1)
 
-					ro := ShardedOptions{Options: fileOpts(base), Shards: tg.shards}
-					if tg.policy == "speed" {
-						ro.Partition = PartitionSpeed
-						ro.SpeedBands = tg.bands
+					ro := ShardedOptions{Options: fileOpts(base), Shards: tg.shards, Partition: tg.policy}
+					if src.static {
+						ro.Bounding = Static
 					}
 					ix, err := OpenSharded(ro)
 					if err != nil {
@@ -322,6 +360,9 @@ func TestReshardMatrix(t *testing.T) {
 					}
 					if ix.Generation() != 1 {
 						t.Fatalf("reopened generation %d, want 1", ix.Generation())
+					}
+					if tg.policy == PartitionSpeed && len(ix.SpeedBands()) != tg.shards-1 {
+						t.Fatalf("speed bands %v for %d shards", ix.SpeedBands(), tg.shards)
 					}
 					requireSameFingerprint(t, fingerprintIndex(t, ix, 0), base0, "resharded")
 
@@ -346,11 +387,12 @@ func TestReshardMatrix(t *testing.T) {
 	}
 }
 
-// TestReshardRoundTrip is the acceptance scenario: a K=4 hash index is
-// resharded to K′=2 speed shards with re-tuned bands, then back to K=4
-// hash, with all query types answering identically throughout.  The
-// index clock sits past many report expirations, so the reshard must
-// also drop expired entries without changing any query answer.
+// TestReshardRoundTrip is the acceptance scenario: a stopped K=4 hash
+// index is resharded to K′=2 speed shards with bands derived from its
+// live speeds, then back to K=4 hash, with all query types answering
+// identically throughout.  The index clock sits past many report
+// expirations, so the reshard must also drop expired entries without
+// changing any query answer.
 func TestReshardRoundTrip(t *testing.T) {
 	reports := testWorkload(700, 23)
 	tick := Report{ID: 9001, Point: Point{
@@ -384,19 +426,33 @@ func TestReshardRoundTrip(t *testing.T) {
 	if err := st.Update(tick.ID, tick.Point, 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	res1, err := reshard.Run(reshard.Options{Path: basePath, Shards: 2, Policy: "speed"})
+	var live []float64
+	err = st.ForEach(100, func(r Result) bool {
+		if r.Point.Expires >= 100 {
+			live = append(live, speedOf(r.Point, 2))
+		}
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res1.Retuned || len(res1.SpeedBands) != 1 {
-		t.Fatalf("expected re-tuned bands, got retuned=%v bands=%v", res1.Retuned, res1.SpeedBands)
+	stored := st.Len()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if res1.Expired == 0 {
-		t.Fatalf("no entries expired at clock %.1f; the fixture should have many", res1.Clock)
+	if len(live) == stored {
+		t.Fatalf("no entries expired at clock 100; the fixture should have many")
+	}
+
+	if err := reshardStopped(basePath, ReshardSpec{Shards: 2, Policy: PartitionSpeed}); err != nil {
+		t.Fatal(err)
+	}
+	man, _, err := manifest.Read(manifest.Path(basePath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := manifest.QuantileBands(live, 2); !man.AutoTuned || !reflect.DeepEqual(man.SpeedBands, want) {
+		t.Fatalf("manifest bands %v (auto-tuned %v), want the live speeds' quantiles %v", man.SpeedBands, man.AutoTuned, want)
 	}
 	sp, err := OpenSharded(ShardedOptions{Options: fileOpts(basePath), Shards: 2, Partition: PartitionSpeed})
 	if err != nil {
@@ -405,21 +461,16 @@ func TestReshardRoundTrip(t *testing.T) {
 	if sp.Generation() != 1 {
 		t.Fatalf("generation %d, want 1", sp.Generation())
 	}
+	if sp.Len() != len(live) {
+		t.Fatalf("%d stored reports after the reshard, want the %d live ones", sp.Len(), len(live))
+	}
 	requireSameFingerprint(t, fingerprintIndex(t, sp, 100), base, "hash-4 -> speed-2")
 	if err := sp.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	res2, err := reshard.Run(reshard.Options{Path: basePath, Shards: 4, Policy: "hash"})
-	if err != nil {
+	if err := reshardStopped(basePath, ReshardSpec{Shards: 4, Policy: PartitionHash}); err != nil {
 		t.Fatal(err)
-	}
-	if res2.Generation != 2 {
-		t.Fatalf("generation %d after second reshard, want 2", res2.Generation)
-	}
-	// The first reshard already purged the expired entries.
-	if res2.Expired != 0 || res2.Scanned != res1.Live {
-		t.Fatalf("second reshard scanned %d / expired %d, want %d / 0", res2.Scanned, res2.Expired, res1.Live)
 	}
 	hs, err := OpenSharded(ShardedOptions{Options: fileOpts(basePath), Shards: 4})
 	if err != nil {
@@ -432,10 +483,15 @@ func TestReshardRoundTrip(t *testing.T) {
 	if err := hs.Close(); err != nil {
 		t.Fatal(err)
 	}
+	requireNoStaleFiles(t, basePath, 2)
 }
 
-// TestReshardSingleTreeSource converts a manifest-less single tree
-// file into a sharded index.
+// TestReshardSingleTreeSource adopts a manifest-less single tree file
+// as a one-shard index — link the file to shard 0's name, write a
+// one-shard hash manifest, remove the original name — and reshards it.
+// Every intermediate state must open as a valid index answering like
+// the original, and afterwards only the new generation and the
+// manifest are left.
 func TestReshardSingleTreeSource(t *testing.T) {
 	reports := testWorkload(500, 31)
 	objs := make([]BulkObject, len(reports))
@@ -453,18 +509,42 @@ func TestReshardSingleTreeSource(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	requireOpens := func(what string, sharded bool) {
+		t.Helper()
+		var ix interface {
+			movingIndex
+			Close() error
+		}
+		if sharded {
+			ix, err = OpenSharded(ShardedOptions{Options: fileOpts(basePath), Shards: 1})
+		} else {
+			ix, err = Open(fileOpts(basePath))
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		requireSameFingerprint(t, fingerprintIndex(t, ix, 0), base, what)
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	res, err := reshard.Run(reshard.Options{Path: basePath, Shards: 3, Policy: "hash"})
-	if err != nil {
+	if err := os.Link(basePath, manifest.ShardPath(basePath, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if res.SourcePolicy != "single" || res.SourceShards != 1 || res.Generation != 1 {
-		t.Fatalf("source %q/%d gen %d, want single/1 gen 1", res.SourcePolicy, res.SourceShards, res.Generation)
+	requireOpens("linked", false)
+	one := manifest.Manifest{Version: manifest.Version, Shards: 1, Hash: manifest.Hash, Partition: "hash"}
+	if err := manifest.Write(manifest.Path(basePath), one); err != nil {
+		t.Fatal(err)
 	}
-	// The committed index lives in generation-1 files; the original
-	// single-tree file is garbage and gets removed.
-	if _, err := os.Stat(basePath); !os.IsNotExist(err) {
-		t.Fatalf("original tree file still present: %v", err)
+	requireOpens("manifest written", true)
+	if err := os.Remove(basePath); err != nil {
+		t.Fatal(err)
+	}
+	requireOpens("adopted", true)
+
+	if err := reshardStopped(basePath, ReshardSpec{Shards: 3, Policy: PartitionHash}); err != nil {
+		t.Fatal(err)
 	}
 	ix, err := OpenSharded(ShardedOptions{Options: fileOpts(basePath), Shards: 3})
 	if err != nil {
@@ -474,15 +554,30 @@ func TestReshardSingleTreeSource(t *testing.T) {
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
+	var left []string
+	for name := range hashDir(t, dir) {
+		left = append(left, name)
+	}
+	sort.Strings(left)
+	if want := []string{"idx.g1.s0", "idx.g1.s1", "idx.g1.s2", "idx.manifest"}; !reflect.DeepEqual(left, want) {
+		t.Fatalf("files left %v, want %v", left, want)
+	}
 }
 
-// TestReshardCrashInjection aborts a reshard at every phase boundary —
-// mid-scan (source read fault), mid-load (target write fault), before
-// the first commit rename, between commit renames, and after the shard
-// renames but before the manifest rename — and checks the crash
-// contract: every file the original index references is byte-for-byte
-// untouched, the original reopens and answers queries identically, and
-// simply re-running the same reshard succeeds.
+// TestReshardCrashInjection kills a reshard of a stopped index at every
+// hook point of the live engine — at the end of the scan ("mid-scan"),
+// at the end of the backfill that loads the new generation ("mid-load",
+// the dual-apply hook), before the verify, before the manifest rename
+// and after it — and then abandons the index, as a crashed process
+// would.  The engine has one rename, the manifest's: the new generation
+// is built under its final file names.  The "pre-manifest-rename" row
+// crashes inside that rename's atomic write, the new manifest staged
+// but never renamed over the live one.  Before the commit point the
+// source must reopen answering identically, a non-durable source's
+// files byte-for-byte untouched; after it the new generation must.
+// Either way rerunning the same reshard succeeds and leaves no stale
+// file.  The durable row crashes a source whose acknowledged reports
+// still sit in its write-ahead logs, and must lose none of them.
 func TestReshardCrashInjection(t *testing.T) {
 	reports := testWorkload(500, 47)
 	single, err := Open(DefaultOptions())
@@ -506,109 +601,175 @@ func TestReshardCrashInjection(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	durDir := t.TempDir()
+	buildAbandonedDurable(t, filepath.Join(durDir, "idx"), reports)
 
 	errBoom := errors.New("boom")
-	failRenameAt := func(n int) func(*reshard.Options) {
-		return func(o *reshard.Options) {
-			calls := 0
-			o.BeforeRename = func(from, to string) error {
-				calls++
-				if calls == n+1 {
-					return errBoom
-				}
-				return nil
-			}
-		}
-	}
 	cases := []struct {
-		name   string
-		inject func(*reshard.Options)
+		name, point string
+		durable     bool
+		// staged leaves the new generation's manifest written as
+		// "<manifest>.tmp" but never renamed over the live one: the
+		// crash inside the manifest's own atomic write, the commit
+		// point itself.
+		staged bool
 	}{
-		{"mid-scan", func(o *reshard.Options) {
-			o.WrapSource = func(i int, s storage.Store) storage.Store {
-				if i != 1 {
-					return s
-				}
-				fs := storage.NewFaultStore(s)
-				fs.Arm(4)
-				return fs
-			}
-		}},
-		{"mid-load", func(o *reshard.Options) {
-			o.WrapTarget = func(i int, s storage.Store) storage.Store {
-				if i != 1 {
-					return s
-				}
-				fs := storage.NewFaultStore(s)
-				fs.Arm(3)
-				return fs
-			}
-		}},
-		{"pre-rename", failRenameAt(0)},
-		{"mid-rename", failRenameAt(1)},
-		// All three shard files renamed, manifest rename refused: the
-		// commit point itself.
-		{"pre-manifest-rename", failRenameAt(3)},
+		{"mid-scan", "scan", false, false},
+		{"mid-load", "dual-apply", false, false},
+		{"verify", "verify", false, false},
+		{"pre-rename", "pre-rename", false, false},
+		{"pre-manifest-rename", "pre-rename", false, true},
+		{"post-rename", "post-rename", false, false},
+		{"durable", "pre-rename", true, false},
 	}
-
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			copyIndexFiles(t, srcDir, dir)
+			if c.durable {
+				copyIndexFiles(t, durDir, dir)
+			} else {
+				copyIndexFiles(t, srcDir, dir)
+			}
 			basePath := filepath.Join(dir, "idx")
 			before := hashDir(t, dir)
 
-			o := reshard.Options{Path: basePath, Shards: 3, Policy: "hash"}
-			c.inject(&o)
-			if _, err := reshard.Run(o); err == nil {
-				t.Fatal("injected crash did not abort the reshard")
+			ix, err := openStopped(basePath)
+			if err != nil {
+				t.Fatal(err)
 			}
+			manPath := manifest.Path(basePath)
+			ix.testReshardHook = func(pt string) error {
+				if pt != c.point {
+					return nil
+				}
+				if c.staged {
+					man, found, err := manifest.Read(manPath)
+					if err != nil || !found {
+						return fmt.Errorf("source manifest: found %v, err %v", found, err)
+					}
+					man.Shards, man.Partition, man.Generation = 3, PartitionHash.String(), 1
+					if err := manifest.Write(manPath+".tmp", man); err != nil {
+						return err
+					}
+				}
+				return errBoom
+			}
+			if err := ix.Reshard(ReshardSpec{Shards: 3, Policy: PartitionHash}); !errors.Is(err, errBoom) {
+				t.Fatalf("reshard error %v, want the injected crash", err)
+			}
+			ix.Abandon()
 
-			// Everything the original index references is untouched; a
-			// crash may only leave extra (unreferenced) files behind.
-			after := hashDir(t, dir)
-			for name, h := range before {
-				if after[name] != h {
-					t.Fatalf("crash at %s modified original file %s", c.name, name)
+			committed := c.point == "post-rename"
+			if !committed && !c.durable {
+				// Everything the original index references is untouched;
+				// a crash may only leave extra (unreferenced) files behind.
+				after := hashDir(t, dir)
+				for name, h := range before {
+					if after[name] != h {
+						t.Fatalf("crash at %s modified original file %s", c.point, name)
+					}
 				}
 			}
+			if _, err := os.Stat(manPath + ".tmp"); c.staged != (err == nil) {
+				t.Fatalf("staged manifest present %v, want %v", err == nil, c.staged)
+			}
 
-			ix, err := OpenSharded(ShardedOptions{Options: fileOpts(basePath), Shards: 2})
+			gen := 0
+			if committed {
+				gen = 1
+			}
+			re, err := openStopped(basePath)
 			if err != nil {
-				t.Fatalf("original index does not reopen after crash: %v", err)
+				t.Fatalf("index does not reopen after the crash: %v", err)
 			}
-			if ix.Generation() != 0 {
-				t.Fatalf("original generation %d after crash, want 0", ix.Generation())
+			if re.Generation() != gen {
+				t.Fatalf("generation %d after the crash, want %d", re.Generation(), gen)
 			}
-			requireSameFingerprint(t, fingerprintIndex(t, ix, 0), base, "original after crash")
-			if err := ix.Close(); err != nil {
+			requireSameFingerprint(t, fingerprintIndex(t, re, 0), base, "index after the crash")
+			if err := re.Close(); err != nil {
 				t.Fatal(err)
 			}
 
 			// Retry: the identical invocation, no faults, must succeed
-			// (cleaning up whatever the crashed attempt left behind).
-			res, err := reshard.Run(reshard.Options{Path: basePath, Shards: 3, Policy: "hash"})
-			if err != nil {
-				t.Fatalf("retry after %s crash failed: %v", c.name, err)
-			}
-			if res.Generation != 1 {
-				t.Fatalf("retry committed generation %d, want 1", res.Generation)
+			// and sweep whatever the crashed attempt left behind.
+			if err := reshardStopped(basePath, ReshardSpec{Shards: 3, Policy: PartitionHash}); err != nil {
+				t.Fatalf("retry after a crash at %s failed: %v", c.point, err)
 			}
 			ix2, err := OpenSharded(ShardedOptions{Options: fileOpts(basePath), Shards: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
+			if ix2.Generation() != gen+1 {
+				t.Fatalf("retry committed generation %d, want %d", ix2.Generation(), gen+1)
+			}
 			requireSameFingerprint(t, fingerprintIndex(t, ix2, 0), base, "retry result")
 			if err := ix2.Close(); err != nil {
 				t.Fatal(err)
+			}
+			requireNoStaleFiles(t, basePath, gen+1)
+			if _, err := os.Stat(manPath + ".tmp"); err == nil {
+				t.Fatal("staged manifest survived the retry")
 			}
 		})
 	}
 }
 
-// TestReshardBadOptions checks that invalid invocations fail up front
-// without creating any files.
+// buildAbandonedDurable builds a 2-shard DurabilityOnCommit index at
+// base, acknowledges reports in small batches and abandons it, as a
+// crashed process would: the reports are only in the write-ahead logs.
+func buildAbandonedDurable(t *testing.T, base string, reports []Report) {
+	t.Helper()
+	so := ShardedOptions{Options: fileOpts(base), Shards: 2}
+	so.Durability = DurabilityOnCommit
+	st, err := OpenSharded(so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(reports); i += 100 {
+		if err := st.UpdateBatch(reports[i:min(i+100, len(reports))], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Abandon()
+}
+
+// TestReshardKeepsWALReports reshards a crashed durable index: every
+// report it acknowledged lives only in its write-ahead logs, which the
+// reshard must replay, not discard.
+func TestReshardKeepsWALReports(t *testing.T) {
+	reports := testWorkload(800, 53)
+	ref, err := Open(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if err := ref.UpdateBatch(reports, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := fingerprintIndex(t, ref, 0)
+
+	base := filepath.Join(t.TempDir(), "idx")
+	buildAbandonedDurable(t, base, reports)
+	if err := reshardStopped(base, ReshardSpec{Shards: 3, Policy: PartitionHash}); err != nil {
+		t.Fatal(err)
+	}
+	ro := ShardedOptions{Options: fileOpts(base), Shards: 3}
+	ro.Durability = DurabilityOnCommit
+	ix, err := OpenSharded(ro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if ix.Len() != len(reports) {
+		t.Fatalf("%d of %d acknowledged reports survived the reshard", ix.Len(), len(reports))
+	}
+	requireSameFingerprint(t, fingerprintIndex(t, ix, 0), want, "resharded durable index")
+}
+
+// TestReshardBadOptions checks that invalid reshards of a stopped index
+// fail before anything is built, and that opening and closing the index
+// around the refusal leaves its files byte-for-byte as they were.
 func TestReshardBadOptions(t *testing.T) {
 	dir := t.TempDir()
 	basePath := filepath.Join(dir, "idx")
@@ -616,27 +777,24 @@ func TestReshardBadOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Close(); err != nil { // empty index: no live entries
+	if err := st.UpdateBatch(testWorkload(200, 3), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	before := hashDir(t, dir)
 
-	cases := []struct {
-		name string
-		opts reshard.Options
-	}{
-		{"no path", reshard.Options{Shards: 2, Policy: "hash"}},
-		{"no shards", reshard.Options{Path: basePath, Policy: "hash"}},
-		{"bad policy", reshard.Options{Path: basePath, Shards: 2, Policy: "round-robin"}},
-		{"bands under hash", reshard.Options{Path: basePath, Shards: 2, Policy: "hash", SpeedBands: []float64{1}}},
-		{"descending bands", reshard.Options{Path: basePath, Shards: 3, Policy: "speed", SpeedBands: []float64{2, 1}}},
-		{"band count", reshard.Options{Path: basePath, Shards: 2, Policy: "speed", SpeedBands: []float64{1, 2}}},
-		{"missing index", reshard.Options{Path: filepath.Join(dir, "nope"), Shards: 2, Policy: "hash"}},
-		{"retune empty index", reshard.Options{Path: basePath, Shards: 2, Policy: "speed"}},
-	}
-	for _, c := range cases {
-		if _, err := reshard.Run(c.opts); err == nil {
-			t.Errorf("%s: accepted", c.name)
+	for _, spec := range []ReshardSpec{
+		{Shards: -1, Policy: PartitionHash},
+		{Shards: 2, Policy: PartitionPolicy(9)},
+		{Shards: 2, Policy: PartitionHash, SpeedBands: []float64{1}},
+		{Shards: 3, Policy: PartitionSpeed, SpeedBands: []float64{2, 1}},
+		{Shards: 2, Policy: PartitionSpeed, SpeedBands: []float64{1, 2}},
+		{Shards: 2, Policy: PartitionSpeed, SpeedBands: []float64{-1}},
+	} {
+		if err := reshardStopped(basePath, spec); err == nil {
+			t.Errorf("%+v: accepted", spec)
 		}
 	}
 	after := hashDir(t, dir)

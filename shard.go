@@ -504,10 +504,10 @@ func (s *ShardedTree) NumShards() int { return len(s.cur.Load().shards) }
 func (s *ShardedTree) Dims() int { return s.dims }
 
 // Generation returns the shard-file generation recorded in the
-// manifest: 0 for a freshly created index, bumped by every reshard —
-// offline (rexpreshard) or live (Reshard/StartReshard) — whose commit
-// writes the new generation's files and switches the manifest to them
-// atomically.
+// manifest: 0 for a freshly created index, bumped by every reshard
+// (Reshard/StartReshard, which rexpreshard drives on a stopped index),
+// whose commit writes the new generation's files and switches the
+// manifest to them atomically.
 func (s *ShardedTree) Generation() int { return s.cur.Load().gen }
 
 // Partition returns the current partition policy (a live reshard can
@@ -525,8 +525,8 @@ func (s *ShardedTree) SpeedBands() []float64 {
 }
 
 // shardIndex hashes an object id onto a shard.  The scheme (the
-// murmur3 finalizer, recorded in the manifest) is shared with the
-// offline reshard tool via internal/manifest.
+// murmur3 finalizer, recorded in the manifest) lives in
+// internal/manifest.
 func shardIndex(id uint32, n int) int {
 	return manifest.ShardIndex(id, n)
 }

@@ -136,13 +136,6 @@ func open(opts Options, retried bool) (*Tree, error) {
 	if opts.testWrapStore != nil {
 		store = opts.testWrapStore(store)
 	}
-	if opts.IOLatency > 0 {
-		store = &storage.LatencyStore{
-			Inner:        store,
-			ReadLatency:  opts.IOLatency,
-			WriteLatency: opts.IOLatency,
-		}
-	}
 	cfg := opts.internal()
 	cfg.Metrics = m
 	tr := &Tree{
@@ -274,6 +267,18 @@ func (tr *Tree) Close() error {
 	}
 	tr.closeErr = tr.store.Close()
 	return tr.closeErr
+}
+
+// sync makes a tree without a write-ahead log reopenable as it stands,
+// as Close would, but keeps it open: the metadata and every dirty page
+// are written and the store is synced.
+func (tr *Tree) sync() error {
+	tr.lock()
+	defer tr.mu.Unlock()
+	if err := tr.t.Sync(); err != nil {
+		return err
+	}
+	return storage.SyncStore(tr.store)
 }
 
 // Update inserts the object's report, replacing any previous report
