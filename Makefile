@@ -51,10 +51,13 @@ race:
 # under load) run three times at one, two and four processors.  The
 # tier-1 run covers them once at the host's own count only.  One golden
 # stream rides along: its deletes go through the locator, whose tables
-# are Go maps, and "same seed, same pages" must not depend on them.
+# are Go maps, and "same seed, same pages" must not depend on them.  So
+# does the slab-reuse stress test: a writer copying pages into reclaimed
+# slabs against readers pinned across hundreds of publications and
+# readers pinned per query.
 determinism:
 	$(GO) test -count=3 -cpu 1,2,4 -run 'Reshard' . ./internal/server
-	$(GO) test -count=3 -cpu 1,2,4 -run 'TestGoldenTrees/near-optimal/stored-exp' ./internal/core
+	$(GO) test -count=3 -cpu 1,2,4 -run 'TestGoldenTrees/near-optimal/stored-exp|TestSlabReuseUnderPinnedReaders' ./internal/core
 
 # Every way a durable tree is killed — WAL lifecycle faults, storage
 # faults, Abandon mid-stream, a power loss that drops or tears the page
@@ -102,9 +105,11 @@ bench-compare:
 # public tree, the same update per report in batches of 1, 25 and 100,
 # and a 25-report body acknowledged by a durable tree behind a 16-page
 # pool (with its fsyncs and checkpoints per body).  -benchmem's
-# allocs/op of the update benchmarks is the path's allocation budget
-# (8 / 3 / 2 per report in batches of 1 / 25 / 100 since a published
-# page costs two objects; the search's appends cost three more).
+# allocs/op of the update benchmarks is the path's allocation budget:
+# 0 per report in batches of 1 / 25 / 100, since a page is copied into
+# the slab of a reclaimed version and a descriptor is reused once no
+# reader holds it (it was 8 / 3 / 2 when every published page cost two
+# objects); the paper's search appends three more per delete.
 # Prints to the terminal; bench/ holds the numbers that count.
 bench-update:
 	$(GO) test ./internal/geom -run '^$$' -bench 'BenchmarkEnlargement$$' -benchmem

@@ -11,7 +11,7 @@ import (
 // update stream while several reader goroutines run every query type.
 // Run under -race it checks the reader/writer locking of the public
 // tree and the internal synchronization of the clock, the buffer pool
-// and the decoded-node cache.
+// and the version chains, whose reclaimed slabs the writer reuses.
 func TestConcurrentReadersDuringUpdates(t *testing.T) {
 	tree, err := Open(DefaultOptions())
 	if err != nil {

@@ -95,7 +95,7 @@ func BenchmarkNearestWarm(b *testing.B) {
 // tree's own workspace.
 func TestComputeBRAllocs(t *testing.T) {
 	tr, leaf, inner := brNodes(t)
-	for _, n := range []*node{leaf, inner} {
+	for _, n := range []*vnode{leaf, inner} {
 		tr.computeBR(n) // size the workspace
 		if allocs := testing.AllocsPerRun(100, func() { sinkBR = tr.computeBR(n) }); allocs != 0 {
 			t.Errorf("computeBR of a level-%d node allocates %.1f objects per call, want 0", n.level, allocs)
@@ -105,31 +105,32 @@ func TestComputeBRAllocs(t *testing.T) {
 
 // TestUpdateAllocs pins what a steady-state update (delete + insert,
 // published once) allocates, averaged over enough updates to include
-// their share of splits and forced reinsertions.  What is left is
-// mostly the immutable page versions the snapshot read path needs, two
-// objects per published page (the version link with its image, and one
-// column backing); before the bounding-rectangle kernel stopped
-// allocating, an update cost 42 objects and 49 KB, and before a version
-// carried its image in one link, 18.3.  The delete the service runs
-// fills the tree's own path scratch, and the insertion's descent fills
-// another; the paper's search builds its path one slice per level on
-// the way back up, which is the three objects between the two ceilings
-// on this two-level tree.  The ceilings are the readings (8.0 and 11.0)
-// plus two.
+// their share of splits and forced reinsertions.  A page an update
+// changes is copied into the slab of a version an earlier publication
+// reclaimed, and the published descriptor is reused the same way, so
+// what is left is the splits' and forced reinsertions' working arrays:
+// 0.1 objects and about 240 bytes per update.  Before that an update
+// cost 8 objects and 16 KB (two per published page), and before the
+// bounding-rectangle kernel stopped allocating, 42 objects and 49 KB.
+// The delete the service runs fills the tree's own path scratch, and
+// the insertion's descent fills another; the paper's search builds its
+// path one slice per level on the way back up, which is the three
+// objects between the two readings (0.1 and 3.1) on this two-level
+// tree.  The ceilings are the readings rounded up plus one, and 1 KiB.
 func TestUpdateAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		del     func(*Tree, uint32, geom.MovingPoint, float64) (bool, error)
 		ceiling float64
 	}{
-		{"locator", (*Tree).Delete, 10},
-		{"search", (*Tree).DeleteBySearch, 13},
+		{"locator", (*Tree).Delete, 2},
+		{"search", (*Tree).DeleteBySearch, 5},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			objects, bytes := updateAllocs(t, c.del)
 			t.Logf("%.1f objects, %.0f bytes per update", objects, bytes)
-			if objects > c.ceiling || bytes > 24<<10 {
-				t.Errorf("an update allocates %.1f objects and %.0f bytes, want at most %.0f objects and 24 KiB", objects, bytes, c.ceiling)
+			if objects > c.ceiling || bytes > 1<<10 {
+				t.Errorf("an update allocates %.1f objects and %.0f bytes, want at most %.0f objects and 1 KiB", objects, bytes, c.ceiling)
 			}
 		})
 	}

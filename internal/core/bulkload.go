@@ -101,7 +101,7 @@ func BulkLoad(cfg Config, store storage.Store, items []BulkItem, now float64) (*
 // packLevel tiles the entries into nodes of the given level with ~fill
 // entries each, ordering by the STR slicing of their integrated
 // centers at time tc.
-func (t *Tree) packLevel(entries []entry, level, fill int, tc float64) ([]*node, error) {
+func (t *Tree) packLevel(entries []entry, level, fill int, tc float64) ([]*vnode, error) {
 	center := func(e *entry, dim int) float64 {
 		r := e.rect
 		return (r.Lo[dim] + r.VLo[dim]*tc + r.Hi[dim] + r.VHi[dim]*tc) / 2
@@ -144,7 +144,7 @@ func (t *Tree) packLevel(entries []entry, level, fill int, tc float64) ([]*node,
 	}
 	tile(entries, 0)
 
-	var out []*node
+	var out []*vnode
 	for off := 0; off < len(entries); off += fill {
 		end := off + fill
 		if end > len(entries) {
@@ -165,8 +165,8 @@ func (t *Tree) packLevel(entries []entry, level, fill int, tc float64) ([]*node,
 		if err != nil {
 			return nil, err
 		}
-		n.entries = append(n.entries, entries[off:end]...)
-		t.adopt(n, n.entries)
+		n.setEntries(entries[off:end])
+		t.adopt(n, 0)
 		if err := t.writeNode(n); err != nil {
 			return nil, err
 		}

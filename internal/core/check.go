@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"rexptree/internal/geom"
 	"rexptree/internal/storage"
@@ -33,9 +32,7 @@ import (
 //   - every node is in page precision: decoding its page image gives
 //     the node back, so each coordinate and expiration time is a
 //     float32 value (the query filter's margin assumes it);
-//   - outside a batch scope (nothing staged), each page's newest
-//     published version is, column for column, the columnar copy of
-//     its node: the query kernels read the version, not the node.
+//   - the version chains are trimmed (see checkChains).
 func (t *Tree) CheckInvariants() error {
 	seen := make(map[uint32]bool)
 	located := make(map[uint32]bool) // objects found in the leaf loc names
@@ -50,24 +47,26 @@ func (t *Tree) CheckInvariants() error {
 		if n.level != level {
 			return fmt.Errorf("node %d: level %d, expected %d", id, n.level, level)
 		}
-		if len(n.entries) > t.lay.cap(n.level) {
-			return fmt.Errorf("node %d: %d entries exceed capacity %d", id, len(n.entries), t.lay.cap(n.level))
+		if n.count > t.lay.cap(n.level) {
+			return fmt.Errorf("node %d: %d entries exceed capacity %d", id, n.count, t.lay.cap(n.level))
 		}
-		if id != t.root && len(n.entries) < t.lay.min(n.level) {
-			return fmt.Errorf("node %d (level %d): %d entries below minimum %d", id, n.level, len(n.entries), t.lay.min(n.level))
+		if id != t.root && n.count < t.lay.min(n.level) {
+			return fmt.Errorf("node %d (level %d): %d entries below minimum %d", id, n.level, n.count, t.lay.min(n.level))
 		}
 		nodes++
-		if err := t.checkPage(n, page); err != nil {
-			return err
+		t.lay.encode(n, page)
+		if back, err := t.lay.decode(n.id, page); err != nil || !back.sameEntries(n) {
+			return fmt.Errorf("node %d: not in page precision, its page image decodes to a different node (%v)", n.id, err)
 		}
-		for _, e := range n.entries {
+		for i := 0; i < n.count; i++ {
+			e := n.entry(i)
 			if n.level == 0 {
 				leaves++
 				at, ok := t.loc[e.id]
 				if ok && at == id {
 					located[e.id] = true
 				}
-				if !t.isExpired(&e.rect, 0) {
+				if !t.expired(n, i) {
 					if seen[e.id] {
 						return fmt.Errorf("duplicate live object id %d", e.id)
 					}
@@ -76,8 +75,8 @@ func (t *Tree) CheckInvariants() error {
 						return fmt.Errorf("locator: live object %d is in leaf %d, located in %d (known: %v)", e.id, id, at, ok)
 					}
 				}
-			} else if p, ok := t.parent[e.child()]; !ok || p != id {
-				return fmt.Errorf("locator: page %d is a child of node %d, parent says %d (known: %v)", e.child(), id, p, ok)
+			} else if p, ok := t.parent[n.child(i)]; !ok || p != id {
+				return fmt.Errorf("locator: page %d is a child of node %d, parent says %d (known: %v)", n.child(i), id, p, ok)
 			}
 			if bound != nil {
 				if err := t.checkBounded(n, &e, bound, boundExp); err != nil {
@@ -85,8 +84,7 @@ func (t *Tree) CheckInvariants() error {
 				}
 			}
 			if n.level > 0 {
-				br := e.rect
-				if err := walk(e.child(), n.level-1, &br, t.effExp(&e.rect, n.level)); err != nil {
+				if err := walk(n.child(i), n.level-1, &e.rect, t.effExp(&e.rect, n.level)); err != nil {
 					return err
 				}
 			}
@@ -107,7 +105,7 @@ func (t *Tree) CheckInvariants() error {
 	if len(t.parent) != nodes-1 {
 		return fmt.Errorf("locator: %d parent entries for %d non-root nodes", len(t.parent), nodes-1)
 	}
-	return nil
+	return t.checkChains()
 }
 
 // checkBounded verifies that the parent bound contains entry e of node
@@ -116,7 +114,7 @@ func (t *Tree) CheckInvariants() error {
 // containment promise, and neither does a rectangle that has shrunk
 // through zero extent: it holds nothing live, but its derived
 // expiration (§4.1.1) never lies before the clock.
-func (t *Tree) checkBounded(n *node, e *entry, bound *geom.TPRect, boundExp float64) error {
+func (t *Tree) checkBounded(n *vnode, e *entry, bound *geom.TPRect, boundExp float64) error {
 	end := math.Min(t.effExp(&e.rect, n.level), boundExp)
 	if !geom.IsFinite(end) || end > t.Now()+1000 {
 		end = t.Now() + 1000
@@ -142,29 +140,53 @@ func (t *Tree) checkBounded(n *node, e *entry, bound *geom.TPRect, boundExp floa
 	return nil
 }
 
-// checkPage verifies that node n is in page precision — its page image
-// decodes back to it — and, when no mutation is staged, that its newest
-// published version is its columnar copy.  page is scratch space.
-func (t *Tree) checkPage(n *node, page []byte) error {
-	t.lay.encode(n, page)
-	back, err := t.lay.decode(n.id, page)
-	if err != nil {
-		return err
+// checkChains verifies the version chains and the spare list:
+//   - a chain holding more than its head is on the backlog, which the
+//     next publication trims;
+//   - outside a batch scope, when the last publication found no reader
+//     behind it (the minimum pinned sequence was its own), every chain
+//     holds only its head;
+//   - no version on the spare list is on a chain or staged, and no two
+//     share a slab, so reusing one cannot overwrite what a reader or
+//     the writer still reads.
+func (t *Tree) checkChains() error {
+	inUse := make(map[*vnode]bool)
+	slabs := make(map[*float64]bool)
+	note := func(v *vnode) {
+		inUse[v] = true
+		if len(v.slab) > 0 {
+			slabs[&v.slab[0]] = true
+		}
 	}
-	if back.level != n.level || !slices.Equal(back.entries, n.entries) {
-		return fmt.Errorf("node %d: not in page precision, its page image decodes to a different node", n.id)
+	quiet := t.batchDepth == 0 && len(t.staged) == 0 && t.trimMin == t.pubSeq
+	tbl := t.table()
+	for id := range tbl {
+		c := tbl[id].Load()
+		if c == nil {
+			continue
+		}
+		if c.staged != nil {
+			note(c.staged)
+		}
+		head := c.head.Load()
+		for v := head; v != nil; v = v.prev.Load() {
+			note(v)
+		}
+		if head == nil || head.prev.Load() == nil {
+			continue
+		}
+		if !c.backlogged {
+			return fmt.Errorf("chains: page %d holds versions older than its head and is not on the backlog", id)
+		}
+		if quiet {
+			return fmt.Errorf("chains: page %d holds versions older than its head though no reader was pinned at publication %d", id, t.pubSeq)
+		}
 	}
-	if t.batchDepth > 0 || len(t.staged) > 0 {
-		return nil
-	}
-	var want vnode
-	want.copyNode(n, t.cfg.Dims)
-	v := t.published(t.pub.Load(), n.id)
-	if v == nil || v.level != want.level || v.count != want.count ||
-		!slices.Equal(v.ids, want.ids) || !slices.Equal(v.texp, want.texp) ||
-		!slices.Equal(v.lo, want.lo) || !slices.Equal(v.hi, want.hi) ||
-		!slices.Equal(v.vlo, want.vlo) || !slices.Equal(v.vhi, want.vhi) {
-		return fmt.Errorf("node %d: the published version differs from the node", n.id)
+	for _, v := range t.spares {
+		if inUse[v] || slabs[&v.slab[0]] {
+			return fmt.Errorf("spares: the slab of a reclaimed version of page %d is still referenced by a chain, a staged copy or another spare", v.id)
+		}
+		note(v)
 	}
 	return nil
 }

@@ -39,16 +39,17 @@ func (t *Tree) DeleteBySearch(oid uint32, p geom.MovingPoint, now float64) (bool
 // deleteAt removes entry idx of the leaf that ends the loaded path and
 // restores the tree's invariants (CondenseTree, §4.3).  A nil path is
 // "no live entry found".
-func (t *Tree) deleteAt(path []*node, idx int, err error) (bool, error) {
+func (t *Tree) deleteAt(path []*vnode, idx int, err error) (bool, error) {
 	if err != nil {
 		return false, err
 	}
 	if path == nil {
 		return false, t.finishOp()
 	}
-	leaf := path[len(path)-1]
-	delete(t.loc, leaf.entries[idx].id)
-	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
+	leaf := t.own(path[len(path)-1])
+	path[len(path)-1] = leaf
+	delete(t.loc, leaf.oid(idx))
+	leaf.removeAt(idx)
 	t.leafEntries--
 	t.reinsertedAt = 0
 	var orphans []orphan
@@ -71,14 +72,14 @@ func (t *Tree) deleteAt(path []*node, idx int, err error) (bool, error) {
 // the pages are read root first, so the buffer pool is charged exactly
 // as for a descent that never takes a wrong turn.  The path is the
 // tree's scratch, valid until the next locate.
-func (t *Tree) locate(oid uint32) ([]*node, int, error) {
+func (t *Tree) locate(oid uint32) ([]*vnode, int, error) {
 	id, ok := t.loc[oid]
 	if !ok {
 		return nil, 0, nil
 	}
 	h := t.height
 	if cap(t.path) < h {
-		t.path, t.pathIDs = make([]*node, h), make([]storage.PageID, h)
+		t.path, t.pathIDs = make([]*vnode, h), make([]storage.PageID, h)
 	}
 	path, ids := t.path[:h], t.pathIDs[:h]
 	for i := h - 1; i > 0; i-- {
@@ -100,9 +101,8 @@ func (t *Tree) locate(oid uint32) ([]*node, int, error) {
 		path[i] = n
 	}
 	leaf := path[h-1]
-	for i := range leaf.entries {
-		e := &leaf.entries[i]
-		if e.id == oid && !t.isExpired(&e.rect, 0) {
+	for i := 0; i < leaf.count; i++ {
+		if leaf.oid(i) == oid && !t.expired(leaf, i) {
 			return path, i, nil
 		}
 	}
@@ -113,34 +113,33 @@ func (t *Tree) locate(oid uint32) ([]*node, int, error) {
 // every live subtree whose bounding rectangle contains the object's
 // current position, returning the loaded path and the entry index.
 // Expired entries are invisible (§4.3).
-func (t *Tree) findLeaf(id storage.PageID, oid uint32, target geom.Vec) ([]*node, int, error) {
+func (t *Tree) findLeaf(id storage.PageID, oid uint32, target geom.Vec) ([]*vnode, int, error) {
 	n, err := t.readNode(id)
 	if err != nil {
 		return nil, 0, err
 	}
 	if n.level == 0 {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if e.id == oid && !t.isExpired(&e.rect, 0) {
-				return []*node{n}, i, nil
+		for i := 0; i < n.count; i++ {
+			if n.oid(i) == oid && !t.expired(n, i) {
+				return []*vnode{n}, i, nil
 			}
 		}
 		return nil, 0, nil
 	}
-	for i := range n.entries {
-		e := &n.entries[i]
-		if t.isExpired(&e.rect, n.level) {
+	var r geom.TPRect
+	for i := 0; i < n.count; i++ {
+		if t.expired(n, i) {
 			continue
 		}
-		if !containsEps(e.rect.At(t.Now()), target, t.cfg.Dims) {
+		if n.rect(i, &r); !containsEps(r.At(t.Now()), target, t.cfg.Dims) {
 			continue
 		}
-		sub, idx, err := t.findLeaf(e.child(), oid, target)
+		sub, idx, err := t.findLeaf(n.child(i), oid, target)
 		if err != nil {
 			return nil, 0, err
 		}
 		if sub != nil {
-			return append([]*node{n}, sub...), idx, nil
+			return append([]*vnode{n}, sub...), idx, nil
 		}
 	}
 	return nil, 0, nil

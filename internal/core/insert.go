@@ -82,7 +82,7 @@ func (t *Tree) insertOrphan(o orphan, orphans *[]orphan) error {
 	if err != nil {
 		return err
 	}
-	if len(rootNode.entries) == 0 && rootNode.level != o.level {
+	if rootNode.count == 0 && rootNode.level != o.level {
 		// CT3.1: the root is empty (everything below expired or was
 		// orphaned); restart the tree at the orphan's level.
 		if err := t.replaceEmptyRoot(o.level); err != nil {
@@ -98,8 +98,7 @@ func (t *Tree) insertOrphan(o orphan, orphans *[]orphan) error {
 	}
 	path := append(t.descent[:0], rootNode)
 	for n := rootNode; n.level > o.level; {
-		idx := t.chooseChild(n, o.e.rect)
-		child, err := t.readNode(n.entries[idx].child())
+		child, err := t.readNode(n.child(t.chooseChild(n, &o.e.rect)))
 		if err != nil {
 			return err
 		}
@@ -109,23 +108,24 @@ func (t *Tree) insertOrphan(o orphan, orphans *[]orphan) error {
 	t.descent = path
 	// propagateUp purges the target (new entry included) before it
 	// looks at its fill.
-	target := path[len(path)-1]
-	target.entries = append(target.entries, o.e)
-	t.adopt(target, target.entries[len(target.entries)-1:])
+	target := t.own(path[len(path)-1])
+	path[len(path)-1] = target
+	target.appendEntry(o.e.id, &o.e.rect)
+	t.adopt(target, target.count-1)
 	return t.propagateUp(path, orphans)
 }
 
-// adopt records n as the home of the given entries of it: the leaf the
-// objects are located in, or the parent of the child pages.
-func (t *Tree) adopt(n *node, es []entry) {
+// adopt records n as the home of its entries from index from on: the
+// leaf the objects are located in, or the parent of the child pages.
+func (t *Tree) adopt(n *vnode, from int) {
 	if n.level == 0 {
-		for i := range es {
-			t.loc[es[i].id] = n.id
+		for i := from; i < n.count; i++ {
+			t.loc[n.oid(i)] = n.id
 		}
 		return
 	}
-	for i := range es {
-		t.parent[es[i].child()] = n.id
+	for i := from; i < n.count; i++ {
+		t.parent[n.child(i)] = n.id
 	}
 }
 
@@ -155,7 +155,7 @@ func (t *Tree) replaceEmptyRoot(level int) error {
 // smaller area integral.  Unlike the R*-tree it does not use overlap
 // enlargement, which keeps the algorithm linear (§4.2.2).  Expired
 // entries are never chosen while any live entry exists.
-func (t *Tree) chooseChild(n *node, r geom.TPRect) int {
+func (t *Tree) chooseChild(n *vnode, r *geom.TPRect) int {
 	if t.met != nil {
 		t.met.ChooseSubtree.Inc()
 	}
@@ -164,14 +164,15 @@ func (t *Tree) chooseChild(n *node, r geom.TPRect) int {
 			return best
 		}
 	}
-	rNew := r
-	rNew.TExp = t.decisionExp(&r, n.level-1)
+	rNew := *r
+	rNew.TExp = t.decisionExp(r, n.level-1)
 	now, dims, src := t.Now(), t.cfg.Dims, t.expSource(n.level)
+	horizon := now + t.metricH()
 	best := -1
 	bestEnl, bestArea := 0.0, 0.0
-	for i := range n.entries {
-		e := &n.entries[i]
-		exp := t.expOf(&e.rect, src, now)
+	var e geom.TPRect
+	for i := 0; i < n.count; i++ {
+		exp := t.expAt(n, i, src, now)
 		if exp < now {
 			continue
 		}
@@ -180,8 +181,9 @@ func (t *Tree) chooseChild(n *node, r geom.TPRect) int {
 		}
 		// Neither integral reads the rectangle's own expiration time;
 		// it enters through end alone.
-		end := t.metricEnd(exp, rNew.TExp)
-		area, enl := geom.Enlargement(&e.rect, &rNew, now, end, dims)
+		end := clampEnd(now, horizon, exp, rNew.TExp)
+		n.rect(i, &e)
+		area, enl := geom.Enlargement(&e, &rNew, now, end, dims)
 		if best < 0 || enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
 		}
@@ -201,31 +203,28 @@ func (t *Tree) chooseChild(n *node, r geom.TPRect) int {
 // by area-integral enlargement.  Quadratic in the fan-out; the paper
 // found it not worth the cost (§4.2.2).  Returns -1 when no live
 // child exists.
-func (t *Tree) chooseChildOverlap(n *node, r geom.TPRect) int {
-	rNew := r
-	rNew.TExp = t.decisionExp(&r, n.level-1)
+func (t *Tree) chooseChildOverlap(n *vnode, r *geom.TPRect) int {
+	rNew := *r
+	rNew.TExp = t.decisionExp(r, n.level-1)
 	best := -1
 	bestOv, bestEnl := 0.0, 0.0
-	for i := range n.entries {
-		e := &n.entries[i]
-		if t.isExpired(&e.rect, n.level) {
+	es := n.appendEntries(t.gather[:0])
+	t.gather = es
+	for i := range es {
+		if t.expired(n, i) {
 			continue
 		}
-		er := e.rect
-		er.TExp = t.decisionExp(&e.rect, n.level)
+		er := es[i].rect
+		er.TExp = t.decisionExp(&es[i].rect, n.level)
 		end := t.metricEnd(er.TExp, rNew.TExp)
 		union := geom.UnionConservative(er, rNew, t.Now(), t.cfg.Dims)
 		var dOv float64
-		for j := range n.entries {
-			if j == i {
+		for j := range es {
+			if j == i || t.expired(n, j) {
 				continue
 			}
-			s := &n.entries[j]
-			if t.isExpired(&s.rect, n.level) {
-				continue
-			}
-			dOv += geom.OverlapIntegral(union, s.rect, t.Now(), end, t.cfg.Dims) -
-				geom.OverlapIntegral(er, s.rect, t.Now(), end, t.cfg.Dims)
+			dOv += geom.OverlapIntegral(union, es[j].rect, t.Now(), end, t.cfg.Dims) -
+				geom.OverlapIntegral(er, es[j].rect, t.Now(), end, t.cfg.Dims)
 		}
 		enl := geom.AreaIntegral(union, t.Now(), end, t.cfg.Dims) -
 			geom.AreaIntegral(er, t.Now(), end, t.cfg.Dims)
@@ -239,20 +238,24 @@ func (t *Tree) chooseChildOverlap(n *node, r geom.TPRect) int {
 // propagateUp is the paper's PropagateUp (§4.3): walking the loaded
 // path bottom-up, it purges expired entries from each modified node,
 // resolves overflow (forced reinsertion or split) and underflow
-// (orphaning), and refreshes the parent's bounding rectangle.
-func (t *Tree) propagateUp(path []*node, orphans *[]orphan) error {
+// (orphaning), and refreshes the parent's bounding rectangle.  Every
+// node on the path is modified, so each is replaced in the path by the
+// writer's copy of its page.
+func (t *Tree) propagateUp(path []*vnode, orphans *[]orphan) error {
 	for i := len(path) - 1; i >= 0; i-- {
-		n := path[i]
+		n := t.own(path[i])
+		path[i] = n
 		isRoot := i == 0
 		if err := t.purgeNode(n); err != nil {
 			return err
 		}
-		var parent *node
+		var parent *vnode
 		if !isRoot {
-			parent = path[i-1]
+			parent = t.own(path[i-1])
+			path[i-1] = parent
 		}
 		switch {
-		case len(n.entries) > t.lay.cap(n.level):
+		case n.count > t.lay.cap(n.level):
 			if levelBit := uint64(1) << uint(n.level); !isRoot && t.cfg.ReinsertFrac > 0 && t.reinsertedAt&levelBit == 0 {
 				// PU1, first option: forced reinsertion, once per level
 				// per operation.
@@ -284,16 +287,17 @@ func (t *Tree) propagateUp(path []*node, orphans *[]orphan) error {
 			if err := t.refreshParentEntry(parent, n); err != nil {
 				return err
 			}
-			parent.entries = append(parent.entries, entry{id: uint32(sib.id), rect: t.computeBR(sib)})
+			br := t.computeBR(sib)
+			parent.appendEntry(uint32(sib.id), &br)
 			t.parent[sib.id] = parent.id
-		case !isRoot && len(n.entries) < t.lay.min(n.level):
+		case !isRoot && n.count < t.lay.min(n.level):
 			// PU2: orphan the live entries and drop the node.
 			if t.met != nil {
 				t.met.Condenses.Inc()
-				t.met.Emit(obs.Event{Kind: obs.EvCondense, Level: n.level, N: len(n.entries)})
+				t.met.Emit(obs.Event{Kind: obs.EvCondense, Level: n.level, N: n.count})
 			}
-			for _, e := range n.entries {
-				*orphans = append(*orphans, orphan{e: e, level: n.level})
+			for k := 0; k < n.count; k++ {
+				*orphans = append(*orphans, orphan{e: n.entry(k), level: n.level})
 			}
 			if err := t.freeNode(n); err != nil {
 				return err
@@ -315,41 +319,50 @@ func (t *Tree) propagateUp(path []*node, orphans *[]orphan) error {
 	return nil
 }
 
+// entryOf returns the index of the parent's entry for the child page.
+func entryOf(parent *vnode, child storage.PageID) (int, error) {
+	for i := 0; i < parent.count; i++ {
+		if parent.child(i) == child {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("core: node %d not found in parent %d", child, parent.id)
+}
+
 // refreshParentEntry recomputes the child's bounding rectangle in the
 // parent (PU3).  The parent is written when the propagation reaches
 // it.
-func (t *Tree) refreshParentEntry(parent, child *node) error {
-	for i := range parent.entries {
-		if parent.entries[i].child() == child.id {
-			parent.entries[i].rect = t.computeBR(child)
-			return nil
-		}
+func (t *Tree) refreshParentEntry(parent, child *vnode) error {
+	i, err := entryOf(parent, child.id)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("core: node %d not found in parent %d", child.id, parent.id)
+	br := t.computeBR(child)
+	parent.setRect(i, &br)
+	return nil
 }
 
 // removeParentEntry drops the entry pointing at the freed child.
-func (t *Tree) removeParentEntry(parent *node, child storage.PageID) error {
-	for i := range parent.entries {
-		if parent.entries[i].child() == child {
-			parent.entries = append(parent.entries[:i], parent.entries[i+1:]...)
-			return nil
-		}
+func (t *Tree) removeParentEntry(parent *vnode, child storage.PageID) error {
+	i, err := entryOf(parent, child)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("core: freed node %d not found in parent %d", child, parent.id)
+	parent.removeAt(i)
+	return nil
 }
 
 // growRoot installs a new root above the two halves of a root split.
-func (t *Tree) growRoot(a, b *node) error {
+func (t *Tree) growRoot(a, b *vnode) error {
 	root, err := t.allocNode(a.level + 1)
 	if err != nil {
 		return err
 	}
-	root.entries = []entry{
-		{id: uint32(a.id), rect: t.computeBR(a)},
-		{id: uint32(b.id), rect: t.computeBR(b)},
-	}
-	t.adopt(root, root.entries)
+	ra := t.computeBR(a)
+	rb := t.computeBR(b)
+	root.appendEntry(uint32(a.id), &ra)
+	root.appendEntry(uint32(b.id), &rb)
+	t.adopt(root, 0)
 	if err := t.writeNode(root); err != nil {
 		return err
 	}
@@ -365,10 +378,10 @@ func (t *Tree) shrinkRoot() error {
 		if err != nil {
 			return err
 		}
-		if root.level == 0 || len(root.entries) != 1 {
+		if root.level == 0 || root.count != 1 {
 			return nil
 		}
-		child := root.entries[0].child()
+		child := root.child(0)
 		if err := t.setRoot(child); err != nil {
 			return err
 		}
@@ -384,7 +397,7 @@ func (t *Tree) shrinkRoot() error {
 // center distance integral from the node's bounding rectangle is
 // largest (the R*-tree heuristic with the time-integral metric of
 // Eq. 1) and returns them ordered closest-first.
-func (t *Tree) pickReinsert(n *node) []entry {
+func (t *Tree) pickReinsert(n *vnode) []entry {
 	nodeBR := t.computeBR(n)
 	exp := t.decisionExp(&nodeBR, n.level+1)
 	end := t.metricEnd(exp, exp)
@@ -392,21 +405,23 @@ func (t *Tree) pickReinsert(n *node) []entry {
 		e entry
 		d float64
 	}
-	s := make([]scored, len(n.entries))
-	for i, e := range n.entries {
+	s := make([]scored, n.count)
+	for i := range s {
+		e := n.entry(i)
 		s[i] = scored{e, geom.CenterDistIntegral(e.rect, nodeBR, t.Now(), end, t.cfg.Dims)}
 	}
 	sort.Slice(s, func(i, j int) bool { return s[i].d > s[j].d })
-	p := int(t.cfg.ReinsertFrac * float64(len(n.entries)))
+	p := int(t.cfg.ReinsertFrac * float64(len(s)))
 	if p < 1 {
 		p = 1
 	}
 	removed := s[:p]
-	keep := make([]entry, 0, len(n.entries)-p)
+	keep := t.gather[:0]
 	for _, sc := range s[p:] {
 		keep = append(keep, sc.e)
 	}
-	n.entries = keep
+	t.gather = keep
+	n.setEntries(keep)
 	// Closest-first ordering for reinsertion.
 	out := make([]entry, p)
 	for i, sc := range removed {

@@ -34,7 +34,7 @@ func requireLocateIsSearch(tb testing.TB, tr *Tree, oid uint32, p geom.MovingPoi
 	if err != nil {
 		tb.Fatalf("locate(%d): %v", oid, err)
 	}
-	got = append([]*node(nil), got...) // the path is the tree's scratch
+	got = append([]*vnode(nil), got...) // the path is the tree's scratch
 	want, wantIdx, err := tr.findLeaf(tr.root, oid, tr.prepare(p).At(tr.Now()))
 	if err != nil {
 		tb.Fatalf("findLeaf(%d): %v", oid, err)

@@ -43,7 +43,7 @@ func (t *Tree) initMeta() error {
 
 // Sync writes the tree's metadata and flushes all dirty pages, making
 // the underlying store self-contained.  A tree whose pool has no encoder
-// (imagesAtSync) then renders every stale node straight into the store;
+// (imagesAtSync) then renders every live node straight into the store;
 // that costs no I/O, because the pool charged the page's writes when it
 // moved the bytes.
 func (t *Tree) Sync() error {
@@ -56,16 +56,15 @@ func (t *Tree) Sync() error {
 	if !t.imagesAtSync {
 		return nil
 	}
-	t.cacheMu.Lock()
-	defer t.cacheMu.Unlock()
 	store := t.bp.Store()
 	buf := make([]byte, storage.PageSize)
-	for id, n := range t.cache {
-		if !t.render(n, buf) {
+	for id := range t.table() {
+		v := t.current(storage.PageID(id))
+		if v == nil || v.count > t.lay.cap(v.level) {
 			continue
 		}
-		if err := store.WritePage(id, buf); err != nil {
-			n.stale = true
+		t.lay.encode(v, buf)
+		if err := store.WritePage(storage.PageID(id), buf); err != nil {
 			return err
 		}
 	}
@@ -132,7 +131,7 @@ func (t *Tree) PoolOverflow() int { return t.bp.Overflow() }
 // free list of an uncleanly closed store.
 func (t *Tree) LivePages() (map[storage.PageID]bool, error) {
 	live := map[storage.PageID]bool{metaPage: true}
-	err := t.walk(t.root, func(n *node) error {
+	err := t.walk(t.root, func(n *vnode) error {
 		live[n.id] = true
 		return nil
 	})
@@ -225,12 +224,12 @@ func MetaConfig(store storage.Store) (Config, error) {
 // Records visits every leaf entry (including expired ones not yet
 // purged), charging the buffer pool like any locked traversal.
 func (t *Tree) Records(fn func(oid uint32, p geom.MovingPoint) error) error {
-	return t.walk(t.root, func(n *node) error {
+	return t.walk(t.root, func(n *vnode) error {
 		if n.level != 0 {
 			return nil
 		}
-		for i := range n.entries {
-			if err := fn(n.entries[i].id, n.entries[i].point()); err != nil {
+		for i := 0; i < n.count; i++ {
+			if err := fn(n.oid(i), n.point(i)); err != nil {
 				return err
 			}
 		}

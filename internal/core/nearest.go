@@ -21,65 +21,12 @@ import (
 // valid bound at that instant because entries that expire before at
 // are skipped.
 //
-// Like Search it reads through the buffer pool under the caller's lock;
-// it is the reference NearestSnap is tested against.
+// Like Search it is the kernel (nearest) over the writer's view read
+// through the buffer pool; NearestSnap runs it over a pinned snapshot.
 func (t *Tree) Nearest(q geom.Vec, at float64, k int, now float64) ([]Result, error) {
 	t.advance(now)
-	if at < t.Now() {
-		return nil, errNearestPast(at, t.Now())
-	}
-	if k <= 0 {
-		return nil, nil
-	}
-	qp := nnQueuePool.Get().(*nnQueue)
-	pq := (*qp)[:0]
-	defer func() {
-		*qp = pq[:0]
-		nnQueuePool.Put(qp)
-	}()
-	pq = pq.push(nnItem{dist: 0, page: t.root, isNode: true})
-	var out []Result
-	var nodes, leaves uint64
-	for len(pq) > 0 && len(out) < k {
-		var it nnItem
-		pq, it = pq.pop()
-		if !it.isNode {
-			out = append(out, Result{OID: it.oid, Point: it.point})
-			continue
-		}
-		n, err := t.readNode(it.page)
-		if err != nil {
-			t.addQueryStats(nodes, leaves, nil)
-			return nil, err
-		}
-		nodes++
-		if n.level == 0 {
-			leaves += uint64(len(n.entries))
-		}
-		for i := range n.entries {
-			e := &n.entries[i]
-			// Entries invalid at the query time cannot contribute.
-			if t.cfg.ExpireAware && t.effExp(&e.rect, n.level) < at {
-				continue
-			}
-			if n.level == 0 {
-				p := e.point()
-				pq = pq.push(nnItem{
-					dist:  q.Dist(p.At(at), t.cfg.Dims),
-					oid:   e.id,
-					point: p,
-				})
-				continue
-			}
-			pq = pq.push(nnItem{
-				dist:   e.rect.At(at).MinDist(q, t.cfg.Dims),
-				page:   e.child(),
-				isNode: true,
-			})
-		}
-	}
-	t.addQueryStats(nodes, leaves, nil)
-	return out, nil
+	src := t.poolSource()
+	return t.nearest(&src, q, at, k)
 }
 
 // errNearestPast is shared by the locked and snapshot nearest paths so

@@ -86,30 +86,37 @@ func TestQuantizeIdempotent(t *testing.T) {
 	}
 }
 
+// nodeOf builds a node of the layout holding the given entries.
+func nodeOf(l layout, id storage.PageID, level int, es []entry) *vnode {
+	n := l.newVnode(id, level, len(es))
+	n.setEntries(es)
+	return n
+}
+
 func TestNodeEncodeDecodeLeaf(t *testing.T) {
 	l := newLayout(Config{Dims: 2, ExpireAware: true, StoreBRExp: true}.withDefaults())
 	rng := rand.New(rand.NewSource(41))
-	n := &node{id: 7, level: 0}
+	var es []entry
 	for i := 0; i < l.leafCap; i++ {
 		p := quantize(geom.MovingPoint{
 			Pos:  geom.Vec{rng.Float64() * 1000, rng.Float64() * 1000},
 			Vel:  geom.Vec{rng.Float64()*6 - 3, rng.Float64()*6 - 3},
 			TExp: rng.Float64() * 500,
 		}, 2)
-		n.entries = append(n.entries, entry{id: uint32(i), rect: geom.PointTPRect(p)})
+		es = append(es, entry{id: uint32(i), rect: geom.PointTPRect(p)})
 	}
 	buf := make([]byte, storage.PageSize)
-	l.encode(n, buf)
+	l.encode(nodeOf(l, 7, 0, es), buf)
 	got, err := l.decode(7, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.level != 0 || len(got.entries) != len(n.entries) {
-		t.Fatalf("decoded level %d count %d", got.level, len(got.entries))
+	if got.level != 0 || got.count != len(es) {
+		t.Fatalf("decoded level %d count %d", got.level, got.count)
 	}
-	for i := range n.entries {
-		if got.entries[i] != n.entries[i] {
-			t.Fatalf("entry %d round trip: %+v vs %+v", i, got.entries[i], n.entries[i])
+	for i := range es {
+		if got.entry(i) != es[i] {
+			t.Fatalf("entry %d round trip: %+v vs %+v", i, got.entry(i), es[i])
 		}
 	}
 }
@@ -118,7 +125,7 @@ func TestNodeEncodeDecodeInternalOutwardRounding(t *testing.T) {
 	for _, storeExp := range []bool{true, false} {
 		l := newLayout(Config{Dims: 2, ExpireAware: true, StoreBRExp: storeExp}.withDefaults())
 		rng := rand.New(rand.NewSource(43))
-		n := &node{id: 9, level: 2}
+		var es []entry
 		for i := 0; i < 20; i++ {
 			r := geom.TPRect{
 				Lo:   geom.Vec{rng.Float64() * 1000, rng.Float64() * 1000},
@@ -127,16 +134,16 @@ func TestNodeEncodeDecodeInternalOutwardRounding(t *testing.T) {
 			}
 			r.Hi = r.Lo.Add(geom.Vec{rng.Float64() * 10, rng.Float64() * 10})
 			r.VHi = r.VLo.Add(geom.Vec{rng.Float64(), rng.Float64()})
-			n.entries = append(n.entries, entry{id: uint32(100 + i), rect: r})
+			es = append(es, entry{id: uint32(100 + i), rect: r})
 		}
 		buf := make([]byte, storage.PageSize)
-		l.encode(n, buf)
+		l.encode(nodeOf(l, 9, 2, es), buf)
 		got, err := l.decode(9, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, ge := range got.entries {
-			orig := n.entries[i].rect
+		for i := range es {
+			ge, orig := got.entry(i), es[i].rect
 			// Decoded rectangle must contain the original at any t >= 0.
 			for _, tt := range []float64{0, 1, 100} {
 				if !ge.rect.At(tt).ContainsRect(orig.At(tt), 2) {
@@ -158,14 +165,15 @@ func TestNodeEncodeDecodeInternalOutwardRounding(t *testing.T) {
 // held before: a longer earlier image leaves nothing behind.
 func TestEncodeZeroesUnusedTail(t *testing.T) {
 	l := newLayout(Config{Dims: 2, ExpireAware: true}.withDefaults())
-	n := &node{id: 3, level: 0}
+	var es []entry
 	for i := 0; i < 40; i++ {
 		p := quantize(geom.MovingPoint{Pos: geom.Vec{float64(i), 2}, Vel: geom.Vec{1, -1}, TExp: 9}, 2)
-		n.entries = append(n.entries, entry{id: uint32(i), rect: geom.PointTPRect(p)})
+		es = append(es, entry{id: uint32(i), rect: geom.PointTPRect(p)})
 	}
+	n := nodeOf(l, 3, 0, es)
 	used := make([]byte, storage.PageSize)
 	l.encode(n, used)
-	n.entries = n.entries[:7]
+	n.resize(7)
 	l.encode(n, used)
 	fresh := make([]byte, storage.PageSize)
 	l.encode(n, fresh)

@@ -37,7 +37,7 @@ func BenchmarkInsertUpdate(b *testing.B) {
 // near-optimal rectangles of small leaves.  The tree uses the engine's
 // default R^exp configuration (no expiration times in internal
 // entries, so the internal node's entries expire at derived times).
-func brNodes(tb testing.TB) (tr *Tree, leaf, inner *node) {
+func brNodes(tb testing.TB) (tr *Tree, leaf, inner *vnode) {
 	tb.Helper()
 	tr, err := New(Config{Dims: 2, ExpireAware: true, BRKind: hull.KindNearOptimal, Seed: 1}, storage.NewMemStore())
 	if err != nil {
@@ -46,24 +46,24 @@ func brNodes(tb testing.TB) (tr *Tree, leaf, inner *node) {
 	const now = 100
 	tr.advance(now)
 	rng := rand.New(rand.NewSource(3))
-	points := func(n int) *node {
-		nd := &node{level: 0, entries: make([]entry, n)}
-		for i := range nd.entries {
+	points := func(n int) *vnode {
+		es := make([]entry, n)
+		for i := range es {
 			p := quantize(geom.MovingPoint{
 				Pos:  geom.Vec{rng.Float64() * 1000, rng.Float64() * 1000},
 				Vel:  geom.Vec{rng.Float64()*6 - 3, rng.Float64()*6 - 3},
 				TExp: now + rng.Float64()*120,
 			}, 2)
-			nd.entries[i] = entry{id: uint32(i), rect: geom.PointTPRect(p)}
+			es[i] = entry{id: uint32(i), rect: geom.PointTPRect(p)}
 		}
-		return nd
+		return nodeOf(tr.lay, 0, 0, es)
 	}
 	leaf = points(tr.lay.leafCap)
-	inner = &node{level: 1, entries: make([]entry, tr.lay.innerCap)}
-	for i := range inner.entries {
-		inner.entries[i] = entry{id: uint32(i), rect: tr.computeBR(points(20))}
+	es := make([]entry, tr.lay.innerCap)
+	for i := range es {
+		es[i] = entry{id: uint32(i), rect: tr.computeBR(points(20))}
 	}
-	return tr, leaf, inner
+	return tr, leaf, nodeOf(tr.lay, 0, 1, es)
 }
 
 // BenchmarkComputeBR measures the bounding-rectangle computation of a
@@ -72,7 +72,7 @@ func BenchmarkComputeBR(b *testing.B) {
 	tr, leaf, inner := brNodes(b)
 	for _, c := range []struct {
 		name string
-		n    *node
+		n    *vnode
 	}{{"leaf", leaf}, {"internal", inner}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -92,7 +92,7 @@ func BenchmarkEncode(b *testing.B) {
 	buf := make([]byte, storage.PageSize)
 	for _, c := range []struct {
 		name string
-		n    *node
+		n    *vnode
 	}{{"leaf", leaf}, {"internal", inner}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

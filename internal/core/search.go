@@ -25,7 +25,7 @@ type TravStats struct {
 	Hits   uint64 // page requests served from a version chain or the buffer pool
 
 	SnapHits   uint64 // nodes served from version chains, no lock taken
-	SnapMisses uint64 // defensive fallbacks through the buffer pool
+	SnapMisses uint64 // pages with no version at the pinned sequence (an error)
 	PinNanos   int64  // time spent pinning the epoch
 }
 
@@ -37,9 +37,10 @@ type TravStats struct {
 // are ignored entirely, so results may contain objects whose
 // information has expired — the false drops the paper's §3 discusses.
 //
-// Search and SearchFunc read through the buffer pool under the caller's
-// lock: they are the traversal whose page I/O the paper's figures count
-// and the reference the snapshot path (SearchSnap) is tested against.
+// Search and SearchFunc are the region-query kernel (search) over the
+// writer's view read through the buffer pool, under the caller's lock:
+// the traversal whose page I/O the paper's figures count.  SearchSnap
+// runs the same kernel over a pinned snapshot.
 func (t *Tree) Search(q geom.Query, now float64) ([]Result, error) {
 	var out []Result
 	err := t.SearchFunc(q, now, func(r Result) bool {
@@ -63,65 +64,8 @@ var stackPool = sync.Pool{New: func() any {
 // allocations (the traversal stack is pooled).
 func (t *Tree) SearchFunc(q geom.Query, now float64, fn func(Result) bool) error {
 	t.advance(now)
-	c := geom.Compile(q, t.cfg.Dims, t.cfg.ExpireAware)
-	var nodes, leaves uint64
-	sp := stackPool.Get().(*[]storage.PageID)
-	stack := append((*sp)[:0], t.root)
-	defer func() {
-		*sp = stack[:0]
-		stackPool.Put(sp)
-	}()
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n, err := t.readNode(id)
-		if err != nil {
-			t.addQueryStats(nodes, leaves, nil)
-			return err
-		}
-		nodes++
-		if n.level == 0 {
-			leaves += uint64(len(n.entries))
-		}
-		for i := range n.entries {
-			e := &n.entries[i]
-			if t.isExpired(&e.rect, n.level) {
-				continue
-			}
-			if n.level == 0 {
-				p := e.point()
-				if c.MatchesPoint(&p) {
-					if !fn(Result{OID: e.id, Point: p}) {
-						t.addQueryStats(nodes, leaves, nil)
-						return nil
-					}
-				}
-				continue
-			}
-			r := e.rect
-			r.TExp = t.effExp(&e.rect, n.level)
-			if c.MatchesRect(&r) {
-				stack = append(stack, e.child())
-			}
-		}
-	}
-	t.addQueryStats(nodes, leaves, nil)
-	return nil
-}
-
-// addQueryStats folds a query's locally accumulated traversal counts
-// into the metric counters (and the per-traversal stats when tracing),
-// so hot loops pay one atomic add per query rather than one per node.
-func (t *Tree) addQueryStats(nodes, leaves uint64, st *TravStats) {
-	if st != nil {
-		st.Nodes += nodes
-		st.Leaves += leaves
-	}
-	if t.met == nil {
-		return
-	}
-	t.met.NodeVisits.Add(nodes)
-	t.met.LeafScans.Add(leaves)
+	src := t.poolSource()
+	return t.search(&src, q, fn)
 }
 
 // EntryStats walks the leaf level and reports how many stored leaf
@@ -129,12 +73,12 @@ func (t *Tree) addQueryStats(nodes, leaves uint64, st *TravStats) {
 // diagnostic (used to validate the lazy-purging claim of §5.4) and
 // charges I/O like any other traversal.
 func (t *Tree) EntryStats() (live, expired int, err error) {
-	err = t.walk(t.root, func(n *node) error {
+	err = t.walk(t.root, func(n *vnode) error {
 		if n.level != 0 {
 			return nil
 		}
-		for _, e := range n.entries {
-			if e.rect.TExp < t.Now() {
+		for i := 0; i < n.count; i++ {
+			if n.texp[i] < t.Now() {
 				expired++
 			} else {
 				live++
@@ -148,7 +92,7 @@ func (t *Tree) EntryStats() (live, expired int, err error) {
 // NodeCount returns the number of nodes per level, root last.
 func (t *Tree) NodeCount() ([]int, error) {
 	counts := make([]int, t.height)
-	err := t.walk(t.root, func(n *node) error {
+	err := t.walk(t.root, func(n *vnode) error {
 		counts[n.level]++
 		return nil
 	})
@@ -156,7 +100,7 @@ func (t *Tree) NodeCount() ([]int, error) {
 }
 
 // walk applies fn to every node in depth-first order.
-func (t *Tree) walk(id storage.PageID, fn func(*node) error) error {
+func (t *Tree) walk(id storage.PageID, fn func(*vnode) error) error {
 	n, err := t.readNode(id)
 	if err != nil {
 		return err
@@ -167,8 +111,8 @@ func (t *Tree) walk(id storage.PageID, fn func(*node) error) error {
 	if n.level == 0 {
 		return nil
 	}
-	for _, e := range n.entries {
-		if err := t.walk(e.child(), fn); err != nil {
+	for i := 0; i < n.count; i++ {
+		if err := t.walk(n.child(i), fn); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 	"time"
@@ -10,26 +11,36 @@ import (
 	"rexptree/internal/storage"
 )
 
-// This file is the lock-free snapshot read path.  Writers publish an
-// immutable, columnar copy of every page they touched (a vnode) onto a
-// per-page version chain, then swap in a new root/clock descriptor
-// (pubState) with one atomic store.  Readers pin the published
-// sequence in an epoch domain and traverse the version chains without
-// taking the tree's reader/writer lock or the buffer-pool mutex; the
-// writer reclaims versions no pinned reader can still need after each
-// publication.
+// This file is the tree's node store and its lock-free read path.
 //
-// A region query tests entries with one predicate, geom.Compiled,
-// compiled once per traversal: a leaf is one call that sweeps the
-// lo/vlo/texp columns in the loop its shape picks, deciding almost every
-// entry with multiplies, adds and compares and the rest with
-// geom.Intersects's clip sequence — the same verdict bit for bit.
+// A page's decoded form is a vnode, and its versions form a chain,
+// newest first.  The writer never mutates a published version: the
+// first mutation of a page in an operation copies the newest version's
+// columns into a slab (own), every later one in the operation edits
+// that private staged copy, and publish pushes the copy onto the chain
+// as it is — no transposition, no second copy — then swaps in a new
+// root descriptor (pubState) with one atomic store.  The writer's
+// view of a page is its staged copy if the operation touched it, the
+// newest version otherwise (current).
 //
-// The locked traversals (Search, SearchFunc, Nearest) remain beside
-// this path: they are the semantics baseline the equivalence tests
-// compare against, and the paper's I/O-counting experiments keep
-// charging the buffer pool through them.  Search tests entries with the
-// same compiled predicate.
+// Readers pin the published sequence in an epoch domain and traverse
+// the chains without taking the tree's reader/writer lock or the
+// buffer-pool mutex.  After each publication the writer cuts, on every
+// chain it touched and on the backlog of chains that still hold older
+// versions, every version below the newest one at or under the minimum
+// pinned sequence.  No pinned reader can reach a cut version, so its
+// slab is written again: the next staged copy is taken from it.  A
+// tombstone, a chain head and a staged copy are never reused.
+//
+// Every traversal — the snapshot queries and the locked Search,
+// SearchFunc and Nearest the paper's figures count — is one kernel over
+// a nodeSource: the pinned snapshot's chains, or the writer's view read
+// through the buffer pool, which charges the page I/O.  A region query
+// tests entries with one predicate, geom.Compiled, compiled once per
+// traversal: a leaf is one call that sweeps the lo/vlo/texp columns in
+// the loop its shape picks, deciding almost every entry with
+// multiplies, adds and compares and the rest with geom.Intersects's clip
+// sequence — the same verdict bit for bit.
 //
 // New, Open and BulkLoad each publish before they return the tree, so
 // a reader always finds a published descriptor.
@@ -37,122 +48,117 @@ import (
 // pubState is the atomically published root descriptor: everything a
 // reader needs to start a traversal of one consistent tree snapshot.
 type pubState struct {
-	seq    uint64
-	root   storage.PageID
-	height int
-	clock  float64 // tree clock at publication time (informational)
-}
-
-// vnode is the immutable columnar image of one node version.  Entry
-// coordinates are stored as four parallel column slices, so the
-// intersection kernel runs as a single sweep of contiguous memory per
-// node instead of per-entry pointer chasing.  For leaves the hi/vhi
-// columns alias lo/vlo (a leaf entry is a degenerate rectangle), so a
-// single kernel serves both node kinds.  Every column is cut from one
-// float64 backing array, the ids included (a float64 holds every uint32
-// exactly), so an image costs one allocation besides its version link.
-type vnode struct {
-	level int
-	count int
-	ids   []float64 // object ids (leaf) or child page ids (internal)
-	texp  []float64 // recorded expiration times (+Inf when absent)
-	lo    []float64 // count*dims, entry-major: lo[i*dims+d]
-	hi    []float64
-	vlo   []float64
-	vhi   []float64
-}
-
-// oid returns entry i's object id (leaf) or child page id (internal).
-func (v *vnode) oid(i int) uint32 { return uint32(v.ids[i]) }
-
-// point reconstructs the leaf entry's trajectory record, identical to
-// entry.point() on the node the vnode was copied from.
-func (v *vnode) point(i, dims int) geom.MovingPoint {
-	var p geom.MovingPoint
-	b := i * dims
-	for d := 0; d < dims; d++ {
-		p.Pos[d] = v.lo[b+d]
-		p.Vel[d] = v.vlo[b+d]
-	}
-	p.TExp = v.texp[i]
-	return p
-}
-
-// copyNode deep-copies a node into v, its immutable columnar image.
-// The copy is what makes in-place node mutation by later operations
-// (purge splices, split redistributions) invisible to pinned readers.
-func (v *vnode) copyNode(n *node, dims int) {
-	c, cd := len(n.entries), len(n.entries)*dims
-	coords := 4
-	if n.level == 0 {
-		coords = 2
-	}
-	backing := make([]float64, 2*c+coords*cd)
-	*v = vnode{level: n.level, count: c, ids: backing[:c], texp: backing[c : 2*c]}
-	cols := backing[2*c:]
-	if n.level == 0 {
-		v.lo, v.vlo = cols[:cd], cols[cd:]
-		v.hi, v.vhi = v.lo, v.vlo
-		for i := range n.entries {
-			e := &n.entries[i]
-			v.ids[i] = float64(e.id)
-			v.texp[i] = e.rect.TExp
-			b := i * dims
-			for d := 0; d < dims; d++ {
-				v.lo[b+d] = e.rect.Lo[d]
-				v.vlo[b+d] = e.rect.VLo[d]
-			}
-		}
-		return
-	}
-	v.lo = cols[:cd]
-	v.hi = cols[cd : 2*cd]
-	v.vlo = cols[2*cd : 3*cd]
-	v.vhi = cols[3*cd:]
-	for i := range n.entries {
-		e := &n.entries[i]
-		v.ids[i] = float64(e.id)
-		v.texp[i] = e.rect.TExp
-		b := i * dims
-		for d := 0; d < dims; d++ {
-			v.lo[b+d] = e.rect.Lo[d]
-			v.hi[b+d] = e.rect.Hi[d]
-			v.vlo[b+d] = e.rect.VLo[d]
-			v.vhi[b+d] = e.rect.VHi[d]
-		}
-	}
-}
-
-// version is one link of a page's version chain.  n is nil for a
-// tombstone (the page was freed at seq).  prev is atomic because the
-// writer trims chains while readers walk them.
-type version struct {
 	seq  uint64
-	n    *vnode
-	prev atomic.Pointer[version]
+	root storage.PageID
 }
 
-// imagedVersion is a version link allocated together with its node
-// image (n points at img), so a tombstone stays a bare link.
-type imagedVersion struct {
-	version
-	img vnode
-}
-
-// chain is the per-page version list, newest first.
+// chain is one page's slot: its published versions, newest first, and
+// the writer-private state of the current operation.
 type chain struct {
-	head atomic.Pointer[version]
+	head atomic.Pointer[vnode]
+
+	// Writer-private: the operation's staged copy of the page (a
+	// tombstone when it freed the page), and whether the chain is on the
+	// backlog.
+	staged     *vnode
+	backlogged bool
 }
 
-// stageWrite records that the node's page changed during the current
-// mutation; publish turns the staged set into new chain versions.
-// Staging keeps only the live *node pointer — the columnar copy is
-// taken once, at publication, after the operation's final state is
-// known.
-func (t *Tree) stageWrite(n *node) { t.staged[n.id] = n }
+// spareMin is the least number of reclaimed versions (and descriptors)
+// kept for reuse; publish keeps up to twice the pages its operation
+// staged, so the spare list holds a few operations' worth and no more.
+const spareMin = 16
 
-// stageFree records that the page was freed (a tombstone version).
-func (t *Tree) stageFree(id storage.PageID) { t.staged[id] = nil }
+// table returns the current chain table.
+func (t *Tree) table() []atomic.Pointer[chain] { return *t.chains.Load() }
+
+// slot returns the page's chain, creating it — and growing the table
+// copy-on-write — when the page has none.
+func (t *Tree) slot(id storage.PageID) *chain {
+	tbl := t.table()
+	if int(id) >= len(tbl) {
+		grown := make([]atomic.Pointer[chain], max(2*len(tbl), int(id)+1, 64))
+		for i := range tbl {
+			grown[i].Store(tbl[i].Load())
+		}
+		t.chains.Store(&grown)
+		tbl = grown
+	}
+	c := tbl[id].Load()
+	if c == nil {
+		c = &chain{}
+		tbl[id].Store(c)
+	}
+	return c
+}
+
+// chainOf returns the page's chain, nil when it has none.
+func (t *Tree) chainOf(id storage.PageID) *chain {
+	if tbl := t.table(); int(id) < len(tbl) {
+		return tbl[id].Load()
+	}
+	return nil
+}
+
+// current returns the writer's view of the page: the operation's staged
+// copy, else the newest published version; nil when the page holds no
+// node (the metadata page, a freed page, a page no version holds yet).
+// Only the writer and the locked readers call it.
+func (t *Tree) current(id storage.PageID) *vnode {
+	c := t.chainOf(id)
+	if c == nil {
+		return nil
+	}
+	v := c.staged
+	if v == nil {
+		v = c.head.Load()
+	}
+	if v == nil || v.freed {
+		return nil
+	}
+	return v
+}
+
+// stage makes v the writer's view of its page until the next
+// publication.
+func (t *Tree) stage(v *vnode) {
+	c := t.slot(v.id)
+	if c.staged == nil {
+		t.staged = append(t.staged, c)
+	}
+	c.staged = v
+}
+
+// own returns the writer's private copy of n's page, copying n's columns
+// into a reclaimed slab the first time the operation mutates the page.
+func (t *Tree) own(n *vnode) *vnode {
+	c := t.slot(n.id)
+	if s := c.staged; s != nil && !s.freed {
+		return s
+	}
+	v := t.newVnode(n.id, n.level, n.count)
+	v.copyFrom(n)
+	t.stage(v)
+	return v
+}
+
+// newVnode returns an empty node of the given level with room for at
+// least capN entries, on a reclaimed version's slab when one is spare.
+func (t *Tree) newVnode(id storage.PageID, level, capN int) *vnode {
+	capN = max(capN, t.lay.cap(level)+1)
+	k := len(t.spares) - 1
+	if k < 0 || len(t.spares[k].slab) < slabNeed(level, capN, t.cfg.Dims) {
+		return t.lay.newVnode(id, level, capN)
+	}
+	v := t.spares[k]
+	t.spares[k] = nil
+	t.spares = t.spares[:k]
+	v.seq = 0
+	v.prev.Store(nil)
+	v.id = id
+	v.cut(v.slab, level, capN, t.cfg.Dims)
+	return v
+}
 
 // BeginBatch opens a batch scope: until the matching EndBatch the
 // core operations inside it are one operation — their mutations become
@@ -193,94 +199,78 @@ func (t *Tree) publishOp() {
 	t.publish()
 }
 
-// chainSweepEvery is how many publications pass between full-table
-// trim sweeps.  Per-publication trims only visit the chains that
-// publication staged; the periodic sweep reclaims retired versions on
-// chains that have gone cold since a long-pinned reader released them.
-const chainSweepEvery = 256
-
-// publish makes the staged mutations visible to snapshot readers:
-// it pushes a new version (or tombstone) onto each staged page's
-// chain, swaps in the new root descriptor, and trims versions that no
-// pinned reader can still reach.  Single-writer: the caller holds the
-// public tree's exclusive lock.
+// publish makes the staged mutations visible to snapshot readers: it
+// pushes each staged copy (or tombstone) onto its page's chain, swaps in
+// the new root descriptor, and reclaims the versions no pinned reader
+// can still reach.  Single-writer: the caller holds the public tree's
+// exclusive lock.
 func (t *Tree) publish() {
 	start := time.Now()
 	t.pendingPub = false
 	seq := t.pubSeq + 1
 	t.pubSeq = seq
-
-	// Grow the chain table first so every staged page has a slot.
-	tbl := *t.chains.Load()
-	maxID := -1
-	for id := range t.staged {
-		if int(id) > maxID {
-			maxID = int(id)
-		}
-	}
-	if maxID >= len(tbl) {
-		n := 2 * len(tbl)
-		if n < maxID+1 {
-			n = maxID + 1
-		}
-		if n < 64 {
-			n = 64
-		}
-		grown := make([]atomic.Pointer[chain], n)
-		for i := range tbl {
-			grown[i].Store(tbl[i].Load())
-		}
-		t.chains.Store(&grown)
-		tbl = grown
-	}
-
-	touched := t.sweepScratch[:0]
-	for id, n := range t.staged {
-		c := tbl[id].Load()
-		if c == nil {
-			c = &chain{}
-			tbl[id].Store(c)
-		}
-		var v *version
-		if n != nil {
-			iv := new(imagedVersion)
-			iv.img.copyNode(n, t.cfg.Dims)
-			iv.n = &iv.img
-			v = &iv.version
-		} else {
-			v = new(version)
-		}
+	for _, c := range t.staged {
+		v := c.staged
+		c.staged = nil
 		v.seq = seq
 		v.prev.Store(c.head.Load())
 		c.head.Store(v)
-		touched = append(touched, c)
 	}
-	t.sweepScratch = touched[:0]
-	clear(t.staged)
 
 	// The swap: readers that load this descriptor are guaranteed to
 	// find a version with seq <= t.pubSeq on every reachable chain,
-	// because the chain pushes above happen before this store.
-	t.pub.Store(&pubState{seq: seq, root: t.root, height: t.height, clock: t.Now()})
+	// because the chain pushes above happen before this store.  The
+	// sequence readers pin is stored after it, so a reader that pins it
+	// loads this descriptor or a newer one.
+	p := t.newPubState()
+	*p = pubState{seq: seq, root: t.root}
+	t.pub.Store(p)
+	t.pubs = append(t.pubs, p)
+	t.lastSeq.Store(seq)
+	t.lastClock.Store(math.Float64bits(t.Now()))
 
 	// Reclaim: anything older than the newest version at or below the
 	// minimum pinned sequence is unreachable by every present and
 	// future reader (readers re-load the descriptor after pinning, so
 	// a pin taken concurrently with this publication traverses at a
-	// sequence >= what Min reports).
+	// sequence >= what Min reports).  The backlog is trimmed again only
+	// when the oldest pin has moved; a chain this publication pushed
+	// onto joins it when a reader still holds an older version.
 	min := t.dom.Min(seq)
 	var trimmed uint64
-	for _, c := range touched {
-		trimmed += trimChain(c, min)
-	}
-	t.pubCount++
-	if t.pubCount%chainSweepEvery == 0 {
-		for i := range tbl {
-			if c := tbl[i].Load(); c != nil {
-				trimmed += trimChain(c, min)
+	if min != t.trimMin {
+		t.trimMin = min
+		kept := t.backlog[:0]
+		for _, c := range t.backlog {
+			if t.trimChain(c, min, &trimmed) {
+				kept = append(kept, c)
+			} else {
+				c.backlogged = false
 			}
 		}
+		clear(t.backlog[len(kept):])
+		t.backlog = kept
 	}
+	for _, c := range t.staged {
+		if t.trimChain(c, min, &trimmed) && !c.backlogged {
+			c.backlogged = true
+			t.backlog = append(t.backlog, c)
+		}
+	}
+	// A descriptor older than min is held by no reader either: a pinned
+	// reader traverses the one it loaded after pinning, at or above min.
+	k := 0
+	for k < len(t.pubs)-1 && t.pubs[k].seq < min {
+		k++
+	}
+	if k > 0 {
+		t.freePubs = append(t.freePubs, t.pubs[:k]...)
+		t.pubs = append(t.pubs[:0], t.pubs[k:]...)
+	}
+	t.freePubs = truncate(t.freePubs, spareMin)
+	t.spares = truncate(t.spares, max(spareMin, 2*len(t.staged)))
+	clear(t.staged)
+	t.staged = t.staged[:0]
 	t.lastPublishNanos = time.Since(start).Nanoseconds()
 	if t.met != nil {
 		t.met.SnapPublishes.Inc()
@@ -290,30 +280,56 @@ func (t *Tree) publish() {
 	}
 }
 
+// truncate drops the elements of s beyond the first n, for the GC.
+func truncate[T any](s []*T, n int) []*T {
+	if len(s) <= n {
+		return s
+	}
+	clear(s[n:])
+	return s[:n]
+}
+
+// newPubState returns a descriptor to publish, a reclaimed one when
+// there is one.
+func (t *Tree) newPubState() *pubState {
+	k := len(t.freePubs) - 1
+	if k < 0 {
+		return new(pubState)
+	}
+	p := t.freePubs[k]
+	t.freePubs = t.freePubs[:k]
+	return p
+}
+
 // trimChain cuts every version strictly older than the newest version
-// with seq <= min, returning how many links were retired.  The kept
-// version's prev store is the only mutation concurrent readers can
-// observe, and they only ever walk from the head, so a reader either
-// sees the old tail (still intact — Go's GC keeps it alive through the
-// reader's own pointer) or the cut.
-func trimChain(c *chain, min uint64) uint64 {
-	v := c.head.Load()
+// with seq <= min, counting them into *trimmed and keeping their slabs
+// as spares; it reports whether the chain still holds more than its
+// head.  The kept version's prev store is the only mutation concurrent
+// readers can observe, and they only ever walk from the head to the
+// newest version at or below their pinned sequence (>= min), so none
+// reaches past the cut.
+func (t *Tree) trimChain(c *chain, min uint64, trimmed *uint64) bool {
+	head := c.head.Load()
+	v := head
 	for v != nil && v.seq > min {
 		v = v.prev.Load()
 	}
 	if v == nil {
-		return 0
+		return head.prev.Load() != nil
 	}
 	tail := v.prev.Load()
-	if tail == nil {
-		return 0
+	if tail != nil {
+		v.prev.Store(nil)
 	}
-	v.prev.Store(nil)
-	var n uint64
-	for ; tail != nil; tail = tail.prev.Load() {
-		n++
+	for tail != nil {
+		next := tail.prev.Load()
+		*trimmed++
+		if !tail.freed && len(tail.slab) >= t.lay.slabLen() {
+			t.spares = append(t.spares, tail)
+		}
+		tail = next
 	}
-	return n
+	return v != head
 }
 
 // installSnapshots walks the whole tree and publishes a base version
@@ -324,15 +340,15 @@ func trimChain(c *chain, min uint64) uint64 {
 // leaf entries only: an expired copy left beside an object's live entry
 // (§4.3) must not claim the object.
 func (t *Tree) installSnapshots() error {
-	err := t.walk(t.root, func(n *node) error {
-		t.staged[n.id] = n
+	err := t.walk(t.root, func(n *vnode) error {
+		t.stage(n)
 		if n.level > 0 {
-			t.adopt(n, n.entries)
+			t.adopt(n, 0)
 			return nil
 		}
-		for i := range n.entries {
-			if e := &n.entries[i]; !t.isExpired(&e.rect, 0) {
-				t.loc[e.id] = n.id
+		for i := 0; i < n.count; i++ {
+			if !t.expired(n, i) {
+				t.loc[n.oid(i)] = n.id
 			}
 		}
 		return nil
@@ -345,17 +361,13 @@ func (t *Tree) installSnapshots() error {
 }
 
 // SnapshotSeq returns the currently published snapshot sequence.
-func (t *Tree) SnapshotSeq() uint64 { return t.pub.Load().seq }
+func (t *Tree) SnapshotSeq() uint64 { return t.lastSeq.Load() }
 
 // LastPublishNanos returns the duration of the most recent version
 // publication in nanoseconds.  Like all mutation state it is only
 // meaningful under the caller's exclusive lock (the traced update path
 // reads it right after the mutation it timed).
 func (t *Tree) LastPublishNanos() int64 { return t.lastPublishNanos }
-
-// EpochsPinned reports how many reader epochs are currently pinned
-// (for gauges and tests; immediately stale).
-func (t *Tree) EpochsPinned() int { return t.dom.Pinned() }
 
 // pinSnapshot pins the published snapshot for a traversal.  The
 // re-load after pinning is what makes the pin safe: a writer that
@@ -364,46 +376,24 @@ func (t *Tree) EpochsPinned() int { return t.dom.Pinned() }
 // longer references — and our pinned (older) sequence keeps the
 // writer's *next* trim conservative.
 func (t *Tree) pinSnapshot() (*pubState, epoch.Pin) {
-	pin := t.dom.Pin(t.pub.Load().seq)
+	pin := t.dom.Pin(t.lastSeq.Load())
 	return t.pub.Load(), pin
-}
-
-// snapNode resolves the page's newest version at or below the pinned
-// sequence without any lock.  The defensive fallback reads through the
-// buffer pool (taking its mutex); it cannot fire for pages reachable
-// from a published root — Open installs base versions for every live
-// page and every later mutation publishes before it becomes reachable
-// — but keeps a bug from turning into a wrong result silently.
-func (t *Tree) snapNode(p *pubState, id storage.PageID, hits, misses *uint64, st *TravStats) (*vnode, error) {
-	if v := t.published(p, id); v != nil {
-		*hits++
-		return v, nil
-	}
-	*misses++
-	n, err := t.readNodeStats(id, st)
-	if err != nil {
-		return nil, err
-	}
-	v := new(vnode)
-	v.copyNode(n, t.cfg.Dims)
-	return v, nil
 }
 
 // published returns the page's newest version at or below the pinned
 // sequence, or nil when it has none (never published, or freed at that
 // sequence).
 func (t *Tree) published(p *pubState, id storage.PageID) *vnode {
-	tbl := *t.chains.Load()
-	if int(id) >= len(tbl) {
-		return nil
-	}
-	c := tbl[id].Load()
+	c := t.chainOf(id)
 	if c == nil {
 		return nil
 	}
 	for v := c.head.Load(); v != nil; v = v.prev.Load() {
 		if v.seq <= p.seq {
-			return v.n
+			if v.freed {
+				return nil
+			}
+			return v
 		}
 	}
 	return nil
@@ -432,61 +422,87 @@ func (t *Tree) Lookup(oid uint32) (p geom.MovingPoint, ok bool) {
 	}
 	for i := 0; i < v.count; i++ {
 		if v.oid(i) == oid && (!ok || v.texp[i] > p.TExp) {
-			p, ok = v.point(i, t.cfg.Dims), true
+			p, ok = v.point(i), true
 		}
 	}
 	return p, ok
 }
 
-// addSnapStats folds a snapshot traversal's locally accumulated chain
-// accounting into the metric counters and the per-traversal stats.
-func (t *Tree) addSnapStats(hits, misses uint64, st *TravStats) {
+// nodeSource says where one traversal resolves its page ids (Tree.node):
+// from the pinned snapshot's chains (snap set), or — for the locked
+// traversals the paper's figures count — as the writer's view read
+// through the buffer pool, which charges the page I/O.  It accumulates
+// the traversal's accounting locally; Tree.flush folds it into the
+// metrics once.  It holds no *Tree, so a caller's *TravStats does not
+// escape with it.
+type nodeSource struct {
+	snap *pubState // nil: through the buffer pool
+	root storage.PageID
+	st   *TravStats
+
+	nodes, leaves, hits, misses uint64
+}
+
+// snapSource pins the published snapshot and returns a source over it;
+// the caller unpins when the traversal is done.
+func (t *Tree) snapSource(st *TravStats) (nodeSource, epoch.Pin) {
+	var pinStart time.Time
 	if st != nil {
-		st.Hits += hits // chain hits are pages served without store I/O
-		st.SnapHits += hits
-		st.SnapMisses += misses
+		pinStart = time.Now()
+	}
+	p, pin := t.pinSnapshot()
+	if st != nil {
+		st.PinNanos += time.Since(pinStart).Nanoseconds()
+	}
+	return nodeSource{snap: p, root: p.root, st: st}, pin
+}
+
+// poolSource returns a source that reads the writer's view through the
+// buffer pool.
+func (t *Tree) poolSource() nodeSource { return nodeSource{root: t.root} }
+
+// node resolves one page of s and counts the visit.
+func (t *Tree) node(s *nodeSource, id storage.PageID) (*vnode, error) {
+	var v *vnode
+	if s.snap == nil {
+		var err error
+		if v, err = t.readNode(id); err != nil {
+			return nil, err
+		}
+	} else if v = t.published(s.snap, id); v != nil {
+		s.hits++
+	} else {
+		s.misses++
+		return nil, fmt.Errorf("core: page %d has no version at snapshot %d", id, s.snap.seq)
+	}
+	s.nodes++
+	if v.level == 0 {
+		s.leaves += uint64(v.count)
+	}
+	return v, nil
+}
+
+// flush folds the traversal's accounting into the metric counters and
+// the per-traversal stats, so hot loops pay one atomic add per counter
+// per query rather than one per node.
+func (t *Tree) flush(s *nodeSource) {
+	if st := s.st; st != nil {
+		st.Nodes += s.nodes
+		st.Leaves += s.leaves
+		st.Hits += s.hits // chain hits are pages served without store I/O
+		st.SnapHits += s.hits
+		st.SnapMisses += s.misses
 	}
 	if t.met == nil {
 		return
 	}
-	t.met.EpochPins.Inc()
-	t.met.SnapNodeHits.Add(hits)
-	if misses > 0 {
-		t.met.SnapNodeMisses.Add(misses)
+	t.met.NodeVisits.Add(s.nodes)
+	t.met.LeafScans.Add(s.leaves)
+	if s.snap != nil {
+		t.met.EpochPins.Inc()
+		t.met.SnapNodeHits.Add(s.hits)
+		t.met.SnapNodeMisses.Add(s.misses)
 	}
-}
-
-// snapDerivedExp is geom.DerivedExp over the vnode's columns.
-func snapDerivedExp(v *vnode, i, dims int, now float64) float64 {
-	e := math.Inf(1)
-	b := i * dims
-	for d := 0; d < dims; d++ {
-		dv := v.vhi[b+d] - v.vlo[b+d]
-		if dv >= 0 {
-			continue
-		}
-		ext := (v.hi[b+d] - v.lo[b+d]) + dv*now
-		if ext <= 0 {
-			return now
-		}
-		if tz := now + ext/(-dv); tz < e {
-			e = tz
-		}
-	}
-	return e
-}
-
-// snapEffExp mirrors Tree.effExp for a vnode entry, with the
-// evaluation time passed in (the snapshot path fixes it once per
-// traversal instead of re-reading the clock per entry).
-func (t *Tree) snapEffExp(v *vnode, i int, now float64) float64 {
-	if !t.cfg.ExpireAware {
-		return math.Inf(1)
-	}
-	if v.level == 0 || t.cfg.StoreBRExp {
-		return v.texp[i]
-	}
-	return snapDerivedExp(v, i, t.cfg.Dims, now)
 }
 
 // SearchSnap is Search on the snapshot read path: same query
@@ -501,40 +517,30 @@ func (t *Tree) SearchSnap(q geom.Query, now float64) ([]Result, error) {
 	return out, err
 }
 
-// SearchFuncSnap streams matching objects from the pinned snapshot.
-// Like SearchFunc it runs without heap allocations once warm.
-func (t *Tree) SearchFuncSnap(q geom.Query, now float64, fn func(Result) bool) error {
-	return t.SearchFuncSnapStats(q, now, nil, fn)
-}
-
-// SearchFuncSnapStats is the snapshot traversal kernel.  It compiles
-// the query once; per node it runs one columnar sweep of the expiration
-// filter and the compiled trapezoid test: Compiled.Points over a leaf's
-// columns, Compiled.Rect per internal entry.  With derived expiration
-// times (§4.1.1) an internal entry the filter rejects over [T1, T2] is
-// skipped before its expiration time is derived.
+// SearchFuncSnapStats streams matching objects from the pinned
+// snapshot, tallying the traversal's accounting into st (nil disables
+// it).  Like SearchFunc it runs without heap allocations once warm.
 func (t *Tree) SearchFuncSnapStats(q geom.Query, now float64, st *TravStats, fn func(Result) bool) error {
 	t.advance(now)
-	var pinStart time.Time
-	if st != nil {
-		pinStart = time.Now()
-	}
-	p, pin := t.pinSnapshot()
+	src, pin := t.snapSource(st)
 	defer pin.Unpin()
-	if st != nil {
-		st.PinNanos += time.Since(pinStart).Nanoseconds()
-	}
+	return t.search(&src, q, fn)
+}
+
+// search is the region-query kernel.  It compiles the query once; per
+// node it runs one columnar sweep of the expiration filter and the
+// compiled trapezoid test: Compiled.Points over a leaf's columns,
+// Compiled.Rect per internal entry.  With derived expiration times
+// (§4.1.1) an internal entry the filter rejects over [T1, T2] is
+// skipped before its expiration time is derived.
+func (t *Tree) search(src *nodeSource, q geom.Query, fn func(Result) bool) error {
+	defer t.flush(src)
 	eval := t.Now()
 	dims := t.cfg.Dims
 	useExp := t.cfg.ExpireAware
 	c := geom.Compile(q, dims, useExp)
-	var nodes, leaves, hits, misses uint64
-	flush := func() {
-		t.addQueryStats(nodes, leaves, st)
-		t.addSnapStats(hits, misses, st)
-	}
 	sp := stackPool.Get().(*[]storage.PageID)
-	stack := append((*sp)[:0], p.root)
+	stack := append((*sp)[:0], src.root)
 	defer func() {
 		*sp = stack[:0]
 		stackPool.Put(sp)
@@ -542,45 +548,40 @@ func (t *Tree) SearchFuncSnapStats(q geom.Query, now float64, st *TravStats, fn 
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		v, err := t.snapNode(p, id, &hits, &misses, st)
+		v, err := t.node(src, id)
 		if err != nil {
-			flush()
 			return err
 		}
-		nodes++
 		if v.level == 0 {
-			leaves += uint64(v.count)
 			if !c.Points(v.lo, v.vlo, v.texp, eval, func(i int) bool {
-				return fn(Result{OID: v.oid(i), Point: v.point(i, dims)})
+				return fn(Result{OID: v.oid(i), Point: v.point(i)})
 			}) {
-				flush()
 				return nil
 			}
 			continue
 		}
-		derived := t.expSource(v.level) == expDerived
+		exp := t.expSource(v.level)
 		for i := 0; i < v.count; i++ {
 			b := i * dims
 			lo, hi, vlo, vhi := v.lo[b:b+dims], v.hi[b:b+dims], v.vlo[b:b+dims], v.vhi[b:b+dims]
-			if derived && c.Rejects(lo, hi, vlo, vhi) {
+			if exp == expDerived && c.Rejects(lo, hi, vlo, vhi) {
 				continue // no expiration time can make it match: skip deriving one
 			}
-			texp := t.snapEffExp(v, i, eval)
+			texp := t.expAt(v, i, exp, eval)
 			if useExp && texp < eval {
 				continue
 			}
 			if c.Rect(lo, hi, vlo, vhi, texp) {
-				stack = append(stack, storage.PageID(v.oid(i)))
+				stack = append(stack, v.child(i))
 			}
 		}
 	}
-	flush()
 	return nil
 }
 
 // PubClock returns the tree clock recorded by the most recent snapshot
 // publication, without any lock.
-func (t *Tree) PubClock() float64 { return t.pub.Load().clock }
+func (t *Tree) PubClock() float64 { return math.Float64frombits(t.lastClock.Load()) }
 
 // ExportSnap streams every stored record — live and expired alike, like
 // Records — from the pinned snapshot, without the tree lock or the pool
@@ -588,13 +589,14 @@ func (t *Tree) PubClock() float64 { return t.pub.Load().clock }
 // against one consistent publication while mutations keep landing on
 // the tree.
 func (t *Tree) ExportSnap(fn func(oid uint32, p geom.MovingPoint) error) error {
-	p, pin := t.pinSnapshot()
+	src, pin := t.snapSource(nil)
 	defer pin.Unpin()
-	dims := t.cfg.Dims
-	var hits, misses uint64
-	defer func() { t.addSnapStats(hits, misses, nil) }()
+	defer func() {
+		src.nodes, src.leaves = 0, 0 // a scan is not a query: count its pin and chain hits only
+		t.flush(&src)
+	}()
 	sp := stackPool.Get().(*[]storage.PageID)
-	stack := append((*sp)[:0], p.root)
+	stack := append((*sp)[:0], src.root)
 	defer func() {
 		*sp = stack[:0]
 		stackPool.Put(sp)
@@ -602,20 +604,16 @@ func (t *Tree) ExportSnap(fn func(oid uint32, p geom.MovingPoint) error) error {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		v, err := t.snapNode(p, id, &hits, &misses, nil)
+		v, err := t.node(&src, id)
 		if err != nil {
 			return err
 		}
-		if v.level == 0 {
-			for i := 0; i < v.count; i++ {
-				if err := fn(v.oid(i), v.point(i, dims)); err != nil {
-					return err
-				}
-			}
-			continue
-		}
 		for i := 0; i < v.count; i++ {
-			stack = append(stack, storage.PageID(v.oid(i)))
+			if v.level > 0 {
+				stack = append(stack, v.child(i))
+			} else if err := fn(v.oid(i), v.point(i)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -626,21 +624,20 @@ func (t *Tree) NearestSnap(q geom.Vec, at float64, k int, now float64) ([]Result
 	return t.NearestSnapStats(q, at, k, now, nil)
 }
 
-// NearestSnapStats runs the best-first nearest-neighbor traversal over
-// the pinned snapshot, with the distance arithmetic evaluated over the
-// vnode columns exactly as the locked path evaluates it over decoded
-// entries (same heap, same tie order).
+// NearestSnapStats is NearestSnap with the traversal's accounting
+// tallied into st (nil disables it).
 func (t *Tree) NearestSnapStats(q geom.Vec, at float64, k int, now float64, st *TravStats) ([]Result, error) {
 	t.advance(now)
-	var pinStart time.Time
-	if st != nil {
-		pinStart = time.Now()
-	}
-	p, pin := t.pinSnapshot()
+	src, pin := t.snapSource(st)
 	defer pin.Unpin()
-	if st != nil {
-		st.PinNanos += time.Since(pinStart).Nanoseconds()
-	}
+	return t.nearest(&src, q, at, k)
+}
+
+// nearest is the best-first nearest-neighbor kernel: a priority queue
+// ordered by the minimum distance between q and an entry's rectangle
+// evaluated at time at, the distance arithmetic evaluated over the
+// columns.
+func (t *Tree) nearest(src *nodeSource, q geom.Vec, at float64, k int) ([]Result, error) {
 	eval := t.Now()
 	if at < eval {
 		return nil, errNearestPast(at, eval)
@@ -648,20 +645,16 @@ func (t *Tree) NearestSnapStats(q geom.Vec, at float64, k int, now float64, st *
 	if k <= 0 {
 		return nil, nil
 	}
+	defer t.flush(src)
 	dims := t.cfg.Dims
 	useExp := t.cfg.ExpireAware
-	var nodes, leaves, hits, misses uint64
-	flush := func() {
-		t.addQueryStats(nodes, leaves, st)
-		t.addSnapStats(hits, misses, st)
-	}
 	qp := nnQueuePool.Get().(*nnQueue)
 	pq := (*qp)[:0]
 	defer func() {
 		*qp = pq[:0]
 		nnQueuePool.Put(qp)
 	}()
-	pq = pq.push(nnItem{dist: 0, page: p.root, isNode: true})
+	pq = pq.push(nnItem{dist: 0, page: src.root, isNode: true})
 	var out []Result
 	for len(pq) > 0 && len(out) < k {
 		var it nnItem
@@ -670,17 +663,14 @@ func (t *Tree) NearestSnapStats(q geom.Vec, at float64, k int, now float64, st *
 			out = append(out, Result{OID: it.oid, Point: it.point})
 			continue
 		}
-		v, err := t.snapNode(p, it.page, &hits, &misses, st)
+		v, err := t.node(src, it.page)
 		if err != nil {
-			flush()
 			return nil, err
 		}
-		nodes++
-		if v.level == 0 {
-			leaves += uint64(v.count)
-		}
+		exp := t.expSource(v.level)
 		for i := 0; i < v.count; i++ {
-			if useExp && t.snapEffExp(v, i, eval) < at {
+			// Entries invalid at the query time cannot contribute.
+			if useExp && t.expAt(v, i, exp, eval) < at {
 				continue
 			}
 			b := i * dims
@@ -693,7 +683,7 @@ func (t *Tree) NearestSnapStats(q geom.Vec, at float64, k int, now float64, st *
 				pq = pq.push(nnItem{
 					dist:  math.Sqrt(s),
 					oid:   v.oid(i),
-					point: v.point(i, dims),
+					point: v.point(i),
 				})
 				continue
 			}
@@ -712,11 +702,10 @@ func (t *Tree) NearestSnapStats(q geom.Vec, at float64, k int, now float64, st *
 			}
 			pq = pq.push(nnItem{
 				dist:   math.Sqrt(s),
-				page:   storage.PageID(v.oid(i)),
+				page:   v.child(i),
 				isNode: true,
 			})
 		}
 	}
-	flush()
 	return out, nil
 }

@@ -3,10 +3,14 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rexptree/internal/geom"
 	"rexptree/internal/hull"
+	"rexptree/internal/obs"
 	"rexptree/internal/storage"
 )
 
@@ -189,7 +193,160 @@ func TestSnapshotAfterReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.SnapMisses != 0 {
-		t.Errorf("reopened tree fell back through the pool %d times; installSnapshots missed pages", st.SnapMisses)
+		t.Errorf("reopened tree found no version of %d pages; installSnapshots missed them", st.SnapMisses)
+	}
+}
+
+// TestSlabReuseUnderPinnedReaders runs a writer that copies every page
+// it changes into the slab of a version it reclaimed against two kinds
+// of reader: one that holds a single pin across hundreds of
+// publications, and one that pins once per query.  Every answer — all
+// stored reports, which never expire — must be the brute-force model at
+// the sequence the reader pinned, so a slab reused under a reader that
+// can still reach it shows up as a wrong answer (and, under -race, as a
+// race).
+func TestSlabReuseUnderPinnedReaders(t *testing.T) {
+	const objects, updates, span = 200, 2000, 200
+	type state [objects]geom.MovingPoint
+	cfg := rexpConfig()
+	cfg.Metrics = obs.New()
+	tr := newTestTree(t, cfg)
+	setFanout(tr, 8, 6) // dozens of pages, so chains are trimmed all the time
+	rng := rand.New(rand.NewSource(21))
+	report := func() geom.MovingPoint {
+		return geom.MovingPoint{
+			Pos:  geom.Vec{rng.Float64() * 1000, rng.Float64() * 1000},
+			Vel:  geom.Vec{rng.Float64()*2 - 1, rng.Float64()*2 - 1},
+			TExp: math.Inf(1),
+		}
+	}
+
+	// models[seq] is what publication seq stores: the writer records it
+	// before it publishes and drops it once no reader can pin it.
+	var mu sync.Mutex
+	models := map[uint64]*state{}
+	var cur state
+	publish := func() {
+		seq, model := tr.pubSeq+1, cur
+		mu.Lock()
+		models[seq] = &model
+		mu.Unlock()
+		if err := tr.EndBatch(); err != nil {
+			t.Error(err)
+		}
+		if got := tr.SnapshotSeq(); got != seq {
+			t.Errorf("an update published sequence %d, want %d", got, seq)
+		}
+		if seq%64 == 0 {
+			mu.Lock()
+			for s := range models {
+				if s < tr.trimMin {
+					delete(models, s)
+				}
+			}
+			mu.Unlock()
+		}
+	}
+	tr.BeginBatch()
+	for oid := range cur {
+		p := report()
+		if err := tr.Insert(uint32(oid), p, 0); err != nil {
+			t.Fatal(err)
+		}
+		cur[oid] = tr.Stored(p)
+	}
+	publish()
+
+	all := geom.Timeslice(geom.Rect{Lo: geom.Vec{-1e12, -1e12}, Hi: geom.Vec{1e12, 1e12}}, 0)
+	check := func(p *pubState) bool {
+		src := nodeSource{snap: p, root: p.root}
+		var got state
+		n := 0
+		if err := tr.search(&src, all, func(r Result) bool {
+			got[r.OID] = r.Point
+			n++
+			return true
+		}); err != nil {
+			t.Errorf("snapshot %d: %v", p.seq, err)
+			return false
+		}
+		mu.Lock()
+		want := models[p.seq]
+		mu.Unlock()
+		if want == nil || n != objects || got != *want {
+			t.Errorf("snapshot %d: %d results, not the %d reports published then (model known: %v)", p.seq, n, objects, want != nil)
+			return false
+		}
+		return true
+	}
+
+	var done atomic.Bool
+	var longest atomic.Uint64
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // one pin held across many publications, then a pause
+		defer wg.Done()
+		for !done.Load() {
+			p, pin := tr.pinSnapshot()
+			for !done.Load() && tr.SnapshotSeq() < p.seq+span && check(p) {
+				runtime.Gosched()
+			}
+			if d := tr.SnapshotSeq() - p.seq; d > longest.Load() {
+				longest.Store(d)
+			}
+			pin.Unpin()
+			for next := tr.SnapshotSeq() + span/2; !done.Load() && tr.SnapshotSeq() < next; {
+				runtime.Gosched()
+			}
+		}
+	}()
+	go func() { // one pin per query
+		defer wg.Done()
+		for !done.Load() {
+			p, pin := tr.pinSnapshot()
+			ok := check(p)
+			pin.Unpin()
+			if !ok {
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+
+	recycling := 0
+	for i := 0; i < updates && !t.Failed(); i++ {
+		now := float64(i) / 10
+		oid := rng.Intn(objects)
+		if len(tr.spares) > 0 {
+			recycling++
+		}
+		tr.BeginBatch()
+		if _, err := tr.Delete(uint32(oid), cur[oid], now); err != nil {
+			t.Fatal(err)
+		}
+		p := report()
+		if err := tr.Insert(uint32(oid), p, now); err != nil {
+			t.Fatal(err)
+		}
+		cur[oid] = tr.Stored(p)
+		publish()
+		if i%500 == 0 {
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.Gosched() // let the readers keep up, so slabs come back
+	}
+	done.Store(true)
+	wg.Wait()
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d of %d updates found a reclaimed slab; the long reader held one pin across %d publications; %d versions trimmed",
+		recycling, updates, longest.Load(), cfg.Metrics.Snapshot().SnapVersionsTrimmed)
+	if recycling < updates/10 || longest.Load() < span {
+		t.Errorf("%d of %d updates found a reclaimed slab to copy into, and the longest pin spanned %d publications; the test exercises too little",
+			recycling, updates, longest.Load())
 	}
 }
 
@@ -201,32 +358,32 @@ func TestSearchFuncSnapAllocs(t *testing.T) {
 	tr := buildQueryTree(t, 2000)
 	found := 0
 	fn := func(Result) bool { found++; return true }
-	if err := tr.SearchFuncSnap(windowQuery, 0, fn); err != nil {
+	if err := tr.SearchFuncSnapStats(windowQuery, 0, nil, fn); err != nil {
 		t.Fatal(err)
 	}
 	if found == 0 {
 		t.Fatal("warmup query matched nothing; the workload is broken")
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := tr.SearchFuncSnap(windowQuery, 0, fn); err != nil {
+		if err := tr.SearchFuncSnapStats(windowQuery, 0, nil, fn); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 2 {
-		t.Errorf("SearchFuncSnap allocates %.1f objects per query, want <= 2", allocs)
+		t.Errorf("SearchFuncSnapStats allocates %.1f objects per query, want <= 2", allocs)
 	}
 }
 
 func BenchmarkWindowSearchFuncSnap(b *testing.B) {
 	tr := buildQueryTree(b, 2000)
 	fn := func(Result) bool { return true }
-	if err := tr.SearchFuncSnap(windowQuery, 0, fn); err != nil {
+	if err := tr.SearchFuncSnapStats(windowQuery, 0, nil, fn); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tr.SearchFuncSnap(windowQuery, 0, fn); err != nil {
+		if err := tr.SearchFuncSnapStats(windowQuery, 0, nil, fn); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -293,7 +450,7 @@ func BenchmarkSearchSnap(b *testing.B) {
 			var entries uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := tr.SearchFuncSnap(qs[i%len(qs)], now, fn); err != nil {
+				if err := tr.SearchFuncSnapStats(qs[i%len(qs)], now, nil, fn); err != nil {
 					b.Fatal(err)
 				}
 				entries += leaves[i%len(qs)]

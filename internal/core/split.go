@@ -14,16 +14,18 @@ import (
 // axes include the velocity dimensions as in the TPR-tree, so entries
 // can be partitioned by velocity as well as by position.  One group
 // stays in n; the other is returned as a freshly allocated sibling.
-// Both nodes are written.
-func (t *Tree) split(n *node) (*node, error) {
-	g1, g2 := t.chooseSplit(n.entries, n.level)
-	n.entries = g1
+// Both nodes are written.  n's entries are gathered into the tree's
+// entry buffer, so the algorithm sees them as before, in node order.
+func (t *Tree) split(n *vnode) (*vnode, error) {
+	t.gather = n.appendEntries(t.gather[:0])
+	g1, g2 := t.chooseSplit(t.gather, n.level)
+	n.setEntries(g1)
 	sib, err := t.allocNode(n.level)
 	if err != nil {
 		return nil, err
 	}
-	sib.entries = g2
-	t.adopt(sib, g2)
+	sib.setEntries(g2)
+	t.adopt(sib, 0)
 	if err := t.writeNode(n); err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"rexptree/internal/epoch"
@@ -17,10 +16,19 @@ import (
 // Tree is the page-based index engine.  Mutating operations (Insert,
 // Delete, bulk loading, Sync) require external exclusive locking; the
 // read-only traversals (Search, Nearest, Records, the stats walks) may
-// run concurrently with each other — the buffer pool, the decoded-node
-// cache and the clock are internally synchronized — but never
-// concurrently with a mutation.  The public rexptree package supplies
-// that discipline with a reader/writer lock.
+// run concurrently with each other — the buffer pool and the clock are
+// internally synchronized, and outside a mutation they read published
+// versions only — but never concurrently with a mutation.  The public
+// rexptree package supplies that discipline with a reader/writer lock.
+//
+// Every page's decoded form is a vnode on its version chain (see
+// snapshot.go); there is no other in-memory image.  Node rectangles are
+// rounded to page (float32) precision when computed, so a version is
+// always what decoding its up-to-date page would produce.  The buffer
+// pool is consulted on every access so that I/O is charged exactly as
+// if every node were read from its page, but a mutation writes the
+// writer's copy only: the page's bytes fall behind until they leave the
+// pool, when encodePage renders them from the columns.
 type Tree struct {
 	cfg Config
 	lay layout
@@ -32,27 +40,13 @@ type Tree struct {
 	clk    clock
 	rng    *rand.Rand
 
-	// cache holds the decoded image of pages.  Node rectangles are
-	// rounded to page (float32) precision when computed, so a cached
-	// node is always bit-identical to what decoding its up-to-date page
-	// would produce; the buffer pool is still consulted on every access
-	// so that I/O is charged exactly as without the cache.  A mutation
-	// writes the cached node only: the page's bytes fall behind
-	// (node.stale) until they leave the pool, when encodePage renews
-	// them.  cacheMu makes the map safe for the concurrent read-only
-	// traversals the public tree's shared lock admits; two readers that
-	// race to decode the same page store bit-identical nodes, so either
-	// insert may win.
-	cacheMu sync.RWMutex
-	cache   map[storage.PageID]*node
-
 	// imagesAtSync is set for a tree over a bare MemStore without
 	// DeferFlush; a wrapped one (a test store) keeps the encoder, like a
 	// file store.  Nothing reads such a store's node pages but an Open
-	// after Sync — every node the tree has touched stays in its cache —
+	// after Sync — every live page's newest version stays on its chain —
 	// so the pool gets no encoder: it charges hits, misses, write-backs
 	// and evictions as ever but moves stale bytes, and Sync renders every
-	// stale node into the store itself.
+	// live node into the store itself.
 	imagesAtSync bool
 
 	// Self-tuning state (§4.2.3).
@@ -76,33 +70,48 @@ type Tree struct {
 	// delete's orphans are placed while its located path is in use).
 	loc     map[uint32]storage.PageID
 	parent  map[storage.PageID]storage.PageID
-	path    []*node
+	path    []*vnode
 	pathIDs []storage.PageID
-	descent []*node
+	descent []*vnode
 
-	// Reusable state of computeBR: the near-optimal workspace and its
-	// dimension order, and the item buffer of the other kinds.
-	ws      hull.Workspace
-	order   [geom.MaxDims]int
-	scratch []geom.TPRect
+	// Reusable state of computeBR: the near-optimal workspace, its
+	// dimension order and its expiration column, and the item buffer of
+	// the other kinds; and the entry buffer split and forced reinsertion
+	// gather a node into.
+	ws         hull.Workspace
+	order      [geom.MaxDims]int
+	scratch    []geom.TPRect
+	expScratch []float64
+	gather     []entry
 
 	// Snapshot read path state (see snapshot.go).  pub is the
-	// atomically published root descriptor; chains the per-page version
-	// table (a dense slice indexed by PageID, grown copy-on-write);
-	// dom the epoch domain readers pin; staged the pages the current
-	// mutation touched, keyed by page id (nil marks a free).  The
-	// remaining fields are writer-private.
-	pub    atomic.Pointer[pubState]
-	chains atomic.Pointer[[]atomic.Pointer[chain]]
-	dom    *epoch.Domain
-	staged map[storage.PageID]*node
+	// atomically published root descriptor, lastSeq and lastClock its
+	// sequence and clock; chains the per-page version table (a dense
+	// slice indexed by PageID, grown copy-on-write); dom the epoch
+	// domain readers pin.  The remaining fields are writer-private:
+	// staged lists the chains the current operation gave a private copy
+	// (or a tombstone), backlog the chains that still hold versions
+	// older than their head, trimMin the minimum pinned sequence the
+	// backlog was last trimmed at, spares the reclaimed versions whose
+	// slabs the next copies are taken from; pubs the descriptors a
+	// reader may still hold, oldest first, and freePubs the reclaimed
+	// ones.
+	pub       atomic.Pointer[pubState]
+	lastSeq   atomic.Uint64
+	lastClock atomic.Uint64
+	chains    atomic.Pointer[[]atomic.Pointer[chain]]
+	dom       *epoch.Domain
+	staged    []*chain
+	backlog   []*chain
+	trimMin   uint64
+	spares    []*vnode
+	pubs      []*pubState
+	freePubs  []*pubState
 
 	batchDepth       int
 	pendingPub       bool
 	pubSeq           uint64
-	pubCount         uint64
 	lastPublishNanos int64
-	sweepScratch     []*chain
 }
 
 // newTreeShell builds a Tree with its runtime machinery but no pages.
@@ -113,11 +122,9 @@ func newTreeShell(cfg Config, store storage.Store) *Tree {
 		bp:     storage.NewBufferPool(store, cfg.BufferPages),
 		met:    cfg.Metrics,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		cache:  make(map[storage.PageID]*node),
 		loc:    make(map[uint32]storage.PageID),
 		parent: make(map[storage.PageID]storage.PageID),
 		dom:    epoch.NewDomain(0),
-		staged: make(map[storage.PageID]*node),
 	}
 	empty := make([]atomic.Pointer[chain], 0)
 	t.chains.Store(&empty)
@@ -172,13 +179,15 @@ func (t *Tree) RootBR() (br geom.TPRect, ok bool, err error) {
 	if err != nil {
 		return geom.TPRect{}, false, err
 	}
-	if len(n.entries) == 0 {
+	if n.count == 0 {
 		return geom.TPRect{}, false, nil
 	}
 	now := t.Now()
-	br = n.entries[0].rect
-	for i := 1; i < len(n.entries); i++ {
-		br = geom.UnionConservative(br, n.entries[i].rect, now, t.cfg.Dims)
+	n.rect(0, &br)
+	var r geom.TPRect
+	for i := 1; i < n.count; i++ {
+		n.rect(i, &r)
+		br = geom.UnionConservative(br, r, now, t.cfg.Dims)
 	}
 	br.TExp = math.Inf(1)
 	return br, true, nil
@@ -380,17 +389,43 @@ func (t *Tree) expOf(r *geom.TPRect, src expSource, now float64) float64 {
 	return math.Inf(1)
 }
 
+// expAt is expOf for entry i of v, read from the columns.
+func (t *Tree) expAt(v *vnode, i int, src expSource, now float64) float64 {
+	switch src {
+	case expStored:
+		return v.texp[i]
+	case expDerived:
+		return v.derivedExp(i, now)
+	}
+	return math.Inf(1)
+}
+
+// expColumn returns the expiration times of v's entries as the engine's
+// algorithms see them at time now: the texp column itself when the
+// level records them, else the tree's scratch column filled in.
+func (t *Tree) expColumn(v *vnode, src expSource, now float64) []float64 {
+	if src == expStored {
+		return v.texp
+	}
+	col := t.expScratch[:0]
+	for i := 0; i < v.count; i++ {
+		col = append(col, t.expAt(v, i, src, now))
+	}
+	t.expScratch = col
+	return col
+}
+
 // effExp returns the effective expiration time of an entry stored at
 // the given node level.
 func (t *Tree) effExp(r *geom.TPRect, level int) float64 {
 	return t.expOf(r, t.expSource(level), t.Now())
 }
 
-// isExpired reports whether the entry (stored at the given node level)
-// is dead at the tree's current time.
-func (t *Tree) isExpired(r *geom.TPRect, level int) bool {
+// expired reports whether entry i of v is dead at the tree's current
+// time.
+func (t *Tree) expired(v *vnode, i int) bool {
 	now := t.Now()
-	return t.expOf(r, t.expSource(level), now) < now
+	return t.expAt(v, i, t.expSource(v.level), now) < now
 }
 
 // decisionExp returns the expiration time the insertion heuristics use
@@ -407,12 +442,19 @@ func (t *Tree) decisionExp(r *geom.TPRect, level int) float64 {
 // of Eq. 1, texp the later expiration time of the two rectangles
 // involved (pass one twice for a single rectangle).
 func (t *Tree) metricEnd(texpA, texpB float64) float64 {
-	end := t.Now() + t.metricH()
+	now := t.Now()
+	return clampEnd(now, now+t.metricH(), texpA, texpB)
+}
+
+// clampEnd is metricEnd with the clock and now+H passed in, for loops
+// that read them once.
+func clampEnd(now, horizon, texpA, texpB float64) float64 {
+	end := horizon
 	if m := max(texpA, texpB); m < end {
 		end = m
 	}
-	if end < t.Now() {
-		end = t.Now()
+	if end < now {
+		end = now
 	}
 	return end
 }
@@ -420,25 +462,23 @@ func (t *Tree) metricEnd(texpA, texpB float64) float64 {
 // computeBR computes the bounding rectangle of a node's entries with
 // the configured bounding-rectangle type.  This is the engine's hot
 // spot — every node an update touches gets a new rectangle — so the
-// near-optimal kind reads the entries where they are.
-func (t *Tree) computeBR(n *node) geom.TPRect {
-	now, src := t.Now(), t.expSource(n.level)
+// near-optimal kind sweeps the node's columns where they are.
+func (t *Tree) computeBR(n *vnode) geom.TPRect {
+	now, src, dims := t.Now(), t.expSource(n.level), t.cfg.Dims
 	var br geom.TPRect
 	if t.cfg.BRKind == hull.KindNearOptimal {
-		t.ws.Reset(now, t.cfg.Dims)
-		for i := range n.entries {
-			r := &n.entries[i].rect
-			t.ws.Add(r, t.expOf(r, src, now))
-		}
+		t.ws.Reset(now, dims)
+		t.ws.AddColumns(n.lo, n.hi, n.vlo, n.vhi, t.expColumn(n, src, now))
 		br = t.ws.NearOptimal(t.brHorizon(n.level), t.permDims())
 	} else {
-		if cap(t.scratch) < len(n.entries) {
-			t.scratch = make([]geom.TPRect, 0, max(len(n.entries), t.lay.leafCap+1))
+		if cap(t.scratch) < n.count {
+			t.scratch = make([]geom.TPRect, 0, max(n.count, t.lay.leafCap+1))
 		}
-		items := t.scratch[:len(n.entries)]
-		for i := range n.entries {
-			items[i] = n.entries[i].rect
-			items[i].TExp = t.expOf(&items[i], src, now)
+		items := t.scratch[:n.count]
+		for i := range items {
+			items[i] = geom.TPRect{}
+			n.rect(i, &items[i])
+			items[i].TExp = t.expAt(n, i, src, now)
 		}
 		br = hull.Compute(t.cfg.BRKind, items, now, t.brHorizon(n.level), t.cfg.Dims, t.cfg.World, nil)
 	}
@@ -479,103 +519,58 @@ func (t *Tree) roundBR(r geom.TPRect) geom.TPRect {
 	return r
 }
 
-// readNode loads the node.  The buffer pool is consulted first so
-// that misses are charged as reads; decoding is skipped when the
-// node's image is cached.  The returned node is shared: a caller that
-// mutates it must writeNode it before the operation ends (mutation
-// requires the public tree's exclusive lock, which keeps concurrent
-// readers out).
-func (t *Tree) readNode(id storage.PageID) (*node, error) {
-	return t.readNodeStats(id, nil)
-}
-
-// readNodeStats is readNode plus per-traversal page accounting: when
-// st is non-nil, the buffer-pool hit or miss is tallied into it.  The
-// pool is consulted first either way so buffered pages stay charged
-// and LRU-ordered exactly as on the untraced path.
-func (t *Tree) readNodeStats(id storage.PageID, st *TravStats) (*node, error) {
-	var buf []byte
-	var err error
-	if st == nil {
-		buf, err = t.bp.Get(id)
-	} else {
-		var hit bool
-		buf, hit, err = t.bp.GetTracked(id)
-		if err == nil {
-			if hit {
-				st.Hits++
-			} else {
-				st.Reads++
-			}
-		}
-	}
+// readNode returns the writer's view of the page (see current),
+// consulting the buffer pool first so that misses are charged as reads.
+// The returned node may be a published version, which is immutable: a
+// caller that mutates the page takes its private copy with own and must
+// writeNode it before the operation ends (mutation requires the public
+// tree's exclusive lock, which keeps concurrent locked readers out).  A
+// page no version holds yet — only Open's walk reads one — is decoded
+// from its bytes.
+func (t *Tree) readNode(id storage.PageID) (*vnode, error) {
+	buf, err := t.bp.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	t.cacheMu.RLock()
-	n, ok := t.cache[id]
-	t.cacheMu.RUnlock()
-	if ok {
-		return n, nil
+	if v := t.current(id); v != nil {
+		return v, nil
 	}
-	n, err = t.lay.decode(id, buf)
-	if err != nil {
-		return nil, err
-	}
-	t.cacheMu.Lock()
-	t.cache[id] = n
-	t.cacheMu.Unlock()
-	return n, nil
+	return t.lay.decode(id, buf)
 }
 
 // writeNode records that the node changed: its buffered page is marked
-// dirty and its image stale.  The bytes are produced when the page
-// leaves the pool (encodePage) — at the end of the operation, on
-// eviction, or into a checkpoint image — or, for a tree with
-// imagesAtSync, at the next Sync.  The pool is consulted exactly
-// as if the page were rewritten here, so hits, misses and replacement
-// order do not depend on when the encoding happens.
-func (t *Tree) writeNode(n *node) error {
-	if len(n.entries) > t.lay.cap(n.level) {
-		return fmt.Errorf("core: node %d overflow: %d entries (cap %d)", n.id, len(n.entries), t.lay.cap(n.level))
+// dirty.  n must be the writer's private copy (own, allocNode).  The
+// bytes are produced when the page leaves the pool (encodePage) — at
+// the end of the operation, on eviction, or into a checkpoint image —
+// or, for a tree with imagesAtSync, at the next Sync.  The pool is
+// consulted exactly as if the page were rewritten here, so hits, misses
+// and replacement order do not depend on when the encoding happens.
+func (t *Tree) writeNode(n *vnode) error {
+	if n.count > t.lay.cap(n.level) {
+		return fmt.Errorf("core: node %d overflow: %d entries (cap %d)", n.id, n.count, t.lay.cap(n.level))
 	}
 	if _, err := t.bp.Get(n.id); err != nil {
 		return err
 	}
-	n.stale = true
-	t.stageWrite(n)
 	return t.bp.MarkDirty(n.id)
 }
 
 // encodePage is the buffer pool's encoder, the one place a node turns
 // into page bytes.  The pool calls it, under its mutex, on a dirty page
-// whose bytes are about to be written or imaged.  Pages without a stale
-// node (the metadata page, a node read but not written) are left alone.
+// whose bytes are about to be written or imaged, and it renders the
+// writer's view of the page.  A page without a node (the metadata page)
+// is left alone, and so is an overfull node: its page is being evicted
+// in the middle of an insertion, which writes the node again once it
+// has split or thinned it, so the page keeps its older image until then.
 func (t *Tree) encodePage(id storage.PageID, buf []byte) {
-	t.cacheMu.RLock()
-	n := t.cache[id]
-	t.cacheMu.RUnlock()
-	t.render(n, buf)
-}
-
-// render encodes a stale node into buf and marks it current, reporting
-// whether it did.  A node with nothing newer is left alone, and so is
-// one that is overfull: its page is being evicted in the middle of an
-// insertion, which writes the node again once it has split or thinned
-// it, so the page keeps its older image until then.
-func (t *Tree) render(n *node, buf []byte) bool {
-	if n == nil || !n.stale || len(n.entries) > t.lay.cap(n.level) {
-		return false
+	if v := t.current(id); v != nil && v.count <= t.lay.cap(v.level) {
+		t.lay.encode(v, buf)
 	}
-	t.lay.encode(n, buf)
-	n.stale = false
-	return true
 }
 
-// allocNode creates an empty node at the given level.  The node is the
-// cached image of its page from the start, so writing it later touches
-// no map.
-func (t *Tree) allocNode(level int) (*node, error) {
+// allocNode creates an empty node at the given level, the staged copy
+// of its page from the start.
+func (t *Tree) allocNode(level int) (*vnode, error) {
 	id, _, err := t.bp.Allocate()
 	if err != nil {
 		return nil, err
@@ -584,23 +579,19 @@ func (t *Tree) allocNode(level int) (*node, error) {
 		t.nodesPerLevel = append(t.nodesPerLevel, 0)
 	}
 	t.nodesPerLevel[level]++
-	n := &node{id: id, level: level}
-	t.cacheMu.Lock()
-	t.cache[id] = n
-	t.cacheMu.Unlock()
+	n := t.newVnode(id, level, 0)
+	t.stage(n)
 	return n, nil
 }
 
-// freeNode releases the node's page.
-func (t *Tree) freeNode(n *node) error {
+// freeNode releases the node's page; publication turns it into a
+// tombstone version.
+func (t *Tree) freeNode(n *vnode) error {
 	if n.level < len(t.nodesPerLevel) {
 		t.nodesPerLevel[n.level]--
 	}
-	t.cacheMu.Lock()
-	delete(t.cache, n.id)
-	t.cacheMu.Unlock()
 	delete(t.parent, n.id)
-	t.stageFree(n.id)
+	t.stage(&vnode{id: n.id, freed: true})
 	return t.bp.Free(n.id)
 }
 
@@ -614,18 +605,18 @@ func (t *Tree) freeSubtree(id storage.PageID, level int) error {
 		return err
 	}
 	if n.level == 0 {
-		t.leafEntries -= len(n.entries)
-		for i := range n.entries {
-			if oid := n.entries[i].id; t.loc[oid] == n.id {
+		t.leafEntries -= n.count
+		for i := 0; i < n.count; i++ {
+			if oid := n.oid(i); t.loc[oid] == n.id {
 				delete(t.loc, oid)
 			}
 		}
 		if t.met != nil {
-			t.met.ExpiredPurged.Add(uint64(len(n.entries)))
+			t.met.ExpiredPurged.Add(uint64(n.count))
 		}
 	} else {
-		for _, e := range n.entries {
-			if err := t.freeSubtree(e.child(), n.level-1); err != nil {
+		for i := 0; i < n.count; i++ {
+			if err := t.freeSubtree(n.child(i), n.level-1); err != nil {
 				return err
 			}
 		}
@@ -633,40 +624,22 @@ func (t *Tree) freeSubtree(id storage.PageID, level int) error {
 	return t.freeNode(n)
 }
 
-// purgeNode drops the node's expired entries, deallocating expired
-// subtrees.  It does nothing unless the engine is expiration-aware.
-// The caller is responsible for writing the node afterwards and for
-// handling a resulting underflow.
-func (t *Tree) purgeNode(n *node) error {
-	src := t.expSource(n.level)
-	if src == expNever {
+// purgeNode drops the expired entries of n, the writer's copy,
+// deallocating expired subtrees; entry order is kept.  Only a level
+// whose entries record their expiration time can hold one: where they
+// expire by derived time (§4.1.1), geom.DerivedExp never returns less
+// than now, and a plain TPR-tree expires nothing.  The caller is
+// responsible for writing the node afterwards and for handling a
+// resulting underflow.
+func (t *Tree) purgeNode(n *vnode) error {
+	if t.expSource(n.level) != expStored {
 		return nil
 	}
 	now := t.Now()
-	live := func(e *entry) bool { return !(t.expOf(&e.rect, src, now) < now) }
-	liveCopy := func(es []entry, oid uint32) bool {
-		for i := range es {
-			if es[i].id == oid && live(&es[i]) {
-				return true
-			}
-		}
-		return false
-	}
-	// Most nodes an update touches hold nothing expired: find that out
-	// without moving an entry.
-	first := 0
-	for first < len(n.entries) && live(&n.entries[first]) {
-		first++
-	}
-	if first == len(n.entries) {
-		return nil
-	}
-	keep := n.entries[:first]
 	dropped, freed := 0, 0
-	for i := first; i < len(n.entries); i++ {
-		e := &n.entries[i]
-		if live(e) {
-			keep = append(keep, *e)
+	for i := 0; i < n.count; {
+		if !(n.texp[i] < now) {
+			i++
 			continue
 		}
 		dropped++
@@ -675,18 +648,18 @@ func (t *Tree) purgeNode(n *node) error {
 			// An object that expired silently and was re-reported into
 			// this same leaf keeps its locator entry: it belongs to the
 			// live copy, not to the stale one leaving here.
-			if t.loc[e.id] == n.id && !liveCopy(keep, e.id) && !liveCopy(n.entries[i+1:], e.id) {
-				delete(t.loc, e.id)
+			if oid := n.oid(i); t.loc[oid] == n.id && !t.holdsLive(n, oid, now) {
+				delete(t.loc, oid)
 			}
 		} else {
 			freed++
-			if err := t.freeSubtree(e.child(), n.level-1); err != nil {
+			if err := t.freeSubtree(n.child(i), n.level-1); err != nil {
 				return err
 			}
 		}
+		n.removeAt(i)
 	}
-	n.entries = keep
-	if t.met != nil {
+	if t.met != nil && dropped > 0 {
 		if n.level == 0 {
 			t.met.ExpiredPurged.Add(uint64(dropped))
 		}
@@ -697,6 +670,16 @@ func (t *Tree) purgeNode(n *node) error {
 		t.met.Emit(obs.Event{Kind: obs.EvPurge, Level: n.level, N: dropped})
 	}
 	return nil
+}
+
+// holdsLive reports whether leaf n holds an entry of oid live at now.
+func (t *Tree) holdsLive(n *vnode, oid uint32, now float64) bool {
+	for i := 0; i < n.count; i++ {
+		if n.oid(i) == oid && !(n.texp[i] < now) {
+			return true
+		}
+	}
+	return false
 }
 
 // finishOp implements the paper's write-back policy: nodes modified

@@ -13,8 +13,8 @@ import (
 	"rexptree/internal/workload"
 )
 
-// A mutation writes the decoded node only; the page's bytes are renewed
-// when they leave the pool.  These tests cover the window in between:
+// A mutation writes the writer's copy of the node only; the page's bytes
+// are rendered from its columns when they leave the pool.  These tests cover the window in between:
 // pages stolen while their image is stale, images taken for a
 // checkpoint, and what each kind of operation writes.
 
@@ -69,6 +69,25 @@ func (s *batchStream) batch(t *testing.T, tr *Tree, objects, size int) {
 type storedRecord struct {
 	oid uint32
 	p   geom.MovingPoint
+}
+
+// behindStore returns the pages whose node's image differs from what
+// the store holds, read without touching the tree's pool.
+func behindStore(t *testing.T, tr *Tree, store storage.Store) map[storage.PageID]bool {
+	t.Helper()
+	behind := map[storage.PageID]bool{}
+	img, page := make([]byte, storage.PageSize), make([]byte, storage.PageSize)
+	for id := range tr.table() {
+		n := tr.current(storage.PageID(id))
+		if n == nil {
+			continue
+		}
+		tr.lay.encode(n, img)
+		if store.ReadPage(n.id, page) != nil || !bytes.Equal(page, img) {
+			behind[n.id] = true
+		}
+	}
+	return behind
 }
 
 func storedRecords(t *testing.T, tr *Tree) []storedRecord {
@@ -225,13 +244,7 @@ func TestMemoryTreeRendersImagesAtSync(t *testing.T) {
 	if st := tr.IOStats(); st.DirtyWritebacks == 0 {
 		t.Fatal("no dirty page was written back; the pool is too large for the test")
 	}
-	stale := 0
-	for _, n := range tr.cache {
-		if n.stale {
-			stale++
-		}
-	}
-	if stale == 0 {
+	if len(behindStore(t, tr, mem)) == 0 {
 		t.Fatal("no node is waiting for its image; Sync has nothing to render")
 	}
 	for _, x := range trees {
@@ -284,29 +297,29 @@ func TestEncodePageSkipsOverfullNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := n.entries
-	for len(n.entries) <= tr.lay.leafCap {
-		n.entries = append(n.entries, kept[0])
+	n = tr.own(n)
+	kept := n.count
+	for e := n.entry(0); n.count <= tr.lay.leafCap; {
+		n.appendEntry(e.id, &e.rect)
 	}
-	n.stale = true
 	buf := make([]byte, storage.PageSize)
 	buf[0], buf[storage.PageSize-1] = 0xAA, 0xBB
 	tr.encodePage(n.id, buf)
-	if buf[0] != 0xAA || buf[storage.PageSize-1] != 0xBB || !n.stale {
+	if buf[0] != 0xAA || buf[storage.PageSize-1] != 0xBB {
 		t.Fatal("an overfull node was encoded")
 	}
-	n.entries = kept
+	n.resize(kept)
 	tr.encodePage(n.id, buf)
 	got, err := tr.lay.decode(n.id, buf)
-	if err != nil || n.stale || !slices.Equal(got.entries, kept) {
-		t.Fatalf("after thinning: stale %v, decoded %d entries (err %v), want %d", n.stale, len(got.entries), err, len(kept))
+	if err != nil || !got.sameEntries(n) {
+		t.Fatalf("after thinning the page does not decode to the node's %d entries (err %v)", kept, err)
 	}
 }
 
 // TestDirtyPageImagesAreCurrent is the checkpoint's view: under
 // DeferFlush nothing is written between checkpoints, and the images
 // DirtyPages hands out must decode to the nodes as they are now —
-// every node written since the last checkpoint among them.
+// every node whose image the store lacks among them.
 func TestDirtyPageImagesAreCurrent(t *testing.T) {
 	cfg := rexpConfig()
 	cfg.DeferFlush = true
@@ -319,12 +332,7 @@ func TestDirtyPageImagesAreCurrent(t *testing.T) {
 		if w := tr.IOStats().Writes; round == 0 && w != 0 {
 			t.Fatalf("%d pages written before the first checkpoint", w)
 		}
-		stale := map[storage.PageID]bool{}
-		for id, n := range tr.cache {
-			if n.stale {
-				stale[id] = true
-			}
-		}
+		stale := behindStore(t, tr, tr.bp.Store())
 		if len(stale) == 0 {
 			t.Fatal("no node is waiting for its image; the test exercises nothing")
 		}
@@ -341,8 +349,7 @@ func TestDirtyPageImagesAreCurrent(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			n := tr.cache[id]
-			if n == nil || n.stale || n.level != got.level || !slices.Equal(n.entries, got.entries) {
+			if n := tr.current(id); n == nil || !n.sameEntries(got) {
 				t.Errorf("round %d: the image of page %d does not decode to the node's current entries", round, id)
 			}
 			delete(stale, id)

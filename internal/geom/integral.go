@@ -2,7 +2,7 @@ package geom
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // The R^exp-tree replaces the R*-tree objective functions (area,
@@ -48,12 +48,17 @@ func extent(r TPRect, i int) lin {
 }
 
 // integratePieces splits [t1, t2] at the given breakpoints and sums
-// gl2 over pieces on which pred (evaluated at the midpoint) holds.
+// gl2 over pieces on which pred (evaluated at the midpoint) holds.  It
+// sorts breaks in place and allocates nothing.
 func integratePieces(f func(float64) float64, pred func(float64) bool, breaks []float64, t1, t2 float64) float64 {
-	sort.Float64s(breaks)
+	slices.Sort(breaks)
 	var total float64
 	prev := t1
-	for _, b := range append(breaks, t2) {
+	for i := 0; i <= len(breaks); i++ {
+		b := t2
+		if i < len(breaks) {
+			b = breaks[i]
+		}
 		if b <= prev || b > t2 {
 			continue
 		}
@@ -140,8 +145,9 @@ func areaIntegralFast(c0, c1 *Vec, t1, t2 float64, dims int) (area float64, ok b
 }
 
 func areaIntegralSlow(r TPRect, t1, t2 float64, dims int) float64 {
-	exts := make([]lin, dims)
-	var breaks []float64
+	var exts [MaxDims]lin
+	var buf [MaxDims]float64
+	breaks := buf[:0]
 	for i := 0; i < dims; i++ {
 		exts[i] = extent(r, i)
 		breaks = exts[i].root(breaks, t1, t2)
@@ -173,7 +179,8 @@ func MarginIntegral(r TPRect, t1, t2 float64, dims int) float64 {
 	var total float64
 	for i := 0; i < dims; i++ {
 		e := extent(r, i)
-		breaks := e.root(nil, t1, t2)
+		var buf [1]float64
+		breaks := e.root(buf[:0], t1, t2)
 		total += integratePieces(
 			func(t float64) float64 { return e.at(t) },
 			func(t float64) bool { return e.at(t) > 0 },
@@ -196,7 +203,8 @@ func OverlapIntegral(a, b TPRect, t1, t2 float64, dims int) float64 {
 	if t2 <= t1 {
 		return 0
 	}
-	var breaks []float64
+	var buf [6 * MaxDims]float64
+	breaks := buf[:0]
 	for i := 0; i < dims; i++ {
 		// Branch switches of the min/max envelopes and zero crossings
 		// of the overlap under each branch combination.  Extraneous

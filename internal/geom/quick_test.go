@@ -139,6 +139,29 @@ func TestQuickDerivedExp(t *testing.T) {
 	}
 }
 
+// TestDerivedExpNeverBeforeNow pins the bound the purge relies on:
+// DerivedExp(r, now) >= now for any rectangle — extents that are zero
+// or already negative at now, velocities up to the float64 range —
+// and any clock.
+func TestDerivedExpNeverBeforeNow(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pick := func(vals ...float64) float64 { return vals[rng.Intn(len(vals))] }
+	for n := 0; n < 200000; n++ {
+		var r TPRect
+		for i := 0; i < 3; i++ {
+			r.Lo[i] = pick(0, -1, 1e6, rng.Float64()*1000, -rng.Float64()*1e12)
+			r.Hi[i] = r.Lo[i] + pick(0, -1e-300, -rng.Float64(), rng.Float64(), rng.Float64()*1e12, 1e300)
+			r.VLo[i] = pick(0, rng.NormFloat64(), 1e-300, 1e300, -1e300, rng.NormFloat64()*1e150)
+			r.VHi[i] = r.VLo[i] + pick(0, -1e-300, -rng.Float64(), rng.Float64(), -1e300, -rng.Float64()*1e200)
+		}
+		now := pick(0, 1, 1e-9, 123.456, 1e6, 1e15, rng.Float64()*1e4)
+		dims := 1 + rng.Intn(3)
+		if e := DerivedExp(&r, now, dims); !(e >= now) {
+			t.Fatalf("DerivedExp(%+v, %v, %d) = %v, before now", r, now, dims, e)
+		}
+	}
+}
+
 func TestQuickDerivedExpGrowingIsInfinite(t *testing.T) {
 	f := func(a TPRect) bool {
 		// Generator guarantees VHi >= VLo, so nothing shrinks.

@@ -18,7 +18,8 @@ import (
 // for concurrent use: every tree owns one, and the free function
 // NearOptimal draws from a pool.
 //
-// Usage: Reset, Add once per entry, NearOptimal.
+// Usage: Reset, Add once per entry (or AddColumns once per node),
+// NearOptimal.
 type Workspace struct {
 	tupd float64
 	dims int
@@ -57,30 +58,48 @@ func (w *Workspace) Reset(tupd float64, dims int) {
 // computation is to assume for it (+Inf if it never expires).  r is
 // only read.
 func (w *Workspace) Add(r *geom.TPRect, texp float64) {
-	if texp > w.maxExp {
-		w.maxExp = texp
+	te := [1]float64{texp}
+	w.AddColumns(r.Lo[:w.dims], r.Hi[:w.dims], r.VLo[:w.dims], r.VHi[:w.dims], te[:])
+}
+
+// AddColumns includes the entries of a columnar node, in order, as Add
+// would one by one: entry i's bounds are lo, hi, vlo and vhi at
+// [i*dims, (i+1)*dims) and its assumed expiration time is texp[i].  The
+// slices are only read.
+func (w *Workspace) AddColumns(lo, hi, vlo, vhi, texp []float64) {
+	dims, tupd := w.dims, w.tupd
+	n := len(texp) * dims
+	lo, hi, vlo, vhi = lo[:n], hi[:n], vlo[:n], vhi[:n]
+	for _, te := range texp {
+		if te > w.maxExp {
+			w.maxExp = te
+		}
+		if geom.IsFinite(te) && te > tupd {
+			w.tau = append(w.tau, te-tupd)
+		}
 	}
-	tupd := w.tupd
-	for d := 0; d < w.dims; d++ {
-		if h := r.Hi[d] + r.VHi[d]*tupd; h > w.xmax[d] {
-			w.xmax[d] = h
+	for d := range dims {
+		xmax, xmin, minUp, maxLo := w.xmax[d], w.xmin[d], w.minUp[d], w.maxLo[d]
+		up, low := w.up[d], w.lo[d]
+		for i, te := range texp {
+			j := i*dims + d
+			if h := hi[j] + vhi[j]*tupd; h > xmax {
+				xmax = h
+			}
+			if l := lo[j] + vlo[j]*tupd; l < xmin {
+				xmin = l
+			}
+			switch {
+			case !geom.IsFinite(te):
+				minUp = math.Max(minUp, vhi[j])
+				maxLo = math.Min(maxLo, vlo[j])
+			case te > tupd:
+				up = append(up, hi[j]+vhi[j]*te)
+				low = append(low, lo[j]+vlo[j]*te)
+			}
 		}
-		if l := r.Lo[d] + r.VLo[d]*tupd; l < w.xmin[d] {
-			w.xmin[d] = l
-		}
-	}
-	switch {
-	case !geom.IsFinite(texp):
-		for d := 0; d < w.dims; d++ {
-			w.minUp[d] = math.Max(w.minUp[d], r.VHi[d])
-			w.maxLo[d] = math.Min(w.maxLo[d], r.VLo[d])
-		}
-	case texp > tupd:
-		w.tau = append(w.tau, texp-tupd)
-		for d := 0; d < w.dims; d++ {
-			w.up[d] = append(w.up[d], r.Hi[d]+r.VHi[d]*texp)
-			w.lo[d] = append(w.lo[d], r.Lo[d]+r.VLo[d]*texp)
-		}
+		w.xmax[d], w.xmin[d], w.minUp[d], w.maxLo[d] = xmax, xmin, minUp, maxLo
+		w.up[d], w.lo[d] = up, low
 	}
 }
 

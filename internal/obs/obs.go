@@ -231,7 +231,7 @@ type Metrics struct {
 	// Snapshot read path (internal/core + internal/epoch, PR 8).
 	EpochPins           Counter // epochs pinned by snapshot traversals
 	SnapNodeHits        Counter // node lookups served from version chains, lock-free
-	SnapNodeMisses      Counter // snapshot lookups that fell back through the buffer pool
+	SnapNodeMisses      Counter // snapshot lookups that found no version at the pinned sequence (the query fails)
 	SnapPublishes       Counter // snapshot publications (atomic root/version swaps)
 	SnapVersionsTrimmed Counter // retired page versions reclaimed by the writer
 

@@ -46,7 +46,7 @@ var families = []promFamily{
 	{"_storage_fault_trips_total", "counter", "Injected storage faults that fired.", cv(func(s *Snapshot) uint64 { return s.FaultTrips })},
 	{"_epoch_pins_total", "counter", "Epochs pinned by snapshot traversals.", cv(func(s *Snapshot) uint64 { return s.EpochPins })},
 	{"_snapshot_node_hits_total", "counter", "Node lookups served lock-free from page version chains.", cv(func(s *Snapshot) uint64 { return s.SnapNodeHits })},
-	{"_snapshot_node_misses_total", "counter", "Snapshot node lookups that fell back through the buffer pool.", cv(func(s *Snapshot) uint64 { return s.SnapNodeMisses })},
+	{"_snapshot_node_misses_total", "counter", "Snapshot node lookups that found no version at the pinned sequence; the query fails.", cv(func(s *Snapshot) uint64 { return s.SnapNodeMisses })},
 	{"_snapshot_publishes_total", "counter", "Snapshot publications (atomic root and version swaps by writers).", cv(func(s *Snapshot) uint64 { return s.SnapPublishes })},
 	{"_snapshot_versions_trimmed_total", "counter", "Retired page versions reclaimed after readers moved past them.", cv(func(s *Snapshot) uint64 { return s.SnapVersionsTrimmed })},
 	{"_choose_subtree_total", "counter", "ChooseSubtree descents, one per level (paper 4.2.2).", cv(func(s *Snapshot) uint64 { return s.ChooseSubtree })},

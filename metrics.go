@@ -88,7 +88,7 @@ type Metrics struct {
 	// Snapshot read-path counters.
 	EpochPins               uint64 // epochs pinned by snapshot traversals
 	SnapshotNodeHits        uint64 // node lookups served lock-free from version chains
-	SnapshotNodeMisses      uint64 // snapshot lookups that fell back through the buffer pool
+	SnapshotNodeMisses      uint64 // snapshot lookups that found no version at the pinned sequence (the query fails)
 	SnapshotPublishes       uint64 // snapshot publications (atomic root/version swaps)
 	SnapshotVersionsTrimmed uint64 // retired page versions reclaimed by the writer
 
