@@ -49,15 +49,15 @@ race:
 # The asynchronous control paths must not depend on how the scheduler
 # interleaves them: the reshard tests (start, status, cancel, cutover
 # under load) run three times at one, two and four processors.  The
-# tier-1 run covers them once at the host's own count only.  One golden
-# stream rides along: its deletes go through the locator, whose tables
-# are Go maps, and "same seed, same pages" must not depend on them.  So
-# does the slab-reuse stress test: a writer copying pages into reclaimed
-# slabs against readers pinned across hundreds of publications and
-# readers pinned per query.
+# tier-1 run covers them once at the host's own count only.  Two golden
+# streams ride along, one of them in three dimensions: their deletes go
+# through the locator, whose tables are Go maps, and "same seed, same
+# pages" must not depend on them.  So does the slab-reuse stress test: a
+# writer copying pages into reclaimed slabs against readers pinned
+# across hundreds of publications and readers pinned per query.
 determinism:
 	$(GO) test -count=3 -cpu 1,2,4 -run 'Reshard' . ./internal/server
-	$(GO) test -count=3 -cpu 1,2,4 -run 'TestGoldenTrees/near-optimal/stored-exp|TestSlabReuseUnderPinnedReaders' ./internal/core
+	$(GO) test -count=3 -cpu 1,2,4 -run 'TestGoldenTrees/near-optimal/stored-exp|TestGoldenTrees/near-optimal/dims3|TestSlabReuseUnderPinnedReaders' ./internal/core
 
 # Every way a durable tree is killed — WAL lifecycle faults, storage
 # faults, Abandon mid-stream, a power loss that drops or tears the page
@@ -98,12 +98,14 @@ bench-compare:
 	bash bench/run.sh --compare $(A) $(B)
 
 # The update path from the inside out: ChooseSubtree's per-entry
-# enlargement metric, the near-optimal TPBR kernel on a full leaf's
-# worth of entries, computeBR and the page encoding of a full leaf and
-# a full internal node, the pool's flush of one dirty page among many
-# clean ones, one steady-state update (delete + insert) through the
-# public tree, the same update per report in batches of 1, 25 and 100,
-# and a 25-report body acknowledged by a durable tree behind a 16-page
+# enlargement metric, the near-optimal TPBR kernel (on the 170 items the
+# other kinds are timed on, and through a warm workspace on a full leaf
+# of points at tupd > 0 and a full internal node with derived expiries),
+# computeBR and the page encoding of a full leaf and a full internal
+# node, the pool's flush of one dirty page among many clean ones, one
+# steady-state update (delete + insert) through the public tree, the
+# same update per report in batches of 1, 25 and 100, and a 25-report
+# body acknowledged by a durable tree behind a 16-page
 # pool (with its fsyncs and checkpoints per body).  -benchmem's
 # allocs/op of the update benchmarks is the path's allocation budget:
 # 0 per report in batches of 1 / 25 / 100, since a page is copied into

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"math"
 	"testing"
 
+	"rexptree/internal/geom"
 	"rexptree/internal/hull"
 	"rexptree/internal/obs"
 	"rexptree/internal/storage"
@@ -39,8 +41,10 @@ var goldenParams = workload.Params{
 // whatever an earlier, longer image had left there, so the digest also
 // depended on how often each node had been encoded.  A digest over
 // page header plus live entries was identical before and after that
-// change for all seven configurations — the trees are the ones pinned
-// before the near-optimal kernel was rewritten.
+// change for all seven 2-D configurations — the trees are the ones
+// pinned before the near-optimal kernel was rewritten.  The 3-D entry
+// was recorded before the kernel's per-dimension passes became one
+// entry-major pass, which rewrote its generic path as well.
 var goldenTrees = []struct {
 	name   string
 	cfg    Config
@@ -53,13 +57,30 @@ var goldenTrees = []struct {
 	{"optimal", Config{BRKind: hull.KindOptimal, ExpireAware: true}, "37f110e614579486bedd82b5"},
 	{"near-optimal/stored-exp", Config{BRKind: hull.KindNearOptimal, ExpireAware: true, StoreBRExp: true, AlgsUseExp: true}, "21625dcb86983e887554921b"},
 	{"near-optimal/tpr", Config{BRKind: hull.KindNearOptimal}, "46f02664b9dc499ef735cb99"},
+	{"near-optimal/dims3", Config{BRKind: hull.KindNearOptimal, ExpireAware: true, Dims: 3}, "6bab42277734235b3e70fec5"},
+}
+
+// lift3 gives a report of the 2-D golden stream a third dimension, an
+// altitude and a climb rate that are a function of the report alone,
+// so the deletion of a report lifts it to the point its insertion
+// stored.
+func lift3(p geom.MovingPoint) geom.MovingPoint {
+	p.Pos[2] = math.Mod(p.Pos[0]*0.37+p.Pos[1]*0.61, 12)
+	p.Vel[2] = (p.Vel[0] - p.Vel[1]) / 20
+	return p
 }
 
 // goldenDigest replays the golden stream into a fresh tree and returns
 // the digest of the result together with the structural events seen.
+// The stream is 2-D; a configuration with Dims 3 gets it lifted by
+// lift3, with every query spanning altitudes 2 to 10.
 func goldenDigest(t *testing.T, cfg Config) (string, obs.Snapshot) {
 	t.Helper()
-	cfg.Dims, cfg.Seed, cfg.Metrics = 2, 1, obs.New()
+	dims3 := cfg.Dims == 3
+	if !dims3 {
+		cfg.Dims = 2
+	}
+	cfg.Seed, cfg.Metrics = 1, obs.New()
 	store := storage.NewMemStore()
 	tr, err := New(cfg, store)
 	if err != nil {
@@ -80,6 +101,10 @@ func goldenDigest(t *testing.T, cfg Config) (string, obs.Snapshot) {
 		op, ok := gen.Next()
 		if !ok {
 			t.Fatalf("stream ended after %d operations", i)
+		}
+		if dims3 {
+			op.Point = lift3(op.Point)
+			op.Query.Region.Lo[2], op.Query.Region.Hi[2] = 2, 10
 		}
 		switch op.Kind {
 		case workload.OpInsert:

@@ -462,13 +462,18 @@ func clampEnd(now, horizon, texpA, texpB float64) float64 {
 // computeBR computes the bounding rectangle of a node's entries with
 // the configured bounding-rectangle type.  This is the engine's hot
 // spot — every node an update touches gets a new rectangle — so the
-// near-optimal kind sweeps the node's columns where they are.
+// near-optimal kind sweeps the node's columns where they are, a leaf's
+// as points.
 func (t *Tree) computeBR(n *vnode) geom.TPRect {
 	now, src, dims := t.Now(), t.expSource(n.level), t.cfg.Dims
 	var br geom.TPRect
 	if t.cfg.BRKind == hull.KindNearOptimal {
 		t.ws.Reset(now, dims)
-		t.ws.AddColumns(n.lo, n.hi, n.vlo, n.vhi, t.expColumn(n, src, now))
+		if texp := t.expColumn(n, src, now); n.level == 0 {
+			t.ws.AddPoints(n.lo, n.vlo, texp)
+		} else {
+			t.ws.AddColumns(n.lo, n.hi, n.vlo, n.vhi, texp)
+		}
 		br = t.ws.NearOptimal(t.brHorizon(n.level), t.permDims())
 	} else {
 		if cap(t.scratch) < n.count {

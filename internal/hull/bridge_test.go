@@ -4,15 +4,17 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rexptree/internal/geom"
 )
 
-// pointWorkspace loads pts — anchors at t = 0, endpoints at t > 0 —
-// into a workspace split at m and returns it with the x column, as
-// NearOptimal would for the upper (or lower) endpoints of a dimension.
-func pointWorkspace(pts []pt, m float64, upper bool) (*Workspace, []float64) {
+// bridgeBound loads pts — anchors at t = 0, endpoints at t > 0 — into
+// a workspace split at m and returns the upper (or lower) bound line
+// with the given slope limit, as NearOptimal would for the upper (or
+// lower) endpoints of a dimension.
+func bridgeBound(pts []pt, m, limit float64, upper bool) line {
 	w := &Workspace{tau: []float64{0}}
 	anchor := math.Inf(1)
 	if upper {
@@ -30,20 +32,21 @@ func pointWorkspace(pts []pt, m float64, upper bool) (*Workspace, []float64) {
 			x[0] = math.Min(x[0], p.x)
 		}
 	}
-	w.split(m)
-	return w, x
+	qu, ql := w.split(m, x, x)
+	if upper {
+		return w.bound(x, limit, qu, true)
+	}
+	return w.bound(x, limit, ql, false)
 }
 
 // upperBridge runs the bridge search on a bare point set.
 func upperBridge(pts []pt, m, minSlope float64) line {
-	w, x := pointWorkspace(pts, m, true)
-	return w.upperBound(x, minSlope)
+	return bridgeBound(pts, m, minSlope, true)
 }
 
 // lowerBridge mirrors upperBridge.
 func lowerBridge(pts []pt, m, maxSlope float64) line {
-	w, x := pointWorkspace(pts, m, false)
-	return w.lowerBound(x, maxSlope)
+	return bridgeBound(pts, m, maxSlope, false)
 }
 
 // TestBridgeMatchesChains holds the bridge search to the Graham-scan
@@ -218,33 +221,104 @@ func TestWorkspaceReuse(t *testing.T) {
 		items := randItems(rng, 1+rng.Intn(150), dims, 5, true)
 		order := rng.Perm(dims)
 		w.Reset(5, dims)
-		for i := range items {
-			w.Add(&items[i], items[i].TExp)
-		}
+		w.addRects(items)
 		if got, want := w.NearOptimal(40, order), referenceNearOptimal(items, 5, 40, dims, order); got != want {
 			t.Fatalf("iter %d: reused workspace gave %v, want %v", iter, got, want)
 		}
 	}
 }
 
-// TestWorkspaceAllocs pins the kernel at zero allocations once its
-// buffers have grown.  (The free function adds only its pool, which
-// the race detector deliberately makes lossy, so it is the workspace
-// that is measured.)
-func TestWorkspaceAllocs(t *testing.T) {
-	items := benchItems(170)
-	order := []int{0, 1}
-	var w Workspace
-	run := func() {
-		w.Reset(0, 2)
-		for i := range items {
-			w.Add(&items[i], items[i].TExp)
-		}
-		w.NearOptimal(60, order)
+// pointColumns returns the position, velocity and expiry columns of
+// items taken as points (their Lo and VLo), as a leaf stores them.
+func pointColumns(items []geom.TPRect, dims int) (pos, vel, texp []float64) {
+	for i := range items {
+		pos = append(pos, items[i].Lo[:dims]...)
+		vel = append(vel, items[i].VLo[:dims]...)
+		texp = append(texp, items[i].TExp)
 	}
-	run()
-	if n := testing.AllocsPerRun(100, run); n != 0 {
-		t.Errorf("a warm workspace allocates %.1f objects per rectangle, want 0", n)
+	return pos, vel, texp
+}
+
+// asPoints returns items with every extent and velocity spread dropped.
+func asPoints(items []geom.TPRect) []geom.TPRect {
+	pts := slices.Clone(items)
+	for i := range pts {
+		pts[i].Hi, pts[i].VHi = pts[i].Lo, pts[i].VLo
+	}
+	return pts
+}
+
+// sameBits reports whether two rectangles agree bit for bit, which ==
+// does not check for signed zeros.
+func sameBits(a, b geom.TPRect) bool {
+	for d := range geom.MaxDims {
+		for _, p := range [][2]float64{{a.Lo[d], b.Lo[d]}, {a.Hi[d], b.Hi[d]}, {a.VLo[d], b.VLo[d]}, {a.VHi[d], b.VHi[d]}} {
+			if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+				return false
+			}
+		}
+	}
+	return math.Float64bits(a.TExp) == math.Float64bits(b.TExp)
+}
+
+// pointsCase holds the leaf entry point to the column entry point and
+// to the reference on items taken as points: AddPoints, split into two
+// runs at cut, against one AddColumns(pos, pos, vel, vel, texp) call,
+// bit for bit, and both against the sort-and-scan reference.
+func pointsCase(t *testing.T, label string, items []geom.TPRect, tupd, horizon float64, dims, cut int, order []int) {
+	t.Helper()
+	pts := asPoints(items)
+	pos, vel, texp := pointColumns(pts, dims)
+	var a, b Workspace
+	a.Reset(tupd, dims)
+	a.AddPoints(pos[:cut*dims], vel[:cut*dims], texp[:cut])
+	a.AddPoints(pos[cut*dims:], vel[cut*dims:], texp[cut:])
+	b.Reset(tupd, dims)
+	b.AddColumns(pos, pos, vel, vel, texp)
+	got, cols := a.NearOptimal(horizon, order), b.NearOptimal(horizon, order)
+	if !sameBits(got, cols) {
+		t.Fatalf("%s: %d points, tupd=%v dims=%d: AddPoints gave\n %v, AddColumns\n %v", label, len(pts), tupd, dims, got, cols)
+	}
+	if want := referenceNearOptimal(pts, tupd, horizon, dims, order); got != want {
+		t.Fatalf("%s: %d points, tupd=%v dims=%d order=%v:\n got  %v\n want %v", label, len(pts), tupd, dims, order, got, want)
+	}
+}
+
+// TestAddPointsMatchesColumns covers the leaf entry point in one, two
+// and three dimensions on the expiry times that take each branch of the
+// classification — never (+Inf, -Inf, NaN), at or before tupd, after
+// it — on signed zeros, on a lone entry and on nodes whose every entry
+// has expired.
+func TestAddPointsMatchesColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	expiries := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, -1, 1}
+	for iter := 0; iter < 3000; iter++ {
+		dims := 1 + iter%3
+		tupd := float64(rng.Intn(3)) * 10
+		n := 1 + rng.Intn(60)
+		if iter%5 == 0 {
+			n = 1
+		}
+		items := randItems(rng, n, dims, tupd, false)
+		for i := range items {
+			it := &items[i]
+			switch k := rng.Intn(10); {
+			case iter%4 == 3: // every entry expired, some exactly at tupd
+				it.TExp = tupd - float64(rng.Intn(2))*rng.Float64()
+			case k < len(expiries):
+				it.TExp = tupd + expiries[k]
+			}
+			for d := 0; d < dims; d++ {
+				switch rng.Intn(6) {
+				case 0:
+					it.Lo[d] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+				case 1:
+					it.VLo[d] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+				}
+			}
+		}
+		order := rng.Perm(dims)
+		pointsCase(t, "points", items, tupd, 1+rng.Float64()*100, dims, rng.Intn(n+1), order)
 	}
 }
 
@@ -293,6 +367,52 @@ func FuzzNearOptimalBridge(f *testing.F) {
 		}
 		for _, order := range orders(dims) {
 			referenceCase(t, "fuzz", items, tupd, horizon, dims, order)
+			pointsCase(t, "fuzz points", items, tupd, horizon, dims, len(items)/2, order)
 		}
 	})
+}
+
+// TestWorkspaceAllocs pins the kernel at zero allocations once its
+// buffers have grown, over rectangles and over points.  (The free
+// function adds only its pool, which the race detector deliberately
+// makes lossy, so it is the workspace that is measured.)
+func TestWorkspaceAllocs(t *testing.T) {
+	items := benchItems(170)
+	pos, vel, texp := pointColumns(items, 2)
+	order := []int{0, 1}
+	var w Workspace
+	for _, c := range []struct {
+		name string
+		add  func()
+	}{
+		{"AddColumns", func() { w.addRects(items) }},
+		{"AddPoints", func() { w.AddPoints(pos, vel, texp) }},
+	} {
+		run := func() {
+			w.Reset(0, 2)
+			c.add()
+			w.NearOptimal(60, order)
+		}
+		run()
+		if n := testing.AllocsPerRun(100, run); n != 0 {
+			t.Errorf("%s: a warm workspace allocates %.1f objects per rectangle, want 0", c.name, n)
+		}
+	}
+}
+
+// TestMaxfMinfMatchMath holds the inlined extremes to math.Max and
+// math.Min, bit for bit, on every pair of special and ordinary values.
+func TestMaxfMinfMatchMath(t *testing.T) {
+	vals := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, math.Copysign(0, -1),
+		1, -1, 2.5, -2.5, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+	for _, x := range vals {
+		for _, y := range vals {
+			if got, want := maxf(x, y), math.Max(x, y); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("maxf(%v, %v) = %v, math.Max gives %v", x, y, got, want)
+			}
+			if got, want := minf(x, y), math.Min(x, y); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("minf(%v, %v) = %v, math.Min gives %v", x, y, got, want)
+			}
+		}
+	}
 }

@@ -26,8 +26,6 @@ type pt struct{ t, x float64 }
 // line is x(τ) = a + b·τ.
 type line struct{ a, b float64 }
 
-func (l line) at(t float64) float64 { return l.a + l.b*t }
-
 // cross returns the z component of (b-a) × (c-a).
 func cross(a, b, c pt) float64 {
 	return (b.t-a.t)*(c.x-a.x) - (b.x-a.x)*(c.t-a.t)

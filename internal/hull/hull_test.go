@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// at evaluates the line at τ = t.
+func (l line) at(t float64) float64 { return l.a + l.b*t }
+
 func TestUpperChainSimple(t *testing.T) {
 	pts := []pt{{0, 0}, {1, 2}, {2, 1}, {3, 3}, {4, 0}}
 	h := upperChain(append([]pt(nil), pts...))

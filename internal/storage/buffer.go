@@ -358,21 +358,7 @@ func (bp *BufferPool) Get(id PageID) ([]byte, error) {
 	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	data, _, err := bp.getTracked(id)
-	return data, err
-}
-
-// GetTracked is Get plus a hit report: it returns whether the request
-// was served from the buffer (true) or had to read the store (false).
-// Query tracing uses it to attribute per-traversal cache behavior.
-func (bp *BufferPool) GetTracked(id PageID) ([]byte, bool, error) {
-	if f := bp.lookup(id); f != nil {
-		bp.hitFast(f)
-		return f.data, true, nil
-	}
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return bp.getTracked(id)
+	return bp.get(id)
 }
 
 // hitFast records a lock-free hit: the frame's second-chance bit
@@ -387,31 +373,26 @@ func (bp *BufferPool) hitFast(f *frame) {
 }
 
 func (bp *BufferPool) get(id PageID) ([]byte, error) {
-	data, _, err := bp.getTracked(id)
-	return data, err
-}
-
-func (bp *BufferPool) getTracked(id PageID) ([]byte, bool, error) {
 	if f, ok := bp.frames[id]; ok {
 		bp.stats.Hits++
 		if bp.met != nil {
 			bp.met.BufHits.Inc()
 		}
 		bp.touch(f)
-		return f.data, true, nil
+		return f.data, nil
 	}
 	f := &frame{id: id, data: make([]byte, PageSize)}
 	if err := bp.readPage(id, f.data); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	bp.stats.Reads++
 	if bp.met != nil {
 		bp.met.BufReads.Inc()
 	}
 	if err := bp.admit(f); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return f.data, false, nil
+	return f.data, nil
 }
 
 // ioSampleEvery is the 1-in-N sampling rate for the io_read/io_write
