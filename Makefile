@@ -54,10 +54,15 @@ race:
 # through the locator, whose tables are Go maps, and "same seed, same
 # pages" must not depend on them.  So does the slab-reuse stress test: a
 # writer copying pages into reclaimed slabs against readers pinned
-# across hundreds of publications and readers pinned per query.
+# across hundreds of publications and readers pinned per query.  The
+# buffer pool must replace pages by exact LRU, the paper's I/O metric,
+# and stay sound under the tree's shared-lock readers, which may call it
+# concurrently: its reference-model test and its concurrent-reader test
+# run under the race detector.
 determinism:
 	$(GO) test -count=3 -cpu 1,2,4 -run 'Reshard' . ./internal/server
 	$(GO) test -count=3 -cpu 1,2,4 -run 'TestGoldenTrees/near-optimal/stored-exp|TestGoldenTrees/near-optimal/dims3|TestSlabReuseUnderPinnedReaders' ./internal/core
+	$(GO) test -race -count=3 -cpu 1,2,4 -run 'TestBufferPoolRandomizedAgainstStore|TestBufferPoolConcurrentReaders' ./internal/storage
 
 # Every way a durable tree is killed — WAL lifecycle faults, storage
 # faults, Abandon mid-stream, a power loss that drops or tears the page

@@ -413,10 +413,11 @@ func TestBatchWritesEachDirtyPageOnce(t *testing.T) {
 
 // TestUnscopedIOPinned replays a fixed stream of core calls outside any
 // batch scope — what internal/experiments and every paper figure do —
-// and pins the pool's counters to what they were when every writeNode
-// still encoded its page and Flush ranged over all frames: each call
+// and pins the pool's counters under exact LRU replacement: each call
 // flushes at its end, and hits, misses, evictions and write-backs are
-// charged exactly as before.
+// charged as the paper's 50-page LRU buffer charges them.  Reads + Hits
+// is the number of page requests, which depends on the tree alone, not
+// on which frames the pool keeps.
 func TestUnscopedIOPinned(t *testing.T) {
 	gen, err := workload.NewGenerator(workload.Params{
 		Seed: 9, Objects: 3000, Insertions: 12000, UI: 60, ExpT: 35, NewOb: 0.5,
@@ -444,8 +445,12 @@ func TestUnscopedIOPinned(t *testing.T) {
 			t.Fatalf("operation %d: %v", i, err)
 		}
 	}
-	want := storage.Stats{Reads: 7685, Writes: 24088, Hits: 82862, Evictions: 7724, DirtyWritebacks: 22}
-	if got := tr.IOStats(); got != want {
+	got := tr.IOStats()
+	if requests := got.Reads + got.Hits; requests != 90547 {
+		t.Fatalf("%d page requests (reads + hits), want 90547", requests)
+	}
+	want := storage.Stats{Reads: 7668, Writes: 24083, Hits: 82879, Evictions: 7707, DirtyWritebacks: 16}
+	if got != want {
 		t.Fatalf("pool counters %+v, want %+v", got, want)
 	}
 }

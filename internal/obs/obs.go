@@ -225,7 +225,6 @@ type Metrics struct {
 	BufHits            Counter // page requests served from the buffer
 	BufEvictions       Counter // frames evicted by LRU replacement
 	BufDirtyWritebacks Counter // evictions that had to write the frame back
-	BufLockFreeHits    Counter // buffer hits served without taking the pool mutex (PR 8)
 	FaultTrips         Counter // injected storage faults that fired
 
 	// Snapshot read path (internal/core + internal/epoch, PR 8).
@@ -389,7 +388,6 @@ type Snapshot struct {
 	BufHits            uint64
 	BufEvictions       uint64
 	BufDirtyWritebacks uint64
-	BufLockFreeHits    uint64
 	FaultTrips         uint64
 
 	EpochPins           uint64
@@ -459,7 +457,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.BufHits = m.BufHits.Load()
 	s.BufEvictions = m.BufEvictions.Load()
 	s.BufDirtyWritebacks = m.BufDirtyWritebacks.Load()
-	s.BufLockFreeHits = m.BufLockFreeHits.Load()
 	s.FaultTrips = m.FaultTrips.Load()
 	s.EpochPins = m.EpochPins.Load()
 	s.SnapNodeHits = m.SnapNodeHits.Load()
@@ -531,7 +528,6 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 	d.BufHits -= o.BufHits
 	d.BufEvictions -= o.BufEvictions
 	d.BufDirtyWritebacks -= o.BufDirtyWritebacks
-	d.BufLockFreeHits -= o.BufLockFreeHits
 	d.FaultTrips -= o.FaultTrips
 	d.EpochPins -= o.EpochPins
 	d.SnapNodeHits -= o.SnapNodeHits
@@ -586,7 +582,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 	d.BufHits += o.BufHits
 	d.BufEvictions += o.BufEvictions
 	d.BufDirtyWritebacks += o.BufDirtyWritebacks
-	d.BufLockFreeHits += o.BufLockFreeHits
 	d.FaultTrips += o.FaultTrips
 	d.EpochPins += o.EpochPins
 	d.SnapNodeHits += o.SnapNodeHits

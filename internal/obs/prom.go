@@ -42,7 +42,6 @@ var families = []promFamily{
 	{"_buffer_hits_total", "counter", "Page requests served from the buffer.", cv(func(s *Snapshot) uint64 { return s.BufHits })},
 	{"_buffer_evictions_total", "counter", "Buffer frames evicted by LRU replacement.", cv(func(s *Snapshot) uint64 { return s.BufEvictions })},
 	{"_buffer_dirty_writebacks_total", "counter", "Evictions that wrote a dirty frame back first.", cv(func(s *Snapshot) uint64 { return s.BufDirtyWritebacks })},
-	{"_buffer_lockfree_hits_total", "counter", "Buffer hits served without taking the pool mutex.", cv(func(s *Snapshot) uint64 { return s.BufLockFreeHits })},
 	{"_storage_fault_trips_total", "counter", "Injected storage faults that fired.", cv(func(s *Snapshot) uint64 { return s.FaultTrips })},
 	{"_epoch_pins_total", "counter", "Epochs pinned by snapshot traversals.", cv(func(s *Snapshot) uint64 { return s.EpochPins })},
 	{"_snapshot_node_hits_total", "counter", "Node lookups served lock-free from page version chains.", cv(func(s *Snapshot) uint64 { return s.SnapNodeHits })},

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rexptree/internal/obs"
@@ -41,12 +40,6 @@ type frame struct {
 	dirty  bool
 	pins   int
 	lruPos *list.Element // nil while pinned (not on the LRU list)
-
-	// ref is the second-chance reference bit: the lock-free hit path
-	// sets it instead of reordering the mutex-guarded LRU list, and
-	// eviction gives a referenced frame one more round before dropping
-	// it.  It is the only frame field touched without bp.mu.
-	ref atomic.Bool
 }
 
 // BufferPool caches up to cap pages of a Store with LRU replacement,
@@ -57,16 +50,16 @@ type frame struct {
 // page right before the bytes leave the pool, which are the only
 // moments the bytes have to be current.
 //
-// Every method is safe for concurrent use.  The hit path is lock-free:
-// resident frames are published in a dense atomic table indexed by page
-// id, so a Get that finds its page buffered touches no mutex at all —
-// it marks the frame's second-chance reference bit instead of
-// reordering the LRU list.  One mutex still serializes everything else
-// (misses, eviction, allocation, flush, the LRU list and the store).
-// A slice returned by Get stays memory-safe after a concurrent
-// eviction (the frame is dropped, not recycled), but its contents are
-// only stable while no writer mutates the page — the tree layer's
-// locking discipline guarantees that.
+// One mutex guards every method, and every hit moves its frame to the
+// front of the LRU list, so replacement is exact LRU and the miss
+// counts are the paper's.  Queries never reach the pool (they read
+// published page versions).  Its callers are the tree's writer, under
+// the exclusive tree lock, and rexptree.Tree's shared-lock readers —
+// the shard summary, ForEach, Validate, Stats and ResetIOStats — which
+// may call it concurrently.  A slice returned by Get stays memory-safe
+// after a concurrent eviction (the frame is dropped, not recycled), but
+// its contents are only stable while no writer mutates the page — the
+// tree lock guarantees that.
 type BufferPool struct {
 	mu       sync.Mutex
 	store    Store
@@ -89,23 +82,9 @@ type BufferPool struct {
 	// SetEncoder.
 	encode func(id PageID, data []byte)
 
-	// readTbl is the lock-free lookup table: one atomic frame pointer
-	// per page id, non-nil exactly for resident pages.  Mutated only
-	// under mu (admit, evict, free); read by anyone.  Grown
-	// copy-on-write, so readers may briefly see a shorter table and
-	// fall through to the mutex path, which double-checks frames.
-	readTbl atomic.Pointer[[]atomic.Pointer[frame]]
-
-	// hitsLF counts hits served by the lock-free path; Stats folds it
-	// into Hits so the total matches the mutex-only implementation.
-	hitsLF atomic.Uint64
-
-	// I/O phase-timer sample counters.  Atomic because store reads can
-	// be triggered from the snapshot read path's fallback concurrently
-	// with mutex-path misses; uniform 1-in-N sampling must stay sound
-	// no matter which path issues the read.
-	ioReadN  atomic.Uint64
-	ioWriteN atomic.Uint64
+	// ioReadN and ioWriteN count store reads and writes for the 1-in-N
+	// phase-timer sample (see ioSampleEvery).
+	ioReadN, ioWriteN uint64
 }
 
 // NewBufferPool wraps store with a buffer of the given page capacity.
@@ -113,26 +92,19 @@ func NewBufferPool(store Store, capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	bp := &BufferPool{
+	return &BufferPool{
 		store:    store,
 		capacity: capacity,
 		frames:   make(map[PageID]*frame, capacity),
 		lru:      list.New(),
 	}
-	empty := make([]atomic.Pointer[frame], 0)
-	bp.readTbl.Store(&empty)
-	return bp
 }
 
-// Stats returns the accumulated I/O counters.  Hits served by the
-// lock-free path are folded in, so the totals match what a mutex-only
-// pool would report.
+// Stats returns the accumulated I/O counters.
 func (bp *BufferPool) Stats() Stats {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	s := bp.stats
-	s.Hits += bp.hitsLF.Load()
-	return s
+	return bp.stats
 }
 
 // SetMetrics attaches (or with nil detaches) an instrument registry.
@@ -159,42 +131,6 @@ func (bp *BufferPool) ResetStats() {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	bp.stats = Stats{}
-	bp.hitsLF.Store(0)
-}
-
-// tblSet publishes (f non-nil) or withdraws (f nil) the page's frame
-// in the lock-free lookup table, growing the table as the store
-// allocates higher page ids.  Caller holds bp.mu.
-func (bp *BufferPool) tblSet(id PageID, f *frame) {
-	tbl := *bp.readTbl.Load()
-	if int(id) >= len(tbl) {
-		if f == nil {
-			return // clearing a slot that was never published
-		}
-		n := 2 * len(tbl)
-		if n < int(id)+1 {
-			n = int(id) + 1
-		}
-		if n < 64 {
-			n = 64
-		}
-		grown := make([]atomic.Pointer[frame], n)
-		for i := range tbl {
-			grown[i].Store(tbl[i].Load())
-		}
-		bp.readTbl.Store(&grown)
-		tbl = grown
-	}
-	tbl[id].Store(f)
-}
-
-// lookup is the lock-free resident-frame probe.
-func (bp *BufferPool) lookup(id PageID) *frame {
-	tbl := *bp.readTbl.Load()
-	if int(id) < len(tbl) {
-		return tbl[id].Load()
-	}
-	return nil
 }
 
 // Store returns the underlying page store.
@@ -216,40 +152,20 @@ var errNoCleanFrame = errors.New("storage: no clean frame to evict")
 // only reach the store through an explicit Flush, so the on-disk state
 // stays exactly the last checkpoint's; if no clean frame exists the
 // pool overflows (errNoCleanFrame).
-// evictOne implements second-chance LRU: the lock-free hit path cannot
-// reorder the mutex-guarded list, so it marks the frame's reference
-// bit instead, and eviction rotates referenced frames to the front
-// (consuming the bit) before dropping the first unreferenced victim.
-// The rotation budget is bounded so concurrent readers re-marking
-// frames cannot livelock the writer: after 2×len(lru) rounds the
-// reference bits are ignored and the back frame goes.
 func (bp *BufferPool) evictOne() error {
-	limit := 2 * bp.lru.Len()
-	for round := 0; ; round++ {
-		e := bp.lru.Back()
-		if bp.noSteal {
-			for e != nil && e.Value.(*frame).dirty {
-				e = e.Prev()
-			}
-			if e == nil {
-				return errNoCleanFrame
-			}
+	e := bp.lru.Back()
+	if bp.noSteal {
+		for e != nil && e.Value.(*frame).dirty {
+			e = e.Prev()
 		}
 		if e == nil {
-			return fmt.Errorf("storage: buffer pool full of pinned pages (cap %d)", bp.capacity)
+			return errNoCleanFrame
 		}
-		f := e.Value.(*frame)
-		if round < limit && f.ref.CompareAndSwap(true, false) {
-			bp.lru.MoveToFront(e)
-			continue
-		}
-		return bp.evictFrame(e, f)
 	}
-}
-
-// evictFrame writes back and drops one chosen frame.  Caller holds
-// bp.mu.
-func (bp *BufferPool) evictFrame(e *list.Element, f *frame) error {
+	if e == nil {
+		return fmt.Errorf("storage: buffer pool full of pinned pages (cap %d)", bp.capacity)
+	}
+	f := e.Value.(*frame)
 	if !bp.noSteal && f.dirty {
 		if err := bp.writeBack(f); err != nil {
 			return err
@@ -267,7 +183,6 @@ func (bp *BufferPool) evictFrame(e *list.Element, f *frame) error {
 	}
 	bp.lru.Remove(e)
 	delete(bp.frames, f.id)
-	bp.tblSet(f.id, nil)
 	return nil
 }
 
@@ -282,7 +197,6 @@ func (bp *BufferPool) admit(f *frame) error {
 	}
 	bp.frames[f.id] = f
 	f.lruPos = bp.lru.PushFront(f)
-	bp.tblSet(f.id, f)
 	return nil
 }
 
@@ -346,30 +260,14 @@ func (bp *BufferPool) DirtyPages(fn func(id PageID, data []byte) error) error {
 }
 
 // Get returns the contents of the page, reading it from the store on a
-// miss.  A hit on a resident page takes no lock (see hitFast); only
-// misses fall through to the mutex.  The returned slice aliases the
-// buffer frame: it is valid until the page is evicted, so callers must
-// not retain it across other pool operations unless the page is
-// pinned.
+// miss; a hit moves the page to the front of the LRU list.  The
+// returned slice aliases the buffer frame: it is valid until the page
+// is evicted, so callers must not retain it across other pool
+// operations unless the page is pinned.
 func (bp *BufferPool) Get(id PageID) ([]byte, error) {
-	if f := bp.lookup(id); f != nil {
-		bp.hitFast(f)
-		return f.data, nil
-	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	return bp.get(id)
-}
-
-// hitFast records a lock-free hit: the frame's second-chance bit
-// replaces the LRU reorder, and the hit counters are atomic.
-func (bp *BufferPool) hitFast(f *frame) {
-	f.ref.Store(true)
-	bp.hitsLF.Add(1)
-	if bp.met != nil {
-		bp.met.BufHits.Inc()
-		bp.met.BufLockFreeHits.Inc()
-	}
 }
 
 func (bp *BufferPool) get(id PageID) ([]byte, error) {
@@ -405,16 +303,13 @@ func (bp *BufferPool) get(id PageID) ([]byte, error) {
 const ioSampleEvery = 8
 
 // readPage reads the page from the store, timing a uniform sample of
-// reads into the io_read phase histogram when instrumented.  The
-// sample counter is atomic (not mutex-protected) so every store read
-// is counted toward the 1-in-N sample no matter which path triggered
-// it — mutex-path misses and the snapshot read path's buffer fallback
-// alike — keeping the phase histogram from undercounting.
+// reads into the io_read phase histogram when instrumented.  Caller
+// holds bp.mu.
 func (bp *BufferPool) readPage(id PageID, data []byte) error {
 	if bp.met == nil {
 		return bp.store.ReadPage(id, data)
 	}
-	if bp.ioReadN.Add(1)%ioSampleEvery != 0 {
+	if bp.ioReadN++; bp.ioReadN%ioSampleEvery != 0 {
 		return bp.store.ReadPage(id, data)
 	}
 	start := time.Now()
@@ -424,12 +319,13 @@ func (bp *BufferPool) readPage(id PageID, data []byte) error {
 }
 
 // writePage writes the page to the store, timing a uniform sample of
-// writes into the io_write phase histogram when instrumented.
+// writes into the io_write phase histogram when instrumented.  Caller
+// holds bp.mu.
 func (bp *BufferPool) writePage(id PageID, data []byte) error {
 	if bp.met == nil {
 		return bp.store.WritePage(id, data)
 	}
-	if bp.ioWriteN.Add(1)%ioSampleEvery != 0 {
+	if bp.ioWriteN++; bp.ioWriteN%ioSampleEvery != 0 {
 		return bp.store.WritePage(id, data)
 	}
 	start := time.Now()
@@ -544,7 +440,6 @@ func (bp *BufferPool) Free(id PageID) error {
 			bp.lru.Remove(f.lruPos)
 		}
 		delete(bp.frames, id)
-		bp.tblSet(id, nil)
 	}
 	return bp.store.Free(id)
 }

@@ -3,8 +3,10 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"rexptree/internal/obs"
@@ -276,53 +278,299 @@ func TestBufferPoolEvictionCounters(t *testing.T) {
 	}
 }
 
-// TestBufferPoolRandomizedAgainstStore checks that, through arbitrary
-// interleavings of pool operations, page contents always match what a
-// write-through oracle would hold.
-func TestBufferPoolRandomizedAgainstStore(t *testing.T) {
-	store := NewMemStore()
-	bp := NewBufferPool(store, 3)
-	rng := rand.New(rand.NewSource(77))
-	oracle := map[PageID][]byte{}
-	var ids []PageID
-	for step := 0; step < 3000; step++ {
-		switch op := rng.Intn(10); {
-		case op < 3 || len(ids) == 0: // allocate
-			id, data, err := bp.Allocate()
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng.Read(data)
-			if err := bp.MarkDirty(id); err != nil {
-				t.Fatal(err)
-			}
-			oracle[id] = append([]byte(nil), data...)
-			ids = append(ids, id)
-		case op < 8: // read and verify
-			id := ids[rng.Intn(len(ids))]
-			data, err := bp.Get(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(data, oracle[id]) {
-				t.Fatalf("step %d: page %d diverged from oracle", step, id)
-			}
-		case op < 9: // overwrite
-			id := ids[rng.Intn(len(ids))]
-			data, err := bp.Get(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng.Read(data)
-			if err := bp.MarkDirty(id); err != nil {
-				t.Fatal(err)
-			}
-			oracle[id] = append([]byte(nil), data...)
-		default: // flush
-			if err := bp.Flush(); err != nil {
-				t.Fatal(err)
-			}
+// lruModel is the reference the pool must match after every call: the
+// resident pages with their dirty flags and pin counts, the unpinned
+// ones in order of last use, and the counters exact LRU replacement
+// charges.  An eviction drops the least recently used unpinned page —
+// under no-steal the least recently used clean one, and none at all
+// (the pool overflows) when every unpinned page is dirty.
+type lruModel struct {
+	cap     int
+	noSteal bool
+	dirty   map[PageID]bool // one key per resident page
+	pins    map[PageID]int
+	order   []PageID // unpinned resident pages, most recently used first
+	st      Stats
+}
+
+func sortedKeys[V any](m map[PageID]V) []PageID {
+	ids := make([]PageID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+func (m *lruModel) unlist(id PageID) {
+	if i := slices.Index(m.order, id); i >= 0 {
+		m.order = slices.Delete(m.order, i, i+1)
+	}
+}
+
+func (m *lruModel) admit(id PageID) {
+	for len(m.dirty) >= m.cap {
+		i := len(m.order) - 1
+		for m.noSteal && i >= 0 && m.dirty[m.order[i]] {
+			i--
 		}
+		if i < 0 {
+			break
+		}
+		victim := m.order[i]
+		if m.dirty[victim] {
+			m.st.Writes++
+			m.st.DirtyWritebacks++
+		}
+		m.st.Evictions++
+		m.order = slices.Delete(m.order, i, i+1)
+		delete(m.dirty, victim)
+	}
+	m.dirty[id] = false
+	m.order = slices.Insert(m.order, 0, id)
+}
+
+func (m *lruModel) get(id PageID) {
+	if _, ok := m.dirty[id]; !ok {
+		m.st.Reads++
+		m.admit(id)
+		return
+	}
+	m.st.Hits++
+	if m.pins[id] == 0 {
+		m.unlist(id)
+		m.order = slices.Insert(m.order, 0, id)
+	}
+}
+
+func (m *lruModel) pin(id PageID) {
+	if _, ok := m.dirty[id]; !ok {
+		m.st.Reads++
+		m.admit(id)
+	}
+	m.pins[id]++
+	m.unlist(id)
+}
+
+func (m *lruModel) unpin(id PageID) {
+	if m.pins[id]--; m.pins[id] == 0 {
+		delete(m.pins, id)
+		m.order = slices.Insert(m.order, 0, id)
+	}
+}
+
+func (m *lruModel) flush() {
+	for id, d := range m.dirty {
+		if d {
+			m.st.Writes++
+			m.dirty[id] = false
+		}
+	}
+}
+
+// check fails unless the pool holds exactly the model's pages, flags,
+// pins, recency order and counters.
+func (m *lruModel) check(t *testing.T, step int, bp *BufferPool) {
+	t.Helper()
+	same := len(bp.frames) == len(m.dirty)
+	for id, f := range bp.frames {
+		d, ok := m.dirty[id]
+		same = same && ok && f.dirty == d && f.pins == m.pins[id]
+	}
+	if !same {
+		t.Fatalf("step %d: resident pages %v, want %v (exact LRU)", step, sortedKeys(bp.frames), sortedKeys(m.dirty))
+	}
+	var order []PageID
+	for e := bp.lru.Front(); e != nil; e = e.Next() {
+		order = append(order, e.Value.(*frame).id)
+	}
+	if !slices.Equal(order, m.order) {
+		t.Fatalf("step %d: recency order %v, want %v", step, order, m.order)
+	}
+	if st := bp.Stats(); st != m.st {
+		t.Fatalf("step %d: counters %+v, want %+v", step, st, m.st)
+	}
+}
+
+// TestBufferPoolRandomizedAgainstStore checks, through arbitrary
+// interleavings of every pool call, under both the steal and the
+// no-steal policy, that page contents always match what a
+// write-through oracle would hold and that the pool replaces pages by
+// exact LRU: after each call its resident set, recency order and
+// counters equal those of a brute-force reference model.
+func TestBufferPoolRandomizedAgainstStore(t *testing.T) {
+	for _, noSteal := range []bool{false, true} {
+		name := "steal"
+		if noSteal {
+			name = "no-steal"
+		}
+		t.Run(name, func(t *testing.T) {
+			const capacity = 4
+			bp := NewBufferPool(NewMemStore(), capacity)
+			bp.SetNoSteal(noSteal)
+			m := &lruModel{cap: capacity, noSteal: noSteal, dirty: map[PageID]bool{}, pins: map[PageID]int{}}
+			rng := rand.New(rand.NewSource(77))
+			oracle := map[PageID][]byte{}
+			var ids []PageID
+			pick := func() PageID { return ids[rng.Intn(len(ids))] }
+			for step := 0; step < 4000; step++ {
+				switch op := rng.Intn(20); {
+				case op < 4 || len(ids) == 0: // allocate
+					id, data, err := bp.Allocate()
+					if err != nil {
+						t.Fatal(err)
+					}
+					m.admit(id)
+					m.dirty[id] = true
+					rng.Read(data)
+					oracle[id] = append([]byte(nil), data...)
+					ids = append(ids, id)
+				case op < 12: // read and verify
+					id := pick()
+					data, err := bp.Get(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m.get(id)
+					if !bytes.Equal(data, oracle[id]) {
+						t.Fatalf("step %d: page %d diverged from oracle", step, id)
+					}
+				case op < 14: // overwrite
+					id := pick()
+					data, err := bp.Get(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m.get(id)
+					rng.Read(data)
+					if err := bp.MarkDirty(id); err != nil {
+						t.Fatal(err)
+					}
+					m.dirty[id] = true
+					oracle[id] = append([]byte(nil), data...)
+				case op < 16: // pin, keeping one frame evictable
+					id := pick()
+					if m.pins[id] == 0 && len(m.pins) >= capacity-1 {
+						continue
+					}
+					if err := bp.Pin(id); err != nil {
+						t.Fatal(err)
+					}
+					m.pin(id)
+				case op < 18: // unpin
+					if len(m.pins) == 0 {
+						continue
+					}
+					id := sortedKeys(m.pins)[rng.Intn(len(m.pins))]
+					if err := bp.Unpin(id); err != nil {
+						t.Fatal(err)
+					}
+					m.unpin(id)
+				case op < 19: // free an unpinned page
+					id := pick()
+					if m.pins[id] > 0 {
+						continue
+					}
+					if err := bp.Free(id); err != nil {
+						t.Fatal(err)
+					}
+					delete(m.dirty, id)
+					m.unlist(id)
+					delete(oracle, id)
+					ids = slices.DeleteFunc(ids, func(x PageID) bool { return x == id })
+				default: // flush
+					if err := bp.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					m.flush()
+				}
+				m.check(t, step, bp)
+			}
+			if m.st.Evictions == 0 || (!noSteal && m.st.DirtyWritebacks == 0) {
+				t.Fatalf("the run must exercise eviction: %+v", m.st)
+			}
+		})
+	}
+}
+
+// TestBufferPoolConcurrentReaders runs readers on one pool the way the
+// shared-lock readers of a tree share it (RootBR, Records, Validate,
+// Stats): concurrent hits and misses, pins and counter reads, no
+// writer.  Every byte read must match the store, and the counters must
+// add up once the readers are done.  Run it under -race.
+func TestBufferPoolConcurrentReaders(t *testing.T) {
+	const pages, capacity, readers, steps = 64, 8, 4, 3000
+	store := NewMemStore()
+	want := make([][]byte, pages)
+	for i := range want {
+		id, err := store.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = make([]byte, PageSize)
+		rand.New(rand.NewSource(int64(id))).Read(want[i])
+		if err := store.WritePage(id, want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bp := NewBufferPool(store, capacity)
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			var seen uint64
+			for i := 0; i < steps; i++ {
+				// Skewed towards a few hot pages, so both hits and
+				// misses are frequent.
+				id := PageID(rng.Intn(1 + rng.Intn(pages)))
+				pin := rng.Intn(4) == 0
+				if pin {
+					if err := bp.Pin(id); err != nil {
+						errs <- err
+						return
+					}
+				}
+				data, err := bp.Get(id)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(data, want[id]) {
+					errs <- fmt.Errorf("reader %d: page %d differs from the store", seed, id)
+					return
+				}
+				if pin {
+					if err := bp.Unpin(id); err != nil {
+						errs <- err
+						return
+					}
+				}
+				st := bp.Stats()
+				if st.Reads+st.Hits < seen {
+					errs <- fmt.Errorf("reader %d: page requests went back from %d to %d", seed, seen, st.Reads+st.Hits)
+					return
+				}
+				seen = st.Reads + st.Hits
+			}
+		}(int64(r))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := bp.Stats()
+	if st.Reads == 0 || st.Hits == 0 || st.Evictions == 0 {
+		t.Fatalf("the readers must both hit and miss: %+v", st)
+	}
+	if res := bp.Resident(); uint64(res) != st.Reads-st.Evictions || res > capacity {
+		t.Fatalf("%d pages resident after %d reads and %d evictions (capacity %d)", res, st.Reads, st.Evictions, capacity)
+	}
+	if st.Writes != 0 || st.DirtyWritebacks != 0 {
+		t.Fatalf("readers alone caused writes: %+v", st)
 	}
 }
 

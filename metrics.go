@@ -82,7 +82,6 @@ type Metrics struct {
 	BufferHits            uint64 // requests served from the buffer
 	BufferEvictions       uint64 // frames evicted by LRU replacement
 	BufferDirtyWritebacks uint64 // evictions that wrote the frame back
-	BufferLockFreeHits    uint64 // buffer hits served without taking the pool mutex
 	FaultTrips            uint64 // injected storage faults that fired
 
 	// Snapshot read-path counters.
@@ -188,7 +187,6 @@ func (m Metrics) Sub(prev Metrics) Metrics {
 	d.BufferHits -= prev.BufferHits
 	d.BufferEvictions -= prev.BufferEvictions
 	d.BufferDirtyWritebacks -= prev.BufferDirtyWritebacks
-	d.BufferLockFreeHits -= prev.BufferLockFreeHits
 	d.FaultTrips -= prev.FaultTrips
 	d.EpochPins -= prev.EpochPins
 	d.SnapshotNodeHits -= prev.SnapshotNodeHits
@@ -271,7 +269,6 @@ func fromSnapshot(s obs.Snapshot) Metrics {
 		BufferHits:            s.BufHits,
 		BufferEvictions:       s.BufEvictions,
 		BufferDirtyWritebacks: s.BufDirtyWritebacks,
-		BufferLockFreeHits:    s.BufLockFreeHits,
 		FaultTrips:            s.FaultTrips,
 
 		EpochPins:               s.EpochPins,
