@@ -48,8 +48,11 @@ race:
 
 # The asynchronous control paths must not depend on how the scheduler
 # interleaves them: the reshard tests (start, status, cancel, cutover
-# under load) run three times at one, two and four processors.  The
-# tier-1 run covers them once at the host's own count only.  Two golden
+# under load) run three times at one, two and four processors.  So do
+# the sharded equivalence tests: a region query fans out to every shard
+# on its own goroutine, and the merge must not depend on the order they
+# finish in.  The tier-1 run covers them once at the host's own count
+# only.  Two golden
 # streams ride along, one of them in three dimensions: their deletes go
 # through the locator, whose tables are Go maps, and "same seed, same
 # pages" must not depend on them.  So does the slab-reuse stress test: a
@@ -60,7 +63,7 @@ race:
 # concurrently: its reference-model test and its concurrent-reader test
 # run under the race detector.
 determinism:
-	$(GO) test -count=3 -cpu 1,2,4 -run 'Reshard' . ./internal/server
+	$(GO) test -count=3 -cpu 1,2,4 -run 'Reshard|TestPartitionEquivalence|TestShardedDeterminism' . ./internal/server
 	$(GO) test -count=3 -cpu 1,2,4 -run 'TestGoldenTrees/near-optimal/stored-exp|TestGoldenTrees/near-optimal/dims3|TestSlabReuseUnderPinnedReaders' ./internal/core
 	$(GO) test -race -count=3 -cpu 1,2,4 -run 'TestBufferPoolRandomizedAgainstStore|TestBufferPoolConcurrentReaders' ./internal/storage
 

@@ -77,13 +77,6 @@ func main() {
 		replRetain = flag.Int64("repl-retain", repl.DefaultRetainBytes, "replication feed retention in bytes on a durable leader; 0 disables the /v1/backup and /v1/wal endpoints")
 		follow     = flag.String("follow", "", "run as a read-only follower of this leader URL (requires -path, used as the replica directory)")
 		maxLag     = flag.Duration("max-lag", 30*time.Second, "follower: /readyz answers 503 \"stale\" past this replication lag")
-
-		autoReshard   = flag.Bool("auto-reshard", false, "enable the drift detector: live-reshard automatically when routing skew or churn drifts (requires -partition speed)")
-		arInterval    = flag.Duration("auto-reshard-interval", 5*time.Second, "drift detector sampling period")
-		arSkew        = flag.Float64("auto-reshard-skew", 2.0, "reshard when the largest shard exceeds this multiple of the mean population; 0 disables the skew trigger")
-		arChurn       = flag.Float64("auto-reshard-churn", 0.2, "reshard when this fraction of reports re-route their object; 0 disables the churn trigger")
-		arMinInterval = flag.Duration("auto-reshard-min-interval", time.Minute, "cooldown between automatic reshards")
-		arWindow      = flag.Int("auto-reshard-window", 4096, "speed observations kept for re-deriving quantile bands")
 	)
 	flag.Parse()
 
@@ -97,8 +90,6 @@ func main() {
 		pprof: !*noPprof, runtime: !*noRuntime,
 		rateLimit: *rateLimit, rateBurst: *rateBurst,
 		replRetain: *replRetain, follow: *follow, maxLag: *maxLag,
-		autoReshard: *autoReshard, arInterval: *arInterval, arSkew: *arSkew,
-		arChurn: *arChurn, arMinInterval: *arMinInterval, arWindow: *arWindow,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "rexpd: %v\n", err)
 		os.Exit(1)
@@ -120,11 +111,6 @@ type config struct {
 	replRetain int64
 	follow     string
 	maxLag     time.Duration
-
-	autoReshard               bool
-	arInterval, arMinInterval time.Duration
-	arSkew, arChurn           float64
-	arWindow                  int
 }
 
 func run(cfg config) error {
@@ -390,24 +376,13 @@ func openIndex(cfg config) (*rexptree.ShardedTree, rexptree.Durability, error) {
 	opts.FlightRecorder = cfg.recorder
 	opts.SlowOpThreshold = cfg.slowOp
 
-	sopts := rexptree.ShardedOptions{
+	ix, err := rexptree.OpenSharded(rexptree.ShardedOptions{
 		Options:    opts,
 		Shards:     cfg.shards,
 		Workers:    cfg.workers,
 		Partition:  policy,
 		SpeedBands: speedBands,
-	}
-	if cfg.autoReshard {
-		sopts.AutoReshard = rexptree.AutoReshardOptions{
-			Enabled:        true,
-			Interval:       cfg.arInterval,
-			Window:         cfg.arWindow,
-			SkewThreshold:  cfg.arSkew,
-			ChurnThreshold: cfg.arChurn,
-			MinInterval:    cfg.arMinInterval,
-		}
-	}
-	ix, err := rexptree.OpenSharded(sopts)
+	})
 	if err != nil {
 		return nil, 0, err
 	}

@@ -186,7 +186,7 @@ func Example_flightRecorder() {
 }
 
 // Trace* query variants return the results plus an EXPLAIN trace; on a
-// sharded index it includes the per-shard pruning table.
+// sharded index it includes the per-shard table.
 func ExampleShardedTree_TraceWindow() {
 	tree, _ := rexptree.OpenSharded(rexptree.ShardedOptions{
 		Options: rexptree.DefaultOptions(),
@@ -205,14 +205,12 @@ func ExampleShardedTree_TraceWindow() {
 		Lo: rexptree.Vec{150, 0}, Hi: rexptree.Vec{450, 1000},
 	}, 0, 10, 0)
 
-	visited := 0
+	fmt.Printf("op %s: %d results\n", trace.Op, len(res))
 	for _, sh := range trace.Shards {
-		if sh.Visited {
-			visited++
-		}
+		fmt.Printf("shard %d: %d result(s)\n", sh.Shard, sh.Results)
 	}
-	fmt.Printf("op %s: %d results, %d of %d shards visited\n",
-		trace.Op, len(res), visited, len(trace.Shards))
 	// Output:
-	// op window: 3 results, 2 of 2 shards visited
+	// op window: 3 results
+	// shard 0: 1 result(s)
+	// shard 1: 2 result(s)
 }

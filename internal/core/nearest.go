@@ -9,7 +9,9 @@ import (
 )
 
 // Nearest returns the k objects whose predicted positions at time at
-// are closest to q, in ascending distance order.  Only reports that
+// are closest to q, in ascending (distance, id) order: of objects tied
+// at the k-th distance the lowest ids qualify, so any partition of the
+// objects merges back into the same answer.  Only reports that
 // are still valid at time at qualify (in expiration-aware mode); this
 // extends the paper's query repertoire with the nearest-neighbor
 // queries its future-work section anticipates for location-based
@@ -50,11 +52,23 @@ type nnItem struct {
 	point  geom.MovingPoint
 }
 
-// nnQueue is a binary min-heap ordered by dist.  The sift operations
-// mirror container/heap exactly (so equal-distance items pop in the
-// same order the stdlib heap would produce) while avoiding the
-// interface boxing that heap.Push/heap.Pop allocate per item.
+// nnQueue is a binary min-heap ordered by nnLess.  The sift operations
+// mirror container/heap exactly while avoiding the interface boxing
+// that heap.Push/heap.Pop allocate per item.
 type nnQueue []nnItem
+
+// nnLess orders the queue by distance.  At equal distance a node comes
+// before an object — it may hold a tied object with a lower id — and
+// objects come in id order; nodes tied with nodes keep heap order.
+func nnLess(a, b *nnItem) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
+	}
+	if a.isNode || b.isNode {
+		return a.isNode && !b.isNode
+	}
+	return a.oid < b.oid
+}
 
 func (q nnQueue) push(x nnItem) nnQueue {
 	q = append(q, x)
@@ -62,7 +76,7 @@ func (q nnQueue) push(x nnItem) nnQueue {
 	j := len(q) - 1
 	for j > 0 {
 		i := (j - 1) / 2
-		if q[j].dist >= q[i].dist {
+		if !nnLess(&q[j], &q[i]) {
 			break
 		}
 		q[i], q[j] = q[j], q[i]
@@ -82,10 +96,10 @@ func (q nnQueue) pop() (nnQueue, nnItem) {
 			break
 		}
 		j := j1
-		if j2 := j1 + 1; j2 < n && q[j2].dist < q[j1].dist {
+		if j2 := j1 + 1; j2 < n && nnLess(&q[j2], &q[j1]) {
 			j = j2
 		}
-		if q[j].dist >= q[i].dist {
+		if !nnLess(&q[j], &q[i]) {
 			break
 		}
 		q[i], q[j] = q[j], q[i]

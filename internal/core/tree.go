@@ -166,33 +166,6 @@ func (t *Tree) SyncGauges() {
 // BufferPoolPages returns the buffer pool's page capacity.
 func (t *Tree) BufferPoolPages() int { return t.bp.Cap() }
 
-// RootBR returns a conservative time-parameterized bound over every
-// entry currently stored in the tree — the union of the root node's
-// entry rectangles, which is valid for all t >= the tree's current
-// time — and ok=false when the tree is empty.  It reads only the root
-// page (pinned in the buffer pool, so no I/O is charged) and is the
-// retightening source for the sharded front-end's per-shard summaries.
-// Like the other read-only traversals it may run concurrently with
-// queries but not with a mutation.
-func (t *Tree) RootBR() (br geom.TPRect, ok bool, err error) {
-	n, err := t.readNode(t.root)
-	if err != nil {
-		return geom.TPRect{}, false, err
-	}
-	if n.count == 0 {
-		return geom.TPRect{}, false, nil
-	}
-	now := t.Now()
-	n.rect(0, &br)
-	var r geom.TPRect
-	for i := 1; i < n.count; i++ {
-		n.rect(i, &r)
-		br = geom.UnionConservative(br, r, now, t.cfg.Dims)
-	}
-	br.TExp = math.Inf(1)
-	return br, true, nil
-}
-
 // New creates an empty tree over the given (empty) store.  Use Open to
 // load a store that already holds a Synced tree.
 func New(cfg Config, store storage.Store) (*Tree, error) {

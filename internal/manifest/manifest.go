@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Hash names the id→shard hash scheme recorded in every manifest; a
@@ -77,19 +76,8 @@ func (m Manifest) Validate() error {
 		return fmt.Errorf("manifest: speed bands recorded for hash partitioning")
 	}
 	if len(m.SpeedBands) > 0 {
-		if len(m.SpeedBands) != m.Shards-1 {
-			return fmt.Errorf("manifest: %d speed bands for %d shards, want %d", len(m.SpeedBands), m.Shards, m.Shards-1)
-		}
-		for i, b := range m.SpeedBands {
-			if math.IsNaN(b) || math.IsInf(b, 0) {
-				return fmt.Errorf("manifest: speed band %d is not finite", i)
-			}
-			// Equal neighbors are tolerated (an empty band): self-tuned
-			// quantile boundaries can coincide on degenerate speed
-			// distributions, and the tree persists its own tuned bands.
-			if b < 0 || (i > 0 && b < m.SpeedBands[i-1]) {
-				return fmt.Errorf("manifest: speed bands must be non-negative and non-descending, got %v", m.SpeedBands)
-			}
+		if err := ValidateBands(m.SpeedBands, m.Shards); err != nil {
+			return fmt.Errorf("manifest: %w", err)
 		}
 	}
 	if m.Generation < 0 {
@@ -293,67 +281,23 @@ func SpeedBandOf(bands []float64, sp float64) int {
 	return sort.Search(len(bands), func(i int) bool { return bands[i] > sp })
 }
 
-// SpeedWindow is a fixed-capacity sliding window over observed object
-// speeds: once full, each observation evicts the oldest.  The sharded
-// front-end feeds it from the update paths and the drift detector
-// re-derives quantile bands from its snapshot, so the bands chase the
-// recent speed distribution instead of the one seen at first tune.
-// Safe for concurrent use.
-type SpeedWindow struct {
-	mu   sync.Mutex
-	buf  []float64
-	n    int // filled slots
-	next int // ring cursor
-}
-
-// NewSpeedWindow returns a window holding the most recent capacity
-// observations (minimum 2: QuantileBands needs at least one sample and
-// a band split is meaningless below two).
-func NewSpeedWindow(capacity int) *SpeedWindow {
-	if capacity < 2 {
-		capacity = 2
+// ValidateBands is the one rule for the speed bands of a shards-way
+// speed partition, whoever supplies them (open options, a reshard spec
+// or a manifest): exactly shards-1 finite, non-negative,
+// non-descending values.  Equal neighbors are allowed (an empty band):
+// self-tuned quantile boundaries coincide on degenerate speed
+// distributions.  A NaN would fail every comparison, so SpeedBandOf
+// could never route an object into the band below it.
+func ValidateBands(bands []float64, shards int) error {
+	if len(bands) != shards-1 {
+		return fmt.Errorf("%d speed bands for %d shards, want %d", len(bands), shards, shards-1)
 	}
-	return &SpeedWindow{buf: make([]float64, capacity)}
-}
-
-// Observe records one speed, evicting the oldest when full.
-func (w *SpeedWindow) Observe(sp float64) {
-	if math.IsNaN(sp) || math.IsInf(sp, 0) {
-		return
+	for i, b := range bands {
+		if math.IsNaN(b) || math.IsInf(b, 0) || b < 0 || (i > 0 && b < bands[i-1]) {
+			return fmt.Errorf("speed bands must be finite, non-negative and non-descending, got %v", bands)
+		}
 	}
-	w.mu.Lock()
-	w.buf[w.next] = sp
-	w.next = (w.next + 1) % len(w.buf)
-	if w.n < len(w.buf) {
-		w.n++
-	}
-	w.mu.Unlock()
-}
-
-// Len reports how many observations the window currently holds.
-func (w *SpeedWindow) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.n
-}
-
-// Full reports whether the window has reached capacity — the drift
-// detector waits for a full window before trusting its quantiles.
-func (w *SpeedWindow) Full() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.n == len(w.buf)
-}
-
-// Snapshot copies out the current observations (unordered); nil when
-// empty.
-func (w *SpeedWindow) Snapshot() []float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.n == 0 {
-		return nil
-	}
-	return append([]float64(nil), w.buf[:w.n]...)
+	return nil
 }
 
 // QuantileBands picks n-1 band boundaries at the i/n quantiles of the

@@ -257,11 +257,10 @@ type Metrics struct {
 	// Sharded front-end partitioning and pruning (PR 3).  On a shard's
 	// own registry the speed-band gauges hold the shard's assigned
 	// speed interval [lo, hi); on the aggregate they hold the envelope.
-	ShardVisits  Counter    // shards actually searched by front-end queries
-	ShardsPruned Counter    // shards skipped because the query missed their summary
-	Rerouted     Counter    // objects moved between shards on a band change
-	SpeedBandLo  GaugeFloat // lower |velocity| bound of the shard's speed band
-	SpeedBandHi  GaugeFloat // upper |velocity| bound of the shard's speed band
+	ShardVisits Counter    // shards searched by front-end queries
+	Rerouted    Counter    // objects moved between shards on a band change
+	SpeedBandLo GaugeFloat // lower |velocity| bound of the shard's speed band
+	SpeedBandHi GaugeFloat // upper |velocity| bound of the shard's speed band
 
 	// Durability: write-ahead log, checkpoints and recovery (PR 5).
 	WALAppends             Counter   // logical records appended to the WAL
@@ -273,17 +272,13 @@ type Metrics struct {
 	ChecksumFailures       Counter   // page or superblock checksum mismatches detected
 	RecoveryDuration       Histogram // wall-clock duration of each recovery pass
 
-	// Live reshard (PR 9): dual-apply window, drift detection and the
-	// cutover.  The skew and churn gauges hold the drift detector's last
-	// measurements (max shard fill over the even share; re-routes per
-	// update); the stall histogram records how long each cutover held
-	// the mutation path exclusively.
-	ReshardRuns         Counter    // live reshards completed (cut over)
-	ReshardDualApplied  Counter    // mutations mirrored into an in-flight target generation
-	ReshardBackfilled   Counter    // snapshot records copied into the target generation
-	ReshardSkew         GaugeFloat // last measured routing skew (1 = perfectly even)
-	ReshardChurn        GaugeFloat // last measured re-route churn (re-routes per update)
-	ReshardCutoverStall Histogram  // exclusive mutation stall of each cutover
+	// Live reshard (PR 9): dual-apply window and the cutover.  The
+	// stall histogram records how long each cutover held the mutation
+	// path exclusively.
+	ReshardRuns         Counter   // live reshards completed (cut over)
+	ReshardDualApplied  Counter   // mutations mirrored into an in-flight target generation
+	ReshardBackfilled   Counter   // snapshot records copied into the target generation
+	ReshardCutoverStall Histogram // exclusive mutation stall of each cutover
 
 	// Lock acquisition wait times of the public tree (PR 2): how long
 	// operations block before entering the index.  Read covers the
@@ -414,11 +409,10 @@ type Snapshot struct {
 	UI           float64
 	Horizon      float64
 
-	ShardVisits  uint64
-	ShardsPruned uint64
-	Rerouted     uint64
-	SpeedBandLo  float64
-	SpeedBandHi  float64
+	ShardVisits uint64
+	Rerouted    uint64
+	SpeedBandLo float64
+	SpeedBandHi float64
 
 	WALAppends             uint64
 	WALBytes               uint64
@@ -432,8 +426,6 @@ type Snapshot struct {
 	ReshardRuns         uint64
 	ReshardDualApplied  uint64
 	ReshardBackfilled   uint64
-	ReshardSkew         float64
-	ReshardChurn        float64
 	ReshardCutoverStall HistSnapshot
 
 	LockWaitRead   HistSnapshot
@@ -480,7 +472,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.UI = m.UI.Load()
 	s.Horizon = m.Horizon.Load()
 	s.ShardVisits = m.ShardVisits.Load()
-	s.ShardsPruned = m.ShardsPruned.Load()
 	s.Rerouted = m.Rerouted.Load()
 	s.SpeedBandLo = m.SpeedBandLo.Load()
 	s.SpeedBandHi = m.SpeedBandHi.Load()
@@ -495,8 +486,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.ReshardRuns = m.ReshardRuns.Load()
 	s.ReshardDualApplied = m.ReshardDualApplied.Load()
 	s.ReshardBackfilled = m.ReshardBackfilled.Load()
-	s.ReshardSkew = m.ReshardSkew.Load()
-	s.ReshardChurn = m.ReshardChurn.Load()
 	s.ReshardCutoverStall = m.ReshardCutoverStall.Snapshot()
 	s.LockWaitRead = m.LockWaitRead.Snapshot()
 	s.LockWaitWrite = m.LockWaitWrite.Snapshot()
@@ -550,7 +539,6 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		d.Phases[i] = s.Phases[i].Sub(o.Phases[i])
 	}
 	d.ShardVisits -= o.ShardVisits
-	d.ShardsPruned -= o.ShardsPruned
 	d.Rerouted -= o.Rerouted
 	d.WALAppends -= o.WALAppends
 	d.WALBytes -= o.WALBytes
@@ -613,7 +601,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 		d.Phases[i] = s.Phases[i].Add(o.Phases[i])
 	}
 	d.ShardVisits += o.ShardVisits
-	d.ShardsPruned += o.ShardsPruned
 	d.Rerouted += o.Rerouted
 	d.WALAppends += o.WALAppends
 	d.WALBytes += o.WALBytes
@@ -626,8 +613,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 	d.ReshardRuns += o.ReshardRuns
 	d.ReshardDualApplied += o.ReshardDualApplied
 	d.ReshardBackfilled += o.ReshardBackfilled
-	d.ReshardSkew = math.Max(d.ReshardSkew, o.ReshardSkew)
-	d.ReshardChurn = math.Max(d.ReshardChurn, o.ReshardChurn)
 	d.ReshardCutoverStall = s.ReshardCutoverStall.Add(o.ReshardCutoverStall)
 	// The speed-band envelope: the fleet covers [min lo, max hi).
 	d.SpeedBandLo = math.Min(d.SpeedBandLo, o.SpeedBandLo)

@@ -58,8 +58,7 @@ var families = []promFamily{
 	{"_expired_purged_total", "counter", "Expired leaf entries lazily purged (paper 4.3).", cv(func(s *Snapshot) uint64 { return s.ExpiredPurged })},
 	{"_subtree_freed_total", "counter", "Expired internal subtrees deallocated (paper 4.3).", cv(func(s *Snapshot) uint64 { return s.SubtreesFreed })},
 	{"_batched_updates_total", "counter", "Object reports applied through UpdateBatch.", cv(func(s *Snapshot) uint64 { return s.BatchedUpdates })},
-	{"_query_shard_visits_total", "counter", "Shards actually searched by front-end queries.", cv(func(s *Snapshot) uint64 { return s.ShardVisits })},
-	{"_query_shards_pruned_total", "counter", "Shards skipped because the query missed their summary.", cv(func(s *Snapshot) uint64 { return s.ShardsPruned })},
+	{"_query_shard_visits_total", "counter", "Shards searched by front-end queries.", cv(func(s *Snapshot) uint64 { return s.ShardVisits })},
 	{"_partition_rerouted_total", "counter", "Objects moved between shards on a speed-band change.", cv(func(s *Snapshot) uint64 { return s.Rerouted })},
 	{"_wal_appends_total", "counter", "Logical records appended to the write-ahead log.", cv(func(s *Snapshot) uint64 { return s.WALAppends })},
 	{"_wal_bytes_total", "counter", "Bytes appended to the write-ahead log, including checkpoint images.", cv(func(s *Snapshot) uint64 { return s.WALBytes })},
@@ -80,8 +79,6 @@ var families = []promFamily{
 	{"_horizon", "gauge", "Time horizon H = UI + W (paper 4.2.1).", fv(func(s *Snapshot) float64 { return s.Horizon })},
 	{"_speed_band_lo", "gauge", "Lower |velocity| bound of the shard's speed band.", fv(func(s *Snapshot) float64 { return s.SpeedBandLo })},
 	{"_speed_band_hi", "gauge", "Upper |velocity| bound of the shard's speed band.", fv(func(s *Snapshot) float64 { return s.SpeedBandHi })},
-	{"_reshard_skew", "gauge", "Routing skew last measured by the drift detector (max shard size over even share).", fv(func(s *Snapshot) float64 { return s.ReshardSkew })},
-	{"_reshard_churn", "gauge", "Re-route churn last measured by the drift detector (re-routes per update).", fv(func(s *Snapshot) float64 { return s.ReshardChurn })},
 }
 
 // WriteSnapshot writes the snapshot in the Prometheus text exposition

@@ -44,7 +44,6 @@ func goldenSnapshot() Snapshot {
 	m.Horizon.Set(63.75)
 	m.BatchedUpdates.Add(640)
 	m.ShardVisits.Add(520)
-	m.ShardsPruned.Add(280)
 	m.Rerouted.Add(33)
 	m.SpeedBandLo.Set(0.5)
 	m.SpeedBandHi.Set(2)
@@ -138,11 +137,11 @@ func TestWriteSnapshotParses(t *testing.T) {
 		"rexp_expired_purged_total", "rexp_ui_estimate",
 		"rexp_batched_updates_total", "rexp_lock_wait_seconds",
 		"rexp_op_errors_total", "rexp_op_duration_seconds",
-		"rexp_query_shard_visits_total", "rexp_query_shards_pruned_total",
+		"rexp_query_shard_visits_total",
 		"rexp_partition_rerouted_total", "rexp_buffer_pool_pages",
 		"rexp_speed_band_lo", "rexp_speed_band_hi",
 		"rexp_reshard_runs_total", "rexp_reshard_backfilled_total",
-		"rexp_reshard_skew", "rexp_phase_duration_seconds",
+		"rexp_phase_duration_seconds",
 	} {
 		if !help[name] || !typ[name] {
 			t.Errorf("family %s missing HELP or TYPE", name)

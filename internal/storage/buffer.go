@@ -55,8 +55,8 @@ type frame struct {
 // counts are the paper's.  Queries never reach the pool (they read
 // published page versions).  Its callers are the tree's writer, under
 // the exclusive tree lock, and rexptree.Tree's shared-lock readers —
-// the shard summary, ForEach, Validate, Stats and ResetIOStats — which
-// may call it concurrently.  A slice returned by Get stays memory-safe
+// ForEach, Validate, Stats and ResetIOStats — which may call it
+// concurrently.  A slice returned by Get stays memory-safe
 // after a concurrent eviction (the frame is dropped, not recycled), but
 // its contents are only stable while no writer mutates the page — the
 // tree lock guarantees that.

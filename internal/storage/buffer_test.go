@@ -494,10 +494,10 @@ func TestBufferPoolRandomizedAgainstStore(t *testing.T) {
 }
 
 // TestBufferPoolConcurrentReaders runs readers on one pool the way the
-// shared-lock readers of a tree share it (RootBR, Records, Validate,
-// Stats): concurrent hits and misses, pins and counter reads, no
-// writer.  Every byte read must match the store, and the counters must
-// add up once the readers are done.  Run it under -race.
+// shared-lock readers of a tree share it (Records, Validate, Stats):
+// concurrent hits and misses, pins and counter reads, no writer.  Every
+// byte read must match the store, and the counters must add up once the
+// readers are done.  Run it under -race.
 func TestBufferPoolConcurrentReaders(t *testing.T) {
 	const pages, capacity, readers, steps = 64, 8, 4, 3000
 	store := NewMemStore()

@@ -44,7 +44,6 @@ import (
 
 	"rexptree/internal/geom"
 	"rexptree/internal/manifest"
-	"rexptree/internal/obs"
 )
 
 // ErrReshardInFlight is returned by Reshard/StartReshard when a live
@@ -67,46 +66,12 @@ type ReshardSpec struct {
 	Policy PartitionPolicy
 
 	// SpeedBands are the new band boundaries under PartitionSpeed:
-	// Shards-1 non-negative, non-descending values.  Empty derives
-	// them as quantiles of the drift detector's speed window when one
-	// is full, and otherwise of the speeds of the objects live at the
-	// index clock; only an empty index leaves the target self-tuning
-	// (it hash-routes until it has observed TuneAfter speeds, like a
-	// fresh speed index).
+	// Shards-1 finite, non-negative, non-descending values.  Empty
+	// derives them as quantiles of the speeds of the objects live at
+	// the index clock; only an empty index leaves the target
+	// self-tuning (it hash-routes until it has observed TuneAfter
+	// speeds, like a fresh speed index).
 	SpeedBands []float64
-}
-
-// AutoReshardOptions configures the drift detector of a speed-
-// partitioned ShardedTree: a background loop that samples routing
-// skew (largest shard over mean shard population) and re-route churn
-// (re-routes per applied report) and starts a live reshard with
-// quantile bands re-derived from recently observed speeds when either
-// crosses its threshold.
-type AutoReshardOptions struct {
-	// Enabled turns the detector on; requires PartitionSpeed.
-	Enabled bool
-
-	// Interval is the sampling period (default 5s).
-	Interval time.Duration
-
-	// Window is how many recent speed observations the sliding window
-	// keeps for re-deriving quantile bands (default 4096).  The
-	// detector never triggers before the window has filled once.
-	Window int
-
-	// SkewThreshold triggers a reshard when the largest shard exceeds
-	// this multiple of the mean shard population (e.g. 2.0); 0 disables
-	// the skew trigger.
-	SkewThreshold float64
-
-	// ChurnThreshold triggers a reshard when the fraction of applied
-	// reports that re-routed their object exceeds it (e.g. 0.2); 0
-	// disables the churn trigger.
-	ChurnThreshold float64
-
-	// MinInterval is the cooldown between automatic reshards (default
-	// 1m), so a persistent drift cannot reshard in a loop.
-	MinInterval time.Duration
 }
 
 // Live-reshard phases, for ReshardStatus.
@@ -351,14 +316,9 @@ func (s *ShardedTree) normalizeSpec(spec ReshardSpec) (ReshardSpec, bool, error)
 	spec.SpeedBands = append([]float64(nil), spec.SpeedBands...)
 	derived := false
 	if spec.Policy == PartitionSpeed && len(spec.SpeedBands) == 0 && spec.Shards >= 2 {
-		var speeds []float64
-		if s.speedWin != nil && s.speedWin.Full() {
-			speeds = s.speedWin.Snapshot()
-		} else {
-			var err error
-			if speeds, err = s.liveSpeeds(g); err != nil {
-				return spec, false, err
-			}
+		speeds, err := s.liveSpeeds(g)
+		if err != nil {
+			return spec, false, err
 		}
 		if len(speeds) > 0 {
 			spec.SpeedBands = manifest.QuantileBands(speeds, spec.Shards)
@@ -366,15 +326,8 @@ func (s *ShardedTree) normalizeSpec(spec ReshardSpec) (ReshardSpec, bool, error)
 		}
 	}
 	if len(spec.SpeedBands) > 0 {
-		if len(spec.SpeedBands) != spec.Shards-1 {
-			return spec, false, fmt.Errorf("rexptree: %d speed bands for %d shards, want %d", len(spec.SpeedBands), spec.Shards, spec.Shards-1)
-		}
-		for i, b := range spec.SpeedBands {
-			// Equal neighbors are allowed (quantiles of a degenerate
-			// distribution coincide); descending or negative are not.
-			if !(b >= 0) || (i > 0 && b < spec.SpeedBands[i-1]) {
-				return spec, false, fmt.Errorf("rexptree: speed bands must be non-negative and non-descending, got %v", spec.SpeedBands)
-			}
+		if err := manifest.ValidateBands(spec.SpeedBands, spec.Shards); err != nil {
+			return spec, false, fmt.Errorf("rexptree: %w", err)
 		}
 	}
 	return spec, derived, nil
@@ -452,7 +405,7 @@ func (s *ShardedTree) runLiveReshard(lr *liveReshard, derived bool) error {
 	if err != nil {
 		return fmt.Errorf("rexptree: live reshard: %w", err)
 	}
-	target := &generation{shards: trees, sums: make([]shardSummary, spec.Shards), gen: newGen}
+	target := &generation{shards: trees, gen: newGen}
 	switch spec.Policy {
 	case PartitionSpeed:
 		sp := newSpeedPartitioner(spec.Shards, s.dims, s.opts.TuneAfter, spec.SpeedBands,
@@ -462,13 +415,6 @@ func (s *ShardedTree) runLiveReshard(lr *liveReshard, derived bool) error {
 	default:
 		target.part = hashPartitioner{n: spec.Shards}
 	}
-	for i := range target.sums {
-		ss := &target.sums[i]
-		ss.mu.Lock()
-		s.retightenLocked(target, i)
-		ss.mu.Unlock()
-	}
-
 	lr.target = target
 
 	// Publish: from here every mutation dual-applies into the target.
@@ -740,16 +686,10 @@ func verifyGenerations(cur, target *generation, expireAware bool) error {
 	return nil
 }
 
-// shutdownReshard stops the drift detector and waits out any in-flight
-// reshard (canceling it; one already past its commit point completes).
-// Caller holds closeMu.
+// shutdownReshard waits out any in-flight reshard (canceling it; one
+// already past its commit point completes).  Caller holds closeMu.
 func (s *ShardedTree) shutdownReshard() {
 	s.closing.Store(true)
-	if s.autoStop != nil {
-		close(s.autoStop)
-		<-s.autoDone
-		s.autoStop = nil
-	}
 	if lr := s.admitted.Load(); lr != nil {
 		lr.cancel()
 	}
@@ -757,66 +697,4 @@ func (s *ShardedTree) shutdownReshard() {
 	// goroutine released reshardMu.
 	s.reshardMu.Lock()
 	s.reshardMu.Unlock() //nolint:staticcheck // empty critical section intended
-}
-
-// autoReshardLoop is the drift detector; see AutoReshardOptions.
-func (s *ShardedTree) autoReshardLoop(opts AutoReshardOptions) {
-	defer close(s.autoDone)
-	interval := opts.Interval
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	cooldown := opts.MinInterval
-	if cooldown <= 0 {
-		cooldown = time.Minute
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	var last time.Time
-	var prevRerouted, prevUpdates uint64
-	for {
-		select {
-		case <-s.autoStop:
-			return
-		case <-tick.C:
-		}
-		g := s.pin()
-		k := len(g.shards)
-		total, maxLen := 0, 0
-		for _, t := range g.shards {
-			n := t.Len()
-			total += n
-			if n > maxLen {
-				maxLen = n
-			}
-		}
-		g.unpin()
-
-		snap := s.m.Snapshot()
-		updates := snap.Ops[obs.OpUpdate].Count + snap.BatchedUpdates
-		skew := 0.0
-		if total > 0 {
-			skew = float64(maxLen*k) / float64(total)
-		}
-		churn := 0.0
-		if du := updates - prevUpdates; du > 0 {
-			churn = float64(snap.Rerouted-prevRerouted) / float64(du)
-		}
-		prevUpdates, prevRerouted = updates, snap.Rerouted
-		s.m.ReshardSkew.Set(skew)
-		s.m.ReshardChurn.Set(churn)
-
-		trigger := (opts.SkewThreshold > 0 && skew > opts.SkewThreshold) ||
-			(opts.ChurnThreshold > 0 && churn > opts.ChurnThreshold)
-		if !trigger || k < 2 || !s.speedWin.Full() {
-			continue
-		}
-		if !last.IsZero() && time.Since(last) < cooldown {
-			continue
-		}
-		// normalizeSpec derives fresh quantile bands from the window.
-		if err := s.StartReshard(ReshardSpec{Shards: k, Policy: PartitionSpeed}); err == nil {
-			last = time.Now()
-		}
-	}
 }

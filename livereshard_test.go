@@ -659,65 +659,6 @@ func TestStartReshardIsVisibleAtOnce(t *testing.T) {
 	}
 }
 
-// TestAutoReshardSkewTrigger gives a speed-partitioned index band
-// boundaries far above every real speed — so all objects pile into
-// shard 0 — and checks the drift detector notices the skew, reshards
-// with bands re-derived from the observed speed window, and leaves the
-// index answering like the unresharded twin.
-func TestAutoReshardSkewTrigger(t *testing.T) {
-	so := ShardedOptions{
-		Options:    DefaultOptions(),
-		Shards:     4,
-		Partition:  PartitionSpeed,
-		SpeedBands: []float64{50, 100, 150}, // real speeds are all < 3
-		AutoReshard: AutoReshardOptions{
-			Enabled:       true,
-			Interval:      2 * time.Millisecond,
-			Window:        64,
-			SkewThreshold: 2,
-			MinInterval:   time.Millisecond,
-		},
-	}
-	s, err := OpenSharded(so)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ref := newLiveRef(t)
-	seed := testWorkload(500, 5)
-	if err := s.UpdateBatch(seed, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.UpdateBatch(seed, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Generation() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("drift detector never triggered; status %+v, metrics skew %.2f",
-				s.ReshardStatus(), s.Metrics().ReshardSkew)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	waitReshardIdle(t, s, 10*time.Second)
-	if st := s.ReshardStatus(); st.LastError != "" {
-		t.Fatalf("auto reshard failed: %s", st.LastError)
-	}
-	bands := s.SpeedBands()
-	if len(bands) != 3 || bands[2] >= 50 {
-		t.Fatalf("bands not re-derived from observed speeds: %v", bands)
-	}
-	requireSameFingerprint(t, fingerprintIndex(t, s, 1), fingerprintIndex(t, ref, 1), "after auto reshard")
-	m := s.Metrics()
-	if m.ReshardRuns == 0 {
-		t.Fatalf("ReshardRuns = 0 after auto trigger")
-	}
-	if m.ReshardSkew == 0 {
-		t.Fatalf("skew gauge never published")
-	}
-}
-
 // errLiveBoom is the injected crash of the live-reshard matrix.
 var errLiveBoom = errors.New("live boom")
 

@@ -108,17 +108,14 @@ type Metrics struct {
 	BatchedUpdates uint64
 
 	// Sharded front-end counters (zero on a stand-alone tree).
-	ShardVisits  uint64 // shards actually searched by front-end queries
-	ShardsPruned uint64 // shards skipped because the query missed their summary
-	Rerouted     uint64 // objects moved between shards on a speed-band change
+	ShardVisits uint64 // shards searched by front-end queries
+	Rerouted    uint64 // objects moved between shards on a speed-band change
 
-	// Live-reshard counters and drift gauges (zero on a stand-alone
-	// tree, or before any live reshard / drift measurement).
-	ReshardRuns        uint64  // live reshards completed (cut over to a new generation)
-	ReshardDualApplied uint64  // mutations mirrored into an in-flight target generation
-	ReshardBackfilled  uint64  // snapshot records copied into the target generation
-	ReshardSkew        float64 // routing skew last measured by the drift detector
-	ReshardChurn       float64 // re-route churn last measured by the drift detector
+	// Live-reshard counters (zero on a stand-alone tree, or before any
+	// live reshard).
+	ReshardRuns        uint64 // live reshards completed (cut over to a new generation)
+	ReshardDualApplied uint64 // mutations mirrored into an in-flight target generation
+	ReshardBackfilled  uint64 // snapshot records copied into the target generation
 
 	// ReshardCutoverStall records the exclusive mutation stall taken
 	// by each live-reshard cutover.
@@ -204,7 +201,6 @@ func (m Metrics) Sub(prev Metrics) Metrics {
 	d.SubtreesFreed -= prev.SubtreesFreed
 	d.BatchedUpdates -= prev.BatchedUpdates
 	d.ShardVisits -= prev.ShardVisits
-	d.ShardsPruned -= prev.ShardsPruned
 	d.Rerouted -= prev.Rerouted
 	d.ReshardRuns -= prev.ReshardRuns
 	d.ReshardDualApplied -= prev.ReshardDualApplied
@@ -289,14 +285,11 @@ func fromSnapshot(s obs.Snapshot) Metrics {
 
 		BatchedUpdates: s.BatchedUpdates,
 		ShardVisits:    s.ShardVisits,
-		ShardsPruned:   s.ShardsPruned,
 		Rerouted:       s.Rerouted,
 
 		ReshardRuns:         s.ReshardRuns,
 		ReshardDualApplied:  s.ReshardDualApplied,
 		ReshardBackfilled:   s.ReshardBackfilled,
-		ReshardSkew:         s.ReshardSkew,
-		ReshardChurn:        s.ReshardChurn,
 		ReshardCutoverStall: fromHist(s.ReshardCutoverStall),
 
 		WALAppends:             s.WALAppends,

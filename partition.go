@@ -18,10 +18,10 @@ const (
 
 	// PartitionSpeed routes each object by its speed |velocity|: shard
 	// i holds the objects of the i-th speed band, slowest first.  Slow
-	// objects then share shards whose time-parameterized bounds grow
-	// slowly, so queries over near-future times can prune the
-	// fast-mover shards (and vice versa) via the per-shard summaries.
-	// An object whose speed crosses a band boundary is re-routed to its
+	// objects then share trees whose time-parameterized bounds grow
+	// slowly, so each shard's bounding rectangles stay tighter and the
+	// same queries visit fewer nodes than under PartitionHash.  An
+	// object whose speed crosses a band boundary is re-routed to its
 	// new shard on its next update.
 	PartitionSpeed
 )

@@ -77,8 +77,7 @@ func openPartitioned(t *testing.T) (single *Tree, variants map[string]*ShardedTr
 // partitioning layer: for the same workload — including a second
 // reporting round that moves objects across speed bands and so
 // re-routes them between shards — every partition policy returns
-// results identical to a single tree, for all four query types, with
-// summary pruning active.
+// results identical to a single tree, for all four query types.
 func TestPartitionEquivalence(t *testing.T) {
 	single, variants := openPartitioned(t)
 
@@ -219,6 +218,58 @@ func TestPartitionEquivalence(t *testing.T) {
 		}
 	}
 
+	// k-NN ties across shards: far from the workload, three objects at
+	// distance 5 from c and eight at distance exactly 10, so k = 7 cuts
+	// the tied eight after their four lowest ids.  The speeds cycle
+	// through all four classes, so the tied objects sit in different
+	// shards under every policy; ids descend in placement order, so the
+	// lowest ids are not the first stored.  Every coordinate is a small
+	// dyadic rational, which keeps each distance exact.
+	c := Vec{5000, 5000}
+	offsets := []Vec{{3, 4}, {-4, 3}, {5, 0},
+		{6, 8}, {-8, 6}, {0, -10}, {10, 0}, {-6, -8}, {8, -6}, {0, 10}, {-10, 0}}
+	classSpeeds := []float64{0.25, 1, 4, 16}
+	var ties []Report
+	for i, off := range offsets {
+		sp := classSpeeds[i%len(classSpeeds)]
+		ties = append(ties, Report{ID: uint32(n + 100 - i), Point: Point{
+			Pos:     Vec{c[0] + off[0], c[1] + off[1]},
+			Vel:     Vec{sp, 0},
+			Time:    now,
+			Expires: now + 200,
+		}})
+	}
+	apply(ties, now, false)
+	want, err := single.Nearest(c, now, 7, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// (distance, id) order: the three at distance 5, then the four
+	// lowest ids of the tied eight.
+	wantIDs := []uint32{n + 98, n + 99, n + 100, n + 90, n + 91, n + 92, n + 93}
+	if len(want) != len(wantIDs) {
+		t.Fatalf("tie nearest: single returned %d results, want %d", len(want), len(wantIDs))
+	}
+	for i, id := range wantIDs {
+		if want[i].ID != id {
+			t.Fatalf("tie nearest: single result %d is id %d, want %d (got %v)", i, want[i].ID, id, want)
+		}
+	}
+	for name, st := range variants {
+		got, err := st.Nearest(c, now, 7, now)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("tie nearest %s: %d results, single has %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("tie nearest %s result %d: got %+v, single %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+
 	// Get must agree everywhere, including for re-routed objects.
 	for id := uint32(1); id <= n; id += 97 {
 		wp, wok := single.Get(id, now)
@@ -231,9 +282,12 @@ func TestPartitionEquivalence(t *testing.T) {
 	}
 }
 
-// TestPartitionPruning checks that on the spatially-correlated
-// mixed-speed workload, point-ish near-future queries prune shards
-// under speed partitioning while hash partitioning visits everything.
+// TestPartitionPruning checks what speed partitioning buys on the
+// spatially-correlated mixed-speed workload.  Every query visits every
+// shard under both policies; a shard the query misses rejects it at its
+// root.  Each speed band's tree has tighter bounding rectangles than a
+// hash shard's, which mixes slow and fast objects, so the same
+// near-future window queries prune more subtrees and visit fewer nodes.
 func TestPartitionPruning(t *testing.T) {
 	_, variants := openPartitioned(t)
 	reports := mixedSpeedWorkload(3000, 5, 0)
@@ -253,17 +307,18 @@ func TestPartitionPruning(t *testing.T) {
 			}
 		}
 	}
+	for name, st := range variants {
+		if v := st.Metrics().ShardVisits; v != 200*4 {
+			t.Errorf("%s: %d shard visits for 200 queries over 4 shards", name, v)
+		}
+	}
 	speed := variants["speed-fixed"].Metrics()
 	hash := variants["hash"].Metrics()
-	if speed.ShardsPruned == 0 {
-		t.Error("speed partitioning pruned no shards on a correlated workload")
+	if speed.QueryNodeVisits >= hash.QueryNodeVisits {
+		t.Errorf("speed partitioning visited %d nodes, hash %d; want fewer", speed.QueryNodeVisits, hash.QueryNodeVisits)
 	}
-	if speed.ShardVisits >= hash.ShardVisits {
-		t.Errorf("speed partitioning visited %d shards, hash %d; want fewer", speed.ShardVisits, hash.ShardVisits)
-	}
-	t.Logf("visits: speed-fixed %d, speed-auto %d, hash %d (pruned %d / %d / %d)",
-		speed.ShardVisits, variants["speed-auto"].Metrics().ShardVisits, hash.ShardVisits,
-		speed.ShardsPruned, variants["speed-auto"].Metrics().ShardsPruned, hash.ShardsPruned)
+	t.Logf("node visits: speed-fixed %d, speed-auto %d, hash %d",
+		speed.QueryNodeVisits, variants["speed-auto"].Metrics().QueryNodeVisits, hash.QueryNodeVisits)
 }
 
 // TestShardManifest checks the partition sidecar: created on open,
@@ -382,6 +437,7 @@ func TestShardedOptionValidation(t *testing.T) {
 		"wrong band count": {Options: DefaultOptions(), Shards: 4, Partition: PartitionSpeed, SpeedBands: []float64{1, 2}},
 		"descending bands": {Options: DefaultOptions(), Shards: 4, Partition: PartitionSpeed, SpeedBands: []float64{3, 2, 1}},
 		"negative band":    {Options: DefaultOptions(), Shards: 4, Partition: PartitionSpeed, SpeedBands: []float64{-1, 2, 3}},
+		"NaN band":         {Options: DefaultOptions(), Shards: 3, Partition: PartitionSpeed, SpeedBands: []float64{math.NaN(), 1}},
 		"unknown policy":   {Options: DefaultOptions(), Shards: 4, Partition: PartitionPolicy(9)},
 	} {
 		if _, err := OpenSharded(so); err == nil {

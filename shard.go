@@ -38,9 +38,8 @@ type ShardedOptions struct {
 
 	// Partition selects the object→shard assignment: PartitionHash
 	// (default) routes by id hash; PartitionSpeed routes by |velocity|
-	// band, which groups objects of similar speed so the per-shard
-	// time-parameterized summaries stay tight and queries can prune
-	// whole shards.
+	// band, which groups objects of similar speed so each shard's tree
+	// gets tighter bounding rectangles.
 	Partition PartitionPolicy
 
 	// SpeedBands are the |velocity| boundaries between consecutive
@@ -62,27 +61,20 @@ type ShardedOptions struct {
 	// pages per shard; when that is zero too, each shard gets the
 	// stand-alone default (50 pages, paper §5.1).
 	BufferPagesPerShard int
-
-	// AutoReshard enables the drift detector: a background loop that
-	// watches routing skew and re-route churn and triggers a live
-	// reshard with re-derived speed bands when they drift past the
-	// configured thresholds.  Requires PartitionSpeed.
-	AutoReshard AutoReshardOptions
 }
 
-// generation is one complete shard set: the trees, their pruning
-// summaries and the partitioner routing objects among them.  The
-// ShardedTree points at its current generation; a live reshard builds
-// the next generation beside it and retires this one at cutover, so a
-// generation is immutable in shape (shards, partitioner identity)
-// once published while its contents keep mutating.
+// generation is one complete shard set: the trees and the partitioner
+// routing objects among them.  The ShardedTree points at its current
+// generation; a live reshard builds the next generation beside it and
+// retires this one at cutover, so a generation is immutable in shape
+// (shards, partitioner identity) once published while its contents
+// keep mutating.
 //
 // Readers pin a generation (refs) so a cutover can retire the old one
 // only after every in-flight traversal has left it; mutations instead
 // hold the front-end rerouteMu, which the cutover takes exclusively.
 type generation struct {
 	shards []*Tree
-	sums   []shardSummary
 	part   partitioner
 	gen    int // shard-file generation recorded in the manifest
 
@@ -100,14 +92,10 @@ type generation struct {
 // Objects are assigned to shards by the configured PartitionPolicy:
 // by id hash (the default), or by speed band (PartitionSpeed), which
 // re-routes an object to its new band's shard when an update moves its
-// speed across a boundary.  Each shard also maintains a conservative
-// time-parameterized summary of its live objects — widened on every
-// insert, periodically retightened from the shard's root — and queries
-// consult the summaries first, skipping shards the query trapezoid
-// provably cannot touch (Nearest instead visits shards in ascending
-// summary distance and stops once the remaining shards cannot beat the
-// current k-th candidate).  Pruning is strictly conservative, so
-// results are identical to the unpruned fan-out and to a single Tree.
+// speed across a boundary.  A region query visits every shard: a
+// shard's root holds conservative bounds of everything below it (§4.1),
+// so a shard the query cannot touch rejects it at the cost of one
+// in-memory node visit.
 //
 // Query results are merged in ascending object-id order (Nearest:
 // ascending distance order), which makes the output deterministic
@@ -128,7 +116,7 @@ type ShardedTree struct {
 
 	dims int
 	sem  chan struct{} // bounded fan-out worker pool
-	m    *obs.Metrics  // front-end registry: fan-out latencies, pruning counters
+	m    *obs.Metrics  // front-end registry: fan-out latencies, partitioning counters
 	rec  *obs.Recorder // fan-out flight recorder; nil unless Options.FlightRecorder > 0
 
 	manifestPath string // "" when memory-backed
@@ -166,10 +154,7 @@ type ShardedTree struct {
 	// cleared only under rerouteMu's exclusive side.
 	admitted  atomic.Pointer[liveReshard]
 	lr        atomic.Pointer[liveReshard]
-	reshardMu sync.Mutex            // held for a whole run, admission to finish
-	speedWin  *manifest.SpeedWindow // sliding window of observed speeds; nil unless AutoReshard
-	autoStop  chan struct{}
-	autoDone  chan struct{}
+	reshardMu sync.Mutex // held for a whole run, admission to finish
 
 	statusMu       sync.Mutex
 	lastReshardErr error
@@ -179,21 +164,6 @@ type ShardedTree struct {
 	// point (the engine stops dead, leaving files as they are).
 	testReshardHook func(point string) error
 }
-
-// shardSummary is one shard's pruning summary plus its staleness
-// counter.  The mutex orders widens, retightens and query-side reads;
-// retightening reads the shard root while holding it, so a widen that
-// happened-before the retighten is always covered by the fresh bound.
-type shardSummary struct {
-	mu    sync.Mutex
-	sum   geom.Summary
-	dirty int // widens since the last retighten
-}
-
-// retightenEvery is how many widens a shard summary absorbs before it
-// is recomputed from the shard's root node (which is pinned in the
-// buffer pool, so the recomputation costs no I/O).
-const retightenEvery = 256
 
 // pin returns the current generation with a reader reference held.
 // The load-ref-recheck loop closes the race against a concurrent
@@ -326,18 +296,10 @@ func OpenSharded(opts ShardedOptions) (*ShardedTree, error) {
 	if opts.Partition == PartitionHash && len(opts.SpeedBands) > 0 {
 		return nil, fmt.Errorf("rexptree: SpeedBands set but partition policy is %s", opts.Partition)
 	}
-	if opts.AutoReshard.Enabled && opts.Partition != PartitionSpeed {
-		return nil, fmt.Errorf("rexptree: AutoReshard requires PartitionSpeed")
-	}
 	bands := append([]float64(nil), opts.SpeedBands...)
 	if len(bands) > 0 {
-		if len(bands) != opts.Shards-1 {
-			return nil, fmt.Errorf("rexptree: %d speed bands for %d shards, want %d", len(bands), opts.Shards, opts.Shards-1)
-		}
-		for i, b := range bands {
-			if b < 0 || (i > 0 && b <= bands[i-1]) {
-				return nil, fmt.Errorf("rexptree: speed bands must be non-negative and ascending, got %v", bands)
-			}
+		if err := manifest.ValidateBands(bands, opts.Shards); err != nil {
+			return nil, fmt.Errorf("rexptree: %w", err)
 		}
 	}
 	if opts.TuneAfter <= 0 {
@@ -403,7 +365,7 @@ func OpenSharded(opts ShardedOptions) (*ShardedTree, error) {
 	}
 	s.dims = trees[0].dims
 
-	g := &generation{shards: trees, sums: make([]shardSummary, opts.Shards), gen: gen}
+	g := &generation{shards: trees, gen: gen}
 	switch opts.Partition {
 	case PartitionSpeed:
 		sp := newSpeedPartitioner(opts.Shards, s.dims, opts.TuneAfter, bands,
@@ -430,13 +392,6 @@ func OpenSharded(opts ShardedOptions) (*ShardedTree, error) {
 		g.part = hashPartitioner{n: opts.Shards}
 	}
 
-	// Seed each shard's pruning summary from its root bound.
-	for i := range g.shards {
-		ss := &g.sums[i]
-		ss.mu.Lock()
-		s.retightenLocked(g, i)
-		ss.mu.Unlock()
-	}
 	s.cur.Store(g)
 
 	if manifestPath != "" {
@@ -444,16 +399,6 @@ func OpenSharded(opts ShardedOptions) (*ShardedTree, error) {
 			s.Close()
 			return nil, err
 		}
-	}
-	if opts.AutoReshard.Enabled {
-		w := opts.AutoReshard.Window
-		if w <= 0 {
-			w = 4096
-		}
-		s.speedWin = manifest.NewSpeedWindow(w)
-		s.autoStop = make(chan struct{})
-		s.autoDone = make(chan struct{})
-		go s.autoReshardLoop(opts.AutoReshard)
 	}
 	return s, nil
 }
@@ -531,60 +476,6 @@ func shardIndex(id uint32, n int) int {
 	return manifest.ShardIndex(id, n)
 }
 
-// widenShard grows shard i's summary to cover the stored record, and
-// every retightenEvery widens recomputes the summary from the shard's
-// root so deletions and expirations eventually shrink it again.  The
-// widen must happen after the record is inserted into the shard (see
-// shardSummary).
-func (s *ShardedTree) widenShard(g *generation, i int, mp geom.MovingPoint, now float64) {
-	ss := &g.sums[i]
-	ss.mu.Lock()
-	ss.sum.WidenPoint(mp, now, s.dims)
-	ss.dirty++
-	if ss.dirty >= retightenEvery {
-		s.retightenLocked(g, i)
-	}
-	ss.mu.Unlock()
-}
-
-// retightenLocked replaces shard i's summary with the tight bound read
-// from the shard's root node.  The caller holds g.sums[i].mu; a read
-// error keeps the current (conservative) summary.
-func (s *ShardedTree) retightenLocked(g *generation, i int) {
-	ss := &g.sums[i]
-	ss.dirty = 0
-	br, ok, err := g.shards[i].rootSummary()
-	if err != nil {
-		return
-	}
-	if !ok {
-		ss.sum.Reset()
-		return
-	}
-	ss.sum = geom.Summary{Box: br, Has: true}
-}
-
-// shardMatches reports whether the query can touch anything in shard i.
-func (s *ShardedTree) shardMatches(g *generation, i int, q geom.Query) bool {
-	ss := &g.sums[i]
-	ss.mu.Lock()
-	m := ss.sum.Matches(q, s.dims)
-	ss.mu.Unlock()
-	return m
-}
-
-// shardMinDist lower-bounds the distance from pos to any object of
-// shard i at time at; ok is false for a provably empty shard.
-func (s *ShardedTree) shardMinDist(g *generation, i int, pos Vec, at float64) (d float64, ok bool) {
-	ss := &g.sums[i]
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if !ss.sum.Has {
-		return math.Inf(1), false
-	}
-	return ss.sum.MinDistAt(geom.Vec(pos), at, s.dims), true
-}
-
 // fanOut runs fn once per shard of g on the bounded worker pool and
 // returns the first (lowest shard index) error.  A non-nil visit
 // restricts it to the shards it marks: the others get no goroutine and
@@ -658,8 +549,8 @@ func (s *ShardedTree) Close() error {
 
 // Abandon drops the index without checkpointing or persisting
 // anything — the crash simulation used by durability tests.  Like
-// Close it stops the drift detector and waits out an in-flight live
-// reshard (which aborts at its next cancellation check).
+// Close it waits out an in-flight live reshard (which aborts at its
+// next cancellation check).
 func (s *ShardedTree) Abandon() {
 	s.closeMu.Lock()
 	defer s.closeMu.Unlock()
@@ -707,9 +598,6 @@ func (s *ShardedTree) update(id uint32, p Point, now float64, tc *QueryTrace) er
 		st.Lock()
 		defer st.Unlock()
 	}
-	if s.speedWin != nil {
-		s.speedWin.Observe(speedOf(p, s.dims))
-	}
 	if err := s.applyUpdate(g, id, p, now, tc, ri, true); err != nil {
 		return err
 	}
@@ -754,7 +642,6 @@ func (s *ShardedTree) applyUpdate(g *generation, id uint32, p Point, now float64
 		return err
 	}
 	g.part.note(id, target)
-	s.widenShard(g, target, t.storedPoint(p), now)
 	return nil
 }
 
@@ -853,11 +740,6 @@ func (s *ShardedTree) updateBatch(batch []Report, now float64, tc *QueryTrace) e
 		// Stateless routing, no reshard in flight: the grouped fan-out
 		// runs under the shared lock, concurrently with other batches.
 		defer s.rerouteMu.RUnlock()
-		if s.speedWin != nil {
-			for _, r := range batch {
-				s.speedWin.Observe(speedOf(r.Point, s.dims))
-			}
-		}
 		return s.applyBatch(g, batch, now, tc, true)
 	}
 	// Re-routing policies (and any batch inside a dual-apply window)
@@ -869,11 +751,6 @@ func (s *ShardedTree) updateBatch(batch []Report, now float64, tc *QueryTrace) e
 	defer s.rerouteMu.Unlock()
 	g = s.cur.Load()
 	lr := s.lr.Load()
-	if s.speedWin != nil {
-		for _, r := range batch {
-			s.speedWin.Observe(speedOf(r.Point, s.dims))
-		}
-	}
 	err := s.applyBatch(g, batch, now, tc, true)
 	if lr != nil {
 		for _, r := range batch {
@@ -912,9 +789,6 @@ func (s *ShardedTree) applyBatch(g *generation, batch []Report, now float64, tc 
 			return t.UpdateBatch(groups[i], now)
 		})
 		tc.endAt(ai)
-		// Widen with every report, even after a partial failure — a
-		// too-wide summary is always safe.
-		s.widenGroups(g, groups, now)
 		return err
 	}
 
@@ -967,7 +841,6 @@ func (s *ShardedTree) applyBatch(g *generation, batch []Report, now float64, tc 
 	for id, tgt := range final {
 		g.part.note(id, tgt)
 	}
-	s.widenGroups(g, groups, now)
 	return err
 }
 
@@ -979,15 +852,6 @@ func nonEmpty[T any](groups [][]T) []bool {
 		visit[i] = len(grp) > 0
 	}
 	return visit
-}
-
-// widenGroups widens each shard's summary with its group's reports.
-func (s *ShardedTree) widenGroups(g *generation, groups [][]Report, now float64) {
-	for i, grp := range groups {
-		for _, r := range grp {
-			s.widenShard(g, i, g.shards[i].storedPoint(r.Point), now)
-		}
-	}
 }
 
 // query answers the three region queries: see searchShards.
@@ -1003,7 +867,7 @@ func (s *ShardedTree) nearest(traced bool, pos Vec, at float64, k int, now float
 	})
 }
 
-// beginShardTable starts the trace's pruning table, one row per shard
+// beginShardTable starts the trace's shard table, one row per shard
 // of g (under PartitionSpeed labelled with its speed band).
 func (s *ShardedTree) beginShardTable(tc *QueryTrace, g *generation) {
 	if tc == nil {
@@ -1015,43 +879,26 @@ func (s *ShardedTree) beginShardTable(tc *QueryTrace, g *generation) {
 	}
 }
 
-// searchShards fans one search out across the shards whose summaries
-// the query trapezoid can touch, counting visited and pruned shards,
-// and merges the results in ascending object-id order.  A visited
-// shard's operation latency is its queue wait, epoch pin and
-// traversal.  With a trace, the decisions land in the pruning table
-// and each visit in a span block, preallocated before the fan-out so
-// the workers only write their own slots.
+// searchShards fans one search out across every shard and merges the
+// results in ascending object-id order.  A shard the query cannot touch
+// rejects it at its root.  A shard's operation latency is its queue
+// wait, epoch pin and traversal.  With a trace, each visit lands in its
+// row of the shard table and in a span block, preallocated before the
+// fan-out so the workers only write their own slots.
 func (s *ShardedTree) searchShards(op obs.Op, q geom.Query, now float64, tc *QueryTrace) ([]Result, error) {
 	g := s.pin()
 	defer g.unpin()
-	ri := tc.begin(-1, "route", -1)
-	s.beginShardTable(tc, g)
-	visit := make([]bool, len(g.shards))
-	var visits uint64
-	for i := range g.shards {
-		if visit[i] = s.shardMatches(g, i, q); visit[i] {
-			visits++
-			tc.decide(i, "match")
-		} else {
-			tc.decide(i, "summary-pruned")
-		}
-	}
-	tc.endAt(ri)
-	s.m.ShardVisits.Add(visits)
-	s.m.ShardsPruned.Add(uint64(len(g.shards)) - visits)
-
+	s.m.ShardVisits.Add(uint64(len(g.shards)))
 	var blocks []shardSpans
 	if tc != nil {
+		s.beginShardTable(tc, g)
 		blocks = make([]shardSpans, len(g.shards))
 		for i := range g.shards {
-			if visit[i] {
-				blocks[i] = tc.beginShard(i, true)
-			}
+			blocks[i] = tc.beginShard(i, true)
 		}
 	}
 	parts := make([][]Result, len(g.shards))
-	err := s.fanOut(g, visit, func(i int, t *Tree, queued time.Time) error {
+	err := s.fanOut(g, nil, func(i int, t *Tree, queued time.Time) error {
 		var b shardSpans
 		if tc != nil {
 			b = blocks[i]
@@ -1084,16 +931,14 @@ func (s *ShardedTree) searchShards(op obs.Op, q geom.Query, now float64, tc *Que
 }
 
 // Timeslice reports the objects predicted to be inside r at time at
-// (Type 1 query), fanned out across the non-pruned shards; see
-// Tree.Timeslice.
+// (Type 1 query), fanned out across the shards; see Tree.Timeslice.
 func (s *ShardedTree) Timeslice(r Rect, at, now float64) ([]Result, error) {
 	res, _, err := s.query(obs.OpTimeslice, s.rec != nil, checkTimeslice(at, now), geom.Timeslice(toRect(r), at), now)
 	return res, err
 }
 
 // Window reports the objects predicted to cross r during [t1, t2]
-// (Type 2 query), fanned out across the non-pruned shards; see
-// Tree.Window.
+// (Type 2 query), fanned out across the shards; see Tree.Window.
 func (s *ShardedTree) Window(r Rect, t1, t2, now float64) ([]Result, error) {
 	res, _, err := s.query(obs.OpWindow, s.rec != nil, checkWindow(t1, t2, now), geom.Window(toRect(r), t1, t2), now)
 	return res, err
@@ -1101,86 +946,45 @@ func (s *ShardedTree) Window(r Rect, t1, t2, now float64) ([]Result, error) {
 
 // Moving reports the objects predicted to cross the trapezoid
 // connecting r1 at t1 to r2 at t2 (Type 3 query), fanned out across
-// the non-pruned shards; see Tree.Moving.
+// the shards; see Tree.Moving.
 func (s *ShardedTree) Moving(r1, r2 Rect, t1, t2, now float64) ([]Result, error) {
 	res, _, err := s.query(obs.OpMoving, s.rec != nil, checkMoving(t1, t2, now), geom.Moving(toRect(r1), toRect(r2), t1, t2, s.dims), now)
 	return res, err
 }
 
 // Nearest returns the k objects whose predicted positions at time at
-// are closest to pos.  Shards are visited in ascending order of their
-// summaries' lower-bound distance to pos; once k candidates are in
-// hand, every remaining shard whose bound exceeds the current k-th
-// distance is skipped (its objects are strictly farther, so they
-// cannot enter the result).  The merged list is ordered by ascending
-// distance (ties by object id) and truncated to k.
+// are closest to pos.  Every shard contributes its own k nearest; the
+// merged list is ordered by ascending distance (ties by object id) and
+// truncated to k.
 func (s *ShardedTree) Nearest(pos Vec, at float64, k int, now float64) ([]Result, error) {
 	res, _, err := s.nearest(s.rec != nil, pos, at, k, now)
 	return res, err
 }
 
-// nearestShards is the distance-ordered visit behind Nearest.  The
-// visits are sequential, so their spans append to the trace freely.
+// nearestShards visits the shards in index order on the calling
+// goroutine, so their spans append to the trace freely.
 func (s *ShardedTree) nearestShards(pos Vec, at float64, k int, now float64, tc *QueryTrace) ([]Result, error) {
 	if k <= 0 {
 		return nil, nil
 	}
 	g := s.pin()
 	defer g.unpin()
-	ri := tc.begin(-1, "route", -1)
-	type shardDist struct {
-		i   int
-		d   float64
-		has bool
-	}
-	ord := make([]shardDist, len(g.shards))
-	for i := range g.shards {
-		d, has := s.shardMinDist(g, i, pos, at)
-		ord[i] = shardDist{i, d, has}
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		if ord[a].d != ord[b].d {
-			return ord[a].d < ord[b].d
-		}
-		return ord[a].i < ord[b].i
-	})
 	s.beginShardTable(tc, g)
-	tc.endAt(ri)
+	s.m.ShardVisits.Add(uint64(len(g.shards)))
 
 	type cand struct {
 		dist float64
 		r    Result
 	}
 	var cands []cand
-	var visits, pruned uint64
-	var err error
-	for idx, o := range ord {
-		// Empty shards, and — once k candidates are in hand — shards
-		// whose bound is strictly beyond the k-th distance, cannot
-		// contribute; with ord sorted ascending neither can any shard
-		// after them.
-		if !o.has || (len(cands) >= k && o.d > cands[k-1].dist) {
-			for _, rest := range ord[idx:] {
-				if rest.has {
-					tc.decide(rest.i, "distance-pruned")
-				} else {
-					tc.decide(rest.i, "empty")
-				}
-			}
-			pruned = uint64(len(ord) - idx)
-			break
-		}
-		visits++
-		tc.decide(o.i, "match")
-		b := tc.beginShard(o.i, false)
-		t := g.shards[o.i]
+	for i, t := range g.shards {
+		b := tc.beginShard(i, false)
 		opStart := time.Now()
-		var rs []Result
-		rs, err = t.nearestAt(pos, at, k, now, tc, b.pin, b.trav)
+		rs, err := t.nearestAt(pos, at, k, now, tc, b.pin, b.trav)
 		t.m.ObserveOp(obs.OpNearest, time.Since(opStart), err)
-		tc.endShard(o.i, b, len(rs))
+		tc.endShard(i, b, len(rs))
 		if err != nil {
-			break
+			return nil, err
 		}
 		for _, r := range rs {
 			p := r.Point.At(at)
@@ -1191,20 +995,15 @@ func (s *ShardedTree) nearestShards(pos Vec, at float64, k int, now float64, tc 
 			}
 			cands = append(cands, cand{math.Sqrt(d), r})
 		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].dist != cands[b].dist {
-				return cands[a].dist < cands[b].dist
-			}
-			return cands[a].r.ID < cands[b].r.ID
-		})
-		if len(cands) > k {
-			cands = cands[:k]
-		}
 	}
-	s.m.ShardVisits.Add(visits)
-	s.m.ShardsPruned.Add(pruned)
-	if err != nil {
-		return nil, err
+	sort.Slice(cands, func(a, b int) bool {
+		if cands[a].dist != cands[b].dist {
+			return cands[a].dist < cands[b].dist
+		}
+		return cands[a].r.ID < cands[b].r.ID
+	})
+	if len(cands) > k {
+		cands = cands[:k]
 	}
 	out := make([]Result, len(cands))
 	for i, c := range cands {
@@ -1308,7 +1107,7 @@ func (s *ShardedTree) Stats() Stats {
 // snapshots freezes the aggregate and per-shard registries.  The
 // aggregate sums every shard's counters, gauges and lock-wait
 // histograms, while its per-operation histograms and the partitioning
-// counters (shard visits, prunes, re-routes) come from the front-end
+// counters (shard visits, re-routes) come from the front-end
 // registry: they describe the whole fan-out including the merge.  The
 // live-reshard families are front-end-only too: the reshard is a
 // whole-index operation, not a per-shard one.
@@ -1323,13 +1122,10 @@ func (s *ShardedTree) snapshots() (agg obs.Snapshot, shards []obs.Snapshot) {
 	front := s.m.Snapshot()
 	agg.Ops = front.Ops
 	agg.ShardVisits = front.ShardVisits
-	agg.ShardsPruned = front.ShardsPruned
 	agg.Rerouted = front.Rerouted
 	agg.ReshardRuns = front.ReshardRuns
 	agg.ReshardDualApplied = front.ReshardDualApplied
 	agg.ReshardBackfilled = front.ReshardBackfilled
-	agg.ReshardSkew = front.ReshardSkew
-	agg.ReshardChurn = front.ReshardChurn
 	agg.ReshardCutoverStall = front.ReshardCutoverStall
 	// The fan-out phases (queue_wait, merge) are observed only by the
 	// front-end registry; fold them into the summed shard phases.
@@ -1341,7 +1137,7 @@ func (s *ShardedTree) snapshots() (agg obs.Snapshot, shards []obs.Snapshot) {
 
 // Metrics returns the aggregate instrumentation snapshot: summed
 // per-shard counters, gauges and lock-wait histograms, with the
-// per-operation latencies and pruning counters measured at the sharded
+// per-operation latencies and partitioning counters measured at the sharded
 // front end (fan-out plus merge).  Use ShardMetrics for one shard's
 // own view.
 func (s *ShardedTree) Metrics() Metrics {

@@ -15,8 +15,8 @@ import (
 // TraceSpan is one timed phase of a traced operation.  Spans form a
 // tree through Parent (an index into QueryTrace.Spans, -1 for roots);
 // Start is the offset from the operation's start.  The span taxonomy
-// is documented in docs/TRACING.md: route, shard, queue-wait,
-// epoch-pin, traverse, merge for queries; lock-wait, apply,
+// is documented in docs/TRACING.md: shard, queue-wait, epoch-pin,
+// traverse, merge for queries; route, lock-wait, apply,
 // version-publish, wal-append, wal-fsync, checkpoint for mutations;
 // analyze, truncate-tail, reapply-images, open-base, replay,
 // checkpoint for recovery.  Traverse spans additionally carry the
@@ -34,17 +34,11 @@ type TraceSpan struct {
 	Results   int           `json:"results,omitempty"`
 }
 
-// ShardTrace is one row of a sharded query's pruning table: what the
-// front end decided about the shard and, when it was visited, what the
-// visit cost.
+// ShardTrace is one row of a sharded query's shard table: what the
+// visit of one shard cost.
 type ShardTrace struct {
-	Shard   int    `json:"shard"`
-	Band    string `json:"band,omitempty"` // speed band "[lo, hi)" under PartitionSpeed
-	Visited bool   `json:"visited"`
-	// Reason explains the decision: "match" (summary intersects the
-	// query), "summary-pruned", "empty" (provably empty shard), or
-	// "distance-pruned" (nearest: bound beyond the k-th candidate).
-	Reason    string        `json:"reason"`
+	Shard     int           `json:"shard"`
+	Band      string        `json:"band,omitempty"` // speed band "[lo, hi)" under PartitionSpeed
 	Results   int           `json:"results"`
 	Nodes     uint64        `json:"nodes"`
 	Leaves    uint64        `json:"leaves"`
@@ -54,7 +48,7 @@ type ShardTrace struct {
 }
 
 // QueryTrace is the structured execution trace of one operation: the
-// span tree, and for sharded queries the per-shard pruning table.  It
+// span tree, and for sharded queries the per-shard table.  It
 // is the EXPLAIN result of the Trace* methods and the unit retained by
 // the flight recorder.  A trace is immutable once returned; JSON
 // encodes it for the /debug/rexp/traces endpoint and Text renders it
@@ -169,7 +163,7 @@ func (t *QueryTrace) beginShard(i int, queued bool) shardSpans {
 }
 
 // endShard closes shard i's span and copies the visit's cost into its
-// row of the pruning table.  Fan-out workers call it concurrently, each
+// row of the shard table.  Fan-out workers call it concurrently, each
 // for its own shard: they write disjoint spans and rows.
 func (t *QueryTrace) endShard(i int, b shardSpans, results int) {
 	if t == nil {
@@ -181,16 +175,6 @@ func (t *QueryTrace) endShard(i int, b shardSpans, results int) {
 	st.PageReads, st.PageHits = sp.PageReads, sp.PageHits
 	st.Results = results
 	st.Duration = t.Spans[b.shard].Duration
-}
-
-// decide records the front end's verdict on shard i in the pruning
-// table: "match" means visited, any other reason names the prune.
-func (t *QueryTrace) decide(i int, reason string) {
-	if t == nil {
-		return
-	}
-	t.Shards[i].Visited = reason == "match"
-	t.Shards[i].Reason = reason
 }
 
 // addMeasured appends a root span whose length was measured elsewhere
@@ -233,7 +217,7 @@ func (t *QueryTrace) JSON() ([]byte, error) {
 }
 
 // Text renders the trace for humans: a header line, the per-shard
-// pruning table (sharded queries), and the indented span tree.
+// table (sharded queries), and the indented span tree.
 func (t *QueryTrace) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %v", t.Op, t.Duration)
@@ -245,21 +229,11 @@ func (t *QueryTrace) Text() string {
 	b.WriteByte('\n')
 
 	if len(t.Shards) > 0 {
-		visited := 0
-		for _, st := range t.Shards {
-			if st.Visited {
-				visited++
-			}
-		}
-		fmt.Fprintf(&b, "  shards: %d/%d visited\n", visited, len(t.Shards))
+		fmt.Fprintf(&b, "  shards: %d\n", len(t.Shards))
 		for _, st := range t.Shards {
 			fmt.Fprintf(&b, "    shard %d", st.Shard)
 			if st.Band != "" {
 				fmt.Fprintf(&b, " %s", st.Band)
-			}
-			if !st.Visited {
-				fmt.Fprintf(&b, ": %s\n", st.Reason)
-				continue
 			}
 			fmt.Fprintf(&b, ": %d results, %d nodes, %d leaf entries, %d reads, %d cached, %v\n",
 				st.Results, st.Nodes, st.Leaves, st.PageReads, st.PageHits, st.Duration)
@@ -400,9 +374,9 @@ func (tr *Tree) TraceHandler() http.Handler {
 // ShardedTree EXPLAIN API.
 
 // TraceWindow runs Window across the shards and returns the execution
-// trace: the per-shard pruning table and the span tree covering
-// routing, per-shard queue wait, epoch pin and traversal, and the
-// result merge.  It is Window with the trace forced on.
+// trace: the per-shard table and the span tree covering per-shard
+// queue wait, epoch pin and traversal, and the result merge.  It is
+// Window with the trace forced on.
 func (s *ShardedTree) TraceWindow(r Rect, t1, t2, now float64) ([]Result, *QueryTrace, error) {
 	return s.query(obs.OpWindow, true, checkWindow(t1, t2, now), geom.Window(toRect(r), t1, t2), now)
 }
@@ -420,8 +394,8 @@ func (s *ShardedTree) TraceMoving(r1, r2 Rect, t1, t2, now float64) ([]Result, *
 }
 
 // TraceNearest runs Nearest across the shards and returns the
-// execution trace; the pruning table records the distance-ordered
-// visits and prunes.  See TraceWindow.
+// execution trace; the shard table records the sequential visits.  See
+// TraceWindow.
 func (s *ShardedTree) TraceNearest(pos Vec, at float64, k int, now float64) ([]Result, *QueryTrace, error) {
 	return s.nearest(true, pos, at, k, now)
 }

@@ -150,7 +150,7 @@ func TestTraceMutationPublishSpan(t *testing.T) {
 
 // TestTraceEquivalenceSharded runs every query type on a 4-shard
 // speed-partitioned tree and checks traced results match untraced ones
-// and the trace carries the pruning table and fan-out span tree.
+// and the trace carries the shard table and fan-out span tree.
 func TestTraceEquivalenceSharded(t *testing.T) {
 	s, err := OpenSharded(ShardedOptions{
 		Options:   DefaultOptions(),
@@ -167,9 +167,6 @@ func TestTraceEquivalenceSharded(t *testing.T) {
 
 	region := Rect{Lo: Vec{200, 200}, Hi: Vec{600, 600}}
 	region2 := Rect{Lo: Vec{250, 250}, Hi: Vec{650, 650}}
-	validReasons := map[string]bool{
-		"match": true, "summary-pruned": true, "empty": true, "distance-pruned": true,
-	}
 
 	type q struct {
 		name   string
@@ -209,18 +206,12 @@ func TestTraceEquivalenceSharded(t *testing.T) {
 		}
 
 		if len(trace.Shards) != 4 {
-			t.Fatalf("%s: pruning table has %d rows, want 4", c.name, len(trace.Shards))
+			t.Fatalf("%s: shard table has %d rows, want 4", c.name, len(trace.Shards))
 		}
 		results := 0
 		for i, st := range trace.Shards {
 			if st.Shard != i {
 				t.Errorf("%s: row %d claims shard %d", c.name, i, st.Shard)
-			}
-			if !validReasons[st.Reason] {
-				t.Errorf("%s: shard %d has unknown reason %q", c.name, i, st.Reason)
-			}
-			if st.Visited != (st.Reason == "match") {
-				t.Errorf("%s: shard %d visited=%v with reason %q", c.name, i, st.Visited, st.Reason)
 			}
 			if st.Band == "" {
 				t.Errorf("%s: shard %d row missing its speed band", c.name, i)
@@ -235,23 +226,17 @@ func TestTraceEquivalenceSharded(t *testing.T) {
 		for _, sp := range trace.Spans {
 			spansByPhase[sp.Phase]++
 		}
-		if spansByPhase["route"] != 1 {
-			t.Errorf("%s: %d route spans, want 1", c.name, spansByPhase["route"])
+		if spansByPhase["route"] != 0 {
+			t.Errorf("%s: %d route spans, want none", c.name, spansByPhase["route"])
 		}
 		if c.name != "nearest" && spansByPhase["merge"] != 1 {
 			t.Errorf("%s: %d merge spans, want 1", c.name, spansByPhase["merge"])
 		}
-		visited := 0
-		for _, st := range trace.Shards {
-			if st.Visited {
-				visited++
-			}
+		if spansByPhase["shard"] != 4 {
+			t.Errorf("%s: %d shard spans for 4 shards", c.name, spansByPhase["shard"])
 		}
-		if spansByPhase["shard"] != visited {
-			t.Errorf("%s: %d shard spans for %d visited shards", c.name, spansByPhase["shard"], visited)
-		}
-		if c.name != "nearest" && spansByPhase["queue-wait"] != visited {
-			t.Errorf("%s: %d queue-wait spans for %d visited shards", c.name, spansByPhase["queue-wait"], visited)
+		if c.name != "nearest" && spansByPhase["queue-wait"] != 4 {
+			t.Errorf("%s: %d queue-wait spans for 4 shards", c.name, spansByPhase["queue-wait"])
 		}
 
 		// Every span's parent index must be in range and acyclic-by
@@ -266,7 +251,7 @@ func TestTraceEquivalenceSharded(t *testing.T) {
 			t.Errorf("%s: JSON: %v", c.name, err)
 		}
 		if txt := trace.Text(); !strings.Contains(txt, "shards:") {
-			t.Errorf("%s: Text() missing pruning table:\n%s", c.name, txt)
+			t.Errorf("%s: Text() missing shard table:\n%s", c.name, txt)
 		}
 	}
 }
@@ -397,7 +382,7 @@ func TestTraceHandlerJSON(t *testing.T) {
 }
 
 // TestShardedFlightRecorder checks the sharded front end records
-// fan-out traces with their pruning tables.
+// fan-out traces with their shard tables.
 func TestShardedFlightRecorder(t *testing.T) {
 	opts := DefaultOptions()
 	opts.FlightRecorder = 8
@@ -554,14 +539,14 @@ func TestShardedHookTags(t *testing.T) {
 }
 
 // TestQueueWaitCountsVisitedShardsOnly pins one definition of the
-// fan-out's accounting, recorder on or off: only visited shards queue
-// for a worker slot, and a visited shard's operation latency is
-// observed once.  One object in four hash shards leaves three shards
-// provably empty, so a timeslice over it is 1 visit + 3 prunes.
+// fan-out's accounting, recorder on or off: every visited shard queues
+// for a worker slot once, and its operation latency is observed once.
+// A region query visits every shard, the three empty ones of one object
+// in four hash shards included, so a timeslice over it is 4 visits.
 func TestQueueWaitCountsVisitedShardsOnly(t *testing.T) {
 	type counts struct {
-		queueWaits, visits, pruned uint64
-		shardOps                   [4]uint64
+		queueWaits, visits uint64
+		shardOps           [4]uint64
 	}
 	run := func(recorder int) counts {
 		opts := DefaultOptions()
@@ -584,16 +569,15 @@ func TestQueueWaitCountsVisitedShardsOnly(t *testing.T) {
 		c := counts{
 			queueWaits: d.Phases[obs.PhaseQueueWait].Count,
 			visits:     d.ShardVisits,
-			pruned:     d.ShardsPruned,
 		}
 		for i := range c.shardOps {
 			c.shardOps[i] = shardsAfter[i].Ops[obs.OpTimeslice].Count - shardsBefore[i].Ops[obs.OpTimeslice].Count
 		}
-		if c.visits != 1 || c.pruned != 3 {
-			t.Errorf("recorder %d: %d visits, %d prunes; want 1 and 3", recorder, c.visits, c.pruned)
+		if c.visits != 4 {
+			t.Errorf("recorder %d: %d visits, want 4", recorder, c.visits)
 		}
 		if c.queueWaits != c.visits {
-			t.Errorf("recorder %d: %d queue_wait observations for %d shard visits (pruned shards must not queue)",
+			t.Errorf("recorder %d: %d queue_wait observations for %d shard visits",
 				recorder, c.queueWaits, c.visits)
 		}
 		return c
@@ -680,8 +664,8 @@ func TestQueryAllocsRecorderOff(t *testing.T) {
 	}{
 		{"Tree.Timeslice", 9, func() error { _, err := tr.Timeslice(region, 5, 0); return err }},
 		{"Tree.Nearest", 6, func() error { _, err := tr.Nearest(pos, 5, 10, 0); return err }},
-		{"ShardedTree.Timeslice", 46, func() error { _, err := s.Timeslice(region, 5, 0); return err }},
-		{"ShardedTree.Nearest", 47, func() error { _, err := s.Nearest(pos, 5, 10, 0); return err }},
+		{"ShardedTree.Timeslice", 44, func() error { _, err := s.Timeslice(region, 5, 0); return err }},
+		{"ShardedTree.Nearest", 35, func() error { _, err := s.Nearest(pos, 5, 10, 0); return err }},
 	}
 	for _, c := range cases {
 		if err := c.run(); err != nil { // warm the pooled stacks and queues

@@ -523,8 +523,8 @@ func (tr *Tree) Timeslice(r Rect, at, now float64) ([]Result, error) {
 }
 
 // The query-time validators, shared by Tree and the sharded front-end
-// so both reject an invalid query with the identical error (a sharded
-// tree must fail such queries even when every shard is pruned).
+// so both reject an invalid query with the identical error, checked
+// before any shard is visited.
 func checkTimeslice(at, now float64) error {
 	if at < now {
 		return fmt.Errorf("rexptree: query time %v precedes current time %v", at, now)
@@ -662,24 +662,6 @@ func (tr *Tree) ForEach(now float64, fn func(Result) bool) error {
 }
 
 var errStopIteration = fmt.Errorf("rexptree: stop iteration")
-
-// rootSummary returns a conservative time-parameterized bound over
-// every stored entry, computed from the index root (which is pinned in
-// the buffer pool, so the read costs no I/O).  ok is false for an
-// empty tree.  The sharded front-end uses it to retighten per-shard
-// pruning summaries.
-func (tr *Tree) rootSummary() (br geom.TPRect, ok bool, err error) {
-	tr.rlock()
-	defer tr.mu.RUnlock()
-	return tr.t.RootBR()
-}
-
-// storedPoint returns the record as the index stores it (coordinates
-// quantized to the page format), which is what containment bounds must
-// be widened with.
-func (tr *Tree) storedPoint(p Point) geom.MovingPoint {
-	return tr.t.Stored(toInternal(p, tr.dims))
-}
 
 // clockNow reads the tree's high-water clock — the time of the newest
 // applied update — from the lock-free snapshot's published clock, so a

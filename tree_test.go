@@ -444,12 +444,15 @@ func runGetModel(t *testing.T, r getModelRun) {
 			}
 		}
 	}
+	// record is the report as the index stores it (coordinates
+	// quantized to the page format).
+	record := func(p Point) geom.MovingPoint { return ref.t.Stored(toInternal(p, ref.dims)) }
 	update := func(id uint32, p Point, now float64) {
 		t.Helper()
 		if err := ix.Update(id, p, now); err != nil {
 			t.Fatal(err)
 		}
-		model[id], sent[id], clock = ref.storedPoint(p), p, max(clock, now)
+		model[id], sent[id], clock = record(p), p, max(clock, now)
 		check("update")
 	}
 	remove := func(id uint32, now float64) {
@@ -481,7 +484,7 @@ func runGetModel(t *testing.T, r getModelRun) {
 	defer func() { ix.Close() }()
 	if r.bulk {
 		for _, rep := range load {
-			model[rep.ID], sent[rep.ID] = ref.storedPoint(rep.Point), rep.Point
+			model[rep.ID], sent[rep.ID] = record(rep.Point), rep.Point
 		}
 		check("bulk load")
 	} else {
@@ -490,7 +493,7 @@ func runGetModel(t *testing.T, r getModelRun) {
 				t.Fatal(err)
 			}
 			for _, rep := range load[i : i+50] {
-				model[rep.ID], sent[rep.ID] = ref.storedPoint(rep.Point), rep.Point
+				model[rep.ID], sent[rep.ID] = record(rep.Point), rep.Point
 			}
 			check("batch")
 		}
