@@ -139,6 +139,8 @@ serve-smoke:
 # follower/leader crashes at every stage of the stream, torn wire
 # frames, disconnect storms, retention overruns and concurrent reads
 # during tail apply — each must end fingerprint-identical to the leader
-# or fail loudly (see internal/repl/e2e_test.go).
+# or fail loudly (see internal/repl/e2e_test.go).  The feed's own
+# retention tests ride along: a record handed out must survive the
+# append that prunes it.
 fault-matrix:
-	$(GO) test -race ./internal/repl -run 'TestRepl' -count 1
+	$(GO) test -race ./internal/repl -run 'TestRepl|TestFeed' -count 1

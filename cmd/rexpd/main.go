@@ -62,7 +62,7 @@ func main() {
 		ckptBytes = flag.Int64("checkpoint-bytes", 0, "checkpoint when a shard's WAL passes this size (default 4MiB)")
 		bufPages  = flag.Int("buffer-pages", 0, "total buffer-pool budget in 4KiB pages, split across shards (default 50/shard)")
 		recorder  = flag.Int("flight-recorder", 256, "flight-recorder ring capacity; 0 disables /debug/rexp/traces retention")
-		slowOp    = flag.Duration("slow", 0, "log operations at least this slow (0 disables)")
+		slowOp    = flag.Duration("slow", 0, "log operations at least this slow (0 disables) and keep their traces in the flight recorder's slow ring (default 10ms there)")
 		inflight  = flag.Int("max-inflight", 4, "ingest batches admitted concurrently; more get 429 + Retry-After")
 		maxBatch  = flag.Int("max-batch", 1000, "reports per UpdateBatch chunk of a streamed ingest body")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request deadline (504 past it); 0 disables")

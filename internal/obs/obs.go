@@ -1,9 +1,10 @@
 // Package obs is the observability subsystem of the index: atomic
 // counters, gauges and fixed-bucket latency histograms for every layer
-// from the buffer pool to the public API, an Observer event hook for
-// tracing structural events (splits, forced reinserts, condensing,
-// lazy purges of expired entries, buffer evictions), and a
-// Prometheus-text exposition of the collected state.
+// from the buffer pool to the public API, an engine-internal Observer
+// event hook through which tests trace structural events (splits,
+// forced reinserts, condensing, lazy purges of expired entries, buffer
+// evictions), the slow-operation log, and a Prometheus-text exposition
+// of the collected state.
 //
 // The package has no dependencies beyond the standard library and is
 // designed for a nil fast path: every instrumented layer holds a
@@ -15,6 +16,7 @@
 package obs
 
 import (
+	"log"
 	"math"
 	"sync/atomic"
 	"time"
@@ -203,10 +205,6 @@ type ObserverFunc func(Event)
 // Observe implements Observer.
 func (f ObserverFunc) Observe(e Event) { f(e) }
 
-// SlowFunc is a slow-operation hook: it receives the operation and its
-// duration whenever the duration reaches the configured threshold.
-type SlowFunc func(op Op, d time.Duration)
-
 // OpMetrics holds the per-operation instruments.
 type OpMetrics struct {
 	Total   Counter
@@ -215,9 +213,8 @@ type OpMetrics struct {
 }
 
 // Metrics is the complete instrument registry for one tree.  All
-// counters and gauges are safe for concurrent use; Observer and the
-// slow-op hook must be configured before the tree processes
-// operations (or via the atomic SetSlowOp).
+// counters and gauges are safe for concurrent use; Observer, SlowOp
+// and SlowLabel must be set before the tree processes operations.
 type Metrics struct {
 	// Buffer pool (internal/storage, paper §5.1).
 	BufReads           Counter // pages read from the store (buffer misses)
@@ -303,31 +300,19 @@ type Metrics struct {
 	// before the tree processes operations.
 	Observer Observer
 
-	slowNanos atomic.Int64
-	slowFn    atomic.Pointer[SlowFunc]
+	// SlowOp, when positive, logs every operation at least this long
+	// through the standard logger, its name prefixed with SlowLabel
+	// ("" for a stand-alone tree, "shard<i>/" or "fanout/").
+	SlowOp    time.Duration
+	SlowLabel string
 }
 
 // New returns an empty instrument registry.
 func New() *Metrics { return &Metrics{} }
 
-// SetSlowOp installs (or, with a zero threshold or nil fn, removes)
-// the slow-operation hook.  Safe to call while operations run.
-func (m *Metrics) SetSlowOp(threshold time.Duration, fn SlowFunc) {
-	if m == nil {
-		return
-	}
-	if threshold <= 0 || fn == nil {
-		m.slowNanos.Store(0)
-		m.slowFn.Store(nil)
-		return
-	}
-	m.slowNanos.Store(int64(threshold))
-	m.slowFn.Store(&fn)
-}
-
 // ObserveOp records one public operation: its latency histogram, the
-// total and error counters, and the slow-op hook when the duration
-// reaches the threshold.  No-op on a nil receiver.
+// total and error counters, and the slow-operation log line when the
+// duration reaches SlowOp.  No-op on a nil receiver.
 func (m *Metrics) ObserveOp(op Op, d time.Duration, err error) {
 	if m == nil {
 		return
@@ -338,10 +323,8 @@ func (m *Metrics) ObserveOp(op Op, d time.Duration, err error) {
 		o.Errors.Inc()
 	}
 	o.Latency.Observe(d)
-	if t := m.slowNanos.Load(); t > 0 && int64(d) >= t {
-		if fn := m.slowFn.Load(); fn != nil {
-			(*fn)(op, d)
-		}
+	if m.SlowOp > 0 && d >= m.SlowOp {
+		log.Printf("rexptree: slow %s%s: %v (threshold %v)", m.SlowLabel, op, d, m.SlowOp)
 	}
 }
 

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"bytes"
 	"errors"
+	"log"
 	"sync"
 	"testing"
 	"time"
@@ -117,7 +119,6 @@ func TestNilReceiverSafe(t *testing.T) {
 	var m *Metrics
 	m.ObserveOp(OpUpdate, time.Second, nil) // must not panic
 	m.Emit(Event{Kind: EvSplit})
-	m.SetSlowOp(time.Second, func(Op, time.Duration) {})
 	if s := m.Snapshot(); s.Splits != 0 || s.Ops[OpUpdate].Count != 0 {
 		t.Errorf("nil snapshot not zero: %+v", s)
 	}
@@ -134,28 +135,26 @@ func TestEmitWithoutObserver(t *testing.T) {
 	}
 }
 
+// TestSlowOpHook checks ObserveOp logs an operation that reaches SlowOp,
+// once, under its label, and nothing below the threshold or with SlowOp
+// unset.
 func TestSlowOpHook(t *testing.T) {
+	var buf bytes.Buffer
+	out, flags := log.Writer(), log.Flags()
+	log.SetOutput(&buf)
+	log.SetFlags(0)
+	defer func() { log.SetOutput(out); log.SetFlags(flags) }()
+
 	m := New()
-	var mu sync.Mutex
-	var fired []time.Duration
-	m.SetSlowOp(10*time.Millisecond, func(op Op, d time.Duration) {
-		mu.Lock()
-		fired = append(fired, d)
-		mu.Unlock()
-		if op != OpDelete {
-			t.Errorf("hook op = %v", op)
-		}
-	})
+	m.SlowOp, m.SlowLabel = 10*time.Millisecond, "shard2/"
 	m.ObserveOp(OpDelete, 5*time.Millisecond, nil)  // below threshold
-	m.ObserveOp(OpDelete, 10*time.Millisecond, nil) // at threshold: fires
-	m.ObserveOp(OpDelete, 20*time.Millisecond, nil) // above: fires
-	if len(fired) != 2 {
-		t.Fatalf("hook fired %d times, want 2", len(fired))
-	}
-	m.SetSlowOp(0, nil) // removal
-	m.ObserveOp(OpDelete, time.Hour, nil)
-	if len(fired) != 2 {
-		t.Fatal("hook fired after removal")
+	m.ObserveOp(OpDelete, 10*time.Millisecond, nil) // at threshold: logged
+	m.ObserveOp(OpBatch, 20*time.Millisecond, nil)  // above: logged
+	New().ObserveOp(OpDelete, time.Hour, nil)       // SlowOp unset
+	want := "rexptree: slow shard2/delete: 10ms (threshold 10ms)\n" +
+		"rexptree: slow shard2/update_batch: 20ms (threshold 10ms)\n"
+	if got := buf.String(); got != want {
+		t.Errorf("slow log = %q, want %q", got, want)
 	}
 }
 

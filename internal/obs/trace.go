@@ -113,9 +113,9 @@ func (r *traceRing) snapshot() []any {
 // them.  Record costs one atomic increment and one atomic store per
 // ring touched; it never allocates and never blocks.
 type Recorder struct {
-	recent    traceRing
-	slow      traceRing
-	slowNanos atomic.Int64
+	recent        traceRing
+	slow          traceRing
+	slowThreshold time.Duration
 }
 
 // NewRecorder returns a recorder retaining up to capacity recent and
@@ -125,19 +125,18 @@ func NewRecorder(capacity int, slow time.Duration) *Recorder {
 	if capacity < 1 {
 		capacity = 1
 	}
-	r := &Recorder{
-		recent: newTraceRing(capacity),
-		slow:   newTraceRing(capacity),
+	return &Recorder{
+		recent:        newTraceRing(capacity),
+		slow:          newTraceRing(capacity),
+		slowThreshold: slow,
 	}
-	r.slowNanos.Store(int64(slow))
-	return r
 }
 
 // Record retains v as the newest recent trace, and also as a slow
 // trace when d reaches the slow threshold.
 func (r *Recorder) Record(v any, d time.Duration) {
 	r.recent.put(v)
-	if t := r.slowNanos.Load(); t > 0 && int64(d) >= t {
+	if r.slowThreshold > 0 && d >= r.slowThreshold {
 		r.slow.put(v)
 	}
 }
@@ -147,13 +146,5 @@ func (r *Recorder) Snapshot() (recent, slow []any) {
 	return r.recent.snapshot(), r.slow.snapshot()
 }
 
-// SlowThreshold returns the current slow-trace threshold.
-func (r *Recorder) SlowThreshold() time.Duration {
-	return time.Duration(r.slowNanos.Load())
-}
-
-// SetSlowThreshold replaces the slow-trace threshold (0 disables the
-// slow ring).  Safe to call while operations record.
-func (r *Recorder) SetSlowThreshold(d time.Duration) {
-	r.slowNanos.Store(int64(d))
-}
+// SlowThreshold returns the slow-trace threshold.
+func (r *Recorder) SlowThreshold() time.Duration { return r.slowThreshold }

@@ -98,10 +98,10 @@ func TestRecorderSlowThreshold(t *testing.T) {
 	if got := r.SlowThreshold(); got != 5*time.Millisecond {
 		t.Errorf("SlowThreshold = %v, want 5ms", got)
 	}
-	r.SetSlowThreshold(0) // disables the slow ring
-	r.Record("slowest", time.Hour)
-	if _, slow := r.Snapshot(); len(slow) != 2 {
-		t.Errorf("slow ring grew to %d entries with threshold 0", len(slow))
+	off := NewRecorder(8, 0) // a zero threshold disables the slow ring
+	off.Record("slowest", time.Hour)
+	if _, slow := off.Snapshot(); len(slow) != 0 {
+		t.Errorf("slow ring holds %d entries with threshold 0", len(slow))
 	}
 }
 

@@ -142,7 +142,9 @@ func (f *Feed) Pin() (lsn, off uint64, release func()) {
 // ReadFrom returns retained records starting at LSN from (the next
 // record the consumer wants), bounded by maxBytes of payload, plus the
 // current head position.  It returns ErrGone when from precedes the
-// retained window.  The returned slice and payloads are immutable.
+// retained window.  The returned slice is a copy the caller owns, since
+// pruning clears the retained records; the payloads are shared and
+// immutable.
 func (f *Feed) ReadFrom(from uint64, maxBytes int) (recs []FeedRecord, head, headOff uint64, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -162,7 +164,7 @@ func (f *Feed) ReadFrom(from uint64, maxBytes int) (recs []FeedRecord, head, hea
 			break
 		}
 	}
-	return f.recs[i:j:j], f.nextLSN, f.headOff, nil
+	return append([]FeedRecord(nil), f.recs[i:j]...), f.nextLSN, f.headOff, nil
 }
 
 // Wait returns a channel closed at the next append.

@@ -63,6 +63,24 @@ func TestFeedRetentionPrunesAndGoes(t *testing.T) {
 	}
 }
 
+// TestFeedReadSurvivesPruning checks records handed out by ReadFrom
+// keep their payloads when a later append prunes the retained window
+// under them; a cleared payload would go out as a corrupt frame.
+func TestFeedReadSurvivesPruning(t *testing.T) {
+	f := NewFeed(1000)
+	appendN(f, 10, 100)
+	recs, _, _, err := f.ReadFrom(1, 0)
+	if err != nil || len(recs) != 10 {
+		t.Fatalf("ReadFrom(1) = %d recs, err %v, want 10", len(recs), err)
+	}
+	appendN(f, 1, 100) // prunes LSN 1
+	for _, r := range recs {
+		if len(r.Payload) != 100 {
+			t.Errorf("record %d handed out before the prune now has a %d-byte payload", r.LSN, len(r.Payload))
+		}
+	}
+}
+
 func TestFeedPinBlocksPruning(t *testing.T) {
 	f := NewFeed(500)
 	appendN(f, 3, 100)

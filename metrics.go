@@ -3,7 +3,6 @@ package rexptree
 import (
 	"io"
 	"net/http"
-	"time"
 
 	"rexptree/internal/obs"
 )
@@ -333,33 +332,4 @@ func (tr *Tree) WriteMetrics(w io.Writer) error {
 //	http.Handle("/metrics", tree.MetricsHandler())
 func (tr *Tree) MetricsHandler() http.Handler {
 	return obs.Handler(tr.snapshot)
-}
-
-// SetSlowOpHook installs a hook invoked synchronously whenever a
-// public operation takes at least threshold; a nil fn (or zero
-// threshold) removes the hook.  It overrides the Options.SlowOp
-// configuration and is safe to call while operations run.
-func (tr *Tree) SetSlowOpHook(threshold time.Duration, fn func(op string, d time.Duration)) {
-	if fn == nil {
-		tr.m.SetSlowOp(0, nil)
-		return
-	}
-	tr.m.SetSlowOp(threshold, func(op obs.Op, d time.Duration) { fn(op.String(), d) })
-}
-
-// ObserverEvent is one structural event delivered to the
-// Options.Observer hook, in the order the events occur.
-type ObserverEvent struct {
-	// Kind names the event: split, forced-reinsert, condense,
-	// orphan-reinserted, purge, subtree-freed, eviction,
-	// dirty-writeback or fault-trip.
-	Kind string
-	// Level is the tree level of structural events (leaves are level
-	// 0); storage events carry level -1.
-	Level int
-	// Count is the number of entries or pages affected.
-	Count int
-	// Shard identifies which shard of a ShardedTree emitted the event;
-	// -1 for a stand-alone Tree.
-	Shard int
 }

@@ -2,10 +2,13 @@ package rexptree
 
 import (
 	"bytes"
+	"encoding/json"
+	"log"
+	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -159,70 +162,102 @@ func TestWriteMetricsAndHandler(t *testing.T) {
 	}
 }
 
-func TestSetSlowOpHook(t *testing.T) {
-	tr, err := Open(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	var mu sync.Mutex
-	var slow []string
-	tr.SetSlowOpHook(time.Nanosecond, func(op string, d time.Duration) {
-		mu.Lock()
-		slow = append(slow, op)
-		mu.Unlock()
-	})
-	tr.Update(1, Point{Pos: Vec{1, 1}, Time: 0, Expires: 100}, 0)
-	tr.Timeslice(Rect{Lo: Vec{0, 0}, Hi: Vec{10, 10}}, 0, 0)
-	mu.Lock()
-	got := append([]string(nil), slow...)
-	mu.Unlock()
-	if len(got) != 2 || got[0] != "update" || got[1] != "timeslice" {
-		t.Fatalf("slow ops = %v, want [update timeslice]", got)
-	}
-	tr.SetSlowOpHook(0, nil)
-	tr.Update(1, Point{Pos: Vec{2, 2}, Time: 1, Expires: 100}, 1)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(slow) != 2 {
-		t.Error("hook fired after removal")
-	}
+// captureLog redirects the standard logger, without its timestamp, to
+// the returned buffer for the rest of the test.  Tests that set a 1ns
+// SlowOpThreshold call it to keep the log lines out of the test output.
+func captureLog(t *testing.T) *bytes.Buffer {
+	var buf bytes.Buffer
+	out, flags := log.Writer(), log.Flags()
+	log.SetOutput(&buf)
+	log.SetFlags(0)
+	t.Cleanup(func() { log.SetOutput(out); log.SetFlags(flags) })
+	return &buf
 }
 
-func TestOptionsObserver(t *testing.T) {
-	var mu sync.Mutex
-	kinds := map[string]int{}
-	opts := DefaultOptions()
-	opts.Observer = func(e ObserverEvent) {
-		mu.Lock()
-		kinds[e.Kind]++
-		mu.Unlock()
+// slowThreshold returns the slow_threshold_ns that h's
+// /debug/rexp/traces reports.
+func slowThreshold(t *testing.T, h http.Handler) int64 {
+	t.Helper()
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/rexp/traces", nil))
+	var resp struct {
+		SlowThreshold int64 `json:"slow_threshold_ns"`
 	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp.SlowThreshold
+}
+
+// TestSlowOpLog checks SlowOpThreshold's one path on a stand-alone
+// tree: an operation at least that slow is logged once, unlabelled,
+// and the flight recorder's slow ring uses the same threshold, else
+// 10ms.  TestShardedHookTags checks the sharded labels.
+func TestSlowOpLog(t *testing.T) {
+	logged := captureLog(t)
+	opts := DefaultOptions()
 	opts.SlowOpThreshold = time.Nanosecond
-	var slowCalls atomic.Int64
-	opts.SlowOp = func(op string, d time.Duration) { slowCalls.Add(1) }
+	opts.FlightRecorder = 8
 	tr, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	// Enough inserts to overflow leaves: splits (and usually forced
-	// reinserts) must reach the hook.
-	for i := 0; i < 600; i++ {
-		if err := tr.Update(uint32(i), Point{Pos: Vec{float64(i % 1000), float64(i * 7 % 1000)}, Time: 0, Expires: 1000}, 0); err != nil {
-			t.Fatal(err)
+	if err := tr.Update(1, Point{Pos: Vec{1, 1}, Expires: 100}, 0); err != nil {
+		t.Fatal(err)
+	}
+	line := regexp.MustCompile(`^rexptree: slow update: \S+ \(threshold 1ns\)\n$`)
+	if got := logged.String(); !line.MatchString(got) {
+		t.Errorf("stand-alone slow log = %q, want one line matching %s", got, line)
+	}
+	if got := slowThreshold(t, tr.TraceHandler()); got != 1 {
+		t.Errorf("slow_threshold_ns = %d, want SlowOpThreshold (1)", got)
+	}
+
+	plain := DefaultOptions()
+	plain.FlightRecorder = 8
+	rt, err := Open(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if got := slowThreshold(t, rt.TraceHandler()); got != int64(10*time.Millisecond) {
+		t.Errorf("slow_threshold_ns without SlowOpThreshold = %d, want 10ms", got)
+	}
+}
+
+// TestShardedHookTags checks a ShardedTree's slow operations are logged
+// tagged with where they ran: once per shard under shard<i>/ and once
+// for the front end under fanout/.  The front end's flight recorder
+// reports the same SlowOpThreshold.
+func TestShardedHookTags(t *testing.T) {
+	logged := captureLog(t)
+	opts := DefaultOptions()
+	opts.SlowOpThreshold = time.Nanosecond
+	opts.FlightRecorder = 8
+	s, err := OpenSharded(ShardedOptions{Options: opts, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.UpdateBatch(testWorkload(1000, 21), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Window(Rect{Lo: Vec{0, 0}, Hi: Vec{900, 900}}, 1, 10, 0); err != nil {
+		t.Fatal(err)
+	}
+	// One batch group and one window visit per shard, each one operation.
+	got := logged.String()
+	for _, op := range []string{"update_batch", "window"} {
+		for _, label := range []string{"shard0/", "shard1/", "shard2/", "shard3/", "fanout/"} {
+			re := regexp.MustCompile(`(?m)^rexptree: slow ` + label + op + `: \S+ \(threshold 1ns\)$`)
+			if n := len(re.FindAllString(got, -1)); n != 1 {
+				t.Errorf("%d slow-log lines for %s%s, want 1:\n%s", n, label, op, got)
+			}
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if kinds["split"] == 0 {
-		t.Errorf("observer saw no split events (got %v)", kinds)
-	}
-	if m := tr.Metrics(); uint64(kinds["split"]) != m.Splits {
-		t.Errorf("observer saw %d splits, counter says %d", kinds["split"], m.Splits)
-	}
-	if slowCalls.Load() == 0 {
-		t.Error("Options.SlowOp never fired with a 1ns threshold")
+	if got := slowThreshold(t, s.TraceHandler()); got != 1 {
+		t.Errorf("sharded slow_threshold_ns = %d, want SlowOpThreshold (1)", got)
 	}
 }
 
@@ -230,12 +265,13 @@ func TestOptionsObserver(t *testing.T) {
 // queries while snapshots and expositions are read — the counters must
 // stay consistent and race-free (run under -race in CI).
 func TestMetricsConcurrency(t *testing.T) {
-	tr, err := Open(DefaultOptions())
+	opts := DefaultOptions()
+	opts.SlowOpThreshold = time.Hour // every operation reads the threshold
+	tr, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	tr.SetSlowOpHook(time.Hour, func(string, time.Duration) {})
 	const writers, queriers, perG = 4, 2, 200
 	world := Rect{Lo: Vec{0, 0}, Hi: Vec{1000, 1000}}
 	var wg sync.WaitGroup

@@ -140,22 +140,10 @@ type Options struct {
 	// near-optimal rectangles) deterministic.
 	Seed int64
 
-	// Observer, when non-nil, receives structural events (splits,
-	// forced reinserts, condensing, lazy purges, buffer evictions)
-	// synchronously as they occur.  The hook must be fast and must not
-	// call back into the tree.  Leave nil for the uninstrumented fast
-	// path; metrics counters accumulate either way.
-	Observer func(ObserverEvent)
-
-	// SlowOpThreshold, when positive, enables the slow-operation hook:
-	// every public operation that takes at least this long is reported
-	// to SlowOp (or, when SlowOp is nil, logged via the standard log
-	// package).
+	// SlowOpThreshold, when positive, logs every public operation that
+	// takes at least this long through the standard log package, and
+	// sets the flight recorder's slow-trace threshold (else 10ms).
 	SlowOpThreshold time.Duration
-
-	// SlowOp receives slow operations (name and duration).  Only used
-	// when SlowOpThreshold is positive.
-	SlowOp func(op string, d time.Duration)
 
 	// FlightRecorder, when positive, keeps the execution traces of the
 	// most recent FlightRecorder operations (and, separately, the most
@@ -165,12 +153,6 @@ type Options struct {
 	// Traces.  Zero disables the recorder; tracing then costs nothing
 	// on the regular query and update paths.
 	FlightRecorder int
-
-	// FlightSlowThreshold is the duration at or above which an
-	// operation's trace is also retained in the flight recorder's slow
-	// ring.  Defaults to SlowOpThreshold when set, else 10ms.  Only
-	// used when FlightRecorder is positive.
-	FlightSlowThreshold time.Duration
 
 	// Durability selects the crash-safety policy; see the Durability
 	// constants.  Requires Path.
@@ -184,6 +166,10 @@ type Options struct {
 	// this size (default 4 MiB).  Checkpoints also fire when the buffer
 	// pool overflows to twice its capacity.
 	CheckpointBytes int64
+
+	// slowLabel prefixes the operation names of this tree's slow-op log
+	// lines: "shard<i>/" on a ShardedTree's shard, "" stand-alone.
+	slowLabel string
 
 	// testWrapStore, when non-nil, wraps the page store before the tree
 	// uses it; crash and fault tests inject FaultStores here.

@@ -3,7 +3,6 @@ package rexptree
 import (
 	"fmt"
 	"io"
-	"log"
 	"math"
 	"net/http"
 	"sort"
@@ -213,28 +212,9 @@ func shardOptions(opts ShardedOptions, gen, i, perShard int) Options {
 	// Distinct seeds keep the shards' tie-breaking streams
 	// independent while remaining deterministic.
 	so.Seed = opts.Seed + int64(i)
-	// The observability hooks reach every shard tagged with its id, so
-	// a consumer can tell which shard split, purged, or ran slow.
-	if userObs := opts.Observer; userObs != nil {
-		shard := i
-		so.Observer = func(e ObserverEvent) {
-			e.Shard = shard
-			userObs(e)
-		}
-	}
-	if opts.SlowOpThreshold > 0 {
-		shard := i
-		userSlow := opts.SlowOp
-		if userSlow == nil {
-			threshold := opts.SlowOpThreshold
-			userSlow = func(op string, d time.Duration) {
-				log.Printf("rexptree: slow %s: %v (threshold %v)", op, d, threshold)
-			}
-		}
-		so.SlowOp = func(op string, d time.Duration) {
-			userSlow(fmt.Sprintf("shard%d/%s", shard, op), d)
-		}
-	}
+	so.slowLabel = fmt.Sprintf("shard%d/", i)
+	// The front end keeps the index's one flight recorder.
+	so.FlightRecorder = 0
 	return so
 }
 
@@ -343,21 +323,9 @@ func OpenSharded(opts ShardedOptions) (*ShardedTree, error) {
 		durability:   opts.Durability,
 		opts:         opts,
 	}
-	// The front end observes every fan-out as one operation; slow
-	// fan-outs are reported with a "fanout/" tag so they are
-	// distinguishable from the per-shard events the shards emit.
-	if opts.SlowOpThreshold > 0 {
-		slow := opts.SlowOp
-		if slow == nil {
-			threshold := opts.SlowOpThreshold
-			slow = func(op string, d time.Duration) {
-				log.Printf("rexptree: slow %s: %v (threshold %v)", op, d, threshold)
-			}
-		}
-		s.m.SetSlowOp(opts.SlowOpThreshold, func(op obs.Op, d time.Duration) {
-			slow("fanout/"+op.String(), d)
-		})
-	}
+	// The front end observes every fan-out as one operation; its slow
+	// ones are logged under "fanout/", apart from the shards' own.
+	s.m.SlowOp, s.m.SlowLabel = opts.SlowOpThreshold, "fanout/"
 
 	trees, err := openGeneration(opts, opts.Shards, gen)
 	if err != nil {

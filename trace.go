@@ -276,16 +276,13 @@ func (t *QueryTrace) Text() string {
 }
 
 // newRecorder builds the flight recorder configured in opts (nil when
-// disabled).  The slow threshold defaults to SlowOpThreshold when set,
-// else 10ms.
+// disabled).  The slow threshold is SlowOpThreshold when set, else
+// 10ms.
 func newRecorder(opts Options) *obs.Recorder {
 	if opts.FlightRecorder <= 0 {
 		return nil
 	}
-	slow := opts.FlightSlowThreshold
-	if slow <= 0 {
-		slow = opts.SlowOpThreshold
-	}
+	slow := opts.SlowOpThreshold
 	if slow <= 0 {
 		slow = 10 * time.Millisecond
 	}

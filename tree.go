@@ -3,7 +3,6 @@ package rexptree
 import (
 	"errors"
 	"fmt"
-	"log"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -220,26 +219,11 @@ func open(opts Options, retried bool) (*Tree, error) {
 	return tr, nil
 }
 
-// newMetrics builds the tree's instrument registry and wires the
-// observer and slow-op hooks configured in opts.
+// newMetrics builds the tree's instrument registry, which logs the
+// operations at least opts.SlowOpThreshold long.
 func newMetrics(opts Options) *obs.Metrics {
 	m := obs.New()
-	if opts.Observer != nil {
-		hook := opts.Observer
-		m.Observer = obs.ObserverFunc(func(e obs.Event) {
-			hook(ObserverEvent{Kind: e.Kind.String(), Level: e.Level, Count: e.N, Shard: -1})
-		})
-	}
-	if opts.SlowOpThreshold > 0 {
-		slow := opts.SlowOp
-		if slow == nil {
-			threshold := opts.SlowOpThreshold
-			slow = func(op string, d time.Duration) {
-				log.Printf("rexptree: slow %s: %v (threshold %v)", op, d, threshold)
-			}
-		}
-		m.SetSlowOp(opts.SlowOpThreshold, func(op obs.Op, d time.Duration) { slow(op.String(), d) })
-	}
+	m.SlowOp, m.SlowLabel = opts.SlowOpThreshold, opts.slowLabel
 	return m
 }
 
