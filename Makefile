@@ -49,10 +49,10 @@ race:
 # The asynchronous control paths must not depend on how the scheduler
 # interleaves them: the reshard tests (start, status, cancel, cutover
 # under load) run three times at one, two and four processors.  So do
-# the sharded equivalence tests: a region query fans out to every shard
-# on its own goroutine, and the merge must not depend on the order they
-# finish in.  The tier-1 run covers them once at the host's own count
-# only.  Two golden
+# the sharded equivalence tests: a batch applies its per-shard groups on
+# one goroutine per shard, and what the queries that follow return must
+# not depend on the order those groups finish in.  The tier-1 run covers
+# them once at the host's own count only.  Two golden
 # streams ride along, one of them in three dimensions: their deletes go
 # through the locator, whose tables are Go maps, and "same seed, same
 # pages" must not depend on them.  So does the slab-reuse stress test: a

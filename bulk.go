@@ -18,35 +18,22 @@ type BulkObject struct {
 // using sort-tile-recursive packing adapted to moving points.  It is
 // far faster than inserting the population one report at a time and
 // produces a well-filled tree.  now is the load time; every report is
-// interpreted as of its own Point.Time, as in Update.
+// interpreted as of its own Point.Time, as in Update.  Every other
+// option applies as in Open: under a durability policy the loaded tree
+// is checkpointed before OpenBulk returns.
 //
 // Options.Path, if set, must not name an existing file.
 func OpenBulk(opts Options, objs []BulkObject, now float64) (*Tree, error) {
-	var store storage.Store
 	if opts.Path != "" {
 		if _, err := os.Stat(opts.Path); err == nil {
 			return nil, fmt.Errorf("rexptree: OpenBulk: %s already exists", opts.Path)
 		}
-		fs, err := storage.CreateFileStore(opts.Path)
-		if err != nil {
-			return nil, err
-		}
-		store = fs
-	} else {
-		store = storage.NewMemStore()
 	}
-	dims := opts.Dims
 	items := make([]core.BulkItem, len(objs))
 	for i, o := range objs {
-		items[i] = core.BulkItem{OID: o.ID, Point: toInternal(o.Point, dims)}
+		items[i] = core.BulkItem{OID: o.ID, Point: toInternal(o.Point, opts.Dims)}
 	}
-	m := newMetrics(opts)
-	cfg := opts.internal()
-	cfg.Metrics = m
-	t, err := core.BulkLoad(cfg, store, items, now)
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	return &Tree{t: t, store: store, dims: dims, m: m}, nil
+	return open(opts, func(cfg core.Config, store storage.Store) (*core.Tree, error) {
+		return core.BulkLoad(cfg, store, items, now)
+	}, false)
 }

@@ -75,3 +75,44 @@ func TestOpenBulkFileBacked(t *testing.T) {
 		t.Fatal("OpenBulk overwrote an existing file")
 	}
 }
+
+// TestDurableOpenBulkSurvivesCrash: a bulk-loaded tree under a
+// durability policy logs and checkpoints like any other.  After one
+// acknowledged update and a crash, the reopened tree holds the loaded
+// population and the update.
+func TestDurableOpenBulkSurvivesCrash(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bulk.rexp")
+	rng := rand.New(rand.NewSource(5))
+	objs := make([]BulkObject, 5000)
+	for i := range objs {
+		objs[i] = BulkObject{ID: uint32(i), Point: Point{
+			Pos:     Vec{rng.Float64() * 1000, rng.Float64() * 1000},
+			Vel:     Vec{rng.Float64()*2 - 1, rng.Float64()*2 - 1},
+			Expires: NoExpiry(),
+		}}
+	}
+	tr, err := OpenBulk(durableOpts(path, DurabilityOnCommit), objs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := Point{Pos: Vec{500, 500}, Time: 1, Expires: NoExpiry()}
+	if err := tr.Update(5000, late, 1); err != nil {
+		t.Fatal(err)
+	}
+	tr.Abandon()
+
+	re, err := Open(durableOpts(path, DurabilityOnCommit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if n := re.Len(); n != 5001 {
+		t.Errorf("recovered Len = %d, want the 5000 loaded objects and the update", n)
+	}
+	if p, ok := re.Get(5000, 1); !ok || p.Pos != late.Pos {
+		t.Errorf("acknowledged update lost: Get = %+v, %v", p, ok)
+	}
+	if err := re.Validate(); err != nil {
+		t.Error(err)
+	}
+}

@@ -146,6 +146,7 @@ func TestBackupStartsFromTruncatedLog(t *testing.T) {
 	o := durableOpts(base, DurabilityBatched)
 	o.SyncEvery = time.Hour
 	o.CheckpointBytes = 64 << 20
+	o.BufferPages = 16
 	resets := 0
 	o.testWALHook = func(event string) error {
 		if event == "reset" {
@@ -153,7 +154,7 @@ func TestBackupStartsFromTruncatedLog(t *testing.T) {
 		}
 		return nil
 	}
-	s, err := OpenSharded(ShardedOptions{Options: o, Shards: 1, BufferPagesPerShard: 16})
+	s, err := OpenSharded(ShardedOptions{Options: o, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,7 +128,7 @@ func checkFile(path string) int {
 	if unclean {
 		state = "unclean (recovery pending)"
 	}
-	logf(path, "format v%d, %d pages (%d live), %s", fs.Version(), fs.PageCount(), fs.Len(), state)
+	logf(path, "format v2, %d pages (%d live), %s", fs.PageCount(), fs.Len(), state)
 	if a.Records > 0 || a.Torn {
 		logf(path, "wal: %d records, %d pages imaged by complete checkpoints, %d tail records to replay, torn tail: %v",
 			a.Records, len(a.Images), len(a.Tail), a.Torn)
@@ -143,20 +143,16 @@ func checkFile(path string) int {
 	// Checksum sweep.  On a clean file every slot — free pages included,
 	// since a clean close rewrote the free chain through the checksum
 	// layer — must verify.
-	if fs.Version() >= 2 {
-		bad := 0
-		for id := storage.PageID(0); int(id) < fs.PageCount(); id++ {
-			if err := fs.VerifyPage(id); err != nil {
-				report(path, "page %d: %v", id, err)
-				bad++
-				status = max(status, exitIntegrity)
-			}
+	bad := 0
+	for id := storage.PageID(0); int(id) < fs.PageCount(); id++ {
+		if err := fs.VerifyPage(id); err != nil {
+			report(path, "page %d: %v", id, err)
+			bad++
+			status = max(status, exitIntegrity)
 		}
-		if bad == 0 {
-			logf(path, "checksums: all pages verified")
-		}
-	} else {
-		logf(path, "checksums: none (version-1 file; migrate with rexpreshard)")
+	}
+	if bad == 0 {
+		logf(path, "checksums: all pages verified")
 	}
 
 	if *noInvariants || status != exitOK {
@@ -196,22 +192,20 @@ func checkUnclean(path string, fs *storage.FileStore, a wal.Analysis) int {
 	}
 	logf(path, "checksums: %d reachable pages verified (%d patched by checkpoint images)",
 		len(live), len(a.Images))
-	if fs.Version() >= 2 {
-		torn := 0
-		for id := storage.PageID(0); int(id) < fs.PageCount(); id++ {
-			if live[id] {
-				continue
-			}
-			if _, patched := a.Images[id]; patched {
-				continue
-			}
-			if err := fs.VerifyPage(id); err != nil {
-				torn++
-			}
+	torn := 0
+	for id := storage.PageID(0); int(id) < fs.PageCount(); id++ {
+		if live[id] {
+			continue
 		}
-		if torn > 0 {
-			logf(path, "checksums: %d free pages torn (recoverable; recovery rewrites them before reuse)", torn)
+		if _, patched := a.Images[id]; patched {
+			continue
 		}
+		if err := fs.VerifyPage(id); err != nil {
+			torn++
+		}
+	}
+	if torn > 0 {
+		logf(path, "checksums: %d free pages torn (recoverable; recovery rewrites them before reuse)", torn)
 	}
 	if !*noInvariants {
 		if now := t.Now(); now < 0 || now != now {

@@ -54,7 +54,6 @@ func main() {
 		addr      = flag.String("addr", ":7364", "listen address (host:port; port 0 picks a free port)")
 		path      = flag.String("path", "", "index file base path; empty serves an in-memory index")
 		shards    = flag.Int("shards", 4, "shard count (must match an existing index)")
-		workers   = flag.Int("workers", 0, "query fan-out workers (default: one per shard)")
 		partition = flag.String("partition", "hash", "object->shard partition policy: hash or speed")
 		bands     = flag.String("bands", "", "explicit speed-band boundaries, comma-separated (speed partition)")
 		durab     = flag.String("durability", "none", "crash-safety policy: none, on-commit or batched (requires -path)")
@@ -81,7 +80,7 @@ func main() {
 	flag.Parse()
 
 	if err := run(config{
-		addr: *addr, path: *path, shards: *shards, workers: *workers,
+		addr: *addr, path: *path, shards: *shards,
 		partition: *partition, bands: *bands, durability: *durab,
 		syncEvery: *syncEvery, ckptBytes: *ckptBytes, bufPages: *bufPages,
 		recorder: *recorder, slowOp: *slowOp,
@@ -98,7 +97,7 @@ func main() {
 
 type config struct {
 	addr, path, partition, bands, durability string
-	shards, workers, bufPages, recorder      int
+	shards, bufPages, recorder               int
 	syncEvery, slowOp, timeout, retry        time.Duration
 	ckptBytes                                int64
 	inflight, maxBatch                       int
@@ -379,7 +378,6 @@ func openIndex(cfg config) (*rexptree.ShardedTree, rexptree.Durability, error) {
 	ix, err := rexptree.OpenSharded(rexptree.ShardedOptions{
 		Options:    opts,
 		Shards:     cfg.shards,
-		Workers:    cfg.workers,
 		Partition:  policy,
 		SpeedBands: speedBands,
 	})

@@ -112,10 +112,10 @@ func TestConcurrentReadersDuringUpdates(t *testing.T) {
 }
 
 // TestShardedConcurrentMixedLoad drives a ShardedTree with concurrent
-// updates, batches and fan-out queries from many goroutines (run under
+// updates, batches and queries from many goroutines (run under
 // -race).
 func TestShardedConcurrentMixedLoad(t *testing.T) {
-	s, err := OpenSharded(ShardedOptions{Options: DefaultOptions(), Shards: 4, Workers: 3})
+	s, err := OpenSharded(ShardedOptions{Options: DefaultOptions(), Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

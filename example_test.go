@@ -95,12 +95,11 @@ func ExampleTree_UpdateBatch() {
 }
 
 // A sharded index partitions objects across independent trees and
-// fans queries out across them.
+// visits each of them for a query.
 func ExampleShardedTree() {
 	tree, _ := rexptree.OpenSharded(rexptree.ShardedOptions{
 		Options: rexptree.DefaultOptions(),
 		Shards:  4,
-		Workers: 4,
 	})
 	defer tree.Close()
 

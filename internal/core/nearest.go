@@ -26,9 +26,8 @@ import (
 // Like Search it is the kernel (nearest) over the writer's view read
 // through the buffer pool; NearestSnap runs it over a pinned snapshot.
 func (t *Tree) Nearest(q geom.Vec, at float64, k int, now float64) ([]Result, error) {
-	t.advance(now)
 	src := t.poolSource()
-	return t.nearest(&src, q, at, k)
+	return t.nearest(&src, q, at, k, now)
 }
 
 // errNearestPast is shared by the locked and snapshot nearest paths so

@@ -61,11 +61,12 @@ var stackPool = sync.Pool{New: func() any {
 // SearchFunc streams matching objects to fn as the traversal finds
 // them, stopping early when fn returns false.  It avoids materializing
 // large result sets, and — with a warm buffer pool — runs without heap
-// allocations (the traversal stack is pooled).
+// allocations (the traversal stack is pooled).  A query reads the
+// clock but never moves it: expiration is judged at the later of now and
+// the tree's clock.
 func (t *Tree) SearchFunc(q geom.Query, now float64, fn func(Result) bool) error {
-	t.advance(now)
 	src := t.poolSource()
-	return t.search(&src, q, fn)
+	return t.search(&src, q, now, fn)
 }
 
 // EntryStats walks the leaf level and reports how many stored leaf

@@ -521,10 +521,9 @@ func (t *Tree) SearchSnap(q geom.Query, now float64) ([]Result, error) {
 // snapshot, tallying the traversal's accounting into st (nil disables
 // it).  Like SearchFunc it runs without heap allocations once warm.
 func (t *Tree) SearchFuncSnapStats(q geom.Query, now float64, st *TravStats, fn func(Result) bool) error {
-	t.advance(now)
 	src, pin := t.snapSource(st)
 	defer pin.Unpin()
-	return t.search(&src, q, fn)
+	return t.search(&src, q, now, fn)
 }
 
 // search is the region-query kernel.  It compiles the query once; per
@@ -532,10 +531,12 @@ func (t *Tree) SearchFuncSnapStats(q geom.Query, now float64, st *TravStats, fn 
 // compiled trapezoid test: Compiled.Points over a leaf's columns,
 // Compiled.Rect per internal entry.  With derived expiration times
 // (§4.1.1) an internal entry the filter rejects over [T1, T2] is
-// skipped before its expiration time is derived.
-func (t *Tree) search(src *nodeSource, q geom.Query, fn func(Result) bool) error {
+// skipped before its expiration time is derived.  Expiration is judged
+// at eval, the later of now and the tree's clock; the query leaves the
+// clock where it was.
+func (t *Tree) search(src *nodeSource, q geom.Query, now float64, fn func(Result) bool) error {
 	defer t.flush(src)
-	eval := t.Now()
+	eval := max(t.Now(), now)
 	dims := t.cfg.Dims
 	useExp := t.cfg.ExpireAware
 	c := geom.Compile(q, dims, useExp)
@@ -627,18 +628,18 @@ func (t *Tree) NearestSnap(q geom.Vec, at float64, k int, now float64) ([]Result
 // NearestSnapStats is NearestSnap with the traversal's accounting
 // tallied into st (nil disables it).
 func (t *Tree) NearestSnapStats(q geom.Vec, at float64, k int, now float64, st *TravStats) ([]Result, error) {
-	t.advance(now)
 	src, pin := t.snapSource(st)
 	defer pin.Unpin()
-	return t.nearest(&src, q, at, k)
+	return t.nearest(&src, q, at, k, now)
 }
 
 // nearest is the best-first nearest-neighbor kernel: a priority queue
 // ordered by the minimum distance between q and an entry's rectangle
 // evaluated at time at, the distance arithmetic evaluated over the
-// columns.
-func (t *Tree) nearest(src *nodeSource, q geom.Vec, at float64, k int) ([]Result, error) {
-	eval := t.Now()
+// columns.  Like search it judges expiration, and the past-time check,
+// at the later of now and the tree's clock, and leaves the clock alone.
+func (t *Tree) nearest(src *nodeSource, q geom.Vec, at float64, k int, now float64) ([]Result, error) {
+	eval := max(t.Now(), now)
 	if at < eval {
 		return nil, errNearestPast(at, eval)
 	}

@@ -262,7 +262,7 @@ func TestSlabReuseUnderPinnedReaders(t *testing.T) {
 		src := nodeSource{snap: p, root: p.root}
 		var got state
 		n := 0
-		if err := tr.search(&src, all, func(r Result) bool {
+		if err := tr.search(&src, all, 0, func(r Result) bool {
 			got[r.OID] = r.Point
 			n++
 			return true

@@ -257,9 +257,8 @@ func (t *Tree) brHorizon(level int) float64 {
 	return h + t.W()
 }
 
-// clock is the tree's monotonic time.  It is atomic so that query
-// paths (which hold only a shared lock in the public tree) can read
-// and advance it while racing with each other.
+// clock is the tree's monotonic time.  Only mutations advance it; it
+// is atomic so that lock-free queries can read it while a writer does.
 type clock struct{ bits atomic.Uint64 }
 
 // Load returns the current time.

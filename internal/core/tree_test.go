@@ -93,6 +93,46 @@ func TestSearchSkipsExpired(t *testing.T) {
 	}
 }
 
+// TestQueriesLeaveClock checks that no query kernel moves the tree
+// clock: a query far in the future judges expiry at its own now, and
+// the next query at the tree's time sees every live object again.
+func TestQueriesLeaveClock(t *testing.T) {
+	tr := newTestTree(t, rexpConfig())
+	tr.Insert(1, geom.MovingPoint{Pos: geom.Vec{100, 100}, TExp: 1000}, 0)
+	tr.Insert(2, geom.MovingPoint{Pos: geom.Vec{200, 200}, TExp: 1000}, 0)
+	world := geom.Rect{Lo: geom.Vec{0, 0}, Hi: geom.Vec{1000, 1000}}
+	far := 1e9
+	queries := map[string]func(now float64) (int, error){
+		"Search": func(now float64) (int, error) {
+			res, err := tr.Search(geom.Timeslice(world, now), now)
+			return len(res), err
+		},
+		"SearchSnap": func(now float64) (int, error) {
+			res, err := tr.SearchSnap(geom.Timeslice(world, now), now)
+			return len(res), err
+		},
+		"Nearest": func(now float64) (int, error) {
+			res, err := tr.Nearest(geom.Vec{0, 0}, now, 5, now)
+			return len(res), err
+		},
+		"NearestSnap": func(now float64) (int, error) {
+			res, err := tr.NearestSnap(geom.Vec{0, 0}, now, 5, now)
+			return len(res), err
+		},
+	}
+	for name, q := range queries {
+		if n, err := q(far); err != nil || n != 0 {
+			t.Errorf("%s at %v = %d results, %v; want none: every report expired", name, far, n, err)
+		}
+		if now := tr.Now(); now != 0 {
+			t.Fatalf("%s at %v moved the clock to %v", name, far, now)
+		}
+		if n, err := q(1); err != nil || n != 2 {
+			t.Errorf("%s at 1 after it = %d results, %v; want 2", name, n, err)
+		}
+	}
+}
+
 func TestTPRModeIgnoresExpiration(t *testing.T) {
 	tr := newTestTree(t, tprConfig())
 	tr.Insert(1, geom.MovingPoint{Pos: geom.Vec{100, 100}, TExp: 10}, 0)

@@ -58,7 +58,6 @@ func goldenSnapshot() Snapshot {
 	m.LockWaitRead.Observe(900 * time.Nanosecond)
 	m.LockWaitRead.Observe(12 * time.Microsecond)
 	m.LockWaitWrite.Observe(400 * time.Microsecond)
-	m.ObservePhase(PhaseQueueWait, 3*time.Microsecond)
 	m.ObservePhase(PhaseIORead, 150*time.Microsecond)
 	m.ObservePhase(PhaseIOWrite, 220*time.Microsecond)
 	m.ObservePhase(PhaseWALAppend, 9*time.Microsecond)

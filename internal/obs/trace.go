@@ -8,8 +8,8 @@ import (
 // Phase identifies one internal execution phase whose latency is
 // aggregated into the phase-duration histograms (Metrics.Phases).
 // Phases attribute where operations spend their time below the
-// per-operation histograms: waiting for a fan-out worker, reading or
-// writing pages past the buffer pool, appending to and fsyncing the
+// per-operation histograms: reading or writing pages past the buffer
+// pool, appending to and fsyncing the
 // write-ahead log, checkpointing, and merging per-shard result sets.
 // (Lock waits have their own dedicated histograms, LockWaitRead and
 // LockWaitWrite.)
@@ -17,11 +17,8 @@ type Phase int
 
 // The phases, in exposition order.
 const (
-	// PhaseQueueWait is the time a fan-out task waits for a worker
-	// slot in the sharded front-end's bounded pool.
-	PhaseQueueWait Phase = iota
 	// PhaseIORead is the store read of a buffer-pool miss.
-	PhaseIORead
+	PhaseIORead Phase = iota
 	// PhaseIOWrite is a page write that reaches the store (writeback,
 	// flush or checkpoint).
 	PhaseIOWrite
@@ -45,8 +42,8 @@ const (
 )
 
 var phaseNames = [NumPhases]string{
-	"queue_wait", "io_read", "io_write",
-	"wal_append", "wal_fsync", "checkpoint", "merge",
+	"io_read", "io_write", "wal_append",
+	"wal_fsync", "checkpoint", "merge",
 }
 
 // String returns the phase's snake_case name as used in the

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPhaseString(t *testing.T) {
-	want := []string{"queue_wait", "io_read", "io_write", "wal_append",
+	want := []string{"io_read", "io_write", "wal_append",
 		"wal_fsync", "checkpoint", "merge"}
 	if int(NumPhases) != len(want) {
 		t.Fatalf("NumPhases = %d, want %d", NumPhases, len(want))

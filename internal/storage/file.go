@@ -15,28 +15,19 @@ import (
 // of the free-page chain; user pages follow.  Free pages are chained
 // through their first four bytes.
 //
-// Two on-disk formats are supported:
-//
-//   - Version 1 (legacy): bare 4 KiB pages, superblock rewritten only
-//     on Close.  A crash leaves the superblock stale, so v1 files give
-//     no durability guarantees; they are still opened read/write for
-//     backward compatibility (and can be migrated to v2 in one shot by
-//     rebuilding the index with rexpreshard).
-//   - Version 2: every page carries an 8-byte header with a CRC32C
-//     checksum of its contents, and the superblock carries its own
-//     checksum plus a dirty flag.  The flag is raised by MarkDirty
-//     before a write-ahead-logged update stream begins and cleared by
-//     a clean Close, so recovery can detect an unclean shutdown.
-//
-// New files are always created as version 2.
+// The on-disk format is version 2: every page carries an 8-byte header
+// with a CRC32C checksum of its contents, and the superblock carries its
+// own checksum plus a dirty flag.  The flag is raised by MarkDirty
+// before a write-ahead-logged update stream begins and cleared by a
+// clean Close, so recovery can detect an unclean shutdown.  Version-1
+// files (bare pages, no checksums) are refused.
 type FileStore struct {
 	f        *os.File
 	path     string
-	version  int
 	numPages int // user pages ever allocated (including freed)
 	live     int
 	readOnly bool
-	dirty    bool // v2 superblock dirty flag
+	dirty    bool // superblock dirty flag
 
 	// The free list is kept in memory as a stack (freeOld reusable,
 	// freeNew quarantined while deferFrees is set) and materialized as
@@ -50,10 +41,10 @@ type FileStore struct {
 }
 
 const (
-	fileMagic   = 0x52455850 // "REXP": version 1, bare pages
+	fileMagicV1 = 0x52455850 // "REXP": the retired version 1, bare pages
 	fileMagicV2 = 0x51455850 // "REXQ": version 2, checksummed pages
 
-	// pageHdrSize is the per-page header of the v2 format: CRC32C of
+	// pageHdrSize is the per-page header: CRC32C of
 	// the page contents plus four reserved bytes.  The logical page
 	// stays PageSize bytes; only the on-disk slot grows.
 	pageHdrSize = 8
@@ -74,20 +65,13 @@ var ErrReadOnly = errors.New("storage: store is read-only")
 // its contents — the page was torn by a crash or corrupted at rest.
 var ErrChecksum = errors.New("storage: page checksum mismatch")
 
-// CreateFileStore creates (truncating) a file-backed store at path in
-// the current (checksummed) format.
+// CreateFileStore creates (truncating) a file-backed store at path.
 func CreateFileStore(path string) (*FileStore, error) {
-	return createFileStore(path, 2)
-}
-
-// createFileStore creates a store of the given format version.  v1 is
-// reachable only from tests that exercise the legacy open path.
-func createFileStore(path string, version int) (*FileStore, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	s := &FileStore{f: f, path: path, version: version, freedSet: map[PageID]bool{}}
+	s := &FileStore{f: f, path: path, freedSet: map[PageID]bool{}}
 	if err := s.writeSuper(); err != nil {
 		f.Close()
 		return nil, err
@@ -95,8 +79,7 @@ func createFileStore(path string, version int) (*FileStore, error) {
 	return s, nil
 }
 
-// OpenFileStore opens a store previously written by CreateFileStore
-// and cleanly closed (either format version).
+// OpenFileStore opens a store previously written by CreateFileStore.
 func OpenFileStore(path string) (*FileStore, error) {
 	return openFileStore(path, false)
 }
@@ -127,15 +110,15 @@ func openFileStore(path string, readOnly bool) (*FileStore, error) {
 	}
 	s := &FileStore{f: f, path: path, freedSet: map[PageID]bool{}, readOnly: readOnly}
 	switch binary.LittleEndian.Uint32(sb[0:]) {
-	case fileMagic:
-		s.version = 1
 	case fileMagicV2:
-		s.version = 2
 		if crc32.Checksum(sb[:superCRCOff], castagnoli) != binary.LittleEndian.Uint32(sb[superCRCOff:]) {
 			f.Close()
 			return nil, fmt.Errorf("%w: superblock of %s", ErrChecksum, path)
 		}
 		s.dirty = sb[superDirtyOff] != 0
+	case fileMagicV1:
+		f.Close()
+		return nil, fmt.Errorf("storage: %s is a version-1 page file without checksums, which is no longer read; convert it with the rexpreshard of commit 1c4f5f9 or earlier", path)
 	default:
 		f.Close()
 		return nil, fmt.Errorf("storage: %s is not a rexptree page file", path)
@@ -176,9 +159,6 @@ func openFileStore(path string, readOnly bool) (*FileStore, error) {
 // counted.
 func (s *FileStore) SetMetrics(m *obs.Metrics) { s.met = m }
 
-// Version returns the on-disk format version (1 legacy, 2 checksummed).
-func (s *FileStore) Version() int { return s.version }
-
 // Dirty reports whether the superblock's dirty flag is raised — the
 // file was part of a write-ahead-logged update stream and has not been
 // cleanly closed since.
@@ -206,9 +186,6 @@ func (s *FileStore) SetDeferFrees(v bool) {
 func (s *FileStore) MarkDirty() error {
 	if s.readOnly {
 		return ErrReadOnly
-	}
-	if s.version < 2 {
-		return fmt.Errorf("storage: %s: version-1 files have no dirty flag; migrate with rexpreshard", s.path)
 	}
 	if s.dirty {
 		return nil
@@ -248,19 +225,13 @@ func (s *FileStore) ResetFreeList(live map[PageID]bool) {
 
 func (s *FileStore) writeSuper() error {
 	var sb [PageSize]byte
-	if s.version < 2 {
-		binary.LittleEndian.PutUint32(sb[0:], fileMagic)
-	} else {
-		binary.LittleEndian.PutUint32(sb[0:], fileMagicV2)
-	}
+	binary.LittleEndian.PutUint32(sb[0:], fileMagicV2)
 	binary.LittleEndian.PutUint32(sb[4:], uint32(s.numPages))
 	binary.LittleEndian.PutUint32(sb[8:], uint32(s.freeHead()))
-	if s.version >= 2 {
-		if s.dirty {
-			sb[superDirtyOff] = 1
-		}
-		binary.LittleEndian.PutUint32(sb[superCRCOff:], crc32.Checksum(sb[:superCRCOff], castagnoli))
+	if s.dirty {
+		sb[superDirtyOff] = 1
 	}
+	binary.LittleEndian.PutUint32(sb[superCRCOff:], crc32.Checksum(sb[:superCRCOff], castagnoli))
 	_, err := s.f.WriteAt(sb[:], 0)
 	return err
 }
@@ -279,7 +250,7 @@ func (s *FileStore) freeHead() PageID {
 
 // writeChain materializes the in-memory free stack as the on-disk
 // chain: each free page's first four bytes link to the next.  Pages
-// are rewritten whole so v2 checksums stay valid.
+// are rewritten whole so their checksums stay valid.
 func (s *FileStore) writeChain() error {
 	stack := make([]PageID, 0, len(s.freeOld)+len(s.freeNew))
 	stack = append(stack, s.freeOld...)
@@ -297,17 +268,10 @@ func (s *FileStore) writeChain() error {
 }
 
 func (s *FileStore) offset(id PageID) int64 {
-	if s.version < 2 {
-		return (int64(id) + 1) * PageSize
-	}
 	return PageSize + int64(id)*slotSizeV2
 }
 
 func (s *FileStore) readRaw(id PageID, buf []byte) error {
-	if s.version < 2 {
-		_, err := s.f.ReadAt(buf[:PageSize], s.offset(id))
-		return err
-	}
 	var slot [slotSizeV2]byte
 	if _, err := s.f.ReadAt(slot[:], s.offset(id)); err != nil {
 		return err
@@ -324,10 +288,6 @@ func (s *FileStore) readRaw(id PageID, buf []byte) error {
 }
 
 func (s *FileStore) writeRaw(id PageID, buf []byte) error {
-	if s.version < 2 {
-		_, err := s.f.WriteAt(buf[:PageSize], s.offset(id))
-		return err
-	}
 	var slot [slotSizeV2]byte
 	copy(slot[pageHdrSize:], buf[:PageSize])
 	binary.LittleEndian.PutUint32(slot[0:], crc32.Checksum(slot[pageHdrSize:], castagnoli))
@@ -337,13 +297,10 @@ func (s *FileStore) writeRaw(id PageID, buf []byte) error {
 
 // VerifyPage reads the page's slot and checks its checksum, without
 // the allocation checks — it works on freed pages too, for the offline
-// scrub.  Version-1 pages have no checksum and always verify.
+// scrub.
 func (s *FileStore) VerifyPage(id PageID) error {
 	if int(id) >= s.numPages {
 		return fmt.Errorf("%w: %d", ErrPageRange, id)
-	}
-	if s.version < 2 {
-		return nil
 	}
 	var buf [PageSize]byte
 	return s.readRaw(id, buf[:])
@@ -394,13 +351,6 @@ func (s *FileStore) WritePageTorn(id PageID, buf []byte, n int) error {
 	}
 	if n < 0 {
 		n = 0
-	}
-	if s.version < 2 {
-		if n > PageSize {
-			n = PageSize
-		}
-		_, err := s.f.WriteAt(buf[:n], s.offset(id))
-		return err
 	}
 	var slot [slotSizeV2]byte
 	copy(slot[pageHdrSize:], buf[:PageSize])

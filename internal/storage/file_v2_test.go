@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rexptree/internal/obs"
@@ -141,26 +143,24 @@ func TestFileStoreDirtyFlag(t *testing.T) {
 	s.Close()
 }
 
-// TestFileStoreMarkDirtyV1Refused checks that the legacy format, which
-// has no dirty flag or checksums, cannot be put into durable mode.
-func TestFileStoreMarkDirtyV1Refused(t *testing.T) {
+// TestFileStoreRefusesVersion1 checks that a file in the retired
+// version-1 format ("REXP" magic, bare pages) is refused with an error
+// that names the file and how to convert it.
+func TestFileStoreRefusesVersion1(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.idx")
-	s, err := createFileStore(path, 1)
-	if err != nil {
+	sb := make([]byte, PageSize)
+	binary.LittleEndian.PutUint32(sb, fileMagicV1)
+	if err := os.WriteFile(path, sb, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if s.Version() != 1 {
-		t.Fatalf("version = %d, want 1", s.Version())
+	_, err := OpenFileStore(path)
+	if err == nil {
+		t.Fatal("a version-1 file opened")
 	}
-	if _, err := s.Allocate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.MarkDirty(); err == nil {
-		t.Fatal("MarkDirty succeeded on a v1 file")
-	}
-	if err := s.VerifyPage(0); err != nil {
-		t.Fatalf("v1 VerifyPage = %v, want nil (no checksums to check)", err)
+	for _, want := range []string{path, "version-1", "rexpreshard"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }
 

@@ -400,20 +400,17 @@ func TestShardManifest(t *testing.T) {
 // and their exposure through Metrics.
 func TestShardBufferSizing(t *testing.T) {
 	cases := []struct {
-		name     string
-		perShard int
-		total    int
-		want     int // aggregate BufferPoolPages over 4 shards
+		name  string
+		total int
+		want  int // aggregate BufferPoolPages over 4 shards
 	}{
-		{"explicit per shard", 20, 0, 80},
-		{"total budget split", 0, 120, 120},
-		{"floor of 8", 0, 12, 32},
-		{"default", 0, 0, 200},
+		{"total budget split", 120, 120},
+		{"floor of 8", 12, 32},
+		{"default", 0, 200},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			opts := ShardedOptions{Options: DefaultOptions(), Shards: 4,
-				BufferPagesPerShard: c.perShard}
+			opts := ShardedOptions{Options: DefaultOptions(), Shards: 4}
 			opts.BufferPages = c.total
 			st, err := OpenSharded(opts)
 			if err != nil {
@@ -424,9 +421,6 @@ func TestShardBufferSizing(t *testing.T) {
 				t.Errorf("aggregate BufferPoolPages = %d, want %d", got, c.want)
 			}
 		})
-	}
-	if _, err := OpenSharded(ShardedOptions{Options: DefaultOptions(), BufferPagesPerShard: -1}); err == nil {
-		t.Error("negative BufferPagesPerShard accepted")
 	}
 }
 

@@ -1,11 +1,12 @@
 package rexptree
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +17,10 @@ import (
 )
 
 // ShardedOptions configures a ShardedTree.  The embedded Options apply
-// to every shard; Path, when set, names the base of the per-shard page
+// to every shard, except BufferPages, which is the whole index's
+// budget: it is split evenly across the shards with a floor of 8 pages
+// per shard (zero gives each shard the stand-alone default of 50 pages,
+// paper §5.1).  Path, when set, names the base of the per-shard page
 // files (shard i is stored at "<Path>.s<i>" — or "<Path>.g<G>.s<i>"
 // after a reshard bumped the file generation to G — and a
 // "<Path>.manifest" sidecar records the partition and generation so
@@ -29,11 +33,6 @@ type ShardedOptions struct {
 	// file-backed sharded index is reopened, because the partition of
 	// the stored objects depends on it.
 	Shards int
-
-	// Workers bounds how many shards are searched concurrently during a
-	// query fan-out (default: one worker per shard).  The same pool
-	// bounds the per-shard application of UpdateBatch.
-	Workers int
 
 	// Partition selects the object→shard assignment: PartitionHash
 	// (default) routes by id hash; PartitionSpeed routes by |velocity|
@@ -53,13 +52,6 @@ type ShardedOptions struct {
 	// TuneAfter is how many speed observations self-tuning collects
 	// before fixing the band boundaries (default 1000).
 	TuneAfter int
-
-	// BufferPagesPerShard sets each shard's buffer-pool page capacity
-	// directly.  When zero, Options.BufferPages (if set) is treated as
-	// a total budget divided evenly across shards with a floor of 8
-	// pages per shard; when that is zero too, each shard gets the
-	// stand-alone default (50 pages, paper §5.1).
-	BufferPagesPerShard int
 }
 
 // generation is one complete shard set: the trees and the partitioner
@@ -84,9 +76,10 @@ type generation struct {
 // independent Trees, each with its own page store, buffer pool and
 // lock, following the scale-out design of partitioned moving-object
 // indexes (MOIST; Jiang et al.): updates touch exactly one shard, so
-// they proceed concurrently on different shards, and queries fan out
-// across the shards through a bounded worker pool, with the per-shard
-// result sets merged.
+// they proceed concurrently on different shards.  A query visits the
+// shards one after another on the caller's goroutine — one shard's
+// traversal is a few microseconds, less than starting and joining a
+// goroutine per shard costs — and merges their hits.
 //
 // Objects are assigned to shards by the configured PartitionPolicy:
 // by id hash (the default), or by speed band (PartitionSpeed), which
@@ -97,8 +90,8 @@ type generation struct {
 // in-memory node visit.
 //
 // Query results are merged in ascending object-id order (Nearest:
-// ascending distance order), which makes the output deterministic
-// regardless of shard completion order — and, for the same workload,
+// ascending distance order, ties by id), which makes the output
+// independent of the partition — and, for the same workload,
 // element-wise identical to a single Tree's sorted results.
 //
 // The shard set itself can be replaced while the index serves traffic:
@@ -114,9 +107,8 @@ type ShardedTree struct {
 	cur atomic.Pointer[generation]
 
 	dims int
-	sem  chan struct{} // bounded fan-out worker pool
-	m    *obs.Metrics  // front-end registry: fan-out latencies, partitioning counters
-	rec  *obs.Recorder // fan-out flight recorder; nil unless Options.FlightRecorder > 0
+	m    *obs.Metrics  // front-end registry: whole-index latencies, partitioning counters
+	rec  *obs.Recorder // the index's flight recorder; nil unless Options.FlightRecorder > 0
 
 	manifestPath string // "" when memory-backed
 	basePath     string // ShardedOptions.Path
@@ -182,32 +174,17 @@ func (s *ShardedTree) pin() *generation {
 
 func (g *generation) unpin() { g.refs.Add(-1) }
 
-// perShardBuffer resolves the per-shard buffer-pool capacity for a
-// given shard count: an explicit per-shard capacity wins, else
-// Options.BufferPages is a total budget split across shards with a
-// floor of 8 pages; 0 means the stand-alone default.
-func perShardBuffer(opts ShardedOptions, shards int) int {
-	perShard := opts.BufferPagesPerShard
-	if perShard == 0 && opts.BufferPages > 0 {
-		perShard = opts.BufferPages / shards
-		if perShard < 8 {
-			perShard = 8
-		}
-	}
-	return perShard
-}
-
-// shardOptions derives shard i's stand-alone Options for generation
-// gen from the front-end options — the same derivation for an open, a
-// reopen and a live reshard's target shards, so a resharded shard
-// behaves exactly like a reopened one.
-func shardOptions(opts ShardedOptions, gen, i, perShard int) Options {
+// shardOptions derives shard i's stand-alone Options for a generation
+// gen of the given shard count from the front-end options — the same
+// derivation for an open, a reopen and a live reshard's target shards,
+// so a resharded shard behaves exactly like a reopened one.
+func shardOptions(opts ShardedOptions, shards, gen, i int) Options {
 	so := opts.Options
 	if so.Path != "" {
 		so.Path = manifest.ShardPath(opts.Path, gen, i)
 	}
-	if perShard > 0 {
-		so.BufferPages = perShard
+	if so.BufferPages > 0 {
+		so.BufferPages = max(so.BufferPages/shards, 8)
 	}
 	// Distinct seeds keep the shards' tie-breaking streams
 	// independent while remaining deterministic.
@@ -223,32 +200,22 @@ func shardOptions(opts ShardedOptions, gen, i, perShard int) Options {
 // shutdown each shard replays its own write-ahead log, so recovery
 // time is bounded by the largest shard, not the sum.
 func openGeneration(opts ShardedOptions, shards, gen int) ([]*Tree, error) {
-	perShard := perShardBuffer(opts, shards)
 	out := make([]*Tree, shards)
-	var wg sync.WaitGroup
-	errs := make([]error, shards)
-	for i := range out {
-		wg.Add(1)
-		go func(i int, so Options) {
-			defer wg.Done()
-			t, err := Open(so)
-			if err != nil {
-				errs[i] = fmt.Errorf("rexptree: opening shard %d: %w", i, err)
-				return
-			}
-			out[i] = t
-		}(i, shardOptions(opts, gen, i, perShard))
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := parallel(shards, nil, func(i int) error {
+		t, err := Open(shardOptions(opts, shards, gen, i))
 		if err != nil {
-			for _, open := range out {
-				if open != nil {
-					open.Close()
-				}
-			}
-			return nil, err
+			return fmt.Errorf("rexptree: opening shard %d: %w", i, err)
 		}
+		out[i] = t
+		return nil
+	})
+	if err != nil {
+		for _, open := range out {
+			if open != nil {
+				open.Close()
+			}
+		}
+		return nil, err
 	}
 	return out, nil
 }
@@ -263,12 +230,6 @@ func OpenSharded(opts ShardedOptions) (*ShardedTree, error) {
 	}
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("rexptree: invalid shard count %d", opts.Shards)
-	}
-	if opts.Workers == 0 {
-		opts.Workers = opts.Shards
-	}
-	if opts.Workers < 1 {
-		return nil, fmt.Errorf("rexptree: invalid worker count %d", opts.Workers)
 	}
 	if opts.Partition != PartitionHash && opts.Partition != PartitionSpeed {
 		return nil, fmt.Errorf("rexptree: unknown partition policy %d", int(opts.Partition))
@@ -310,12 +271,8 @@ func OpenSharded(opts ShardedOptions) (*ShardedTree, error) {
 			gen = man.Generation
 		}
 	}
-	if opts.BufferPagesPerShard < 0 {
-		return nil, fmt.Errorf("rexptree: invalid BufferPagesPerShard %d", opts.BufferPagesPerShard)
-	}
 
 	s := &ShardedTree{
-		sem:          make(chan struct{}, opts.Workers),
 		m:            obs.New(),
 		rec:          newRecorder(opts.Options),
 		manifestPath: manifestPath,
@@ -323,8 +280,8 @@ func OpenSharded(opts ShardedOptions) (*ShardedTree, error) {
 		durability:   opts.Durability,
 		opts:         opts,
 	}
-	// The front end observes every fan-out as one operation; its slow
-	// ones are logged under "fanout/", apart from the shards' own.
+	// The front end observes every operation of the whole index; its
+	// slow ones are logged under "fanout/", apart from the shards' own.
 	s.m.SlowOp, s.m.SlowLabel = opts.SlowOpThreshold, "fanout/"
 
 	trees, err := openGeneration(opts, opts.Shards, gen)
@@ -444,27 +401,24 @@ func shardIndex(id uint32, n int) int {
 	return manifest.ShardIndex(id, n)
 }
 
-// fanOut runs fn once per shard of g on the bounded worker pool and
-// returns the first (lowest shard index) error.  A non-nil visit
-// restricts it to the shards it marks: the others get no goroutine and
-// take no worker slot.  Time spent waiting for a slot lands in the
-// queue-wait phase histogram; fn is told when its shard was queued.
-func (s *ShardedTree) fanOut(g *generation, visit []bool, fn func(i int, t *Tree, queued time.Time) error) error {
+// parallel runs fn(i) for every i in [0, n) that visit marks (every i
+// when visit is nil), each on a goroutine of its own, and returns the
+// first (lowest i) error.  It serves the whole-shard work of writes,
+// opens, closes and Validate; queries visit their shards in turn on
+// the caller's goroutine (see visitShards).  A shard's own lock
+// serialises the goroutines that reach it.
+func parallel(n int, visit []bool, fn func(i int) error) error {
 	var wg sync.WaitGroup
-	errs := make([]error, len(g.shards))
-	for i, t := range g.shards {
+	errs := make([]error, n)
+	for i := range errs {
 		if visit != nil && !visit[i] {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, t *Tree) {
+		go func(i int) {
 			defer wg.Done()
-			queued := time.Now()
-			s.sem <- struct{}{}
-			s.m.ObservePhase(obs.PhaseQueueWait, time.Since(queued))
-			defer func() { <-s.sem }()
-			errs[i] = fn(i, t, queued)
-		}(i, t)
+			errs[i] = fn(i)
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -497,20 +451,9 @@ func (s *ShardedTree) Close() error {
 			s.closeErr = err
 		}
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(g.shards))
-	for i, t := range g.shards {
-		wg.Add(1)
-		go func(i int, t *Tree) {
-			defer wg.Done()
-			errs[i] = t.Close()
-		}(i, t)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil && s.closeErr == nil {
-			s.closeErr = err
-		}
+	err := parallel(len(g.shards), nil, func(i int) error { return g.shards[i].Close() })
+	if s.closeErr == nil {
+		s.closeErr = err
 	}
 	return s.closeErr
 }
@@ -673,12 +616,12 @@ func (s *ShardedTree) applyDelete(g *generation, id uint32, now float64, tc *Que
 
 // UpdateBatch groups the reports by target shard and applies each
 // group as one Tree.UpdateBatch — a single lock acquisition per shard
-// — with the per-shard batches running concurrently on the worker
-// pool.  Reports for the same object keep their relative order; under
-// PartitionSpeed every report of an object is applied on the shard of
-// the object's final (last-report) speed band, after removing it from
-// its previous shard, so the batch leaves the same state as applying
-// the reports one by one.  On error the failing shard stops like
+// — with the per-shard batches running concurrently, one goroutine per
+// shard written.  Reports for the same object keep their relative
+// order; under PartitionSpeed every report of an object is applied on
+// the shard of the object's final (last-report) speed band, after
+// removing it from its previous shard, so the batch leaves the same
+// state as applying the reports one by one.  On error the failing shard stops like
 // Tree.UpdateBatch while other shards' groups still apply; the first
 // error is returned.
 func (s *ShardedTree) UpdateBatch(batch []Report, now float64) error {
@@ -753,8 +696,8 @@ func (s *ShardedTree) applyBatch(g *generation, batch []Report, now float64, tc 
 		}
 		tc.endAt(ri)
 		ai := tc.begin(-1, "apply", -1)
-		err := s.fanOut(g, nonEmpty(groups), func(i int, t *Tree, _ time.Time) error {
-			return t.UpdateBatch(groups[i], now)
+		err := parallel(len(g.shards), nonEmpty(groups), func(i int) error {
+			return g.shards[i].UpdateBatch(groups[i], now)
 		})
 		tc.endAt(ai)
 		return err
@@ -776,9 +719,9 @@ func (s *ShardedTree) applyBatch(g *generation, batch []Report, now float64, tc 
 	}
 	tc.endAt(ri)
 	di := tc.begin(-1, "reroute-deletes", -1)
-	err := s.fanOut(g, nonEmpty(delGroups), func(i int, t *Tree, _ time.Time) error {
-		ids := delGroups[i]
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	err := parallel(len(g.shards), nonEmpty(delGroups), func(i int) error {
+		t, ids := g.shards[i], delGroups[i]
+		slices.Sort(ids)
 		for _, id := range ids {
 			if _, err := t.Delete(id, now); err != nil {
 				return err
@@ -802,8 +745,8 @@ func (s *ShardedTree) applyBatch(g *generation, batch []Report, now float64, tc 
 		groups[i] = append(groups[i], r)
 	}
 	ai := tc.begin(-1, "apply", -1)
-	err = s.fanOut(g, nonEmpty(groups), func(i int, t *Tree, _ time.Time) error {
-		return t.UpdateBatch(groups[i], now)
+	err = parallel(len(g.shards), nonEmpty(groups), func(i int) error {
+		return g.shards[i].UpdateBatch(groups[i], now)
 	})
 	tc.endAt(ai)
 	for id, tgt := range final {
@@ -812,8 +755,8 @@ func (s *ShardedTree) applyBatch(g *generation, batch []Report, now float64, tc 
 	return err
 }
 
-// nonEmpty is the fan-out mask of a batch's per-shard groups: a shard
-// with nothing to write gets no goroutine and no worker slot.
+// nonEmpty is the parallel mask of a batch's per-shard groups: a shard
+// with nothing to write gets no goroutine.
 func nonEmpty[T any](groups [][]T) []bool {
 	visit := make([]bool, len(groups))
 	for i, grp := range groups {
@@ -835,86 +778,73 @@ func (s *ShardedTree) nearest(traced bool, pos Vec, at float64, k int, now float
 	})
 }
 
-// beginShardTable starts the trace's shard table, one row per shard
-// of g (under PartitionSpeed labelled with its speed band).
-func (s *ShardedTree) beginShardTable(tc *QueryTrace, g *generation) {
-	if tc == nil {
-		return
-	}
-	tc.Shards = make([]ShardTrace, len(g.shards))
-	for i := range tc.Shards {
-		tc.Shards[i] = ShardTrace{Shard: i, Band: s.bandLabel(g, i)}
-	}
-}
-
-// searchShards fans one search out across every shard and merges the
-// results in ascending object-id order.  A shard the query cannot touch
-// rejects it at its root.  A shard's operation latency is its queue
-// wait, epoch pin and traversal.  With a trace, each visit lands in its
-// row of the shard table and in a span block, preallocated before the
-// fan-out so the workers only write their own slots.
-func (s *ShardedTree) searchShards(op obs.Op, q geom.Query, now float64, tc *QueryTrace) ([]Result, error) {
+// visitShards pins the current generation and visits its shards in
+// index order on the calling goroutine: the one shard loop of every
+// query.  visit runs one shard's traversal, filling the epoch-pin and
+// traverse spans pinIdx and travIdx.  Each visit counts in ShardVisits
+// and, timed as pin plus traversal, in the shard's own operation
+// histogram; with a trace it is a shard span and a row of the shard
+// table (under PartitionSpeed labelled with the shard's speed band).
+func (s *ShardedTree) visitShards(op obs.Op, tc *QueryTrace, visit func(t *Tree, pinIdx, travIdx int) error) error {
 	g := s.pin()
 	defer g.unpin()
 	s.m.ShardVisits.Add(uint64(len(g.shards)))
-	var blocks []shardSpans
 	if tc != nil {
-		s.beginShardTable(tc, g)
-		blocks = make([]shardSpans, len(g.shards))
-		for i := range g.shards {
-			blocks[i] = tc.beginShard(i, true)
+		tc.Shards = make([]ShardTrace, len(g.shards))
+		for i := range tc.Shards {
+			tc.Shards[i] = ShardTrace{Shard: i, Band: s.bandLabel(g, i)}
 		}
 	}
-	parts := make([][]Result, len(g.shards))
-	err := s.fanOut(g, nil, func(i int, t *Tree, queued time.Time) error {
-		var b shardSpans
-		if tc != nil {
-			b = blocks[i]
+	for i, t := range g.shards {
+		b := tc.beginShard(i)
+		start := time.Now()
+		err := visit(t, b.pin, b.trav)
+		t.m.ObserveOp(op, time.Since(start), err)
+		tc.endShard(i, b)
+		if err != nil {
+			return err
 		}
-		tc.spanSince(b.queue, queued)
-		rs, err := t.searchAt(q, now, tc, b.pin, b.trav)
-		parts[i] = rs
-		tc.endShard(i, b, len(rs))
-		t.m.ObserveOp(op, time.Since(queued), err)
+	}
+	return nil
+}
+
+// searchShards runs one search on every shard, each appending its hits
+// to one result slice, and merges them into ascending object-id order.
+// A shard the query cannot touch rejects it at its root.
+func (s *ShardedTree) searchShards(op obs.Op, q geom.Query, now float64, tc *QueryTrace) ([]Result, error) {
+	out := make([]Result, 0)
+	err := s.visitShards(op, tc, func(t *Tree, pinIdx, travIdx int) (err error) {
+		out, err = t.searchAt(out, q, now, tc, pinIdx, travIdx)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-
 	mi := tc.begin(-1, "merge", -1)
 	ms := time.Now()
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]Result, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b Result) int { return cmp.Compare(a.ID, b.ID) })
 	s.m.ObservePhase(obs.PhaseMerge, time.Since(ms))
 	tc.endAt(mi)
 	return out, nil
 }
 
 // Timeslice reports the objects predicted to be inside r at time at
-// (Type 1 query), fanned out across the shards; see Tree.Timeslice.
+// (Type 1 query), searched on every shard; see Tree.Timeslice.
 func (s *ShardedTree) Timeslice(r Rect, at, now float64) ([]Result, error) {
 	res, _, err := s.query(obs.OpTimeslice, s.rec != nil, checkTimeslice(at, now), geom.Timeslice(toRect(r), at), now)
 	return res, err
 }
 
 // Window reports the objects predicted to cross r during [t1, t2]
-// (Type 2 query), fanned out across the shards; see Tree.Window.
+// (Type 2 query), searched on every shard; see Tree.Window.
 func (s *ShardedTree) Window(r Rect, t1, t2, now float64) ([]Result, error) {
 	res, _, err := s.query(obs.OpWindow, s.rec != nil, checkWindow(t1, t2, now), geom.Window(toRect(r), t1, t2), now)
 	return res, err
 }
 
 // Moving reports the objects predicted to cross the trapezoid
-// connecting r1 at t1 to r2 at t2 (Type 3 query), fanned out across
-// the shards; see Tree.Moving.
+// connecting r1 at t1 to r2 at t2 (Type 3 query), searched on every
+// shard; see Tree.Moving.
 func (s *ShardedTree) Moving(r1, r2 Rect, t1, t2, now float64) ([]Result, error) {
 	res, _, err := s.query(obs.OpMoving, s.rec != nil, checkMoving(t1, t2, now), geom.Moving(toRect(r1), toRect(r2), t1, t2, s.dims), now)
 	return res, err
@@ -929,31 +859,19 @@ func (s *ShardedTree) Nearest(pos Vec, at float64, k int, now float64) ([]Result
 	return res, err
 }
 
-// nearestShards visits the shards in index order on the calling
-// goroutine, so their spans append to the trace freely.
+// nearestShards collects every shard's k nearest and keeps the k
+// nearest of them, ordered by (distance, id).
 func (s *ShardedTree) nearestShards(pos Vec, at float64, k int, now float64, tc *QueryTrace) ([]Result, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	g := s.pin()
-	defer g.unpin()
-	s.beginShardTable(tc, g)
-	s.m.ShardVisits.Add(uint64(len(g.shards)))
-
 	type cand struct {
 		dist float64
 		r    Result
 	}
 	var cands []cand
-	for i, t := range g.shards {
-		b := tc.beginShard(i, false)
-		opStart := time.Now()
-		rs, err := t.nearestAt(pos, at, k, now, tc, b.pin, b.trav)
-		t.m.ObserveOp(obs.OpNearest, time.Since(opStart), err)
-		tc.endShard(i, b, len(rs))
-		if err != nil {
-			return nil, err
-		}
+	err := s.visitShards(obs.OpNearest, tc, func(t *Tree, pinIdx, travIdx int) error {
+		rs, err := t.nearestAt(pos, at, k, now, tc, pinIdx, travIdx)
 		for _, r := range rs {
 			p := r.Point.At(at)
 			var d float64
@@ -963,12 +881,16 @@ func (s *ShardedTree) nearestShards(pos Vec, at float64, k int, now float64, tc 
 			}
 			cands = append(cands, cand{math.Sqrt(d), r})
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].dist != cands[b].dist {
-			return cands[a].dist < cands[b].dist
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(a.dist, b.dist); c != 0 {
+			return c
 		}
-		return cands[a].r.ID < cands[b].r.ID
+		return cmp.Compare(a.r.ID, b.r.ID)
 	})
 	if len(cands) > k {
 		cands = cands[:k]
@@ -1046,7 +968,7 @@ func (s *ShardedTree) ForEach(now float64, fn func(Result) bool) error {
 func (s *ShardedTree) Validate() error {
 	g := s.pin()
 	defer g.unpin()
-	return s.fanOut(g, nil, func(_ int, t *Tree, _ time.Time) error { return t.Validate() })
+	return parallel(len(g.shards), nil, func(i int) error { return g.shards[i].Validate() })
 }
 
 // Stats returns the summed statistics of all shards (Height is the
@@ -1076,7 +998,7 @@ func (s *ShardedTree) Stats() Stats {
 // aggregate sums every shard's counters, gauges and lock-wait
 // histograms, while its per-operation histograms and the partitioning
 // counters (shard visits, re-routes) come from the front-end
-// registry: they describe the whole fan-out including the merge.  The
+// registry: they describe the whole operation including the merge.  The
 // live-reshard families are front-end-only too: the reshard is a
 // whole-index operation, not a per-shard one.
 func (s *ShardedTree) snapshots() (agg obs.Snapshot, shards []obs.Snapshot) {
@@ -1095,8 +1017,8 @@ func (s *ShardedTree) snapshots() (agg obs.Snapshot, shards []obs.Snapshot) {
 	agg.ReshardDualApplied = front.ReshardDualApplied
 	agg.ReshardBackfilled = front.ReshardBackfilled
 	agg.ReshardCutoverStall = front.ReshardCutoverStall
-	// The fan-out phases (queue_wait, merge) are observed only by the
-	// front-end registry; fold them into the summed shard phases.
+	// The merge phase is observed only by the front-end registry; fold
+	// it into the summed shard phases.
 	for p := range agg.Phases {
 		agg.Phases[p] = agg.Phases[p].Add(front.Phases[p])
 	}
@@ -1106,18 +1028,11 @@ func (s *ShardedTree) snapshots() (agg obs.Snapshot, shards []obs.Snapshot) {
 // Metrics returns the aggregate instrumentation snapshot: summed
 // per-shard counters, gauges and lock-wait histograms, with the
 // per-operation latencies and partitioning counters measured at the sharded
-// front end (fan-out plus merge).  Use ShardMetrics for one shard's
-// own view.
+// front end (every shard visit plus the merge).  WriteMetrics adds one
+// section per shard.
 func (s *ShardedTree) Metrics() Metrics {
 	agg, _ := s.snapshots()
 	return fromSnapshot(agg)
-}
-
-// ShardMetrics returns the instrumentation snapshot of shard i.
-func (s *ShardedTree) ShardMetrics(i int) Metrics {
-	g := s.pin()
-	defer g.unpin()
-	return fromSnapshot(g.shards[i].snapshot())
 }
 
 // WriteMetrics writes the aggregate metrics under the rexp_ name

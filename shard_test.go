@@ -241,8 +241,8 @@ func TestShardRouting(t *testing.T) {
 	}
 	// Exactly one shard holds the object.
 	holders := 0
-	for i := 0; i < s.NumShards(); i++ {
-		if s.ShardMetrics(i).LeafEntries == 1 {
+	for _, sh := range s.cur.Load().shards {
+		if sh.Metrics().LeafEntries == 1 {
 			holders++
 		}
 	}
@@ -324,11 +324,62 @@ func TestShardedExposition(t *testing.T) {
 		}
 	}
 	// The aggregate leaf-entry gauge must equal the shard sum.
-	agg := s.Metrics()
-	if agg.LeafEntries != s.ShardMetrics(0).LeafEntries+s.ShardMetrics(1).LeafEntries {
+	agg, shards := s.Metrics(), s.cur.Load().shards
+	if agg.LeafEntries != shards[0].Metrics().LeafEntries+shards[1].Metrics().LeafEntries {
 		t.Errorf("aggregate LeafEntries %d != shard sum", agg.LeafEntries)
 	}
 	if agg.BatchedUpdates != 100 {
 		t.Errorf("aggregate BatchedUpdates = %d, want 100", agg.BatchedUpdates)
+	}
+}
+
+// TestShardedQueryLeavesClock: a query whose now lies far ahead reads
+// the index at that time but does not move its clock.  The reports it
+// saw as expired are live for the next query at the index's own time,
+// a later report is visible, and a reopen restores the last write's
+// clock, not the query's.
+func TestShardedQueryLeavesClock(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "clock")
+	open := func() *ShardedTree {
+		s, err := OpenSharded(ShardedOptions{Options: durableOpts(base, DurabilityOnCommit), Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	all := Rect{Lo: Vec{-1e12, -1e12}, Hi: Vec{1e12, 1e12}}
+	count := func(s *ShardedTree, at, now float64) int {
+		rs, err := s.Timeslice(all, at, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(rs)
+	}
+	s := open()
+	if err := s.UpdateBatch(testWorkload(200, 7), 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(s, 1e9, 1e9); n != 0 {
+		t.Fatalf("at 1e9 the query saw %d reports, want none: all expired", n)
+	}
+	if n := count(s, 1, 0); n != 200 {
+		t.Errorf("after a query at 1e9, a query at 0 sees %d of 200 reports", n)
+	}
+	if err := s.Update(1000, Point{Pos: Vec{500, 500}, Time: 2, Expires: 500}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(s, 3, 2); n != 201 {
+		t.Errorf("a query at 2 sees %d of 201 reports", n)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = open()
+	defer s.Close()
+	if now := s.Now(); now != 2 {
+		t.Errorf("reopened clock = %v, want 2, the last write's", now)
+	}
+	if n := count(s, 3, 2); n != 201 {
+		t.Errorf("after the reopen a query at 2 sees %d of 201 reports", n)
 	}
 }

@@ -239,14 +239,13 @@ func TestSnapshotReadsDuringCheckpoints(t *testing.T) {
 	}
 }
 
-// TestSnapshotReadsDuringReroute races fan-out queries against a
+// TestSnapshotReadsDuringReroute races sharded queries against a
 // speed-partitioned sharded tree whose self-tuning kicks in mid-run
 // and lazily re-routes objects between shards (run under -race).
 func TestSnapshotReadsDuringReroute(t *testing.T) {
 	s, err := OpenSharded(ShardedOptions{
 		Options:   DefaultOptions(),
 		Shards:    3,
-		Workers:   2,
 		Partition: PartitionSpeed,
 		TuneAfter: 500, // retune mid-run, after the seed batch
 	})

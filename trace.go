@@ -15,11 +15,10 @@ import (
 // TraceSpan is one timed phase of a traced operation.  Spans form a
 // tree through Parent (an index into QueryTrace.Spans, -1 for roots);
 // Start is the offset from the operation's start.  The span taxonomy
-// is documented in docs/TRACING.md: shard, queue-wait, epoch-pin,
-// traverse, merge for queries; route, lock-wait, apply,
-// version-publish, wal-append, wal-fsync, checkpoint for mutations;
-// analyze, truncate-tail, reapply-images, open-base, replay,
-// checkpoint for recovery.  Traverse spans additionally carry the
+// is documented in docs/TRACING.md: shard, epoch-pin, traverse, merge
+// for queries; route, lock-wait, apply, version-publish, wal-append,
+// wal-fsync, checkpoint for mutations; analyze, truncate-tail,
+// reapply-images, open-base, replay, checkpoint for recovery.  Traverse spans additionally carry the
 // traversal's node and page accounting.
 type TraceSpan struct {
 	Parent    int           `json:"parent"`          // index of the parent span; -1 for roots
@@ -69,9 +68,8 @@ func newTrace(op string) *QueryTrace {
 
 // begin appends a span starting now and returns its index (-1 on a nil
 // trace — the untraced fast path costs one pointer test).  Not safe
-// for concurrent use: concurrent writers (the query fan-out) must have
-// their spans preallocated with begin before the goroutines start and
-// then only touch their own indexes via startAt/endAt.
+// for concurrent use: a trace belongs to the goroutine that runs its
+// operation.
 func (t *QueryTrace) begin(parent int, phase string, shard int) int {
 	if t == nil {
 		return -1
@@ -100,16 +98,6 @@ func (t *QueryTrace) endAt(i int) {
 	}
 	sp := &t.Spans[i]
 	sp.Duration = time.Since(t.Start) - sp.Start
-}
-
-// spanSince stamps span i as having run from start until now.
-func (t *QueryTrace) spanSince(i int, start time.Time) {
-	if t == nil {
-		return
-	}
-	sp := &t.Spans[i]
-	sp.Start = start.Sub(t.Start)
-	sp.Duration = time.Since(start)
 }
 
 // beginTraverse appends the two spans every tree traversal fills, the
@@ -147,25 +135,20 @@ func (t *QueryTrace) endTraverse(pinIdx, travIdx int, st *core.TravStats, result
 	pin.Duration = time.Duration(st.PinNanos)
 }
 
-// shardSpans indexes the span block of one visited shard (queue is
-// unused by the sequential nearest visits).
-type shardSpans struct{ shard, queue, pin, trav int }
+// shardSpans indexes the span block of one visited shard.
+type shardSpans struct{ shard, pin, trav int }
 
 // beginShard appends shard i's span block: shard, then under it
-// queue-wait (fan-out visits only), epoch-pin and traverse.
-func (t *QueryTrace) beginShard(i int, queued bool) shardSpans {
+// epoch-pin and traverse.
+func (t *QueryTrace) beginShard(i int) shardSpans {
 	b := shardSpans{shard: t.begin(-1, "shard", i)}
-	if queued {
-		b.queue = t.begin(b.shard, "queue-wait", i)
-	}
 	b.pin, b.trav = t.beginTraverse(b.shard, i)
 	return b
 }
 
-// endShard closes shard i's span and copies the visit's cost into its
-// row of the shard table.  Fan-out workers call it concurrently, each
-// for its own shard: they write disjoint spans and rows.
-func (t *QueryTrace) endShard(i int, b shardSpans, results int) {
+// endShard closes shard i's span and copies the visit's cost, as its
+// traverse span recorded it, into its row of the shard table.
+func (t *QueryTrace) endShard(i int, b shardSpans) {
 	if t == nil {
 		return
 	}
@@ -173,7 +156,7 @@ func (t *QueryTrace) endShard(i int, b shardSpans, results int) {
 	st, sp := &t.Shards[i], &t.Spans[b.trav]
 	st.Nodes, st.Leaves = sp.Nodes, sp.Leaves
 	st.PageReads, st.PageHits = sp.PageReads, sp.PageHits
-	st.Results = results
+	st.Results = sp.Results
 	st.Duration = t.Spans[b.shard].Duration
 }
 
@@ -371,9 +354,9 @@ func (tr *Tree) TraceHandler() http.Handler {
 // ShardedTree EXPLAIN API.
 
 // TraceWindow runs Window across the shards and returns the execution
-// trace: the per-shard table and the span tree covering per-shard
-// queue wait, epoch pin and traversal, and the result merge.  It is
-// Window with the trace forced on.
+// trace: the per-shard table and the span tree covering each shard's
+// epoch pin and traversal, and the result merge.  It is Window with
+// the trace forced on.
 func (s *ShardedTree) TraceWindow(r Rect, t1, t2, now float64) ([]Result, *QueryTrace, error) {
 	return s.query(obs.OpWindow, true, checkWindow(t1, t2, now), geom.Window(toRect(r), t1, t2), now)
 }
@@ -391,14 +374,13 @@ func (s *ShardedTree) TraceMoving(r1, r2 Rect, t1, t2, now float64) ([]Result, *
 }
 
 // TraceNearest runs Nearest across the shards and returns the
-// execution trace; the shard table records the sequential visits.  See
-// TraceWindow.
+// execution trace; it has no merge span.  See TraceWindow.
 func (s *ShardedTree) TraceNearest(pos Vec, at float64, k int, now float64) ([]Result, *QueryTrace, error) {
 	return s.nearest(true, pos, at, k, now)
 }
 
 // Traces returns the sharded front end's flight-recorder traces,
-// newest first; see Tree.Traces.  A fan-out query is one trace here,
+// newest first; see Tree.Traces.  A sharded query is one trace here,
 // with the shard visits as spans; the shards do not record queries of
 // their own.
 func (s *ShardedTree) Traces() (recent, slow []*QueryTrace) {

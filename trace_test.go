@@ -235,8 +235,8 @@ func TestTraceEquivalenceSharded(t *testing.T) {
 		if spansByPhase["shard"] != 4 {
 			t.Errorf("%s: %d shard spans for 4 shards", c.name, spansByPhase["shard"])
 		}
-		if c.name != "nearest" && spansByPhase["queue-wait"] != 4 {
-			t.Errorf("%s: %d queue-wait spans for 4 shards", c.name, spansByPhase["queue-wait"])
+		if spansByPhase["queue-wait"] != 0 {
+			t.Errorf("%s: %d queue-wait spans, want none", c.name, spansByPhase["queue-wait"])
 		}
 
 		// Every span's parent index must be in range and acyclic-by
@@ -419,9 +419,9 @@ func TestShardedFlightRecorder(t *testing.T) {
 	}
 }
 
-// TestShardedPhaseExposition checks the fan-out phases observed only
-// by the front-end registry (queue_wait, merge) are folded into the
-// aggregate Prometheus exposition alongside the summed shard phases.
+// TestShardedPhaseExposition checks the phase observed only by the
+// front-end registry (merge) is folded into the aggregate Prometheus
+// exposition alongside the summed shard phases.
 func TestShardedPhaseExposition(t *testing.T) {
 	s, err := OpenSharded(ShardedOptions{Options: DefaultOptions(), Shards: 4})
 	if err != nil {
@@ -438,7 +438,7 @@ func TestShardedPhaseExposition(t *testing.T) {
 	if err := s.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, phase := range []string{"queue_wait", "merge"} {
+	for _, phase := range []string{"merge"} {
 		series := `rexp_phase_duration_seconds_count{phase="` + phase + `"} `
 		var found bool
 		for _, line := range strings.Split(buf.String(), "\n") {
@@ -456,15 +456,16 @@ func TestShardedPhaseExposition(t *testing.T) {
 	}
 }
 
-// TestQueueWaitCountsVisitedShardsOnly pins one definition of the
-// fan-out's accounting, recorder on or off: every visited shard queues
-// for a worker slot once, and its operation latency is observed once.
-// A region query visits every shard, the three empty ones of one object
-// in four hash shards included, so a timeslice over it is 4 visits.
-func TestQueueWaitCountsVisitedShardsOnly(t *testing.T) {
+// TestShardVisitsCountOncePerShard pins one definition of a sharded
+// query's accounting, recorder on or off: every shard is visited once,
+// counted once in ShardVisits and observed once in that shard's own
+// operation histogram.  A region query visits every shard, the three
+// empty ones of one object in four hash shards included, so a timeslice
+// over it is 4 visits.
+func TestShardVisitsCountOncePerShard(t *testing.T) {
 	type counts struct {
-		queueWaits, visits uint64
-		shardOps           [4]uint64
+		visits   uint64
+		shardOps [4]uint64
 	}
 	run := func(recorder int) counts {
 		opts := DefaultOptions()
@@ -483,40 +484,27 @@ func TestQueueWaitCountsVisitedShardsOnly(t *testing.T) {
 			t.Fatalf("recorder %d: timeslice = %v, %v; want the one object", recorder, rs, err)
 		}
 		after, shardsAfter := s.snapshots()
-		d := after.Sub(before)
-		c := counts{
-			queueWaits: d.Phases[obs.PhaseQueueWait].Count,
-			visits:     d.ShardVisits,
-		}
+		c := counts{visits: after.Sub(before).ShardVisits}
 		for i := range c.shardOps {
 			c.shardOps[i] = shardsAfter[i].Ops[obs.OpTimeslice].Count - shardsBefore[i].Ops[obs.OpTimeslice].Count
+			if c.shardOps[i] != 1 {
+				t.Errorf("recorder %d: shard %d observed %d timeslice ops, want 1", recorder, i, c.shardOps[i])
+			}
 		}
 		if c.visits != 4 {
 			t.Errorf("recorder %d: %d visits, want 4", recorder, c.visits)
 		}
-		if c.queueWaits != c.visits {
-			t.Errorf("recorder %d: %d queue_wait observations for %d shard visits",
-				recorder, c.queueWaits, c.visits)
-		}
 		return c
 	}
-	off, on := run(0), run(16)
-	if off != on {
-		t.Errorf("fan-out accounting differs with the recorder: off %+v, on %+v", off, on)
-	}
-	var ops uint64
-	for _, n := range off.shardOps {
-		ops += n
-	}
-	if ops != off.visits {
-		t.Errorf("shards observed %d timeslice ops for %d visits", ops, off.visits)
+	if off, on := run(0), run(16); off != on {
+		t.Errorf("visit accounting differs with the recorder: off %+v, on %+v", off, on)
 	}
 }
 
-// TestWriteQueueWaitCountsWrittenShardsOnly is the write side of the
-// same definition: a batch whose reports all hash to one of four shards
-// takes one worker slot, so queue_wait gets one observation, not four.
-func TestWriteQueueWaitCountsWrittenShardsOnly(t *testing.T) {
+// TestBatchWritesOnlyItsShards is the write side of the same
+// definition: a batch whose reports all hash to one of four shards
+// applies one update_batch on that shard and none on the other three.
+func TestBatchWritesOnlyItsShards(t *testing.T) {
 	s, err := OpenSharded(ShardedOptions{Options: DefaultOptions(), Shards: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -530,13 +518,19 @@ func TestWriteQueueWaitCountsWrittenShardsOnly(t *testing.T) {
 			batch = append(batch, Report{ID: id, Point: p})
 		}
 	}
-	before, _ := s.snapshots()
+	_, before := s.snapshots()
 	if err := s.UpdateBatch(batch, 0); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := s.snapshots()
-	if n := after.Sub(before).Phases[obs.PhaseQueueWait].Count; n != 1 {
-		t.Errorf("a batch for one shard made %d queue_wait observations, want 1", n)
+	_, after := s.snapshots()
+	for i := range after {
+		want := uint64(0)
+		if i == 2 {
+			want = 1
+		}
+		if n := after[i].Ops[obs.OpBatch].Count - before[i].Ops[obs.OpBatch].Count; n != want {
+			t.Errorf("a batch for shard 2 applied %d update_batch ops on shard %d, want %d", n, i, want)
+		}
 	}
 }
 
@@ -595,7 +589,8 @@ func TestShardedBatchRecordsOneTrace(t *testing.T) {
 // flight recorder off the query kernels may not allocate a trace, a
 // TravStats, a span block or a shard table.  The bounds are the paths'
 // allocation counts since a region query's hits stream straight into the
-// public result slice.  They hold for a plain build only: the race detector
+// public result slice; a sharded region query, whose shards append to one
+// slice, may add at most two per shard to the single tree's.  They hold for a plain build only: the race detector
 // changes escape analysis and makes sync.Pool drop items (the same
 // paths read 10/7/52/52 under it before the merge), so there the counts
 // are logged, not judged.
@@ -628,7 +623,7 @@ func TestQueryAllocsRecorderOff(t *testing.T) {
 	}{
 		{"Tree.Timeslice", 9, func() error { _, err := tr.Timeslice(region, 5, 0); return err }},
 		{"Tree.Nearest", 6, func() error { _, err := tr.Nearest(pos, 5, 10, 0); return err }},
-		{"ShardedTree.Timeslice", 44, func() error { _, err := s.Timeslice(region, 5, 0); return err }},
+		{"ShardedTree.Timeslice", 9 + 2*4, func() error { _, err := s.Timeslice(region, 5, 0); return err }},
 		{"ShardedTree.Nearest", 35, func() error { _, err := s.Nearest(pos, 5, 10, 0); return err }},
 	}
 	for _, c := range cases {

@@ -93,11 +93,13 @@ func (tr *Tree) rlock() {
 // and replays the write-ahead log's logical tail.  Without one, a file
 // left behind by a crashed durable session is refused rather than
 // silently opened against a stale base.
-func Open(opts Options) (*Tree, error) { return open(opts, false) }
+func Open(opts Options) (*Tree, error) { return open(opts, core.New, false) }
 
-// open implements Open; retried guards the one recursion that recreates
-// the files after a crash during a fresh tree's first checkpoint.
-func open(opts Options, retried bool) (*Tree, error) {
+// open implements Open and OpenBulk; fresh builds the core tree when
+// the index is new (core.New for Open).  retried guards the one
+// recursion that recreates the files after a crash during a fresh
+// tree's first checkpoint.
+func open(opts Options, fresh func(core.Config, storage.Store) (*core.Tree, error), retried bool) (*Tree, error) {
 	durable := opts.Durability != DurabilityNone
 	if durable && opts.Path == "" {
 		return nil, fmt.Errorf("rexptree: Options.Durability requires a file-backed tree (set Options.Path)")
@@ -120,10 +122,6 @@ func open(opts Options, retried bool) (*Tree, error) {
 			return nil, err
 		}
 		fs.SetMetrics(m)
-		if durable && fs.Version() < 2 {
-			fs.CloseKeepDirty()
-			return nil, fmt.Errorf("rexptree: %s is a version-%d file without page checksums; migrate it with rexpreshard before enabling durability", opts.Path, fs.Version())
-		}
 		if fs.Dirty() && !durable {
 			fs.CloseKeepDirty()
 			return nil, fmt.Errorf("%w: %s", errNotDurable, opts.Path)
@@ -186,7 +184,7 @@ func open(opts Options, retried bool) (*Tree, error) {
 			if err := RemoveIndex(opts.Path); err != nil {
 				return nil, err
 			}
-			return open(opts, true)
+			return open(opts, fresh, true)
 		}
 		return tr, nil
 	}
@@ -198,7 +196,7 @@ func open(opts Options, retried bool) (*Tree, error) {
 	if existing {
 		t, err = core.Open(cfg, store)
 	} else {
-		t, err = core.New(cfg, store)
+		t, err = fresh(cfg, store)
 	}
 	if err != nil {
 		store.Close()
@@ -451,7 +449,7 @@ func runQuery(m *obs.Metrics, rec *obs.Recorder, op obs.Op, traced bool, invalid
 func (tr *Tree) query(op obs.Op, traced bool, invalid error, q geom.Query, now float64) ([]Result, *QueryTrace, error) {
 	return runQuery(tr.m, tr.rec, op, traced, invalid, func(tc *QueryTrace) ([]Result, error) {
 		pi, ti := tc.beginTraverse(-1, -1)
-		return tr.searchAt(q, now, tc, pi, ti)
+		return tr.searchAt(make([]Result, 0), q, now, tc, pi, ti)
 	})
 }
 
@@ -465,21 +463,20 @@ func (tr *Tree) nearest(traced bool, pos Vec, at float64, k int, now float64) ([
 // searchAt runs one region query on the snapshot read path — the only
 // read path: the core kernel pins an epoch and follows the page
 // versions last published, without the tree lock.  With a trace it
-// times the pin and the traversal into spans pinIdx and travIdx, which
-// the caller preallocated so that concurrent shard workers never append
-// to a shared trace, and attaches the node and page accounting.  With a
-// nil trace the kernel gets a nil *TravStats: it counts nothing per
-// traversal and reads no clock.  Hits stream straight into the public
-// result slice, which is empty, not nil, when nothing matches.
-func (tr *Tree) searchAt(q geom.Query, now float64, tc *QueryTrace, pinIdx, travIdx int) ([]Result, error) {
+// times the pin and the traversal into the caller's spans pinIdx and
+// travIdx and attaches the node and page accounting.  With a nil trace
+// the kernel gets a nil *TravStats: it counts nothing per traversal and
+// reads no clock.  Hits stream straight into out, the public result
+// slice, which searchAt returns extended (nil on an error).
+func (tr *Tree) searchAt(out []Result, q geom.Query, now float64, tc *QueryTrace, pinIdx, travIdx int) ([]Result, error) {
 	var stats core.TravStats
 	st := tc.startTraverse(travIdx, &stats)
-	out := make([]Result, 0)
+	n := len(out)
 	err := tr.t.SearchFuncSnapStats(q, now, st, func(r core.Result) bool {
 		out = append(out, Result{ID: r.OID, Point: fromInternal(r.Point, now, tr.dims)})
 		return true
 	})
-	tc.endTraverse(pinIdx, travIdx, st, len(out))
+	tc.endTraverse(pinIdx, travIdx, st, len(out)-n)
 	if err != nil {
 		return nil, err
 	}
