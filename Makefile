@@ -5,13 +5,14 @@
 #   make bench            the repository benchmark (BENCHMARK.json) -> bench/out/runs.jsonl
 #   make bench-compare A=a.jsonl B=b.jsonl   compare two benchmark runs, run against run
 #   make bench-update     the update path's microbenchmarks (kernel, computeBR, one update, batched updates, a durable body)
+#   make bench-query      the query kernels' microbenchmarks (nearest on one tree and on 4 shards, region queries per shape)
 #   make serve-smoke      the README serving quickstart, end to end
 #   make fault-matrix     the replication fault-injection matrix, under -race
 #   make all              check
 
 GO ?= go
 
-.PHONY: all check fmt-check vet build test test-bench race determinism crash-matrix fuzz-smoke bench bench-compare bench-update serve-smoke fault-matrix
+.PHONY: all check fmt-check vet build test test-bench race determinism crash-matrix fuzz-smoke bench bench-compare bench-update bench-query serve-smoke fault-matrix
 
 all: check
 
@@ -61,9 +62,13 @@ race:
 # buffer pool must replace pages by exact LRU, the paper's I/O metric,
 # and stay sound under the tree's shared-lock readers, which may call it
 # concurrently: its reference-model test and its concurrent-reader test
-# run under the race detector.
+# run under the race detector.  A nearest query whose time the index
+# clock has just passed (a client that read the clock and lost the race
+# to a write, on a leader and on a follower) must be answered, however
+# the writes and the query interleave: fifty runs each.
 determinism:
 	$(GO) test -count=3 -cpu 1,2,4 -run 'Reshard|TestPartitionEquivalence|TestShardedDeterminism' . ./internal/server
+	$(GO) test -count=50 -cpu 1,2,4 -run 'NearestLostClockRace' ./internal/server ./internal/repl
 	$(GO) test -count=3 -cpu 1,2,4 -run 'TestGoldenTrees/near-optimal/stored-exp|TestGoldenTrees/near-optimal/dims3|TestSlabReuseUnderPinnedReaders' ./internal/core
 	$(GO) test -race -count=3 -cpu 1,2,4 -run 'TestBufferPoolRandomizedAgainstStore|TestBufferPoolConcurrentReaders' ./internal/storage
 
@@ -127,6 +132,18 @@ bench-update:
 	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkComputeBR|BenchmarkEncode' -benchmem
 	$(GO) test ./internal/storage -run '^$$' -bench 'BenchmarkFlushOneDirty' -benchmem
 	$(GO) test . -run '^$$' -bench 'BenchmarkUpdateThroughput$$|BenchmarkUpdateBatch|BenchmarkDurableBatch' -benchmem
+
+# The query path from the inside out: the nearest kernel over a warm
+# 2 000-object tree read through the buffer pool and over its pinned
+# snapshot, the region kernel's time per tested leaf entry per query
+# shape over 20 000 objects, and one k = 10 nearest query on a 4-shard
+# hash-partitioned index of 20 000 objects of the paper's stream, with
+# the nodes it visits across the shards (nodes/op).  -benchmem's
+# allocs/op is each path's allocation budget.  Prints to the terminal;
+# bench/ holds the numbers that count.
+bench-query:
+	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkNearestWarm|BenchmarkNearestSnapWarm|BenchmarkSearchSnap' -benchmem
+	$(GO) test . -run '^$$' -bench 'BenchmarkShardedNearest$$' -benchmem
 
 # The README "Serving" quickstart as a test: rexpgen a workload, serve
 # it with rexpd, ingest through rexpbench -remote -replay, query over

@@ -21,7 +21,9 @@ import (
 	"testing"
 
 	"rexptree/internal/experiments"
+	"rexptree/internal/geom"
 	"rexptree/internal/storage"
+	"rexptree/internal/workload"
 )
 
 func benchScale(b *testing.B) float64 {
@@ -216,6 +218,73 @@ func BenchmarkTimesliceQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkShardedNearest times one k = 10 nearest query on a 4-shard
+// hash-partitioned index holding the paper's network stream (§5.1) at
+// 20 000 objects after six update intervals, the size and age of the
+// repository benchmark's served index.  Each query is centred on one
+// of the stream's own query squares at its own time (up to W = UI/2
+// ahead).  It reports the nodes each query visits summed over the
+// shards (nodes/op) beside the time and the allocations.
+func BenchmarkShardedNearest(b *testing.B) {
+	const ui = 60
+	s, err := OpenSharded(ShardedOptions{Options: DefaultOptions(), Shards: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	gen, err := workload.NewGenerator(workload.Params{Seed: 1, Objects: 20000, Insertions: 1 << 30, UI: ui})
+	if err != nil {
+		b.Fatal(err)
+	}
+	type query struct {
+		pos   Vec
+		ahead float64
+	}
+	var (
+		batch []Report
+		qs    []query
+		now   float64
+	)
+	for len(qs) < 256 {
+		op, ok := gen.Next()
+		if !ok {
+			b.Fatal("workload stream exhausted")
+		}
+		switch {
+		case op.Kind == workload.OpInsert && op.Time < 6*ui:
+			at := op.Point.At(op.Time)
+			p := Point{Pos: Vec(at), Vel: Vec(op.Point.Vel), Time: op.Time}
+			if geom.IsFinite(op.Point.TExp) {
+				p.Expires = op.Point.TExp
+			}
+			batch = append(batch, Report{ID: op.OID, Point: p})
+			now = op.Time
+			if len(batch) == 100 {
+				if err := s.UpdateBatch(batch, now); err != nil {
+					b.Fatal(err)
+				}
+				batch = batch[:0]
+			}
+		case op.Kind == workload.OpQuery && op.Time >= 6*ui:
+			qs = append(qs, query{pos: Vec(op.Query.Region.At(op.Query.T1).Center(2)), ahead: op.Query.T1 - op.Time})
+		}
+	}
+	if err := s.UpdateBatch(batch, now); err != nil {
+		b.Fatal(err)
+	}
+	before := s.Metrics()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		if _, err := s.Nearest(q.pos, now+q.ahead, 10, now); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(s.Metrics().Sub(before).QueryNodeVisits)/float64(b.N), "nodes/op")
 }
 
 func seedObj(b *testing.B, tree *Tree, id uint32, now float64) {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -144,5 +146,156 @@ func TestNearestMoreThanStored(t *testing.T) {
 	}
 	if len(res) != 1 {
 		t.Fatalf("got %d results from a 1-entry tree", len(res))
+	}
+}
+
+// TestNearestMatchesBruteForce checks the kernel's answer element by
+// element — ids, stored points, distances, order — against a scan of
+// every stored report, in two and three dimensions.  The objects come
+// partly in clusters that share one stored trajectory, so whole runs
+// of them tie at any distance, and one crowd of them spans several
+// leaves.  Expiries are drawn around the query times, so some reports
+// expire just before the query time and some just after.  The draws
+// cover k = 1, k cut inside a run of ties, k at least the number of
+// live objects, and a bound equal to a tied distance (0 on the crowd):
+// the answer is then the brute-force answer cut at the bound.
+func TestNearestMatchesBruteForce(t *testing.T) {
+	for _, dims := range []int{2, 3} {
+		cfg := rexpConfig()
+		cfg.Dims = dims
+		if dims == 3 {
+			cfg.World = geom.Rect{Lo: geom.Vec{0, 0, 0}, Hi: geom.Vec{1000, 1000, 1000}}
+		}
+		tr := newTestTree(t, cfg)
+		rng := rand.New(rand.NewSource(int64(90 + dims)))
+		draw := func() geom.MovingPoint {
+			var p geom.MovingPoint
+			for d := 0; d < dims; d++ {
+				p.Pos[d] = rng.Float64() * 1000
+				p.Vel[d] = rng.Float64()*4 - 2
+			}
+			return p
+		}
+		stored := map[uint32]geom.MovingPoint{}
+		now := 0.0
+		for oid := uint32(0); oid < 1200; {
+			now += 0.02
+			p, n := draw(), 1
+			if rng.Intn(4) == 0 {
+				n = 2 + rng.Intn(5) // a cluster: n objects, one trajectory
+			}
+			for ; n > 0; n-- {
+				p.TExp = now + rng.Float64()*60
+				if err := tr.Insert(oid, p, now); err != nil {
+					t.Fatal(err)
+				}
+				stored[oid] = tr.prepare(p)
+				oid++
+			}
+		}
+		// One trajectory shared by more objects than a leaf holds, with
+		// ids in shuffled order: a query on it ties at distance 0 across
+		// leaves whose rectangles lie at exactly that distance.
+		crowd := draw()
+		crowd.TExp = geom.Inf()
+		for _, i := range rng.Perm(3000) {
+			oid := uint32(5000 + i)
+			if err := tr.Insert(oid, crowd, now); err != nil {
+				t.Fatal(err)
+			}
+			stored[oid] = tr.prepare(crowd)
+		}
+		// brute is every report live at at, by ascending (distance, id),
+		// with the kernel's arithmetic.
+		brute := func(q geom.Vec, at float64) []Neighbor {
+			var all []Neighbor
+			for oid, p := range stored {
+				if p.TExp < at {
+					continue
+				}
+				var s float64
+				for d := 0; d < dims; d++ {
+					dd := q[d] - (p.Pos[d] + p.Vel[d]*at)
+					s += dd * dd
+				}
+				all = append(all, Neighbor{Result: Result{OID: oid, Point: p}, Dist: math.Sqrt(s)})
+			}
+			slices.SortFunc(all, func(a, b Neighbor) int {
+				if a.Dist != b.Dist {
+					if a.Dist < b.Dist {
+						return -1
+					}
+					return 1
+				}
+				return int(a.OID) - int(b.OID)
+			})
+			return all
+		}
+		var tiedCuts, bounded, beyond int
+		for iter := 0; iter < 120; iter++ {
+			at := now + rng.Float64()*30
+			q := draw().Pos
+			switch {
+			case iter%8 >= 6: // on the crowd
+				q = stored[5000].At(at)
+			case iter%2 == 0: // next to a stored trajectory, often a cluster's
+				q = stored[uint32(rng.Intn(1200))].At(at)
+				q[0] += rng.Float64()*20 - 10
+			}
+			all := brute(q, at)
+			k, bound := 1+rng.Intn(12), math.Inf(1)
+			switch iter % 4 {
+			case 0:
+				k = 1
+			case 1: // k ends inside a run of ties
+				for j := rng.Intn(20); j+1 < len(all); j++ {
+					if all[j].Dist == all[j+1].Dist {
+						k = j + 1
+						tiedCuts++
+						break
+					}
+				}
+			case 2: // a bound equal to a tied distance
+				for j := rng.Intn(20); j+1 < len(all); j++ {
+					if all[j].Dist == all[j+1].Dist {
+						bound = all[j].Dist
+						k = j + 1 + rng.Intn(4)
+						bounded++
+						break
+					}
+				}
+			}
+			switch {
+			case iter%10 == 9:
+				k = len(all) + rng.Intn(3)
+				beyond++
+			case iter%8 == 7:
+				k = 1 + rng.Intn(250)
+			}
+			if iter%8 == 6 && bound != 0 {
+				t.Fatalf("dims %d iter %d: bound %v on the crowd, want 0", dims, iter, bound)
+			}
+			want := all[:min(k, len(all))]
+			for len(want) > 0 && want[len(want)-1].Dist > bound {
+				want = want[:len(want)-1]
+			}
+			got, err := tr.NearestSnapStats(q, at, k, now, bound, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.IsInf(bound, 1) {
+				if locked, err := tr.Nearest(q, at, k, now); err != nil || !slices.Equal(locked, got) {
+					t.Fatalf("dims %d iter %d: locked and snapshot answers differ (%v)", dims, iter, err)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("dims %d iter %d (k %d, bound %v): got %d neighbors, want %d\n got %v\nwant %v",
+					dims, iter, k, bound, len(got), len(want), got, want)
+			}
+		}
+		if tiedCuts == 0 || bounded == 0 || beyond == 0 {
+			t.Fatalf("dims %d: draws missed a case: %d tied cuts, %d tied bounds, %d k beyond the live count",
+				dims, tiedCuts, bounded, beyond)
+		}
 	}
 }

@@ -621,92 +621,16 @@ func (t *Tree) ExportSnap(fn func(oid uint32, p geom.MovingPoint) error) error {
 }
 
 // NearestSnap is Nearest on the snapshot read path.
-func (t *Tree) NearestSnap(q geom.Vec, at float64, k int, now float64) ([]Result, error) {
-	return t.NearestSnapStats(q, at, k, now, nil)
+func (t *Tree) NearestSnap(q geom.Vec, at float64, k int, now float64) ([]Neighbor, error) {
+	return t.NearestSnapStats(q, at, k, now, math.Inf(1), nil)
 }
 
-// NearestSnapStats is NearestSnap with the traversal's accounting
-// tallied into st (nil disables it).
-func (t *Tree) NearestSnapStats(q geom.Vec, at float64, k int, now float64, st *TravStats) ([]Result, error) {
+// NearestSnapStats is NearestSnap with a distance bound — no object
+// farther than it is returned, and at most k no farther are — and the
+// traversal's accounting tallied into st (nil disables it).  A sharded
+// query passes the k-th distance of the shards it has already visited.
+func (t *Tree) NearestSnapStats(q geom.Vec, at float64, k int, now, bound float64, st *TravStats) ([]Neighbor, error) {
 	src, pin := t.snapSource(st)
 	defer pin.Unpin()
-	return t.nearest(&src, q, at, k, now)
-}
-
-// nearest is the best-first nearest-neighbor kernel: a priority queue
-// ordered by the minimum distance between q and an entry's rectangle
-// evaluated at time at, the distance arithmetic evaluated over the
-// columns.  Like search it judges expiration, and the past-time check,
-// at the later of now and the tree's clock, and leaves the clock alone.
-func (t *Tree) nearest(src *nodeSource, q geom.Vec, at float64, k int, now float64) ([]Result, error) {
-	eval := max(t.Now(), now)
-	if at < eval {
-		return nil, errNearestPast(at, eval)
-	}
-	if k <= 0 {
-		return nil, nil
-	}
-	defer t.flush(src)
-	dims := t.cfg.Dims
-	useExp := t.cfg.ExpireAware
-	qp := nnQueuePool.Get().(*nnQueue)
-	pq := (*qp)[:0]
-	defer func() {
-		*qp = pq[:0]
-		nnQueuePool.Put(qp)
-	}()
-	pq = pq.push(nnItem{dist: 0, page: src.root, isNode: true})
-	var out []Result
-	for len(pq) > 0 && len(out) < k {
-		var it nnItem
-		pq, it = pq.pop()
-		if !it.isNode {
-			out = append(out, Result{OID: it.oid, Point: it.point})
-			continue
-		}
-		v, err := t.node(src, it.page)
-		if err != nil {
-			return nil, err
-		}
-		exp := t.expSource(v.level)
-		for i := 0; i < v.count; i++ {
-			// Entries invalid at the query time cannot contribute.
-			if useExp && t.expAt(v, i, exp, eval) < at {
-				continue
-			}
-			b := i * dims
-			if v.level == 0 {
-				var s float64
-				for d := 0; d < dims; d++ {
-					dd := q[d] - (v.lo[b+d] + v.vlo[b+d]*at)
-					s += dd * dd
-				}
-				pq = pq.push(nnItem{
-					dist:  math.Sqrt(s),
-					oid:   v.oid(i),
-					point: v.point(i),
-				})
-				continue
-			}
-			var s float64
-			for d := 0; d < dims; d++ {
-				lo := v.lo[b+d] + v.vlo[b+d]*at
-				hi := v.hi[b+d] + v.vhi[b+d]*at
-				switch {
-				case q[d] < lo:
-					dd := lo - q[d]
-					s += dd * dd
-				case q[d] > hi:
-					dd := q[d] - hi
-					s += dd * dd
-				}
-			}
-			pq = pq.push(nnItem{
-				dist:   math.Sqrt(s),
-				page:   v.child(i),
-				isNode: true,
-			})
-		}
-	}
-	return out, nil
+	return t.nearest(&src, q, at, k, now, bound)
 }

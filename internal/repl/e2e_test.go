@@ -472,11 +472,9 @@ func TestReplFollowerQueriesDuringTail(t *testing.T) {
 					return
 				}
 				// A concurrent apply can advance the tree between the
-				// clock read and the query; Nearest then rejects the
-				// stale time.  That is the defined contract (any leader
-				// client races writers the same way) — re-read and go on.
-				if _, err := ix.Nearest(rexptree.Vec{500, 500}, now, 5, now); err != nil &&
-					!strings.Contains(err.Error(), "precedes current time") {
+				// clock read and the query; Nearest still answers at the
+				// time it was given.
+				if _, err := ix.Nearest(rexptree.Vec{500, 500}, now, 5, now); err != nil {
 					t.Error(err)
 					return
 				}
@@ -491,6 +489,60 @@ func TestReplFollowerQueriesDuringTail(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	requireConverged(t, l, app, "follower under concurrent reads")
+}
+
+// TestReplNearestLostClockRace is a follower reader that reads the
+// applied clock, loses the race to the tail and asks for the nearest
+// objects at the clock it read: the tree's clock is then past the
+// query's now, and the query must still be answered — first with the
+// lost race forced, then while the tail streams in.
+func TestReplNearestLostClockRace(t *testing.T) {
+	l := newTestLeader(t, 2, 0, nil)
+	l.mutate(t, 300)
+	app := newTestApplier(t, l.srv.URL, t.TempDir())
+	if err := app.Open(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	app.Start()
+	waitCaughtUp(t, app, l.hub.Feed())
+	stale := app.Clock()
+	l.mutate(t, 50)
+	waitCaughtUp(t, app, l.hub.Feed())
+	if app.Clock() <= stale {
+		t.Fatalf("applied clock %v did not pass %v", app.Clock(), stale)
+	}
+	rs, err := app.Index().Nearest(rexptree.Vec{500, 500}, stale, 5, stale)
+	if err != nil || len(rs) != 5 {
+		t.Fatalf("nearest at the stale clock %v: %d results, %v", stale, len(rs), err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ix, now := app.Index(), app.Clock()
+				if _, err := ix.Nearest(rexptree.Vec{500, 500}, now, 5, now); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 5; i++ {
+		l.mutate(t, 40)
+		time.Sleep(time.Millisecond)
+	}
+	waitCaughtUp(t, app, l.hub.Feed())
+	close(stop)
+	wg.Wait()
 }
 
 // --- fault-injection plumbing ------------------------------------------

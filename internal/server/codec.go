@@ -65,11 +65,15 @@ type resultJSON struct {
 	Expires float64   `json:"expires,omitempty"`
 }
 
+// toResultJSON converts query results to rows.  Every row's pos and vel
+// are cut from one backing array, so a response costs two allocations,
+// not two per row.
 func toResultJSON(rs []rexptree.Result, dims int) []resultJSON {
 	out := make([]resultJSON, len(rs))
+	coords := make([]float64, 2*dims*len(rs))
 	for i, r := range rs {
-		row := resultJSON{ID: r.ID, Time: r.Point.Time,
-			Pos: make([]float64, dims), Vel: make([]float64, dims)}
+		c := coords[2*dims*i : 2*dims*(i+1) : 2*dims*(i+1)]
+		row := resultJSON{ID: r.ID, Time: r.Point.Time, Pos: c[:dims:dims], Vel: c[dims:]}
 		for d := 0; d < dims; d++ {
 			row.Pos[d] = r.Point.Pos[d]
 			row.Vel[d] = r.Point.Vel[d]

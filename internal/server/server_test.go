@@ -531,6 +531,89 @@ func TestMixedLoadSmoke(t *testing.T) {
 	wg.Wait()
 }
 
+// TestNearestLostClockRace is a client that reads the clock, loses the
+// race to a write and asks for a nearest query at "+0": the index clock
+// is then past the query's now, and the query must still be answered,
+// as the region queries are — first with the lost race forced (now= the
+// clock read before the write), then under concurrent ingest.
+func TestNearestLostClockRace(t *testing.T) {
+	hs, srv := newTestServer(t, nil)
+	body := func(rng *rand.Rand, tm float64) string {
+		var b strings.Builder
+		for j := 0; j < 20; j++ {
+			fmt.Fprintf(&b, `{"id":%d,"pos":[%g,%g],"vel":[1,-1],"time":%g,"expires":%g}`+"\n",
+				rng.Intn(300)+1, rng.Float64()*1000, rng.Float64()*1000, tm, tm+50)
+		}
+		return b.String()
+	}
+	rng := rand.New(rand.NewSource(3))
+	if resp, raw := postJSON(t, hs.URL+"/v1/batch", body(rng, 1)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %d %s", resp.StatusCode, raw)
+	}
+	stale := srv.Clock()
+	if resp, raw := postJSON(t, hs.URL+"/v1/batch", body(rng, 2)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %d %s", resp.StatusCode, raw)
+	}
+	for _, u := range []string{
+		"/v1/nearest?pos=500,500&k=10&at=%%2B0&now=%v",
+		"/v1/timeslice?lo=0,0&hi=1000,1000&at=%%2B0&now=%v",
+	} {
+		resp, raw := get(t, hs.URL+fmt.Sprintf(u, stale))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", fmt.Sprintf(u, stale), resp.StatusCode, raw)
+		}
+		var qr queryResponse
+		decodeInto(t, raw, &qr)
+		if qr.Count == 0 {
+			t.Fatalf("%s: nothing found (%s)", fmt.Sprintf(u, stale), raw)
+		}
+	}
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		rng := rand.New(rand.NewSource(4))
+		for i := 0; i < 40; i++ {
+			resp, err := http.Post(hs.URL+"/v1/batch", "application/json", strings.NewReader(body(rng, 3+float64(i)/8)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				u := fmt.Sprintf("%s/v1/nearest?pos=500,500&k=10&at=%%2B0&now=%v", hs.URL, srv.Clock())
+				resp, err := http.Get(u)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				raw, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("%s: %d %s", u, resp.StatusCode, raw)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // waitReshardDone polls /v1/reshard/status until nothing is in flight.
 func waitReshardDone(t *testing.T, base string) reshardStatusResponse {
 	t.Helper()

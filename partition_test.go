@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -181,7 +180,7 @@ func TestPartitionEquivalence(t *testing.T) {
 		}
 	}
 
-	// Nearest: compare against the single tree ordered by (dist, id).
+	// Nearest: compare against the single tree's (distance, id) order.
 	for q := 0; q < 30; q++ {
 		pos := Vec{rng.Float64() * 1000, rng.Float64() * 1000}
 		at := now + rng.Float64()*5
@@ -190,18 +189,6 @@ func TestPartitionEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dist := func(r Result) float64 {
-			p := r.Point.At(at)
-			dx, dy := p[0]-pos[0], p[1]-pos[1]
-			return dx*dx + dy*dy
-		}
-		sort.Slice(want, func(i, j int) bool {
-			di, dj := dist(want[i]), dist(want[j])
-			if di != dj {
-				return di < dj
-			}
-			return want[i].ID < want[j].ID
-		})
 		for name, st := range variants {
 			got, err := st.Nearest(pos, at, k, now)
 			if err != nil {

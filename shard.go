@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rexptree/internal/core"
 	"rexptree/internal/geom"
 	"rexptree/internal/manifest"
 	"rexptree/internal/obs"
@@ -851,55 +852,52 @@ func (s *ShardedTree) Moving(r1, r2 Rect, t1, t2, now float64) ([]Result, error)
 }
 
 // Nearest returns the k objects whose predicted positions at time at
-// are closest to pos.  Every shard contributes its own k nearest; the
-// merged list is ordered by ascending distance (ties by object id) and
-// truncated to k.
+// are closest to pos, in ascending (distance, id) order: element by
+// element the answer of one tree holding every shard's objects.  The
+// shards are searched one after another, each bounded by the k-th
+// distance of those before it.
 func (s *ShardedTree) Nearest(pos Vec, at float64, k int, now float64) ([]Result, error) {
 	res, _, err := s.nearest(s.rec != nil, pos, at, k, now)
 	return res, err
 }
 
-// nearestShards collects every shard's k nearest and keeps the k
-// nearest of them, ordered by (distance, id).
+// nearestShards runs the nearest kernel on each shard in turn, passing
+// it the running k-th distance as its bound, so a later shard returns
+// only objects that can still enter the answer — possibly fewer than k,
+// none at all.  It merges by the distances the kernels computed, which
+// are the bound's units, keeping the k best by (distance, id).
 func (s *ShardedTree) nearestShards(pos Vec, at float64, k int, now float64, tc *QueryTrace) ([]Result, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	type cand struct {
-		dist float64
-		r    Result
-	}
-	var cands []cand
+	var best []core.Neighbor
+	bound := math.Inf(1)
 	err := s.visitShards(obs.OpNearest, tc, func(t *Tree, pinIdx, travIdx int) error {
-		rs, err := t.nearestAt(pos, at, k, now, tc, pinIdx, travIdx)
-		for _, r := range rs {
-			p := r.Point.At(at)
-			var d float64
-			for j := 0; j < s.dims; j++ {
-				dd := p[j] - pos[j]
-				d += dd * dd
-			}
-			cands = append(cands, cand{math.Sqrt(d), r})
+		ns, err := t.nearestAt(pos, at, k, now, bound, tc, pinIdx, travIdx)
+		if err != nil || len(ns) == 0 {
+			return err
 		}
-		return err
+		if best == nil {
+			best = ns
+		} else {
+			best = append(best, ns...)
+			slices.SortFunc(best, func(a, b core.Neighbor) int {
+				if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.OID, b.OID)
+			})
+			best = best[:min(len(best), k)]
+		}
+		if len(best) == k {
+			bound = best[k-1].Dist
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	slices.SortFunc(cands, func(a, b cand) int {
-		if c := cmp.Compare(a.dist, b.dist); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.r.ID, b.r.ID)
-	})
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	out := make([]Result, len(cands))
-	for i, c := range cands {
-		out[i] = c.r
-	}
-	return out, nil
+	return fromNeighbors(best, now, s.dims), nil
 }
 
 // Get returns the object's current report from its shard; see

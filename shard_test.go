@@ -1,11 +1,17 @@
 package rexptree
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+
+	"rexptree/internal/core"
+	"rexptree/internal/geom"
 )
 
 // testWorkload builds a deterministic stream of object reports.
@@ -123,7 +129,7 @@ func TestShardedDeterminism(t *testing.T) {
 		}
 	}
 
-	// Nearest: order by (distance, id) on both sides, then compare.
+	// Nearest: both sides answer in (distance, id) order.
 	for q := 0; q < 25; q++ {
 		pos := Vec{rng.Float64() * 1000, rng.Float64() * 1000}
 		at := rng.Float64() * 30
@@ -136,18 +142,6 @@ func TestShardedDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dist := func(r Result) float64 {
-			p := r.Point.At(at)
-			dx, dy := p[0]-pos[0], p[1]-pos[1]
-			return dx*dx + dy*dy
-		}
-		sort.Slice(sres, func(i, j int) bool {
-			di, dj := dist(sres[i]), dist(sres[j])
-			if di != dj {
-				return di < dj
-			}
-			return sres[i].ID < sres[j].ID
-		})
 		if len(sres) != len(pres) {
 			t.Fatalf("nearest %d: single %d results, sharded %d", q, len(sres), len(pres))
 		}
@@ -382,4 +376,106 @@ func TestShardedQueryLeavesClock(t *testing.T) {
 	if n := count(s, 3, 2); n != 201 {
 		t.Errorf("after the reopen a query at 2 sees %d of 201 reports", n)
 	}
+}
+
+// TestShardedNearestMatchesSingle checks Nearest on hash- and
+// speed-partitioned indexes of 1, 2, 4 and 7 shards against one tree
+// holding the same reports, element by element (ids, points, order), at
+// query times that are not dyadic rationals.  Clusters of objects share
+// one trajectory, so ties straddle shards.  With each shard bounded by
+// the k-th distance of the shards before it, no shard visits more nodes
+// than the same search without the bound, and some visit fewer.
+func TestShardedNearestMatchesSingle(t *testing.T) {
+	reports := testWorkload(3000, 17)
+	for i := 0; i < 600; i += 6 { // a cluster of six per hundred objects
+		for j := 1; j < 6; j++ {
+			reports[i+j].Point = reports[i].Point
+		}
+	}
+	single, err := Open(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	type variant struct {
+		name string
+		ix   *ShardedTree
+	}
+	var variants []variant
+	for _, k := range []int{1, 2, 4, 7} {
+		var bands []float64
+		for i := 1; i < k; i++ {
+			bands = append(bands, 2*float64(i)/float64(k))
+		}
+		for _, so := range []ShardedOptions{
+			{Options: DefaultOptions(), Shards: k},
+			{Options: DefaultOptions(), Shards: k, Partition: PartitionSpeed, SpeedBands: bands},
+		} {
+			ix, err := OpenSharded(so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			variants = append(variants, variant{fmt.Sprintf("%v/%d", so.Partition, k), ix})
+		}
+	}
+	apply := func(batch []Report, now float64) {
+		if err := single.UpdateBatch(batch, now); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range variants {
+			if err := v.ix.UpdateBatch(batch, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	apply(reports, 0)
+	now := 2.5
+	moved := make([]Report, 0, 500)
+	for _, r := range reports[1000:1500] {
+		r.Point.Time, r.Point.Pos[0] = now, r.Point.Pos[0]+r.Point.Vel[0]*now
+		moved = append(moved, r)
+	}
+	apply(moved, now)
+
+	rng := rand.New(rand.NewSource(23))
+	var saved uint64
+	for q := 0; q < 40; q++ {
+		pos := Vec{rng.Float64() * 1000, rng.Float64() * 1000}
+		if q%2 == 0 { // on a cluster, so the k-th distance is often tied
+			pos = reports[6*rng.Intn(100)].Point.Pos
+		}
+		at := now + 1.0/3 + rng.Float64()*20
+		k := []int{1, 3, 10, 25}[q%4]
+		want, err := single.Nearest(pos, at, k, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range variants {
+			got, tc, err := v.ix.TraceNearest(pos, at, k, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("query %d %s (k %d at %v): got %v\nsingle %v", q, v.name, k, at, got, want)
+			}
+			g := v.ix.pin()
+			for i, sh := range g.shards {
+				var st core.TravStats
+				if _, err := sh.t.NearestSnapStats(geom.Vec(pos), at, k, now, math.Inf(1), &st); err != nil {
+					t.Fatal(err)
+				}
+				if bounded := tc.Shards[i].Nodes; bounded > st.Nodes || i == 0 && bounded != st.Nodes {
+					t.Errorf("query %d %s shard %d: %d nodes with the bound, %d without", q, v.name, i, bounded, st.Nodes)
+				} else {
+					saved += st.Nodes - bounded
+				}
+			}
+			g.unpin()
+		}
+	}
+	if saved == 0 {
+		t.Error("the bound never saved a node visit")
+	}
+	t.Logf("the bound saved %d node visits", saved)
 }

@@ -27,13 +27,17 @@ func TestSnapshotReadsMatchLockedTraversal(t *testing.T) {
 		tr.mu.RLock()
 		defer tr.mu.RUnlock()
 		rs, err := tr.t.Search(q, now)
-		return fromResults(rs, now, tr.dims), err
+		out := make([]Result, len(rs))
+		for i, r := range rs {
+			out[i] = Result{ID: r.OID, Point: fromInternal(r.Point, now, tr.dims)}
+		}
+		return out, err
 	}
 	lockedNearest := func(pos Vec, at float64, k int, now float64) ([]Result, error) {
 		tr.mu.RLock()
 		defer tr.mu.RUnlock()
-		rs, err := tr.t.Nearest(geom.Vec(pos), at, k, now)
-		return fromResults(rs, now, tr.dims), err
+		ns, err := tr.t.Nearest(geom.Vec(pos), at, k, now)
+		return fromNeighbors(ns, now, tr.dims), err
 	}
 
 	rng := rand.New(rand.NewSource(11))

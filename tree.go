@@ -3,6 +3,7 @@ package rexptree
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -456,7 +457,11 @@ func (tr *Tree) query(op obs.Op, traced bool, invalid error, q geom.Query, now f
 func (tr *Tree) nearest(traced bool, pos Vec, at float64, k int, now float64) ([]Result, *QueryTrace, error) {
 	return runQuery(tr.m, tr.rec, obs.OpNearest, traced, checkTimeslice(at, now), func(tc *QueryTrace) ([]Result, error) {
 		pi, ti := tc.beginTraverse(-1, -1)
-		return tr.nearestAt(pos, at, k, now, tc, pi, ti)
+		ns, err := tr.nearestAt(pos, at, k, now, math.Inf(1), tc, pi, ti)
+		if err != nil {
+			return nil, err
+		}
+		return fromNeighbors(ns, now, tr.dims), nil
 	})
 }
 
@@ -483,17 +488,16 @@ func (tr *Tree) searchAt(out []Result, q geom.Query, now float64, tc *QueryTrace
 	return out, nil
 }
 
-// nearestAt is searchAt for the nearest-neighbor traversal.  The caller
-// must have validated the query time.
-func (tr *Tree) nearestAt(pos Vec, at float64, k int, now float64, tc *QueryTrace, pinIdx, travIdx int) ([]Result, error) {
+// nearestAt is searchAt for the nearest-neighbor traversal: the core
+// kernel's answer, with its distances, of at most k objects no farther
+// than bound (+Inf for none).  The caller must have validated the query
+// time.
+func (tr *Tree) nearestAt(pos Vec, at float64, k int, now, bound float64, tc *QueryTrace, pinIdx, travIdx int) ([]core.Neighbor, error) {
 	var stats core.TravStats
 	st := tc.startTraverse(travIdx, &stats)
-	rs, err := tr.t.NearestSnapStats(geom.Vec(pos), at, k, now, st)
-	tc.endTraverse(pinIdx, travIdx, st, len(rs))
-	if err != nil {
-		return nil, err
-	}
-	return fromResults(rs, now, tr.dims), nil
+	ns, err := tr.t.NearestSnapStats(geom.Vec(pos), at, k, now, bound, st)
+	tc.endTraverse(pinIdx, travIdx, st, len(ns))
+	return ns, err
 }
 
 // Timeslice reports the objects predicted to be inside r at time at

@@ -95,10 +95,12 @@ func toRect(r Rect) geom.Rect {
 	return geom.Rect{Lo: geom.Vec(r.Lo), Hi: geom.Vec(r.Hi)}
 }
 
-func fromResults(rs []core.Result, now float64, dims int) []Result {
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = Result{ID: r.OID, Point: fromInternal(r.Point, now, dims)}
+// fromNeighbors converts a nearest-neighbor answer to the public form,
+// in the same order.
+func fromNeighbors(ns []core.Neighbor, now float64, dims int) []Result {
+	out := make([]Result, len(ns))
+	for i, n := range ns {
+		out[i] = Result{ID: n.OID, Point: fromInternal(n.Point, now, dims)}
 	}
 	return out
 }
