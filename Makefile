@@ -65,10 +65,13 @@ race:
 # run under the race detector.  A nearest query whose time the index
 # clock has just passed (a client that read the clock and lost the race
 # to a write, on a leader and on a follower) must be answered, however
-# the writes and the query interleave: fifty runs each.
+# the writes and the query interleave: fifty runs each.  The index clock
+# is the only clock, and it must survive a live reshard with nothing to
+# backfill, a daemon restart and a follower's catch-up: twenty runs each.
 determinism:
 	$(GO) test -count=3 -cpu 1,2,4 -run 'Reshard|TestPartitionEquivalence|TestShardedDeterminism' . ./internal/server
 	$(GO) test -count=50 -cpu 1,2,4 -run 'NearestLostClockRace' ./internal/server ./internal/repl
+	$(GO) test -count=20 -cpu 1,2,4 -run 'TestLiveReshardKeepsClock|TestRestartServesStoredClock|TestReplFollowerServesAppliedClock' . ./cmd/rexpd ./internal/repl
 	$(GO) test -count=3 -cpu 1,2,4 -run 'TestGoldenTrees/near-optimal/stored-exp|TestGoldenTrees/near-optimal/dims3|TestSlabReuseUnderPinnedReaders' ./internal/core
 	$(GO) test -race -count=3 -cpu 1,2,4 -run 'TestBufferPoolRandomizedAgainstStore|TestBufferPoolConcurrentReaders' ./internal/storage
 

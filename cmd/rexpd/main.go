@@ -6,12 +6,12 @@
 // the endpoint reference; docs/OPERATIONS.md is the runbook.
 //
 // The daemon owns the index's lifecycle: it opens (recovering if the
-// previous run crashed and a durability policy is set), seeds the
-// logical clock from the newest stored report, serves until SIGTERM or
-// SIGINT, then drains — stops admitting mutations, finishes the
-// in-flight ones, lets readers complete, checkpoints and closes.  With
-// a durability policy every acknowledged mutation survives the whole
-// sequence, including a crash in the middle of it.
+// previous run crashed and a durability policy is set) at the index's
+// stored logical clock, serves until SIGTERM or SIGINT, then drains —
+// stops admitting mutations, finishes the in-flight ones, lets readers
+// complete, checkpoints and closes.  With a durability policy every
+// acknowledged mutation survives the whole sequence, including a crash
+// in the middle of it.
 //
 // A durable file-backed daemon is also a replication leader: it serves
 // a consistent hot-backup stream on GET /v1/backup and the logical
@@ -148,17 +148,6 @@ func run(cfg config) error {
 	srv := server.New(scfg)
 	srv.SetDurability(durability.String())
 
-	// Seed the logical clock from the newest stored report, so a
-	// reopened index accepts queries and monotone updates immediately.
-	newest := 0.0
-	ix.ForEach(0, func(r rexptree.Result) bool {
-		if r.Point.Time > newest {
-			newest = r.Point.Time
-		}
-		return true
-	})
-	srv.ObserveClock(newest)
-
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		srv.CloseIndex()
@@ -262,7 +251,6 @@ func runFollower(cfg config) error {
 			MaxLag:         cfg.maxLag,
 		})
 		srv.SetDurability("on-commit (replica)")
-		srv.ObserveClock(app.Clock())
 		return srv
 	}
 	app, err := repl.NewApplier(repl.ApplierOptions{
@@ -301,21 +289,6 @@ func runFollower(cfg config) error {
 
 	app.Start()
 
-	// Keep the served default query clock tracking the applied clock.
-	clockDone := make(chan struct{})
-	go func() {
-		t := time.NewTicker(500 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-clockDone:
-				return
-			case <-t.C:
-				sw.current().ObserveClock(app.Clock())
-			}
-		}
-	}()
-
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
@@ -323,12 +296,10 @@ func runFollower(cfg config) error {
 	case <-ctx.Done():
 		fmt.Fprintln(os.Stderr, "rexpd: signal: follower draining")
 	case err := <-errc:
-		close(clockDone)
 		app.Close()
 		return fmt.Errorf("serve: %w", err)
 	}
 
-	close(clockDone)
 	sw.current().Drain()
 	sctx, cancel := context.WithTimeout(context.Background(), cfg.drainWait)
 	defer cancel()

@@ -204,6 +204,54 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
+// TestRestartServesStoredClock restarts a durable daemon on its index
+// files: the restarted daemon must serve at the index's stored clock,
+// both in /v1/stats and as the default now of a "+0" query.
+func TestRestartServesStoredClock(t *testing.T) {
+	dir := t.TempDir()
+	rexpd := buildCmd(t, dir, "rexptree/cmd/rexpd")
+	args := []string{"-path", filepath.Join(dir, "idx"), "-shards", "2", "-durability", "on-commit"}
+
+	d := startDaemon(t, rexpd, args...)
+	var body strings.Builder
+	for id := 1; id <= 20; id++ {
+		fmt.Fprintf(&body, `{"id":%d,"pos":[%d,%d],"vel":[1,0],"time":100}`+"\n", id, 10*id, 500)
+	}
+	resp, err := http.Post(d.url("/v1/batch"), "application/x-ndjson", strings.NewReader(body.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %d %s", resp.StatusCode, raw)
+	}
+	d.terminate()
+
+	d = startDaemon(t, rexpd, args...)
+	var stats struct {
+		Objects int     `json:"objects"`
+		Clock   float64 `json:"clock"`
+	}
+	if code := getJSON(t, d.url("/v1/stats"), &stats); code != http.StatusOK {
+		t.Fatalf("stats: %d", code)
+	}
+	if stats.Objects != 20 || stats.Clock != 100 {
+		t.Fatalf("restarted daemon: %+v, want 20 objects at clock 100", stats)
+	}
+	var q struct {
+		Now   float64 `json:"now"`
+		Count int     `json:"count"`
+	}
+	if code := getJSON(t, d.url("/v1/timeslice?lo=0,0&hi=1000,1000&at=%2B0"), &q); code != http.StatusOK {
+		t.Fatalf("timeslice: %d", code)
+	}
+	if q.Now != 100 || q.Count != 20 {
+		t.Fatalf("restarted daemon answered a +0 timeslice at now %v with %d objects, want 100 and 20", q.Now, q.Count)
+	}
+	d.terminate()
+}
+
 // TestDrainNoAckedLossAcrossProcess sends concurrent updates to an
 // on-commit durable daemon, SIGTERMs it mid-stream, and verifies every
 // update acknowledged with 200 before the drain is present when the

@@ -393,6 +393,20 @@ func (tr *Tree) closeDurable() error {
 	return err
 }
 
+// takeClock moves the tree's clock forward to now — a live reshard's
+// target takes over the index clock this way — and, under a WAL,
+// checkpoints, so the clock survives a crash even if no record is ever
+// logged in this tree.
+func (tr *Tree) takeClock(now float64) error {
+	tr.lock()
+	defer tr.mu.Unlock()
+	tr.t.Advance(now)
+	if tr.wal == nil {
+		return nil
+	}
+	return tr.checkpointLocked(false)
+}
+
 // Abandon drops the tree without checkpointing, flushing, or clearing
 // the dirty flag: the files are left exactly as a crash at this
 // instant would leave them (WAL bytes still buffered in memory are

@@ -19,7 +19,7 @@ import (
 // position.  p, the record previously inserted, is what the search is
 // routed by; it is not read here.
 func (t *Tree) Delete(oid uint32, p geom.MovingPoint, now float64) (bool, error) {
-	t.advance(now)
+	t.Advance(now)
 	path, idx, err := t.locate(oid)
 	return t.deleteAt(path, idx, err)
 }
@@ -30,7 +30,7 @@ func (t *Tree) Delete(oid uint32, p geom.MovingPoint, now float64) (bool, error)
 // previously inserted (the index routes the search for the leaf through
 // bounding rectangles containing p's current position).
 func (t *Tree) DeleteBySearch(oid uint32, p geom.MovingPoint, now float64) (bool, error) {
-	t.advance(now)
+	t.Advance(now)
 	p = t.prepare(p)
 	path, idx, err := t.findLeaf(t.root, oid, p.At(t.Now()))
 	return t.deleteAt(path, idx, err)

@@ -22,7 +22,7 @@ type orphan struct {
 // run backwards.  The record is quantized to the float32 precision of
 // the page format.
 func (t *Tree) Insert(oid uint32, p geom.MovingPoint, now float64) error {
-	t.advance(now)
+	t.Advance(now)
 	p = t.prepare(p)
 	t.reinsertedAt = 0
 	t.leafEntries++

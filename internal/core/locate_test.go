@@ -258,7 +258,7 @@ func runLocateStream(t *testing.T, r locateRun) locateEvents {
 // delete compares the locator with the search on the object, then
 // deletes it through the locator.
 func (ev *locateEvents) delete(tb testing.TB, tr *Tree, oid uint32, old geom.MovingPoint, now float64) error {
-	tr.advance(now)
+	tr.Advance(now)
 	requireLocateIsSearch(tb, tr, oid, old)
 	found, err := tr.Delete(oid, old, now)
 	ev.compared++
@@ -310,7 +310,7 @@ func TestLookupPrefersLiveTwin(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		tr.advance(10)
+		tr.Advance(10)
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,7 @@ func brNodes(tb testing.TB) (tr *Tree, leaf, inner *vnode) {
 		tb.Fatal(err)
 	}
 	const now = 100
-	tr.advance(now)
+	tr.Advance(now)
 	rng := rand.New(rand.NewSource(3))
 	points := func(n int) *vnode {
 		es := make([]entry, n)

@@ -227,7 +227,6 @@ func (t *Tree) publish() {
 	t.pub.Store(p)
 	t.pubs = append(t.pubs, p)
 	t.lastSeq.Store(seq)
-	t.lastClock.Store(math.Float64bits(t.Now()))
 
 	// Reclaim: anything older than the newest version at or below the
 	// minimum pinned sequence is unreachable by every present and
@@ -579,10 +578,6 @@ func (t *Tree) search(src *nodeSource, q geom.Query, now float64, fn func(Result
 	}
 	return nil
 }
-
-// PubClock returns the tree clock recorded by the most recent snapshot
-// publication, without any lock.
-func (t *Tree) PubClock() float64 { return math.Float64frombits(t.lastClock.Load()) }
 
 // ExportSnap streams every stored record — live and expired alike, like
 // Records — from the pinned snapshot, without the tree lock or the pool

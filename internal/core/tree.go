@@ -85,10 +85,9 @@ type Tree struct {
 	gather     []entry
 
 	// Snapshot read path state (see snapshot.go).  pub is the
-	// atomically published root descriptor, lastSeq and lastClock its
-	// sequence and clock; chains the per-page version table (a dense
-	// slice indexed by PageID, grown copy-on-write); dom the epoch
-	// domain readers pin.  The remaining fields are writer-private:
+	// atomically published root descriptor, lastSeq its sequence;
+	// chains the per-page version table (a dense slice indexed by
+	// PageID, grown copy-on-write); dom the epoch domain readers pin.  The remaining fields are writer-private:
 	// staged lists the chains the current operation gave a private copy
 	// (or a tombstone), backlog the chains that still hold versions
 	// older than their head, trimMin the minimum pinned sequence the
@@ -96,17 +95,16 @@ type Tree struct {
 	// slabs the next copies are taken from; pubs the descriptors a
 	// reader may still hold, oldest first, and freePubs the reclaimed
 	// ones.
-	pub       atomic.Pointer[pubState]
-	lastSeq   atomic.Uint64
-	lastClock atomic.Uint64
-	chains    atomic.Pointer[[]atomic.Pointer[chain]]
-	dom       *epoch.Domain
-	staged    []*chain
-	backlog   []*chain
-	trimMin   uint64
-	spares    []*vnode
-	pubs      []*pubState
-	freePubs  []*pubState
+	pub      atomic.Pointer[pubState]
+	lastSeq  atomic.Uint64
+	chains   atomic.Pointer[[]atomic.Pointer[chain]]
+	dom      *epoch.Domain
+	staged   []*chain
+	backlog  []*chain
+	trimMin  uint64
+	spares   []*vnode
+	pubs     []*pubState
+	freePubs []*pubState
 
 	batchDepth       int
 	pendingPub       bool
@@ -281,8 +279,10 @@ func (c *clock) Advance(v float64) {
 	}
 }
 
-// advance moves the tree clock forward (time never runs backwards).
-func (t *Tree) advance(now float64) { t.clk.Advance(now) }
+// Advance moves the tree clock forward (time never runs backwards).
+// Every mutation advances it; a caller that moves the tree's contents
+// into another tree carries the clock over with it.
+func (t *Tree) Advance(now float64) { t.clk.Advance(now) }
 
 // tickUI counts one insertion toward the update-interval estimate and
 // refreshes the estimate every leaf-capacity insertions (§4.2.3).

@@ -60,12 +60,13 @@ type ApplierOptions struct {
 // file set.  It is written only after everything at or before NextLSN
 // is durably applied (the replica runs DurabilityOnCommit and each
 // flush group-commits), so a crashed follower resumes at or before its
-// true position and re-applies idempotently — never past a gap.
+// true position and re-applies idempotently — never past a gap.  The
+// applied clock is not part of it: the replica's own clock, restored
+// from its metadata pages and log, is the clock the follower serves at.
 type position struct {
-	Epoch      uint64  `json:"epoch"`
-	NextLSN    uint64  `json:"next_lsn"`
-	AppliedOff uint64  `json:"applied_off"`
-	Clock      float64 `json:"clock"`
+	Epoch      uint64 `json:"epoch"`
+	NextLSN    uint64 `json:"next_lsn"`
+	AppliedOff uint64 `json:"applied_off"`
 }
 
 // errGone signals a 410 from the leader: the resume position is not
@@ -87,8 +88,7 @@ type Applier struct {
 	epoch      uint64
 	nextLSN    uint64
 	appliedOff uint64
-	headOff    uint64 // leader head offset at last contact
-	clock      float64
+	headOff    uint64    // leader head offset at last contact
 	caughtUpAt time.Time // last moment the replica matched the leader head
 	retired    []*rexptree.ShardedTree
 
@@ -180,16 +180,9 @@ func (a *Applier) resume() error {
 	if err != nil {
 		return err
 	}
-	// The replica's own stored clock can be ahead of the sidecar's (the
-	// sidecar is written after each flush; the tree's clock is restored
-	// from its metadata pages).  Queries must never run behind the
-	// tree's clock, so take the larger.
-	if c := ix.Now(); c > pos.Clock {
-		pos.Clock = c
-	}
 	a.mu.Lock()
 	a.ix, a.base = ix, base
-	a.epoch, a.nextLSN, a.appliedOff, a.clock = pos.Epoch, pos.NextLSN, pos.AppliedOff, pos.Clock
+	a.epoch, a.nextLSN, a.appliedOff = pos.Epoch, pos.NextLSN, pos.AppliedOff
 	a.caughtUpAt = time.Now()
 	a.mu.Unlock()
 	a.o.Logf("repl: resumed replica %s at lsn %d (epoch %d)", base, pos.NextLSN, pos.Epoch)
@@ -256,11 +249,9 @@ func (a *Applier) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	// Seed the applied clock from the snapshot itself: the shard files
-	// carry the leader's clock in their metadata pages, and serving
-	// queries at a clock behind the tree's own is an error.
-	pos := position{Epoch: info.Meta.Epoch, NextLSN: info.Meta.StartLSN,
-		AppliedOff: info.Meta.StartOff, Clock: ix.Now()}
+	// The shard files carry the leader's clock in their metadata
+	// pages, so the replica serves at it from the first request.
+	pos := position{Epoch: info.Meta.Epoch, NextLSN: info.Meta.StartLSN, AppliedOff: info.Meta.StartOff}
 	if err := writePosition(base, pos); err != nil {
 		ix.Close()
 		return err
@@ -274,9 +265,6 @@ func (a *Applier) bootstrap(ctx context.Context) error {
 	old, oldBase := a.ix, a.base
 	a.ix, a.base = ix, base
 	a.epoch, a.nextLSN, a.appliedOff = pos.Epoch, pos.NextLSN, pos.AppliedOff
-	if pos.Clock > a.clock {
-		a.clock = pos.Clock
-	}
 	a.headOff = pos.AppliedOff
 	a.caughtUpAt = time.Now()
 	if old != nil && a.o.OnSwap == nil {
@@ -488,24 +476,26 @@ func (a *Applier) tailOnce() error {
 			ErrCorruptFrame, hdr.Epoch, hdr.From, epoch, from))
 	}
 
+	// A flush or delete applies at the later of the replica's clock and
+	// the latest time the leader applied its records at, so the
+	// replica's clock follows the leader's.
 	var (
-		batch   []rexptree.Report
-		inBatch = map[uint32]bool{}
-		next    = from
-		off     = uint64(0)
+		batch    []rexptree.Report
+		batchNow float64 // the latest leader time among batch's records
+		inBatch  = map[uint32]bool{}
+		next     = from
+		off      = uint64(0)
 	)
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
-		a.mu.Lock()
-		ix, clock := a.ix, a.clock
-		a.mu.Unlock()
-		if err := ix.UpdateBatch(batch, clock); err != nil {
+		ix := a.Index()
+		if err := ix.UpdateBatch(batch, max(ix.Now(), batchNow)); err != nil {
 			return fmt.Errorf("repl: applying records [..%d): %w", next, err)
 		}
 		a.applied.Add(uint64(len(batch)))
-		batch = batch[:0]
+		batch, batchNow = batch[:0], 0
 		clear(inBatch)
 		return a.savePosition(next, off)
 	}
@@ -538,17 +528,14 @@ func (a *Applier) tailOnce() error {
 				}
 				p := rexptree.Point{Time: u.Time, Expires: u.Expires, Pos: u.Pos, Vel: u.Vel}
 				batch = append(batch, rexptree.Report{ID: u.ID, Point: p})
+				batchNow = max(batchNow, u.Now)
 				inBatch[u.ID] = true
-				a.advanceClock(u.Now)
 			case wal.RecDelete:
 				if err := flush(); err != nil {
 					return err
 				}
-				a.advanceClock(rec.Delete.Now)
-				a.mu.Lock()
-				ix, clock := a.ix, a.clock
-				a.mu.Unlock()
-				if _, err := ix.Delete(rec.Delete.ID, clock); err != nil {
+				ix := a.Index()
+				if _, err := ix.Delete(rec.Delete.ID, max(ix.Now(), rec.Delete.Now)); err != nil {
 					return fmt.Errorf("repl: applying delete of %d at lsn %d: %w", rec.Delete.ID, lsn, err)
 				}
 				a.applied.Add(1)
@@ -601,34 +588,20 @@ func (a *Applier) savePosition(next, lastOff uint64) error {
 	if lastOff > a.appliedOff {
 		a.appliedOff = lastOff
 	}
-	pos := position{Epoch: a.epoch, NextLSN: a.nextLSN, AppliedOff: a.appliedOff, Clock: a.clock}
+	pos := position{Epoch: a.epoch, NextLSN: a.nextLSN, AppliedOff: a.appliedOff}
 	base := a.base
 	a.mu.Unlock()
 	return writePosition(base, pos)
 }
 
-func (a *Applier) advanceClock(now float64) {
-	a.mu.Lock()
-	if now > a.clock {
-		a.clock = now
-	}
-	a.mu.Unlock()
-}
-
-// Index returns the current replica index.  With OnSwap unset the
+// Index returns the current replica index; its Now is the replica's
+// applied clock.  With OnSwap unset the
 // returned index stays valid until Close even across re-bootstraps;
 // with OnSwap set, the swap callback owns lifetime hand-off.
 func (a *Applier) Index() *rexptree.ShardedTree {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.ix
-}
-
-// Clock returns the replica's applied logical clock.
-func (a *Applier) Clock() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.clock
 }
 
 // LagSeconds reports staleness: how long ago the replica was last

@@ -9,6 +9,8 @@ package repl
 
 import (
 	"context"
+	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -22,6 +24,7 @@ import (
 	"time"
 
 	"rexptree"
+	"rexptree/internal/server"
 )
 
 // --- leader/follower scaffolding ---------------------------------------
@@ -210,7 +213,7 @@ func requireSameFingerprint(t *testing.T, got, want queryFingerprint, what strin
 func requireConverged(t *testing.T, l *testLeader, app *Applier, what string) {
 	t.Helper()
 	waitCaughtUp(t, app, l.hub.Feed())
-	now := app.Clock()
+	now := app.Index().Now()
 	requireSameFingerprint(t, fingerprint(t, app.Index(), now), fingerprint(t, l.ix, now), what)
 }
 
@@ -466,7 +469,8 @@ func TestReplFollowerQueriesDuringTail(t *testing.T) {
 					return
 				default:
 				}
-				ix, now := app.Index(), app.Clock()
+				ix := app.Index()
+				now := ix.Now()
 				if _, err := ix.Timeslice(world, now, now); err != nil {
 					t.Error(err)
 					return
@@ -505,11 +509,11 @@ func TestReplNearestLostClockRace(t *testing.T) {
 	}
 	app.Start()
 	waitCaughtUp(t, app, l.hub.Feed())
-	stale := app.Clock()
+	stale := app.Index().Now()
 	l.mutate(t, 50)
 	waitCaughtUp(t, app, l.hub.Feed())
-	if app.Clock() <= stale {
-		t.Fatalf("applied clock %v did not pass %v", app.Clock(), stale)
+	if now := app.Index().Now(); now <= stale {
+		t.Fatalf("applied clock %v did not pass %v", now, stale)
 	}
 	rs, err := app.Index().Nearest(rexptree.Vec{500, 500}, stale, 5, stale)
 	if err != nil || len(rs) != 5 {
@@ -528,7 +532,8 @@ func TestReplNearestLostClockRace(t *testing.T) {
 					return
 				default:
 				}
-				ix, now := app.Index(), app.Clock()
+				ix := app.Index()
+				now := ix.Now()
 				if _, err := ix.Nearest(rexptree.Vec{500, 500}, now, 5, now); err != nil {
 					t.Error(err)
 					return
@@ -543,6 +548,99 @@ func TestReplNearestLostClockRace(t *testing.T) {
 	waitCaughtUp(t, app, l.hub.Feed())
 	close(stop)
 	wg.Wait()
+}
+
+// TestReplFollowerServesAppliedClock puts a server over a caught-up
+// replica: /v1/stats and a "+0" query answer at the replica's clock,
+// which is the leader's, at once — the follower keeps no clock of its
+// own to refresh.  A follower resumed from a position sidecar that still
+// carries the "clock" field older followers wrote serves the same way.
+func TestReplFollowerServesAppliedClock(t *testing.T) {
+	l := newTestLeader(t, 2, 0, nil)
+	l.mutate(t, 300)
+	dir := t.TempDir()
+	app := newTestApplier(t, l.srv.URL, dir)
+	if err := app.Open(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	app.Start()
+	l.mutate(t, 100)
+	waitCaughtUp(t, app, l.hub.Feed())
+	want := l.ix.Now()
+	requireServedAt := func(ix *rexptree.ShardedTree, what string) {
+		t.Helper()
+		if now := ix.Now(); now != want {
+			t.Fatalf("%s: replica clock %v, leader clock %v", what, now, want)
+		}
+		if clock, now := servedClock(t, ix); clock != want || now != want {
+			t.Fatalf("%s: /v1/stats clock %v and +0 query now %v, want the applied clock %v", what, clock, now, want)
+		}
+	}
+	requireServedAt(app.Index(), "tailing follower")
+
+	if err := app.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sidecar := app.CurrentBase() + ".replpos"
+	raw, err := os.ReadFile(sidecar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old struct {
+		position
+		Clock float64 `json:"clock"`
+	}
+	if err := json.Unmarshal(raw, &old.position); err != nil {
+		t.Fatal(err)
+	}
+	old.Clock = want
+	if raw, err = json.Marshal(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(sidecar, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed := newTestApplier(t, l.srv.URL, dir)
+	if err := resumed.Open(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := resumed.Stats(); st.Bootstraps != 0 {
+		t.Fatalf("the follower bootstrapped instead of resuming from %s: %+v", sidecar, st)
+	}
+	requireServedAt(resumed.Index(), "resumed follower")
+	resumed.Start() // Close waits for the tail loop
+}
+
+// servedClock serves ix over HTTP and returns the clock /v1/stats
+// reports and the now a "+0" timeslice query is answered at.
+func servedClock(t *testing.T, ix *rexptree.ShardedTree) (clock, now float64) {
+	t.Helper()
+	hs := httptest.NewServer(server.New(server.Config{Index: ix, ReadOnly: true}))
+	defer hs.Close()
+	get := func(path string, out any) {
+		t.Helper()
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, resp.StatusCode, raw)
+		}
+		if err := json.Unmarshal(raw, out); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+	var stats struct {
+		Clock float64 `json:"clock"`
+	}
+	get("/v1/stats", &stats)
+	var q struct {
+		Now float64 `json:"now"`
+	}
+	get("/v1/timeslice?lo=0,0&hi=1000,1000&at=%2B0", &q)
+	return stats.Clock, q.Now
 }
 
 // --- fault-injection plumbing ------------------------------------------

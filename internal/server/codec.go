@@ -141,7 +141,7 @@ func parseVec(s string, dims int) (rexptree.Vec, error) {
 }
 
 // parseTime parses a query time parameter.  A leading "+" makes the
-// value relative to the server clock ("t2=+10" means now+10), which is
+// value relative to the request's now ("t2=+10" means now+10), which is
 // what curl invocations against a live logical clock want.
 func parseTime(s string, now float64) (float64, error) {
 	if s == "" {

@@ -100,7 +100,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, fn func() reply) {
 type updateResponse struct {
 	OK      bool    `json:"ok"`
 	Removed bool    `json:"removed,omitempty"` // deletes: report existed
-	Clock   float64 `json:"clock"`             // server logical clock after the op
+	Clock   float64 `json:"clock"`             // the time the op was applied at
 }
 
 // handleUpdate applies one report: POST /v1/update, body a Record.
@@ -122,8 +122,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return errReply(badRequest{err.Error()})
 		}
-		s.clock.Observe(rec.Time)
-		now := s.clock.Now()
+		now := max(rec.Time, s.ix.Now())
 		if err := s.ix.Update(rec.ID, p, now); err != nil {
 			return errReply(err)
 		}
@@ -146,8 +145,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		if rec.Op != "" && rec.Op != "delete" {
 			return errReply(badRequestf("op %q not valid on /v1/delete", rec.Op))
 		}
-		s.clock.Observe(rec.Time)
-		now := s.clock.Now()
+		now := max(rec.Time, s.ix.Now())
 		removed, err := s.ix.Delete(rec.ID, now)
 		if err != nil {
 			return errReply(err)
@@ -200,8 +198,7 @@ func (s *Server) ingest(body io.Reader) (batchResponse, error) {
 		if len(pending) == 0 {
 			return nil
 		}
-		s.clock.Observe(pendingMax)
-		now := s.clock.Now()
+		now := max(pendingMax, s.ix.Now())
 		if err := s.ix.UpdateBatch(pending, now); err != nil {
 			return err
 		}
@@ -244,8 +241,7 @@ func (s *Server) ingest(body io.Reader) (batchResponse, error) {
 			if err := flush(); err != nil {
 				return resp, err
 			}
-			s.clock.Observe(rec.Time)
-			now := s.clock.Now()
+			now := max(rec.Time, s.ix.Now())
 			if _, err := s.ix.Delete(rec.ID, now); err != nil {
 				return resp, err
 			}
@@ -265,7 +261,7 @@ func (s *Server) ingest(body io.Reader) (batchResponse, error) {
 		return resp, err
 	}
 	if resp.Clock == 0 {
-		resp.Clock = s.clock.Now()
+		resp.Clock = s.ix.Now()
 	}
 	return resp, nil
 }
@@ -286,9 +282,9 @@ func decodeBody(body io.Reader, v any) error {
 // --- Queries -----------------------------------------------------------
 
 // queryNow resolves the query's evaluation time: an explicit ?now=
-// (absolute or "+N"), else the server clock.
+// (absolute or "+N"), else the index clock, read once per request.
 func (s *Server) queryNow(q map[string][]string) (float64, error) {
-	clock := s.clock.Now()
+	clock := s.ix.Now()
 	vals := q["now"]
 	if len(vals) == 0 || vals[0] == "" {
 		return clock, nil
@@ -518,7 +514,7 @@ type statsResponse struct {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.ix.Stats()
 	writeJSON(w, http.StatusOK, statsResponse{
-		Clock:      s.clock.Now(),
+		Clock:      s.ix.Now(),
 		Objects:    s.ix.Len(),
 		Shards:     s.ix.NumShards(),
 		Generation: s.ix.Generation(),

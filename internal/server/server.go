@@ -5,12 +5,15 @@
 // sync.
 //
 // The server wraps a ShardedTree (a single-tree deployment is a
-// 1-shard ShardedTree) and maintains the index's logical clock: every
-// ingested report advances it monotonically, queries default their
-// evaluation time to it, and a "+N" time parameter is resolved against
-// it.  Mutations are acknowledged only after the index call returns —
-// under DurabilityOnCommit that means the WAL is fsynced — so a 200
-// ack survives a crash; a 504 or 429 promises nothing either way.
+// 1-shard ShardedTree) and keeps no clock of its own: it reads the
+// index's logical clock (ShardedTree.Now) once per request.  A report
+// is applied at the later of its time and that clock, a query's
+// default evaluation time is that clock, and a "+N" time parameter is
+// resolved against it.  The clock survives a restart with the index
+// and, on a follower, is the replica's applied clock.  Mutations are
+// acknowledged only after the index call returns — under
+// DurabilityOnCommit that means the WAL is fsynced — so a 200 ack
+// survives a crash; a 504 or 429 promises nothing either way.
 package server
 
 import (
@@ -97,8 +100,6 @@ type Server struct {
 	ix  *rexptree.ShardedTree
 	cfg Config
 	mux *http.ServeMux
-
-	clock atomicClock
 
 	gate chan struct{} // admission: in-flight ingest batches
 
@@ -192,13 +193,10 @@ func Routes() []string {
 	return out
 }
 
-// Clock returns the server's logical clock: the largest report time
-// ingested so far (or observed at startup from the reopened index).
-func (s *Server) Clock() float64 { return s.clock.Now() }
-
-// ObserveClock advances the logical clock to at least t; rexpd seeds
-// it from the reopened index's newest report so queries start valid.
-func (s *Server) ObserveClock(t float64) { s.clock.Observe(t) }
+// ObserveClock does nothing: the server reads the index's clock, which
+// every write advances, so there is no served clock to move.  It is
+// kept for callers that wrote to the index behind the server's back.
+func (s *Server) ObserveClock(float64) {}
 
 // Draining reports whether Drain has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
@@ -273,23 +271,4 @@ func (s *Server) acquireBatchSlot(w http.ResponseWriter) (release func(), ok boo
 func (s *Server) retryLater(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(s.cfg.RetryAfter.Seconds()))))
 	writeError(w, status, format, args...)
-}
-
-// atomicClock is a monotone float64 clock (CAS-max on the bit pattern).
-type atomicClock struct{ bits atomic.Uint64 }
-
-func (c *atomicClock) Now() float64 {
-	return math.Float64frombits(c.bits.Load())
-}
-
-func (c *atomicClock) Observe(t float64) {
-	for {
-		old := c.bits.Load()
-		if math.Float64frombits(old) >= t {
-			return
-		}
-		if c.bits.CompareAndSwap(old, math.Float64bits(t)) {
-			return
-		}
-	}
 }

@@ -550,7 +550,7 @@ func TestNearestLostClockRace(t *testing.T) {
 	if resp, raw := postJSON(t, hs.URL+"/v1/batch", body(rng, 1)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %d %s", resp.StatusCode, raw)
 	}
-	stale := srv.Clock()
+	stale := srv.ix.Now()
 	if resp, raw := postJSON(t, hs.URL+"/v1/batch", body(rng, 2)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %d %s", resp.StatusCode, raw)
 	}
@@ -596,7 +596,7 @@ func TestNearestLostClockRace(t *testing.T) {
 					return
 				default:
 				}
-				u := fmt.Sprintf("%s/v1/nearest?pos=500,500&k=10&at=%%2B0&now=%v", hs.URL, srv.Clock())
+				u := fmt.Sprintf("%s/v1/nearest?pos=500,500&k=10&at=%%2B0&now=%v", hs.URL, srv.ix.Now())
 				resp, err := http.Get(u)
 				if err != nil {
 					t.Error(err)

@@ -6,7 +6,8 @@ package rexptree
 // The engine runs in three phases:
 //
 //	scan      A snapshot of every current shard is exported over the
-//	          lock-free read path (no write stall) at a pinned clock.
+//	          lock-free read path (no write stall) at the index clock,
+//	          which the new generation's shards take over.
 //	backfill  The new generation's shards are built beside the old
 //	          ones (same durability policy, next file generation) and
 //	          the snapshot is inserted into them in small batches,
@@ -37,7 +38,6 @@ package rexptree
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -333,10 +333,10 @@ func (s *ShardedTree) normalizeSpec(spec ReshardSpec) (ReshardSpec, bool, error)
 	return spec, derived, nil
 }
 
-// liveSpeeds returns the speed of every record of g live at its clock,
-// read over the lock-free snapshot path.
+// liveSpeeds returns the speed of every record of g live at the index
+// clock, read over the lock-free snapshot path.
 func (s *ShardedTree) liveSpeeds(g *generation) ([]float64, error) {
-	clock := g.clock()
+	clock := s.Now()
 	expireAware := g.shards[0].t.Config().ExpireAware
 	var speeds []float64
 	for _, t := range g.shards {
@@ -351,16 +351,6 @@ func (s *ShardedTree) liveSpeeds(g *generation) ([]float64, error) {
 		}
 	}
 	return speeds, nil
-}
-
-// clock is the generation's logical clock: the highest time any of its
-// shards has applied.
-func (g *generation) clock() float64 {
-	c := 0.0
-	for _, t := range g.shards {
-		c = math.Max(c, t.clockNow())
-	}
-	return c
 }
 
 // scanRec is one snapshotted record (internal stored form).
@@ -427,11 +417,17 @@ func (s *ShardedTree) runLiveReshard(lr *liveReshard, derived bool) error {
 	s.rerouteMu.Unlock()
 
 	// Phase 1: scan a snapshot of every current shard over the
-	// lock-free read path, at the highest clock any shard has applied.
-	// Records the dual-apply stream touches after this point supersede
-	// their snapshot versions and are excluded from the backfill.
+	// lock-free read path, at the index clock, which the target takes
+	// over whether or not any record survives the backfill.  Records
+	// the dual-apply stream touches after this point supersede their
+	// snapshot versions and are excluded from the backfill.
 	lr.phase.Store(reshardPhaseScan)
-	snapClock := cur.clock()
+	snapClock := s.Now()
+	for _, t := range target.shards {
+		if err := t.takeClock(snapClock); err != nil {
+			return s.abortClean(lr, fmt.Errorf("rexptree: live reshard: %w", err))
+		}
+	}
 	var recs []scanRec
 	for _, t := range cur.shards {
 		if err := lr.aborted(); err != nil {
@@ -524,7 +520,7 @@ func (s *ShardedTree) runLiveReshard(lr *liveReshard, derived bool) error {
 	if err := s.hook("verify"); err != nil {
 		return abortLocked(true, err)
 	}
-	if err := verifyGenerations(cur, target, expireAware); err != nil {
+	if err := verifyGenerations(cur, target, s.Now(), expireAware); err != nil {
 		return abortLocked(false, err)
 	}
 	if s.basePath != "" && s.durability == DurabilityNone {
@@ -635,13 +631,12 @@ func (s *ShardedTree) unpublish(lr *liveReshard) {
 // verifyGenerations proves the target's trees hold exactly the records
 // of the current generation's, read from each shard's published
 // snapshot.  The caller holds the exclusive re-route lock, so both sides
-// are quiescent.  Under expiry-aware semantics, records expired at the
-// verification clock are ignored on both sides: the generations may
+// are quiescent.  Under expiry-aware semantics, records expired at
+// clock, the index clock, are ignored on both sides: the generations may
 // legitimately disagree on how many expired records they have lazily
 // purged.  A generation holding two live records of one object is
 // corrupt.
-func verifyGenerations(cur, target *generation, expireAware bool) error {
-	clock := math.Max(cur.clock(), target.clock())
+func verifyGenerations(cur, target *generation, clock float64, expireAware bool) error {
 	liveRecords := func(g *generation, which string) (map[uint32]geom.MovingPoint, error) {
 		recs := make(map[uint32]geom.MovingPoint)
 		for _, t := range g.shards {

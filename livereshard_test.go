@@ -160,6 +160,66 @@ func TestLiveReshardFileBacked(t *testing.T) {
 	requireSameFingerprint(t, fingerprintIndex(t, re, 1), fingerprintIndex(t, ref, 1), "reopened resharded index")
 }
 
+// TestLiveReshardKeepsClock reshards an index that holds no report
+// live at its clock: one report expired at 10, another updated and
+// deleted at 100.  The backfill is empty, and the new generation must
+// still take over the index clock of 100 — in memory, and on a durable
+// file-backed index across a reopen after a clean close or a crash.
+func TestLiveReshardKeepsClock(t *testing.T) {
+	for _, mode := range []string{"memory", "reopen", "crash"} {
+		t.Run(mode, func(t *testing.T) {
+			so := ShardedOptions{Options: DefaultOptions(), Shards: 2}
+			if mode != "memory" {
+				so.Options = fileOpts(filepath.Join(t.TempDir(), "ix"))
+				so.Durability = DurabilityOnCommit
+			}
+			s, err := OpenSharded(so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Update(1, Point{Pos: Vec{10, 10}, Expires: 10}, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Update(2, Point{Pos: Vec{20, 20}, Time: 100, Expires: 200}, 100); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Delete(2, 100); err != nil {
+				t.Fatal(err)
+			}
+			if now := s.Now(); now != 100 {
+				t.Fatalf("clock %v before the reshard, want 100", now)
+			}
+			if err := s.Reshard(ReshardSpec{Shards: 3, Policy: PartitionHash}); err != nil {
+				t.Fatal(err)
+			}
+			if now := s.Now(); now != 100 {
+				t.Fatalf("clock %v after the reshard, want 100", now)
+			}
+			switch mode {
+			case "memory":
+				return
+			case "crash":
+				s.Abandon()
+			default:
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ro := so
+			ro.Shards = 3
+			re, err := OpenSharded(ro)
+			if err != nil {
+				t.Fatalf("reopen after the reshard: %v", err)
+			}
+			defer re.Close()
+			if now := re.Now(); now != 100 {
+				t.Fatalf("clock %v after the reshard and a reopen, want 100", now)
+			}
+		})
+	}
+}
+
 // TestLiveReshardBadSpec checks spec validation.
 func TestLiveReshardBadSpec(t *testing.T) {
 	s, err := OpenSharded(ShardedOptions{Options: DefaultOptions(), Shards: 2})

@@ -924,14 +924,18 @@ func (s *ShardedTree) Len() int {
 }
 
 // Now returns the index's logical clock: the largest reference time
-// any shard has applied.  A reopened index restores it from the shard
-// metadata pages, so it survives restarts.
+// any shard has applied.  It is the index's only clock: the HTTP server
+// resolves every request's "now" from it and a follower serves at it.
+// Each shard's clock is an atomic read, taken without the shard's lock,
+// so Now never waits behind a writer.  A reopened index restores it
+// from the shard metadata pages, so it survives restarts, and a live
+// reshard carries it into the new generation.
 func (s *ShardedTree) Now() float64 {
 	g := s.pin()
 	defer g.unpin()
 	now := 0.0
 	for _, t := range g.shards {
-		if c := t.Now(); c > now {
+		if c := t.t.Now(); c > now {
 			now = c
 		}
 	}

@@ -648,11 +648,6 @@ func (tr *Tree) ForEach(now float64, fn func(Result) bool) error {
 
 var errStopIteration = fmt.Errorf("rexptree: stop iteration")
 
-// clockNow reads the tree's high-water clock — the time of the newest
-// applied update — from the lock-free snapshot's published clock, so a
-// live-reshard scan never blocks the write path.
-func (tr *Tree) clockNow() float64 { return tr.t.PubClock() }
-
 // exportRecords streams every stored record (live and expired alike, in
 // raw internal form) to fn, over the lock-free snapshot so a concurrent
 // update stream is never stalled by a full-index scan.
