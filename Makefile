@@ -6,13 +6,14 @@
 #   make bench-compare A=a.jsonl B=b.jsonl   compare two benchmark runs, run against run
 #   make bench-update     the update path's microbenchmarks (kernel, computeBR, one update, batched updates, a durable body)
 #   make bench-query      the query kernels' microbenchmarks (nearest on one tree and on 4 shards, region queries per shape)
+#   make bench-ingest     the served write path's microbenchmarks (one 100-record /v1/batch body on 4 shards, one decoded line)
 #   make serve-smoke      the README serving quickstart, end to end
 #   make fault-matrix     the replication fault-injection matrix, under -race
 #   make all              check
 
 GO ?= go
 
-.PHONY: all check fmt-check vet build test test-bench race determinism crash-matrix fuzz-smoke bench bench-compare bench-update bench-query serve-smoke fault-matrix
+.PHONY: all check fmt-check vet build test test-bench race determinism crash-matrix fuzz-smoke bench bench-compare bench-update bench-query bench-ingest serve-smoke fault-matrix
 
 all: check
 
@@ -89,7 +90,8 @@ crash-matrix:
 # the near-optimal bridge search against its sort-and-scan reference, and
 # the write-ahead-log frame scanner (arbitrary bytes must never panic
 # and torn tails must only ever drop trailing records), and the delete
-# locator against the paper's leaf search over op bytes.  Ten seconds
+# locator against the paper's leaf search over op bytes, and the
+# /v1/batch line decoder against json.Unmarshal.  Ten seconds
 # each is enough to shake out regressions in the properties; leave the
 # targets running longer locally when hunting.
 fuzz-smoke:
@@ -101,6 +103,7 @@ fuzz-smoke:
 	$(GO) test . -run '^$$' -fuzz FuzzDualApplySchedule -fuzztime 10s
 	$(GO) test ./internal/repl -run '^$$' -fuzz FuzzReplFrameRoundTrip -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLocateVsSearch -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzIngestRecord -fuzztime 10s
 
 # The repository's benchmark, the reference for every performance
 # claim: all four workloads of BENCHMARK.json, built and run from this
@@ -147,6 +150,17 @@ bench-update:
 bench-query:
 	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkNearestWarm|BenchmarkNearestSnapWarm|BenchmarkSearchSnap' -benchmem
 	$(GO) test . -run '^$$' -bench 'BenchmarkShardedNearest$$' -benchmem
+
+# The served write path: one 100-record /v1/batch body of the paper's
+# stream per op, through Server.ServeHTTP on a 4-shard hash-partitioned
+# memory index preloaded with 20 000 objects (the in-process request
+# and recorder included), and one benchmark line through the record
+# decoder.  -benchmem's allocs/op is the budget: about 40 per body and
+# 0 per decoded line (1 066 and 10 while every line went through
+# json.Unmarshal).  Prints to the terminal; bench/ holds the numbers
+# that count.
+bench-ingest:
+	$(GO) test ./internal/server -run '^$$' -bench 'BenchmarkServedBatch|BenchmarkDecodeRecord' -benchmem
 
 # The README "Serving" quickstart as a test: rexpgen a workload, serve
 # it with rexpd, ingest through rexpbench -remote -replay, query over

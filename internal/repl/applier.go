@@ -384,6 +384,11 @@ func (a *Applier) run() {
 			backoff = 100 * time.Millisecond
 			continue
 		}
+		select {
+		case <-a.stop:
+			return // Close canceled the long poll: not a failure
+		default:
+		}
 		a.reconnects.Add(1)
 		a.o.Logf("repl: tail failed: %v (reconnecting in ~%v)", err, backoff)
 		if !a.sleepStop(jitter(backoff)) {

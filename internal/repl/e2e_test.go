@@ -10,6 +10,7 @@ package repl
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -18,8 +19,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -609,6 +612,66 @@ func TestReplFollowerServesAppliedClock(t *testing.T) {
 	}
 	requireServedAt(resumed.Index(), "resumed follower")
 	resumed.Start() // Close waits for the tail loop
+}
+
+// TestReplCleanCloseIsNotAReconnect closes a caught-up applier while
+// its long poll waits at the leader.  Close cancels that poll; the tail
+// loop must stop without counting a reconnect or logging a failed tail.
+func TestReplCleanCloseIsNotAReconnect(t *testing.T) {
+	var polled atomic.Uint64 // the from= of the latest tail request
+	l := newTestLeader(t, 2, 0, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64); err == nil {
+				polled.Store(from)
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	l.mutate(t, 200)
+	var (
+		mu    sync.Mutex
+		lines []string
+	)
+	app, err := NewApplier(ApplierOptions{
+		Leader:     l.srv.URL,
+		Dir:        t.TempDir(),
+		MaxBackoff: 200 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Open(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	app.Start()
+	l.mutate(t, 50)
+	waitCaughtUp(t, app, l.hub.Feed())
+	// Close once the poll for the record after the head has reached the
+	// leader, which parks it until an append that never comes.
+	head, _ := l.hub.Feed().Head()
+	for deadline := time.Now().Add(10 * time.Second); polled.Load() < head; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no tail request from %d reached the leader (last from=%d)", head, polled.Load())
+		}
+	}
+	if err := app.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := app.Stats(); st.Reconnects != 0 || st.FrameErrors != 0 {
+		t.Errorf("a clean Close counted as a failure: %+v", st)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range lines {
+		if strings.Contains(line, "tail failed") {
+			t.Errorf("a clean Close logged %q", line)
+		}
+	}
 }
 
 // servedClock serves ix over HTTP and returns the clock /v1/stats

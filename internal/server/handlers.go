@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"rexptree"
@@ -188,10 +189,27 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// ingestBuffers is what an ingest body borrows for its whole run and
+// returns when ingest returns: the scanner's line buffer, the pending
+// chunk and the record decoder.  Nothing downstream keeps a reference:
+// UpdateBatch copies what it stores, logs and forwards.
+type ingestBuffers struct {
+	line    []byte
+	pending []rexptree.Report
+	dec     recordDecoder
+}
+
+var ingestPool = sync.Pool{New: func() any {
+	return &ingestBuffers{line: make([]byte, 64*1024)}
+}}
+
 // ingest is the body of handleBatch.
 func (s *Server) ingest(body io.Reader) (batchResponse, error) {
+	bufs := ingestPool.Get().(*ingestBuffers)
+	defer ingestPool.Put(bufs)
 	var resp batchResponse
-	pending := make([]rexptree.Report, 0, s.cfg.MaxBatch)
+	pending := bufs.pending[:0]
+	defer func() { bufs.pending = pending[:0] }()
 	var pendingMax float64
 
 	flush := func() error {
@@ -210,7 +228,7 @@ func (s *Server) ingest(body io.Reader) (batchResponse, error) {
 	}
 
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(bufs.line, 1<<20)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -218,8 +236,8 @@ func (s *Server) ingest(body io.Reader) (batchResponse, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var rec Record
-		if err := json.Unmarshal(raw, &rec); err != nil {
+		rec, err := bufs.dec.decode(raw)
+		if err != nil {
 			return resp, badRequestf("line %d: %v", line, err)
 		}
 		switch rec.Op {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"sync"
 
 	"rexptree/internal/obs"
 )
@@ -271,8 +272,16 @@ func (s *FileStore) offset(id PageID) int64 {
 	return PageSize + int64(id)*slotSizeV2
 }
 
+// slotPool holds the slot buffers readRaw and writeRaw stage a page
+// through.  The slot goes to (*os.File).ReadAt/WriteAt, so a local
+// array would escape: every page read or write would allocate 4 KiB,
+// and on a durable tree under a small pool that garbage was most of
+// what the process allocated.
+var slotPool = sync.Pool{New: func() any { return new([slotSizeV2]byte) }}
+
 func (s *FileStore) readRaw(id PageID, buf []byte) error {
-	var slot [slotSizeV2]byte
+	slot := slotPool.Get().(*[slotSizeV2]byte)
+	defer slotPool.Put(slot)
 	if _, err := s.f.ReadAt(slot[:], s.offset(id)); err != nil {
 		return err
 	}
@@ -288,7 +297,9 @@ func (s *FileStore) readRaw(id PageID, buf []byte) error {
 }
 
 func (s *FileStore) writeRaw(id PageID, buf []byte) error {
-	var slot [slotSizeV2]byte
+	slot := slotPool.Get().(*[slotSizeV2]byte)
+	defer slotPool.Put(slot)
+	clear(slot[:pageHdrSize]) // the reserved header bytes stay zero
 	copy(slot[pageHdrSize:], buf[:PageSize])
 	binary.LittleEndian.PutUint32(slot[0:], crc32.Checksum(slot[pageHdrSize:], castagnoli))
 	_, err := s.f.WriteAt(slot[:], s.offset(id))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -261,4 +262,79 @@ func TestFileStoreRecoverySurface(t *testing.T) {
 			t.Fatalf("free page %d was not recycled (got %v)", want, got)
 		}
 	}
+}
+
+// TestFileStorePageIOAllocs pins page reads and writes at 0
+// allocations: each stages its slot through a pooled buffer, because a
+// local array passed to ReadAt/WriteAt escapes and cost 4 KiB per page,
+// most of what a durable tree under a small buffer pool allocated.
+// The reserved header bytes of a written slot must stay zero even when
+// the pooled buffer last held a slot read from elsewhere.
+func TestFileStorePageIOAllocs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "allocs.idx")
+	s, err := CreateFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	a, _ := s.Allocate()
+	b, _ := s.Allocate()
+	buf := make([]byte, PageSize)
+	for i := range buf {
+		buf[i] = byte(i * 7)
+	}
+	if err := s.WritePage(a, buf); err != nil {
+		t.Fatal(err)
+	}
+	// Leave junk in the reserved bytes of a's slot, read it so the
+	// pooled slot holds them, then write b.
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	reserved := payloadOffset(a) - 4
+	if _, err := f.WriteAt([]byte{1, 2, 3, 4}, reserved); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, PageSize)
+	if err := s.ReadPage(a, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WritePage(b, buf); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [4]byte
+	if _, err := f.ReadAt(hdr[:], payloadOffset(b)-4); err != nil {
+		t.Fatal(err)
+	}
+	if hdr != [4]byte{} {
+		t.Fatalf("reserved header bytes of a written slot = %v, want zero", hdr)
+	}
+
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := s.WritePage(a, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ReadPage(a, got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("page write + read: %.1f allocs", allocs)
+	if allocs > 0 && !raceBuild() {
+		t.Fatalf("page write + read allocates %.1f times, want 0", allocs)
+	}
+}
+
+// raceBuild reports a -race build, whose sync.Pool drops a share of
+// what it is given, so allocation counts are logged, not judged.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				return true
+			}
+		}
+	}
+	return false
 }

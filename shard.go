@@ -690,11 +690,7 @@ func (s *ShardedTree) updateBatch(batch []Report, now float64, tc *QueryTrace) e
 func (s *ShardedTree) applyBatch(g *generation, batch []Report, now float64, tc *QueryTrace, frontend bool) error {
 	if g.part.policy() == PartitionHash {
 		ri := tc.begin(-1, "route", -1)
-		groups := make([][]Report, len(g.shards))
-		for _, r := range batch {
-			i := g.part.route(r.ID, r.Point)
-			groups[i] = append(groups[i], r)
-		}
+		groups := groupByShard(len(g.shards), batch, func(r *Report) int { return g.part.route(r.ID, r.Point) })
 		tc.endAt(ri)
 		ai := tc.begin(-1, "apply", -1)
 		err := parallel(len(g.shards), nonEmpty(groups), func(i int) error {
@@ -740,11 +736,7 @@ func (s *ShardedTree) applyBatch(g *generation, batch []Report, now float64, tc 
 	}
 
 	// Apply every report on its object's final shard, in batch order.
-	groups := make([][]Report, len(g.shards))
-	for _, r := range batch {
-		i := final[r.ID]
-		groups[i] = append(groups[i], r)
-	}
+	groups := groupByShard(len(g.shards), batch, func(r *Report) int { return final[r.ID] })
 	ai := tc.begin(-1, "apply", -1)
 	err = parallel(len(g.shards), nonEmpty(groups), func(i int) error {
 		return g.shards[i].UpdateBatch(groups[i], now)
@@ -754,6 +746,28 @@ func (s *ShardedTree) applyBatch(g *generation, batch []Report, now float64, tc 
 		g.part.note(id, tgt)
 	}
 	return err
+}
+
+// groupByShard groups a batch into k per-shard groups, keeping batch
+// order within each group.  The groups are consecutive windows of one
+// slice, sized by a first pass over shardOf, so no group grows.
+func groupByShard(k int, batch []Report, shardOf func(r *Report) int) [][]Report {
+	counts := make([]int, k)
+	for j := range batch {
+		counts[shardOf(&batch[j])]++
+	}
+	all := make([]Report, len(batch))
+	groups := make([][]Report, k)
+	off := 0
+	for i, n := range counts {
+		groups[i] = all[off : off : off+n]
+		off += n
+	}
+	for j := range batch {
+		i := shardOf(&batch[j])
+		groups[i] = append(groups[i], batch[j])
+	}
+	return groups
 }
 
 // nonEmpty is the parallel mask of a batch's per-shard groups: a shard
