@@ -44,7 +44,11 @@ var goldenParams = workload.Params{
 // change for all seven 2-D configurations — the trees are the ones
 // pinned before the near-optimal kernel was rewritten.  The 3-D entry
 // was recorded before the kernel's per-dimension passes became one
-// entry-major pass, which rewrote its generic path as well.
+// entry-major pass, which rewrote its generic path as well.  The
+// TPR-tree baseline (conservative/tpr) and update-minimum in three
+// dimensions were pinned while those kinds still copied a node's
+// entries into rectangles, before they read the near-optimal kernel's
+// workspace.
 var goldenTrees = []struct {
 	name   string
 	cfg    Config
@@ -58,6 +62,8 @@ var goldenTrees = []struct {
 	{"near-optimal/stored-exp", Config{BRKind: hull.KindNearOptimal, ExpireAware: true, StoreBRExp: true, AlgsUseExp: true}, "21625dcb86983e887554921b"},
 	{"near-optimal/tpr", Config{BRKind: hull.KindNearOptimal}, "46f02664b9dc499ef735cb99"},
 	{"near-optimal/dims3", Config{BRKind: hull.KindNearOptimal, ExpireAware: true, Dims: 3}, "6bab42277734235b3e70fec5"},
+	{"conservative/tpr", Config{BRKind: hull.KindConservative}, "ff5952f587fe243aa309f25e"},
+	{"update-minimum/dims3", Config{BRKind: hull.KindUpdateMinimum, ExpireAware: true, Dims: 3}, "661910bd4b041c6b0895cffd"},
 }
 
 // lift3 gives a report of the 2-D golden stream a third dimension, an
