@@ -87,7 +87,8 @@ crash-matrix:
 # A short run of each native fuzz target: the manifest decode/encode
 # round trip, the time-parameterized intersection kernel, the compiled
 # query predicate against it (entries placed ulps from a region edge),
-# the near-optimal bridge search against its sort-and-scan reference, and
+# every bounding kind's workspace finisher against its slice reference
+# (near-optimal's bridge search against the sort-and-scan one), and
 # the write-ahead-log frame scanner (arbitrary bytes must never panic
 # and torn tails must only ever drop trailing records), and the delete
 # locator against the paper's leaf search over op bytes, and the
@@ -98,7 +99,7 @@ fuzz-smoke:
 	$(GO) test ./internal/manifest -run '^$$' -fuzz FuzzManifestRoundTrip -fuzztime 10s
 	$(GO) test ./internal/geom -run '^$$' -fuzz FuzzTrapezoidIntersect -fuzztime 10s
 	$(GO) test ./internal/geom -run '^$$' -fuzz FuzzCompiledVsIntersects -fuzztime 10s
-	$(GO) test ./internal/hull -run '^$$' -fuzz FuzzNearOptimalBridge -fuzztime 10s
+	$(GO) test ./internal/hull -run '^$$' -fuzz FuzzWorkspaceKinds -fuzztime 10s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzWALRoundTrip -fuzztime 10s
 	$(GO) test . -run '^$$' -fuzz FuzzDualApplySchedule -fuzztime 10s
 	$(GO) test ./internal/repl -run '^$$' -fuzz FuzzReplFrameRoundTrip -fuzztime 10s
@@ -117,13 +118,14 @@ bench-compare:
 	bash bench/run.sh --compare $(A) $(B)
 
 # The update path from the inside out: ChooseSubtree's per-entry
-# enlargement metric, the near-optimal TPBR kernel (on the 170 items the
-# other kinds are timed on, and through a warm workspace on a full leaf
+# enlargement metric, the near-optimal TPBR kernel (through the free
+# function on 170 items, and through a warm workspace on a full leaf
 # of points at tupd > 0 and a full internal node with derived expiries),
-# computeBR and the page encoding of a full leaf and a full internal
-# node, the pool's flush of one dirty page among many clean ones, one
-# steady-state update (delete + insert) through the public tree, the
-# same update per report in batches of 1, 25 and 100, and a 25-report
+# computeBR with each bounding kind and the page encoding of a full
+# leaf and a full internal node, the pool's flush of one dirty page
+# among many clean ones, one steady-state update (delete + insert)
+# through the public tree, the same update with each bounding kind,
+# the same update per report in batches of 1, 25 and 100, and a 25-report
 # body acknowledged by a durable tree behind a 16-page
 # pool (with its fsyncs and checkpoints per body).  -benchmem's
 # allocs/op of the update benchmarks is the path's allocation budget:
@@ -137,7 +139,7 @@ bench-update:
 	$(GO) test ./internal/hull -run '^$$' -bench 'BenchmarkNearOptimal$$' -benchmem
 	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkComputeBR|BenchmarkEncode' -benchmem
 	$(GO) test ./internal/storage -run '^$$' -bench 'BenchmarkFlushOneDirty' -benchmem
-	$(GO) test . -run '^$$' -bench 'BenchmarkUpdateThroughput$$|BenchmarkUpdateBatch|BenchmarkDurableBatch' -benchmem
+	$(GO) test . -run '^$$' -bench 'BenchmarkUpdateThroughput$$|BenchmarkUpdateKinds|BenchmarkUpdateBatch|BenchmarkDurableBatch' -benchmem
 
 # The query path from the inside out: the nearest kernel over a warm
 # 2 000-object tree read through the buffer pool and over its pinned

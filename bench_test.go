@@ -22,6 +22,7 @@ import (
 
 	"rexptree/internal/experiments"
 	"rexptree/internal/geom"
+	"rexptree/internal/hull"
 	"rexptree/internal/storage"
 	"rexptree/internal/workload"
 )
@@ -96,8 +97,24 @@ func BenchmarkFig16NewObUpdate(b *testing.B) { benchFigure(b, "16") }
 // BenchmarkUpdateThroughput measures raw index update cost (one
 // delete+insert pair) on a steady-state R^exp-tree — the operation
 // mix that dominates the paper's workloads.
-func BenchmarkUpdateThroughput(b *testing.B) {
-	tree, err := Open(DefaultOptions())
+func BenchmarkUpdateThroughput(b *testing.B) { benchUpdates(b, DefaultOptions()) }
+
+// BenchmarkUpdateKinds is BenchmarkUpdateThroughput once per bounding
+// kind, the rest of the R^exp configuration unchanged.
+func BenchmarkUpdateKinds(b *testing.B) {
+	for _, k := range []BoundingKind{Conservative, Static, UpdateMinimum, NearOptimal, Optimal} {
+		b.Run(hull.Kind(k).String(), func(b *testing.B) {
+			o := DefaultOptions()
+			o.Bounding = k
+			benchUpdates(b, o)
+		})
+	}
+}
+
+// benchUpdates times one steady-state update of a tree opened with o
+// and seeded with 5 000 objects.
+func benchUpdates(b *testing.B, o Options) {
+	tree, err := Open(o)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -67,19 +67,23 @@ func brNodes(tb testing.TB) (tr *Tree, leaf, inner *vnode) {
 }
 
 // BenchmarkComputeBR measures the bounding-rectangle computation of a
-// full node, the kernel that runs for every node an update touches.
+// full node, the kernel that runs for every node an update touches,
+// with each kind.
 func BenchmarkComputeBR(b *testing.B) {
 	tr, leaf, inner := brNodes(b)
-	for _, c := range []struct {
-		name string
-		n    *vnode
-	}{{"leaf", leaf}, {"internal", inner}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sinkBR = tr.computeBR(c.n)
-			}
-		})
+	for k := hull.KindConservative; k <= hull.KindOptimal; k++ {
+		for _, c := range []struct {
+			name string
+			n    *vnode
+		}{{"leaf", leaf}, {"internal", inner}} {
+			b.Run(k.String()+"/"+c.name, func(b *testing.B) {
+				tr.cfg.BRKind = k
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sinkBR = tr.computeBR(c.n)
+				}
+			})
+		}
 	}
 }
 

@@ -74,13 +74,12 @@ type Tree struct {
 	pathIDs []storage.PageID
 	descent []*vnode
 
-	// Reusable state of computeBR: the near-optimal workspace, its
-	// dimension order and its expiration column, and the item buffer of
-	// the other kinds; and the entry buffer split and forced reinsertion
-	// gather a node into.
+	// Reusable state of computeBR: the bounding-rectangle workspace,
+	// the near-optimal kind's dimension order and the expiration
+	// column; and the entry buffer split and forced reinsertion gather
+	// a node into.
 	ws         hull.Workspace
 	order      [geom.MaxDims]int
-	scratch    []geom.TPRect
 	expScratch []float64
 	gather     []entry
 
@@ -433,31 +432,29 @@ func clampEnd(now, horizon, texpA, texpB float64) float64 {
 
 // computeBR computes the bounding rectangle of a node's entries with
 // the configured bounding-rectangle type.  This is the engine's hot
-// spot — every node an update touches gets a new rectangle — so the
-// near-optimal kind sweeps the node's columns where they are, a leaf's
-// as points.
+// spot — every node an update touches gets a new rectangle — so one
+// pass sweeps the node's columns where they are, a leaf's as points,
+// and the kind's finisher turns what it gathered into the rectangle.
 func (t *Tree) computeBR(n *vnode) geom.TPRect {
-	now, src, dims := t.Now(), t.expSource(n.level), t.cfg.Dims
-	var br geom.TPRect
-	if t.cfg.BRKind == hull.KindNearOptimal {
-		t.ws.Reset(now, dims)
-		if texp := t.expColumn(n, src, now); n.level == 0 {
-			t.ws.AddPoints(n.lo, n.vlo, texp)
-		} else {
-			t.ws.AddColumns(n.lo, n.hi, n.vlo, n.vhi, texp)
-		}
-		br = t.ws.NearOptimal(t.brHorizon(n.level), t.permDims())
+	now := t.Now()
+	t.ws.Reset(now, t.cfg.Dims)
+	if texp := t.expColumn(n, t.expSource(n.level), now); n.level == 0 {
+		t.ws.AddPoints(n.lo, n.vlo, texp)
 	} else {
-		if cap(t.scratch) < n.count {
-			t.scratch = make([]geom.TPRect, 0, max(n.count, t.lay.leafCap+1))
-		}
-		items := t.scratch[:n.count]
-		for i := range items {
-			items[i] = geom.TPRect{}
-			n.rect(i, &items[i])
-			items[i].TExp = t.expAt(n, i, src, now)
-		}
-		br = hull.Compute(t.cfg.BRKind, items, now, t.brHorizon(n.level), t.cfg.Dims, t.cfg.World, nil)
+		t.ws.AddColumns(n.lo, n.hi, n.vlo, n.vhi, texp)
+	}
+	var br geom.TPRect
+	switch t.cfg.BRKind {
+	case hull.KindStatic:
+		br = t.ws.Static(t.cfg.World)
+	case hull.KindUpdateMinimum:
+		br = t.ws.UpdateMinimum()
+	case hull.KindNearOptimal:
+		br = t.ws.NearOptimal(t.brHorizon(n.level), t.permDims())
+	case hull.KindOptimal:
+		br = t.ws.Optimal(t.brHorizon(n.level))
+	default:
+		br = t.ws.Conservative(n.vlo, n.vhi)
 	}
 	if !t.cfg.StoreBRExp {
 		br.TExp = math.Inf(1)

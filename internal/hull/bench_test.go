@@ -14,38 +14,13 @@ func benchItems(n int) []geom.TPRect {
 	return randItems(rng, n, 2, 0, false)
 }
 
-func BenchmarkConservative(b *testing.B) {
-	items := benchItems(170)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Conservative(items, 0, 2)
-	}
-}
-
-func BenchmarkStatic(b *testing.B) {
-	items := benchItems(170)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Static(items, 0, 2, testWorld)
-	}
-}
-
-func BenchmarkUpdateMinimum(b *testing.B) {
-	items := benchItems(170)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		UpdateMinimum(items, 0, 2)
-	}
-}
-
-// BenchmarkNearOptimal measures the near-optimal kernel: on the item
-// set of the other kinds' benchmarks through the free function
-// ("items"), and through a warm Workspace on the two nodes the engine
-// hands it — a full leaf of 170 points at tupd = 300 expiring within
-// 120 of it, Φ = 31 ("leaf"), and a full internal node of 100
-// rectangles, each the near-optimal rectangle of 20 such points,
-// expiring at the times derived from their velocity spreads
-// ("internal").
+// BenchmarkNearOptimal measures the near-optimal kernel: on 170 items
+// through the free function ("items"), and through a warm Workspace on
+// the two nodes the engine hands it — a full leaf of 170 points at
+// tupd = 300 expiring within 120 of it, Φ = 31 ("leaf"), and a full
+// internal node of 100 rectangles, each the near-optimal rectangle of
+// 20 such points, expiring at the times derived from their velocity
+// spreads ("internal").
 func BenchmarkNearOptimal(b *testing.B) {
 	const tupd = 300
 	order := []int{0, 1}
@@ -88,12 +63,4 @@ func BenchmarkNearOptimal(b *testing.B) {
 			w.NearOptimal(60, order)
 		}
 	})
-}
-
-func BenchmarkOptimal(b *testing.B) {
-	items := benchItems(170)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Optimal(items, 0, 60, 2)
-	}
 }

@@ -8,11 +8,19 @@ import (
 	"rexptree/internal/geom"
 )
 
-// Workspace computes near-optimal TPBRs (§4.1.4) without sorting the
-// entries or building their convex hulls.  Lemma 4.1 needs one hull
-// edge per bound — the bridge that crosses the median line — so the
-// endpoints are split at the median and the bridge is found as the
-// common tangent of the two halves (see bridge).
+// Workspace computes the TPBR of a node's entries with any of the five
+// kinds from one pass over the node's columns.  The pass gathers what
+// every kind reads: the extreme positions at tupd, the trajectory
+// endpoints at each finite expiration time after tupd, the slope limits
+// of the entries that never expire and the latest expiration time.  A
+// finisher per kind turns that into a rectangle.
+//
+// Near-optimal TPBRs (§4.1.4) are computed without sorting the entries
+// or building their convex hulls.  Lemma 4.1 needs one hull edge per
+// bound — the bridge that crosses the median line — so the endpoints
+// are split at the median and the bridge is found as the common
+// tangent of the two halves (see bridge).  Only the optimal kind builds
+// hull chains.
 //
 // A Workspace keeps its buffers between computations.  It is not safe
 // for concurrent use: every tree owns one, and the free function
@@ -20,7 +28,11 @@ import (
 //
 // Usage: Reset; AddPoints for a node of points (a leaf) or AddColumns
 // for a node of rectangles, each entry read once in one pass over the
-// node, or over runs of it in entry order; NearOptimal.
+// node, or over runs of it in entry order; then a finisher —
+// Conservative, Static, UpdateMinimum, NearOptimal or Optimal.  A
+// finisher reads the pass's results without consuming them.  The
+// entries' velocities must be finite (a tree stores no other); any
+// expiration time is allowed.
 type Workspace struct {
 	tupd float64
 	dims int
@@ -42,6 +54,12 @@ type Workspace struct {
 	left, right []int32
 
 	cols []float64 // the free function's items as columns
+
+	// Optimal's hull chains and bound-line pairs per dimension, and the
+	// endpoint list and sweep breakpoints they are built from.
+	opt    [geom.MaxDims]optDim
+	pts    []pt
+	breaks []float64
 }
 
 // Reset starts the computation of a bounding rectangle at time tupd.

@@ -95,7 +95,10 @@ func referenceCase(t *testing.T, label string, items []geom.TPRect, tupd, horizo
 
 // orders returns the dimension orders a case is tried with.
 func orders(dims int) [][]int {
-	if dims == 2 {
+	switch dims {
+	case 1:
+		return [][]int{{0}}
+	case 2:
 		return [][]int{{0, 1}, {1, 0}}
 	}
 	return [][]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}}
@@ -284,63 +287,142 @@ func pointsCase(t *testing.T, label string, items []geom.TPRect, tupd, horizon f
 	}
 }
 
-// TestAddPointsMatchesColumns covers the leaf entry point in one, two
-// and three dimensions on the expiry times that take each branch of the
+// edgeItems draws the iter-th item set of the edge-case tests, in one
+// to three dimensions, on the expiry times that take each branch of the
 // classification — never (+Inf, -Inf, NaN), at or before tupd, after
 // it — on signed zeros, on a lone entry and on nodes whose every entry
-// has expired.
+// has expired (where no entry bounds a velocity).
+func edgeItems(rng *rand.Rand, iter int) (items []geom.TPRect, tupd float64, dims int) {
+	expiries := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, -1, 1}
+	dims = 1 + iter%3
+	tupd = float64(rng.Intn(3)) * 10
+	n := 1 + rng.Intn(60)
+	if iter%5 == 0 {
+		n = 1
+	}
+	items = randItems(rng, n, dims, tupd, false)
+	for i := range items {
+		it := &items[i]
+		switch k := rng.Intn(10); {
+		case iter%4 == 3: // every entry expired, some exactly at tupd
+			it.TExp = tupd - float64(rng.Intn(2))*rng.Float64()
+		case k < len(expiries):
+			it.TExp = tupd + expiries[k]
+		}
+		for d := 0; d < dims; d++ {
+			switch rng.Intn(6) {
+			case 0:
+				it.Lo[d] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+			case 1:
+				it.VLo[d] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+			}
+		}
+	}
+	return items, tupd, dims
+}
+
+// TestAddPointsMatchesColumns covers the leaf entry point on the edge
+// cases of edgeItems.
 func TestAddPointsMatchesColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	expiries := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, -1, 1}
 	for iter := 0; iter < 3000; iter++ {
-		dims := 1 + iter%3
-		tupd := float64(rng.Intn(3)) * 10
-		n := 1 + rng.Intn(60)
-		if iter%5 == 0 {
-			n = 1
-		}
-		items := randItems(rng, n, dims, tupd, false)
-		for i := range items {
-			it := &items[i]
-			switch k := rng.Intn(10); {
-			case iter%4 == 3: // every entry expired, some exactly at tupd
-				it.TExp = tupd - float64(rng.Intn(2))*rng.Float64()
-			case k < len(expiries):
-				it.TExp = tupd + expiries[k]
-			}
-			for d := 0; d < dims; d++ {
-				switch rng.Intn(6) {
-				case 0:
-					it.Lo[d] = math.Copysign(0, float64(rng.Intn(2)*2-1))
-				case 1:
-					it.VLo[d] = math.Copysign(0, float64(rng.Intn(2)*2-1))
-				}
-			}
-		}
+		items, tupd, dims := edgeItems(rng, iter)
 		order := rng.Perm(dims)
-		pointsCase(t, "points", items, tupd, 1+rng.Float64()*100, dims, rng.Intn(n+1), order)
+		pointsCase(t, "points", items, tupd, 1+rng.Float64()*100, dims, rng.Intn(len(items)+1), order)
 	}
 }
 
-// FuzzNearOptimalBridge feeds the bridge search entry sets decoded
-// from the fuzz input onto a small grid (positions, velocities and
-// times that are small multiples of 1/4), where all the endpoint
-// arithmetic is exact, and requires the reference's rectangle.  On
-// such inputs ties — repeated endpoints, equal expiry times, collinear
-// runs, a median exactly at a vertex — are the common case, not the
-// exception.
-func FuzzNearOptimalBridge(f *testing.F) {
-	f.Add([]byte{2, 40, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18})
-	f.Add([]byte{3, 8, 1, 255, 0, 255, 0, 255, 0, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})
-	f.Add(binary.LittleEndian.AppendUint64([]byte{2, 120, 2}, 0x0123456789abcdef))
+var kinds = []Kind{KindConservative, KindStatic, KindUpdateMinimum, KindNearOptimal, KindOptimal}
+
+// finish returns the rectangle of kind over the entries added to w;
+// vlo and vhi are their velocity columns (conservative reads them),
+// world only matters to static, order only to near-optimal.
+func finish(w *Workspace, kind Kind, vlo, vhi []float64, horizon float64, world geom.Rect, order []int) geom.TPRect {
+	switch kind {
+	case KindStatic:
+		return w.Static(world)
+	case KindUpdateMinimum:
+		return w.UpdateMinimum()
+	case KindNearOptimal:
+		return w.NearOptimal(horizon, order)
+	case KindOptimal:
+		return w.Optimal(horizon)
+	}
+	return w.Conservative(vlo, vhi)
+}
+
+// workspaceBR computes the rectangle of kind over items through a
+// workspace, the items added as columns.
+func workspaceBR(kind Kind, items []geom.TPRect, tupd, horizon float64, dims int, world geom.Rect, order []int) geom.TPRect {
+	var w Workspace
+	w.Reset(tupd, dims)
+	w.addRects(items)
+	n := len(items) * dims
+	return finish(&w, kind, w.cols[2*n:3*n], w.cols[3*n:4*n], horizon, world, order)
+}
+
+// kindCase holds the finisher of kind to its reference, bit for bit,
+// over items added as columns and, taken as points, added by AddPoints
+// in two runs split at cut.
+func kindCase(t *testing.T, label string, kind Kind, items []geom.TPRect, tupd, horizon float64, dims, cut int, order []int) {
+	t.Helper()
+	world := geom.Rect{Lo: geom.Vec{-50, -40, -30}, Hi: geom.Vec{1000, 900, 800}}
+	if got, want := workspaceBR(kind, items, tupd, horizon, dims, world, order), reference(kind, items, tupd, horizon, dims, world, order); !sameBits(got, want) {
+		t.Fatalf("%s: %v over %d rectangles, tupd=%v horizon=%v dims=%d order=%v:\n got  %v\n want %v", label, kind, len(items), tupd, horizon, dims, order, got, want)
+	}
+	pts := asPoints(items)
+	pos, vel, texp := pointColumns(pts, dims)
+	var w Workspace
+	w.Reset(tupd, dims)
+	w.AddPoints(pos[:cut*dims], vel[:cut*dims], texp[:cut])
+	w.AddPoints(pos[cut*dims:], vel[cut*dims:], texp[cut:])
+	if got, want := finish(&w, kind, vel, vel, horizon, world, order), reference(kind, pts, tupd, horizon, dims, world, order); !sameBits(got, want) {
+		t.Fatalf("%s: %v over %d points, tupd=%v horizon=%v dims=%d order=%v:\n got  %v\n want %v", label, kind, len(pts), tupd, horizon, dims, order, got, want)
+	}
+}
+
+// TestWorkspaceKindsMatchReference holds every kind's finisher to its
+// reference on the edge cases of edgeItems.
+func TestWorkspaceKindsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for iter := 0; iter < 1500; iter++ {
+		items, tupd, dims := edgeItems(rng, iter)
+		horizon := 1 + rng.Float64()*100
+		order := rng.Perm(dims)
+		for _, k := range kinds {
+			kindCase(t, "edge", k, items, tupd, horizon, dims, rng.Intn(len(items)+1), order)
+		}
+	}
+}
+
+// FuzzWorkspaceKinds feeds the workspace entry sets decoded from the
+// fuzz input onto a small grid (positions, velocities and times that
+// are small multiples of 1/4, some of them -0), where all the endpoint
+// arithmetic is exact, and requires each kind's reference rectangle,
+// bit for bit; near-optimal's bridge search is also held to AddColumns
+// over the points.  On such inputs ties — repeated endpoints, equal
+// expiry times, collinear runs, a median exactly at a vertex — are the
+// common case, not the exception.  The first four bytes pick the kind,
+// the dimensionality (1 to 3), the horizon and tupd.
+func FuzzWorkspaceKinds(f *testing.F) {
+	f.Add([]byte{3, 1, 40, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18})
+	f.Add([]byte{3, 2, 8, 1, 255, 0, 255, 0, 255, 0, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})
+	f.Add(binary.LittleEndian.AppendUint64([]byte{3, 1, 120, 2}, 0x0123456789abcdef))
+	f.Add([]byte{0, 1, 40, 3, 250, 128, 1, 12, 128, 1, 12, 7, 5, 2, 44, 9, 3, 200})
+	f.Add([]byte{1, 2, 9, 5, 251, 128, 2, 77, 3, 1, 2, 30, 4, 5, 9, 9, 9, 9, 9, 9})
+	f.Add([]byte{2, 0, 16, 7, 1, 128, 2, 3, 4, 5, 6, 2, 8, 9, 10})   // every entry expired: no velocity bound
+	f.Add([]byte{2, 1, 30, 4, 2, 140, 1, 12, 6, 3, 2, 200, 4, 5, 6}) // one entry expiring exactly at tupd
+	f.Add([]byte{4, 1, 60, 1, 9, 3, 3, 7, 17, 2, 5, 12, 250, 8, 1, 70, 30, 14, 2, 40, 5, 6})
+	f.Add([]byte{4, 2, 60, 0, 9, 3, 3, 7, 1, 2, 3, 17, 2, 5, 12, 4, 5, 6, 250, 8, 1, 70, 7, 8, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
+		if len(data) < 4 {
 			return
 		}
-		dims := 2 + int(data[0])%2
-		horizon := float64(1+int(data[1])) / 4
-		tupd := float64(data[2]%8) / 4
-		data = data[3:]
+		kind := kinds[int(data[0])%len(kinds)]
+		dims := 1 + int(data[1])%3
+		horizon := float64(1+int(data[2])) / 4
+		tupd := float64(data[3]%8) / 4
+		data = data[4:]
 		// One entry per 1+3·dims bytes: expiry, then position, extent
 		// and velocity per dimension.
 		stride := 1 + 3*dims
@@ -350,14 +432,24 @@ func FuzzNearOptimalBridge(f *testing.F) {
 			switch e := data[0]; {
 			case e >= 250:
 				r.TExp = geom.Inf()
+			case e >= 248:
+				r.TExp = math.NaN()
+			case e >= 246:
+				r.TExp = math.Inf(-1)
 			default:
 				r.TExp = float64(e%32) / 4 // some at or before tupd
 			}
 			for d := 0; d < dims; d++ {
 				b := data[1+3*d : 4+3*d]
 				r.Lo[d] = float64(b[0]%16) / 4
+				if b[0]%16 == 0 && b[0]&0x80 != 0 {
+					r.Lo[d] = math.Copysign(0, -1)
+				}
 				r.Hi[d] = r.Lo[d] + float64(b[1]%4)/4
 				r.VLo[d] = float64(int(b[2]%8)-4) / 4
+				if b[2]%8 == 4 && b[2]&0x20 != 0 {
+					r.VLo[d] = math.Copysign(0, -1)
+				}
 				r.VHi[d] = r.VLo[d] + float64(b[2]/64)/4
 			}
 			items = append(items, r)
@@ -366,36 +458,43 @@ func FuzzNearOptimalBridge(f *testing.F) {
 			return
 		}
 		for _, order := range orders(dims) {
-			referenceCase(t, "fuzz", items, tupd, horizon, dims, order)
-			pointsCase(t, "fuzz points", items, tupd, horizon, dims, len(items)/2, order)
+			kindCase(t, "fuzz", kind, items, tupd, horizon, dims, len(items)/2, order)
+			if kind == KindNearOptimal {
+				pointsCase(t, "fuzz points", items, tupd, horizon, dims, len(items)/2, order)
+			}
 		}
 	})
 }
 
-// TestWorkspaceAllocs pins the kernel at zero allocations once its
-// buffers have grown, over rectangles and over points.  (The free
-// function adds only its pool, which the race detector deliberately
-// makes lossy, so it is the workspace that is measured.)
+// TestWorkspaceAllocs pins every kind's finisher at zero allocations
+// once the workspace's buffers have grown, over rectangles and over
+// points.  (The free function adds only its pool, which the race
+// detector deliberately makes lossy, so it is the workspace that is
+// measured.)
 func TestWorkspaceAllocs(t *testing.T) {
 	items := benchItems(170)
 	pos, vel, texp := pointColumns(items, 2)
+	n := 2 * len(items)
 	order := []int{0, 1}
 	var w Workspace
 	for _, c := range []struct {
-		name string
-		add  func()
+		name     string
+		add      func()
+		vlo, vhi func() []float64
 	}{
-		{"AddColumns", func() { w.addRects(items) }},
-		{"AddPoints", func() { w.AddPoints(pos, vel, texp) }},
+		{"AddColumns", func() { w.addRects(items) }, func() []float64 { return w.cols[2*n : 3*n] }, func() []float64 { return w.cols[3*n : 4*n] }},
+		{"AddPoints", func() { w.AddPoints(pos, vel, texp) }, func() []float64 { return vel }, func() []float64 { return vel }},
 	} {
-		run := func() {
-			w.Reset(0, 2)
-			c.add()
-			w.NearOptimal(60, order)
-		}
-		run()
-		if n := testing.AllocsPerRun(100, run); n != 0 {
-			t.Errorf("%s: a warm workspace allocates %.1f objects per rectangle, want 0", c.name, n)
+		for _, k := range kinds {
+			run := func() {
+				w.Reset(0, 2)
+				c.add()
+				finish(&w, k, c.vlo(), c.vhi(), 60, testWorld, order)
+			}
+			run()
+			if n := testing.AllocsPerRun(20, run); n != 0 {
+				t.Errorf("%s, %v: a warm workspace allocates %.1f objects per rectangle, want 0", c.name, k, n)
+			}
 		}
 	}
 }

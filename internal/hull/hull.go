@@ -49,10 +49,10 @@ func sortPts(pts []pt) {
 }
 
 // upperChainSorted returns the upper convex hull of pts, which must
-// already be sorted by t ascending.  The hull is built in place over a
-// fresh slice; pts is not modified.
-func upperChainSorted(pts []pt) []pt {
-	h := make([]pt, 0, len(pts))
+// already be sorted by t ascending, built over dst's storage; pts is
+// not modified.
+func upperChainSorted(dst, pts []pt) []pt {
+	h := dst[:0]
 	for _, p := range pts {
 		// Keep only the topmost point per τ.
 		if len(h) > 0 && h[len(h)-1].t == p.t {
@@ -70,9 +70,9 @@ func upperChainSorted(pts []pt) []pt {
 }
 
 // lowerChainSorted returns the lower convex hull of pts, which must
-// already be sorted by t ascending.
-func lowerChainSorted(pts []pt) []pt {
-	h := make([]pt, 0, len(pts))
+// already be sorted by t ascending, built over dst's storage.
+func lowerChainSorted(dst, pts []pt) []pt {
+	h := dst[:0]
 	for _, p := range pts {
 		if len(h) > 0 && h[len(h)-1].t == p.t {
 			if h[len(h)-1].x <= p.x {

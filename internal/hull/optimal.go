@@ -2,7 +2,7 @@ package hull
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"rexptree/internal/geom"
 )
@@ -11,12 +11,21 @@ import (
 // dimension.
 type boundPair struct{ lo, hi line }
 
-// sweepPairsHulls enumerates the bound-line pairs that arise as the
-// median line sweeps across (0, phi): the breakpoints are the interior
+// optDim is the optimal kind's state for one dimension: the upper and
+// lower hull chains of its endpoints, and the bound-line pairs the
+// median sweep finds on them.
+type optDim struct {
+	up, lo []pt
+	pairs  []boundPair
+}
+
+// sweep appends to pairs the bound-line pairs that arise as the median
+// line sweeps across (0, phi): the breakpoints are the interior
 // vertices of both hull chains, and between consecutive breakpoints
-// the bridge pair is constant (§4.1.4).
-func sweepPairsHulls(upHull, loHull []pt, phi, minUpSlope, maxLoSlope float64) []boundPair {
-	breaks := []float64{0, phi}
+// the bridge pair is constant (§4.1.4).  Φ > 0 (see clampPhi), so it
+// appends at least one pair.
+func (w *Workspace) sweep(pairs []boundPair, upHull, loHull []pt, phi, minUpSlope, maxLoSlope float64) []boundPair {
+	breaks := append(w.breaks[:0], 0, phi)
 	for _, p := range upHull {
 		if p.t > 0 && p.t < phi {
 			breaks = append(breaks, p.t)
@@ -27,8 +36,8 @@ func sweepPairsHulls(upHull, loHull []pt, phi, minUpSlope, maxLoSlope float64) [
 			breaks = append(breaks, p.t)
 		}
 	}
-	sort.Float64s(breaks)
-	var pairs []boundPair
+	slices.Sort(breaks)
+	w.breaks = breaks
 	for k := 0; k+1 < len(breaks); k++ {
 		if breaks[k+1] <= breaks[k] {
 			continue
@@ -46,94 +55,73 @@ func sweepPairsHulls(upHull, loHull []pt, phi, minUpSlope, maxLoSlope float64) [
 	return pairs
 }
 
-// Optimal computes the minimum hyper-volume TPBR by considering every
-// combination of sweep-generated bridge pairs in the first dims-1
-// dimensions and solving the last dimension exactly at the median
-// induced by each combination (Lemma 4.2).  Worst-case cost is
-// O(|P|^(dims-1) log |P|); it is only used in the bounding-rectangle
-// comparison experiments.
-func Optimal(items []geom.TPRect, tupd, horizon float64, dims int) geom.TPRect {
-	if dims == 1 {
-		return NearOptimal(items, tupd, horizon, dims, []int{0})
+// sortedEnds returns one dimension's endpoints x with the anchor at
+// τ = 0, sorted by (τ, x), in w.pts.
+func (w *Workspace) sortedEnds(x []float64, anchor float64) []pt {
+	pts := w.pts[:0]
+	for k := 1; k < len(w.tau); k++ {
+		pts = append(pts, pt{w.tau[k], x[k]})
 	}
-	phi := effPhi(items, tupd, horizon)
-	texp := maxExp(items)
-
-	type dimData struct {
-		upHull, loHull   []pt
-		minUpSl, maxLoSl float64
-		pairs            []boundPair
-	}
-	dd := make([]dimData, dims)
-	for i := 0; i < dims; i++ {
-		up, lo, minUp, maxLo := dimPoints(items, tupd, i)
-		sortPts(up)
-		sortPts(lo)
-		dd[i] = dimData{
-			upHull:  upperChainSorted(up),
-			loHull:  lowerChainSorted(lo),
-			minUpSl: minUp,
-			maxLoSl: maxLo,
-		}
-		if i < dims-1 {
-			dd[i].pairs = sweepPairsHulls(dd[i].upHull, dd[i].loHull, phi, minUp, maxLo)
-		}
-	}
-
-	best := geom.TPRect{}
-	bestArea := math.Inf(1)
-	chosen := make([]boundPair, dims)
-
-	var rec func(d int)
-	rec = func(d int) {
-		if d == dims-1 {
-			// Solve the last dimension exactly for this combination.
-			hs := make([]float64, 0, dims-1)
-			ws := make([]float64, 0, dims-1)
-			for k := 0; k < dims-1; k++ {
-				hs = append(hs, chosen[k].hi.a-chosen[k].lo.a)
-				ws = append(ws, chosen[k].hi.b-chosen[k].lo.b)
-			}
-			m := median(hs, ws, phi)
-			chosen[d] = boundPair{
-				lo: lowerBridgeHull(dd[d].loHull, m, dd[d].maxLoSl),
-				hi: upperBridgeHull(dd[d].upHull, m, dd[d].minUpSl),
-			}
-			var lo, hi, vlo, vhi geom.Vec
-			for i := 0; i < dims; i++ {
-				lo[i], vlo[i] = chosen[i].lo.a, chosen[i].lo.b
-				hi[i], vhi[i] = chosen[i].hi.a, chosen[i].hi.b
-			}
-			cand := geom.TPRectAt(tupd, geom.Rect{Lo: lo, Hi: hi}, vlo, vhi, texp, dims)
-			if a := geom.AreaIntegral(cand, tupd, tupd+phi, dims); a < bestArea {
-				bestArea = a
-				best = cand
-			}
-			return
-		}
-		for _, p := range dd[d].pairs {
-			chosen[d] = p
-			rec(d + 1)
-		}
-	}
-	rec(0)
-	return best
+	pts = append(pts, pt{0, anchor})
+	sortPts(pts)
+	w.pts = pts
+	return pts
 }
 
-// Compute dispatches to the bounding-rectangle computation selected by
-// kind.  world is only used by KindStatic; order (a permutation of
-// 0..dims-1) only by KindNearOptimal.
-func Compute(kind Kind, items []geom.TPRect, tupd, horizon float64, dims int, world geom.Rect, order []int) geom.TPRect {
-	switch kind {
-	case KindStatic:
-		return Static(items, tupd, dims, world)
-	case KindUpdateMinimum:
-		return UpdateMinimum(items, tupd, dims)
-	case KindNearOptimal:
-		return NearOptimal(items, tupd, horizon, dims, order)
-	case KindOptimal:
-		return Optimal(items, tupd, horizon, dims)
-	default:
-		return Conservative(items, tupd, dims)
+// Optimal returns the minimum hyper-volume TPBR of the added entries:
+// it builds each dimension's hull chains, considers every combination
+// of sweep-generated bridge pairs in the first dims-1 dimensions, and
+// solves the last dimension exactly at the median induced by each
+// combination (Lemma 4.2).  Worst-case cost is O(|P|^(dims-1) log |P|);
+// it is only used in the bounding-rectangle comparison experiments.
+func (w *Workspace) Optimal(horizon float64) geom.TPRect {
+	dims, tupd := w.dims, w.tupd
+	if dims == 1 {
+		return w.NearOptimal(horizon, []int{0})
+	}
+	phi := clampPhi(w.maxExp, tupd, horizon)
+	last := &w.opt[dims-1]
+	for d := range dims {
+		o := &w.opt[d]
+		o.up = upperChainSorted(o.up, w.sortedEnds(w.up[d], w.xmax[d]))
+		o.lo = lowerChainSorted(o.lo, w.sortedEnds(w.lo[d], w.xmin[d]))
+		if o != last {
+			o.pairs = w.sweep(o.pairs[:0], o.up, o.lo, phi, w.minUp[d], w.maxLo[d])
+		}
+	}
+
+	// at is the combination: the pair taken in each of the first
+	// dims-1 dimensions, the last of them advancing fastest.
+	var at [geom.MaxDims]int
+	best, bestArea := geom.TPRect{}, math.Inf(1)
+	for {
+		var lo, hi, vlo, vhi geom.Vec
+		var hs, ws [geom.MaxDims]float64
+		for d := 0; d < dims-1; d++ {
+			p := w.opt[d].pairs[at[d]]
+			lo[d], vlo[d] = p.lo.a, p.lo.b
+			hi[d], vhi[d] = p.hi.a, p.hi.b
+			hs[d], ws[d] = p.hi.a-p.lo.a, p.hi.b-p.lo.b
+		}
+		m := median(hs[:dims-1], ws[:dims-1], phi)
+		l := lowerBridgeHull(last.lo, m, w.maxLo[dims-1])
+		u := upperBridgeHull(last.up, m, w.minUp[dims-1])
+		lo[dims-1], vlo[dims-1] = l.a, l.b
+		hi[dims-1], vhi[dims-1] = u.a, u.b
+		cand := geom.TPRectAt(tupd, geom.Rect{Lo: lo, Hi: hi}, vlo, vhi, w.maxExp, dims)
+		if a := geom.AreaIntegral(cand, tupd, tupd+phi, dims); a < bestArea {
+			bestArea = a
+			best = cand
+		}
+		d := dims - 2
+		for ; d >= 0; d-- {
+			if at[d]++; at[d] < len(w.opt[d].pairs) {
+				break
+			}
+			at[d] = 0
+		}
+		if d < 0 {
+			return best
+		}
 	}
 }

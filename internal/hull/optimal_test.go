@@ -40,10 +40,10 @@ func TestOptimalDominates(t *testing.T) {
 		items := randItems(rng, 2+rng.Intn(15), 2, now, false)
 		horizon := 5 + rng.Float64()*60
 		phi := effPhi(items, now, horizon)
-		opt := Optimal(items, now, horizon, 2)
+		opt := workspaceBR(KindOptimal, items, now, horizon, 2, testWorld, nil)
 		optArea := geom.AreaIntegral(opt, now, now+phi, 2)
 		for _, k := range []Kind{KindConservative, KindStatic, KindUpdateMinimum, KindNearOptimal} {
-			other := Compute(k, items, now, horizon, 2, testWorld, rng.Perm(2))
+			other := workspaceBR(k, items, now, horizon, 2, testWorld, rng.Perm(2))
 			a := geom.AreaIntegral(other, now, now+phi, 2)
 			if optArea > a*(1+1e-9)+1e-9 {
 				t.Fatalf("iter %d: optimal area %v > %v area %v", iter, optArea, k, a)

@@ -16,7 +16,6 @@ func genItems(rng *rand.Rand) []geom.TPRect {
 
 func TestQuickAllKindsBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	kinds := []Kind{KindConservative, KindStatic, KindUpdateMinimum, KindNearOptimal, KindOptimal}
 	for iter := 0; iter < 150; iter++ {
 		items := genItems(rng)
 		horizon := 5 + rng.Float64()*50
@@ -33,7 +32,7 @@ func TestQuickAllKindsBound(t *testing.T) {
 					}
 				}
 			}
-			br := Compute(k, its, 0, horizon, 2, testWorld, rng.Perm(2))
+			br := workspaceBR(k, its, 0, horizon, 2, testWorld, rng.Perm(2))
 			checkBounds(t, br, its, 0, 300, 2)
 		}
 	}

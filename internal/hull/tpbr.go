@@ -46,23 +46,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// maxExp returns the latest expiration time among items (+Inf if any
-// item never expires).
-func maxExp(items []geom.TPRect) float64 {
-	e := math.Inf(-1)
-	for _, it := range items {
-		if it.TExp > e {
-			e = it.TExp
-		}
-	}
-	return e
-}
-
-// effPhi returns Φ for the given items; see clampPhi.
-func effPhi(items []geom.TPRect, tupd, horizon float64) float64 {
-	return clampPhi(maxExp(items), tupd, horizon)
-}
-
 // clampPhi returns Φ = min(horizon, t_expmax - t_upd), floored at a
 // tiny positive value so the median is always well defined.
 func clampPhi(texpmax, tupd, horizon float64) float64 {
@@ -76,122 +59,69 @@ func clampPhi(texpmax, tupd, horizon float64) float64 {
 	return phi
 }
 
-// Conservative computes the TPR-tree bounding rectangle: tight at tupd,
-// edge velocities equal to the extreme entry velocities.
-func Conservative(items []geom.TPRect, tupd float64, dims int) geom.TPRect {
-	var lo, hi, vlo, vhi geom.Vec
-	for i := 0; i < dims; i++ {
-		lo[i], hi[i] = math.Inf(1), math.Inf(-1)
-		vlo[i], vhi[i] = math.Inf(1), math.Inf(-1)
-	}
-	for _, it := range items {
-		s := it.At(tupd)
-		for i := 0; i < dims; i++ {
-			lo[i] = math.Min(lo[i], s.Lo[i])
-			hi[i] = math.Max(hi[i], s.Hi[i])
-			vlo[i] = math.Min(vlo[i], it.VLo[i])
-			vhi[i] = math.Max(vhi[i], it.VHi[i])
+// Conservative returns the TPR-tree bounding rectangle of the added
+// entries: tight at tupd, edge velocities equal to the extreme entry
+// velocities.  vlo and vhi are the velocity columns the entries were
+// added from (a leaf passes its one velocity column twice): the pass
+// keeps the velocities of the entries that never expire only.
+func (w *Workspace) Conservative(vlo, vhi []float64) geom.TPRect {
+	dims := w.dims
+	vhi = vhi[:len(vlo)]
+	var lo, hi, vl, vh geom.Vec
+	for d := range dims {
+		lo[d], hi[d] = w.xmin[d], w.xmax[d]
+		l, h := math.Inf(1), math.Inf(-1)
+		for j := d; j < len(vlo); j += dims {
+			l, h = minf(l, vlo[j]), maxf(h, vhi[j])
 		}
+		vl[d], vh[d] = l, h
 	}
-	return geom.TPRectAt(tupd, geom.Rect{Lo: lo, Hi: hi}, vlo, vhi, maxExp(items), dims)
+	return geom.TPRectAt(w.tupd, geom.Rect{Lo: lo, Hi: hi}, vl, vh, w.maxExp, dims)
 }
 
-// Static computes a zero-velocity bounding rectangle that contains
-// every item until that item's expiration time.  Entries that never
-// expire and still move are clamped to the world extent.
-func Static(items []geom.TPRect, tupd float64, dims int, world geom.Rect) geom.TPRect {
+// Static returns a zero-velocity bounding rectangle of the added
+// entries that contains each until its expiration time: the extremes
+// of their positions at tupd and of their endpoints.  Entries that
+// never expire and still move are clamped to the world extent.
+func (w *Workspace) Static(world geom.Rect) geom.TPRect {
 	var lo, hi geom.Vec
-	for i := 0; i < dims; i++ {
-		lo[i], hi[i] = math.Inf(1), math.Inf(-1)
-	}
-	for _, it := range items {
-		s := it.At(tupd)
-		for i := 0; i < dims; i++ {
-			lo[i] = math.Min(lo[i], s.Lo[i])
-			hi[i] = math.Max(hi[i], s.Hi[i])
-			switch {
-			case geom.IsFinite(it.TExp) && it.TExp > tupd:
-				e := it.At(it.TExp)
-				lo[i] = math.Min(lo[i], e.Lo[i])
-				hi[i] = math.Max(hi[i], e.Hi[i])
-			case !geom.IsFinite(it.TExp):
-				if it.VLo[i] < 0 {
-					lo[i] = math.Min(lo[i], world.Lo[i])
-				}
-				if it.VHi[i] > 0 {
-					hi[i] = math.Max(hi[i], world.Hi[i])
-				}
-			}
+	for d := range w.dims {
+		lo[d], hi[d] = w.xmin[d], w.xmax[d]
+		for k := 1; k < len(w.tau); k++ {
+			lo[d], hi[d] = minf(lo[d], w.lo[d][k]), maxf(hi[d], w.up[d][k])
+		}
+		if w.maxLo[d] < 0 {
+			lo[d] = minf(lo[d], world.Lo[d])
+		}
+		if w.minUp[d] > 0 {
+			hi[d] = maxf(hi[d], world.Hi[d])
 		}
 	}
-	return geom.TPRectAt(tupd, geom.Rect{Lo: lo, Hi: hi}, geom.Vec{}, geom.Vec{}, maxExp(items), dims)
+	return geom.TPRectAt(w.tupd, geom.Rect{Lo: lo, Hi: hi}, geom.Vec{}, geom.Vec{}, w.maxExp, w.dims)
 }
 
-// UpdateMinimum computes a bounding rectangle that is minimum at tupd
-// and whose edge speeds are reduced (upper) or increased (lower) as
-// far as the entries' expiration times permit (§4.1.2, Figure 4).
-func UpdateMinimum(items []geom.TPRect, tupd float64, dims int) geom.TPRect {
+// UpdateMinimum returns a bounding rectangle of the added entries that
+// is minimum at tupd and whose edge speeds are reduced (upper) or
+// increased (lower) as far as the entries' expiration times permit
+// (§4.1.2, Figure 4): each edge runs from the extreme position at tupd
+// through the farthest endpoint, and no slower than the entries that
+// never expire.  Entries already expired at tupd only need containment
+// at tupd, which the extremes provide; if no entry is left to bound a
+// velocity, the rectangle stands still.
+func (w *Workspace) UpdateMinimum() geom.TPRect {
 	var lo, hi, vlo, vhi geom.Vec
-	for i := 0; i < dims; i++ {
-		lo[i], hi[i] = math.Inf(1), math.Inf(-1)
-	}
-	for _, it := range items {
-		s := it.At(tupd)
-		for i := 0; i < dims; i++ {
-			lo[i] = math.Min(lo[i], s.Lo[i])
-			hi[i] = math.Max(hi[i], s.Hi[i])
+	for d := range w.dims {
+		lo[d], hi[d] = w.xmin[d], w.xmax[d]
+		vl, vh := w.maxLo[d], w.minUp[d]
+		for k := 1; k < len(w.tau); k++ {
+			dt := w.tau[k]
+			vl, vh = minf(vl, (w.lo[d][k]-lo[d])/dt), maxf(vh, (w.up[d][k]-hi[d])/dt)
+		}
+		// Some entry has endpoints, or never expires and has raised
+		// minUp to its (finite) velocity.
+		if len(w.tau) > 1 || w.minUp[d] != math.Inf(-1) {
+			vlo[d], vhi[d] = vl, vh
 		}
 	}
-	for i := 0; i < dims; i++ {
-		vl, vh := math.Inf(1), math.Inf(-1)
-		any := false
-		for _, it := range items {
-			switch {
-			case !geom.IsFinite(it.TExp):
-				vl = math.Min(vl, it.VLo[i])
-				vh = math.Max(vh, it.VHi[i])
-				any = true
-			case it.TExp > tupd:
-				dt := it.TExp - tupd
-				e := it.At(it.TExp)
-				vl = math.Min(vl, (e.Lo[i]-lo[i])/dt)
-				vh = math.Max(vh, (e.Hi[i]-hi[i])/dt)
-				any = true
-			}
-			// Entries already expired at tupd only need containment at
-			// tupd, which the snapshot bounds provide.
-		}
-		if !any {
-			vl, vh = 0, 0
-		}
-		vlo[i], vhi[i] = vl, vh
-	}
-	return geom.TPRectAt(tupd, geom.Rect{Lo: lo, Hi: hi}, vlo, vhi, maxExp(items), dims)
-}
-
-// dimPoints builds the endpoint sets of Lemma 4.1 for dimension i:
-// the upper/lower trajectory endpoints at each item's expiration time
-// plus the extreme positions at tupd, in (τ, x) coordinates with
-// τ = t - tupd.  It also returns the slope constraints contributed by
-// never-expiring items.
-func dimPoints(items []geom.TPRect, tupd float64, i int) (up, lo []pt, minUpSlope, maxLoSlope float64) {
-	minUpSlope, maxLoSlope = math.Inf(-1), math.Inf(1)
-	xmax, xmin := math.Inf(-1), math.Inf(1)
-	for _, it := range items {
-		s := it.At(tupd)
-		xmax = math.Max(xmax, s.Hi[i])
-		xmin = math.Min(xmin, s.Lo[i])
-		switch {
-		case !geom.IsFinite(it.TExp):
-			minUpSlope = math.Max(minUpSlope, it.VHi[i])
-			maxLoSlope = math.Min(maxLoSlope, it.VLo[i])
-		case it.TExp > tupd:
-			e := it.At(it.TExp)
-			up = append(up, pt{it.TExp - tupd, e.Hi[i]})
-			lo = append(lo, pt{it.TExp - tupd, e.Lo[i]})
-		}
-	}
-	up = append(up, pt{0, xmax})
-	lo = append(lo, pt{0, xmin})
-	return up, lo, minUpSlope, maxLoSlope
+	return geom.TPRectAt(w.tupd, geom.Rect{Lo: lo, Hi: hi}, vlo, vhi, w.maxExp, w.dims)
 }

@@ -207,8 +207,8 @@ func TestNearOptimalPaperFigure4Shape(t *testing.T) {
 func TestComputeDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	items := randItems(rng, 8, 2, 0, false)
-	for _, k := range []Kind{KindConservative, KindStatic, KindUpdateMinimum, KindNearOptimal, KindOptimal} {
-		br := Compute(k, items, 0, 30, 2, testWorld, []int{0, 1})
+	for _, k := range kinds {
+		br := workspaceBR(k, items, 0, 30, 2, testWorld, []int{0, 1})
 		checkBounds(t, br, items, 0, 200, 2)
 		if k.String() == "unknown" {
 			t.Errorf("kind %d has no name", k)

@@ -33,21 +33,6 @@ const (
 	Optimal
 )
 
-func (k BoundingKind) internal() hull.Kind {
-	switch k {
-	case Static:
-		return hull.KindStatic
-	case UpdateMinimum:
-		return hull.KindUpdateMinimum
-	case NearOptimal:
-		return hull.KindNearOptimal
-	case Optimal:
-		return hull.KindOptimal
-	default:
-		return hull.KindConservative
-	}
-}
-
 // Durability selects how the index survives crashes (Options.
 // Durability).  Anything other than DurabilityNone requires a
 // file-backed tree (Options.Path) in the current checksummed page
@@ -101,7 +86,8 @@ type Options struct {
 	// Dims is the dimensionality of the space (1..MaxDims).
 	Dims int
 
-	// Bounding selects the bounding-rectangle type.
+	// Bounding selects the bounding-rectangle type; Open refuses a
+	// value that is not one of the BoundingKind constants.
 	Bounding BoundingKind
 
 	// ExpireAware enables the R^exp-tree behaviour: expired reports
@@ -155,7 +141,7 @@ type Options struct {
 	FlightRecorder int
 
 	// Durability selects the crash-safety policy; see the Durability
-	// constants.  Requires Path.
+	// constants, the only values Open accepts.  Requires Path.
 	Durability Durability
 
 	// SyncEvery is the WAL fsync interval under DurabilityBatched
@@ -205,7 +191,7 @@ func TPROptions() Options {
 func (o Options) internal() core.Config {
 	return core.Config{
 		Dims:        o.Dims,
-		BRKind:      o.Bounding.internal(),
+		BRKind:      hull.Kind(o.Bounding), // the same numbering; core refuses any other
 		ExpireAware: o.ExpireAware,
 		StoreBRExp:  o.StoreBRExpiration,
 		AlgsUseExp:  o.HeuristicsUseExpiration,

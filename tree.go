@@ -101,6 +101,9 @@ func Open(opts Options) (*Tree, error) { return open(opts, core.New, false) }
 // recursion that recreates the files after a crash during a fresh
 // tree's first checkpoint.
 func open(opts Options, fresh func(core.Config, storage.Store) (*core.Tree, error), retried bool) (*Tree, error) {
+	if opts.Durability < DurabilityNone || opts.Durability > DurabilityBatched {
+		return nil, fmt.Errorf("rexptree: unknown durability %d", int(opts.Durability))
+	}
 	durable := opts.Durability != DurabilityNone
 	if durable && opts.Path == "" {
 		return nil, fmt.Errorf("rexptree: Options.Durability requires a file-backed tree (set Options.Path)")
@@ -201,6 +204,11 @@ func open(opts Options, fresh func(core.Config, storage.Store) (*core.Tree, erro
 	}
 	if err != nil {
 		store.Close()
+		if opts.Path != "" && !existing {
+			// A refused configuration leaves no file behind: an empty
+			// one would fail every later Open of the path.
+			RemoveIndex(opts.Path)
+		}
 		return nil, err
 	}
 	tr.t = t

@@ -2,6 +2,8 @@ package rexptree
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"rexptree/internal/geom"
@@ -68,7 +70,7 @@ func TestBoundingKindMapping(t *testing.T) {
 		Optimal:       hull.KindOptimal,
 	}
 	for pub, want := range cases {
-		if got := pub.internal(); got != want {
+		if got := (Options{Bounding: pub}).internal().BRKind; got != want {
 			t.Errorf("kind %d maps to %v, want %v", pub, got, want)
 		}
 	}
@@ -104,5 +106,43 @@ func TestOpenRejectsBadOptions(t *testing.T) {
 	o.StoreBRExpiration = true
 	if _, err := Open(o); err == nil {
 		t.Fatal("StoreBRExpiration without ExpireAware accepted")
+	}
+}
+
+// TestOpenRefusesOutOfRange holds Open and OpenSharded to the declared
+// constants: a bounding kind or durability policy outside them is an
+// error, not a conservative tree or a WAL that never syncs, and the
+// refusal leaves no file behind.
+func TestOpenRefusesOutOfRange(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		bounding   BoundingKind
+		durability Durability
+	}{
+		{"bounding 42", 42, DurabilityNone},
+		{"bounding -1", -1, DurabilityNone},
+		{"bounding after optimal", Optimal + 1, DurabilityOnCommit},
+		{"durability 7", NearOptimal, 7},
+		{"durability -1", NearOptimal, -1},
+		{"durability after batched", NearOptimal, DurabilityBatched + 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			o := DefaultOptions()
+			o.Bounding, o.Durability = c.bounding, c.durability
+			o.Path = filepath.Join(dir, "idx")
+			if tr, err := Open(o); err == nil {
+				tr.Close()
+				t.Errorf("Open accepted bounding %d, durability %d", c.bounding, c.durability)
+			}
+			o.Path = filepath.Join(dir, "sharded")
+			if s, err := OpenSharded(ShardedOptions{Options: o, Shards: 2}); err == nil {
+				s.Close()
+				t.Errorf("OpenSharded accepted bounding %d, durability %d", c.bounding, c.durability)
+			}
+			if files, _ := os.ReadDir(dir); len(files) != 0 {
+				t.Errorf("the refusals left %d files behind", len(files))
+			}
+		})
 	}
 }
