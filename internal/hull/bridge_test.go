@@ -492,8 +492,8 @@ func TestWorkspaceAllocs(t *testing.T) {
 				finish(&w, k, c.vlo(), c.vhi(), 60, testWorld, order)
 			}
 			run()
-			if n := testing.AllocsPerRun(20, run); n != 0 {
-				t.Errorf("%s, %v: a warm workspace allocates %.1f objects per rectangle, want 0", c.name, k, n)
+			if a := testing.AllocsPerRun(100, run); a != 0 {
+				t.Errorf("%s, %v: a warm workspace allocates %.1f objects per rectangle, want 0", c.name, k, a)
 			}
 		}
 	}
