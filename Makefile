@@ -54,7 +54,10 @@ race:
 # the sharded equivalence tests: a batch applies its per-shard groups on
 # one goroutine per shard, and what the queries that follow return must
 # not depend on the order those groups finish in.  The tier-1 run covers
-# them once at the host's own count only.  Two golden
+# them once at the host's own count only.  Every sharded Update, Delete
+# and UpdateBatch goes through one routed apply and one re-route lock
+# rule: the dual-apply ordering, re-route-under-queries and mixed-load
+# tests drive single-object mutations through it concurrently.  Two golden
 # streams ride along, one of them in three dimensions: their deletes go
 # through the locator, whose tables are Go maps, and "same seed, same
 # pages" must not depend on them.  So does the slab-reuse stress test: a
@@ -71,6 +74,7 @@ race:
 # backfill, a daemon restart and a follower's catch-up: twenty runs each.
 determinism:
 	$(GO) test -count=3 -cpu 1,2,4 -run 'Reshard|TestPartitionEquivalence|TestShardedDeterminism' . ./internal/server
+	$(GO) test -count=3 -cpu 1,2,4 -run 'TestDualApplyOrdering|TestConcurrentQueriesDuringReroute|TestShardedConcurrentMixedLoad' .
 	$(GO) test -count=50 -cpu 1,2,4 -run 'NearestLostClockRace' ./internal/server ./internal/repl
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestLiveReshardKeepsClock|TestRestartServesStoredClock|TestReplFollowerServesAppliedClock' . ./cmd/rexpd ./internal/repl
 	$(GO) test -count=3 -cpu 1,2,4 -run 'TestGoldenTrees/near-optimal/stored-exp|TestGoldenTrees/near-optimal/dims3|TestSlabReuseUnderPinnedReaders' ./internal/core

@@ -44,6 +44,7 @@ import (
 
 	"rexptree/internal/geom"
 	"rexptree/internal/manifest"
+	"rexptree/internal/obs"
 )
 
 // ErrReshardInFlight is returned by Reshard/StartReshard when a live
@@ -102,12 +103,9 @@ type liveReshard struct {
 	phase                        atomic.Int32
 	scanned, backfilled, applied atomic.Uint64
 
-	// touched[id%64] is written under the same discipline as the
-	// mutation that records it — the id's stripe for single-object
-	// operations, the exclusive re-route lock for batches — and read
-	// by the engine only under the exclusive lock, which conflicts
-	// with both.
-	touched [64]map[uint32]struct{}
+	// touched is written only by mutations holding the exclusive
+	// re-route lock, and read by the engine only under it.
+	touched map[uint32]struct{}
 
 	mu       sync.Mutex
 	err      error // first mirror/engine failure; aborts the reshard
@@ -115,19 +113,13 @@ type liveReshard struct {
 }
 
 func newLiveReshard(spec ReshardSpec) *liveReshard {
-	lr := &liveReshard{spec: spec}
-	for i := range lr.touched {
-		lr.touched[i] = make(map[uint32]struct{})
-	}
-	return lr
+	return &liveReshard{spec: spec, touched: make(map[uint32]struct{})}
 }
 
-func (l *liveReshard) noteTouched(id uint32) {
-	l.touched[id%uint32(len(l.touched))][id] = struct{}{}
-}
+func (l *liveReshard) noteTouched(id uint32) { l.touched[id] = struct{}{} }
 
 func (l *liveReshard) isTouched(id uint32) bool {
-	_, ok := l.touched[id%uint32(len(l.touched))][id]
+	_, ok := l.touched[id]
 	return ok
 }
 
@@ -485,7 +477,7 @@ func (s *ShardedTree) runLiveReshard(lr *liveReshard, derived bool) error {
 			}})
 		}
 		if len(batch) > 0 {
-			if err := s.applyBatch(target, batch, snapClock, nil, false); err != nil {
+			if _, err := s.applyTo(target, obs.OpBatch, "batch", batch, snapClock, nil, false); err != nil {
 				s.rerouteMu.Unlock()
 				return s.abortClean(lr, fmt.Errorf("rexptree: live reshard backfill: %w", err))
 			}

@@ -66,8 +66,8 @@ type partitioner interface {
 type hashPartitioner struct{ n int }
 
 func (h hashPartitioner) policy() PartitionPolicy      { return PartitionHash }
-func (h hashPartitioner) route(id uint32, _ Point) int { return shardIndex(id, h.n) }
-func (h hashPartitioner) locate(id uint32) (int, bool) { return shardIndex(id, h.n), true }
+func (h hashPartitioner) route(id uint32, _ Point) int { return manifest.ShardIndex(id, h.n) }
+func (h hashPartitioner) locate(id uint32) (int, bool) { return manifest.ShardIndex(id, h.n), true }
 func (h hashPartitioner) note(uint32, int)             {}
 func (h hashPartitioner) forget(uint32)                {}
 
@@ -104,23 +104,13 @@ func newSpeedPartitioner(n, dims, tuneAfter int, bands []float64, onTune func([]
 
 func (p *speedPartitioner) policy() PartitionPolicy { return PartitionSpeed }
 
-// speedOf is the report's |velocity|.
-func speedOf(pt Point, dims int) float64 {
-	return manifest.Speed(pt.Vel, dims)
-}
-
-// bandOf maps a speed to its band: band i covers [bands[i-1], bands[i]).
-func bandOf(bands []float64, sp float64) int {
-	return manifest.SpeedBandOf(bands, sp)
-}
-
 func (p *speedPartitioner) route(id uint32, pt Point) int {
 	if p.n < 2 {
 		// One shard, one band: nothing to tune or look up (and
 		// QuantileBands cannot split a distribution into one band).
 		return 0
 	}
-	sp := speedOf(pt, p.dims)
+	sp := manifest.Speed(pt.Vel, p.dims)
 	p.mu.RLock()
 	bands := p.bands
 	p.mu.RUnlock()
@@ -137,10 +127,10 @@ func (p *speedPartitioner) route(id uint32, pt Point) int {
 		if bands == nil {
 			// Warmup: hash-route so the shards stay balanced until
 			// the speed distribution is known.
-			return shardIndex(id, p.n)
+			return manifest.ShardIndex(id, p.n)
 		}
 	}
-	return bandOf(bands, sp)
+	return manifest.SpeedBandOf(bands, sp)
 }
 
 // tuneLocked picks the band boundaries at the i/n quantiles of the

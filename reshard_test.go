@@ -429,7 +429,7 @@ func TestReshardRoundTrip(t *testing.T) {
 	var live []float64
 	err = st.ForEach(100, func(r Result) bool {
 		if r.Point.Expires >= 100 {
-			live = append(live, speedOf(r.Point, 2))
+			live = append(live, manifest.Speed(r.Point.Vel, 2))
 		}
 		return true
 	})

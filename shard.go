@@ -121,18 +121,14 @@ type ShardedTree struct {
 	closeErr error
 	closing  atomic.Bool // set by Close/Abandon so a live reshard aborts early
 
-	// Re-routing discipline: every mutation holds rerouteMu shared
-	// (single-object updates of re-routing policies — and all updates
-	// while a live reshard is in flight — additionally hold the
-	// object's stripe, so the delete-from-old/insert-into-new pair of
-	// one object never interleaves with another update of the same
-	// object), while UpdateBatch under a re-routing policy or a live
-	// reshard holds rerouteMu exclusively.  The live-reshard cutover
-	// takes rerouteMu exclusively too: a mutation therefore observes a
-	// stable (generation, in-flight-reshard) pair for its whole
-	// critical section.
+	// Re-routing discipline: every mutation holds rerouteMu, shared
+	// under hash routing with no live reshard in flight and exclusively
+	// otherwise (see apply), so the delete-from-old/insert-into-new pair
+	// of a re-routed object never interleaves with another mutation.
+	// The live-reshard cutover takes rerouteMu exclusively too: a
+	// mutation therefore observes a stable (generation,
+	// in-flight-reshard) pair for its whole critical section.
 	rerouteMu sync.RWMutex
-	stripes   [64]sync.Mutex
 
 	// replSink, when set, observes every applied mutation (see
 	// replication.go).  Written under rerouteMu's exclusive side; the
@@ -395,20 +391,28 @@ func (s *ShardedTree) SpeedBands() []float64 {
 	return nil
 }
 
-// shardIndex hashes an object id onto a shard.  The scheme (the
-// murmur3 finalizer, recorded in the manifest) lives in
-// internal/manifest.
-func shardIndex(id uint32, n int) int {
-	return manifest.ShardIndex(id, n)
-}
-
 // parallel runs fn(i) for every i in [0, n) that visit marks (every i
-// when visit is nil), each on a goroutine of its own, and returns the
-// first (lowest i) error.  It serves the whole-shard work of writes,
-// opens, closes and Validate; queries visit their shards in turn on
-// the caller's goroutine (see visitShards).  A shard's own lock
-// serialises the goroutines that reach it.
+// when visit is nil) and returns the first (lowest i) error.  Two or
+// more marked i run on a goroutine each; a lone one runs on the
+// caller's goroutine, which is cheaper than starting and joining one.
+// It serves the whole-shard work of writes, opens, closes and
+// Validate; queries visit their shards in turn on the caller's
+// goroutine (see visitShards).  A shard's own lock serialises the
+// goroutines that reach it.
 func parallel(n int, visit []bool, fn func(i int) error) error {
+	lone, marked := -1, 0
+	for i := 0; i < n; i++ {
+		if visit == nil || visit[i] {
+			lone = i
+			marked++
+		}
+	}
+	switch marked {
+	case 0:
+		return nil
+	case 1:
+		return fn(lone)
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := range errs {
@@ -482,279 +486,206 @@ func (s *ShardedTree) Abandon() {
 // object migrates to its new band.  Updates to objects on different
 // shards proceed concurrently; see Tree.Update for the time contract.
 func (s *ShardedTree) Update(id uint32, p Point, now float64) error {
-	var tc *QueryTrace
-	if s.rec != nil {
-		tc = newTrace("update")
-	}
-	start := time.Now()
-	err := s.update(id, p, now, tc)
-	d := time.Since(start)
-	s.m.ObserveOp(obs.OpUpdate, d, err)
-	tc.finishRecord(s.rec, 0, d, err)
+	_, err := s.mutate(obs.OpUpdate, "update", []Report{{ID: id, Point: p}}, now)
 	return err
-}
-
-func (s *ShardedTree) update(id uint32, p Point, now float64, tc *QueryTrace) error {
-	ri := tc.begin(-1, "route", -1)
-	s.rerouteMu.RLock()
-	defer s.rerouteMu.RUnlock()
-	g := s.cur.Load()
-	lr := s.lr.Load()
-	if g.part.policy() != PartitionHash || lr != nil {
-		// Re-routing policies — and the dual-apply window of a live
-		// reshard, whose touched-set and mirror apply must stay ordered
-		// per object — serialize same-id updates on the id's stripe.
-		// Hash partitioning outside a reshard needs neither: the shard
-		// tree's own lock orders same-id updates.
-		st := &s.stripes[id%uint32(len(s.stripes))]
-		st.Lock()
-		defer st.Unlock()
-	}
-	if err := s.applyUpdate(g, id, p, now, tc, ri, true); err != nil {
-		return err
-	}
-	if lr != nil {
-		lr.noteTouched(id)
-		if terr := s.applyUpdate(lr.target, id, p, now, nil, -1, false); terr != nil {
-			lr.fail(terr)
-		} else {
-			lr.applied.Add(1)
-			s.m.ReshardDualApplied.Inc()
-		}
-	}
-	return nil
-}
-
-// applyUpdate routes and applies one report to generation g.  The
-// caller holds the locks the generation's policy requires; routeIdx is
-// the trace span opened for routing (-1 untraced).  frontend gates the
-// public re-route counter so the mirrored applies of a live reshard
-// are not double-counted.
-func (s *ShardedTree) applyUpdate(g *generation, id uint32, p Point, now float64, tc *QueryTrace, routeIdx int, frontend bool) error {
-	target := g.part.route(id, p)
-	old, hasOld := g.part.locate(id)
-	tc.endAt(routeIdx)
-	if hasOld && old != target {
-		di := tc.begin(-1, "reroute-delete", old)
-		_, err := g.shards[old].Delete(id, now)
-		tc.endAt(di)
-		if err != nil {
-			return err
-		}
-		g.part.forget(id)
-		if frontend {
-			s.m.Rerouted.Inc()
-		}
-	}
-	t := g.shards[target]
-	si := tc.begin(-1, "shard", target)
-	err := t.Update(id, p, now)
-	tc.endAt(si)
-	if err != nil {
-		return err
-	}
-	g.part.note(id, target)
-	return nil
 }
 
 // Delete removes the object's report from its shard; see Tree.Delete.
 func (s *ShardedTree) Delete(id uint32, now float64) (bool, error) {
-	var tc *QueryTrace
-	if s.rec != nil {
-		tc = newTrace("delete")
-	}
-	start := time.Now()
-	ok, err := s.delete(id, now, tc)
-	d := time.Since(start)
-	s.m.ObserveOp(obs.OpDelete, d, err)
-	tc.finishRecord(s.rec, 0, d, err)
-	return ok, err
-}
-
-func (s *ShardedTree) delete(id uint32, now float64, tc *QueryTrace) (bool, error) {
-	ri := tc.begin(-1, "route", -1)
-	s.rerouteMu.RLock()
-	defer s.rerouteMu.RUnlock()
-	g := s.cur.Load()
-	lr := s.lr.Load()
-	if g.part.policy() != PartitionHash || lr != nil {
-		st := &s.stripes[id%uint32(len(s.stripes))]
-		st.Lock()
-		defer st.Unlock()
-	}
-	removed, err := s.applyDelete(g, id, now, tc, ri)
-	if err == nil && lr != nil {
-		// Mark the id touched even when nothing was removed: the
-		// backfill must never resurrect an object deleted during the
-		// dual-apply window.
-		lr.noteTouched(id)
-		if _, terr := s.applyDelete(lr.target, id, now, nil, -1); terr != nil {
-			lr.fail(terr)
-		} else {
-			lr.applied.Add(1)
-			s.m.ReshardDualApplied.Inc()
-		}
-	}
-	return removed, err
-}
-
-// applyDelete removes one object from generation g; locks as for
-// applyUpdate.
-func (s *ShardedTree) applyDelete(g *generation, id uint32, now float64, tc *QueryTrace, routeIdx int) (bool, error) {
-	i, ok := g.part.locate(id)
-	tc.endAt(routeIdx)
-	if !ok {
-		return false, nil
-	}
-	si := tc.begin(-1, "shard", i)
-	removed, err := g.shards[i].Delete(id, now)
-	tc.endAt(si)
-	if err == nil {
-		g.part.forget(id)
-	}
-	return removed, err
+	return s.mutate(obs.OpDelete, "delete", []Report{{ID: id}}, now)
 }
 
 // UpdateBatch groups the reports by target shard and applies each
 // group as one Tree.UpdateBatch — a single lock acquisition per shard
 // — with the per-shard batches running concurrently, one goroutine per
-// shard written.  Reports for the same object keep their relative
-// order; under PartitionSpeed every report of an object is applied on
-// the shard of the object's final (last-report) speed band, after
-// removing it from its previous shard, so the batch leaves the same
-// state as applying the reports one by one.  On error the failing shard stops like
-// Tree.UpdateBatch while other shards' groups still apply; the first
-// error is returned.
+// shard written (a batch that writes one shard runs on the caller's
+// goroutine).  Reports for the same object keep their relative order;
+// under PartitionSpeed every report of an object is applied on the
+// shard of the object's final (last-report) speed band, after removing
+// it from its previous shard, so the batch leaves the same state as
+// applying the reports one by one.  On error the failing shard stops
+// like Tree.UpdateBatch while other shards' groups still apply; the
+// first error is returned.
 func (s *ShardedTree) UpdateBatch(batch []Report, now float64) error {
-	var tc *QueryTrace
-	if s.rec != nil {
-		tc = newTrace("batch")
-	}
-	start := time.Now()
-	err := s.updateBatch(batch, now, tc)
-	d := time.Since(start)
-	s.m.ObserveOp(obs.OpBatch, d, err)
-	s.m.BatchedUpdates.Add(uint64(len(batch)))
-	tc.finishRecord(s.rec, len(batch), d, err)
+	_, err := s.mutate(obs.OpBatch, "batch", batch, now)
 	return err
 }
 
-// updateBatch records batch-level spans only (route, the reroute
-// deletions, the grouped application): the fan-out goroutines never
-// touch the shared trace.
-func (s *ShardedTree) updateBatch(batch []Report, now float64, tc *QueryTrace) error {
+// mutate runs one public mutation through apply, observing it in the
+// front end's latency histogram and, with a flight recorder, tracing
+// it under the given name; it is Tree.mutate's twin.
+func (s *ShardedTree) mutate(op obs.Op, name string, batch []Report, now float64) (bool, error) {
+	var tc *QueryTrace
+	if s.rec != nil {
+		tc = newTrace(name)
+	}
+	start := time.Now()
+	removed, err := s.apply(op, name, batch, now, tc)
+	d := time.Since(start)
+	s.m.ObserveOp(op, d, err)
+	results := 0
+	if op == obs.OpBatch {
+		results = len(batch)
+	}
+	tc.finishRecord(s.rec, results, d, err)
+	return removed, err
+}
+
+// apply is the one envelope every mutation of the sharded index runs
+// through; op is as for Tree.apply.  Stateless hash routing with no
+// live reshard in flight runs under the shared re-route lock,
+// concurrently with other mutations: the shard tree's own lock orders
+// same-id updates.  Re-routing policies, and every mutation inside a
+// dual-apply window, hold the re-route lock exclusively, so the
+// route/delete/apply phases of one mutation — and its mirror into the
+// reshard target — never interleave with another's.
+func (s *ShardedTree) apply(op obs.Op, name string, batch []Report, now float64, tc *QueryTrace) (bool, error) {
 	if len(batch) == 0 {
-		return nil
+		return false, nil
 	}
 	s.rerouteMu.RLock()
 	g := s.cur.Load()
 	if g.part.policy() == PartitionHash && s.lr.Load() == nil {
-		// Stateless routing, no reshard in flight: the grouped fan-out
-		// runs under the shared lock, concurrently with other batches.
 		defer s.rerouteMu.RUnlock()
-		return s.applyBatch(g, batch, now, tc, true)
+		return s.applyTo(g, op, name, batch, now, tc, true)
 	}
-	// Re-routing policies (and any batch inside a dual-apply window)
-	// hold the re-route lock exclusively so the route/delete/apply
-	// phases — and the mirror into the reshard target — cannot
-	// interleave with other mutations.
 	s.rerouteMu.RUnlock()
 	s.rerouteMu.Lock()
 	defer s.rerouteMu.Unlock()
 	g = s.cur.Load()
 	lr := s.lr.Load()
-	err := s.applyBatch(g, batch, now, tc, true)
+	removed, err := s.applyTo(g, op, name, batch, now, tc, true)
 	if lr != nil {
+		// Mark the ids touched even when nothing was removed: the
+		// backfill must never resurrect an object deleted or superseded
+		// during the dual-apply window.
 		for _, r := range batch {
 			lr.noteTouched(r.ID)
 		}
 		if err != nil {
-			// The batch half-applied to the current generation; the
-			// mirror can no longer be proven equivalent, so the
-			// reshard aborts (the operation's own error stands).
+			// The mutation failed on, or half-applied to, the current
+			// generation; the mirror can no longer be proven equivalent,
+			// so the reshard aborts (the operation's own error stands).
 			lr.fail(err)
-			return err
+			return removed, err
 		}
-		if terr := s.applyBatch(lr.target, batch, now, nil, false); terr != nil {
+		if _, terr := s.applyTo(lr.target, op, name, batch, now, nil, false); terr != nil {
 			lr.fail(terr)
 		} else {
 			lr.applied.Add(uint64(len(batch)))
 			s.m.ReshardDualApplied.Add(uint64(len(batch)))
 		}
 	}
-	return err
+	return removed, err
 }
 
-// applyBatch routes and applies one batch to generation g; the caller
-// holds rerouteMu (shared suffices only for stateless hash routing).
-func (s *ShardedTree) applyBatch(g *generation, batch []Report, now float64, tc *QueryTrace, frontend bool) error {
-	if g.part.policy() == PartitionHash {
-		ri := tc.begin(-1, "route", -1)
-		groups := groupByShard(len(g.shards), batch, func(r *Report) int { return g.part.route(r.ID, r.Point) })
-		tc.endAt(ri)
-		ai := tc.begin(-1, "apply", -1)
-		err := parallel(len(g.shards), nonEmpty(groups), func(i int) error {
-			return g.shards[i].UpdateBatch(groups[i], now)
-		})
-		tc.endAt(ai)
-		return err
-	}
-
+// applyTo routes one mutation to generation g's shards and applies it
+// there, each shard receiving op through its own Tree.mutate; the
+// caller holds rerouteMu as apply does.  A deletion goes to the shard
+// that holds the object and returns that shard's removed.  Under a
+// re-routing policy every reported object is first removed from the
+// shard it leaves.  frontend gates the public re-route counter, so
+// the mirrored applies and the backfill of a live reshard are not
+// counted.  Only batch-level spans are recorded: the fan-out
+// goroutines never touch the shared trace.
+func (s *ShardedTree) applyTo(g *generation, op obs.Op, name string, batch []Report, now float64, tc *QueryTrace, frontend bool) (bool, error) {
 	ri := tc.begin(-1, "route", -1)
-	// Route every report; the last report fixes each object's shard.
-	final := make(map[uint32]int, len(batch))
-	for _, r := range batch {
-		final[r.ID] = g.part.route(r.ID, r.Point)
-	}
-
-	// Remove re-routed objects from their previous shards first.
-	delGroups := make([][]uint32, len(g.shards))
-	for id, tgt := range final {
-		if old, ok := g.part.locate(id); ok && old != tgt {
-			delGroups[old] = append(delGroups[old], id)
+	if op == obs.OpDelete {
+		id := batch[0].ID
+		i, ok := g.part.locate(id)
+		tc.endAt(ri)
+		if !ok {
+			return false, nil
 		}
-	}
-	tc.endAt(ri)
-	di := tc.begin(-1, "reroute-deletes", -1)
-	err := parallel(len(g.shards), nonEmpty(delGroups), func(i int) error {
-		t, ids := g.shards[i], delGroups[i]
-		slices.Sort(ids)
-		for _, id := range ids {
-			if _, err := t.Delete(id, now); err != nil {
-				return err
-			}
+		ai := tc.begin(-1, "apply", -1)
+		removed, err := g.shards[i].mutate(op, name, batch, now)
+		tc.endAt(ai)
+		if err == nil {
 			g.part.forget(id)
-			if frontend {
-				s.m.Rerouted.Inc()
-			}
 		}
-		return nil
-	})
-	tc.endAt(di)
-	if err != nil {
-		return err
+		return removed, err
 	}
 
-	// Apply every report on its object's final shard, in batch order.
-	groups := groupByShard(len(g.shards), batch, func(r *Report) int { return final[r.ID] })
+	shardOf := func(r Report) int { return g.part.route(r.ID, r.Point) }
+	var final map[uint32]int
+	var delGroups [][]uint32
+	if g.part.policy() != PartitionHash {
+		// The last report of an object fixes its shard; an object
+		// leaving its previous shard is removed from there first.
+		final = make(map[uint32]int, len(batch))
+		for _, r := range batch {
+			final[r.ID] = g.part.route(r.ID, r.Point)
+		}
+		shardOf = func(r Report) int { return final[r.ID] }
+		for id, tgt := range final {
+			if old, ok := g.part.locate(id); ok && old != tgt {
+				if delGroups == nil {
+					delGroups = make([][]uint32, len(g.shards))
+				}
+				delGroups[old] = append(delGroups[old], id)
+			}
+		}
+	}
+	lone, groups := groupByShard(len(g.shards), batch, shardOf)
+	tc.endAt(ri)
+	if delGroups != nil {
+		di := tc.begin(-1, "reroute-deletes", -1)
+		err := parallel(len(g.shards), nonEmpty(delGroups), func(i int) error {
+			t, ids := g.shards[i], delGroups[i]
+			slices.Sort(ids)
+			for _, id := range ids {
+				if _, err := t.Delete(id, now); err != nil {
+					return err
+				}
+				g.part.forget(id)
+				if frontend {
+					s.m.Rerouted.Inc()
+				}
+			}
+			return nil
+		})
+		tc.endAt(di)
+		if err != nil {
+			return false, err
+		}
+	}
+
+	// Apply every report on its object's shard, in batch order.
 	ai := tc.begin(-1, "apply", -1)
-	err = parallel(len(g.shards), nonEmpty(groups), func(i int) error {
-		return g.shards[i].UpdateBatch(groups[i], now)
-	})
+	var err error
+	if groups == nil {
+		_, err = g.shards[lone].mutate(op, name, batch, now)
+	} else {
+		err = parallel(len(g.shards), nonEmpty(groups), func(i int) error {
+			_, err := g.shards[i].mutate(op, name, groups[i], now)
+			return err
+		})
+	}
 	tc.endAt(ai)
 	for id, tgt := range final {
 		g.part.note(id, tgt)
 	}
-	return err
+	return false, err
 }
 
 // groupByShard groups a batch into k per-shard groups, keeping batch
-// order within each group.  The groups are consecutive windows of one
-// slice, sized by a first pass over shardOf, so no group grows.
-func groupByShard(k int, batch []Report, shardOf func(r *Report) int) [][]Report {
+// order within each group.  A batch whose reports all go to one shard
+// is returned as that shard's index with nil groups, without copying.
+// Otherwise the groups are consecutive windows of one slice, sized by
+// a first pass over shardOf, so no group grows.  shardOf takes the
+// report by value so that the batch does not escape through it.
+func groupByShard(k int, batch []Report, shardOf func(r Report) int) (int, [][]Report) {
+	lone := shardOf(batch[0])
+	j := 1
+	for j < len(batch) && shardOf(batch[j]) == lone {
+		j++
+	}
+	if j == len(batch) {
+		return lone, nil
+	}
 	counts := make([]int, k)
-	for j := range batch {
-		counts[shardOf(&batch[j])]++
+	for _, r := range batch {
+		counts[shardOf(r)]++
 	}
 	all := make([]Report, len(batch))
 	groups := make([][]Report, k)
@@ -763,11 +694,11 @@ func groupByShard(k int, batch []Report, shardOf func(r *Report) int) [][]Report
 		groups[i] = all[off : off : off+n]
 		off += n
 	}
-	for j := range batch {
-		i := shardOf(&batch[j])
-		groups[i] = append(groups[i], batch[j])
+	for _, r := range batch {
+		i := shardOf(r)
+		groups[i] = append(groups[i], r)
 	}
-	return groups
+	return -1, groups
 }
 
 // nonEmpty is the parallel mask of a batch's per-shard groups: a shard

@@ -7,11 +7,13 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"rexptree/internal/core"
 	"rexptree/internal/geom"
+	"rexptree/internal/manifest"
 )
 
 // testWorkload builds a deterministic stream of object reports.
@@ -249,6 +251,167 @@ func TestShardRouting(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("Len after delete = %d, want 0", s.Len())
 	}
+}
+
+// TestShardedMutationAccounting pins what every sharded mutation
+// reports, under both policies with one shard and with four: Delete's
+// result, which shard section of the exposition counts each single
+// Update and Delete (the owning shard's, as the shard's own update or
+// delete; a speed re-route adds a delete on the shard left), that
+// rexp_batched_updates_total counts only UpdateBatch's reports, and
+// that the front end counts each public call once.
+func TestShardedMutationAccounting(t *testing.T) {
+	bands := []float64{1, 2, 3}
+	for _, c := range []struct {
+		policy PartitionPolicy
+		k      int
+	}{{PartitionHash, 1}, {PartitionHash, 4}, {PartitionSpeed, 1}, {PartitionSpeed, 4}} {
+		t.Run(fmt.Sprintf("%v/%d", c.policy, c.k), func(t *testing.T) {
+			opts := ShardedOptions{Options: DefaultOptions(), Shards: c.k, Partition: c.policy}
+			if c.policy == PartitionSpeed && c.k > 1 {
+				opts.SpeedBands = bands
+			}
+			s, err := OpenSharded(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+
+			// The model: the shard each report goes to, where each
+			// object lives, and what each shard should have counted.
+			route := func(id uint32, p Point) int {
+				if c.policy == PartitionHash {
+					return manifest.ShardIndex(id, c.k)
+				}
+				if c.k == 1 {
+					return 0
+				}
+				return manifest.SpeedBandOf(bands, manifest.Speed(p.Vel, 2))
+			}
+			loc := map[uint32]int{}
+			upd := make([]int, c.k)
+			del := make([]int, c.k)
+			batches := make([]int, c.k)
+			batched := make([]int, c.k)
+			// point moves at speed band+0.5, inside band's speed band.
+			point := func(id uint32, band int) Point {
+				return Point{Pos: Vec{float64(id % 100), float64(id / 100)}, Vel: Vec{float64(band) + 0.5, 0}, Expires: NoExpiry()}
+			}
+			move := func(id uint32, p Point) {
+				tgt := route(id, p)
+				if old, ok := loc[id]; ok && old != tgt {
+					del[old]++
+				}
+				loc[id] = tgt
+			}
+			var updates, deletes, batchCalls, batchReports int
+
+			for id := uint32(1); id <= 40; id++ {
+				p := point(id, int(id)%4)
+				if err := s.Update(id, p, 0); err != nil {
+					t.Fatal(err)
+				}
+				move(id, p)
+				upd[loc[id]]++
+				updates++
+			}
+			// Ids 1..8 change speed band: under speed routing with four
+			// shards each is re-routed.
+			for id := uint32(1); id <= 8; id++ {
+				p := point(id, int(id+1)%4)
+				if err := s.Update(id, p, 0); err != nil {
+					t.Fatal(err)
+				}
+				move(id, p)
+				upd[loc[id]]++
+				updates++
+			}
+			var batch []Report
+			for id := uint32(30); id <= 60; id++ {
+				batch = append(batch, Report{ID: id, Point: point(id, int(id+2)%4)})
+			}
+			if err := s.UpdateBatch(batch, 0); err != nil {
+				t.Fatal(err)
+			}
+			touched := make([]bool, c.k)
+			for _, r := range batch {
+				move(r.ID, r.Point)
+				touched[loc[r.ID]] = true
+				batched[loc[r.ID]]++
+			}
+			for i, ok := range touched {
+				if ok {
+					batches[i]++
+				}
+			}
+			batchCalls++
+			batchReports += len(batch)
+
+			// A stored id, an unknown id, and the stored id again.
+			for _, d := range []struct {
+				id   uint32
+				want bool
+			}{{5, true}, {999, false}, {5, false}} {
+				ok, err := s.Delete(d.id, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok != d.want {
+					t.Errorf("Delete(%d) = %v, want %v", d.id, ok, d.want)
+				}
+				deletes++
+				// A hash shard is asked even for an id it does not
+				// hold; speed routing asks only the shard it tracks.
+				if c.policy == PartitionHash {
+					del[manifest.ShardIndex(d.id, c.k)]++
+				} else if i, ok := loc[d.id]; ok {
+					del[i]++
+				}
+				delete(loc, d.id)
+			}
+			if s.Len() != len(loc) {
+				t.Errorf("Len = %d, want %d", s.Len(), len(loc))
+			}
+
+			var b strings.Builder
+			if err := s.WriteMetrics(&b); err != nil {
+				t.Fatal(err)
+			}
+			out := b.String()
+			check := func(series string, want int) {
+				t.Helper()
+				if got := expositionValue(out, series); got != want {
+					t.Errorf("%s = %d, want %d", series, got, want)
+				}
+			}
+			for i := 0; i < c.k; i++ {
+				p := fmt.Sprintf("rexp_shard%d_", i)
+				check(p+`op_duration_seconds_count{op="update"}`, upd[i])
+				check(p+`op_duration_seconds_count{op="delete"}`, del[i])
+				check(p+`op_duration_seconds_count{op="update_batch"}`, batches[i])
+				check(p+"batched_updates_total", batched[i])
+			}
+			check(`rexp_op_duration_seconds_count{op="update"}`, updates)
+			check(`rexp_op_duration_seconds_count{op="delete"}`, deletes)
+			check(`rexp_op_duration_seconds_count{op="update_batch"}`, batchCalls)
+			check("rexp_batched_updates_total", batchReports)
+		})
+	}
+}
+
+// expositionValue reads one series' value from Prometheus text output,
+// -1 when the series is absent.
+func expositionValue(out, series string) int {
+	for _, line := range strings.Split(out, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				return -1
+			}
+			return n
+		}
+	}
+	return -1
 }
 
 // TestShardedPersistence round-trips a file-backed sharded tree.
