@@ -4,7 +4,7 @@
 #   make crash-matrix     the durable trees' crash and power-loss tests, three times over
 #   make bench            the repository benchmark (BENCHMARK.json) -> bench/out/runs.jsonl
 #   make bench-compare A=a.jsonl B=b.jsonl   compare two benchmark runs, run against run
-#   make bench-update     the update path's microbenchmarks (kernel, computeBR, one update, batched updates, a durable body)
+#   make bench-update     the update path's microbenchmarks (kernel, ChooseSubtree, computeBR, a pool miss, one update, batched updates, a durable body, the paper stream)
 #   make bench-query      the query kernels' microbenchmarks (nearest on one tree and on 4 shards, region queries per shape)
 #   make bench-ingest     the served write path's microbenchmarks (one 100-record /v1/batch body on 4 shards, one decoded line)
 #   make serve-smoke      the README serving quickstart, end to end
@@ -122,28 +122,35 @@ bench-compare:
 	bash bench/run.sh --compare $(A) $(B)
 
 # The update path from the inside out: ChooseSubtree's per-entry
-# enlargement metric, the near-optimal TPBR kernel (through the free
-# function on 170 items, and through a warm workspace on a full leaf
-# of points at tupd > 0 and a full internal node with derived expiries),
-# computeBR with each bounding kind and the page encoding of a full
-# leaf and a full internal node, the pool's flush of one dirty page
-# among many clean ones, one steady-state update (delete + insert)
-# through the public tree, the same update with each bounding kind,
-# the same update per report in batches of 1, 25 and 100, and a 25-report
-# body acknowledged by a durable tree behind a 16-page
-# pool (with its fsyncs and checkpoints per body).  -benchmem's
-# allocs/op of the update benchmarks is the path's allocation budget:
-# 0 per report in batches of 1 / 25 / 100, since a page is copied into
-# the slab of a reclaimed version and a descriptor is reused once no
-# reader holds it (it was 8 / 3 / 2 when every published page cost two
-# objects); the paper's search appends three more per delete.
-# Prints to the terminal; bench/ holds the numbers that count.
+# enlargement metric and ChooseSubtree over a full internal node, the
+# near-optimal TPBR kernel (through the free function on 170 items, and
+# through a warm workspace on a full leaf of points at tupd > 0 and a
+# full internal node with derived expiries), computeBR with each
+# bounding kind and the page encoding of a full leaf and a full
+# internal node, the pool's flush of one dirty page among many clean
+# ones and its miss that evicts, one steady-state update (delete +
+# insert) through the public tree, the same update with each bounding
+# kind, the same update per report in batches of 1, 25 and 100, a
+# 25-report body acknowledged by a durable tree behind a 16-page pool
+# (with its fsyncs and checkpoints per body), and the paper's §5.1
+# stream through the default 50-page pool, which misses, writes back
+# and evicts (engine_paper's work, in process).  -benchmem's allocs/op
+# is each path's allocation budget: 0 for a pool miss, since it takes
+# the frame its eviction released and the LRU list is threaded through
+# the frames (it was 2 objects and 3.7 KB); 0 per report for the
+# updates, batched or not and with the pool missing or not, since a
+# page is copied into the slab of a reclaimed version, a descriptor is
+# reused once no reader holds it, a memory pool lends its store's pages
+# and the split's and reinsertion's arrays are the tree's (the paper
+# stream read 3 objects and 5.7 KB per report while each miss built a
+# frame); the paper's search appends three more per delete.  Prints to
+# the terminal; bench/ holds the numbers that count.
 bench-update:
 	$(GO) test ./internal/geom -run '^$$' -bench 'BenchmarkEnlargement$$' -benchmem
 	$(GO) test ./internal/hull -run '^$$' -bench 'BenchmarkNearOptimal$$' -benchmem
-	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkComputeBR|BenchmarkEncode' -benchmem
-	$(GO) test ./internal/storage -run '^$$' -bench 'BenchmarkFlushOneDirty' -benchmem
-	$(GO) test . -run '^$$' -bench 'BenchmarkUpdateThroughput$$|BenchmarkUpdateKinds|BenchmarkUpdateBatch|BenchmarkDurableBatch' -benchmem
+	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkChooseChild|BenchmarkComputeBR|BenchmarkEncode' -benchmem
+	$(GO) test ./internal/storage -run '^$$' -bench 'BenchmarkFlushOneDirty|BenchmarkBufferPoolMissEvict' -benchmem
+	$(GO) test . -run '^$$' -bench 'BenchmarkUpdateThroughput$$|BenchmarkUpdateKinds|BenchmarkUpdateBatch|BenchmarkDurableBatch|BenchmarkPaperStream' -benchmem
 
 # The query path from the inside out: the nearest kernel over a warm
 # 2 000-object tree read through the buffer pool and over its pinned

@@ -99,6 +99,69 @@ func BenchmarkFig16NewObUpdate(b *testing.B) { benchFigure(b, "16") }
 // mix that dominates the paper's workloads.
 func BenchmarkUpdateThroughput(b *testing.B) { benchUpdates(b, DefaultOptions()) }
 
+// BenchmarkPaperStream is the in-process counterpart of the repository
+// benchmark's engine_paper workload: the paper's §5.1 network stream
+// (20 000 objects, UI 60, one query per 100 insertions) replayed through
+// Tree.Update into DefaultOptions(), whose 50-page buffer pool misses,
+// writes back and evicts as in the paper.  The population's first update
+// interval is loaded before the timer starts; one op is one report after
+// it.  The stream's queries are skipped, so allocs/op and B/op are an
+// update's, misses, splits and forced reinsertions included.  Reports
+// are generated in chunks with the timer stopped.
+func BenchmarkPaperStream(b *testing.B) {
+	const ui = 60
+	tree, err := Open(DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tree.Close()
+	gen, err := workload.NewGenerator(workload.Params{Seed: 1, Objects: 20000, Insertions: 1 << 30, UI: ui, QueriesPerInsertions: 100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// next fills reps with the stream's next reports.
+	next := func(reps []Report) {
+		for i := 0; i < len(reps); {
+			op, ok := gen.Next()
+			if !ok {
+				b.Fatal("workload stream exhausted")
+			}
+			if op.Kind != workload.OpInsert {
+				continue
+			}
+			p := Point{Pos: Vec(op.Point.At(op.Time)), Vel: Vec(op.Point.Vel), Time: op.Time}
+			if geom.IsFinite(op.Point.TExp) {
+				p.Expires = op.Point.TExp
+			}
+			reps[i] = Report{ID: op.OID, Point: p}
+			i++
+		}
+	}
+	reps := make([]Report, 4096)
+	for loaded := false; !loaded; {
+		next(reps)
+		for _, r := range reps {
+			if err := tree.Update(r.ID, r.Point, r.Point.Time); err != nil {
+				b.Fatal(err)
+			}
+			loaded = r.Point.Time >= ui
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		b.StopTimer()
+		next(reps)
+		b.StartTimer()
+		for _, r := range reps[:min(len(reps), b.N-done)] {
+			if err := tree.Update(r.ID, r.Point, r.Point.Time); err != nil {
+				b.Fatal(err)
+			}
+			done++
+		}
+	}
+}
+
 // BenchmarkUpdateKinds is BenchmarkUpdateThroughput once per bounding
 // kind, the rest of the R^exp configuration unchanged.
 func BenchmarkUpdateKinds(b *testing.B) {

@@ -107,39 +107,50 @@ func TestComputeBRAllocs(t *testing.T) {
 // published once) allocates, averaged over enough updates to include
 // their share of splits and forced reinsertions.  A page an update
 // changes is copied into the slab of a version an earlier publication
-// reclaimed, and the published descriptor is reused the same way, so
-// what is left is the splits' and forced reinsertions' working arrays:
-// 0.1 objects and about 240 bytes per update.  Before that an update
-// cost 8 objects and 16 KB (two per published page), and before the
-// bounding-rectangle kernel stopped allocating, 42 objects and 49 KB.
-// The delete the service runs fills the tree's own path scratch, and
-// the insertion's descent fills another; the paper's search builds its
-// path one slice per level on the way back up, which is the three
-// objects between the two readings (0.1 and 3.1) on this two-level
-// tree.  The ceilings are the readings rounded up plus one, and 1 KiB.
+// reclaimed, the published descriptor is reused the same way, and a
+// split's and a forced reinsertion's working arrays and the orphan list
+// are tree-owned buffers: the locator update reads 0.0 objects and
+// about 24 bytes.  Before those buffers it read 0.1 objects and 240
+// bytes; before the slab reuse, 8 objects and 16 KB (two per published
+// page); and before the bounding-rectangle kernel stopped allocating,
+// 42 objects and 49 KB.  The delete the service runs fills the tree's
+// own path scratch, and the insertion's descent fills another; the
+// paper's search builds its path one slice per level on the way back
+// up, which is the three objects between the two readings (0.0 and
+// 3.0) on this two-level tree.  The small-pool case runs the locator
+// update under a 16-page pool, a third of the tree, so its sample
+// includes misses, write-backs and evictions: the pool recycles the
+// evicted frame for the miss and lends the memory store's page as its
+// buffer, where each miss used to allocate a frame and 4 KiB (3.9
+// objects and 5.6 KB per update).  The ceilings are the readings plus
+// 0.05 objects (plus one for the search's path, whose slices a level
+// change can add to), and 64 bytes.
 func TestUpdateAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		del     func(*Tree, uint32, geom.MovingPoint, float64) (bool, error)
-		ceiling float64
+		pool    int
+		objects float64
 	}{
-		{"locator", (*Tree).Delete, 2},
-		{"search", (*Tree).DeleteBySearch, 5},
+		{"locator", (*Tree).Delete, 0, 0.05},
+		{"search", (*Tree).DeleteBySearch, 0, 3.05},
+		{"small-pool", (*Tree).Delete, 16, 0.05},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			objects, bytes := updateAllocs(t, c.del)
-			t.Logf("%.1f objects, %.0f bytes per update", objects, bytes)
-			if objects > c.ceiling || bytes > 1<<10 {
-				t.Errorf("an update allocates %.1f objects and %.0f bytes, want at most %.0f objects and 1 KiB", objects, bytes, c.ceiling)
+			objects, bytes := updateAllocs(t, c.del, c.pool)
+			t.Logf("%.2f objects, %.0f bytes per update", objects, bytes)
+			if objects > c.objects || bytes > 64 {
+				t.Errorf("an update allocates %.2f objects and %.0f bytes, want at most %.2f objects and 64 bytes", objects, bytes, c.objects)
 			}
 		})
 	}
 }
 
 // updateAllocs returns the objects and bytes one steady-state update
-// allocates with the given delete.
-func updateAllocs(t *testing.T, del func(*Tree, uint32, geom.MovingPoint, float64) (bool, error)) (objects, bytes float64) {
-	tr, err := New(Config{Dims: 2, ExpireAware: true, BRKind: hull.KindNearOptimal, Seed: 1}, storage.NewMemStore())
+// allocates with the given delete and buffer pool size (0: the default,
+// larger than the tree).
+func updateAllocs(t *testing.T, del func(*Tree, uint32, geom.MovingPoint, float64) (bool, error), pool int) (objects, bytes float64) {
+	tr, err := New(Config{Dims: 2, ExpireAware: true, BRKind: hull.KindNearOptimal, Seed: 1, BufferPages: pool}, storage.NewMemStore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +189,9 @@ func updateAllocs(t *testing.T, del func(*Tree, uint32, geom.MovingPoint, float6
 		update(i)
 	}
 	runtime.ReadMemStats(&after)
+	if st := tr.IOStats(); pool > 0 && (st.Evictions == 0 || st.DirtyWritebacks == 0) {
+		t.Fatalf("a %d-page pool must evict and write back: %+v", pool, st)
+	}
 	return float64(after.Mallocs-before.Mallocs) / updates, float64(after.TotalAlloc-before.TotalAlloc) / updates
 }
 

@@ -52,11 +52,11 @@ func (t *Tree) deleteAt(path []*vnode, idx int, err error) (bool, error) {
 	leaf.removeAt(idx)
 	t.leafEntries--
 	t.reinsertedAt = 0
-	var orphans []orphan
-	if err := t.propagateUp(path, &orphans); err != nil {
+	t.orphans = t.orphans[:0]
+	if err := t.propagateUp(path, &t.orphans); err != nil {
 		return true, err
 	}
-	if err := t.drainOrphans(&orphans); err != nil {
+	if err := t.drainOrphans(&t.orphans); err != nil {
 		return true, err
 	}
 	if err := t.shrinkRoot(); err != nil {

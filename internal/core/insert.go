@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"rexptree/internal/geom"
 	"rexptree/internal/obs"
@@ -38,11 +38,11 @@ func (t *Tree) Insert(oid uint32, p geom.MovingPoint, now float64) error {
 // orphans — the shared tail of the insertion and deletion algorithms
 // (CondenseTree, §4.3).
 func (t *Tree) placeEntry(o orphan) error {
-	var orphans []orphan
-	if err := t.insertOrphan(o, &orphans); err != nil {
+	t.orphans = t.orphans[:0]
+	if err := t.insertOrphan(o, &t.orphans); err != nil {
 		return err
 	}
-	if err := t.drainOrphans(&orphans); err != nil {
+	if err := t.drainOrphans(&t.orphans); err != nil {
 		return err
 	}
 	return t.shrinkRoot()
@@ -168,9 +168,19 @@ func (t *Tree) chooseChild(n *vnode, r *geom.TPRect) int {
 	rNew.TExp = t.decisionExp(r, n.level-1)
 	now, dims, src := t.Now(), t.cfg.Dims, t.expSource(n.level)
 	horizon := now + t.metricH()
+	// The new entry's bounds at now, as the union's take them.
+	var bLo, bHi geom.Vec
+	for d := 0; d < dims; d++ {
+		bLo[d] = rNew.Lo[d] + rNew.VLo[d]*now
+		bHi[d] = rNew.Hi[d] + rNew.VHi[d]*now
+	}
 	best := -1
 	bestEnl, bestArea := 0.0, 0.0
-	var e geom.TPRect
+	var (
+		g    gauss
+		gEnd = math.NaN()
+		e    geom.TPRect
+	)
 	for i := 0; i < n.count; i++ {
 		exp := t.expAt(n, i, src, now)
 		if exp < now {
@@ -182,8 +192,14 @@ func (t *Tree) chooseChild(n *vnode, r *geom.TPRect) int {
 		// Neither integral reads the rectangle's own expiration time;
 		// it enters through end alone.
 		end := clampEnd(now, horizon, exp, rNew.TExp)
-		n.rect(i, &e)
-		area, enl := geom.Enlargement(&e, &rNew, now, end, dims)
+		if end != gEnd {
+			g, gEnd = newGauss(now, end), end
+		}
+		area, enl, ok := enlargementAt(n, i, &rNew, &bLo, &bHi, now, end, &g)
+		if !ok {
+			n.rect(i, &e)
+			area, enl = geom.Enlargement(&e, &rNew, now, end, dims)
+		}
 		if best < 0 || enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
 		}
@@ -194,6 +210,55 @@ func (t *Tree) chooseChild(n *vnode, r *geom.TPRect) int {
 		best = 0
 	}
 	return best
+}
+
+// gauss holds the two-point Gauss–Legendre nodes of an integral over
+// [t1, t2], t1 < t2, as geom.Enlargement's fast path computes them:
+// the half length and the two nodes m ∓ d.
+type gauss struct{ half, lo, hi float64 }
+
+func newGauss(t1, t2 float64) gauss {
+	h := t2 - t1
+	m := (t1 + t2) / 2
+	d := h / (2 * math.Sqrt(3))
+	return gauss{half: h / 2, lo: m - d, hi: m + d}
+}
+
+// enlargementAt is geom.Enlargement(entry i of n, b, t1, t2) read from
+// the columns, with b's bounds at t1 (bLo, bHi) and the nodes of
+// [t1, t2] computed once for every entry that shares t2.  Its
+// operations, and their order, are geom.Enlargement's fast path, so its
+// results are the same bits.  ok is false when t2 <= t1 or an extent
+// reaches zero within [t1, t2]: the caller then asks geom.Enlargement,
+// which integrates piecewise.
+func enlargementAt(n *vnode, i int, b *geom.TPRect, bLo, bHi *geom.Vec, t1, t2 float64, g *gauss) (area, enl float64, ok bool) {
+	if t2 <= t1 {
+		return 0, 0, false
+	}
+	dims := n.dims
+	base := i * dims
+	lo, hi, vlo, vhi := n.lo[base:base+dims], n.hi[base:base+dims], n.vlo[base:base+dims], n.vhi[base:base+dims]
+	pa, pb, ua, ub := 1.0, 1.0, 1.0, 1.0
+	for d := range lo {
+		ac0 := hi[d] - lo[d]
+		ac1 := vhi[d] - vlo[d]
+		// UnionConservative's dimension d, as differences of its bounds.
+		uvlo := min(vlo[d], b.VLo[d])
+		uvhi := max(vhi[d], b.VHi[d])
+		ulo := min(lo[d]+vlo[d]*t1, bLo[d]) - uvlo*t1
+		uhi := max(hi[d]+vhi[d]*t1, bHi[d]) - uvhi*t1
+		uc0 := uhi - ulo
+		uc1 := uvhi - uvlo
+		if ac0+ac1*t1 <= 0 || ac0+ac1*t2 <= 0 || uc0+uc1*t1 <= 0 || uc0+uc1*t2 <= 0 {
+			return 0, 0, false
+		}
+		pa *= ac0 + ac1*g.lo
+		pb *= ac0 + ac1*g.hi
+		ua *= uc0 + uc1*g.lo
+		ub *= uc0 + uc1*g.hi
+	}
+	area = g.half * (pa + pb)
+	return area, g.half*(ua+ub) - area, true
 }
 
 // chooseChildOverlap is the R*-tree's overlap-enlargement criterion
@@ -396,36 +461,42 @@ func (t *Tree) shrinkRoot() error {
 // pickReinsert removes the ReinsertFrac share of n's entries whose
 // center distance integral from the node's bounding rectangle is
 // largest (the R*-tree heuristic with the time-integral metric of
-// Eq. 1) and returns them ordered closest-first.
+// Eq. 1) and returns them ordered closest-first, in the tree's buffer
+// (valid until the next forced reinsertion).
 func (t *Tree) pickReinsert(n *vnode) []entry {
 	nodeBR := t.computeBR(n)
 	exp := t.decisionExp(&nodeBR, n.level+1)
 	end := t.metricEnd(exp, exp)
-	type scored struct {
-		e entry
-		d float64
+	es := n.appendEntries(t.gather[:0])
+	t.gather = es
+	dist := grow(t.reinsDist, len(es))
+	order := grow(t.reinsOrder, len(es))
+	t.reinsDist, t.reinsOrder = dist, order
+	for i := range es {
+		dist[i] = geom.CenterDistIntegral(es[i].rect, nodeBR, t.Now(), end, t.cfg.Dims)
+		order[i] = i
 	}
-	s := make([]scored, n.count)
-	for i := range s {
-		e := n.entry(i)
-		s[i] = scored{e, geom.CenterDistIntegral(e.rect, nodeBR, t.Now(), end, t.cfg.Dims)}
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i].d > s[j].d })
-	p := int(t.cfg.ReinsertFrac * float64(len(s)))
+	// Farthest first; slices.SortFunc makes sort.Slice's comparisons.
+	slices.SortFunc(order, func(a, b int) int {
+		if dist[a] > dist[b] {
+			return -1
+		}
+		return 1
+	})
+	p := int(t.cfg.ReinsertFrac * float64(len(es)))
 	if p < 1 {
 		p = 1
 	}
-	removed := s[:p]
-	keep := t.gather[:0]
-	for _, sc := range s[p:] {
-		keep = append(keep, sc.e)
+	keep := order[p:]
+	n.resize(len(keep))
+	for i, idx := range keep {
+		n.set(i, es[idx].id, &es[idx].rect)
 	}
-	t.gather = keep
-	n.setEntries(keep)
 	// Closest-first ordering for reinsertion.
-	out := make([]entry, p)
-	for i, sc := range removed {
-		out[p-1-i] = sc.e
+	out := grow(t.reinsMoved, p)
+	t.reinsMoved = out
+	for i, idx := range order[:p] {
+		out[p-1-i] = es[idx]
 	}
 	return out
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"rexptree/internal/geom"
 	"rexptree/internal/obs"
@@ -15,7 +15,9 @@ import (
 // can be partitioned by velocity as well as by position.  One group
 // stays in n; the other is returned as a freshly allocated sibling.
 // Both nodes are written.  n's entries are gathered into the tree's
-// entry buffer, so the algorithm sees them as before, in node order.
+// entry buffer, so the algorithm sees them as before, in node order;
+// like every array of the split, the two groups live in tree-owned
+// buffers, so a split allocates nothing but the sibling's page.
 func (t *Tree) split(n *vnode) (*vnode, error) {
 	t.gather = n.appendEntries(t.gather[:0])
 	g1, g2 := t.chooseSplit(t.gather, n.level)
@@ -42,7 +44,7 @@ func (t *Tree) split(n *vnode) (*vnode, error) {
 // splitKey extracts one of the four per-dimension sort keys evaluated
 // at the current time: lower/upper bound position and lower/upper
 // bound velocity.
-func (t *Tree) splitKey(r geom.TPRect, dim, key int) float64 {
+func (t *Tree) splitKey(r *geom.TPRect, dim, key int) float64 {
 	switch key {
 	case 0:
 		return r.Lo[dim] + r.VLo[dim]*t.Now()
@@ -62,7 +64,7 @@ func (t *Tree) chooseSplit(entries []entry, level int) (g1, g2 []entry) {
 		minFill = 1
 	}
 	// Decision rectangles: expiration honored only when AlgsUseExp.
-	dr := make([]geom.TPRect, total)
+	dr := grow(t.splitDR, total)
 	allExp := math.Inf(-1)
 	for i, e := range entries {
 		dr[i] = e.rect
@@ -71,9 +73,10 @@ func (t *Tree) chooseSplit(entries []entry, level int) (g1, g2 []entry) {
 	}
 	end := t.metricEnd(allExp, allExp)
 
-	order := make([]int, total)
-	prefix := make([]geom.TPRect, total+1)
-	suffix := make([]geom.TPRect, total+1)
+	order := grow(t.splitOrder, total)
+	prefix := grow(t.splitPrefix, total+1)
+	suffix := grow(t.splitSuffix, total+1)
+	t.splitDR, t.splitOrder, t.splitPrefix, t.splitSuffix = dr, order, prefix, suffix
 
 	// computeBounds fills prefix[k] = union of the first k entries in
 	// the current order and suffix[k] = union of the rest.
@@ -88,16 +91,20 @@ func (t *Tree) chooseSplit(entries []entry, level int) (g1, g2 []entry) {
 		}
 	}
 
+	// slices.SortFunc runs the same pattern-defeating quicksort as
+	// sort.Slice, comparison for comparison, without allocating.
 	bestAxisMargin := math.Inf(1)
-	var bestOrder []int
+	bestOrder := t.splitBest[:0]
 	for dim := 0; dim < t.cfg.Dims; dim++ {
 		for key := 0; key < 4; key++ {
 			for i := range order {
 				order[i] = i
 			}
-			d, k := dim, key
-			sort.Slice(order, func(a, b int) bool {
-				return t.splitKey(dr[order[a]], d, k) < t.splitKey(dr[order[b]], d, k)
+			slices.SortFunc(order, func(a, b int) int {
+				if t.splitKey(&dr[a], dim, key) < t.splitKey(&dr[b], dim, key) {
+					return -1
+				}
+				return 1
 			})
 			computeBounds()
 			var margin float64
@@ -111,6 +118,7 @@ func (t *Tree) chooseSplit(entries []entry, level int) (g1, g2 []entry) {
 			}
 		}
 	}
+	t.splitBest = bestOrder
 
 	// Along the chosen axis, pick the distribution with minimal overlap
 	// integral, ties broken by minimal total area integral.
@@ -127,14 +135,20 @@ func (t *Tree) chooseSplit(entries []entry, level int) (g1, g2 []entry) {
 		}
 	}
 
-	g1 = make([]entry, 0, bestK)
-	g2 = make([]entry, 0, total-bestK)
-	for i, idx := range bestOrder {
-		if i < bestK {
-			g1 = append(g1, entries[idx])
-		} else {
-			g2 = append(g2, entries[idx])
-		}
+	// The two groups, one after the other in the tree's group buffer.
+	g := t.splitGroups[:0]
+	for _, idx := range bestOrder {
+		g = append(g, entries[idx])
 	}
-	return g1, g2
+	t.splitGroups = g
+	return g[:bestK:bestK], g[bestK:]
+}
+
+// grow returns s resized to n elements, reallocated only when its
+// capacity is short; the elements' values are left as they were.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

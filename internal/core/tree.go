@@ -44,9 +44,10 @@ type Tree struct {
 	// DeferFlush; a wrapped one (a test store) keeps the encoder, like a
 	// file store.  Nothing reads such a store's node pages but an Open
 	// after Sync — every live page's newest version stays on its chain —
-	// so the pool gets no encoder: it charges hits, misses, write-backs
-	// and evictions as ever but moves stale bytes, and Sync renders every
-	// live node into the store itself.
+	// so the pool gets no encoder, and a pool without one lends the
+	// store's own pages as its frames: it charges hits, misses,
+	// write-backs and evictions as ever but moves no bytes, and Sync
+	// renders every live node into the store itself.
 	imagesAtSync bool
 
 	// Self-tuning state (§4.2.3).
@@ -82,6 +83,22 @@ type Tree struct {
 	order      [geom.MaxDims]int
 	expScratch []float64
 	gather     []entry
+
+	// Overflow handling's working arrays, reused like gather: the
+	// split's decision rectangles, sort order, prefix and suffix unions,
+	// best order and its two groups (chooseSplit); forced reinsertion's
+	// distances, order and the entries it moves out (pickReinsert); and
+	// the orphans of the operation in progress (placeEntry, deleteAt).
+	splitDR     []geom.TPRect
+	splitOrder  []int
+	splitPrefix []geom.TPRect
+	splitSuffix []geom.TPRect
+	splitBest   []int
+	splitGroups []entry
+	reinsDist   []float64
+	reinsOrder  []int
+	reinsMoved  []entry
+	orphans     []orphan
 
 	// Snapshot read path state (see snapshot.go).  pub is the
 	// atomically published root descriptor, lastSeq its sequence;

@@ -187,8 +187,8 @@ func TestStaleImagesSurviveStealing(t *testing.T) {
 
 // TestMemoryTreeRendersImagesAtSync pins "I/O is counted, bytes are
 // rendered at Sync": a tree over a MemStore has no page encoder, so its
-// pool moves stale bytes, while a FileStore twin encodes at every
-// write-back.  Fed the golden stream on a 10-page pool, the two must
+// pool lends the store's pages and moves no bytes, while a FileStore
+// twin encodes at every write-back.  Fed the golden stream on a 10-page pool, the two must
 // charge the same I/O throughout, hold the same page bytes after Sync,
 // and the memory store must reopen to the tree that wrote it.
 func TestMemoryTreeRendersImagesAtSync(t *testing.T) {
@@ -367,6 +367,69 @@ func TestDirtyPageImagesAreCurrent(t *testing.T) {
 		}
 		if wrote := tr.IOStats().Writes - before; wrote != uint64(images) {
 			t.Fatalf("round %d: the checkpoint imaged %d pages and wrote %d", round, images, wrote)
+		}
+	}
+}
+
+// TestCheckpointEncodesEachImageOnce: a checkpoint images the dirty
+// pages (DirtyPages) and then flushes them (FlushPool) with nothing
+// changed in between, so the flush writes the bytes the images were
+// encoded into: the encoder runs once per imaged page, and the page
+// file ends up byte for byte what a flush alone writes.
+func TestCheckpointEncodesEachImageOnce(t *testing.T) {
+	cfg := rexpConfig()
+	cfg.DeferFlush = true
+	dir := t.TempDir()
+	open := func(name string) (*Tree, *storage.FileStore) {
+		fs, err := storage.CreateFileStore(dir + "/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { fs.Close() })
+		tr, err := New(cfg, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr, fs
+	}
+	imaged, imagedStore := open("imaged")
+	plain, plainStore := open("plain")
+	encodes := 0
+	imaged.bp.SetEncoder(func(id storage.PageID, buf []byte) {
+		encodes++
+		imaged.encodePage(id, buf)
+	})
+	sa, sb := newBatchStream(29), newBatchStream(29)
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 10; i++ {
+			sa.batch(t, imaged, 3000, 100)
+			sb.batch(t, plain, 3000, 100)
+		}
+		for _, tr := range []*Tree{imaged, plain} {
+			if err := tr.StageMeta(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		encodes = 0
+		images := 0
+		if err := imaged.DirtyPages(func(storage.PageID, []byte) error { images++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := imaged.FlushPool(); err != nil {
+			t.Fatal(err)
+		}
+		if images == 0 || encodes != images {
+			t.Fatalf("round %d: the checkpoint imaged %d pages and ran the encoder %d times, want once per image", round, images, encodes)
+		}
+		if err := plain.FlushPool(); err != nil {
+			t.Fatal(err)
+		}
+		a, b := make([]byte, storage.PageSize), make([]byte, storage.PageSize)
+		for id := storage.PageID(0); int(id) < imagedStore.PageCount(); id++ {
+			errA, errB := imagedStore.ReadPage(id, a), plainStore.ReadPage(id, b)
+			if (errA == nil) != (errB == nil) || !bytes.Equal(a, b) {
+				t.Fatalf("round %d: page %d differs from the flush-only twin's (errors %v, %v)", round, id, errA, errB)
+			}
 		}
 	}
 }

@@ -100,6 +100,13 @@ type Applier struct {
 	stop     chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
+
+	// The tail loop's state, reused from poll to poll (only the run
+	// goroutine touches it): the frame reader, reset onto each
+	// response, and the batch being gathered with its object ids.
+	fr      *FrameReader
+	batch   []rexptree.Report
+	inBatch map[uint32]bool
 }
 
 // NewApplier prepares a follower over dir; call Open to load or
@@ -463,8 +470,21 @@ func (a *Applier) tailOnce() error {
 	default:
 		return fmt.Errorf("repl: leader tail: %s", readError(resp))
 	}
+	return a.applyTail(resp.Body, from, epoch)
+}
 
-	fr := NewFrameReader(resp.Body)
+// applyTail reads one tail response — header, records, trailer — and
+// applies its records, batching consecutive updates of distinct
+// objects.  It reuses the applier's frame reader, batch and id set, so
+// a poll allocates no buffers of its own.
+func (a *Applier) applyTail(r io.Reader, from, epoch uint64) error {
+	if a.fr == nil {
+		a.fr = NewFrameReader(r)
+		a.inBatch = make(map[uint32]bool)
+	} else {
+		a.fr.Reset(r)
+	}
+	fr := a.fr
 	kind, body, err := fr.ReadFrame()
 	if err != nil {
 		return a.frameFail(err)
@@ -485,12 +505,14 @@ func (a *Applier) tailOnce() error {
 	// the latest time the leader applied its records at, so the
 	// replica's clock follows the leader's.
 	var (
-		batch    []rexptree.Report
+		batch    = a.batch[:0]
 		batchNow float64 // the latest leader time among batch's records
-		inBatch  = map[uint32]bool{}
+		inBatch  = a.inBatch
 		next     = from
 		off      = uint64(0)
 	)
+	clear(inBatch)
+	defer func() { a.batch = batch[:0] }()
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil

@@ -101,6 +101,9 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: bufio.NewReaderSize(r, 64<<10)}
 }
 
+// Reset makes fr read from r, keeping its buffers.
+func (fr *FrameReader) Reset(r io.Reader) { fr.r.Reset(r) }
+
 // ReadFrame returns the next frame's kind and body.  The body aliases
 // an internal buffer valid until the next call.  io.EOF is returned
 // only at a clean frame boundary; a stream cut mid-frame returns

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"slices"
@@ -34,12 +33,21 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
+// frame is one buffered page.  Frames are recycled: one that leaves
+// the pool (evicted or freed) waits on the spare list for the next miss
+// or Allocate, buffer included.
 type frame struct {
-	id     PageID
-	data   []byte
-	dirty  bool
-	pins   int
-	lruPos *list.Element // nil while pinned (not on the LRU list)
+	id    PageID
+	data  []byte
+	dirty bool
+	// encoded is set once DirtyPages has run the encoder on the dirty
+	// page and cleared by the next MarkDirty or write: until then the
+	// bytes are the encoder's output and a flush writes them as they are.
+	encoded bool
+	pins    int
+	// The LRU list's links: both nil while the frame is pinned, spare,
+	// or otherwise off the list.
+	prev, next *frame
 }
 
 // BufferPool caches up to cap pages of a Store with LRU replacement,
@@ -56,17 +64,25 @@ type frame struct {
 // published page versions).  Its callers are the tree's writer, under
 // the exclusive tree lock, and rexptree.Tree's shared-lock readers —
 // ForEach, Validate, Stats and ResetIOStats — which may call it
-// concurrently.  A slice returned by Get stays memory-safe
-// after a concurrent eviction (the frame is dropped, not recycled), but
-// its contents are only stable while no writer mutates the page — the
-// tree lock guarantees that.
+// concurrently.
+//
+// A steady-state miss allocates nothing: the frame (struct and buffer)
+// is the one its eviction released, and the LRU list is threaded
+// through the frames.  So a slice returned by Get holds its page only
+// while the page stays resident; once it is evicted the buffer may be
+// refilled with another page.  A pool with no encoder over a bare
+// MemStore lends instead: each frame's buffer is the store's own page,
+// so a miss, a write-back and an Allocate are charged as ever but move
+// no bytes, and a buffered change is in the store at once.
 type BufferPool struct {
 	mu       sync.Mutex
 	store    Store
+	mem      *MemStore // store, when it is a bare MemStore; see lent
 	capacity int
 	noSteal  bool
 	frames   map[PageID]*frame
-	lru      *list.List // front = most recently used; unpinned frames only
+	lru      frame    // sentinel: lru.next is the most recently used unpinned frame, lru.prev the least
+	spare    []*frame // frames released by eviction or Free, for reuse
 	stats    Stats
 	met      *obs.Metrics // nil when uninstrumented
 
@@ -92,13 +108,20 @@ func NewBufferPool(store Store, capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &BufferPool{
+	bp := &BufferPool{
 		store:    store,
 		capacity: capacity,
 		frames:   make(map[PageID]*frame, capacity),
-		lru:      list.New(),
 	}
+	bp.mem, _ = store.(*MemStore)
+	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
+	return bp
 }
+
+// lent reports whether the pool's frames are the store's own pages: a
+// bare MemStore with no encoder, whose bytes nothing renders, so there
+// is nothing to keep apart from the store.
+func (bp *BufferPool) lent() bool { return bp.mem != nil && bp.encode == nil }
 
 // Stats returns the accumulated I/O counters.
 func (bp *BufferPool) Stats() Stats {
@@ -121,10 +144,22 @@ func (bp *BufferPool) SetMetrics(m *obs.Metrics) {
 // dirty page right before its bytes leave the pool — a Flush, the
 // write-back of an eviction, the visit of DirtyPages — and nowhere
 // else, so the owner of a page may let the buffered bytes fall behind
-// its own decoded copy in between.  fn runs under the pool's mutex and
-// must not call back into the pool; a page it has nothing newer for it
-// leaves alone.  Set it before the pool is shared.
-func (bp *BufferPool) SetEncoder(fn func(id PageID, data []byte)) { bp.encode = fn }
+// its own decoded copy in between.  Bytes DirtyPages encoded leave as
+// they are unless the page is marked dirty again first, so an owner
+// marks every change, also of a page that is already dirty.  fn runs
+// under the pool's mutex and must not call back into the pool; a page
+// it has nothing newer for it leaves alone.  Over a bare MemStore the
+// encoder decides whether the pool lends the store's pages (see lent),
+// so there it must be set before the pool holds a frame; SetEncoder
+// panics otherwise.
+func (bp *BufferPool) SetEncoder(fn func(id PageID, data []byte)) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	if bp.mem != nil && (len(bp.frames) > 0 || len(bp.spare) > 0) {
+		panic("storage: SetEncoder on a MemStore pool that already holds frames")
+	}
+	bp.encode = fn
+}
 
 // ResetStats zeroes the I/O counters.
 func (bp *BufferPool) ResetStats() {
@@ -136,10 +171,53 @@ func (bp *BufferPool) ResetStats() {
 // Store returns the underlying page store.
 func (bp *BufferPool) Store() Store { return bp.store }
 
+// pushFront puts f on the LRU list as its most recently used frame.
+func (bp *BufferPool) pushFront(f *frame) {
+	f.prev, f.next = &bp.lru, bp.lru.next
+	f.next.prev = f
+	bp.lru.next = f
+}
+
+// unlink takes f off the LRU list.
+func (bp *BufferPool) unlink(f *frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+}
+
 func (bp *BufferPool) touch(f *frame) {
-	if f.lruPos != nil {
-		bp.lru.MoveToFront(f.lruPos)
+	if f.next != nil && bp.lru.next != f {
+		bp.unlink(f)
+		bp.pushFront(f)
 	}
+}
+
+// takeFrame returns a frame for page id, off every list and clean: a
+// spare one when there is one, else a new one.  Its buffer is the
+// store's page when the pool lends (which the caller then sets), else
+// a PageSize buffer holding whatever it last held.
+func (bp *BufferPool) takeFrame(id PageID) *frame {
+	var f *frame
+	if n := len(bp.spare); n > 0 {
+		f = bp.spare[n-1]
+		bp.spare = bp.spare[:n-1]
+	} else {
+		f = &frame{}
+	}
+	f.id = id
+	if !bp.lent() && f.data == nil {
+		f.data = make([]byte, PageSize)
+	}
+	return f
+}
+
+// release returns a frame that left the pool (or never entered it) to
+// the spare list.  A lent buffer goes back to its store.
+func (bp *BufferPool) release(f *frame) {
+	f.dirty, f.encoded, f.pins = false, false, 0
+	if bp.lent() {
+		f.data = nil
+	}
+	bp.spare = append(bp.spare, f)
 }
 
 // errNoCleanFrame reports that a no-steal eviction pass found only
@@ -153,19 +231,18 @@ var errNoCleanFrame = errors.New("storage: no clean frame to evict")
 // stays exactly the last checkpoint's; if no clean frame exists the
 // pool overflows (errNoCleanFrame).
 func (bp *BufferPool) evictOne() error {
-	e := bp.lru.Back()
+	f := bp.lru.prev
 	if bp.noSteal {
-		for e != nil && e.Value.(*frame).dirty {
-			e = e.Prev()
+		for f != &bp.lru && f.dirty {
+			f = f.prev
 		}
-		if e == nil {
+		if f == &bp.lru {
 			return errNoCleanFrame
 		}
 	}
-	if e == nil {
+	if f == &bp.lru {
 		return fmt.Errorf("storage: buffer pool full of pinned pages (cap %d)", bp.capacity)
 	}
-	f := e.Value.(*frame)
 	if !bp.noSteal && f.dirty {
 		if err := bp.writeBack(f); err != nil {
 			return err
@@ -181,8 +258,9 @@ func (bp *BufferPool) evictOne() error {
 		bp.met.BufEvictions.Inc()
 		bp.met.Emit(obs.Event{Kind: obs.EvEviction, Level: -1, N: 1})
 	}
-	bp.lru.Remove(e)
+	bp.unlink(f)
 	delete(bp.frames, f.id)
+	bp.release(f)
 	return nil
 }
 
@@ -196,7 +274,7 @@ func (bp *BufferPool) admit(f *frame) error {
 		}
 	}
 	bp.frames[f.id] = f
-	f.lruPos = bp.lru.PushFront(f)
+	bp.pushFront(f)
 	return nil
 }
 
@@ -243,15 +321,15 @@ func (bp *BufferPool) pendingDirty() []PageID {
 // order, with the page's bytes brought up to date by the encoder.  The
 // slice passed to fn aliases the frame; fn must not retain it.  Dirty
 // flags are not cleared — Flush does that when the checkpoint writes
-// the pages to the store.
+// the pages to the store, and it writes the bytes encoded here unless
+// the page was marked dirty again in between, so a checkpoint encodes
+// each page it images once.
 func (bp *BufferPool) DirtyPages(fn func(id PageID, data []byte) error) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	for _, id := range bp.pendingDirty() {
 		f := bp.frames[id]
-		if bp.encode != nil {
-			bp.encode(id, f.data)
-		}
+		bp.render(f)
 		if err := fn(id, f.data); err != nil {
 			return err
 		}
@@ -261,9 +339,9 @@ func (bp *BufferPool) DirtyPages(fn func(id PageID, data []byte) error) error {
 
 // Get returns the contents of the page, reading it from the store on a
 // miss; a hit moves the page to the front of the LRU list.  The
-// returned slice aliases the buffer frame: it is valid until the page
-// is evicted, so callers must not retain it across other pool
-// operations unless the page is pinned.
+// returned slice aliases the buffer frame and holds the page while it
+// stays resident: read it before your next pool call, or pin the page.
+// After an eviction the frame's buffer may hold another page.
 func (bp *BufferPool) Get(id PageID) ([]byte, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -279,8 +357,9 @@ func (bp *BufferPool) get(id PageID) ([]byte, error) {
 		bp.touch(f)
 		return f.data, nil
 	}
-	f := &frame{id: id, data: make([]byte, PageSize)}
-	if err := bp.readPage(id, f.data); err != nil {
+	f := bp.takeFrame(id)
+	if err := bp.readPage(f); err != nil {
+		bp.release(f)
 		return nil, err
 	}
 	bp.stats.Reads++
@@ -288,6 +367,7 @@ func (bp *BufferPool) get(id PageID) ([]byte, error) {
 		bp.met.BufReads.Inc()
 	}
 	if err := bp.admit(f); err != nil {
+		bp.release(f)
 		return nil, err
 	}
 	return f.data, nil
@@ -302,48 +382,77 @@ func (bp *BufferPool) get(id PageID) ([]byte, error) {
 // _writes_total; the phase histogram's _count is the sample count.)
 const ioSampleEvery = 8
 
-// readPage reads the page from the store, timing a uniform sample of
-// reads into the io_read phase histogram when instrumented.  Caller
-// holds bp.mu.
-func (bp *BufferPool) readPage(id PageID, data []byte) error {
+// readPage fills the frame with its page from the store — a lending
+// pool points it at the store's page — timing a uniform sample of reads
+// into the io_read phase histogram when instrumented.  Caller holds
+// bp.mu.
+func (bp *BufferPool) readPage(f *frame) error {
 	if bp.met == nil {
-		return bp.store.ReadPage(id, data)
+		return bp.fill(f)
 	}
 	if bp.ioReadN++; bp.ioReadN%ioSampleEvery != 0 {
-		return bp.store.ReadPage(id, data)
+		return bp.fill(f)
 	}
 	start := time.Now()
-	err := bp.store.ReadPage(id, data)
+	err := bp.fill(f)
 	bp.met.ObservePhase(obs.PhaseIORead, time.Since(start))
 	return err
 }
 
-// writePage writes the page to the store, timing a uniform sample of
-// writes into the io_write phase histogram when instrumented.  Caller
-// holds bp.mu.
-func (bp *BufferPool) writePage(id PageID, data []byte) error {
+// fill is readPage's untimed body.
+func (bp *BufferPool) fill(f *frame) error {
+	if bp.lent() {
+		data, err := bp.mem.page(f.id)
+		f.data = data
+		return err
+	}
+	return bp.store.ReadPage(f.id, f.data)
+}
+
+// writePage writes the frame to the store — for a lending pool, whose
+// frame is the store's page, it only checks the page is live — timing a
+// uniform sample of writes into the io_write phase histogram when
+// instrumented.  Caller holds bp.mu.
+func (bp *BufferPool) writePage(f *frame) error {
 	if bp.met == nil {
-		return bp.store.WritePage(id, data)
+		return bp.put(f)
 	}
 	if bp.ioWriteN++; bp.ioWriteN%ioSampleEvery != 0 {
-		return bp.store.WritePage(id, data)
+		return bp.put(f)
 	}
 	start := time.Now()
-	err := bp.store.WritePage(id, data)
+	err := bp.put(f)
 	bp.met.ObservePhase(obs.PhaseIOWrite, time.Since(start))
 	return err
+}
+
+// put is writePage's untimed body.
+func (bp *BufferPool) put(f *frame) error {
+	if bp.lent() {
+		_, err := bp.mem.page(f.id)
+		return err
+	}
+	return bp.store.WritePage(f.id, f.data)
+}
+
+// render brings a dirty frame's bytes up to date with the encoder,
+// unless DirtyPages already did and the page has not changed since.
+// Caller holds bp.mu.
+func (bp *BufferPool) render(f *frame) {
+	if bp.encode != nil && !f.encoded {
+		bp.encode(f.id, f.data)
+		f.encoded = true
+	}
 }
 
 // writeBack brings a dirty frame's bytes up to date and writes them to
 // the store, leaving the frame clean.  Caller holds bp.mu.
 func (bp *BufferPool) writeBack(f *frame) error {
-	if bp.encode != nil {
-		bp.encode(f.id, f.data)
-	}
-	if err := bp.writePage(f.id, f.data); err != nil {
+	bp.render(f)
+	if err := bp.writePage(f); err != nil {
 		return err
 	}
-	f.dirty = false
+	f.dirty, f.encoded = false, false
 	bp.stats.Writes++
 	if bp.met != nil {
 		bp.met.BufWrites.Inc()
@@ -351,9 +460,10 @@ func (bp *BufferPool) writeBack(f *frame) error {
 	return nil
 }
 
-// markDirty flags the frame and queues its page for the next Flush.
-// Caller holds bp.mu.
+// markDirty flags the frame and queues its page for the next Flush;
+// bytes DirtyPages encoded are stale from now on.  Caller holds bp.mu.
 func (bp *BufferPool) markDirty(f *frame) {
+	f.encoded = false
 	if !f.dirty {
 		f.dirty = true
 		bp.dirtyq = append(bp.dirtyq, f.id)
@@ -388,9 +498,8 @@ func (bp *BufferPool) Pin(id PageID) error {
 		f = bp.frames[id]
 	}
 	f.pins++
-	if f.lruPos != nil {
-		bp.lru.Remove(f.lruPos)
-		f.lruPos = nil
+	if f.next != nil {
+		bp.unlink(f)
 	}
 	return nil
 }
@@ -405,7 +514,7 @@ func (bp *BufferPool) Unpin(id PageID) error {
 	}
 	f.pins--
 	if f.pins == 0 {
-		f.lruPos = bp.lru.PushFront(f)
+		bp.pushFront(f)
 	}
 	return nil
 }
@@ -419,8 +528,14 @@ func (bp *BufferPool) Allocate() (PageID, []byte, error) {
 	if err != nil {
 		return InvalidPage, nil, err
 	}
-	f := &frame{id: id, data: make([]byte, PageSize)}
+	f := bp.takeFrame(id)
+	if bp.lent() {
+		f.data = bp.mem.pages[id] // zeroed by the store
+	} else {
+		clear(f.data)
+	}
 	if err := bp.admit(f); err != nil {
+		bp.release(f)
 		return InvalidPage, nil, err
 	}
 	bp.markDirty(f)
@@ -436,10 +551,11 @@ func (bp *BufferPool) Free(id PageID) error {
 		if f.pins > 0 {
 			return fmt.Errorf("storage: Free(%d): page is pinned", id)
 		}
-		if f.lruPos != nil {
-			bp.lru.Remove(f.lruPos)
+		if f.next != nil {
+			bp.unlink(f)
 		}
 		delete(bp.frames, id)
+		bp.release(f)
 	}
 	return bp.store.Free(id)
 }

@@ -34,34 +34,57 @@ func TestBufferPoolReadYourWrites(t *testing.T) {
 	}
 }
 
+// poolStores are the two ways a pool holds its pages: over a bare
+// MemStore it lends the store's own pages as frames, over any other
+// store (here a FileStore) it copies each page into a recycled frame.
+// The pool tests that check page bytes run over both.
+var poolStores = []struct {
+	name string
+	open func(t *testing.T) Store
+}{
+	{"lent", func(*testing.T) Store { return NewMemStore() }},
+	{"copied", func(t *testing.T) Store {
+		fs, err := CreateFileStore(t.TempDir() + "/pool.db")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { fs.Close() })
+		return fs
+	}},
+}
+
 func TestBufferPoolEvictionWritesBackDirty(t *testing.T) {
-	store := NewMemStore()
-	bp := NewBufferPool(store, 2)
-	a, dataA, _ := bp.Allocate()
-	dataA[0] = 1
-	bp.MarkDirty(a)
-	b, dataB, _ := bp.Allocate()
-	dataB[0] = 2
-	bp.MarkDirty(b)
-	// Third allocation evicts the LRU page (a).
-	c, _, _ := bp.Allocate()
-	_ = c
-	if bp.Resident() != 2 {
-		t.Fatalf("resident = %d", bp.Resident())
-	}
-	if bp.Stats().Writes != 1 {
-		t.Fatalf("writes = %d, want 1 (evicted dirty page)", bp.Stats().Writes)
-	}
-	// Re-reading a must come from the store with the written content.
-	got, err := bp.Get(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 1 {
-		t.Fatal("dirty page lost on eviction")
-	}
-	if bp.Stats().Reads != 1 {
-		t.Errorf("reads = %d, want 1 (miss on a)", bp.Stats().Reads)
+	for _, ps := range poolStores {
+		open := ps.open
+		t.Run(ps.name, func(t *testing.T) {
+			bp := NewBufferPool(open(t), 2)
+			a, dataA, _ := bp.Allocate()
+			dataA[0] = 1
+			bp.MarkDirty(a)
+			b, dataB, _ := bp.Allocate()
+			dataB[0] = 2
+			bp.MarkDirty(b)
+			// Third allocation evicts the LRU page (a).
+			c, _, _ := bp.Allocate()
+			_ = c
+			if bp.Resident() != 2 {
+				t.Fatalf("resident = %d", bp.Resident())
+			}
+			if bp.Stats().Writes != 1 {
+				t.Fatalf("writes = %d, want 1 (evicted dirty page)", bp.Stats().Writes)
+			}
+			// Re-reading a must come from the store with the written content.
+			got, err := bp.Get(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[0] != 1 {
+				t.Fatal("dirty page lost on eviction")
+			}
+			if bp.Stats().Reads != 1 {
+				t.Errorf("reads = %d, want 1 (miss on a)", bp.Stats().Reads)
+			}
+		})
 	}
 }
 
@@ -381,8 +404,8 @@ func (m *lruModel) check(t *testing.T, step int, bp *BufferPool) {
 		t.Fatalf("step %d: resident pages %v, want %v (exact LRU)", step, sortedKeys(bp.frames), sortedKeys(m.dirty))
 	}
 	var order []PageID
-	for e := bp.lru.Front(); e != nil; e = e.Next() {
-		order = append(order, e.Value.(*frame).id)
+	for f := bp.lru.next; f != &bp.lru; f = f.next {
+		order = append(order, f.id)
 	}
 	if !slices.Equal(order, m.order) {
 		t.Fatalf("step %d: recency order %v, want %v", step, order, m.order)
@@ -394,10 +417,11 @@ func (m *lruModel) check(t *testing.T, step int, bp *BufferPool) {
 
 // TestBufferPoolRandomizedAgainstStore checks, through arbitrary
 // interleavings of every pool call, under both the steal and the
-// no-steal policy, that page contents always match what a
-// write-through oracle would hold and that the pool replaces pages by
-// exact LRU: after each call its resident set, recency order and
-// counters equal those of a brute-force reference model.
+// no-steal policy and over both poolStores, that page contents always
+// match what a write-through oracle would hold and that the pool
+// replaces pages by exact LRU: after each call its resident set,
+// recency order and counters equal those of a brute-force reference
+// model.
 func TestBufferPoolRandomizedAgainstStore(t *testing.T) {
 	for _, noSteal := range []bool{false, true} {
 		name := "steal"
@@ -405,89 +429,94 @@ func TestBufferPoolRandomizedAgainstStore(t *testing.T) {
 			name = "no-steal"
 		}
 		t.Run(name, func(t *testing.T) {
-			const capacity = 4
-			bp := NewBufferPool(NewMemStore(), capacity)
-			bp.SetNoSteal(noSteal)
-			m := &lruModel{cap: capacity, noSteal: noSteal, dirty: map[PageID]bool{}, pins: map[PageID]int{}}
-			rng := rand.New(rand.NewSource(77))
-			oracle := map[PageID][]byte{}
-			var ids []PageID
-			pick := func() PageID { return ids[rng.Intn(len(ids))] }
-			for step := 0; step < 4000; step++ {
-				switch op := rng.Intn(20); {
-				case op < 4 || len(ids) == 0: // allocate
-					id, data, err := bp.Allocate()
-					if err != nil {
-						t.Fatal(err)
+			for _, ps := range poolStores {
+				open := ps.open
+				t.Run(ps.name, func(t *testing.T) {
+					const capacity = 4
+					bp := NewBufferPool(open(t), capacity)
+					bp.SetNoSteal(noSteal)
+					m := &lruModel{cap: capacity, noSteal: noSteal, dirty: map[PageID]bool{}, pins: map[PageID]int{}}
+					rng := rand.New(rand.NewSource(77))
+					oracle := map[PageID][]byte{}
+					var ids []PageID
+					pick := func() PageID { return ids[rng.Intn(len(ids))] }
+					for step := 0; step < 4000; step++ {
+						switch op := rng.Intn(20); {
+						case op < 4 || len(ids) == 0: // allocate
+							id, data, err := bp.Allocate()
+							if err != nil {
+								t.Fatal(err)
+							}
+							m.admit(id)
+							m.dirty[id] = true
+							rng.Read(data)
+							oracle[id] = append([]byte(nil), data...)
+							ids = append(ids, id)
+						case op < 12: // read and verify
+							id := pick()
+							data, err := bp.Get(id)
+							if err != nil {
+								t.Fatal(err)
+							}
+							m.get(id)
+							if !bytes.Equal(data, oracle[id]) {
+								t.Fatalf("step %d: page %d diverged from oracle", step, id)
+							}
+						case op < 14: // overwrite
+							id := pick()
+							data, err := bp.Get(id)
+							if err != nil {
+								t.Fatal(err)
+							}
+							m.get(id)
+							rng.Read(data)
+							if err := bp.MarkDirty(id); err != nil {
+								t.Fatal(err)
+							}
+							m.dirty[id] = true
+							oracle[id] = append([]byte(nil), data...)
+						case op < 16: // pin, keeping one frame evictable
+							id := pick()
+							if m.pins[id] == 0 && len(m.pins) >= capacity-1 {
+								continue
+							}
+							if err := bp.Pin(id); err != nil {
+								t.Fatal(err)
+							}
+							m.pin(id)
+						case op < 18: // unpin
+							if len(m.pins) == 0 {
+								continue
+							}
+							id := sortedKeys(m.pins)[rng.Intn(len(m.pins))]
+							if err := bp.Unpin(id); err != nil {
+								t.Fatal(err)
+							}
+							m.unpin(id)
+						case op < 19: // free an unpinned page
+							id := pick()
+							if m.pins[id] > 0 {
+								continue
+							}
+							if err := bp.Free(id); err != nil {
+								t.Fatal(err)
+							}
+							delete(m.dirty, id)
+							m.unlist(id)
+							delete(oracle, id)
+							ids = slices.DeleteFunc(ids, func(x PageID) bool { return x == id })
+						default: // flush
+							if err := bp.Flush(); err != nil {
+								t.Fatal(err)
+							}
+							m.flush()
+						}
+						m.check(t, step, bp)
 					}
-					m.admit(id)
-					m.dirty[id] = true
-					rng.Read(data)
-					oracle[id] = append([]byte(nil), data...)
-					ids = append(ids, id)
-				case op < 12: // read and verify
-					id := pick()
-					data, err := bp.Get(id)
-					if err != nil {
-						t.Fatal(err)
+					if m.st.Evictions == 0 || (!noSteal && m.st.DirtyWritebacks == 0) {
+						t.Fatalf("the run must exercise eviction: %+v", m.st)
 					}
-					m.get(id)
-					if !bytes.Equal(data, oracle[id]) {
-						t.Fatalf("step %d: page %d diverged from oracle", step, id)
-					}
-				case op < 14: // overwrite
-					id := pick()
-					data, err := bp.Get(id)
-					if err != nil {
-						t.Fatal(err)
-					}
-					m.get(id)
-					rng.Read(data)
-					if err := bp.MarkDirty(id); err != nil {
-						t.Fatal(err)
-					}
-					m.dirty[id] = true
-					oracle[id] = append([]byte(nil), data...)
-				case op < 16: // pin, keeping one frame evictable
-					id := pick()
-					if m.pins[id] == 0 && len(m.pins) >= capacity-1 {
-						continue
-					}
-					if err := bp.Pin(id); err != nil {
-						t.Fatal(err)
-					}
-					m.pin(id)
-				case op < 18: // unpin
-					if len(m.pins) == 0 {
-						continue
-					}
-					id := sortedKeys(m.pins)[rng.Intn(len(m.pins))]
-					if err := bp.Unpin(id); err != nil {
-						t.Fatal(err)
-					}
-					m.unpin(id)
-				case op < 19: // free an unpinned page
-					id := pick()
-					if m.pins[id] > 0 {
-						continue
-					}
-					if err := bp.Free(id); err != nil {
-						t.Fatal(err)
-					}
-					delete(m.dirty, id)
-					m.unlist(id)
-					delete(oracle, id)
-					ids = slices.DeleteFunc(ids, func(x PageID) bool { return x == id })
-				default: // flush
-					if err := bp.Flush(); err != nil {
-						t.Fatal(err)
-					}
-					m.flush()
-				}
-				m.check(t, step, bp)
-			}
-			if m.st.Evictions == 0 || (!noSteal && m.st.DirtyWritebacks == 0) {
-				t.Fatalf("the run must exercise eviction: %+v", m.st)
+				})
 			}
 		})
 	}
@@ -753,8 +782,10 @@ func TestFlushRetriesAfterError(t *testing.T) {
 	}
 }
 
-// The encoder runs on a dirty page each time its bytes leave the pool
-// — flush, steal eviction, DirtyPages — and at no other time.
+// The encoder runs on a dirty page when its bytes leave the pool —
+// flush, steal eviction, DirtyPages — and at no other time, and once
+// per change: bytes DirtyPages encoded leave as they are until the
+// page is marked dirty again.
 func TestEncoderRunsWhenBytesLeave(t *testing.T) {
 	store := NewMemStore()
 	bp := NewBufferPool(store, 2)
@@ -779,6 +810,9 @@ func TestEncoderRunsWhenBytesLeave(t *testing.T) {
 		t.Fatalf("DirtyPages saw %v after %d encoder calls (err %v), want [1 2] after 2", seen, calls, err)
 	}
 	version[b] = 3
+	if err := bp.MarkDirty(b); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := bp.Allocate(); err != nil { // evicts b, the least recently used
 		t.Fatal(err)
 	}
@@ -787,6 +821,9 @@ func TestEncoderRunsWhenBytesLeave(t *testing.T) {
 		t.Fatalf("evicted page holds version %d after %d encoder calls (err %v), want 3 after 3", buf[1], calls, err)
 	}
 	version[a] = 4
+	if err := bp.MarkDirty(a); err != nil {
+		t.Fatal(err)
+	}
 	if err := bp.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -799,5 +836,139 @@ func TestEncoderRunsWhenBytesLeave(t *testing.T) {
 	}
 	if err := bp.Flush(); err != nil || calls != 5 {
 		t.Fatalf("encoder ran on clean pages: %d calls (err %v)", calls, err)
+	}
+}
+
+// Over a bare MemStore the encoder decides whether frames are the
+// store's own pages, so setting it once the pool holds a frame would
+// leave lent buffers to be recycled for other pages: SetEncoder refuses.
+func TestSetEncoderAfterUseOnMemStorePanics(t *testing.T) {
+	bp := NewBufferPool(NewMemStore(), 2)
+	if _, _, err := bp.Allocate(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetEncoder on a MemStore pool holding a frame did not panic")
+		}
+	}()
+	bp.SetEncoder(func(PageID, []byte) {})
+}
+
+// TestBufferPoolMissAllocs: once the pool is full, a miss takes the
+// frame its eviction released (struct and buffer) and the LRU list is
+// threaded through the frames, so a miss — with the dirty victim's
+// write-back — allocates nothing.  Over a bare MemStore the frame's
+// buffer is the store's page; over a FileStore the page is read into
+// the recycled buffer.
+func TestBufferPoolMissAllocs(t *testing.T) {
+	for _, c := range poolStores {
+		t.Run(c.name, func(t *testing.T) {
+			const pages, capacity = 64, 8
+			bp := NewBufferPool(c.open(t), capacity)
+			var ids []PageID
+			for i := 0; i < pages; i++ {
+				id, _, err := bp.Allocate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+			rng := rand.New(rand.NewSource(3))
+			touch := func() {
+				id := ids[rng.Intn(pages)]
+				data, err := bp.Get(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data[0]++
+				if err := bp.MarkDirty(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 100; i++ {
+				touch()
+			}
+			before := bp.Stats()
+			if allocs := testing.AllocsPerRun(500, touch); allocs != 0 {
+				t.Errorf("a miss allocates %.2f objects, want 0", allocs)
+			}
+			if d := bp.Stats().Sub(before); d.Reads == 0 || d.DirtyWritebacks == 0 {
+				t.Fatalf("the sample must miss and write back: %+v", d)
+			}
+		})
+	}
+}
+
+// TestBufferPoolConcurrentReadersFileStore is TestBufferPoolConcurrentReaders
+// over a FileStore, whose frames hold copies the pool recycles: a
+// frame a reader did not pin may be refilled with another page by the
+// next miss, so readers compare a page's bytes only under a pin (Get's
+// contract) and otherwise just request it.  Run it under -race.
+func TestBufferPoolConcurrentReadersFileStore(t *testing.T) {
+	const pages, capacity, readers, steps = 64, 8, 4, 2000
+	store, err := CreateFileStore(t.TempDir() + "/readers.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	want := make([][]byte, pages)
+	for i := range want {
+		id, err := store.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = make([]byte, PageSize)
+		rand.New(rand.NewSource(int64(id))).Read(want[i])
+		if err := store.WritePage(id, want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bp := NewBufferPool(store, capacity)
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < steps; i++ {
+				id := PageID(rng.Intn(1 + rng.Intn(pages)))
+				pin := rng.Intn(2) == 0
+				if pin {
+					if err := bp.Pin(id); err != nil {
+						errs <- err
+						return
+					}
+				}
+				data, err := bp.Get(id)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if pin {
+					if !bytes.Equal(data, want[id]) {
+						errs <- fmt.Errorf("reader %d: pinned page %d differs from the store", seed, id)
+						return
+					}
+					if err := bp.Unpin(id); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}(int64(r))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := bp.Stats()
+	if st.Reads == 0 || st.Hits == 0 || st.Evictions == 0 {
+		t.Fatalf("the readers must both hit and miss: %+v", st)
+	}
+	if res := bp.Resident(); uint64(res) != st.Reads-st.Evictions || res > capacity {
+		t.Fatalf("%d pages resident after %d reads and %d evictions (capacity %d)", res, st.Reads, st.Evictions, capacity)
 	}
 }

@@ -69,6 +69,7 @@ func SyncStore(s Store) error {
 type MemStore struct {
 	pages [][]byte
 	freed []PageID
+	spare [][]byte // the buffers of freed pages, for the next Allocate
 	live  int
 }
 
@@ -94,6 +95,15 @@ func (s *MemStore) ReadPage(id PageID, buf []byte) error {
 	return nil
 }
 
+// page returns the page's own bytes, which a lending BufferPool uses
+// as its frame (see BufferPool.lent).
+func (s *MemStore) page(id PageID) ([]byte, error) {
+	if err := s.check(id); err != nil {
+		return nil, err
+	}
+	return s.pages[id], nil
+}
+
 // WritePage implements Store.
 func (s *MemStore) WritePage(id PageID, buf []byte) error {
 	if err := s.check(id); err != nil {
@@ -106,13 +116,21 @@ func (s *MemStore) WritePage(id PageID, buf []byte) error {
 // Allocate implements Store.
 func (s *MemStore) Allocate() (PageID, error) {
 	s.live++
+	var buf []byte
+	if n := len(s.spare); n > 0 {
+		buf = s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		clear(buf)
+	} else {
+		buf = make([]byte, PageSize)
+	}
 	if n := len(s.freed); n > 0 {
 		id := s.freed[n-1]
 		s.freed = s.freed[:n-1]
-		s.pages[id] = make([]byte, PageSize)
+		s.pages[id] = buf
 		return id, nil
 	}
-	s.pages = append(s.pages, make([]byte, PageSize))
+	s.pages = append(s.pages, buf)
 	return PageID(len(s.pages) - 1), nil
 }
 
@@ -121,6 +139,7 @@ func (s *MemStore) Free(id PageID) error {
 	if err := s.check(id); err != nil {
 		return err
 	}
+	s.spare = append(s.spare, s.pages[id])
 	s.pages[id] = nil
 	s.freed = append(s.freed, id)
 	s.live--
@@ -132,6 +151,6 @@ func (s *MemStore) Len() int { return s.live }
 
 // Close implements Store.
 func (s *MemStore) Close() error {
-	s.pages, s.freed, s.live = nil, nil, 0
+	s.pages, s.freed, s.spare, s.live = nil, nil, nil, 0
 	return nil
 }
