@@ -5,7 +5,7 @@
 #   make bench            the repository benchmark (BENCHMARK.json) -> bench/out/runs.jsonl
 #   make bench-compare A=a.jsonl B=b.jsonl   compare two benchmark runs, run against run
 #   make bench-update     the update path's microbenchmarks (kernel, ChooseSubtree, computeBR, a pool miss, one update, batched updates, a durable body, the paper stream)
-#   make bench-query      the query kernels' microbenchmarks (nearest on one tree and on 4 shards, region queries per shape)
+#   make bench-query      the query kernels' microbenchmarks (nearest on one tree and on 4 shards, region queries per shape, one served request per kind)
 #   make bench-ingest     the served write path's microbenchmarks (one 100-record /v1/batch body on 4 shards, one decoded line)
 #   make serve-smoke      the README serving quickstart, end to end
 #   make fault-matrix     the replication fault-injection matrix, under -race
@@ -60,9 +60,10 @@ race:
 # tests drive single-object mutations through it concurrently.  Two golden
 # streams ride along, one of them in three dimensions: their deletes go
 # through the locator, whose tables are Go maps, and "same seed, same
-# pages" must not depend on them.  So does the slab-reuse stress test: a
-# writer copying pages into reclaimed slabs against readers pinned
-# across hundreds of publications and readers pinned per query.  The
+# pages" must not depend on them.  So do the slab-reuse tests: a writer
+# copying pages into reclaimed slabs against readers pinned across
+# hundreds of publications and readers pinned per query, once on the
+# writer's schedule and once free-running, the stress run.  The
 # buffer pool must replace pages by exact LRU, the paper's I/O metric,
 # and stay sound under the tree's shared-lock readers, which may call it
 # concurrently: its reference-model test and its concurrent-reader test
@@ -77,7 +78,7 @@ determinism:
 	$(GO) test -count=3 -cpu 1,2,4 -run 'TestDualApplyOrdering|TestConcurrentQueriesDuringReroute|TestShardedConcurrentMixedLoad' .
 	$(GO) test -count=50 -cpu 1,2,4 -run 'NearestLostClockRace' ./internal/server ./internal/repl
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestLiveReshardKeepsClock|TestRestartServesStoredClock|TestReplFollowerServesAppliedClock' . ./cmd/rexpd ./internal/repl
-	$(GO) test -count=3 -cpu 1,2,4 -run 'TestGoldenTrees/near-optimal/stored-exp|TestGoldenTrees/near-optimal/dims3|TestSlabReuseUnderPinnedReaders' ./internal/core
+	$(GO) test -count=3 -cpu 1,2,4 -run 'TestGoldenTrees/near-optimal/stored-exp|TestGoldenTrees/near-optimal/dims3|TestSlabReuse' ./internal/core
 	$(GO) test -race -count=3 -cpu 1,2,4 -run 'TestBufferPoolRandomizedAgainstStore|TestBufferPoolConcurrentReaders' ./internal/storage
 
 # Every way a durable tree is killed — WAL lifecycle faults, storage
@@ -157,12 +158,15 @@ bench-update:
 # snapshot, the region kernel's time per tested leaf entry per query
 # shape over 20 000 objects, and one k = 10 nearest query on a 4-shard
 # hash-partitioned index of 20 000 objects of the paper's stream, with
-# the nodes it visits across the shards (nodes/op).  -benchmem's
-# allocs/op is each path's allocation budget.  Prints to the terminal;
-# bench/ holds the numbers that count.
+# the nodes it visits across the shards (nodes/op), and one served
+# request of each query kind, plain and with ?explain=1, through
+# Server.ServeHTTP on such an index.  -benchmem's allocs/op is each
+# path's allocation budget.  Prints to the terminal; bench/ holds the
+# numbers that count.
 bench-query:
 	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkNearestWarm|BenchmarkNearestSnapWarm|BenchmarkSearchSnap' -benchmem
 	$(GO) test . -run '^$$' -bench 'BenchmarkShardedNearest$$' -benchmem
+	$(GO) test ./internal/server -run '^$$' -bench 'BenchmarkServedQuery$$' -benchmem
 
 # The served write path: one 100-record /v1/batch body of the paper's
 # stream per op, through Server.ServeHTTP on a 4-shard hash-partitioned

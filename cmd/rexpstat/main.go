@@ -308,16 +308,16 @@ func runExplain(scale float64, seed int64, expT, expD, newOb float64, uniform, a
 	}
 	center := rexptree.Vec{500, 500}
 	var traces []*rexptree.QueryTrace
-	_, tc, err := st.TraceWindow(region, now, now+10, now)
+	_, tc, err := st.Query(rexptree.Query{Kind: rexptree.QueryWindow, R: region, T1: now, T2: now + 10, Explain: true}, now)
 	if err != nil {
 		return err
 	}
 	traces = append(traces, tc)
-	if _, tc, err = st.TraceTimeslice(region, now+5, now); err != nil {
+	if _, tc, err = st.Query(rexptree.Query{Kind: rexptree.QueryTimeslice, R: region, At: now + 5, Explain: true}, now); err != nil {
 		return err
 	}
 	traces = append(traces, tc)
-	if _, tc, err = st.TraceNearest(center, now, 10, now); err != nil {
+	if _, tc, err = st.Query(rexptree.Query{Kind: rexptree.QueryNearest, Pos: center, At: now, K: 10, Explain: true}, now); err != nil {
 		return err
 	}
 	traces = append(traces, tc)

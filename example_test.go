@@ -184,9 +184,9 @@ func Example_flightRecorder() {
 	// newest op: window with 1 result(s)
 }
 
-// Trace* query variants return the results plus an EXPLAIN trace; on a
-// sharded index it includes the per-shard table.
-func ExampleShardedTree_TraceWindow() {
+// A query with Explain set returns the results plus its EXPLAIN trace;
+// on a sharded index the trace includes the per-shard table.
+func ExampleShardedTree_Query() {
 	tree, _ := rexptree.OpenSharded(rexptree.ShardedOptions{
 		Options: rexptree.DefaultOptions(),
 		Shards:  2,
@@ -200,9 +200,13 @@ func ExampleShardedTree_TraceWindow() {
 		}, 0)
 	}
 
-	res, trace, _ := tree.TraceWindow(rexptree.Rect{
-		Lo: rexptree.Vec{150, 0}, Hi: rexptree.Vec{450, 1000},
-	}, 0, 10, 0)
+	res, trace, _ := tree.Query(rexptree.Query{
+		Kind:    rexptree.QueryWindow,
+		R:       rexptree.Rect{Lo: rexptree.Vec{150, 0}, Hi: rexptree.Vec{450, 1000}},
+		T1:      0,
+		T2:      10,
+		Explain: true,
+	}, 0)
 
 	fmt.Printf("op %s: %d results\n", trace.Op, len(res))
 	for _, sh := range trace.Shards {

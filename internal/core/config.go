@@ -110,8 +110,8 @@ type Config struct {
 	// Metrics, when non-nil, attaches the observability registry of
 	// internal/obs: the engine counts buffer traffic, ChooseSubtree
 	// descents, node visits, splits, forced reinserts, condensing and
-	// lazy purges, and emits structural events to Metrics.Observer.
-	// When nil the engine runs uninstrumented (the nil fast path).
+	// lazy purges.  When nil the engine runs uninstrumented (the nil
+	// fast path).
 	Metrics *obs.Metrics
 }
 

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"rexptree/internal/geom"
-	"rexptree/internal/obs"
 	"rexptree/internal/storage"
 )
 
@@ -66,7 +65,6 @@ func (t *Tree) drainOrphans(orphans *[]orphan) error {
 		*orphans = append((*orphans)[:best], (*orphans)[best+1:]...)
 		if t.met != nil {
 			t.met.OrphansReinserted.Inc()
-			t.met.Emit(obs.Event{Kind: obs.EvOrphanReinserted, Level: o.level, N: 1})
 		}
 		if err := t.insertOrphan(o, orphans); err != nil {
 			return err
@@ -328,7 +326,6 @@ func (t *Tree) propagateUp(path []*vnode, orphans *[]orphan) error {
 				moved := t.pickReinsert(n)
 				if t.met != nil {
 					t.met.ForcedReinserts.Inc()
-					t.met.Emit(obs.Event{Kind: obs.EvForcedReinsert, Level: n.level, N: len(moved)})
 				}
 				for _, e := range moved {
 					*orphans = append(*orphans, orphan{e: e, level: n.level})
@@ -359,7 +356,6 @@ func (t *Tree) propagateUp(path []*vnode, orphans *[]orphan) error {
 			// PU2: orphan the live entries and drop the node.
 			if t.met != nil {
 				t.met.Condenses.Inc()
-				t.met.Emit(obs.Event{Kind: obs.EvCondense, Level: n.level, N: n.count})
 			}
 			for k := 0; k < n.count; k++ {
 				*orphans = append(*orphans, orphan{e: n.entry(k), level: n.level})

@@ -8,19 +8,11 @@ import (
 	"rexptree/internal/obs"
 )
 
-// recorder captures the event stream of one operation at a time.
-type recorder struct{ events []obs.Event }
-
-func (r *recorder) Observe(e obs.Event) { r.events = append(r.events, e) }
-func (r *recorder) reset()              { r.events = r.events[:0] }
-
-func obsConfig() (Config, *obs.Metrics, *recorder) {
+func obsConfig() (Config, *obs.Metrics) {
 	met := obs.New()
-	rec := &recorder{}
-	met.Observer = rec
 	cfg := rexpConfig()
 	cfg.Metrics = met
-	return cfg, met, rec
+	return cfg, met
 }
 
 func randPoint(rng *rand.Rand, texp float64) geom.MovingPoint {
@@ -31,11 +23,12 @@ func randPoint(rng *rand.Rand, texp float64) geom.MovingPoint {
 	}
 }
 
-// TestObserverInsertSplitOrdering fills the root leaf to overflow: the
-// overflowing insertion must deliver exactly one split event (the root
-// never uses forced reinsertion), with counters in agreement.
-func TestObserverInsertSplitOrdering(t *testing.T) {
-	cfg, met, rec := obsConfig()
+// TestInsertSplitCounters fills the root leaf to overflow: the
+// overflowing insertion must split the root leaf exactly once (the
+// root never uses forced reinsertion), condensing and purging nothing,
+// and the tree must grow to two levels with every entry kept.
+func TestInsertSplitCounters(t *testing.T) {
+	cfg, met := obsConfig()
 	tr := newTestTree(t, cfg)
 	rng := rand.New(rand.NewSource(7))
 	cap := tr.LeafCapacity()
@@ -47,58 +40,36 @@ func TestObserverInsertSplitOrdering(t *testing.T) {
 	if met.Splits.Load() != 0 {
 		t.Fatalf("splits = %d before overflow", met.Splits.Load())
 	}
-	rec.reset()
+	before := met.Snapshot()
 	if err := tr.Insert(uint32(cap), randPoint(rng, 1e9), 0); err != nil {
 		t.Fatal(err)
 	}
-	var splits []obs.Event
-	for _, e := range rec.events {
-		switch e.Kind {
-		case obs.EvSplit:
-			splits = append(splits, e)
-		case obs.EvCondense, obs.EvPurge, obs.EvForcedReinsert:
-			t.Errorf("unexpected %v event during root split", e.Kind)
-		}
+	after := met.Snapshot()
+	if d := after.Splits - before.Splits; d != 1 {
+		t.Fatalf("splits = %d during the overflowing insertion, want 1", d)
 	}
-	if len(splits) != 1 {
-		t.Fatalf("split events = %d, want 1", len(splits))
-	}
-	if splits[0].Level != 0 || splits[0].N < 1 {
-		t.Errorf("split event = %+v, want level 0, N >= 1", splits[0])
-	}
-	if met.Splits.Load() != 1 {
-		t.Errorf("splits counter = %d, want 1", met.Splits.Load())
+	if after.Condenses != before.Condenses || after.ExpiredPurged != before.ExpiredPurged ||
+		after.ForcedReinserts != before.ForcedReinserts {
+		t.Errorf("root split also counted condenses %d, purges %d, forced reinserts %d",
+			after.Condenses-before.Condenses, after.ExpiredPurged-before.ExpiredPurged,
+			after.ForcedReinserts-before.ForcedReinserts)
 	}
 	if tr.Height() != 2 {
 		t.Errorf("height = %d after root split, want 2", tr.Height())
 	}
-}
-
-// checkOrphanOrdering verifies the stream invariant that every
-// orphan-reinserted event is preceded by the condense or forced-
-// reinsert events that produced the orphans: at every prefix of the
-// stream, the orphans reinserted never exceed the orphans created.
-func checkOrphanOrdering(t *testing.T, events []obs.Event) {
-	t.Helper()
-	created, reinserted := 0, 0
-	for i, e := range events {
-		switch e.Kind {
-		case obs.EvCondense, obs.EvForcedReinsert:
-			created += e.N
-		case obs.EvOrphanReinserted:
-			reinserted += e.N
-		}
-		if reinserted > created {
-			t.Fatalf("event %d: %d orphans reinserted but only %d created so far", i, reinserted, created)
-		}
+	if tr.LeafEntries() != cap+1 {
+		t.Errorf("leaf entries = %d after root split, want %d", tr.LeafEntries(), cap+1)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestObserverForcedReinsertOrdering grows the tree past one level and
-// checks that forced reinsertion announces the displaced entries
-// before they are reinserted as orphans.
-func TestObserverForcedReinsertOrdering(t *testing.T) {
-	cfg, met, rec := obsConfig()
+// TestForcedReinsertCounters grows the tree past one level: overflow
+// must be handled by forced reinsertion, whose displaced entries are
+// placed back as orphans, and no entry may be lost on the way.
+func TestForcedReinsertCounters(t *testing.T) {
+	cfg, met := obsConfig()
 	tr := newTestTree(t, cfg)
 	rng := rand.New(rand.NewSource(8))
 	n := 3 * tr.LeafCapacity()
@@ -113,17 +84,19 @@ func TestObserverForcedReinsertOrdering(t *testing.T) {
 	if met.OrphansReinserted.Load() == 0 {
 		t.Fatal("no orphans reinserted despite forced reinsertion")
 	}
-	checkOrphanOrdering(t, rec.events)
+	if tr.LeafEntries() != n {
+		t.Errorf("leaf entries = %d after %d insertions", tr.LeafEntries(), n)
+	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestObserverDeleteCondenseOrdering deletes entries until a leaf
-// underflows: the dissolving node's condense event must precede the
-// reinsertion events of the entries it orphaned.
-func TestObserverDeleteCondenseOrdering(t *testing.T) {
-	cfg, met, rec := obsConfig()
+// TestDeleteCondenseCounters deletes entries until a leaf underflows:
+// the deletion that dissolves it must reinsert the entries it orphaned,
+// so the tree holds exactly the entries not yet deleted.
+func TestDeleteCondenseCounters(t *testing.T) {
+	cfg, met := obsConfig()
 	tr := newTestTree(t, cfg)
 	rng := rand.New(rand.NewSource(9))
 	n := 3 * tr.LeafCapacity()
@@ -139,7 +112,7 @@ func TestObserverDeleteCondenseOrdering(t *testing.T) {
 	}
 	sawCondense := false
 	for i := 0; i < n && !sawCondense; i++ {
-		rec.reset()
+		before := met.Snapshot()
 		found, err := tr.Delete(uint32(i), pts[i], 0)
 		if err != nil {
 			t.Fatal(err)
@@ -147,39 +120,20 @@ func TestObserverDeleteCondenseOrdering(t *testing.T) {
 		if !found {
 			t.Fatalf("entry %d not found", i)
 		}
-		firstCondense, firstOrphan := -1, -1
-		condensed, orphaned := 0, 0
-		for j, e := range rec.events {
-			switch e.Kind {
-			case obs.EvCondense:
-				if firstCondense < 0 {
-					firstCondense = j
-				}
-				condensed += e.N
-			case obs.EvOrphanReinserted:
-				if firstOrphan < 0 {
-					firstOrphan = j
-				}
-				orphaned += e.N
-			}
-		}
-		if firstCondense < 0 {
+		after := met.Snapshot()
+		if after.Condenses == before.Condenses {
 			continue
 		}
 		sawCondense = true
-		if firstOrphan >= 0 && firstOrphan < firstCondense {
-			t.Fatalf("orphan reinserted (event %d) before the condense that created it (event %d)", firstOrphan, firstCondense)
+		if after.OrphansReinserted == before.OrphansReinserted {
+			t.Errorf("delete %d condensed %d node(s) but reinserted no orphan", i, after.Condenses-before.Condenses)
 		}
-		if orphaned < condensed {
-			t.Errorf("condense orphaned %d entries but only %d were reinserted", condensed, orphaned)
+		if want := n - i - 1; tr.LeafEntries() != want {
+			t.Errorf("leaf entries = %d after the condensing delete, want %d", tr.LeafEntries(), want)
 		}
-		checkOrphanOrdering(t, rec.events)
 	}
 	if !sawCondense {
 		t.Fatal("no condense observed across the deletion sweep")
-	}
-	if met.Condenses.Load() == 0 {
-		t.Error("condense counter still zero")
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -189,7 +143,7 @@ func TestObserverDeleteCondenseOrdering(t *testing.T) {
 // TestQueryCountersAccumulate checks the per-query node-visit and
 // leaf-scan counters and the ChooseSubtree descent counter.
 func TestQueryCountersAccumulate(t *testing.T) {
-	cfg, met, _ := obsConfig()
+	cfg, met := obsConfig()
 	tr := newTestTree(t, cfg)
 	rng := rand.New(rand.NewSource(10))
 	const n = 500
@@ -230,21 +184,21 @@ func TestQueryCountersAccumulate(t *testing.T) {
 }
 
 // TestPurgeCountersMassExpiry replays the Figure 8 cascade with
-// instrumentation attached: lazy purging must account the dropped
-// entries and freed subtrees, with events matching the counters.
+// instrumentation attached: lazy purging must account every entry it
+// drops, in a purged node or a freed subtree, so the entries stored and
+// the entries purged add up to the entries inserted.
 func TestPurgeCountersMassExpiry(t *testing.T) {
-	cfg, met, rec := obsConfig()
+	cfg, met := obsConfig()
 	tr := newTestTree(t, cfg)
 	rng := rand.New(rand.NewSource(11))
-	const n = 3000
+	const n, late = 3000, 40
 	for i := 0; i < n; i++ {
 		if err := tr.Insert(uint32(i), randPoint(rng, 10+rng.Float64()*5), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rec.reset()
 	// Everything is dead by t=15; the next insertions purge lazily.
-	for i := 0; i < 40; i++ {
+	for i := 0; i < late; i++ {
 		if err := tr.Insert(uint32(n+i), randPoint(rng, 200), 100); err != nil {
 			t.Fatal(err)
 		}
@@ -253,28 +207,11 @@ func TestPurgeCountersMassExpiry(t *testing.T) {
 	if purged == 0 {
 		t.Fatal("mass expiry purged nothing")
 	}
-	var purgeEventN, freedEvents uint64
-	for _, e := range rec.events {
-		switch e.Kind {
-		case obs.EvPurge:
-			if e.N < 1 {
-				t.Errorf("purge event with N=%d", e.N)
-			}
-			purgeEventN += uint64(e.N)
-		case obs.EvSubtreeFreed:
-			freedEvents += uint64(e.N)
-		}
+	if met.SubtreesFreed.Load() == 0 {
+		t.Error("mass expiry freed no expired subtree")
 	}
-	if purgeEventN == 0 {
-		t.Error("no purge events despite purged entries")
-	}
-	// Entries dropped via freed subtrees are counted on top of the
-	// per-node purge events.
-	if purged < purgeEventN {
-		t.Errorf("ExpiredPurged = %d, less than the %d announced by purge events", purged, purgeEventN)
-	}
-	if met.SubtreesFreed.Load() != freedEvents {
-		t.Errorf("SubtreesFreed = %d but events announced %d", met.SubtreesFreed.Load(), freedEvents)
+	if got := uint64(tr.LeafEntries()) + purged; got != n+late {
+		t.Errorf("%d stored + %d purged = %d entries, want the %d inserted", tr.LeafEntries(), purged, got, n+late)
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -197,105 +197,269 @@ func TestSnapshotAfterReopen(t *testing.T) {
 	}
 }
 
-// TestSlabReuseUnderPinnedReaders runs a writer that copies every page
-// it changes into the slab of a version it reclaimed against two kinds
-// of reader: one that holds a single pin across hundreds of
-// publications, and one that pins once per query.  Every answer — all
-// stored reports, which never expire — must be the brute-force model at
-// the sequence the reader pinned, so a slab reused under a reader that
-// can still reach it shows up as a wrong answer (and, under -race, as a
-// race).
-func TestSlabReuseUnderPinnedReaders(t *testing.T) {
-	const objects, updates, span = 200, 2000, 200
-	type state [objects]geom.MovingPoint
-	cfg := rexpConfig()
-	cfg.Metrics = obs.New()
-	tr := newTestTree(t, cfg)
-	setFanout(tr, 8, 6) // dozens of pages, so chains are trimmed all the time
-	rng := rand.New(rand.NewSource(21))
-	report := func() geom.MovingPoint {
-		return geom.MovingPoint{
-			Pos:  geom.Vec{rng.Float64() * 1000, rng.Float64() * 1000},
-			Vel:  geom.Vec{rng.Float64()*2 - 1, rng.Float64()*2 - 1},
-			TExp: math.Inf(1),
-		}
-	}
+// The slab-reuse tests run a writer that copies every page it changes
+// into the slab of a version it reclaimed against two kinds of reader:
+// one that holds a single pin across slabSpan publications, and one
+// that pins once per query.  Every answer — all stored reports, which
+// never expire — must be the brute-force model at the sequence the
+// reader pinned, so a slab reused under a reader that can still reach
+// it shows up as a wrong answer (and, under -race, as a race).
+const slabObjects, slabUpdates, slabSpan = 200, 2000, 200
 
+type slabState [slabObjects]geom.MovingPoint
+
+// slabRig is the writer side of the slab-reuse tests and the readers'
+// check.
+type slabRig struct {
+	t   *testing.T
+	tr  *Tree
+	rng *rand.Rand
+	cur slabState
 	// models[seq] is what publication seq stores: the writer records it
 	// before it publishes and drops it once no reader can pin it.
-	var mu sync.Mutex
-	models := map[uint64]*state{}
-	var cur state
-	publish := func() {
-		seq, model := tr.pubSeq+1, cur
-		mu.Lock()
-		models[seq] = &model
-		mu.Unlock()
-		if err := tr.EndBatch(); err != nil {
-			t.Error(err)
-		}
-		if got := tr.SnapshotSeq(); got != seq {
-			t.Errorf("an update published sequence %d, want %d", got, seq)
-		}
-		if seq%64 == 0 {
-			mu.Lock()
-			for s := range models {
-				if s < tr.trimMin {
-					delete(models, s)
-				}
-			}
-			mu.Unlock()
-		}
-	}
-	tr.BeginBatch()
-	for oid := range cur {
-		p := report()
-		if err := tr.Insert(uint32(oid), p, 0); err != nil {
+	mu     sync.Mutex
+	models map[uint64]*slabState
+	// recycling counts the updates that found a reclaimed slab.
+	recycling int
+}
+
+// newSlabRig loads slabObjects reports into a tree of dozens of pages,
+// so chains are trimmed all the time, and publishes them.
+func newSlabRig(t *testing.T) *slabRig {
+	cfg := rexpConfig()
+	cfg.Metrics = obs.New()
+	r := &slabRig{t: t, tr: newTestTree(t, cfg), rng: rand.New(rand.NewSource(21)), models: map[uint64]*slabState{}}
+	setFanout(r.tr, 8, 6)
+	r.tr.BeginBatch()
+	for oid := range r.cur {
+		p := r.report()
+		if err := r.tr.Insert(uint32(oid), p, 0); err != nil {
 			t.Fatal(err)
 		}
-		cur[oid] = tr.Stored(p)
+		r.cur[oid] = r.tr.Stored(p)
 	}
-	publish()
+	r.publish()
+	return r
+}
 
-	all := geom.Timeslice(geom.Rect{Lo: geom.Vec{-1e12, -1e12}, Hi: geom.Vec{1e12, 1e12}}, 0)
-	check := func(p *pubState) bool {
-		src := nodeSource{snap: p, root: p.root}
-		var got state
-		n := 0
-		if err := tr.search(&src, all, 0, func(r Result) bool {
-			got[r.OID] = r.Point
-			n++
-			return true
-		}); err != nil {
-			t.Errorf("snapshot %d: %v", p.seq, err)
-			return false
+func (r *slabRig) report() geom.MovingPoint {
+	return geom.MovingPoint{
+		Pos:  geom.Vec{r.rng.Float64() * 1000, r.rng.Float64() * 1000},
+		Vel:  geom.Vec{r.rng.Float64()*2 - 1, r.rng.Float64()*2 - 1},
+		TExp: math.Inf(1),
+	}
+}
+
+func (r *slabRig) publish() {
+	tr := r.tr
+	seq, model := tr.pubSeq+1, r.cur
+	r.mu.Lock()
+	r.models[seq] = &model
+	r.mu.Unlock()
+	if err := tr.EndBatch(); err != nil {
+		r.t.Error(err)
+	}
+	if got := tr.SnapshotSeq(); got != seq {
+		r.t.Errorf("an update published sequence %d, want %d", got, seq)
+	}
+	if seq%64 == 0 {
+		r.mu.Lock()
+		for s := range r.models {
+			if s < tr.trimMin {
+				delete(r.models, s)
+			}
 		}
-		mu.Lock()
-		want := models[p.seq]
-		mu.Unlock()
-		if want == nil || n != objects || got != *want {
-			t.Errorf("snapshot %d: %d results, not the %d reports published then (model known: %v)", p.seq, n, objects, want != nil)
-			return false
+		r.mu.Unlock()
+	}
+}
+
+// update moves one object (update i of the run) and publishes it.
+func (r *slabRig) update(i int) {
+	tr := r.tr
+	now := float64(i) / 10
+	oid := r.rng.Intn(slabObjects)
+	if len(tr.spares) > 0 {
+		r.recycling++
+	}
+	tr.BeginBatch()
+	if _, err := tr.Delete(uint32(oid), r.cur[oid], now); err != nil {
+		r.t.Fatal(err)
+	}
+	p := r.report()
+	if err := tr.Insert(uint32(oid), p, now); err != nil {
+		r.t.Fatal(err)
+	}
+	r.cur[oid] = tr.Stored(p)
+	r.publish()
+	if i%500 == 0 {
+		if err := tr.CheckInvariants(); err != nil {
+			r.t.Fatal(err)
 		}
+	}
+}
+
+var slabAll = geom.Timeslice(geom.Rect{Lo: geom.Vec{-1e12, -1e12}, Hi: geom.Vec{1e12, 1e12}}, 0)
+
+// check is a reader's test of its pinned snapshot p against the model.
+func (r *slabRig) check(p *pubState) bool {
+	src := nodeSource{snap: p, root: p.root}
+	var got slabState
+	n := 0
+	if err := r.tr.search(&src, slabAll, 0, func(res Result) bool {
+		got[res.OID] = res.Point
+		n++
 		return true
+	}); err != nil {
+		r.t.Errorf("snapshot %d: %v", p.seq, err)
+		return false
+	}
+	r.mu.Lock()
+	want := r.models[p.seq]
+	r.mu.Unlock()
+	if want == nil || n != slabObjects || got != *want {
+		r.t.Errorf("snapshot %d: %d results, not the %d reports published then (model known: %v)", p.seq, n, slabObjects, want != nil)
+		return false
+	}
+	return true
+}
+
+// finish checks the tree and the exercise floors: at least a tenth of
+// the updates found a reclaimed slab, and a pin spanned slabSpan
+// publications.
+func (r *slabRig) finish(longest uint64) {
+	t := r.t
+	if err := r.tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d of %d updates found a reclaimed slab; the long reader held one pin across %d publications; %d versions trimmed",
+		r.recycling, slabUpdates, longest, r.tr.cfg.Metrics.Snapshot().SnapVersionsTrimmed)
+	if r.recycling < slabUpdates/10 || longest < slabSpan {
+		t.Errorf("%d of %d updates found a reclaimed slab to copy into, and the longest pin spanned %d publications; the test exercises too little",
+			r.recycling, slabUpdates, longest)
+	}
+}
+
+// TestSlabReuseUnderPinnedReaders runs the readers on the writer's
+// schedule, through channels, so its floors hold by construction.  In
+// each cycle the long reader pins the latest sequence s; the writer
+// publishes slabSpan versions, asking the per-query reader to pin,
+// check and unpin after each; the long reader then checks s and unpins.
+// A pause of slabSpan/2 publications with no long pin follows.  Every
+// long pin spans exactly slabSpan publications, and in a pause every
+// update after its first finds a reclaimed slab: with no reader behind,
+// each publication reclaims the versions it replaced.
+func TestSlabReuseUnderPinnedReaders(t *testing.T) {
+	r := newSlabRig(t)
+	tr := r.tr
+	// Each reply channel holds the one reply a request awaits, so a
+	// reader never blocks on a writer that stopped; closing the request
+	// channels stops the readers, and the test waits for them.
+	pinReq, pinned := make(chan struct{}), make(chan uint64, 1)
+	releaseReq, released := make(chan struct{}), make(chan uint64, 1)
+	queryReq, queried := make(chan struct{}), make(chan bool, 1)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(queryReq)
+	defer close(pinReq)
+	defer close(releaseReq)
+	wg.Add(2)
+	go func() { // the long reader; it reports 0 publications for a wrong answer
+		defer wg.Done()
+		for range pinReq {
+			p, pin := tr.pinSnapshot()
+			pinned <- p.seq
+			<-releaseReq
+			ok := r.check(p)
+			spanned := tr.SnapshotSeq() - p.seq
+			pin.Unpin()
+			if !ok {
+				spanned = 0
+			}
+			released <- spanned
+		}
+	}()
+	go func() { // the per-query reader
+		defer wg.Done()
+		for range queryReq {
+			p, pin := tr.pinSnapshot()
+			ok := r.check(p)
+			pin.Unpin()
+			queried <- ok
+		}
+	}()
+	step := func(i int) {
+		r.update(i)
+		queryReq <- struct{}{}
+		<-queried
 	}
 
+	var longest uint64
+	i, pauseMisses := 0, 0
+	for i+slabSpan <= slabUpdates && !t.Failed() {
+		pinReq <- struct{}{}
+		if s := <-pinned; s != tr.SnapshotSeq() {
+			t.Fatalf("the long reader pinned %d, not the latest sequence %d", s, tr.SnapshotSeq())
+		}
+		for end := i + slabSpan; i < end; i++ {
+			step(i)
+		}
+		releaseReq <- struct{}{}
+		spanned := <-released
+		if spanned != slabSpan {
+			t.Errorf("a long pin spanned %d publications, want exactly %d", spanned, slabSpan)
+		}
+		longest = max(longest, spanned)
+		for start, end := i, min(i+slabSpan/2, slabUpdates); i < end; i++ {
+			before := r.recycling
+			step(i)
+			if i > start && r.recycling == before {
+				pauseMisses++
+			}
+		}
+	}
+	if i != slabUpdates && !t.Failed() {
+		t.Fatalf("the schedule ran %d updates, want %d", i, slabUpdates)
+	}
+	if pauseMisses != 0 {
+		t.Errorf("%d updates in a pause with no reader behind found no reclaimed slab", pauseMisses)
+	}
+	r.finish(longest)
+}
+
+// TestSlabReuseFreeRunning is the stress run of the same writer and
+// readers, scheduled by the runtime: the long reader holds each pin
+// until it sees slabSpan publications past it, then pauses for
+// slabSpan/2, and the per-query reader pins as fast as it can.  The
+// writer yields after each update, and while a reader's pin has spanned
+// its limit — slabSpan publications for the long pin, slabSpan/20 for a
+// query's — it waits for the reader to let go, so a reader that falls
+// behind stalls the writer instead of lengthening its pin, and the
+// pauses in which slabs come back keep their length.
+func TestSlabReuseFreeRunning(t *testing.T) {
+	r := newSlabRig(t)
+	tr := r.tr
 	var done atomic.Bool
-	var longest atomic.Uint64
+	var longest, longPin, queryPin atomic.Uint64
+	behind := func(pin *atomic.Uint64, limit uint64) bool {
+		s := pin.Load()
+		return s != 0 && tr.SnapshotSeq() >= s+limit
+	}
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { // one pin held across many publications, then a pause
 		defer wg.Done()
 		for !done.Load() {
 			p, pin := tr.pinSnapshot()
-			for !done.Load() && tr.SnapshotSeq() < p.seq+span && check(p) {
+			longPin.Store(p.seq)
+			for !done.Load() && tr.SnapshotSeq() < p.seq+slabSpan && r.check(p) {
 				runtime.Gosched()
 			}
 			if d := tr.SnapshotSeq() - p.seq; d > longest.Load() {
 				longest.Store(d)
 			}
 			pin.Unpin()
-			for next := tr.SnapshotSeq() + span/2; !done.Load() && tr.SnapshotSeq() < next; {
+			longPin.Store(0)
+			for next := tr.SnapshotSeq() + slabSpan/2; !done.Load() && tr.SnapshotSeq() < next; {
 				runtime.Gosched()
 			}
 		}
@@ -304,8 +468,10 @@ func TestSlabReuseUnderPinnedReaders(t *testing.T) {
 		defer wg.Done()
 		for !done.Load() {
 			p, pin := tr.pinSnapshot()
-			ok := check(p)
+			queryPin.Store(p.seq)
+			ok := r.check(p)
 			pin.Unpin()
+			queryPin.Store(0)
 			if !ok {
 				return
 			}
@@ -313,41 +479,16 @@ func TestSlabReuseUnderPinnedReaders(t *testing.T) {
 		}
 	}()
 
-	recycling := 0
-	for i := 0; i < updates && !t.Failed(); i++ {
-		now := float64(i) / 10
-		oid := rng.Intn(objects)
-		if len(tr.spares) > 0 {
-			recycling++
+	for i := 0; i < slabUpdates && !t.Failed(); i++ {
+		for (behind(&longPin, slabSpan) || behind(&queryPin, slabSpan/20)) && !t.Failed() {
+			runtime.Gosched()
 		}
-		tr.BeginBatch()
-		if _, err := tr.Delete(uint32(oid), cur[oid], now); err != nil {
-			t.Fatal(err)
-		}
-		p := report()
-		if err := tr.Insert(uint32(oid), p, now); err != nil {
-			t.Fatal(err)
-		}
-		cur[oid] = tr.Stored(p)
-		publish()
-		if i%500 == 0 {
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		}
+		r.update(i)
 		runtime.Gosched() // let the readers keep up, so slabs come back
 	}
 	done.Store(true)
 	wg.Wait()
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("%d of %d updates found a reclaimed slab; the long reader held one pin across %d publications; %d versions trimmed",
-		recycling, updates, longest.Load(), cfg.Metrics.Snapshot().SnapVersionsTrimmed)
-	if recycling < updates/10 || longest.Load() < span {
-		t.Errorf("%d of %d updates found a reclaimed slab to copy into, and the longest pin spanned %d publications; the test exercises too little",
-			recycling, updates, longest.Load())
-	}
+	r.finish(longest.Load())
 }
 
 // TestSearchFuncSnapAllocs pins the zero-allocation contract of the

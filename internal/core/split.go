@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"rexptree/internal/geom"
-	"rexptree/internal/obs"
 )
 
 // split divides the overfull node n with the R*-tree topological split
@@ -36,7 +35,6 @@ func (t *Tree) split(n *vnode) (*vnode, error) {
 	}
 	if t.met != nil {
 		t.met.Splits.Inc()
-		t.met.Emit(obs.Event{Kind: obs.EvSplit, Level: n.level, N: len(g2)})
 	}
 	return sib, nil
 }

@@ -235,10 +235,6 @@ func (t *Tree) ResetIOStats() { t.bp.ResetStats() }
 // LeafCapacity returns the number of entries in a full leaf node.
 func (t *Tree) LeafCapacity() int { return t.lay.leafCap }
 
-// InternalCapacity returns the number of entries in a full internal
-// node.
-func (t *Tree) InternalCapacity() int { return t.lay.innerCap }
-
 // UI returns the current update-interval estimate (§4.2.3).
 func (t *Tree) UI() float64 {
 	if t.ui > 0 && !t.cfg.DisableAutoTune {
@@ -656,9 +652,7 @@ func (t *Tree) purgeNode(n *vnode) error {
 		}
 		if freed > 0 {
 			t.met.SubtreesFreed.Add(uint64(freed))
-			t.met.Emit(obs.Event{Kind: obs.EvSubtreeFreed, Level: n.level, N: freed})
 		}
-		t.met.Emit(obs.Event{Kind: obs.EvPurge, Level: n.level, N: dropped})
 	}
 	return nil
 }

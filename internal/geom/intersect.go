@@ -11,11 +11,6 @@ type Interval struct {
 // Empty reports whether iv contains no time instant.
 func (iv Interval) Empty() bool { return iv.Lo > iv.Hi }
 
-// Intersect returns the intersection of iv and other.
-func (iv Interval) Intersect(other Interval) Interval {
-	return Interval{math.Max(iv.Lo, other.Lo), math.Min(iv.Hi, other.Hi)}
-}
-
 // clipLE narrows iv to the sub-interval where a0+a1·t <= b0+b1·t.
 func clipLE(iv Interval, a0, a1, b0, b1 float64) Interval {
 	c0 := a0 - b0

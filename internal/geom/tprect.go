@@ -74,13 +74,6 @@ func (r TPRect) ContainsTrajectory(p MovingPoint, t1, t2 float64, dims int) bool
 		r.At(t2).ContainsPoint(p.At(t2), dims)
 }
 
-// ContainsTPRect reports whether r bounds the child rectangle s for
-// every t in [t1, t2] (endpoint test; both are linear in t).
-func (r TPRect) ContainsTPRect(s TPRect, t1, t2 float64, dims int) bool {
-	return r.At(t1).ContainsRect(s.At(t1), dims) &&
-		r.At(t2).ContainsRect(s.At(t2), dims)
-}
-
 // UnionConservative returns the conservative union of a and b: the
 // tightest TPRect at time now whose bound velocities are the
 // min/max of a's and b's bound velocities.  This is the "what if"

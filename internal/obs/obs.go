@@ -1,18 +1,16 @@
 // Package obs is the observability subsystem of the index: atomic
 // counters, gauges and fixed-bucket latency histograms for every layer
-// from the buffer pool to the public API, an engine-internal Observer
-// event hook through which tests trace structural events (splits,
-// forced reinserts, condensing, lazy purges of expired entries, buffer
-// evictions), the slow-operation log, and a Prometheus-text exposition
-// of the collected state.
+// from the buffer pool to the public API, with one counter per
+// structural event (splits, forced reinserts, condensing, lazy purges
+// of expired entries, buffer evictions), the slow-operation log, and a
+// Prometheus-text exposition of the collected state.
 //
 // The package has no dependencies beyond the standard library and is
 // designed for a nil fast path: every instrumented layer holds a
 // *Metrics that may be nil, and all recording helpers are no-ops on a
 // nil receiver, so an uninstrumented tree pays only a pointer test.
 // With a *Metrics attached, the hot-path cost is a handful of atomic
-// adds; the Observer hook costs an interface call only when one is
-// installed.  No recording path allocates.
+// adds.  No recording path allocates.
 package obs
 
 import (
@@ -155,56 +153,6 @@ func (o Op) String() string {
 	return opNames[o]
 }
 
-// EventKind classifies an Event delivered to an Observer.
-type EventKind uint8
-
-// The event kinds.  Structural tree events carry the tree level they
-// occurred at; storage events carry level -1.
-const (
-	EvSplit            EventKind = iota // a node split (paper §4.2.2); N = entries moved to the new sibling
-	EvForcedReinsert                    // forced reinsertion on overflow (§4.2.2); N = entries removed for reinsertion
-	EvCondense                          // an underflowing node was dissolved (CondenseTree, §4.3); N = live entries orphaned
-	EvOrphanReinserted                  // one orphaned or reinserted entry was placed back into the tree (CT3, §4.3)
-	EvPurge                             // expired entries were lazily purged from a node (§4.3); N = entries dropped
-	EvSubtreeFreed                      // an expired internal entry's whole subtree was deallocated (§4.3)
-	EvEviction                          // the buffer pool evicted a page (§5.1)
-	EvDirtyWriteback                    // an evicted page was dirty and was written back first
-	EvFaultTrip                         // an injected storage fault fired
-	numEventKinds
-)
-
-var eventNames = [numEventKinds]string{
-	"split", "forced-reinsert", "condense", "orphan-reinserted",
-	"purge", "subtree-freed", "eviction", "dirty-writeback", "fault-trip",
-}
-
-// String returns the kind's kebab-case name.
-func (k EventKind) String() string {
-	if k >= numEventKinds {
-		return "unknown"
-	}
-	return eventNames[k]
-}
-
-// Event is one traced occurrence.
-type Event struct {
-	Kind  EventKind
-	Level int // tree level for structural events; -1 for storage events
-	N     int // entries or pages affected
-}
-
-// Observer receives events synchronously, in the order they occur.
-// Implementations must be fast and must not call back into the tree.
-type Observer interface {
-	Observe(Event)
-}
-
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(Event)
-
-// Observe implements Observer.
-func (f ObserverFunc) Observe(e Event) { f(e) }
-
 // OpMetrics holds the per-operation instruments.
 type OpMetrics struct {
 	Total   Counter
@@ -213,8 +161,8 @@ type OpMetrics struct {
 }
 
 // Metrics is the complete instrument registry for one tree.  All
-// counters and gauges are safe for concurrent use; Observer, SlowOp
-// and SlowLabel must be set before the tree processes operations.
+// counters and gauges are safe for concurrent use; SlowOp and
+// SlowLabel must be set before the tree processes operations.
 type Metrics struct {
 	// Buffer pool (internal/storage, paper §5.1).
 	BufReads           Counter // pages read from the store (buffer misses)
@@ -296,10 +244,6 @@ type Metrics struct {
 	// Ops holds the per-operation latency instruments, indexed by Op.
 	Ops [NumOps]OpMetrics
 
-	// Observer, when non-nil, receives structural events.  Set it
-	// before the tree processes operations.
-	Observer Observer
-
 	// SlowOp, when positive, logs every operation at least this long
 	// through the standard logger, its name prefixed with SlowLabel
 	// ("" for a stand-alone tree, "shard<i>/" or "fanout/").
@@ -326,16 +270,6 @@ func (m *Metrics) ObserveOp(op Op, d time.Duration, err error) {
 	if m.SlowOp > 0 && d >= m.SlowOp {
 		log.Printf("rexptree: slow %s%s: %v (threshold %v)", m.SlowLabel, op, d, m.SlowOp)
 	}
-}
-
-// Emit delivers the event to the Observer, if one is installed.
-// No-op on a nil receiver or without an observer — the nil-observer
-// fast path of the hot paths.
-func (m *Metrics) Emit(e Event) {
-	if m == nil || m.Observer == nil {
-		return
-	}
-	m.Observer.Observe(e)
 }
 
 // OpSnapshot is the frozen state of one operation's instruments.

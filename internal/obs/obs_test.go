@@ -77,7 +77,7 @@ func TestBoundsCopy(t *testing.T) {
 	}
 }
 
-func TestOpAndEventNames(t *testing.T) {
+func TestOpNames(t *testing.T) {
 	want := []string{"update", "delete", "timeslice", "window", "moving", "nearest", "update_batch"}
 	for op := Op(0); op < NumOps; op++ {
 		if op.String() != want[op] {
@@ -86,12 +86,6 @@ func TestOpAndEventNames(t *testing.T) {
 	}
 	if Op(-1).String() != "unknown" || NumOps.String() != "unknown" {
 		t.Error("out-of-range op not reported as unknown")
-	}
-	if EvSplit.String() != "split" || EvDirtyWriteback.String() != "dirty-writeback" {
-		t.Error("event kind names wrong")
-	}
-	if EventKind(200).String() != "unknown" {
-		t.Error("out-of-range event kind not reported as unknown")
 	}
 }
 
@@ -118,20 +112,8 @@ func TestObserveOpCountsAndErrors(t *testing.T) {
 func TestNilReceiverSafe(t *testing.T) {
 	var m *Metrics
 	m.ObserveOp(OpUpdate, time.Second, nil) // must not panic
-	m.Emit(Event{Kind: EvSplit})
 	if s := m.Snapshot(); s.Splits != 0 || s.Ops[OpUpdate].Count != 0 {
 		t.Errorf("nil snapshot not zero: %+v", s)
-	}
-}
-
-func TestEmitWithoutObserver(t *testing.T) {
-	m := New()
-	m.Emit(Event{Kind: EvSplit}) // nil observer: no-op
-	var got []Event
-	m.Observer = ObserverFunc(func(e Event) { got = append(got, e) })
-	m.Emit(Event{Kind: EvCondense, Level: 1, N: 7})
-	if len(got) != 1 || got[0].Kind != EvCondense || got[0].Level != 1 || got[0].N != 7 {
-		t.Errorf("observer got %+v", got)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -301,195 +302,97 @@ func decodeBody(body io.Reader, v any) error {
 
 // queryNow resolves the query's evaluation time: an explicit ?now=
 // (absolute or "+N"), else the index clock, read once per request.
-func (s *Server) queryNow(q map[string][]string) (float64, error) {
+func (s *Server) queryNow(params url.Values) (float64, error) {
 	clock := s.ix.Now()
-	vals := q["now"]
-	if len(vals) == 0 || vals[0] == "" {
+	v := params.Get("now")
+	if v == "" {
 		return clock, nil
 	}
-	now, err := parseTime(vals[0], clock)
+	now, err := parseTime(v, clock)
 	if err != nil {
 		return 0, badRequestf("now: %v", err)
 	}
 	return now, nil
 }
 
-// explain reports whether ?explain=1 (or =true) was passed.
-func explain(q map[string][]string) bool {
-	if vals := q["explain"]; len(vals) > 0 {
-		on, _ := strconv.ParseBool(vals[0])
-		return on
+// queryParam is one parameter of a query route.  A required one that
+// is missing is refused; an optional one left out keeps the query's
+// default (at's is the request's now).
+type queryParam struct {
+	name     string
+	optional bool
+}
+
+// queryParams is the parse table of the four query routes, GET
+// /v1/<kind>?...: each kind's parameters in the order they are parsed,
+// so the first bad one is the one reported.  ?now= is resolved before
+// them, and the +N times resolve against it.
+var queryParams = [...][]queryParam{
+	rexptree.QueryTimeslice: {{"lo", false}, {"hi", false}, {"at", false}},
+	rexptree.QueryWindow:    {{"lo", false}, {"hi", false}, {"t1", false}, {"t2", false}},
+	rexptree.QueryMoving:    {{"lo1", false}, {"hi1", false}, {"lo2", false}, {"hi2", false}, {"t1", false}, {"t2", false}},
+	rexptree.QueryNearest:   {{"pos", false}, {"k", false}, {"at", true}},
+}
+
+// queryRoute is the handler of kind's query route.
+func queryRoute(kind rexptree.QueryKind) func(*Server, http.ResponseWriter, *http.Request) {
+	return func(s *Server, w http.ResponseWriter, r *http.Request) {
+		s.run(w, r, func() reply { return s.query(kind, r.URL.Query()) })
 	}
-	return false
 }
 
-// respond packages query results (and the trace under explain).
-func (s *Server) respond(rs []rexptree.Result, tc *rexptree.QueryTrace, now float64) reply {
-	return okReply(queryResponse{
-		Now:     now,
-		Count:   len(rs),
-		Results: toResultJSON(rs, s.ix.Dims()),
-		Trace:   tc,
-	})
+// query parses one query request into the query value, runs it — with
+// its trace under ?explain=1 — and packages the results.  A query the
+// index refuses is the client's fault: 400.
+func (s *Server) query(kind rexptree.QueryKind, params url.Values) reply {
+	now, err := s.queryNow(params)
+	if err != nil {
+		return errReply(err)
+	}
+	explain, _ := strconv.ParseBool(params.Get("explain")) // ?explain=1 or =true
+	q := rexptree.Query{Kind: kind, At: now, Explain: explain}
+	dims := s.ix.Dims()
+	for _, p := range queryParams[kind] {
+		v := params.Get(p.name)
+		if v == "" && p.optional {
+			continue
+		}
+		if err := setParam(&q, p.name, v, now, dims); err != nil {
+			return errReply(badRequestf("%s: %v", p.name, err))
+		}
+	}
+	rs, tc, err := s.ix.Query(q, now)
+	if err != nil {
+		return errReply(badRequest{err.Error()})
+	}
+	return okReply(queryResponse{Now: now, Count: len(rs), Results: toResultJSON(rs, dims), Trace: tc})
 }
 
-// handleTimeslice answers GET /v1/timeslice?lo=..&hi=..&at=..
-func (s *Server) handleTimeslice(w http.ResponseWriter, r *http.Request) {
-	s.run(w, r, func() reply {
-		q := r.URL.Query()
-		now, err := s.queryNow(q)
-		if err != nil {
-			return errReply(err)
+// setParam parses the value v of the query parameter name into q.
+func setParam(q *rexptree.Query, name, v string, now float64, dims int) (err error) {
+	switch name {
+	case "lo", "lo1":
+		q.R.Lo, err = parseVec(v, dims)
+	case "hi", "hi1":
+		q.R.Hi, err = parseVec(v, dims)
+	case "lo2":
+		q.R2.Lo, err = parseVec(v, dims)
+	case "hi2":
+		q.R2.Hi, err = parseVec(v, dims)
+	case "pos":
+		q.Pos, err = parseVec(v, dims)
+	case "at":
+		q.At, err = parseTime(v, now)
+	case "t1":
+		q.T1, err = parseTime(v, now)
+	case "t2":
+		q.T2, err = parseTime(v, now)
+	case "k":
+		if q.K, err = strconv.Atoi(v); err != nil || q.K <= 0 {
+			err = fmt.Errorf("%q is not a positive integer", v)
 		}
-		dims := s.ix.Dims()
-		lo, err := parseVec(q.Get("lo"), dims)
-		if err != nil {
-			return errReply(badRequestf("lo: %v", err))
-		}
-		hi, err := parseVec(q.Get("hi"), dims)
-		if err != nil {
-			return errReply(badRequestf("hi: %v", err))
-		}
-		at, err := parseTime(q.Get("at"), now)
-		if err != nil {
-			return errReply(badRequestf("at: %v", err))
-		}
-		rect := rexptree.Rect{Lo: lo, Hi: hi}
-		if explain(q) {
-			rs, tc, err := s.ix.TraceTimeslice(rect, at, now)
-			if err != nil {
-				return errReply(badRequest{err.Error()})
-			}
-			return s.respond(rs, tc, now)
-		}
-		rs, err := s.ix.Timeslice(rect, at, now)
-		if err != nil {
-			return errReply(badRequest{err.Error()})
-		}
-		return s.respond(rs, nil, now)
-	})
-}
-
-// handleWindow answers GET /v1/window?lo=..&hi=..&t1=..&t2=..
-func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
-	s.run(w, r, func() reply {
-		q := r.URL.Query()
-		now, err := s.queryNow(q)
-		if err != nil {
-			return errReply(err)
-		}
-		dims := s.ix.Dims()
-		lo, err := parseVec(q.Get("lo"), dims)
-		if err != nil {
-			return errReply(badRequestf("lo: %v", err))
-		}
-		hi, err := parseVec(q.Get("hi"), dims)
-		if err != nil {
-			return errReply(badRequestf("hi: %v", err))
-		}
-		t1, err := parseTime(q.Get("t1"), now)
-		if err != nil {
-			return errReply(badRequestf("t1: %v", err))
-		}
-		t2, err := parseTime(q.Get("t2"), now)
-		if err != nil {
-			return errReply(badRequestf("t2: %v", err))
-		}
-		rect := rexptree.Rect{Lo: lo, Hi: hi}
-		if explain(q) {
-			rs, tc, err := s.ix.TraceWindow(rect, t1, t2, now)
-			if err != nil {
-				return errReply(badRequest{err.Error()})
-			}
-			return s.respond(rs, tc, now)
-		}
-		rs, err := s.ix.Window(rect, t1, t2, now)
-		if err != nil {
-			return errReply(badRequest{err.Error()})
-		}
-		return s.respond(rs, nil, now)
-	})
-}
-
-// handleMoving answers GET /v1/moving?lo1=..&hi1=..&lo2=..&hi2=..&t1=..&t2=..
-func (s *Server) handleMoving(w http.ResponseWriter, r *http.Request) {
-	s.run(w, r, func() reply {
-		q := r.URL.Query()
-		now, err := s.queryNow(q)
-		if err != nil {
-			return errReply(err)
-		}
-		dims := s.ix.Dims()
-		var rects [2]rexptree.Rect
-		for i, names := range [][2]string{{"lo1", "hi1"}, {"lo2", "hi2"}} {
-			lo, err := parseVec(q.Get(names[0]), dims)
-			if err != nil {
-				return errReply(badRequestf("%s: %v", names[0], err))
-			}
-			hi, err := parseVec(q.Get(names[1]), dims)
-			if err != nil {
-				return errReply(badRequestf("%s: %v", names[1], err))
-			}
-			rects[i] = rexptree.Rect{Lo: lo, Hi: hi}
-		}
-		t1, err := parseTime(q.Get("t1"), now)
-		if err != nil {
-			return errReply(badRequestf("t1: %v", err))
-		}
-		t2, err := parseTime(q.Get("t2"), now)
-		if err != nil {
-			return errReply(badRequestf("t2: %v", err))
-		}
-		if explain(q) {
-			rs, tc, err := s.ix.TraceMoving(rects[0], rects[1], t1, t2, now)
-			if err != nil {
-				return errReply(badRequest{err.Error()})
-			}
-			return s.respond(rs, tc, now)
-		}
-		rs, err := s.ix.Moving(rects[0], rects[1], t1, t2, now)
-		if err != nil {
-			return errReply(badRequest{err.Error()})
-		}
-		return s.respond(rs, nil, now)
-	})
-}
-
-// handleNearest answers GET /v1/nearest?pos=..&k=..&at=..
-func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
-	s.run(w, r, func() reply {
-		q := r.URL.Query()
-		now, err := s.queryNow(q)
-		if err != nil {
-			return errReply(err)
-		}
-		pos, err := parseVec(q.Get("pos"), s.ix.Dims())
-		if err != nil {
-			return errReply(badRequestf("pos: %v", err))
-		}
-		k, err := strconv.Atoi(q.Get("k"))
-		if err != nil || k <= 0 {
-			return errReply(badRequestf("k: %q is not a positive integer", q.Get("k")))
-		}
-		at := now
-		if q.Get("at") != "" {
-			if at, err = parseTime(q.Get("at"), now); err != nil {
-				return errReply(badRequestf("at: %v", err))
-			}
-		}
-		if explain(q) {
-			rs, tc, err := s.ix.TraceNearest(pos, at, k, now)
-			if err != nil {
-				return errReply(badRequest{err.Error()})
-			}
-			return s.respond(rs, tc, now)
-		}
-		rs, err := s.ix.Nearest(pos, at, k, now)
-		if err != nil {
-			return errReply(badRequest{err.Error()})
-		}
-		return s.respond(rs, nil, now)
-	})
+	}
+	return err
 }
 
 // handleObject answers GET /v1/object?id=N — the object's current

@@ -142,6 +142,36 @@ func BenchmarkServedBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkServedQuery is one query request per op, each kind plain
+// and with ?explain=1, through Server.ServeHTTP on the index of
+// BenchmarkServedBatch (4 hash shards, 20 000 objects of the §5.1
+// stream, flight recorder off): a 50 × 50 km region, times relative
+// to the index clock, and k = 10 for nearest.
+func BenchmarkServedQuery(b *testing.B) {
+	ix, _ := streamIndex(b, 20000, 1, 0)
+	srv := New(Config{Index: ix})
+	for _, q := range []struct{ kind, params string }{
+		{"timeslice", "lo=475,475&hi=525,525&at=%2B5"},
+		{"window", "lo=475,475&hi=525,525&t1=%2B0&t2=%2B10"},
+		{"moving", "lo1=450,450&hi1=500,500&lo2=500,500&hi2=550,550&t1=%2B0&t2=%2B10"},
+		{"nearest", "pos=500,500&k=10&at=%2B5"},
+	} {
+		for _, mode := range []struct{ name, suffix string }{{"plain", ""}, {"explain", "&explain=1"}} {
+			url := "/v1/" + q.kind + "?" + q.params + mode.suffix
+			b.Run(q.kind+"/"+mode.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					w := httptest.NewRecorder()
+					srv.ServeHTTP(w, httptest.NewRequest("GET", url, nil))
+					if w.Code != http.StatusOK {
+						b.Fatalf("%s: %d %s", url, w.Code, w.Body)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestDrainWaitsForTimedOutBatch stalls /v1/batch bodies past their
 // ?timeout= (answered 504, their ingest still running in the
 // background with its pooled buffers and drain token), runs other

@@ -165,10 +165,10 @@ var routes = []route{
 	{"POST", "/v1/update", (*Server).handleUpdate},
 	{"POST", "/v1/delete", (*Server).handleDelete},
 	{"POST", "/v1/batch", (*Server).handleBatch},
-	{"GET", "/v1/timeslice", (*Server).handleTimeslice},
-	{"GET", "/v1/window", (*Server).handleWindow},
-	{"GET", "/v1/moving", (*Server).handleMoving},
-	{"GET", "/v1/nearest", (*Server).handleNearest},
+	{"GET", "/v1/timeslice", queryRoute(rexptree.QueryTimeslice)},
+	{"GET", "/v1/window", queryRoute(rexptree.QueryWindow)},
+	{"GET", "/v1/moving", queryRoute(rexptree.QueryMoving)},
+	{"GET", "/v1/nearest", queryRoute(rexptree.QueryNearest)},
 	{"GET", "/v1/object", (*Server).handleObject},
 	{"GET", "/v1/stats", (*Server).handleStats},
 	{"POST", "/v1/reshard", (*Server).handleReshard},

@@ -210,62 +210,90 @@ func TestEndpointsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMalformedRequests asserts the 400 paths: broken JSON, wrong
-// dimensionality, bad parameters, invalid query windows.
+// TestMalformedRequests asserts the 400 paths and their exact messages:
+// broken JSON, wrong dimensionality, every query parameter of every
+// kind missing or malformed (a bad now is reported before the kind's
+// own parameters, which are reported in order), and each query
+// validator's refusal.  The index clock is moved to 5 first, so a time
+// of 0 is in the past.
 func TestMalformedRequests(t *testing.T) {
 	hs, _ := newTestServer(t, nil)
+	if resp, raw := postJSON(t, hs.URL+"/v1/update", `{"id":9,"pos":[1,2],"time":5}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("clock update: %d %s", resp.StatusCode, raw)
+	}
 
 	cases := []struct {
 		name string
-		do   func() (*http.Response, []byte)
+		post string // body for a POST; "" sends a GET
+		path string
+		want string
 	}{
-		{"update broken json", func() (*http.Response, []byte) {
-			return postJSON(t, hs.URL+"/v1/update", `{"id":`)
-		}},
-		{"update unknown field", func() (*http.Response, []byte) {
-			return postJSON(t, hs.URL+"/v1/update", `{"id":1,"pos":[1,2],"wat":3}`)
-		}},
-		{"update wrong dims", func() (*http.Response, []byte) {
-			return postJSON(t, hs.URL+"/v1/update", `{"id":1,"pos":[1,2,3],"time":0}`)
-		}},
-		{"update with delete op", func() (*http.Response, []byte) {
-			return postJSON(t, hs.URL+"/v1/update", `{"op":"delete","id":1,"pos":[1,2]}`)
-		}},
-		{"batch broken line", func() (*http.Response, []byte) {
-			return postJSON(t, hs.URL+"/v1/batch", `{"id":1,"pos":[1,2],"time":0}`+"\n"+`{"id":2,`)
-		}},
-		{"batch unknown op", func() (*http.Response, []byte) {
-			return postJSON(t, hs.URL+"/v1/batch", `{"op":"upsert","id":1,"pos":[1,2]}`)
-		}},
-		{"timeslice missing rect", func() (*http.Response, []byte) {
-			return get(t, hs.URL+"/v1/timeslice?at=%2B0")
-		}},
-		{"timeslice past at", func() (*http.Response, []byte) {
-			// Push the clock past zero first so at=0 is in the past.
-			postJSON(t, hs.URL+"/v1/update", `{"id":9,"pos":[1,2],"time":5}`)
-			return get(t, hs.URL+"/v1/timeslice?lo=0,0&hi=1,1&at=0")
-		}},
-		{"window t2 before t1", func() (*http.Response, []byte) {
-			return get(t, hs.URL+"/v1/window?lo=0,0&hi=1,1&t1=%2B10&t2=%2B5")
-		}},
-		{"nearest bad k", func() (*http.Response, []byte) {
-			return get(t, hs.URL+"/v1/nearest?pos=0,0&k=-3&at=%2B0")
-		}},
-		{"object bad id", func() (*http.Response, []byte) {
-			return get(t, hs.URL+"/v1/object?id=banana")
-		}},
-		{"bad timeout param", func() (*http.Response, []byte) {
-			return get(t, hs.URL+"/v1/nearest?pos=0,0&k=1&at=%2B0&timeout=banana")
-		}},
+		{"update broken json", `{"id":`, "/v1/update", "malformed body: unexpected EOF"},
+		{"update unknown field", `{"id":1,"pos":[1,2],"wat":3}`, "/v1/update", `malformed body: json: unknown field "wat"`},
+		{"update wrong dims", `{"id":1,"pos":[1,2,3],"time":0}`, "/v1/update", "pos has 3 coordinates, index has 2 dimensions"},
+		{"update with delete op", `{"op":"delete","id":1,"pos":[1,2]}`, "/v1/update", `op "delete" not valid on /v1/update (use /v1/delete or /v1/batch)`},
+		{"batch broken line", `{"id":1,"pos":[1,2],"time":0}` + "\n" + `{"id":2,`, "/v1/batch", "line 2: unexpected end of JSON input"},
+		{"batch unknown op", `{"op":"upsert","id":1,"pos":[1,2]}`, "/v1/batch", `line 1: unknown op "upsert"`},
+
+		{"timeslice missing rect", "", "/v1/timeslice?at=%2B0", "lo: missing coordinates"},
+		{"timeslice bad lo", "", "/v1/timeslice?lo=1&hi=1,1&at=%2B0", `lo: "1" has 1 coordinates, index has 2 dimensions`},
+		{"timeslice bad hi", "", "/v1/timeslice?lo=0,0&hi=1,x&at=%2B0", `hi: coordinate "x" is not a finite number`},
+		{"timeslice missing at", "", "/v1/timeslice?lo=0,0&hi=1,1", "at: missing time"},
+		{"timeslice bad at", "", "/v1/timeslice?lo=0,0&hi=1,1&at=soon", `at: time "soon" is not a finite number`},
+		{"timeslice bad now", "", "/v1/timeslice?lo=0,0&hi=1,1&at=%2B0&now=x", `now: time "x" is not a finite number`},
+		{"timeslice past at", "", "/v1/timeslice?lo=0,0&hi=1,1&at=0", "rexptree: query time 0 precedes current time 5"},
+		{"timeslice past at explained", "", "/v1/timeslice?lo=0,0&hi=1,1&at=0&explain=1", "rexptree: query time 0 precedes current time 5"},
+
+		{"window bad now first", "", "/v1/window?now=x", `now: time "x" is not a finite number`},
+		{"window bad lo", "", "/v1/window?lo=a,0&hi=1,1&t1=%2B0&t2=%2B5", `lo: coordinate "a" is not a finite number`},
+		{"window missing hi", "", "/v1/window?lo=0,0&t1=%2B0&t2=%2B5", "hi: missing coordinates"},
+		{"window missing t1", "", "/v1/window?lo=0,0&hi=1,1&t2=%2B5", "t1: missing time"},
+		{"window bad t2", "", "/v1/window?lo=0,0&hi=1,1&t1=%2B0&t2=NaN", `t2: time "NaN" is not a finite number`},
+		{"window bad now", "", "/v1/window?lo=0,0&hi=1,1&t1=%2B0&t2=%2B5&now=%2Binf", `now: time "+inf" is not a finite number`},
+		{"window t2 before t1", "", "/v1/window?lo=0,0&hi=1,1&t1=%2B10&t2=%2B5", "rexptree: invalid query window [15, 10] at time 5"},
+		{"window t1 before now", "", "/v1/window?lo=0,0&hi=1,1&t1=0&t2=10", "rexptree: invalid query window [0, 10] at time 5"},
+		{"window t1 before now explained", "", "/v1/window?lo=0,0&hi=1,1&t1=0&t2=10&explain=1", "rexptree: invalid query window [0, 10] at time 5"},
+
+		{"moving missing lo1", "", "/v1/moving?t1=%2B0&t2=%2B5", "lo1: missing coordinates"},
+		{"moving bad hi1", "", "/v1/moving?lo1=0,0&hi1=1&lo2=0,0&hi2=1,1&t1=%2B0&t2=%2B5", `hi1: "1" has 1 coordinates, index has 2 dimensions`},
+		{"moving bad lo2", "", "/v1/moving?lo1=0,0&hi1=1,1&lo2=0,y&hi2=1,1&t1=%2B0&t2=%2B5", `lo2: coordinate "y" is not a finite number`},
+		{"moving missing hi2", "", "/v1/moving?lo1=0,0&hi1=1,1&lo2=0,0&t1=%2B0&t2=%2B5", "hi2: missing coordinates"},
+		{"moving bad t1", "", "/v1/moving?lo1=0,0&hi1=1,1&lo2=0,0&hi2=1,1&t1=later&t2=%2B5", `t1: time "later" is not a finite number`},
+		{"moving missing t2", "", "/v1/moving?lo1=0,0&hi1=1,1&lo2=0,0&hi2=1,1&t1=%2B0", "t2: missing time"},
+		{"moving bad now", "", "/v1/moving?lo1=0,0&hi1=1,1&lo2=0,0&hi2=1,1&t1=%2B0&t2=%2B5&now=%2Bx", `now: time "+x" is not a finite number`},
+		{"moving empty interval", "", "/v1/moving?lo1=0,0&hi1=1,1&lo2=0,0&hi2=1,1&t1=%2B5&t2=%2B5", "rexptree: invalid moving query interval [10, 10] at time 5"},
+		{"moving t1 before now", "", "/v1/moving?lo1=0,0&hi1=1,1&lo2=0,0&hi2=1,1&t1=1&t2=10", "rexptree: invalid moving query interval [1, 10] at time 5"},
+
+		{"nearest missing pos", "", "/v1/nearest?k=1", "pos: missing coordinates"},
+		{"nearest bad pos", "", "/v1/nearest?pos=1,2,3&k=1", `pos: "1,2,3" has 3 coordinates, index has 2 dimensions`},
+		{"nearest bad k", "", "/v1/nearest?pos=0,0&k=-3&at=%2B0", `k: "-3" is not a positive integer`},
+		{"nearest missing k", "", "/v1/nearest?pos=0,0", `k: "" is not a positive integer`},
+		{"nearest word k", "", "/v1/nearest?pos=0,0&k=ten", `k: "ten" is not a positive integer`},
+		{"nearest bad at", "", "/v1/nearest?pos=0,0&k=1&at=x", `at: time "x" is not a finite number`},
+		{"nearest bad now", "", "/v1/nearest?pos=0,0&k=1&now=1e999", `now: time "1e999" is not a finite number`},
+		{"nearest past at", "", "/v1/nearest?pos=0,0&k=1&at=0", "rexptree: query time 0 precedes current time 5"},
+		{"nearest past at explained", "", "/v1/nearest?pos=0,0&k=1&at=0&explain=1", "rexptree: query time 0 precedes current time 5"},
+
+		{"object bad id", "", "/v1/object?id=banana", `id: "banana" is not an object id`},
+		{"object bad now", "", "/v1/object?id=1&now=x", `now: time "x" is not a finite number`},
+		{"bad timeout param", "", "/v1/nearest?pos=0,0&k=1&at=%2B0&timeout=banana", `invalid timeout "banana"`},
 	}
 	for _, tc := range cases {
-		resp, raw := tc.do()
+		var resp *http.Response
+		var raw []byte
+		if tc.post != "" {
+			resp, raw = postJSON(t, hs.URL+tc.path, tc.post)
+		} else {
+			resp, raw = get(t, hs.URL+tc.path)
+		}
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s), want 400", tc.name, resp.StatusCode, raw)
 		}
 		var er errorResponse
 		if err := json.Unmarshal(raw, &er); err != nil || er.Error == "" {
 			t.Errorf("%s: body is not an error envelope: %s", tc.name, raw)
+		} else if er.Error != tc.want {
+			t.Errorf("%s: error %q, want %q", tc.name, er.Error, tc.want)
 		}
 	}
 }

@@ -250,13 +250,11 @@ func (bp *BufferPool) evictOne() error {
 		bp.stats.DirtyWritebacks++
 		if bp.met != nil {
 			bp.met.BufDirtyWritebacks.Inc()
-			bp.met.Emit(obs.Event{Kind: obs.EvDirtyWriteback, Level: -1, N: 1})
 		}
 	}
 	bp.stats.Evictions++
 	if bp.met != nil {
 		bp.met.BufEvictions.Inc()
-		bp.met.Emit(obs.Event{Kind: obs.EvEviction, Level: -1, N: 1})
 	}
 	bp.unlink(f)
 	delete(bp.frames, f.id)

@@ -239,8 +239,6 @@ func TestBufferPoolEvictionCounters(t *testing.T) {
 	}
 	bp := NewBufferPool(store, 2)
 	met := obs.New()
-	var events []obs.Event
-	met.Observer = obs.ObserverFunc(func(e obs.Event) { events = append(events, e) })
 	bp.SetMetrics(met)
 
 	// Clean evictions: reading 3 pages through a cap-2 pool evicts one
@@ -277,27 +275,6 @@ func TestBufferPoolEvictionCounters(t *testing.T) {
 	}
 	if snap.BufReads != s.Reads || snap.BufHits != s.Hits {
 		t.Errorf("obs reads=%d hits=%d, want %d/%d", snap.BufReads, snap.BufHits, s.Reads, s.Hits)
-	}
-
-	// Events: 2 evictions, 1 dirty writeback, writeback announced
-	// before its eviction, all at storage level -1.
-	var ev, wb int
-	for i, e := range events {
-		if e.Level != -1 {
-			t.Errorf("event %d level = %d, want -1", i, e.Level)
-		}
-		switch e.Kind {
-		case obs.EvEviction:
-			ev++
-		case obs.EvDirtyWriteback:
-			wb++
-			if i+1 >= len(events) || events[i+1].Kind != obs.EvEviction {
-				t.Error("dirty writeback not followed by its eviction event")
-			}
-		}
-	}
-	if ev != 2 || wb != 1 {
-		t.Errorf("events: %d evictions, %d writebacks, want 2/1", ev, wb)
 	}
 }
 

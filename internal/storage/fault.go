@@ -92,7 +92,6 @@ func (s *FaultStore) maybeFail(kind string) error {
 	if s.ops >= s.FailAfter {
 		if s.met != nil {
 			s.met.FaultTrips.Inc()
-			s.met.Emit(obs.Event{Kind: obs.EvFaultTrip, Level: -1, N: 1})
 		}
 		return fmt.Errorf("%w: %s #%d", ErrInjected, kind, s.ops)
 	}

@@ -391,25 +391,25 @@ func TestLiveReshardConcurrentStress(t *testing.T) {
 					if i%2 == 0 {
 						_, err = s.Timeslice(inner, c, c)
 					} else {
-						_, _, err = s.TraceTimeslice(inner, c, c)
+						_, _, err = s.Query(Query{Kind: QueryTimeslice, R: inner, At: c, Explain: true}, c)
 					}
 				case 1:
 					if i%2 == 0 {
 						_, err = s.Window(mid, c, c+10, c)
 					} else {
-						_, _, err = s.TraceWindow(mid, c, c+10, c)
+						_, _, err = s.Query(Query{Kind: QueryWindow, R: mid, T1: c, T2: c + 10, Explain: true}, c)
 					}
 				case 2:
 					if i%2 == 0 {
 						_, err = s.Moving(inner, mid, c+1, c+8, c)
 					} else {
-						_, _, err = s.TraceMoving(inner, mid, c+1, c+8, c)
+						_, _, err = s.Query(Query{Kind: QueryMoving, R: inner, R2: mid, T1: c + 1, T2: c + 8, Explain: true}, c)
 					}
 				default:
 					if i%2 == 0 {
 						_, err = s.Nearest(Vec{500, 500}, c, 10, c)
 					} else {
-						_, _, err = s.TraceNearest(Vec{500, 500}, c, 10, c)
+						_, _, err = s.Query(Query{Kind: QueryNearest, Pos: Vec{500, 500}, At: c, K: 10, Explain: true}, c)
 					}
 				}
 				fail(err)

@@ -115,6 +115,10 @@ func TestNearestPastTimeError(t *testing.T) {
 	if n.Count != 2 || n.Errors != 1 {
 		t.Errorf("nearest op = %+v, want 2 calls, 1 error", n)
 	}
+	// A query value of no known kind is refused, not run.
+	if _, _, err := tr.Query(Query{Kind: QueryNearest + 1, At: 10}, 10); err == nil {
+		t.Error("Query ran a query of unknown kind")
+	}
 }
 
 func TestWriteMetricsAndHandler(t *testing.T) {

@@ -711,16 +711,17 @@ func nonEmpty[T any](groups [][]T) []bool {
 	return visit
 }
 
-// query answers the three region queries: see searchShards.
-func (s *ShardedTree) query(op obs.Op, traced bool, invalid error, q geom.Query, now float64) ([]Result, *QueryTrace, error) {
-	return runQuery(s.m, s.rec, op, traced, invalid, func(tc *QueryTrace) ([]Result, error) {
-		return s.searchShards(op, q, now, tc)
-	})
-}
-
-func (s *ShardedTree) nearest(traced bool, pos Vec, at float64, k int, now float64) ([]Result, *QueryTrace, error) {
-	return runQuery(s.m, s.rec, obs.OpNearest, traced, checkTimeslice(at, now), func(tc *QueryTrace) ([]Result, error) {
-		return s.nearestShards(pos, at, k, now, tc)
+// Query runs q at time now across the shards: the one path of all four
+// query kinds on the front end, through searchShards or nearestShards.
+// With q.Explain it is the EXPLAIN API: the trace holds the per-shard
+// table and the span tree covering each shard's epoch pin and
+// traversal and, for a region query, the result merge.
+func (s *ShardedTree) Query(q Query, now float64) ([]Result, *QueryTrace, error) {
+	return runQuery(s.m, s.rec, q, now, func(tc *QueryTrace) ([]Result, error) {
+		if q.Kind != QueryNearest {
+			return s.searchShards(kindOps[q.Kind], q.region(s.dims), now, tc)
+		}
+		return s.nearestShards(q.Pos, q.At, q.K, now, tc)
 	})
 }
 
@@ -777,14 +778,14 @@ func (s *ShardedTree) searchShards(op obs.Op, q geom.Query, now float64, tc *Que
 // Timeslice reports the objects predicted to be inside r at time at
 // (Type 1 query), searched on every shard; see Tree.Timeslice.
 func (s *ShardedTree) Timeslice(r Rect, at, now float64) ([]Result, error) {
-	res, _, err := s.query(obs.OpTimeslice, s.rec != nil, checkTimeslice(at, now), geom.Timeslice(toRect(r), at), now)
+	res, _, err := s.Query(Query{Kind: QueryTimeslice, R: r, At: at}, now)
 	return res, err
 }
 
 // Window reports the objects predicted to cross r during [t1, t2]
 // (Type 2 query), searched on every shard; see Tree.Window.
 func (s *ShardedTree) Window(r Rect, t1, t2, now float64) ([]Result, error) {
-	res, _, err := s.query(obs.OpWindow, s.rec != nil, checkWindow(t1, t2, now), geom.Window(toRect(r), t1, t2), now)
+	res, _, err := s.Query(Query{Kind: QueryWindow, R: r, T1: t1, T2: t2}, now)
 	return res, err
 }
 
@@ -792,7 +793,7 @@ func (s *ShardedTree) Window(r Rect, t1, t2, now float64) ([]Result, error) {
 // connecting r1 at t1 to r2 at t2 (Type 3 query), searched on every
 // shard; see Tree.Moving.
 func (s *ShardedTree) Moving(r1, r2 Rect, t1, t2, now float64) ([]Result, error) {
-	res, _, err := s.query(obs.OpMoving, s.rec != nil, checkMoving(t1, t2, now), geom.Moving(toRect(r1), toRect(r2), t1, t2, s.dims), now)
+	res, _, err := s.Query(Query{Kind: QueryMoving, R: r1, R2: r2, T1: t1, T2: t2}, now)
 	return res, err
 }
 
@@ -802,7 +803,7 @@ func (s *ShardedTree) Moving(r1, r2 Rect, t1, t2, now float64) ([]Result, error)
 // shards are searched one after another, each bounded by the k-th
 // distance of those before it.
 func (s *ShardedTree) Nearest(pos Vec, at float64, k int, now float64) ([]Result, error) {
-	res, _, err := s.nearest(s.rec != nil, pos, at, k, now)
+	res, _, err := s.Query(Query{Kind: QueryNearest, Pos: pos, At: at, K: k}, now)
 	return res, err
 }
 

@@ -615,7 +615,7 @@ func TestShardedNearestMatchesSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range variants {
-			got, tc, err := v.ix.TraceNearest(pos, at, k, now)
+			got, tc, err := v.ix.Query(Query{Kind: QueryNearest, Pos: pos, At: at, K: k, Explain: true}, now)
 			if err != nil {
 				t.Fatal(err)
 			}

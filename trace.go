@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rexptree/internal/core"
-	"rexptree/internal/geom"
 	"rexptree/internal/obs"
 )
 
@@ -48,7 +47,7 @@ type ShardTrace struct {
 
 // QueryTrace is the structured execution trace of one operation: the
 // span tree, and for sharded queries the per-shard table.  It
-// is the EXPLAIN result of the Trace* methods and the unit retained by
+// is the EXPLAIN result of an Explain query and the unit retained by
 // the flight recorder.  A trace is immutable once returned; JSON
 // encodes it for the /debug/rexp/traces endpoint and Text renders it
 // for humans.
@@ -305,32 +304,7 @@ func traceHandler(rec *obs.Recorder) http.Handler {
 }
 
 // ---------------------------------------------------------------------
-// Tree EXPLAIN API.
-
-// TraceWindow runs Window and returns its execution trace alongside
-// the results.  It is Window with the trace forced on: the same
-// traversal, results, metrics and flight-recorder entry.
-func (tr *Tree) TraceWindow(r Rect, t1, t2, now float64) ([]Result, *QueryTrace, error) {
-	return tr.query(obs.OpWindow, true, checkWindow(t1, t2, now), geom.Window(toRect(r), t1, t2), now)
-}
-
-// TraceTimeslice runs Timeslice and returns its execution trace; see
-// TraceWindow.
-func (tr *Tree) TraceTimeslice(r Rect, at, now float64) ([]Result, *QueryTrace, error) {
-	return tr.query(obs.OpTimeslice, true, checkTimeslice(at, now), geom.Timeslice(toRect(r), at), now)
-}
-
-// TraceMoving runs Moving and returns its execution trace; see
-// TraceWindow.
-func (tr *Tree) TraceMoving(r1, r2 Rect, t1, t2, now float64) ([]Result, *QueryTrace, error) {
-	return tr.query(obs.OpMoving, true, checkMoving(t1, t2, now), geom.Moving(toRect(r1), toRect(r2), t1, t2, tr.dims), now)
-}
-
-// TraceNearest runs Nearest and returns its execution trace; see
-// TraceWindow.
-func (tr *Tree) TraceNearest(pos Vec, at float64, k int, now float64) ([]Result, *QueryTrace, error) {
-	return tr.nearest(true, pos, at, k, now)
-}
+// Flight recorder access.  EXPLAIN is a Query with Explain set.
 
 // Traces returns the flight recorder's retained traces, newest first.
 // Both slices are nil when the recorder is disabled
@@ -348,35 +322,6 @@ func (tr *Tree) Traces() (recent, slow []*QueryTrace) {
 // MetricsHandler.
 func (tr *Tree) TraceHandler() http.Handler {
 	return traceHandler(tr.rec)
-}
-
-// ---------------------------------------------------------------------
-// ShardedTree EXPLAIN API.
-
-// TraceWindow runs Window across the shards and returns the execution
-// trace: the per-shard table and the span tree covering each shard's
-// epoch pin and traversal, and the result merge.  It is Window with
-// the trace forced on.
-func (s *ShardedTree) TraceWindow(r Rect, t1, t2, now float64) ([]Result, *QueryTrace, error) {
-	return s.query(obs.OpWindow, true, checkWindow(t1, t2, now), geom.Window(toRect(r), t1, t2), now)
-}
-
-// TraceTimeslice runs Timeslice across the shards and returns the
-// execution trace; see TraceWindow.
-func (s *ShardedTree) TraceTimeslice(r Rect, at, now float64) ([]Result, *QueryTrace, error) {
-	return s.query(obs.OpTimeslice, true, checkTimeslice(at, now), geom.Timeslice(toRect(r), at), now)
-}
-
-// TraceMoving runs Moving across the shards and returns the execution
-// trace; see TraceWindow.
-func (s *ShardedTree) TraceMoving(r1, r2 Rect, t1, t2, now float64) ([]Result, *QueryTrace, error) {
-	return s.query(obs.OpMoving, true, checkMoving(t1, t2, now), geom.Moving(toRect(r1), toRect(r2), t1, t2, s.dims), now)
-}
-
-// TraceNearest runs Nearest across the shards and returns the
-// execution trace; it has no merge span.  See TraceWindow.
-func (s *ShardedTree) TraceNearest(pos Vec, at float64, k int, now float64) ([]Result, *QueryTrace, error) {
-	return s.nearest(true, pos, at, k, now)
 }
 
 // Traces returns the sharded front end's flight-recorder traces,

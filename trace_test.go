@@ -12,7 +12,7 @@ import (
 	"rexptree/internal/obs"
 )
 
-// TestTraceEquivalenceSingle checks the Trace* methods return exactly
+// TestTraceEquivalenceSingle checks an Explain query returns exactly
 // what the untraced queries return — tracing observes, it must never
 // change the traversal — and that the trace carries the expected span
 // structure.
@@ -41,19 +41,27 @@ func TestTraceEquivalenceSingle(t *testing.T) {
 	cases := []q{
 		{"window",
 			func() ([]Result, error) { return tr.Window(region, 5, 15, 0) },
-			func() ([]Result, *QueryTrace, error) { return tr.TraceWindow(region, 5, 15, 0) },
+			func() ([]Result, *QueryTrace, error) {
+				return tr.Query(Query{Kind: QueryWindow, R: region, T1: 5, T2: 15, Explain: true}, 0)
+			},
 			"window", 2},
 		{"timeslice",
 			func() ([]Result, error) { return tr.Timeslice(region, 5, 0) },
-			func() ([]Result, *QueryTrace, error) { return tr.TraceTimeslice(region, 5, 0) },
+			func() ([]Result, *QueryTrace, error) {
+				return tr.Query(Query{Kind: QueryTimeslice, R: region, At: 5, Explain: true}, 0)
+			},
 			"timeslice", 2},
 		{"moving",
 			func() ([]Result, error) { return tr.Moving(region, region2, 5, 15, 0) },
-			func() ([]Result, *QueryTrace, error) { return tr.TraceMoving(region, region2, 5, 15, 0) },
+			func() ([]Result, *QueryTrace, error) {
+				return tr.Query(Query{Kind: QueryMoving, R: region, R2: region2, T1: 5, T2: 15, Explain: true}, 0)
+			},
 			"moving", 2},
 		{"nearest",
 			func() ([]Result, error) { return tr.Nearest(Vec{500, 500}, 5, 10, 0) },
-			func() ([]Result, *QueryTrace, error) { return tr.TraceNearest(Vec{500, 500}, 5, 10, 0) },
+			func() ([]Result, *QueryTrace, error) {
+				return tr.Query(Query{Kind: QueryNearest, Pos: Vec{500, 500}, At: 5, K: 10, Explain: true}, 0)
+			},
 			"nearest", 2},
 	}
 	for _, c := range cases {
@@ -176,16 +184,24 @@ func TestTraceEquivalenceSharded(t *testing.T) {
 	cases := []q{
 		{"window",
 			func() ([]Result, error) { return s.Window(region, 5, 15, 0) },
-			func() ([]Result, *QueryTrace, error) { return s.TraceWindow(region, 5, 15, 0) }},
+			func() ([]Result, *QueryTrace, error) {
+				return s.Query(Query{Kind: QueryWindow, R: region, T1: 5, T2: 15, Explain: true}, 0)
+			}},
 		{"timeslice",
 			func() ([]Result, error) { return s.Timeslice(region, 5, 0) },
-			func() ([]Result, *QueryTrace, error) { return s.TraceTimeslice(region, 5, 0) }},
+			func() ([]Result, *QueryTrace, error) {
+				return s.Query(Query{Kind: QueryTimeslice, R: region, At: 5, Explain: true}, 0)
+			}},
 		{"moving",
 			func() ([]Result, error) { return s.Moving(region, region2, 5, 15, 0) },
-			func() ([]Result, *QueryTrace, error) { return s.TraceMoving(region, region2, 5, 15, 0) }},
+			func() ([]Result, *QueryTrace, error) {
+				return s.Query(Query{Kind: QueryMoving, R: region, R2: region2, T1: 5, T2: 15, Explain: true}, 0)
+			}},
 		{"nearest",
 			func() ([]Result, error) { return s.Nearest(Vec{500, 500}, 5, 20, 0) },
-			func() ([]Result, *QueryTrace, error) { return s.TraceNearest(Vec{500, 500}, 5, 20, 0) }},
+			func() ([]Result, *QueryTrace, error) {
+				return s.Query(Query{Kind: QueryNearest, Pos: Vec{500, 500}, At: 5, K: 20, Explain: true}, 0)
+			}},
 	}
 	for _, c := range cases {
 		want, err := c.plain()

@@ -429,43 +429,17 @@ func (tr *Tree) apply(op obs.Op, batch []Report, now float64, tc *QueryTrace) (r
 	return removed, tr.walCommit(tc)
 }
 
-// runQuery is the envelope of every index query of both tree types.
-// It refuses an invalid query (invalid is the validator's verdict),
-// runs the traversal — under an execution trace when traced; tc is nil
-// otherwise, and every *QueryTrace method is a no-op on nil — and
-// observes the operation in m's latency histogram and in the flight
-// recorder.  A plain query passes traced = rec != nil, because a
-// recorder retains every operation's trace; its Trace twin passes
-// true.  Nothing else distinguishes the two.
-func runQuery(m *obs.Metrics, rec *obs.Recorder, op obs.Op, traced bool, invalid error, run func(tc *QueryTrace) ([]Result, error)) ([]Result, *QueryTrace, error) {
-	var tc *QueryTrace
-	if traced {
-		tc = newTrace(op.String())
-	}
-	start := time.Now()
-	var res []Result
-	err := invalid
-	if err == nil {
-		res, err = run(tc)
-	}
-	d := time.Since(start)
-	m.ObserveOp(op, d, err)
-	tc.finishRecord(rec, len(res), d, err)
-	return res, tc, err
-}
-
-// query answers the three region queries, which are one trapezoid (§2).
-func (tr *Tree) query(op obs.Op, traced bool, invalid error, q geom.Query, now float64) ([]Result, *QueryTrace, error) {
-	return runQuery(tr.m, tr.rec, op, traced, invalid, func(tc *QueryTrace) ([]Result, error) {
+// Query runs q at time now: the one path of all four query kinds on a
+// tree.  A region query reads the snapshot through searchAt, a nearest
+// query through nearestAt.  With q.Explain it is the EXPLAIN API, and
+// the execution trace comes back with the results.
+func (tr *Tree) Query(q Query, now float64) ([]Result, *QueryTrace, error) {
+	return runQuery(tr.m, tr.rec, q, now, func(tc *QueryTrace) ([]Result, error) {
 		pi, ti := tc.beginTraverse(-1, -1)
-		return tr.searchAt(make([]Result, 0), q, now, tc, pi, ti)
-	})
-}
-
-func (tr *Tree) nearest(traced bool, pos Vec, at float64, k int, now float64) ([]Result, *QueryTrace, error) {
-	return runQuery(tr.m, tr.rec, obs.OpNearest, traced, checkTimeslice(at, now), func(tc *QueryTrace) ([]Result, error) {
-		pi, ti := tc.beginTraverse(-1, -1)
-		ns, err := tr.nearestAt(pos, at, k, now, math.Inf(1), tc, pi, ti)
+		if q.Kind != QueryNearest {
+			return tr.searchAt(make([]Result, 0), q.region(tr.dims), now, tc, pi, ti)
+		}
+		ns, err := tr.nearestAt(q.Pos, q.At, q.K, now, math.Inf(1), tc, pi, ti)
 		if err != nil {
 			return nil, err
 		}
@@ -511,45 +485,21 @@ func (tr *Tree) nearestAt(pos Vec, at float64, k int, now, bound float64, tc *Qu
 // Timeslice reports the objects predicted to be inside r at time at
 // (Type 1 query).  now is the current time; at must not precede it.
 func (tr *Tree) Timeslice(r Rect, at, now float64) ([]Result, error) {
-	res, _, err := tr.query(obs.OpTimeslice, tr.rec != nil, checkTimeslice(at, now), geom.Timeslice(toRect(r), at), now)
+	res, _, err := tr.Query(Query{Kind: QueryTimeslice, R: r, At: at}, now)
 	return res, err
-}
-
-// The query-time validators, shared by Tree and the sharded front-end
-// so both reject an invalid query with the identical error, checked
-// before any shard is visited.
-func checkTimeslice(at, now float64) error {
-	if at < now {
-		return fmt.Errorf("rexptree: query time %v precedes current time %v", at, now)
-	}
-	return nil
-}
-
-func checkWindow(t1, t2, now float64) error {
-	if t1 > t2 || t1 < now {
-		return fmt.Errorf("rexptree: invalid query window [%v, %v] at time %v", t1, t2, now)
-	}
-	return nil
-}
-
-func checkMoving(t1, t2, now float64) error {
-	if t1 >= t2 || t1 < now {
-		return fmt.Errorf("rexptree: invalid moving query interval [%v, %v] at time %v", t1, t2, now)
-	}
-	return nil
 }
 
 // Window reports the objects predicted to cross r at some time in
 // [t1, t2] (Type 2 query).
 func (tr *Tree) Window(r Rect, t1, t2, now float64) ([]Result, error) {
-	res, _, err := tr.query(obs.OpWindow, tr.rec != nil, checkWindow(t1, t2, now), geom.Window(toRect(r), t1, t2), now)
+	res, _, err := tr.Query(Query{Kind: QueryWindow, R: r, T1: t1, T2: t2}, now)
 	return res, err
 }
 
 // Moving reports the objects predicted to cross the trapezoid
 // connecting r1 at t1 to r2 at t2 (Type 3 query).
 func (tr *Tree) Moving(r1, r2 Rect, t1, t2, now float64) ([]Result, error) {
-	res, _, err := tr.query(obs.OpMoving, tr.rec != nil, checkMoving(t1, t2, now), geom.Moving(toRect(r1), toRect(r2), t1, t2, tr.dims), now)
+	res, _, err := tr.Query(Query{Kind: QueryMoving, R: r1, R2: r2, T1: t1, T2: t2}, now)
 	return res, err
 }
 
@@ -557,7 +507,7 @@ func (tr *Tree) Moving(r1, r2 Rect, t1, t2, now float64) ([]Result, error) {
 // are closest to pos, nearest first.  Expired reports never qualify.
 // Like Timeslice, the query time must not precede the current time.
 func (tr *Tree) Nearest(pos Vec, at float64, k int, now float64) ([]Result, error) {
-	res, _, err := tr.nearest(tr.rec != nil, pos, at, k, now)
+	res, _, err := tr.Query(Query{Kind: QueryNearest, Pos: pos, At: at, K: k}, now)
 	return res, err
 }
 
