@@ -179,10 +179,9 @@ bench-query:
 bench-ingest:
 	$(GO) test ./internal/server -run '^$$' -bench 'BenchmarkServedBatch|BenchmarkDecodeRecord' -benchmem
 
-# The README "Serving" quickstart as a test: rexpgen a workload, serve
-# it with rexpd, ingest through rexpbench -remote -replay, query over
-# HTTP, scrape /metrics, SIGTERM, assert a clean drain (see
-# cmd/rexpd/main_test.go).
+# The README "Serving" quickstart as a test: rexpgen -ndjson a workload,
+# serve it with rexpd, post it to /v1/batch, query over HTTP, scrape
+# /metrics, SIGTERM, assert a clean drain (see cmd/rexpd/main_test.go).
 serve-smoke:
 	$(GO) test ./cmd/rexpd -run 'TestServeSmoke|TestDrainNoAckedLossAcrossProcess' -count 1 -v
 

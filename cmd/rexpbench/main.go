@@ -5,77 +5,33 @@
 //
 // Usage:
 //
-//	rexpbench [-figure 13] [-scale 0.1] [-seed 1] [-quiet]
-//	rexpbench -remote 127.0.0.1:9380 -replay workload.txt
+//	rexpbench [-figure 13] [-scale 0.1] [-seed 1] [-quiet] [-csv results.csv]
 //
 // With no -figure it runs every figure.  -scale is the fraction of the
 // paper's workload size (100,000 objects, 1,000,000 insertions);
-// -scale 1 reproduces the full setup.
-//
-// With -remote and -replay it instead streams a rexpgen workload file
-// to a running rexpd and prints one summary line; see remote.go.
+// -scale 1 reproduces the full setup.  A figure's cells run on up to
+// GOMAXPROCS goroutines; tables and progress lines come out in the
+// same order either way.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"time"
 
 	"rexptree/internal/experiments"
-	"rexptree/internal/obs"
 )
 
 func main() {
 	var (
-		figure    = flag.String("figure", "", "figure to reproduce (9..16); empty = all")
-		scale     = flag.Float64("scale", 0.1, "fraction of the paper's workload scale")
-		seed      = flag.Int64("seed", 1, "workload and tree seed")
-		quiet     = flag.Bool("quiet", false, "suppress per-run progress lines")
-		csv       = flag.String("csv", "", "also append raw results as CSV to this file")
-		asJSON    = flag.Bool("json", false, "print the aggregate metrics snapshot as JSON after all figures")
-		serve     = flag.String("serve", "", "serve live Prometheus metrics at /metrics on this address while figures run (e.g. :9090)")
-		noPprof   = flag.Bool("nopprof", false, "serve mode: do not mount net/http/pprof under /debug/pprof/")
-		noRuntime = flag.Bool("noruntime", false, "serve mode: do not append Go runtime metrics to /metrics scrapes")
-
-		remote = flag.String("remote", "", "replay -replay's workload against a running rexpd at this address (host:port)")
-		replay = flag.String("replay", "", "rexpgen workload file to stream to the -remote daemon")
+		figure = flag.String("figure", "", "figure to reproduce (9..16); empty = all")
+		scale  = flag.Float64("scale", 0.1, "fraction of the paper's workload scale")
+		seed   = flag.Int64("seed", 1, "workload and tree seed")
+		quiet  = flag.Bool("quiet", false, "suppress per-run progress lines")
+		csv    = flag.String("csv", "", "also append raw results as CSV to this file")
 	)
 	flag.Parse()
-
-	if *remote != "" || *replay != "" {
-		if *remote == "" || *replay == "" {
-			fmt.Fprintln(os.Stderr, "rexpbench: -remote and -replay go together")
-			os.Exit(2)
-		}
-		if err := replayWorkload(*remote, *replay); err != nil {
-			fmt.Fprintf(os.Stderr, "rexpbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	met := obs.New()
-	experiments.Instrument = met
-	if *serve != "" {
-		mux := http.NewServeMux()
-		var metricsH http.Handler = obs.Handler(met.Snapshot)
-		if !*noRuntime {
-			metricsH = obs.WithRuntimeMetrics(metricsH, obs.DefaultPrefix)
-		}
-		mux.Handle("/metrics", metricsH)
-		if !*noPprof {
-			obs.RegisterPprof(mux)
-		}
-		go func() {
-			fmt.Fprintf(os.Stderr, "rexpbench: serving Prometheus metrics at http://%s/metrics\n", *serve)
-			if err := http.ListenAndServe(*serve, mux); err != nil {
-				fmt.Fprintf(os.Stderr, "rexpbench: metrics server: %v\n", err)
-			}
-		}()
-	}
 
 	var csvW *os.File
 	if *csv != "" {
@@ -119,14 +75,5 @@ func main() {
 				}
 			}
 		}
-	}
-
-	if *asJSON {
-		out, err := json.MarshalIndent(met.Snapshot(), "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rexpbench: %v\n", err)
-			os.Exit(1)
-		}
-		os.Stdout.Write(append(out, '\n'))
 	}
 }

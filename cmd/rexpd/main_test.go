@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -127,37 +128,63 @@ func getJSON(t *testing.T, url string, out any) int {
 }
 
 // TestServeSmoke is the README quickstart, end to end: generate a
-// workload with rexpgen, serve an index with rexpd, ingest the workload
-// through rexpbench -remote -replay, query it over HTTP, scrape
-// /metrics, and shut the daemon down cleanly.  `make serve-smoke` runs
-// exactly this test.
+// workload with rexpgen -ndjson, serve an index with rexpd, post the
+// workload to /v1/batch, query it over HTTP, scrape /metrics, and shut
+// the daemon down cleanly.  `make serve-smoke` runs exactly this test.
 func TestServeSmoke(t *testing.T) {
 	dir := t.TempDir()
 	rexpd := buildCmd(t, dir, "rexptree/cmd/rexpd")
 	rexpgen := buildCmd(t, dir, "rexptree/cmd/rexpgen")
-	rexpbench := buildCmd(t, dir, "rexptree/cmd/rexpbench")
 
-	// 1. Generate a small paper workload.
-	wl := filepath.Join(dir, "workload.txt")
-	if out, err := exec.Command(rexpgen, "-scale", "0.002", "-o", wl).CombinedOutput(); err != nil {
-		t.Fatalf("rexpgen: %v\n%s", err, out)
+	// 1. Generate a small paper workload as batch lines, and count the
+	// inserts and deletes of the same stream in its text form.
+	wl := filepath.Join(dir, "workload.ndjson")
+	if out, err := exec.Command(rexpgen, "-scale", "0.002", "-ndjson", "-o", wl).CombinedOutput(); err != nil {
+		t.Fatalf("rexpgen -ndjson: %v\n%s", err, out)
+	}
+	text, err := exec.Command(rexpgen, "-scale", "0.002").Output()
+	if err != nil {
+		t.Fatalf("rexpgen: %v", err)
+	}
+	var wantInserts, wantDeletes int
+	for _, line := range strings.Split(string(text), "\n") {
+		switch {
+		case strings.HasPrefix(line, "I "):
+			wantInserts++
+		case strings.HasPrefix(line, "D "):
+			wantDeletes++
+		}
 	}
 
 	// 2. Serve an index.
 	d := startDaemon(t, rexpd, "-shards", "2")
 
-	// 3. Ingest the workload through the loadgen's replay path.
-	out, err := exec.Command(rexpbench, "-remote", d.addr, "-replay", wl).Output()
+	// 3. Ingest the workload in one streamed body: it applies in order,
+	// every line of it.
+	f, err := os.Open(wl)
 	if err != nil {
-		t.Fatalf("rexpbench -replay: %v\n%s", err, out)
+		t.Fatal(err)
 	}
-	var inserts, deletes, queries, results int
-	if _, err := fmt.Sscanf(string(out), "rexpbench: replayed %d inserts, %d deletes, %d queries (%d results)",
-		&inserts, &deletes, &queries, &results); err != nil {
-		t.Fatalf("replay summary line: %v\n%s", err, out)
+	defer f.Close()
+	resp, err := http.Post(d.url("/v1/batch"), "application/x-ndjson", f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if inserts == 0 || queries == 0 || results == 0 {
-		t.Fatalf("replay did nothing: %s", out)
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %d %s", resp.StatusCode, raw)
+	}
+	var ack struct {
+		Applied int `json:"applied"`
+		Deleted int `json:"deleted"`
+	}
+	if err := json.Unmarshal(raw, &ack); err != nil {
+		t.Fatalf("batch ack: %v: %s", err, raw)
+	}
+	if ack.Applied != wantInserts || ack.Deleted != wantDeletes || wantInserts == 0 {
+		t.Fatalf("batch applied %d and deleted %d, the stream has %d inserts and %d deletes",
+			ack.Applied, ack.Deleted, wantInserts, wantDeletes)
 	}
 
 	// 4. The index answers over HTTP.
@@ -171,8 +198,8 @@ func TestServeSmoke(t *testing.T) {
 	}
 	// Every insert either holds its object or was superseded by a later
 	// report or a delete of it.
-	if stats.Objects == 0 || stats.Objects > inserts || stats.Shards != 2 || stats.Clock == 0 {
-		t.Fatalf("stats after replaying %d inserts: %+v", inserts, stats)
+	if stats.Objects == 0 || stats.Objects > ack.Applied || stats.Shards != 2 || stats.Clock == 0 {
+		t.Fatalf("stats after applying %d inserts: %+v", ack.Applied, stats)
 	}
 	var q struct {
 		Count int `json:"count"`
@@ -185,7 +212,7 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	// 5. The metrics endpoint scrapes.
-	resp, err := http.Get(d.url("/metrics"))
+	resp, err = http.Get(d.url("/metrics"))
 	if err != nil {
 		t.Fatal(err)
 	}

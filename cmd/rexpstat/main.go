@@ -5,32 +5,22 @@
 // way to inspect how a configuration organizes a workload.
 //
 // With -json the full metrics snapshot is printed as JSON instead of
-// the human-readable report; with -serve the process stays up after
-// the workload and exposes the metrics in Prometheus text format at
-// /metrics on the given address, Go runtime metrics appended to each
-// scrape (disable with -noruntime) and net/http/pprof profiles under
-// /debug/pprof/ (disable with -nopprof).
-//
-// With -explain the workload is loaded into a speed-partitioned
-// 4-shard ShardedTree with the flight recorder on, representative
-// window, timeslice and nearest queries are traced, and their EXPLAIN
-// output is printed (-json: the structured traces); -serve then also
-// exposes the recorder at /debug/rexp/traces.
+// the human-readable report.  Live /metrics, pprof profiles and
+// EXPLAIN traces are rexpd's: serve the workload there (rexpgen
+// -ndjson posts it) and query with ?explain=1.
 //
 // Usage:
 //
-//	rexpstat [-mode rexp|tpr] [-br near-optimal] [-scale 0.01] [-json] [-explain] [-serve :9090] ...
+//	rexpstat [-mode rexp|tpr] [-br near-optimal] [-scale 0.01] [-json] [-check] [-replay workload.txt] ...
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"time"
 
-	"rexptree"
 	"rexptree/internal/core"
 	"rexptree/internal/geom"
 	"rexptree/internal/hull"
@@ -65,32 +55,20 @@ func brKind(name string) (hull.Kind, error) {
 
 func main() {
 	var (
-		mode      = flag.String("mode", "rexp", "rexp (expiration-aware) or tpr (baseline)")
-		br        = flag.String("br", "near-optimal", "bounding rectangles: conservative|static|update-minimum|near-optimal|optimal")
-		scale     = flag.Float64("scale", 0.01, "fraction of the paper's workload scale")
-		seed      = flag.Int64("seed", 1, "seed")
-		expT      = flag.Float64("expt", 0, "expiration period (0 = 2*UI)")
-		expD      = flag.Float64("expd", 0, "expiration distance")
-		newOb     = flag.Float64("newob", 0, "fraction of replaced objects")
-		uniform   = flag.Bool("uniform", false, "uniform scenario")
-		storeBR   = flag.Bool("brexp", false, "record expiration times in internal entries")
-		replay    = flag.String("replay", "", "replay a workload file written by rexpgen instead of generating one")
-		check     = flag.Bool("check", false, "validate the tree's structural invariants after the workload")
-		asJSON    = flag.Bool("json", false, "print the metrics snapshot as JSON instead of the report")
-		serve     = flag.String("serve", "", "serve Prometheus metrics at /metrics on this address and block (e.g. :9090)")
-		explain   = flag.Bool("explain", false, "trace representative queries on a 4-shard speed-partitioned tree and print their EXPLAIN output")
-		noPprof   = flag.Bool("nopprof", false, "serve mode: do not mount net/http/pprof under /debug/pprof/")
-		noRuntime = flag.Bool("noruntime", false, "serve mode: do not append Go runtime metrics to /metrics scrapes")
+		mode    = flag.String("mode", "rexp", "rexp (expiration-aware) or tpr (baseline)")
+		br      = flag.String("br", "near-optimal", "bounding rectangles: conservative|static|update-minimum|near-optimal|optimal")
+		scale   = flag.Float64("scale", 0.01, "fraction of the paper's workload scale")
+		seed    = flag.Int64("seed", 1, "seed")
+		expT    = flag.Float64("expt", 0, "expiration period (0 = 2*UI)")
+		expD    = flag.Float64("expd", 0, "expiration distance")
+		newOb   = flag.Float64("newob", 0, "fraction of replaced objects")
+		uniform = flag.Bool("uniform", false, "uniform scenario")
+		storeBR = flag.Bool("brexp", false, "record expiration times in internal entries")
+		replay  = flag.String("replay", "", "replay a workload file written by rexpgen instead of generating one")
+		check   = flag.Bool("check", false, "validate the tree's structural invariants after the workload")
+		asJSON  = flag.Bool("json", false, "print the metrics snapshot as JSON instead of the report")
 	)
 	flag.Parse()
-
-	if *explain {
-		if err := runExplain(*scale, *seed, *expT, *expD, *newOb, *uniform, *asJSON, *serve, *noPprof, *noRuntime); err != nil {
-			fmt.Fprintln(os.Stderr, "rexpstat:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	kind, err := brKind(*br)
 	if err != nil {
@@ -225,128 +203,4 @@ func main() {
 			fmt.Println("invariants    : ok")
 		}
 	}
-
-	if *serve != "" {
-		mux := http.NewServeMux()
-		var metricsH http.Handler = obs.Handler(func() obs.Snapshot {
-			tree.SyncGauges()
-			return met.Snapshot()
-		})
-		if !*noRuntime {
-			metricsH = obs.WithRuntimeMetrics(metricsH, obs.DefaultPrefix)
-		}
-		mux.Handle("/metrics", metricsH)
-		if !*noPprof {
-			obs.RegisterPprof(mux)
-		}
-		fmt.Fprintf(os.Stderr, "rexpstat: serving Prometheus metrics at http://%s/metrics\n", *serve)
-		if err := http.ListenAndServe(*serve, mux); err != nil {
-			fmt.Fprintln(os.Stderr, "rexpstat:", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// runExplain loads the generated workload into an in-memory 4-shard
-// speed-partitioned ShardedTree with the flight recorder enabled,
-// traces one window, one timeslice and one nearest query, and prints
-// their EXPLAIN renderings.  With an address, it then serves /metrics,
-// /debug/rexp/traces and (unless disabled) /debug/pprof/.
-func runExplain(scale float64, seed int64, expT, expD, newOb float64, uniform, asJSON bool, serve string, noPprof, noRuntime bool) error {
-	p := workload.Params{Seed: seed, ExpT: expT, ExpD: expD, NewOb: newOb, Uniform: uniform}.Scale(scale)
-	gen, err := workload.NewGenerator(p)
-	if err != nil {
-		return err
-	}
-	opts := rexptree.DefaultOptions()
-	opts.Seed = seed
-	opts.FlightRecorder = 256
-	st, err := rexptree.OpenSharded(rexptree.ShardedOptions{
-		Options:   opts,
-		Shards:    4,
-		Partition: rexptree.PartitionSpeed,
-	})
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-
-	// Replay the insert/delete stream (queries are re-issued traced
-	// below); the workload clock is monotone, so the last op's time is
-	// the tree's "now".
-	now := 0.0
-	for {
-		op, ok := gen.Next()
-		if !ok {
-			break
-		}
-		now = op.Time
-		switch op.Kind {
-		case workload.OpInsert:
-			at := op.Point.At(op.Time)
-			pt := rexptree.Point{
-				Pos:     rexptree.Vec(at),
-				Vel:     rexptree.Vec(op.Point.Vel),
-				Time:    op.Time,
-				Expires: op.Point.TExp,
-			}
-			if err := st.Update(op.OID, pt, op.Time); err != nil {
-				return err
-			}
-		case workload.OpDelete:
-			if _, err := st.Delete(op.OID, op.Time); err != nil {
-				return err
-			}
-		}
-	}
-
-	// The paper's 1000x1000 world: trace a central window, a timeslice
-	// a little ahead, and a k-nearest around the center.
-	region := rexptree.Rect{
-		Lo: rexptree.Vec{400, 400},
-		Hi: rexptree.Vec{600, 600},
-	}
-	center := rexptree.Vec{500, 500}
-	var traces []*rexptree.QueryTrace
-	_, tc, err := st.Query(rexptree.Query{Kind: rexptree.QueryWindow, R: region, T1: now, T2: now + 10, Explain: true}, now)
-	if err != nil {
-		return err
-	}
-	traces = append(traces, tc)
-	if _, tc, err = st.Query(rexptree.Query{Kind: rexptree.QueryTimeslice, R: region, At: now + 5, Explain: true}, now); err != nil {
-		return err
-	}
-	traces = append(traces, tc)
-	if _, tc, err = st.Query(rexptree.Query{Kind: rexptree.QueryNearest, Pos: center, At: now, K: 10, Explain: true}, now); err != nil {
-		return err
-	}
-	traces = append(traces, tc)
-
-	if asJSON {
-		out, err := json.MarshalIndent(traces, "", "  ")
-		if err != nil {
-			return err
-		}
-		os.Stdout.Write(append(out, '\n'))
-	} else {
-		for _, tc := range traces {
-			fmt.Print(tc.Text())
-		}
-	}
-
-	if serve != "" {
-		mux := http.NewServeMux()
-		var metricsH http.Handler = st.MetricsHandler()
-		if !noRuntime {
-			metricsH = obs.WithRuntimeMetrics(metricsH, obs.DefaultPrefix)
-		}
-		mux.Handle("/metrics", metricsH)
-		mux.Handle("/debug/rexp/traces", st.TraceHandler())
-		if !noPprof {
-			obs.RegisterPprof(mux)
-		}
-		fmt.Fprintf(os.Stderr, "rexpstat: serving metrics at http://%s/metrics, traces at /debug/rexp/traces\n", serve)
-		return http.ListenAndServe(serve, mux)
-	}
-	return nil
 }

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"rexptree/internal/core"
 	"rexptree/internal/hull"
@@ -194,22 +197,55 @@ func FigureIDs() []string {
 }
 
 // RunFigure reproduces one figure at the given fraction of the paper's
-// workload scale.  progress, if non-nil, is invoked with a log line
-// after every completed run.
+// workload scale.  Its (series, x) cells share nothing, so they run on
+// up to GOMAXPROCS goroutines; results, progress lines and the first
+// error still come in the sequential order, series by series.
+// progress, if non-nil, is invoked with a log line after every
+// completed run.
 func RunFigure(id string, scale float64, seed int64, progress func(string)) (Figure, error) {
 	sp, ok := specs(seed)[id]
 	if !ok {
 		return Figure{}, fmt.Errorf("experiments: unknown figure %q (have %v)", id, FigureIDs())
 	}
-	fig := Figure{ID: sp.id, Title: sp.title, XLabel: sp.xlabel, Metric: sp.metric, Xs: sp.xs}
-	for _, tc := range sp.trees {
-		s := Series{Label: tc.Label}
-		for _, x := range sp.xs {
-			wp := sp.wl(x).Scale(scale)
-			m, err := Run(tc, wp)
-			if err != nil {
-				return fig, fmt.Errorf("figure %s, %s, x=%v: %w", id, tc.Label, x, err)
+	type cell struct {
+		m    Metrics
+		err  error
+		done chan struct{}
+	}
+	nx := len(sp.xs)
+	cells := make([]cell, len(sp.trees)*nx)
+	for i := range cells {
+		cells[i].done = make(chan struct{})
+	}
+	var next atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	defer func() {
+		stop.Store(true) // after an error, start no further cell
+		wg.Wait()
+	}()
+	for range min(runtime.GOMAXPROCS(0), len(cells)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(cells) && !stop.Load(); i = int(next.Add(1) - 1) {
+				c := &cells[i]
+				c.m, c.err = Run(sp.trees[i/nx], sp.wl(sp.xs[i%nx]).Scale(scale))
+				close(c.done)
 			}
+		}()
+	}
+
+	fig := Figure{ID: sp.id, Title: sp.title, XLabel: sp.xlabel, Metric: sp.metric, Xs: sp.xs}
+	for si, tc := range sp.trees {
+		s := Series{Label: tc.Label}
+		for xi, x := range sp.xs {
+			c := &cells[si*nx+xi]
+			<-c.done
+			if c.err != nil {
+				return fig, fmt.Errorf("figure %s, %s, x=%v: %w", id, tc.Label, x, c.err)
+			}
+			m := c.m
 			m.X = x
 			s.Points = append(s.Points, m)
 			if progress != nil {

@@ -9,18 +9,10 @@ import (
 	"fmt"
 
 	"rexptree/internal/core"
-	"rexptree/internal/obs"
 	"rexptree/internal/sched"
 	"rexptree/internal/storage"
 	"rexptree/internal/workload"
 )
-
-// Instrument, when non-nil, is attached to every tree the harness
-// builds, so callers (cmd/rexpbench) can expose or dump aggregate
-// observability counters across a whole experiment run.  Gauges
-// reflect the most recently synced tree.  Set it before running
-// figures; it is not safe to change concurrently with Run.
-var Instrument *obs.Metrics
 
 // TreeConfig names one index configuration under test.
 type TreeConfig struct {
@@ -64,9 +56,6 @@ func Run(tc TreeConfig, wp workload.Params) (Metrics, error) {
 		if tc.Core.BufferPages < 8 {
 			tc.Core.BufferPages = 8
 		}
-	}
-	if Instrument != nil && tc.Core.Metrics == nil {
-		tc.Core.Metrics = Instrument
 	}
 	tree, err := core.New(tc.Core, storage.NewMemStore())
 	if err != nil {

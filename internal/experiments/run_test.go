@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -89,28 +90,47 @@ func TestFigureIDs(t *testing.T) {
 
 func TestRunFigureTiny(t *testing.T) {
 	// A micro-scale run of figure 13 exercises all four comparison
-	// indexes end to end.
-	lines := 0
-	fig, err := RunFigure("13", 0.002, 7, func(string) { lines++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Series) != 4 {
-		t.Fatalf("series = %d", len(fig.Series))
-	}
-	for _, s := range fig.Series {
-		if len(s.Points) != len(fig.Xs) {
-			t.Fatalf("series %q has %d points for %d xs", s.Label, len(s.Points), len(fig.Xs))
+	// indexes end to end, on one worker and on four: the parallel
+	// driver must give the same table and the same progress lines in
+	// the same order.
+	render := func(procs int) (string, []string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var lines []string
+		fig, err := RunFigure("13", 0.002, 7, func(l string) { lines = append(lines, l) })
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(fig.Series) != 4 {
+			t.Fatalf("series = %d", len(fig.Series))
+		}
+		for _, s := range fig.Series {
+			if len(s.Points) != len(fig.Xs) {
+				t.Fatalf("series %q has %d points for %d xs", s.Label, len(s.Points), len(fig.Xs))
+			}
+			for i, m := range s.Points {
+				if m.X != fig.Xs[i] || m.Updates == 0 || m.Queries == 0 {
+					t.Fatalf("series %q, x=%v: point placed before its run finished: %+v", s.Label, fig.Xs[i], m)
+				}
+			}
+		}
+		if len(lines) != 4*len(fig.Xs) {
+			t.Errorf("progress lines = %d", len(lines))
+		}
+		return fig.Render(), lines
 	}
-	if lines != 4*len(fig.Xs) {
-		t.Errorf("progress lines = %d", lines)
-	}
-	out := fig.Render()
+	out, lines := render(1)
 	for _, frag := range []string{"Figure 13", "Rexp-tree", "TPR-tree", "scheduled"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("render missing %q:\n%s", frag, out)
 		}
+	}
+	out4, lines4 := render(4)
+	if out4 != out {
+		t.Errorf("table at GOMAXPROCS 4 differs from GOMAXPROCS 1:\n%s\nvs\n%s", out4, out)
+	}
+	if strings.Join(lines4, "\n") != strings.Join(lines, "\n") {
+		t.Errorf("progress at GOMAXPROCS 4 differs from GOMAXPROCS 1:\n%s\nvs\n%s",
+			strings.Join(lines4, "\n"), strings.Join(lines, "\n"))
 	}
 }
 
