@@ -1,10 +1,10 @@
 # Makefile — CI entry points for the rexptree repository.
 #
 #   make check            fmt-check + vet + build + tests (bench/ module too) + race + determinism + crash matrix + serve smoke
-#   make crash-matrix     the durable trees' crash and power-loss tests, three times over
+#   make crash-matrix     the durable trees' crash, power-loss and checkpoint tests, three times over
 #   make bench            the repository benchmark (BENCHMARK.json) -> bench/out/runs.jsonl
 #   make bench-compare A=a.jsonl B=b.jsonl   compare two benchmark runs, run against run
-#   make bench-update     the update path's microbenchmarks (kernel, ChooseSubtree, computeBR, a pool miss, one update, batched updates, a durable body, the paper stream)
+#   make bench-update     the update path's microbenchmarks (kernel, ChooseSubtree, computeBR, a pool miss, one update, batched updates, a durable body, the paper stream, a follower's tail segment)
 #   make bench-query      the query kernels' microbenchmarks (nearest on one tree and on 4 shards, region queries per shape, one served request per kind)
 #   make bench-ingest     the served write path's microbenchmarks (one 100-record /v1/batch body on 4 shards, one decoded line)
 #   make serve-smoke      the README serving quickstart, end to end
@@ -84,10 +84,14 @@ determinism:
 # Every way a durable tree is killed — WAL lifecycle faults, storage
 # faults, Abandon mid-stream, a power loss that drops or tears the page
 # file's un-fsynced writes — must recover to the acknowledged prefix.
-# Three runs: recovery re-applies page images in map order, which
-# differs from run to run.
+# So must the checkpoint tests (one WAL fsync per commit, the log
+# settled only at CheckpointBytes, a backup that starts from a truncated
+# log) and rexpcheck's verdict on a crashed file with several image sets
+# in its log.  Three runs: recovery re-applies page images in map order,
+# which differs from run to run.
 crash-matrix:
-	$(GO) test -run 'TestDurable|TestShardedDurable' -count=3 .
+	$(GO) test -run 'TestDurable|TestShardedDurable|TestCheckpoint|TestBatchedCheckpoint|TestBackupStartsFromTruncatedLog' -count=3 .
+	$(GO) test -run 'TestCheckUnclean' -count=3 ./cmd/rexpcheck
 
 # A short run of each native fuzz target: the manifest decode/encode
 # round trip, the time-parameterized intersection kernel, the compiled
@@ -133,9 +137,13 @@ bench-compare:
 # insert) through the public tree, the same update with each bounding
 # kind, the same update per report in batches of 1, 25 and 100, a
 # 25-report body acknowledged by a durable tree behind a 16-page pool
-# (with its fsyncs and checkpoints per body), and the paper's §5.1
-# stream through the default 50-page pool, which misses, writes back
-# and evicts (engine_paper's work, in process).  -benchmem's allocs/op
+# (with its fsyncs and checkpoints per body: a checkpoint comes by log
+# volume, not by the pool's budget), the paper's §5.1 stream through
+# the default 50-page pool, which misses, writes back and evicts
+# (engine_paper's work, in process), and a follower's side of one long
+# poll: a 1 000-record tail segment with one repeated id per 100
+# records applied to a durable 4-shard replica (ns per record,
+# UpdateBatch calls and fsyncs per segment).  -benchmem's allocs/op
 # is each path's allocation budget: 0 for a pool miss, since it takes
 # the frame its eviction released and the LRU list is threaded through
 # the frames (it was 2 objects and 3.7 KB); 0 per report for the
@@ -152,6 +160,7 @@ bench-update:
 	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkChooseChild|BenchmarkComputeBR|BenchmarkEncode' -benchmem
 	$(GO) test ./internal/storage -run '^$$' -bench 'BenchmarkFlushOneDirty|BenchmarkBufferPoolMissEvict' -benchmem
 	$(GO) test . -run '^$$' -bench 'BenchmarkUpdateThroughput$$|BenchmarkUpdateKinds|BenchmarkUpdateBatch|BenchmarkDurableBatch|BenchmarkPaperStream' -benchmem
+	$(GO) test ./internal/repl -run '^$$' -bench 'BenchmarkApplierTail' -benchmem
 
 # The query path from the inside out: the nearest kernel over a warm
 # 2 000-object tree read through the buffer pool and over its pinned

@@ -17,6 +17,7 @@ package rexptree
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -99,32 +100,27 @@ func BenchmarkFig16NewObUpdate(b *testing.B) { benchFigure(b, "16") }
 // mix that dominates the paper's workloads.
 func BenchmarkUpdateThroughput(b *testing.B) { benchUpdates(b, DefaultOptions()) }
 
-// BenchmarkPaperStream is the in-process counterpart of the repository
-// benchmark's engine_paper workload: the paper's §5.1 network stream
-// (20 000 objects, UI 60, one query per 100 insertions) replayed through
-// Tree.Update into DefaultOptions(), whose 50-page buffer pool misses,
-// writes back and evicts as in the paper.  The population's first update
-// interval is loaded before the timer starts; one op is one report after
-// it.  The stream's queries are skipped, so allocs/op and B/op are an
-// update's, misses, splits and forced reinsertions included.  Reports
-// are generated in chunks with the timer stopped.
-func BenchmarkPaperStream(b *testing.B) {
+// paperStream opens DefaultOptions() and loads the first update
+// interval of the paper's §5.1 network stream (20 000 objects, UI 60, one
+// query per 100 insertions) through Tree.Update.  next fills reps with
+// the stream's next reports, its queries skipped.
+func paperStream(tb testing.TB) (tree *Tree, next func(reps []Report)) {
+	tb.Helper()
 	const ui = 60
 	tree, err := Open(DefaultOptions())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer tree.Close()
+	tb.Cleanup(func() { tree.Close() })
 	gen, err := workload.NewGenerator(workload.Params{Seed: 1, Objects: 20000, Insertions: 1 << 30, UI: ui, QueriesPerInsertions: 100})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	// next fills reps with the stream's next reports.
-	next := func(reps []Report) {
+	next = func(reps []Report) {
 		for i := 0; i < len(reps); {
 			op, ok := gen.Next()
 			if !ok {
-				b.Fatal("workload stream exhausted")
+				tb.Fatal("workload stream exhausted")
 			}
 			if op.Kind != workload.OpInsert {
 				continue
@@ -142,11 +138,26 @@ func BenchmarkPaperStream(b *testing.B) {
 		next(reps)
 		for _, r := range reps {
 			if err := tree.Update(r.ID, r.Point, r.Point.Time); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			loaded = r.Point.Time >= ui
 		}
 	}
+	return tree, next
+}
+
+// BenchmarkPaperStream is the in-process counterpart of the repository
+// benchmark's engine_paper workload: the paper's §5.1 network stream
+// replayed through Tree.Update into DefaultOptions(), whose 50-page
+// buffer pool misses, writes back and evicts as in the paper.  The
+// population's first update interval is loaded before the timer starts
+// (paperStream); one op is one report after it.  The stream's queries
+// are skipped, so allocs/op and B/op are an update's, misses, splits and
+// forced reinsertions included.  Reports are generated in chunks with
+// the timer stopped.
+func BenchmarkPaperStream(b *testing.B) {
+	tree, next := paperStream(b)
+	reps := make([]Report, 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; {
@@ -159,6 +170,30 @@ func BenchmarkPaperStream(b *testing.B) {
 			}
 			done++
 		}
+	}
+}
+
+// TestPaperStreamAllocs pins what an update of the paper's stream
+// allocates in steady state: next to nothing, splits, forced
+// reinsertions and condenses included, since a copied page takes the
+// slab of a reclaimed version or of a copy its operation freed, and the
+// spare list keeps what the largest recent operation needed.
+func TestPaperStreamAllocs(t *testing.T) {
+	tree, next := paperStream(t)
+	reps := make([]Report, 40000)
+	next(reps)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, r := range reps {
+		if err := tree.Update(r.ID, r.Point, r.Point.Time); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perReport := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(reps))
+	t.Logf("%.1f B and %.4f allocations per report", perReport, float64(after.Mallocs-before.Mallocs)/float64(len(reps)))
+	if perReport > 16 {
+		t.Fatalf("an update of the paper's stream allocates %.1f B, want at most 16", perReport)
 	}
 }
 
@@ -234,9 +269,12 @@ func BenchmarkUpdateBatch(b *testing.B) {
 // BenchmarkDurableBatch measures the served write path's body — 25
 // reports through UpdateBatch, acknowledged under DurabilityOnCommit —
 // against a shard-sized index (5 000 objects) behind a 16-page no-steal
-// pool, where most commits overflow the pool and checkpoint.  An op is
-// one body; fsyncs/op counts the log's (commit or image set, truncation)
-// and the page file's.
+// pool.  The pool's budget does not trigger checkpoints: a commit
+// checkpoints once an eighth of the default 4 MiB CheckpointBytes of
+// records has been logged since the last, about one body in 240, so
+// nearly every commit is its one WAL fsync.  An op is one body;
+// fsyncs/op counts the log's (commit or image set, truncation) and the
+// page file's.
 func BenchmarkDurableBatch(b *testing.B) {
 	const size, n = 25, 5000
 	b.Run(strconv.Itoa(size), func(b *testing.B) {

@@ -34,11 +34,12 @@ func randomBatch(rng *rand.Rand, n int, now float64) []Report {
 	return batch
 }
 
-// overflowingTree opens a durable tree with a 16-page pool and loads it
-// with an index several times that size, so a 25-report batch usually
-// overflows the pool.  events receives every WAL fsync ("sync"), page
-// store fsync ("store-sync") and log truncation ("reset") from then on.
-func overflowingTree(t *testing.T, d Durability, ckptBytes int64, events *[]string) (*Tree, *rand.Rand) {
+// smallPoolTree opens a durable tree with a 16-page pool and loads it
+// with an index several times that size, so a 25-report batch dirties
+// more pages than the pool holds.  events receives every WAL fsync
+// ("sync"), page store fsync ("store-sync") and log truncation ("reset")
+// from then on.
+func smallPoolTree(t *testing.T, d Durability, ckptBytes int64, events *[]string) (*Tree, *rand.Rand) {
 	t.Helper()
 	o := durableOpts(filepath.Join(t.TempDir(), "ckpt.rexp"), d)
 	o.BufferPages = 16
@@ -67,6 +68,51 @@ func overflowingTree(t *testing.T, d Durability, ckptBytes int64, events *[]stri
 	return tr, rng
 }
 
+// dueCheckpoint makes tr's next commit checkpoint, as if an eighth of
+// CheckpointBytes of logical records had been logged since the last
+// checkpoint; with a large CheckpointBytes that checkpoint leaves the log
+// untruncated.
+func dueCheckpoint(tr *Tree) {
+	tr.lock()
+	defer tr.mu.Unlock()
+	tr.ckptEnd = tr.wal.Size() - tr.ckptBytes/imageSetsPerSettle
+}
+
+// TestCheckpointByLogVolume: a durable tree whose 16-page pool is a
+// fraction of the pages its writes dirty checkpoints by log volume
+// alone, once per CheckpointBytes/8 of logical records, so the log is
+// mostly those records rather than page images.  The budget does not
+// trigger checkpoints: dirty frames stay resident past it until the
+// next checkpoint, bounded by the index.
+func TestCheckpointByLogVolume(t *testing.T) {
+	var events []string
+	tr, rng := smallPoolTree(t, DurabilityOnCommit, 4<<20, &events)
+	const bodies, n = 400, 25
+	before := tr.Metrics()
+	peak := 0
+	now := 1.0
+	for i := 0; i < bodies; i++ {
+		now += 0.01
+		if err := tr.UpdateBatch(randomBatch(rng, n, now), now); err != nil {
+			t.Fatal(err)
+		}
+		peak = max(peak, tr.Metrics().BufferResident)
+	}
+	m := tr.Metrics()
+	d := m.Sub(before)
+	if d.WALAppends != bodies*n {
+		t.Fatalf("%d logical records for %d reports", d.WALAppends, bodies*n)
+	}
+	// 10 000 records are under 1 MiB of log: an eighth of 4 MiB is due
+	// at most twice.
+	if perReport := d.WALBytes / (bodies * n); d.Checkpoints > 2 || perReport > 400 {
+		t.Fatalf("%d reports took %d checkpoints and %d log bytes per report; want at most 2 and 400", bodies*n, d.Checkpoints, perReport)
+	}
+	if peak <= m.BufferPoolPages || peak > m.Pages+1 {
+		t.Fatalf("at most %d frames resident over a %d-page budget and a %d-page index; want more than the budget, at most the index", peak, m.BufferPoolPages, m.Pages)
+	}
+}
+
 // TestCheckpointFsyncAccounting: a commit costs one WAL fsync whether or
 // not it checkpoints — the image set's fsync is the commit point — and
 // no page-store fsync; only the commit that finds the log at
@@ -74,13 +120,15 @@ func overflowingTree(t *testing.T, d Durability, ckptBytes int64, events *[]stri
 // that order.
 func TestCheckpointFsyncAccounting(t *testing.T) {
 	var events []string
-	tr, rng := overflowingTree(t, DurabilityOnCommit, 1<<20, &events)
+	tr, rng := smallPoolTree(t, DurabilityOnCommit, 1<<20, &events)
 	var plain, lazy, settled int
 	now := 1.0
-	for round := 0; round < 60; round++ {
-		// A 25-report body, then a 1-report one that finds the pool
-		// freshly flushed.
-		for _, n := range []int{25, 1} {
+	for round := 0; round < 90; round++ {
+		// A 500-report body, then a 1-report one: about one body in
+		// three logs the eighth of CheckpointBytes that makes a
+		// checkpoint due, and every third or fourth checkpoint finds the
+		// log at CheckpointBytes.
+		for _, n := range []int{500, 1} {
 			now += 0.01
 			events = events[:0]
 			before := tr.Metrics()
@@ -114,9 +162,12 @@ func TestCheckpointFsyncAccounting(t *testing.T) {
 // SyncEvery timer, or the next commit pays the timed fsync again.
 func TestBatchedCheckpointRefreshesSyncTimer(t *testing.T) {
 	var events []string
-	tr, rng := overflowingTree(t, DurabilityBatched, 64<<20, &events)
+	tr, rng := smallPoolTree(t, DurabilityBatched, 64<<20, &events)
 	checkpointed := 0
 	for round := 0; round < 20; round++ {
+		if round%2 == 0 {
+			dueCheckpoint(tr)
+		}
 		overdue := time.Now().Add(-2 * time.Hour)
 		tr.lastWALSync = overdue
 		now := 2 + float64(round)
@@ -183,6 +234,7 @@ func TestBackupStartsFromTruncatedLog(t *testing.T) {
 	resets = 0
 	before := shard.m.Checkpoints.Load()
 	for i := 0; i < 40; i++ {
+		dueCheckpoint(shard)
 		write(25)
 	}
 	if n := shard.m.Checkpoints.Load() - before; n < 20 || resets != 0 {

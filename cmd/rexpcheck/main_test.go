@@ -261,23 +261,48 @@ func TestCheckUncleanSeveralImageSets(t *testing.T) {
 	opts := rexptree.DefaultOptions()
 	opts.Path = path
 	opts.Durability = rexptree.DurabilityBatched
-	opts.BufferPages = 16 // a fifth of the index: most batches overflow it and checkpoint
+	opts.BufferPages = 16          // under the index: dirty pages stay resident past it
+	opts.CheckpointBytes = 2 << 20 // a checkpoint per 256 KiB of records
+	// 8 000 objects in 80 cells of 100, one cell per 100 ids, so a run
+	// of updates to one cell dirties a few leaves.
+	report := func(id uint32, now float64) rexptree.Report {
+		c := id / 100
+		return rexptree.Report{ID: id, Point: rexptree.Point{
+			Pos:     rexptree.Vec{float64(c%9*110+id*7919%100) + now, float64(c/9*110+id*104729%100) + now},
+			Vel:     rexptree.Vec{1, -1},
+			Time:    now,
+			Expires: 1e6,
+		}}
+	}
 	tr, err := rexptree.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := 0.0
-	for round := 0; round < 200; round++ {
+	now := 0.01
+	load := make([]rexptree.Report, 8000)
+	for i := range load {
+		load[i] = report(uint32(i), now)
+	}
+	if err := tr.UpdateBatch(load, now); err != nil {
+		t.Fatal(err)
+	}
+	// Reopened, the tree starts from an empty log.
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if tr, err = rexptree.Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	// Each round updates half a cell, twenty rounds a cell, so each
+	// image set holds the leaves of about three cells and the log
+	// nearly six sets' worth of records: five sets, none of them the
+	// one that finds the log at CheckpointBytes.
+	for round := 0; round < 380; round++ {
 		now += 0.01
+		cell := uint32(round / 20 % 80)
 		batch := make([]rexptree.Report, 50)
 		for i := range batch {
-			id := uint32(round*50+i) % 8000
-			batch[i] = rexptree.Report{ID: id, Point: rexptree.Point{
-				Pos:     rexptree.Vec{float64(id*7919%1000) + now, float64(id*104729%1000) + now},
-				Vel:     rexptree.Vec{1, -1},
-				Time:    now,
-				Expires: 1e6,
-			}}
+			batch[i] = report(cell*100+uint32(round*50+i)%100, now)
 		}
 		if err := tr.UpdateBatch(batch, now); err != nil {
 			t.Fatal(err)

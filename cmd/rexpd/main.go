@@ -58,8 +58,8 @@ func main() {
 		bands     = flag.String("bands", "", "explicit speed-band boundaries, comma-separated (speed partition)")
 		durab     = flag.String("durability", "none", "crash-safety policy: none, on-commit or batched (requires -path)")
 		syncEvery = flag.Duration("sync-every", 0, "WAL fsync interval under -durability batched (default 100ms)")
-		ckptBytes = flag.Int64("checkpoint-bytes", 0, "checkpoint when a shard's WAL passes this size (default 4MiB)")
-		bufPages  = flag.Int("buffer-pages", 0, "total buffer-pool budget in 4KiB pages, split across shards (default 50/shard)")
+		ckptBytes = flag.Int64("checkpoint-bytes", 0, "bound on a shard's WAL: a checkpoint per eighth of it logged, the log truncated at it (default 4MiB)")
+		bufPages  = flag.Int("buffer-pages", 0, "total buffer-pool budget in 4KiB pages, split across shards (default 50/shard); with -durability it bounds clean pages, dirty ones stay until the next checkpoint")
 		recorder  = flag.Int("flight-recorder", 256, "flight-recorder ring capacity; 0 disables /debug/rexp/traces retention")
 		slowOp    = flag.Duration("slow", 0, "log operations at least this slow (0 disables) and keep their traces in the flight recorder's slow ring (default 10ms there)")
 		inflight  = flag.Int("max-inflight", 4, "ingest batches admitted concurrently; more get 429 + Retry-After")

@@ -32,6 +32,23 @@ import (
 // is the checkpointing operation's commit point too; the page file's own
 // fsync and the log truncation that must follow it are paid once per
 // CheckpointBytes of log, not per checkpoint.
+//
+// When a checkpoint runs is a function of the log alone: one is due once
+// the logical records appended since the last reach CheckpointBytes /
+// imageSetsPerSettle, and the one that finds the log at CheckpointBytes
+// settles it.  So the log holds several image sets between truncations,
+// and recovery replays at most CheckpointBytes/imageSetsPerSettle of
+// logical records after the last of them.  The buffer budget plays no
+// part: every node's decoded version lives in memory anyway, so under
+// no-steal a dirty frame stays resident past BufferPages until the next
+// checkpoint — bounded by the pages dirtied in that much log, at most the
+// index — and clean frames are trimmed back to the budget on the next
+// miss.
+
+// imageSetsPerSettle is how many checkpoints' worth of logical records
+// fit in CheckpointBytes of log: a checkpoint is due every
+// CheckpointBytes/imageSetsPerSettle of them.
+const imageSetsPerSettle = 8
 
 // WALPath returns the write-ahead-log path used for the index file at
 // path.
@@ -93,18 +110,19 @@ func (tr *Tree) walLog(r *Report, del bool, now float64) error {
 }
 
 // walCommit makes the operation durable per the configured policy, or
-// checkpoints when the log or the pool has grown past its bound — the
-// checkpoint's image-set fsync covers the operation's records, which
-// precede it in the log, so no separate commit fsync is paid.  It is the
-// tail of every mutating public operation in WAL mode; the exclusive
-// lock must be held.
+// checkpoints when a checkpoint is due: the logical records since the
+// last one have reached CheckpointBytes/imageSetsPerSettle, or the log
+// CheckpointBytes.  The checkpoint's image-set fsync covers the
+// operation's records, which precede it in the log, so no separate
+// commit fsync is paid.  It is the tail of every mutating public
+// operation in WAL mode; the exclusive lock must be held.
 func (tr *Tree) walCommit(tc *QueryTrace) error {
 	// A backup stream in flight (ckptHold > 0) defers checkpoints: the
 	// page file must not change while it is being copied, so the WAL
 	// keeps growing instead — that growth is the retained-segment
 	// guarantee the stream depends on.
-	if tr.ckptHold.Load() == 0 &&
-		(tr.wal.Size() >= tr.ckptBytes || tr.t.PoolOverflow() >= tr.t.Config().BufferPages) {
+	if size := tr.wal.Size(); tr.ckptHold.Load() == 0 &&
+		(size >= tr.ckptBytes || size-tr.ckptEnd >= tr.ckptBytes/imageSetsPerSettle) {
 		ci := tc.begin(-1, "checkpoint", -1)
 		err := tr.checkpointLocked(false)
 		tc.endAt(ci)
@@ -196,6 +214,7 @@ func (tr *Tree) checkpointLocked(full bool) error {
 			return err
 		}
 	}
+	tr.ckptEnd = tr.wal.Size()
 	tr.m.Checkpoints.Inc()
 	tr.m.ObservePhase(obs.PhaseCheckpoint, time.Since(start))
 	return nil

@@ -121,10 +121,6 @@ func (t *Tree) DirtyPages(fn func(storage.PageID, []byte) error) error {
 	return t.bp.DirtyPages(fn)
 }
 
-// PoolOverflow returns how many buffered pages exceed the pool's
-// capacity (non-zero only under the no-steal policy of DeferFlush).
-func (t *Tree) PoolOverflow() int { return t.bp.Overflow() }
-
 // LivePages returns the set of pages reachable from the tree: the
 // metadata page plus every node.  Walking decodes (and therefore
 // checksum-verifies) each page.  Recovery uses the set to rebuild the

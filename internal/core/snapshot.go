@@ -29,8 +29,10 @@ import (
 // chain it touched and on the backlog of chains that still hold older
 // versions, every version below the newest one at or under the minimum
 // pinned sequence.  No pinned reader can reach a cut version, so its
-// slab is written again: the next staged copy is taken from it.  A
-// tombstone, a chain head and a staged copy are never reused.
+// slab is written again: the next staged copy is taken from it.  So is
+// the slab of a staged copy the operation replaced (a page it copied and
+// then freed), once the operation is published: no reader ever saw it.
+// A tombstone, a chain head and a staged copy are never reused.
 //
 // Every traversal — the snapshot queries and the locked Search,
 // SearchFunc and Nearest the paper's figures count — is one kernel over
@@ -65,9 +67,15 @@ type chain struct {
 }
 
 // spareMin is the least number of reclaimed versions (and descriptors)
-// kept for reuse; publish keeps up to twice the pages its operation
-// staged, so the spare list holds a few operations' worth and no more.
-const spareMin = 16
+// kept for reuse.  publish keeps up to twice the pages the largest
+// recent operation staged (spareKeep), so a forced reinsertion finds the
+// slabs the last one released instead of allocating them anew; the mark
+// decays by one every spareDecay publications, so the spare list holds
+// a few large operations' worth and no more.
+const (
+	spareMin   = 16
+	spareDecay = 256
+)
 
 // table returns the current chain table.
 func (t *Tree) table() []atomic.Pointer[chain] { return *t.chains.Load() }
@@ -120,11 +128,14 @@ func (t *Tree) current(id storage.PageID) *vnode {
 }
 
 // stage makes v the writer's view of its page until the next
-// publication.
+// publication.  A private copy it replaces joins the spares at that
+// publication, when the operation that may still read it has ended.
 func (t *Tree) stage(v *vnode) {
 	c := t.slot(v.id)
-	if c.staged == nil {
+	if old := c.staged; old == nil {
 		t.staged = append(t.staged, c)
+	} else if !old.freed && len(old.slab) >= t.lay.slabLen() {
+		t.dropped = append(t.dropped, old)
 	}
 	c.staged = v
 }
@@ -256,6 +267,9 @@ func (t *Tree) publish() {
 			t.backlog = append(t.backlog, c)
 		}
 	}
+	t.spares = append(t.spares, t.dropped...)
+	clear(t.dropped)
+	t.dropped = t.dropped[:0]
 	// A descriptor older than min is held by no reader either: a pinned
 	// reader traverses the one it loaded after pinning, at or above min.
 	k := 0
@@ -267,7 +281,12 @@ func (t *Tree) publish() {
 		t.pubs = append(t.pubs[:0], t.pubs[k:]...)
 	}
 	t.freePubs = truncate(t.freePubs, spareMin)
-	t.spares = truncate(t.spares, max(spareMin, 2*len(t.staged)))
+	if need := 2 * len(t.staged); need >= t.spareKeep {
+		t.spareKeep, t.spareAge = need, 0
+	} else if t.spareAge++; t.spareAge >= spareDecay {
+		t.spareKeep, t.spareAge = max(spareMin, t.spareKeep-1), 0
+	}
+	t.spares = truncate(t.spares, max(spareMin, t.spareKeep))
 	clear(t.staged)
 	t.staged = t.staged[:0]
 	t.lastPublishNanos = time.Since(start).Nanoseconds()

@@ -108,19 +108,24 @@ type Tree struct {
 	// (or a tombstone), backlog the chains that still hold versions
 	// older than their head, trimMin the minimum pinned sequence the
 	// backlog was last trimmed at, spares the reclaimed versions whose
-	// slabs the next copies are taken from; pubs the descriptors a
-	// reader may still hold, oldest first, and freePubs the reclaimed
-	// ones.
-	pub      atomic.Pointer[pubState]
-	lastSeq  atomic.Uint64
-	chains   atomic.Pointer[[]atomic.Pointer[chain]]
-	dom      *epoch.Domain
-	staged   []*chain
-	backlog  []*chain
-	trimMin  uint64
-	spares   []*vnode
-	pubs     []*pubState
-	freePubs []*pubState
+	// slabs the next copies are taken from (spareKeep of them at most,
+	// its decay counted by spareAge), dropped the staged copies the
+	// operation replaced, spares from its publication on; pubs the
+	// descriptors a reader may still hold, oldest first, and freePubs
+	// the reclaimed ones.
+	pub       atomic.Pointer[pubState]
+	lastSeq   atomic.Uint64
+	chains    atomic.Pointer[[]atomic.Pointer[chain]]
+	dom       *epoch.Domain
+	staged    []*chain
+	backlog   []*chain
+	trimMin   uint64
+	spares    []*vnode
+	dropped   []*vnode
+	spareKeep int
+	spareAge  int
+	pubs      []*pubState
+	freePubs  []*pubState
 
 	batchDepth       int
 	pendingPub       bool

@@ -211,7 +211,7 @@ type Metrics struct {
 	WALAppends             Counter   // logical records appended to the WAL
 	WALBytes               Counter   // bytes appended to the WAL (frames, including checkpoint images)
 	WALFsyncs              Counter   // fsyncs issued on the WAL file
-	Checkpoints            Counter   // checkpoints completed (pool flush + WAL truncate)
+	Checkpoints            Counter   // checkpoints completed (image set + pool flush; a settling one also truncates the WAL)
 	RecoveryReplayed       Counter   // logical WAL records replayed during recovery
 	RecoveryDroppedExpired Counter   // replayed inserts skipped because the entry had already expired
 	ChecksumFailures       Counter   // page or superblock checksum mismatches detected

@@ -40,8 +40,11 @@ type ApplierOptions struct {
 	MaxBackoff time.Duration
 
 	// MaxBatch bounds how many updates one UpdateBatch application
-	// groups (default 512).  Each flush is one group commit on the
-	// replica, so larger batches trade apply latency for throughput.
+	// groups (default 512).  A tail's updates apply in batches of this
+	// size, flushed early only before a delete and at the tail's end;
+	// reports for the same object keep their order inside a batch.
+	// Each flush is one group commit on the replica, so larger batches
+	// trade apply latency for throughput.
 	MaxBatch int
 
 	// OnSwap, when set, is called with the new index every time a
@@ -103,10 +106,9 @@ type Applier struct {
 
 	// The tail loop's state, reused from poll to poll (only the run
 	// goroutine touches it): the frame reader, reset onto each
-	// response, and the batch being gathered with its object ids.
-	fr      *FrameReader
-	batch   []rexptree.Report
-	inBatch map[uint32]bool
+	// response, and the batch being gathered.
+	fr    *FrameReader
+	batch []rexptree.Report
 }
 
 // NewApplier prepares a follower over dir; call Open to load or
@@ -474,13 +476,16 @@ func (a *Applier) tailOnce() error {
 }
 
 // applyTail reads one tail response — header, records, trailer — and
-// applies its records, batching consecutive updates of distinct
-// objects.  It reuses the applier's frame reader, batch and id set, so
-// a poll allocates no buffers of its own.
+// applies its records, batching consecutive updates up to MaxBatch: a
+// batch is flushed when full, before a delete and at the trailer.  An
+// object updated twice in a batch is updated twice in order
+// (ShardedTree.UpdateBatch keeps same-object reports in batch order), so
+// the replica ends where applying the records one by one would leave
+// it.  It reuses the applier's frame reader and batch, so a poll
+// allocates no buffers of its own.
 func (a *Applier) applyTail(r io.Reader, from, epoch uint64) error {
 	if a.fr == nil {
 		a.fr = NewFrameReader(r)
-		a.inBatch = make(map[uint32]bool)
 	} else {
 		a.fr.Reset(r)
 	}
@@ -507,11 +512,9 @@ func (a *Applier) applyTail(r io.Reader, from, epoch uint64) error {
 	var (
 		batch    = a.batch[:0]
 		batchNow float64 // the latest leader time among batch's records
-		inBatch  = a.inBatch
 		next     = from
 		off      = uint64(0)
 	)
-	clear(inBatch)
 	defer func() { a.batch = batch[:0] }()
 	flush := func() error {
 		if len(batch) == 0 {
@@ -523,7 +526,6 @@ func (a *Applier) applyTail(r io.Reader, from, epoch uint64) error {
 		}
 		a.applied.Add(uint64(len(batch)))
 		batch, batchNow = batch[:0], 0
-		clear(inBatch)
 		return a.savePosition(next, off)
 	}
 
@@ -548,7 +550,7 @@ func (a *Applier) applyTail(r io.Reader, from, epoch uint64) error {
 			switch rec.Kind {
 			case wal.RecUpdate:
 				u := rec.Update
-				if inBatch[u.ID] || len(batch) >= a.o.MaxBatch {
+				if len(batch) >= a.o.MaxBatch {
 					if err := flush(); err != nil {
 						return err
 					}
@@ -556,7 +558,6 @@ func (a *Applier) applyTail(r io.Reader, from, epoch uint64) error {
 				p := rexptree.Point{Time: u.Time, Expires: u.Expires, Pos: u.Pos, Vel: u.Vel}
 				batch = append(batch, rexptree.Report{ID: u.ID, Point: p})
 				batchNow = max(batchNow, u.Now)
-				inBatch[u.ID] = true
 			case wal.RecDelete:
 				if err := flush(); err != nil {
 					return err

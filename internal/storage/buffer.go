@@ -221,7 +221,9 @@ func (bp *BufferPool) release(f *frame) {
 }
 
 // errNoCleanFrame reports that a no-steal eviction pass found only
-// dirty (or pinned) frames; the pool overflows instead of stealing.
+// dirty (or pinned) frames; the pool grows past its capacity instead of
+// stealing, until the owner's next Flush makes them clean and the next
+// miss trims them back.
 var errNoCleanFrame = errors.New("storage: no clean frame to evict")
 
 // evictOne writes back and drops the least recently used unpinned
@@ -229,7 +231,7 @@ var errNoCleanFrame = errors.New("storage: no clean frame to evict")
 // no-steal policy dirty frames are never evicted — a dirty page may
 // only reach the store through an explicit Flush, so the on-disk state
 // stays exactly the last checkpoint's; if no clean frame exists the
-// pool overflows (errNoCleanFrame).
+// pool grows past its capacity (errNoCleanFrame).
 func (bp *BufferPool) evictOne() error {
 	f := bp.lru.prev
 	if bp.noSteal {
@@ -283,18 +285,6 @@ func (bp *BufferPool) SetNoSteal(v bool) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	bp.noSteal = v
-}
-
-// Overflow returns how many resident pages exceed the configured
-// capacity — under no-steal, how much dirty state has piled up beyond
-// the budget.  The tree uses it as a checkpoint trigger.
-func (bp *BufferPool) Overflow() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	if n := len(bp.frames) - bp.capacity; n > 0 {
-		return n
-	}
-	return 0
 }
 
 // pendingDirty returns the ids of the dirty resident pages in ascending

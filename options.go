@@ -148,9 +148,13 @@ type Options struct {
 	// (default 100ms).
 	SyncEvery time.Duration
 
-	// CheckpointBytes triggers a checkpoint when the WAL grows past
-	// this size (default 4 MiB).  Checkpoints also fire when the buffer
-	// pool overflows to twice its capacity.
+	// CheckpointBytes bounds the WAL (default 4 MiB).  A checkpoint
+	// runs each time an eighth of it has been logged since the last
+	// one, imaging the dirty pages into the log; the one that finds the
+	// log at CheckpointBytes also fsyncs the page file and truncates the
+	// log.  Recovery replays at most an eighth of it.  Under a
+	// durability policy the buffer pool keeps dirty pages resident past
+	// BufferPages until the next checkpoint.
 	CheckpointBytes int64
 
 	// slowLabel prefixes the operation names of this tree's slow-op log

@@ -105,10 +105,11 @@ func (r *powerLossRig) cut(dir string, rng *rand.Rand) (path string, ops int) {
 	return path, r.syncedOps
 }
 
-// TestDurablePowerLoss drives an index larger than its 16-page pool, so
-// that most checkpoints are pool overflows that leave the page file
-// un-fsynced and the log un-truncated, and cuts the power with 3, 9 and
-// 15 image sets in the log and at the end of the stream.  Whatever
+// TestDurablePowerLoss drives an index larger than its 16-page pool and
+// makes a checkpoint due every 200 operations, so that most checkpoints
+// leave the page file un-fsynced and the log un-truncated (the log
+// volume alone would settle it before the eighth), and cuts the power
+// with 3, 9 and 15 image sets in the log and at the end of the stream.  Whatever
 // subset of the page-file writes since the last fsync survives, recovery
 // must rebuild exactly the operations the log's last fsync covered: all
 // of them under DurabilityOnCommit, those up to the last checkpoint under
@@ -128,7 +129,7 @@ func TestDurablePowerLoss(t *testing.T) {
 			rig := &powerLossRig{t: t, path: filepath.Join(t.TempDir(), "live.rexp"), op: -1}
 			o := durableOpts(rig.path, tc.durability)
 			o.BufferPages = 16
-			o.CheckpointBytes = 2 << 20
+			o.CheckpointBytes = 4 << 20
 			o.SyncEvery = time.Hour
 			o.testWALHook = rig.hook
 			tr, err := Open(o)
@@ -163,6 +164,9 @@ func TestDurablePowerLoss(t *testing.T) {
 			targets := []int{3, 9, 15}
 			for i, op := range ops {
 				rig.op = i
+				if i%200 == 199 {
+					dueCheckpoint(tr)
+				}
 				applyOps(t, tr, []crashOp{op})
 				if len(targets) > 0 && rig.imageSets() == targets[0] {
 					targets = targets[1:]

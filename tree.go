@@ -46,6 +46,7 @@ type Tree struct {
 	durability  Durability
 	syncEvery   time.Duration
 	ckptBytes   int64
+	ckptEnd     int64 // the log's size when the last checkpoint ended
 	lastWALSync time.Time
 	walBuf      []byte // reused encoding scratch
 
