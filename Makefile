@@ -1,6 +1,6 @@
 # Makefile — CI entry points for the rexptree repository.
 #
-#   make check            fmt-check + vet + build + tests (bench/ module too) + race + determinism + crash matrix + serve smoke
+#   make check            fmt-check + vet + build + every package has tests + tests (bench/ module too) + race + determinism + crash matrix + serve smoke
 #   make crash-matrix     the durable trees' crash, power-loss and checkpoint tests, three times over
 #   make bench            the repository benchmark (BENCHMARK.json) -> bench/out/runs.jsonl
 #   make bench-compare A=a.jsonl B=b.jsonl   compare two benchmark runs, run against run
@@ -8,16 +8,16 @@
 #   make bench-query      the query kernels' microbenchmarks (nearest on one tree and on 4 shards, region queries per shape, one served request per kind)
 #   make bench-ingest     the served write path's microbenchmarks (one 100-record /v1/batch body on 4 shards, one decoded line)
 #   make serve-smoke      the README serving quickstart, end to end
-#   make fault-matrix     the replication fault-injection matrix, under -race
+#   make fault-matrix     the replication fault-injection matrix and the rexpbackup tests, under -race
 #   make all              check
 
 GO ?= go
 
-.PHONY: all check fmt-check vet build test test-bench race determinism crash-matrix fuzz-smoke bench bench-compare bench-update bench-query bench-ingest serve-smoke fault-matrix
+.PHONY: all check fmt-check vet build test-files test test-bench race determinism crash-matrix fuzz-smoke bench bench-compare bench-update bench-query bench-ingest serve-smoke fault-matrix
 
 all: check
 
-check: fmt-check vet build test test-bench race determinism crash-matrix serve-smoke
+check: fmt-check vet build test-files test test-bench race determinism crash-matrix serve-smoke
 
 # Fails (with the offending file list) if anything is not gofmt-clean.
 fmt-check:
@@ -29,6 +29,12 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# Fails (with the list) on any package that `go test ./...` would
+# report as "[no test files]": code nothing runs drifts silently.
+test-files:
+	@out="$$($(GO) list -f '{{if not (or .TestGoFiles .XTestGoFiles)}}{{.ImportPath}}{{end}}' ./...)"; \
+		if [ -n "$$out" ]; then echo "packages with no test files:" >&2; echo "$$out" >&2; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -200,6 +206,9 @@ serve-smoke:
 # during tail apply — each must end fingerprint-identical to the leader
 # or fail loudly (see internal/repl/e2e_test.go).  The feed's own
 # retention tests ride along: a record handed out must survive the
-# append that prunes it.
+# append that prunes it.  So does rexpbackup against a live leader: its
+# output must pass rexpcheck and answer like the leader, and a stream
+# cut short must leave neither a manifest nor a partial file.
 fault-matrix:
 	$(GO) test -race ./internal/repl -run 'TestRepl|TestFeed' -count 1
+	$(GO) test -race ./cmd/rexpbackup -count 1

@@ -70,9 +70,6 @@ func main() {
 		noPprof   = flag.Bool("nopprof", false, "do not mount net/http/pprof under /debug/pprof/")
 		noRuntime = flag.Bool("noruntime", false, "do not append Go runtime metrics to /metrics scrapes")
 
-		rateLimit = flag.Float64("rate-limit", 0, "per-client mutation requests/second (X-Client-Id or remote addr); 0 disables")
-		rateBurst = flag.Int("rate-burst", 0, "per-client burst size for -rate-limit (default 2x the rate)")
-
 		replRetain = flag.Int64("repl-retain", repl.DefaultRetainBytes, "replication feed retention in bytes on a durable leader; 0 disables the /v1/backup and /v1/wal endpoints")
 		follow     = flag.String("follow", "", "run as a read-only follower of this leader URL (requires -path, used as the replica directory)")
 		maxLag     = flag.Duration("max-lag", 30*time.Second, "follower: /readyz answers 503 \"stale\" past this replication lag")
@@ -87,7 +84,6 @@ func main() {
 		inflight: *inflight, maxBatch: *maxBatch, timeout: *timeout,
 		retry: *retry, drainWait: *drainWait,
 		pprof: !*noPprof, runtime: !*noRuntime,
-		rateLimit: *rateLimit, rateBurst: *rateBurst,
 		replRetain: *replRetain, follow: *follow, maxLag: *maxLag,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "rexpd: %v\n", err)
@@ -103,9 +99,6 @@ type config struct {
 	inflight, maxBatch                       int
 	drainWait                                time.Duration
 	pprof, runtime                           bool
-
-	rateLimit float64
-	rateBurst int
 
 	replRetain int64
 	follow     string
@@ -129,8 +122,6 @@ func run(cfg config) error {
 		RetryAfter:     cfg.retry,
 		Pprof:          cfg.pprof,
 		RuntimeMetrics: cfg.runtime,
-		RateLimit:      cfg.rateLimit,
-		RateBurst:      cfg.rateBurst,
 	}
 
 	// A durable file-backed daemon doubles as a replication leader: the
@@ -155,6 +146,12 @@ func run(cfg config) error {
 	}
 	httpSrv := &http.Server{Handler: srv}
 
+	// The signal handler is installed before the serving line is
+	// printed: a SIGTERM sent as soon as the line appears must drain,
+	// not kill the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+
 	// The one line the smoke tests (and humans) parse: the bound
 	// address, which matters when -addr asked for port 0.
 	leader := ""
@@ -166,9 +163,6 @@ func run(cfg config) error {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 
 	select {
 	case got := <-sig:

@@ -3,8 +3,11 @@ package rexptree_test
 import (
 	"fmt"
 	"log"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"rexptree"
 )
@@ -19,7 +22,7 @@ func ExampleOpen() {
 	defer tree.Close()
 
 	// A car at (100, 200) km heading east at 1.5 km/min; the report is
-	// trusted until t = 120.
+	// trusted until t = 120: if the car goes silent, the index forgets it.
 	tree.Update(1, rexptree.Point{
 		Pos:     rexptree.Vec{100, 200},
 		Vel:     rexptree.Vec{1.5, 0},
@@ -27,6 +30,7 @@ func ExampleOpen() {
 		Expires: 120,
 	}, 0)
 
+	// Who is predicted to be inside this box at time 10?
 	res, _ := tree.Timeslice(rexptree.Rect{
 		Lo: rexptree.Vec{110, 195},
 		Hi: rexptree.Vec{120, 205},
@@ -216,4 +220,100 @@ func ExampleShardedTree_Query() {
 	// op window: 3 results
 	// shard 0: 1 result(s)
 	// shard 1: 2 result(s)
+}
+
+// Botfighters, the paper's motivating location-based game: players
+// roam a 20 x 20 km city and may "shoot" anyone predicted within range.
+// A phone that goes silent (switched off, out of coverage) just stops
+// reporting; its last report expires and matchmaking stops offering
+// it, with no delete ever sent.
+func Example_botfighters() {
+	const (
+		players   = 2000
+		reportTTL = 8.0  // a position report is trusted for 8 minutes
+		shotRange = 0.25 // km
+		citySide  = 20.0 // km
+	)
+	opts := rexptree.DefaultOptions()
+	opts.World = rexptree.Rect{Hi: rexptree.Vec{citySide, citySide}}
+	tree, err := rexptree.Open(opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer tree.Close()
+
+	type player struct {
+		pos, vel rexptree.Vec
+		online   bool
+	}
+	rng := rand.New(rand.NewSource(7))
+	roster := make([]player, players)
+	for i := range roster {
+		roster[i] = player{pos: rexptree.Vec{rng.Float64() * citySide, rng.Float64() * citySide}, online: true}
+	}
+
+	// An hour in one-minute ticks: an online player reports about every
+	// four minutes, walking or riding at 0.06..0.6 km/min, and every ten
+	// minutes twenty phones go dark without notice.
+	now := 0.0
+	for tick := 0; tick < 60; tick++ {
+		now = float64(tick)
+		for id := range roster {
+			p := &roster[id]
+			if !p.online || rng.Float64() > 0.25 {
+				continue
+			}
+			speed := 0.06 + rng.Float64()*0.54
+			angle := rng.Float64() * 2 * math.Pi
+			p.vel = rexptree.Vec{speed * math.Cos(angle), speed * math.Sin(angle)}
+			if err := tree.Update(uint32(id), rexptree.Point{
+				Pos: p.pos, Vel: p.vel, Time: now, Expires: now + reportTTL,
+			}, now); err != nil {
+				log.Fatal(err)
+			}
+		}
+		if tick%10 == 9 {
+			for i := 0; i < players/100; i++ {
+				roster[rng.Intn(players)].online = false
+			}
+		}
+		// True positions move on, bounced at the city limits.
+		for id := range roster {
+			p := &roster[id]
+			for d := 0; d < 2; d++ {
+				p.pos[d] += p.vel[d]
+				if p.pos[d] < 0 || p.pos[d] > citySide {
+					p.vel[d] = -p.vel[d]
+					p.pos[d] += 2 * p.vel[d]
+				}
+			}
+		}
+	}
+
+	// Player 42 looks for targets predicted within shot range in the
+	// next half minute.  Expired (dark) players are never offered.
+	const shooter = 42
+	at := roster[shooter].pos
+	targets, _ := tree.Window(rexptree.Rect{
+		Lo: rexptree.Vec{at[0] - shotRange, at[1] - shotRange},
+		Hi: rexptree.Vec{at[0] + shotRange, at[1] + shotRange},
+	}, now, now+0.5, now)
+	slices.SortFunc(targets, func(a, b rexptree.Result) int { return int(a.ID) - int(b.ID) })
+	fmt.Printf("player %d at (%.2f, %.2f) can shoot:\n", shooter, at[0], at[1])
+	for _, t := range targets {
+		if t.ID != shooter {
+			p := t.Point.At(now)
+			fmt.Printf("  player %d predicted at (%.2f, %.2f)\n", t.ID, p[0], p[1])
+		}
+	}
+
+	// Silent players age out of the game on their own.
+	alive, _ := tree.Timeslice(opts.World, now, now)
+	fmt.Printf("matchmaking sees %d active players\n", len(alive))
+	// Output:
+	// player 42 at (14.53, 5.40) can shoot:
+	//   player 1120 predicted at (14.71, 5.63)
+	//   player 1173 predicted at (14.61, 5.28)
+	//   player 1911 predicted at (14.31, 5.18)
+	// matchmaking sees 1703 active players
 }

@@ -98,9 +98,6 @@ func (b *BTree) Stats() storage.Stats { return b.bp.Stats() }
 // ResetStats zeroes the I/O counters.
 func (b *BTree) ResetStats() { b.bp.ResetStats() }
 
-// Size returns the number of allocated pages.
-func (b *BTree) Size() int { return b.bp.Store().Len() }
-
 func (b *BTree) allocNode(leaf bool) (*node, error) {
 	id, _, err := b.bp.Allocate()
 	if err != nil {

@@ -161,10 +161,6 @@ func newTreeShell(cfg Config, store storage.Store) *Tree {
 	return t
 }
 
-// Metrics returns the attached instrument registry (nil when the tree
-// is uninstrumented).
-func (t *Tree) Metrics() *obs.Metrics { return t.met }
-
 // SyncGauges pushes the tree's structural state (height, pages, leaf
 // entries, buffered pages, UI and horizon estimates) into the metric
 // gauges.  Call it before taking a snapshot; it is not needed on hot
@@ -181,9 +177,6 @@ func (t *Tree) SyncGauges() {
 	t.met.UI.Set(t.UI())
 	t.met.Horizon.Set(t.metricH())
 }
-
-// BufferPoolPages returns the buffer pool's page capacity.
-func (t *Tree) BufferPoolPages() int { return t.bp.Cap() }
 
 // New creates an empty tree over the given (empty) store.  Use Open to
 // load a store that already holds a Synced tree.

@@ -1,53 +1,10 @@
 package geom
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Rect is a static (snapshot) d-dimensional axis-parallel rectangle.
 type Rect struct {
 	Lo, Hi Vec
-}
-
-// EmptyRect returns a rectangle that contains nothing and acts as the
-// identity for ExtendPoint/ExtendRect.
-func EmptyRect() Rect {
-	var r Rect
-	for i := range r.Lo {
-		r.Lo[i] = math.Inf(1)
-		r.Hi[i] = math.Inf(-1)
-	}
-	return r
-}
-
-// IsEmpty reports whether r is inverted (contains nothing) in any of
-// the first dims dimensions.
-func (r Rect) IsEmpty(dims int) bool {
-	for i := 0; i < dims; i++ {
-		if r.Lo[i] > r.Hi[i] {
-			return true
-		}
-	}
-	return false
-}
-
-// ExtendPoint grows r minimally to include p.
-func (r Rect) ExtendPoint(p Vec, dims int) Rect {
-	for i := 0; i < dims; i++ {
-		r.Lo[i] = math.Min(r.Lo[i], p[i])
-		r.Hi[i] = math.Max(r.Hi[i], p[i])
-	}
-	return r
-}
-
-// ExtendRect grows r minimally to include s.
-func (r Rect) ExtendRect(s Rect, dims int) Rect {
-	for i := 0; i < dims; i++ {
-		r.Lo[i] = math.Min(r.Lo[i], s.Lo[i])
-		r.Hi[i] = math.Max(r.Hi[i], s.Hi[i])
-	}
-	return r
 }
 
 // ContainsPoint reports whether p lies inside r (boundaries included).
@@ -91,19 +48,6 @@ func (r Rect) Area(dims int) float64 {
 		a *= e
 	}
 	return a
-}
-
-// Margin returns the sum of edge lengths of r (0 if empty).
-func (r Rect) Margin(dims int) float64 {
-	var m float64
-	for i := 0; i < dims; i++ {
-		e := r.Hi[i] - r.Lo[i]
-		if e < 0 {
-			return 0
-		}
-		m += e
-	}
-	return m
 }
 
 // Center returns the midpoint of r.

@@ -5,30 +5,8 @@ import (
 	"testing"
 )
 
-func TestEmptyRect(t *testing.T) {
-	e := EmptyRect()
-	if !e.IsEmpty(2) {
-		t.Fatal("EmptyRect not empty")
-	}
-	if e.Area(2) != 0 {
-		t.Errorf("empty area = %v", e.Area(2))
-	}
-	if e.Margin(2) != 0 {
-		t.Errorf("empty margin = %v", e.Margin(2))
-	}
-	got := e.ExtendPoint(Vec{3, 4}, 2)
-	if got.IsEmpty(2) {
-		t.Errorf("extend empty by point still empty: %v", got)
-	}
-	for i := 0; i < 2; i++ {
-		if got.Lo[i] != []float64{3, 4}[i] || got.Hi[i] != []float64{3, 4}[i] {
-			t.Errorf("extend empty by point = %v", got)
-		}
-	}
-}
-
 func TestRectExtendContains(t *testing.T) {
-	r := EmptyRect().ExtendPoint(Vec{0, 0}, 2).ExtendPoint(Vec{2, 3}, 2)
+	r := Rect{Lo: Vec{0, 0}, Hi: Vec{2, 3}}
 	if !r.ContainsPoint(Vec{1, 1}, 2) {
 		t.Error("does not contain interior point")
 	}
@@ -68,9 +46,6 @@ func TestRectAreaMarginCenter(t *testing.T) {
 	if got := r.Area(2); got != 12 {
 		t.Errorf("area = %v", got)
 	}
-	if got := r.Margin(2); got != 7 {
-		t.Errorf("margin = %v", got)
-	}
 	if got := r.Center(2); got != (Vec{2.5, 4}) {
 		t.Errorf("center = %v", got)
 	}
@@ -92,19 +67,4 @@ func randRect(rng *rand.Rand, dims int) Rect {
 		r.Lo[i], r.Hi[i] = a, b
 	}
 	return r
-}
-
-func TestRectExtendRectIsUnionBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for iter := 0; iter < 200; iter++ {
-		a := randRect(rng, 2)
-		b := randRect(rng, 2)
-		u := a.ExtendRect(b, 2)
-		if !u.ContainsRect(a, 2) || !u.ContainsRect(b, 2) {
-			t.Fatalf("union %v does not contain operands %v, %v", u, a, b)
-		}
-		if u.Area(2) < a.Area(2) || u.Area(2) < b.Area(2) {
-			t.Fatalf("union area shrank")
-		}
-	}
 }

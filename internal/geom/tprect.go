@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // MovingPoint is the record the index stores for one object: a linear
 // trajectory x(t) = Pos + Vel·t (Pos is the position at the tree epoch
@@ -57,10 +54,6 @@ func (r TPRect) At(t float64) Rect {
 	return s
 }
 
-// Expired reports whether the rectangle's validity has ended at time
-// now.
-func (r TPRect) Expired(now float64) bool { return r.TExp < now }
-
 // PointTPRect returns the degenerate TPRect tracing p's trajectory.
 func PointTPRect(p MovingPoint) TPRect {
 	return TPRect{Lo: p.Pos, Hi: p.Pos, VLo: p.Vel, VHi: p.Vel, TExp: p.TExp}
@@ -93,14 +86,6 @@ func UnionConservative(a, b TPRect, now float64, dims int) TPRect {
 		r.Lo[i] = lo - r.VLo[i]*now
 		r.Hi[i] = hi - r.VHi[i]*now
 	}
-	return r
-}
-
-// WithInfiniteExp returns a copy of r whose expiration time is +Inf.
-// The modified ChooseSubtree variant of the paper (§4.2.2) treats all
-// entries as infinite when making insertion decisions.
-func (r TPRect) WithInfiniteExp() TPRect {
-	r.TExp = math.Inf(1)
 	return r
 }
 

@@ -130,13 +130,3 @@ func TestUnionConservativeExpiration(t *testing.T) {
 		t.Errorf("union with infinite TExp = %v", u2.TExp)
 	}
 }
-
-func TestWithInfiniteExp(t *testing.T) {
-	r := TPRect{Lo: Vec{0}, Hi: Vec{1}, TExp: 7}
-	if got := r.WithInfiniteExp(); !math.IsInf(got.TExp, 1) || got.Lo != r.Lo {
-		t.Errorf("WithInfiniteExp = %v", got)
-	}
-	if r.TExp != 7 {
-		t.Error("receiver mutated")
-	}
-}

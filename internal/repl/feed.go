@@ -39,7 +39,8 @@ type Feed struct {
 	retained int64  // payload bytes currently retained
 	retain   int64
 	pins     map[uint64]int // LSN → pin count; retention keeps LSNs >= the minimum
-	notify   chan struct{}  // closed and replaced on every append
+	notify   chan struct{}  // closed and replaced by the first append after a Wait
+	waited   bool           // notify was handed out by Wait
 }
 
 // DefaultRetainBytes is the retention bound NewFeed applies when given
@@ -92,8 +93,11 @@ func (f *Feed) Append(payload []byte) {
 	f.nextLSN++
 	f.retained += int64(len(payload))
 	f.pruneLocked()
-	close(f.notify)
-	f.notify = make(chan struct{})
+	if f.waited {
+		close(f.notify)
+		f.notify = make(chan struct{})
+		f.waited = false
+	}
 	f.mu.Unlock()
 }
 
@@ -167,10 +171,13 @@ func (f *Feed) ReadFrom(from uint64, maxBytes int) (recs []FeedRecord, head, hea
 	return append([]FeedRecord(nil), f.recs[i:j]...), f.nextLSN, f.headOff, nil
 }
 
-// Wait returns a channel closed at the next append.
+// Wait returns a channel closed at the next append.  Until some caller
+// takes it, appends leave the channel alone, so a feed nobody tails
+// allocates nothing per record for wake-ups.
 func (f *Feed) Wait() <-chan struct{} {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.waited = true
 	return f.notify
 }
 

@@ -129,6 +129,44 @@ func TestFeedWaitSignalsAppend(t *testing.T) {
 	}
 }
 
+// An append wakes only a waiter that took the channel before it, and
+// while nobody has taken the channel appends keep it: Wait then hands
+// out the same, still open, channel it would have before them.
+func TestFeedWaitChannelReplacedOnlyWhenTaken(t *testing.T) {
+	f := NewFeed(0)
+	idle := f.notify
+	for i := 0; i < 3; i++ {
+		f.Append([]byte("x"))
+	}
+	ch := f.Wait()
+	if ch != idle {
+		t.Fatal("appends with no waiter replaced the wait channel")
+	}
+	if again := f.Wait(); again != ch {
+		t.Fatal("two Waits with no append between returned different channels")
+	}
+	select {
+	case <-ch:
+		t.Fatal("wait channel closed by appends made before it was taken")
+	default:
+	}
+	f.Append([]byte("y"))
+	select {
+	case <-ch:
+	default:
+		t.Fatal("a waiter that took the channel before an append was not woken")
+	}
+	next := f.Wait()
+	if next == ch {
+		t.Fatal("Wait after a wake-up returned the closed channel")
+	}
+	select {
+	case <-next:
+		t.Fatal("the replacement channel is already closed")
+	default:
+	}
+}
+
 func TestFeedSinkEncodesWALRecords(t *testing.T) {
 	f := NewFeed(0)
 	u := wal.Update{ID: 7, Now: 1.5, Time: 1.25, Expires: 9,

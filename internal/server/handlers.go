@@ -107,7 +107,7 @@ type updateResponse struct {
 
 // handleUpdate applies one report: POST /v1/update, body a Record.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admitMutation(w, r)
+	release, ok := s.admitMutation(w)
 	if !ok {
 		return
 	}
@@ -134,7 +134,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 
 // handleDelete removes one report: POST /v1/delete, body {"id": N}.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admitMutation(w, r)
+	release, ok := s.admitMutation(w)
 	if !ok {
 		return
 	}
@@ -170,7 +170,7 @@ type batchResponse struct {
 // the stream applies in order).  Everything before a malformed line
 // stays applied; the 400 names the offending line.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admitMutation(w, r)
+	release, ok := s.admitMutation(w)
 	if !ok {
 		return
 	}

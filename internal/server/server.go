@@ -60,16 +60,6 @@ type Config struct {
 	// RuntimeMetrics appends Go runtime families to /metrics scrapes.
 	RuntimeMetrics bool
 
-	// RateLimit enables per-client token-bucket rate limiting of the
-	// mutation endpoints: each client (the X-Client-Id header, else the
-	// remote address) may sustain RateLimit mutating requests per
-	// second with bursts of RateBurst (default 2×RateLimit, minimum 1).
-	// Excess requests are refused with 429 and a jittered Retry-After
-	// so a synchronized fleet does not return in lockstep.  Zero
-	// disables the limiter.
-	RateLimit float64
-	RateBurst int
-
 	// Backup and WALFeed serve the replication endpoints (GET
 	// /v1/backup, GET /v1/wal) when the daemon enables the replication
 	// hub; nil answers 503, so the routes always exist but clearly
@@ -103,8 +93,6 @@ type Server struct {
 
 	gate chan struct{} // admission: in-flight ingest batches
 
-	limiter *rateLimiter // per-client mutation rate limiting; nil when off
-
 	durability string // daemon-configured policy name, for /v1/stats
 
 	admit    sync.RWMutex // orders admitMutation's Add against Drain's Wait
@@ -130,9 +118,6 @@ func New(cfg Config) *Server {
 		ix:   cfg.Index,
 		cfg:  cfg,
 		gate: make(chan struct{}, cfg.MaxInFlight),
-	}
-	if cfg.RateLimit > 0 {
-		s.limiter = newRateLimiter(cfg.RateLimit, cfg.RateBurst)
 	}
 	s.mux = http.NewServeMux()
 	for _, r := range routes {
@@ -198,9 +183,6 @@ func Routes() []string {
 // kept for callers that wrote to the index behind the server's back.
 func (s *Server) ObserveClock(float64) {}
 
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain stops admitting mutations (they are refused with 503 +
 // Retry-After; /readyz flips to 503) and waits for the in-flight ones
 // to finish.  It does not close the index — the daemon does that after
@@ -224,21 +206,14 @@ func (s *Server) CloseIndex() error {
 }
 
 // admitMutation gates every mutating request: a read-only follower
-// refuses it with 403, a rate-limited client with 429 + jittered
-// Retry-After, a drain with 503; otherwise it joins the in-flight
-// group the drain waits on.  The returned release must be called
-// exactly once; ok is false when the request was already answered.
-func (s *Server) admitMutation(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
+// refuses it with 403, a drain with 503; otherwise it joins the
+// in-flight group the drain waits on.  The returned release must be
+// called exactly once; ok is false when the request was already
+// answered.
+func (s *Server) admitMutation(w http.ResponseWriter) (release func(), ok bool) {
 	if s.cfg.ReadOnly {
 		writeError(w, http.StatusForbidden, "read-only follower: mutations must go to the leader")
 		return nil, false
-	}
-	if s.limiter != nil {
-		if wait, allowed := s.limiter.allow(clientKey(r), time.Now()); !allowed {
-			w.Header().Set("Retry-After", retryAfterJitter(wait))
-			writeError(w, http.StatusTooManyRequests, "rate limit exceeded for this client")
-			return nil, false
-		}
 	}
 	s.admit.RLock()
 	if s.draining.Load() {

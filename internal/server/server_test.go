@@ -78,7 +78,8 @@ func decodeInto(t *testing.T, raw []byte, v any) {
 
 // TestEndpointsRoundTrip drives every endpoint once: ingest via update
 // and batch, all four query types (plain and EXPLAIN), object lookup,
-// stats, probes, metrics and traces.
+// stats, single deletes (and their 403 on a read-only server), probes,
+// metrics and traces.
 func TestEndpointsRoundTrip(t *testing.T) {
 	hs, _ := newTestServer(t, nil)
 
@@ -182,6 +183,34 @@ func TestEndpointsRoundTrip(t *testing.T) {
 		t.Fatalf("stats: %s", raw)
 	}
 
+	// Single deletes: a stored id is removed once; a repeat and an
+	// unknown id are acknowledged as removing nothing.
+	for _, c := range []struct {
+		body    string
+		removed bool
+	}{
+		{`{"id":39,"time":1}`, true},
+		{`{"id":39,"time":1}`, false},
+		{`{"id":999}`, false},
+	} {
+		resp, raw = postJSON(t, hs.URL+"/v1/delete", c.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("delete %s: %d %s", c.body, resp.StatusCode, raw)
+		}
+		ack = updateResponse{}
+		decodeInto(t, raw, &ack)
+		if !ack.OK || ack.Removed != c.removed {
+			t.Fatalf("delete %s: %s, want removed %v", c.body, raw, c.removed)
+		}
+	}
+	if resp, _ = get(t, hs.URL+"/v1/object?id=39"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("object deleted through /v1/delete: %d, want 404", resp.StatusCode)
+	}
+	ro, _ := newTestServer(t, func(c *Config) { c.ReadOnly = true })
+	if resp, raw = postJSON(t, ro.URL+"/v1/delete", `{"id":1}`); resp.StatusCode != http.StatusForbidden {
+		t.Fatalf("delete on a read-only server: %d %s, want 403", resp.StatusCode, raw)
+	}
+
 	// Probes.
 	if resp, _ = get(t, hs.URL+"/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %d", resp.StatusCode)
@@ -232,6 +261,7 @@ func TestMalformedRequests(t *testing.T) {
 		{"update unknown field", `{"id":1,"pos":[1,2],"wat":3}`, "/v1/update", `malformed body: json: unknown field "wat"`},
 		{"update wrong dims", `{"id":1,"pos":[1,2,3],"time":0}`, "/v1/update", "pos has 3 coordinates, index has 2 dimensions"},
 		{"update with delete op", `{"op":"delete","id":1,"pos":[1,2]}`, "/v1/update", `op "delete" not valid on /v1/update (use /v1/delete or /v1/batch)`},
+		{"delete with update op", `{"op":"update","id":1}`, "/v1/delete", `op "update" not valid on /v1/delete`},
 		{"batch broken line", `{"id":1,"pos":[1,2],"time":0}` + "\n" + `{"id":2,`, "/v1/batch", "line 2: unexpected end of JSON input"},
 		{"batch unknown op", `{"op":"upsert","id":1,"pos":[1,2]}`, "/v1/batch", `line 1: unknown op "upsert"`},
 
